@@ -4,7 +4,8 @@ A *cold* query is the paper's worst case: a fresh process opens the
 substrate directory, loads the hierarchy, answers a conjunctive
 boolean-AND, and builds the navigation tree for the result (§II, §VII).
 PR 9 ran that path through per-node Python: ~190ms rebuilding the
-~48k-concept hierarchy from ``hierarchy.jsonl``, full roaring-bitmap
+~48k-concept hierarchy from ``hierarchy.jsonl`` (no longer part of the
+substrate; the bench writes it before timing), full roaring-bitmap
 deserialization per AND operand, and a dict-per-node tree build.  PR 10
 made every stage array-native; this bench measures both paths on the
 same directory and gates the speedups:
@@ -98,6 +99,19 @@ def run_build(out_dir: Path) -> dict:
 # ---------------------------------------------------------------------------
 # Legacy-path reimplementations (what PR 9 executed)
 # ---------------------------------------------------------------------------
+def write_hierarchy_jsonl(out_dir: Path) -> None:
+    """Write the legacy ``hierarchy.jsonl`` record stream.
+
+    Substrate directories no longer carry it (format 2 ships only the
+    ``hier_*.npy`` arrays), so the bench writes it from the persisted
+    hierarchy before timing the legacy open.
+    """
+    hierarchy = MmapStore(str(out_dir)).hierarchy()
+    with open(out_dir / "hierarchy.jsonl", "w") as handle:
+        for uid, label, parent in hierarchy.to_records():
+            handle.write(json.dumps([uid, label, parent]) + "\n")
+
+
 def hierarchy_from_jsonl(out_dir: Path) -> ConceptHierarchy:
     """The pre-arrays hierarchy open: rebuild every node from jsonl."""
     records = []
@@ -150,6 +164,7 @@ def pick_query_concepts(out_dir: Path) -> list:
 def measure_cold_paths(out_dir: Path) -> dict:
     """Time legacy vs array-native stages on a fresh store."""
     # Hierarchy open: jsonl rebuild (legacy) vs mmapped arrays (new).
+    write_hierarchy_jsonl(out_dir)
     started = time.perf_counter()
     hierarchy_from_jsonl(out_dir)
     hierarchy_jsonl_s = time.perf_counter() - started

@@ -326,8 +326,9 @@ class BioNavCluster:
     def stats(self) -> Dict[str, object]:
         """Fleet-merged operational statistics for ``GET /api/stats``.
 
-        Per-stage pipeline counters are summed across workers (hit
-        ratios recomputed from the sums); the L2 block merges every
+        Per-stage pipeline counters are summed across workers; hit
+        ratios and average build times are recomputed from the sums and
+        the slowest build is the fleet maximum.  The L2 block merges every
         worker's view of the shared store; per-worker raw answers ride
         along under ``workers`` for drill-down.
         """
@@ -354,7 +355,9 @@ class BioNavCluster:
             for stage, stage_row in answer.get("pipeline", {}).items():
                 merged = pipeline.setdefault(stage, {})
                 for key, value in stage_row.items():
-                    if isinstance(value, (int, float)):
+                    if key == "build_ms_max":
+                        merged[key] = max(merged.get(key, 0.0), value)
+                    elif isinstance(value, (int, float)):
                         merged[key] = merged.get(key, 0.0) + value
             shed_total += int(answer.get("serving", {}).get("shed", {}).get("total", 0))
             l2 = answer.get("l2")
@@ -368,6 +371,13 @@ class BioNavCluster:
             lookups = merged.get("hits", 0.0) + merged.get("misses", 0.0)
             if "hit_ratio" in merged:
                 merged["hit_ratio"] = merged.get("hits", 0.0) / lookups if lookups else 0.0
+            if "build_ms_avg" in merged:
+                executed = merged.get("builds", 0.0) + merged.get("runs", 0.0)
+                merged["build_ms_avg"] = (
+                    1000.0 * merged.get("build_seconds_total", 0.0) / executed
+                    if executed
+                    else 0.0
+                )
         l2_block: Optional[Dict[str, Any]] = None
         if l2_census is not None:
             attempts = l2_totals.get("hits", 0.0) + l2_totals.get("misses", 0.0)

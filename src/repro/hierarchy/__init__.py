@@ -1,6 +1,6 @@
 """Concept-hierarchy substrate: tree structures, MeSH helpers, generators."""
 
-from repro.hierarchy.arrays import ArrayBackedHierarchy, HierarchyArrays
+from repro.hierarchy.arrays import HierarchyArrays
 from repro.hierarchy.concept import Concept, ConceptHierarchy
 from repro.hierarchy.generator import HierarchyGenerator, HierarchyShape, generate_hierarchy
 from repro.hierarchy.mesh import paper_fragment
@@ -14,7 +14,6 @@ from repro.hierarchy.mesh_loader import (
 )
 
 __all__ = [
-    "ArrayBackedHierarchy",
     "Concept",
     "DescriptorRecord",
     "ConceptHierarchy",

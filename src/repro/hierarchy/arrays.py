@@ -1,11 +1,6 @@
-"""Positional array form of a concept hierarchy (the cold-path substrate).
+"""Positional array form of a concept hierarchy (its one read form).
 
-A :class:`ConceptHierarchy` is a Python object graph — per-node lists and
-dicts — which is the right shape for incremental construction but the
-wrong shape for a cold query: regenerating the paper-scale 48k-concept
-tree costs ~190ms before the first navigation tree can even be built.
-
-:class:`HierarchyArrays` is the same tree flattened into a handful of
+:class:`HierarchyArrays` is a concept tree flattened into a handful of
 numpy arrays in *hierarchy preorder* encoding:
 
 * ``parents``       int32[C]    parent node id, -1 for the root
@@ -23,24 +18,22 @@ The preorder encoding gives every subtree a contiguous interval
 the navigation-tree embedding run as whole-array passes instead of a
 per-node traversal (DESIGN.md §15).
 
-Arrays persist as ``hier_*.npy`` files inside the substrate directory
-and are memory-mapped on open, so cold hierarchy access is a file open.
-:class:`ArrayBackedHierarchy` serves the full :class:`ConceptHierarchy`
-API directly from the arrays, materializing the legacy list/dict form
-lazily only if a caller mutates the tree or touches a slow-path helper.
+Every :class:`~repro.hierarchy.concept.ConceptHierarchy` read goes
+through these arrays: an in-memory hierarchy freezes its append-only
+build log into them on first read, and a persisted one memory-maps its
+``hier_*.npy`` files from the substrate directory, so a cold hierarchy
+open is a file open.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.hierarchy.concept import ConceptHierarchy
-
-__all__ = ["HierarchyArrays", "ArrayBackedHierarchy", "HIERARCHY_ARRAY_FILES"]
+__all__ = ["HierarchyArrays", "HIERARCHY_ARRAY_FILES"]
 
 #: Files a persisted hierarchy-array set occupies inside a substrate
 #: directory, in the order they are hashed into the manifest.
@@ -77,7 +70,7 @@ def _encode_strings(values: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _decode_strings(blob: np.ndarray, offsets: np.ndarray) -> List[str]:
-    """Inverse of :func:`_encode_strings` (slow path, full materialization)."""
+    """Inverse of :func:`_encode_strings`: every string of the pool."""
     raw = blob.tobytes()
     bounds = offsets.tolist()
     return [
@@ -89,10 +82,10 @@ def _decode_strings(blob: np.ndarray, offsets: np.ndarray) -> List[str]:
 class HierarchyArrays:
     """Immutable positional-array encoding of one concept hierarchy.
 
-    Instances come from :meth:`from_hierarchy` (offline build) or
-    :meth:`load` (mmap open of a substrate directory).  All arrays are
-    frozen; the structural arrays are int32/int64 in the layouts listed
-    in the module docstring.
+    Instances come from :meth:`_from_parent_arrays` (freezing a build
+    log) or :meth:`load` (mmap open of a substrate directory).  All
+    arrays are frozen; the structural arrays are int32/int64 in the
+    layouts listed in the module docstring.
     """
 
     __slots__ = tuple(_FIELDS) + ("_content_key",)
@@ -112,40 +105,31 @@ class HierarchyArrays:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_hierarchy(cls, hierarchy: ConceptHierarchy) -> "HierarchyArrays":
-        """Flatten ``hierarchy`` into its positional-array form.
-
-        Preorder positions and subtree sizes are computed with
-        level-synchronous array passes (one pass per tree level, ~11 for
-        MeSH) rather than a per-node traversal.
-        """
-        size = len(hierarchy)
-        parents = np.fromiter(
-            (hierarchy.parent(node) for node in range(size)),
-            dtype=np.int32,
-            count=size,
-        )
-        depths = np.fromiter(
-            (hierarchy.depth(node) for node in range(size)),
-            dtype=np.int32,
-            count=size,
-        )
-        labels = [hierarchy.label(node) for node in range(size)]
-        uids = [hierarchy.uid(node) for node in range(size)]
-        return cls._from_parent_arrays(parents, depths, labels, uids)
-
-    @classmethod
     def _from_parent_arrays(
         cls,
         parents: np.ndarray,
-        depths: np.ndarray,
         labels: Sequence[str],
         uids: Sequence[str],
     ) -> "HierarchyArrays":
+        """Flatten an insertion-ordered parent array into the full form.
+
+        Depths, preorder positions and subtree sizes are computed with
+        whole-array passes (pointer jumping for depths, then one pass per
+        tree level, ~11 for MeSH) rather than a per-node traversal.
+        """
+        parents = np.asarray(parents, dtype=np.int32)
         size = len(parents)
+        # Depths by pointer jumping: depths[n] is the edge count from n to
+        # jump[n]; doubling the jumps reaches the root in log2(height) passes.
+        depths = (parents >= 0).astype(np.int32)
+        jump = np.maximum(parents, 0)
+        while jump.any():
+            depths = depths + depths[jump]
+            jump = jump[jump]
+
         # Children CSR: node ids are assigned in insertion order, so a
         # stable sort of 1..C-1 by parent groups each sibling list in
-        # ascending id order — exactly ConceptHierarchy._children.
+        # ascending id order — insertion order.
         nonroot = np.arange(1, size, dtype=np.int32)
         counts = np.bincount(parents[1:].astype(np.int64), minlength=size)
         child_offsets = np.zeros(size + 1, dtype=np.int64)
@@ -198,10 +182,10 @@ class HierarchyArrays:
         label_blob, label_offsets = _encode_strings(labels)
         uid_blob, uid_offsets = _encode_strings(uids)
         return cls(
-            parents=parents.astype(np.int32, copy=False),
+            parents=parents,
             child_offsets=child_offsets,
-            children=children.astype(np.int32, copy=False),
-            depths=depths.astype(np.int32, copy=False),
+            children=children,
+            depths=depths,
             preorder=preorder,
             positions=positions.astype(np.int32, copy=False),
             subtree_sizes=subtree_sizes,
@@ -210,6 +194,37 @@ class HierarchyArrays:
             uid_blob=uid_blob,
             uid_offsets=uid_offsets,
         )
+
+    def relabeled(self, labels: Sequence[str]) -> "HierarchyArrays":
+        """The same tree with a new label pool; structure arrays shared."""
+        fields = {name: getattr(self, name) for name in _FIELDS}
+        fields["label_blob"], fields["label_offsets"] = _encode_strings(labels)
+        return HierarchyArrays(**fields)
+
+    def __reduce__(self):
+        # Rebuild through __init__ so unpickled arrays are frozen too.
+        return (_from_fields, tuple(getattr(self, name) for name in _FIELDS))
+
+    # ------------------------------------------------------------------
+    # Strings
+    # ------------------------------------------------------------------
+    def label(self, node: int) -> str:
+        """Label of ``node``, decoded from the label pool."""
+        offsets = self.label_offsets
+        return bytes(self.label_blob[offsets[node] : offsets[node + 1]]).decode("utf-8")
+
+    def uid(self, node: int) -> str:
+        """Uid of ``node``, decoded from the uid pool."""
+        offsets = self.uid_offsets
+        return bytes(self.uid_blob[offsets[node] : offsets[node + 1]]).decode("utf-8")
+
+    def labels(self) -> List[str]:
+        """Every label, in node-id order."""
+        return _decode_strings(self.label_blob, self.label_offsets)
+
+    def uids(self) -> List[str]:
+        """Every uid, in node-id order."""
+        return _decode_strings(self.uid_blob, self.uid_offsets)
 
     # ------------------------------------------------------------------
     # Identity and persistence
@@ -245,13 +260,12 @@ class HierarchyArrays:
         return list(HIERARCHY_ARRAY_FILES)
 
     @classmethod
-    def load(cls, directory: str, mmap: bool = True) -> "HierarchyArrays":
-        """Open persisted arrays; ``mmap=True`` maps them copy-free."""
-        mode = "r" if mmap else None
+    def load(cls, directory: str) -> "HierarchyArrays":
+        """Memory-map persisted arrays copy-free."""
         arrays = {
             field: np.load(
                 os.path.join(directory, file_name),
-                mmap_mode=mode,
+                mmap_mode="r",
                 allow_pickle=False,
             )
             for file_name, field in zip(HIERARCHY_ARRAY_FILES, _FIELDS)
@@ -267,204 +281,6 @@ class HierarchyArrays:
         )
 
 
-# Base-class storage attributes materialized on demand by
-# ArrayBackedHierarchy.__getattr__ when a slow-path helper needs them.
-_LEGACY_ATTRS = frozenset(
-    {
-        "_labels",
-        "_uids",
-        "_parents",
-        "_children",
-        "_depths",
-        "_uid_index",
-        "_label_index",
-    }
-)
-
-
-class ArrayBackedHierarchy(ConceptHierarchy):
-    """A :class:`ConceptHierarchy` served from :class:`HierarchyArrays`.
-
-    Hot accessors (``parent``, ``children``, ``depth``, ``label``,
-    ``uid``, ``iter_dfs``, ``subtree_size``, ``is_ancestor``) read the
-    arrays directly.  The legacy list/dict representation is built
-    lazily the first time a slow-path helper (``tree_number``,
-    ``by_label``, …) or a mutation needs it; after :meth:`add_child` or
-    :meth:`relabel` every accessor falls back to the base class so the
-    mutated tree stays authoritative and the stale arrays are dropped.
-    """
-
-    def __init__(self, arrays: HierarchyArrays, path: Optional[str] = None):
-        # NOTE: deliberately does not call super().__init__ — the legacy
-        # list attributes are absent until __getattr__ materializes them.
-        self._arr = arrays
-        self._path = path
-        self._mutated = False
-        self._arrays_cache = arrays
-
-    @classmethod
-    def open(cls, directory: str, mmap: bool = True) -> "ArrayBackedHierarchy":  # repro: ignore[shadowed-builtin]
-        """Open a persisted hierarchy from its substrate directory."""
-        return cls(HierarchyArrays.load(directory, mmap=mmap), path=directory)
-
-    # ------------------------------------------------------------------
-    # Lazy materialization of the legacy representation
-    # ------------------------------------------------------------------
-    def __getattr__(self, name: str):
-        if name in _LEGACY_ATTRS:
-            self._materialize()
-            return self.__dict__[name]
-        raise AttributeError(name)
-
-    def _materialize(self) -> None:
-        if "_labels" in self.__dict__:
-            return
-        arr = self._arr
-        size = len(arr)
-        labels = _decode_strings(arr.label_blob, arr.label_offsets)
-        uids = _decode_strings(arr.uid_blob, arr.uid_offsets)
-        offsets = arr.child_offsets.tolist()
-        child_list = arr.children.tolist()
-        self._labels = labels
-        self._uids = uids
-        self._parents = arr.parents.tolist()
-        self._children = [
-            child_list[offsets[node] : offsets[node + 1]] for node in range(size)
-        ]
-        self._depths = arr.depths.tolist()
-        self._uid_index = {uid: node for node, uid in enumerate(uids)}
-        label_index = {}
-        for node, label in enumerate(labels):
-            label_index.setdefault(label, node)
-        self._label_index = label_index
-
-    # ------------------------------------------------------------------
-    # Mutation drops the array fast path
-    # ------------------------------------------------------------------
-    def add_child(self, parent: int, label: str, uid: Optional[str] = None) -> int:
-        self._materialize()
-        self._mutated = True
-        self._arrays_cache = None
-        return super().add_child(parent, label, uid=uid)
-
-    def relabel(self, node: int, label: str) -> None:
-        self._materialize()
-        self._mutated = True
-        self._arrays_cache = None
-        super().relabel(node, label)
-
-    # ------------------------------------------------------------------
-    # Array fast paths for the hot accessors
-    # ------------------------------------------------------------------
-    def _check_node(self, node: int) -> None:
-        if not 0 <= node < len(self):
-            raise IndexError("node id %r out of range" % (node,))
-
-    def __len__(self) -> int:
-        if self._mutated:
-            return len(self._labels)
-        return len(self._arr)
-
-    def label(self, node: int) -> str:
-        if self._mutated:
-            return super().label(node)
-        self._check_node(node)
-        offsets = self._arr.label_offsets
-        chunk = self._arr.label_blob[offsets[node] : offsets[node + 1]]
-        return bytes(chunk).decode("utf-8")
-
-    def uid(self, node: int) -> str:
-        if self._mutated:
-            return super().uid(node)
-        self._check_node(node)
-        offsets = self._arr.uid_offsets
-        chunk = self._arr.uid_blob[offsets[node] : offsets[node + 1]]
-        return bytes(chunk).decode("utf-8")
-
-    def parent(self, node: int) -> int:
-        if self._mutated:
-            return super().parent(node)
-        self._check_node(node)
-        return int(self._arr.parents[node])
-
-    def children(self, node: int) -> Sequence[int]:
-        if self._mutated:
-            return super().children(node)
-        self._check_node(node)
-        offsets = self._arr.child_offsets
-        return tuple(self._arr.children[offsets[node] : offsets[node + 1]].tolist())
-
-    def depth(self, node: int) -> int:
-        if self._mutated:
-            return super().depth(node)
-        self._check_node(node)
-        return int(self._arr.depths[node])
-
-    def is_leaf(self, node: int) -> bool:
-        if self._mutated:
-            return super().is_leaf(node)
-        self._check_node(node)
-        offsets = self._arr.child_offsets
-        return int(offsets[node]) == int(offsets[node + 1])
-
-    def iter_dfs(self, start: int = 0) -> Iterator[int]:
-        if self._mutated:
-            return super().iter_dfs(start)
-        self._check_node(start)
-        arr = self._arr
-        begin = int(arr.positions[start])
-        end = begin + int(arr.subtree_sizes[start])
-        return iter(arr.preorder[begin:end].tolist())
-
-    def subtree_size(self, node: int) -> int:
-        if self._mutated:
-            return super().subtree_size(node)
-        self._check_node(node)
-        return int(self._arr.subtree_sizes[node])
-
-    def is_ancestor(self, ancestor: int, node: int) -> bool:
-        if self._mutated:
-            return super().is_ancestor(ancestor, node)
-        self._check_node(ancestor)
-        self._check_node(node)
-        begin = int(self._arr.positions[ancestor])
-        end = begin + int(self._arr.subtree_sizes[ancestor])
-        return begin <= int(self._arr.positions[node]) < end
-
-    def path_to_root(self, node: int) -> List[int]:
-        if self._mutated:
-            return super().path_to_root(node)
-        self._check_node(node)
-        parents = self._arr.parents
-        path = [node]
-        while path[-1] != 0:
-            path.append(int(parents[path[-1]]))
-        return path
-
-    def height(self, start: int = 0) -> int:
-        if self._mutated:
-            return super().height(start)
-        self._check_node(start)
-        arr = self._arr
-        begin = int(arr.positions[start])
-        end = begin + int(arr.subtree_sizes[start])
-        interval = arr.preorder[begin:end]
-        return int(arr.depths[interval].max()) - int(arr.depths[start])
-
-    # ------------------------------------------------------------------
-    def arrays(self) -> HierarchyArrays:
-        if self._mutated:
-            return super().arrays()
-        return self._arr
-
-    def __reduce__(self):
-        # Directory-backed instances reopen by path on the receiving end
-        # (cheap — the arrays mmap back in); mutated or in-memory ones
-        # fall back to the record stream, which rebuilds an equivalent
-        # plain ConceptHierarchy.
-        if self._path is not None and not self._mutated:
-            return (ArrayBackedHierarchy.open, (self._path,))
-        return (ConceptHierarchy.from_records, (self.to_records(),))
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return "ArrayBackedHierarchy(%d nodes)" % len(self)
+def _from_fields(*values: np.ndarray) -> HierarchyArrays:
+    """Unpickle helper: field arrays in :data:`_FIELDS` order."""
+    return HierarchyArrays(**dict(zip(_FIELDS, values)))

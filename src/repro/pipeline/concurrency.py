@@ -1,15 +1,12 @@
 """The single-flight LRU cache backing every pipeline stage.
 
-:class:`SingleFlightCache` is the concurrent counterpart of
-:class:`repro.storage.cache.LRUCache`.  Entry access and the hit/miss
-counters mutate under one lock, so the statistics can never drift from
-the entries they describe (the single-threaded cache documents that it
-must not be shared across threads for exactly this reason).  Its
-``get_or_create`` adds *single-flight* semantics: when N threads miss on
-the same key at once, one runs the factory while the other N-1 block on
-a per-key event and receive the same value — the navigation tree for a
-hot query is built exactly once no matter how many users issue it
-concurrently.
+:class:`SingleFlightCache` is a thread-safe LRU cache.  Entry access and
+the hit/miss counters mutate under one lock, so the statistics can never
+drift from the entries they describe.  Its ``get_or_create`` adds
+*single-flight* semantics: when N threads miss on the same key at once,
+one runs the factory while the other N-1 block on a per-key event and
+receive the same value — the navigation tree for a hot query is built
+exactly once no matter how many users issue it concurrently.
 
 The class lives in the pipeline layer because the
 :class:`~repro.pipeline.cache.StageCache` is its primary holder; the

@@ -1,8 +1,8 @@
 """Concurrent serving runtime for the BioNav web deployment (paper §VII).
 
 The paper's system is a multi-user web application, but the substrate
-modules (`repro.web.app`, `repro.storage.cache`, the shared
-Heuristic-ReducedOpt decision cache, `repro.analysis.runtime.SolverProfile`)
+modules (`repro.web.app`, the shared Heuristic-ReducedOpt decision
+cache, `repro.analysis.runtime.SolverProfile`)
 are single-threaded shared state.  This package supplies the runtime that
 makes them safe to drive from many threads at once:
 

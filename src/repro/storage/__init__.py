@@ -1,6 +1,5 @@
 """The BioNav database: association tables, keyword index, persistence."""
 
-from repro.storage.cache import LRUCache
 from repro.storage.database import BioNavDatabase
 from repro.storage.harvest import ConceptHarvester, HarvestResult
 from repro.storage.index import InvertedIndex, tokenize
@@ -15,7 +14,6 @@ __all__ = [
     "DenormalizedCitationTable",
     "HarvestResult",
     "InvertedIndex",
-    "LRUCache",
     "PositionalIndex",
     "tokenize",
 ]

@@ -43,24 +43,19 @@ def hierarchy_digest(hierarchy: ConceptHierarchy) -> str:
     This is the toy-scale content identity of a deployment; 40 hex chars
     to match the pipeline's ``content_key`` format.  The record walk is
     O(n) Python, so the result is memoized on the hierarchy instance,
-    keyed by its positional-array ``content_key`` — mutation drops the
-    arrays cache and with it the memo, keeping the digest honest.
+    keyed by its positional-array ``content_key`` — any write yields new
+    arrays and with them a new key, keeping the digest honest.
     """
-    arrays = getattr(hierarchy, "_arrays_cache", None)
+    key = hierarchy.arrays().content_key
     cached = getattr(hierarchy, "_digest_cache", None)
-    if (
-        arrays is not None
-        and cached is not None
-        and cached[0] == arrays.content_key
-    ):
+    if cached is not None and cached[0] == key:
         return cached[1]
     hasher = hashlib.sha256()
     hasher.update(("%d" % len(hierarchy)).encode("utf-8"))
     for uid, label, parent in hierarchy.to_records():
         hasher.update(("%s\x1f%s\x1f%d\x1e" % (uid, label, parent)).encode("utf-8"))
     digest = hasher.hexdigest()[:40]
-    if arrays is not None:
-        hierarchy._digest_cache = (arrays.content_key, digest)
+    hierarchy._digest_cache = (key, digest)
     return digest
 
 

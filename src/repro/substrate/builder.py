@@ -25,7 +25,6 @@ On-disk layout (all arrays little-endian, loadable with
 ``concept_lt.npy``     int64[C]   counts + background = ``LT(n)``
 ``bitmap_offsets.npy`` int64[C+1] byte offsets into the bitmap blob
 ``bitmap_blob.npy``    uint8[B]   serialized roaring bitmaps
-``hierarchy.jsonl``               one (uid, label, parent) JSON per line
 ``hier_*.npy``                    positional hierarchy arrays (11 files,
                                   see ``repro.hierarchy.arrays``)
 ``manifest.json``                 file hashes, counts, params, digest
@@ -57,7 +56,7 @@ from repro.substrate.roaring import ARRAY_CONTAINER_MAX, RoaringBitmap
 
 __all__ = ["CitationChunk", "citation_chunks", "BuildManifest", "SubstrateBuilder"]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 #: Elements per windowed pass over the association tables.
 _WINDOW = 1 << 21
@@ -175,9 +174,9 @@ class SubstrateBuilder:
 
         Args:
             chunks: the citation stream (see :class:`CitationChunk`).
-            hierarchy: captured into ``hierarchy.jsonl`` when given, so
-                ``MmapStore.hierarchy()`` can reopen the exact tree the
-                substrate was built over.
+            hierarchy: saved as its ``hier_*.npy`` positional arrays when
+                given, so ``MmapStore.hierarchy()`` can reopen the exact
+                tree the substrate was built over.
             background: per-concept out-of-corpus MEDLINE mass added to
                 the result counts to form ``LT(n)``.
             meta: caller-supplied provenance (seed, generator name)
@@ -226,11 +225,11 @@ class SubstrateBuilder:
         self._encode_bitmaps(concept_offsets)
         arrays_key = None
         if hierarchy is not None:
-            self._write_hierarchy(hierarchy)
-            # Positional hierarchy arrays next to the jsonl records: the
-            # jsonl stays the portable/back-compat form, the arrays are
-            # what ``MmapStore.hierarchy()`` actually opens (mmap, no
-            # per-node reconstruction on the cold path).
+            if len(hierarchy) != self.num_concepts:
+                raise ValueError(
+                    "hierarchy has %d concepts, builder configured for %d"
+                    % (len(hierarchy), self.num_concepts)
+                )
             arrays = hierarchy.arrays()
             arrays.save(self.out_dir)
             arrays_key = arrays.content_key
@@ -377,17 +376,6 @@ class SubstrateBuilder:
         del out
         os.remove(raw_path)
 
-    def _write_hierarchy(self, hierarchy: ConceptHierarchy) -> None:
-        if len(hierarchy) != self.num_concepts:
-            raise ValueError(
-                "hierarchy has %d concepts, builder configured for %d"
-                % (len(hierarchy), self.num_concepts)
-            )
-        path = os.path.join(self.out_dir, "hierarchy.jsonl")
-        with open(path, "w") as handle:
-            for uid, label, parent in hierarchy.to_records():
-                handle.write(json.dumps([uid, label, parent]) + "\n")
-
     def _write_manifest(
         self,
         citations: int,
@@ -409,7 +397,6 @@ class SubstrateBuilder:
             "bitmap_blob.npy",
         ]
         if with_hierarchy:
-            names.append("hierarchy.jsonl")
             names.extend(HIERARCHY_ARRAY_FILES)
         files = {}
         for name in names:

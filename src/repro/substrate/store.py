@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.corpus.citation import Citation
 from repro.corpus.medline import MedlineDatabase
-from repro.hierarchy.arrays import ArrayBackedHierarchy, HierarchyArrays
+from repro.hierarchy.arrays import HierarchyArrays
 from repro.hierarchy.concept import ConceptHierarchy
 from repro.substrate.roaring import RoaringBitmap, intersect_serialized
 
@@ -314,7 +314,7 @@ class MmapStore(CorpusStore):
         with open(os.path.join(self.path, "manifest.json"), "rb") as handle:
             self._manifest_bytes = handle.read()
         self.manifest: Dict[str, object] = json.loads(self._manifest_bytes)
-        if self.manifest.get("format_version") != 1:
+        if self.manifest.get("format_version") != 2:
             raise ValueError(
                 "unsupported substrate format_version %r"
                 % self.manifest.get("format_version")
@@ -360,28 +360,12 @@ class MmapStore(CorpusStore):
     def hierarchy(self) -> Optional[ConceptHierarchy]:
         """The build-time hierarchy, mmapped from its positional arrays.
 
-        Directories written since the arrays landed carry ``hier_*.npy``
-        files; opening them is a handful of header reads, so a cold
-        hierarchy access costs file opens instead of rebuilding ~48k
-        Python nodes from ``hierarchy.jsonl``.  Older directories fall
-        back to the jsonl record stream.
+        Opening the ``hier_*.npy`` files is a handful of header reads, so
+        a cold hierarchy access costs file opens.  ``None`` when the
+        directory was built without a hierarchy.
         """
-        if self._hierarchy_cache is None:
-            if HierarchyArrays.present(self.path):
-                self._hierarchy_cache = ArrayBackedHierarchy.open(self.path)
-                return self._hierarchy_cache
-            records_path = os.path.join(self.path, "hierarchy.jsonl")
-            if not os.path.exists(records_path):
-                return None
-
-            def _records():
-                with open(records_path) as handle:
-                    for line in handle:
-                        if line.strip():
-                            uid, label, parent = json.loads(line)
-                            yield uid, label, parent
-
-            self._hierarchy_cache = ConceptHierarchy.from_records(_records())
+        if self._hierarchy_cache is None and HierarchyArrays.present(self.path):
+            self._hierarchy_cache = ConceptHierarchy.open(self.path)
         return self._hierarchy_cache
 
     # -- citation table -------------------------------------------------

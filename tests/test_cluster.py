@@ -339,6 +339,34 @@ class TestClusterServing:
         assert len(stats["workers"]) == 2
         assert "hit_ratio" in stats["l2"]
 
+    def test_merged_stage_timings_are_not_summed(self, cluster, monkeypatch):
+        """Two workers reporting the same stage row merge to that row's
+        average and slowest build time; only the counts add up."""
+        row = {
+            "hits": 3,
+            "misses": 1,
+            "hit_ratio": 0.75,
+            "builds": 1,
+            "runs": 3,
+            "build_seconds_total": 0.02,
+            "build_ms_avg": 5.0,
+            "build_ms_max": 9.0,
+        }
+        probed = [
+            (
+                {"name": "w%d" % index, "generation": 0, "alive": True,
+                 "respawns": 0, "queue_depth": 0},
+                {"pipeline": {"nav_tree": dict(row)}},
+            )
+            for index in range(2)
+        ]
+        monkeypatch.setattr(cluster, "_probe", lambda op: probed)
+        merged = cluster.stats()["pipeline"]["nav_tree"]
+        assert merged["build_ms_avg"] == pytest.approx(row["build_ms_avg"])
+        assert merged["build_ms_max"] == row["build_ms_max"]
+        assert merged["hit_ratio"] == pytest.approx(row["hit_ratio"])
+        assert (merged["builds"], merged["runs"], merged["hits"]) == (2, 6, 6)
+
     def test_wsgi_app_mounts_the_cluster(self, cluster, keywords):
         app = BioNavWebApp(runtime=cluster)
         status, _, body = request_page(app, "/api/search", {"q": keywords[0]})

@@ -1,10 +1,9 @@
-"""Property-based tests for the parsers, formats, and caches."""
+"""Property-based tests for the parsers and formats."""
 
 from __future__ import annotations
 
 import io
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +12,6 @@ from repro.corpus.loader import dump_medline_text, load_medline_text
 from repro.hierarchy.generator import generate_hierarchy
 from repro.hierarchy.mesh_loader import dump_mesh_ascii, load_mesh_ascii
 from repro.search.query_language import And, Not, Or, Term, format_query, parse_query
-from repro.storage.cache import LRUCache
 
 
 # ---------------------------------------------------------------------------
@@ -117,34 +115,3 @@ class TestMeshAsciiRoundTrip:
             for n in range(1, len(reloaded))
         )
         assert original_edges == reloaded_edges
-
-
-# ---------------------------------------------------------------------------
-# LRU cache invariants
-# ---------------------------------------------------------------------------
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
-class TestLRUProperties:
-    @given(
-        st.integers(1, 5),
-        st.lists(
-            st.tuples(st.sampled_from("abcdefgh"), st.integers(0, 100)), max_size=60
-        ),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_capacity_never_exceeded_and_last_put_present(self, capacity, operations):
-        cache: LRUCache = LRUCache(capacity)
-        for key, value in operations:
-            cache.put(key, value)
-            assert len(cache) <= capacity
-            assert cache.get(key) == value
-
-    @given(st.lists(st.sampled_from("abc"), min_size=1, max_size=40))
-    @settings(max_examples=60, deadline=None)
-    def test_stats_add_up(self, keys):
-        cache: LRUCache = LRUCache(2)
-        lookups = 0
-        for key in keys:
-            cache.get(key)
-            lookups += 1
-            cache.put(key, 1)
-        assert cache.hits + cache.misses == lookups

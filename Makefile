@@ -43,7 +43,8 @@ bench-tables:
 # pipeline's cache-hit gate (writes BENCH_pipeline.json), the EXPAND
 # hot-path gate — batched cost model + warm serving p99 (writes
 # BENCH_expand_hotpath.json) — and the cold-path identity smoke
-# (array-native tree bit-identical to the dict oracle on both backends).
+# (array-native tree bit-identical to the dict oracle on both backends;
+# first EXPAND identical to the tests/oracles partition path).
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_fig10_heuristic_time.py benchmarks/bench_opt_engine.py benchmarks/bench_pipeline.py benchmarks/bench_expand_hotpath.py -q
 	COLDPATH_BENCH_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_coldpath.py -q
@@ -90,12 +91,14 @@ bench-substrate-smoke:
 
 # Full cold-path bench: one 1M-citation build, then legacy vs
 # array-native hierarchy open / boolean-AND / navigation-tree build on
-# the same directory; gates the >=4x combined and >=10x hierarchy-open
-# speedups and rewrites BENCH_coldpath.json.
+# the same directory, plus the first EXPAND (array vs tests/oracles
+# partition, identity-gated, timed); gates the >=4x combined and >=10x
+# hierarchy-open speedups and rewrites BENCH_coldpath.json.
 bench-coldpath:
 	$(PYTHON) -m pytest benchmarks/bench_coldpath.py -q
 
-# Cold-path smoke for CI: identity gates only, at 20k citations.
+# Cold-path smoke for CI: identity gates only (tree, costs, first
+# EXPAND), at 20k citations.
 bench-coldpath-smoke:
 	COLDPATH_BENCH_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_coldpath.py -q
 

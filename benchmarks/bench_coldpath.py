@@ -19,13 +19,21 @@ same directory and gates the speedups:
   :class:`ReferenceNavigationTree` oracle node for node (preorder,
   parents, per-node results) and produces the identical CostArrays
   content key (hence identical navigation costs) on **both** store
-  backends, at every scale.
+  backends, at every scale;
+* **first-EXPAND identity** — on the cold tree, the array-native
+  Heuristic-ReducedOpt (level-by-level k-partition over the preorder
+  arrays) returns the same cut, reduced size and expected cost as the
+  dict-based reduction kept in ``tests/oracles``, and the probability
+  model built through the batched LT lookup has the same content key
+  as the one built with a per-node ``medline_count`` call.  Both paths
+  are timed (fastest of three) and recorded; neither timing is gated.
 
 ``COLDPATH_BENCH_SMOKE=1`` runs the same identity gates at 20k
 citations over a 2k-concept hierarchy for CI (speedup gates are only
 meaningful at scale); the full run (1M citations over the paper-scale
 MeSH-2008 preset) writes ``BENCH_coldpath.json`` at the repository
-root.
+root.  Run from the repository root (``python -m pytest``) so the
+``tests.oracles`` package is importable.
 """
 
 from __future__ import annotations
@@ -40,14 +48,17 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.cost_arrays import CostArrays
+from repro.core.heuristic import HeuristicReducedOpt
 from repro.core.navigation_tree import NavigationTree
-from repro.core.navigation_tree_reference import ReferenceNavigationTree
+from repro.core.probabilities import ProbabilityModel
 from repro.corpus.citation import Citation
 from repro.corpus.medline import MedlineDatabase
 from repro.hierarchy.concept import ConceptHierarchy
 from repro.hierarchy.generator import generate_hierarchy
 from repro.substrate import InMemoryStore, MmapStore
 from repro.substrate.roaring import RoaringBitmap
+from tests.oracles.navigation_tree_reference import ReferenceNavigationTree
+from tests.oracles.partition_reference import ReferenceHeuristicReducedOpt
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_coldpath.json"
@@ -64,6 +75,10 @@ RESULT_CAP = 5_000
 #: substrate; identity is scale-independent).
 IDENTITY_CITATIONS = 4_000
 IDENTITY_HIERARCHY = 600
+
+#: Timed repeats of the model build and first EXPAND (the fastest is
+#: recorded; neither is gated).
+FIRST_EXPAND_REPEATS = 3
 
 #: Full-scale speedup gates (ISSUE 10 acceptance: 286ms -> <=70ms
 #: combined, 190ms -> <=19ms hierarchy open).
@@ -151,6 +166,52 @@ def cost_keys_identical(store, tree, ref) -> bool:
     return new_key == ref_key
 
 
+def fastest(func, repeats: int = FIRST_EXPAND_REPEATS):
+    """``(best seconds, last value)`` over ``repeats`` calls of ``func``."""
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        value = func()
+        best = min(best, time.perf_counter() - started)
+    return best, value
+
+
+def first_expand(store, tree: NavigationTree) -> dict:
+    """Time and compare the first EXPAND: array path vs the oracle path.
+
+    The model is built twice — per-node ``medline_count`` calls
+    (legacy) and the store's batched ``medline_counts`` (new) — and the
+    root component is solved by the array-native reduction and by the
+    dict-based oracle reduction on the same model, each with a fresh
+    solver per repeat.
+    """
+    prob_model_ref_s, legacy_probs = fastest(
+        lambda: ProbabilityModel(tree, store.medline_count)
+    )
+    prob_model_new_s, probs = fastest(lambda: ProbabilityModel(tree, store))
+    component = frozenset(tree.iter_dfs())
+    first_expand_ref_s, ref = fastest(
+        lambda: ReferenceHeuristicReducedOpt(tree, probs).best_cut(component, tree.root)
+    )
+    first_expand_new_s, new = fastest(
+        lambda: HeuristicReducedOpt(tree, probs).best_cut(component, tree.root)
+    )
+    return {
+        "prob_model_ref_s": prob_model_ref_s,
+        "prob_model_new_s": prob_model_new_s,
+        "prob_model_keys_identical": (
+            legacy_probs.arrays.content_key == probs.arrays.content_key
+        ),
+        "first_expand_ref_s": first_expand_ref_s,
+        "first_expand_new_s": first_expand_new_s,
+        "reduced_size": new.reduced_size,
+        "first_expand_identical": (
+            (new.cut, new.reduced_size, new.expected_cost)
+            == (ref.cut, ref.reduced_size, ref.expected_cost)
+        ),
+    }
+
+
 # ---------------------------------------------------------------------------
 # Measurements
 # ---------------------------------------------------------------------------
@@ -208,6 +269,7 @@ def measure_cold_paths(out_dir: Path) -> dict:
         "nav_tree_new_s": nav_tree_new_s,
         "mmap_identical": trees_identical(tree, ref_tree),
         "mmap_costs_identical": cost_keys_identical(store, tree, ref_tree),
+        **first_expand(store, tree),
     }
 
 
@@ -233,7 +295,9 @@ def check_inmemory_identity() -> dict:
             )
         )
     store = InMemoryStore(medline, hierarchy=hierarchy)
-    pmids = store.boolean_and(pick_busiest(store))[:RESULT_CAP]
+    # One concept: random co-annotation makes ANDs of two busy concepts
+    # of this small corpus empty, and an empty tree checks nothing.
+    pmids = store.boolean_and(pick_busiest(store, k=1))[:RESULT_CAP]
     result = [int(p) for p in pmids]
     tree = NavigationTree.from_store(hierarchy, store, result)
     ref = ReferenceNavigationTree.from_store(hierarchy, store, result)
@@ -324,11 +388,30 @@ def test_coldpath_speedup_and_identity(tmp_path_factory, report, benchmark):
             combined_speedup,
             COMBINED_SPEEDUP_MIN,
         )
+        + "\n%-38s %9.1f ms -> %7.1f ms  (%.1fx)"
+        % (
+            "probability model (per-node LT -> batch)",
+            cold["prob_model_ref_s"] * 1e3,
+            cold["prob_model_new_s"] * 1e3,
+            cold["prob_model_ref_s"] / cold["prob_model_new_s"],
+        )
+        + "\n%-38s %9.1f ms -> %7.1f ms  (%.1fx)"
+        % (
+            "first EXPAND (dict -> array partition)",
+            cold["first_expand_ref_s"] * 1e3,
+            cold["first_expand_new_s"] * 1e3,
+            cold["first_expand_ref_s"] / cold["first_expand_new_s"],
+        )
         + "\n%-38s %12s / %s"
         % (
             "bit-identity (mmap / in-memory)",
             cold["mmap_identical"] and cold["mmap_costs_identical"],
             inmemory["identical"] and inmemory["costs_identical"],
+        )
+        + "\n%-38s %12s"
+        % (
+            "first-EXPAND identity (array / oracle)",
+            cold["first_expand_identical"] and cold["prob_model_keys_identical"],
         )
         + "\n"
         + "=" * 78
@@ -338,6 +421,8 @@ def test_coldpath_speedup_and_identity(tmp_path_factory, report, benchmark):
     assert cold["mmap_identical"] and cold["mmap_costs_identical"]
     assert inmemory["identical"] and inmemory["costs_identical"]
     assert cold["result_size"] > 0 and cold["tree_size"] > 1
+    assert inmemory["result_size"] > 0 and inmemory["tree_size"] > 1
+    assert cold["first_expand_identical"] and cold["prob_model_keys_identical"]
 
     # Speedup gates are only meaningful at full scale: at smoke size the
     # legacy path is already a few milliseconds and the ratio is noise.

@@ -20,7 +20,6 @@ from repro.core.montecarlo import WalkOutcome, estimate_expected_cost, sample_wa
 from repro.core.navigation_tree import NavigationTree
 from repro.core.opt_edgecut import BestCut, CutTree, OptEdgeCut
 from repro.core.paged_static import PagedStaticNavigation
-from repro.core.partition import k_partition, partition_with_limit
 from repro.core.probabilities import ProbabilityModel
 from repro.core.relevance import ranked_visualization, relevance_of
 from repro.core.replay import SessionLog, record_session, replay_session
@@ -68,7 +67,6 @@ __all__ = [
     "explain_expansion",
     "group_stats",
     "is_valid_edgecut",
-    "k_partition",
     "least_overlapping_groups",
     "navigate_to_target",
     "navigate_with_errors",
@@ -77,6 +75,5 @@ __all__ = [
     "sample_walk",
     "relevance_of",
     "replay_session",
-    "partition_with_limit",
     "tree_duplication",
 ]

@@ -125,8 +125,11 @@ class CostArrays:
         self.upper_threshold = upper_threshold
         self.lower_threshold = lower_threshold
         self.use_idf = use_idf
-        # A corpus store (anything exposing a ``medline_count`` method)
-        # is accepted in place of the bare LT callable.
+        # A corpus store or database (anything exposing a
+        # ``medline_count`` method) is accepted in place of the bare LT
+        # callable; one exposing ``medline_counts`` answers every node in
+        # one batch lookup instead of a call per node.
+        batch = getattr(medline_count, "medline_counts", None)
         bound = getattr(medline_count, "medline_count", None)
         if callable(bound):
             medline_count = bound
@@ -157,9 +160,12 @@ class CostArrays:
             self.result_counts = np.fromiter(
                 (len(tree.results(n)) for n in preorder), dtype=np.int64, count=k
             )
-        lt = np.fromiter(
-            (max(2, medline_count(n)) for n in preorder), dtype=np.float64, count=k
-        )
+        if callable(batch):
+            lt = np.maximum(batch(self.preorder_ids), 2).astype(np.float64)
+        else:
+            lt = np.fromiter(
+                (max(2, medline_count(n)) for n in preorder), dtype=np.float64, count=k
+            )
         self.log_lt = np.log(lt)
         counts_f = self.result_counts.astype(np.float64)
         if use_idf:
@@ -496,10 +502,3 @@ class CostArrays:
             lengths,
         )
         return self._apply_thresholds(entropy, lengths, distinct)
-
-    # ------------------------------------------------------------------
-    # Scalar-compat conveniences
-    # ------------------------------------------------------------------
-    def member_counts(self, nodes: Iterable[int]) -> List[int]:
-        """``|L(m)|`` per node, in the given order (exact integers)."""
-        return self.result_counts[self.positions(nodes)].tolist()

@@ -18,9 +18,13 @@ exactly.  The paper uses N = 10.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.active_tree import ActiveTree
+from repro.core.cost_arrays import segment_sums
 from repro.core.cost_model import CostParams
 from repro.core.navigation_tree import NavigationTree
 from repro.core.opt_edgecut import CutTree, OptEdgeCut
@@ -180,53 +184,57 @@ class HeuristicReducedOpt(ExpansionStrategy):
         node rooting that partition (used to map cuts back).
         """
         tree = self.tree
-        adjacency = {
-            n: [c for c in tree.children(n) if c in component] for n in component
-        }
-        weights = {n: float(len(tree.results(n))) for n in component}
-        partitions = partition_with_limit(
-            adjacency, root, weights, self.max_reduced_nodes
-        )
-        part_of: Dict[int, int] = {}
-        for index, members in enumerate(partitions):
-            for member in members:
-                part_of[member] = index
-        # Each partition list is emitted root-first by the partitioner.
-        roots = [members[0] for members in partitions]
-        root_part = part_of[root]
-
-        # Order supernodes so the overall root is CutTree node 0; keep a
-        # stable order for the rest.
-        order = [root_part] + [i for i in range(len(partitions)) if i != root_part]
-        new_index = {old: new for new, old in enumerate(order)}
-
-        children: List[List[int]] = [[] for _ in partitions]
-        for old_index, part_root in enumerate(roots):
-            if old_index == root_part:
-                continue
-            parent_part = part_of[tree.parent(part_root)]
-            children[new_index[parent_part]].append(new_index[old_index])
-
-        # Supernode statistics evaluated as one batch over the array
-        # substrate: EXPLORE mass sums run vectorized (within 1e-9 of
-        # the scalar oracle's sequential sums — see cost_arrays), and
-        # the member histograms are exact integer gathers.
+        # The cost arrays index nodes by the tree's preorder positions.
         arrays = self.probs.arrays
-        parts = [partitions[old_index] for old_index in order]
-        explore = arrays.explore_mass_sums(parts).tolist()
-        results = []
-        member_counts = []
-        payload: List[object] = []
-        for members in parts:
-            results.append(tree.distinct_results(members))
-            member_counts.append(arrays.member_counts(members))
-            payload.append(tuple(members))
+        positions, parents, depths = tree.component_arrays(component)
+        partitions = partition_with_limit(
+            parents,
+            depths,
+            arrays.result_counts[positions],
+            tree.preorder_array()[positions],
+            self.max_reduced_nodes,
+        )
+        # The root's part comes last; it becomes CutTree node 0 and the
+        # rest keep their order.
+        parts = [partitions[-1]] + partitions[:-1]
+        sizes = np.array([len(members) for members in parts], dtype=np.int64)
+        offsets = np.cumsum(sizes) - sizes
+        flat = tree.positions(
+            np.fromiter(chain.from_iterable(parts), dtype=np.int64, count=len(positions))
+        )
+        part_of = np.zeros(len(tree), dtype=np.int64)
+        part_of[flat] = np.repeat(np.arange(len(parts)), sizes)
+        part_roots = [members[0] for members in parts]
+        children: List[List[int]] = [[] for _ in parts]
+        parent_parts = part_of[tree.positions([tree.parent(r) for r in part_roots[1:]])]
+        for index, parent_part in enumerate(parent_parts.tolist(), start=1):
+            children[parent_part].append(index)
+
+        # Supernode statistics over the arrays: EXPLORE sums run over each
+        # part's members in ascending id order (the order the CostArrays
+        # kernels use), member histograms keep the partition's member
+        # order, and each part's citations are one gather of its
+        # results-CSR rows.
+        by_id = flat[np.lexsort((arrays.preorder_ids[flat], part_of[flat]))]
+        explore = segment_sums(arrays.explore_mass[by_id], offsets, sizes).tolist()
+        member_counts = arrays.result_counts[flat].tolist()
+        row_begin = tree.result_offsets_array()[flat]
+        row_length = arrays.result_counts[flat]
+        starts = np.cumsum(row_length) - row_length
+        citations = tree.result_values_array()[
+            np.repeat(row_begin - starts, row_length) + np.arange(int(row_length.sum()))
+        ].tolist()
+        bounds = np.append(starts, len(citations))[np.append(offsets, len(flat))].tolist()
+        ends = (offsets + sizes).tolist()
         reduced = CutTree(
             children=children,
-            results=results,
+            results=[
+                frozenset(citations[bounds[i] : bounds[i + 1]]) for i in range(len(parts))
+            ],
             explore=explore,
-            member_counts=member_counts,
-            payload=payload,
+            member_counts=[
+                member_counts[begin:end] for begin, end in zip(offsets.tolist(), ends)
+            ],
+            payload=[tuple(members) for members in parts],
         )
-        part_roots = [roots[old_index] for old_index in order]
         return reduced, part_roots

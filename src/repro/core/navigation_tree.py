@@ -27,8 +27,8 @@ buffers whole via :meth:`NavigationTree.preorder_array` and friends.
 ``tree_depth``, ``is_tree_ancestor`` and ``subtree_size`` remain O(1)
 lookups; ``iter_dfs``/``subtree_nodes`` are contiguous slices.
 
-The original dict-based builder is retained verbatim as
-:class:`repro.core.navigation_tree_reference.ReferenceNavigationTree`,
+The original dict-based builder is kept verbatim as
+``ReferenceNavigationTree`` in ``tests/oracles/navigation_tree_reference.py``,
 the oracle the equivalence suite pins this implementation against.
 """
 
@@ -65,76 +65,6 @@ class NavigationTree:
     def __init__(
         self,
         hierarchy: ConceptHierarchy,
-        parent: Dict[int, int],
-        children: Dict[int, List[int]],
-        results: Dict[int, FrozenSet[int]],
-        root: int,
-    ):
-        """Build from explicit embedding mappings (compatibility path).
-
-        :meth:`build` and :meth:`from_store` construct trees through the
-        vectorized embedding and never pass through here; this constructor
-        keeps the legacy mapping-based signature working by flattening the
-        dicts into the internal array form.
-        """
-        order: List[int] = []
-        depth_of: Dict[int, int] = {}
-        stack: List[Tuple[int, int]] = [(root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            depth_of[node] = depth
-            order.append(node)
-            stack.extend((child, depth + 1) for child in reversed(children[node]))
-        k = len(order)
-        position = {node: index for index, node in enumerate(order)}
-        subtree_size: Dict[int, int] = {}
-        for node in reversed(order):
-            subtree_size[node] = 1 + sum(
-                subtree_size[child] for child in children[node]
-            )
-        child_lengths = np.fromiter(
-            (len(children[n]) for n in order), dtype=np.int64, count=k
-        )
-        child_off = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(child_lengths, out=child_off[1:])
-        child_val = np.fromiter(
-            (child for n in order for child in children[n]),
-            dtype=np.int64,
-            count=int(child_off[-1]),
-        )
-        sorted_results = [sorted(results[n]) for n in order]
-        res_lengths = np.fromiter(
-            (len(r) for r in sorted_results), dtype=np.int64, count=k
-        )
-        res_off = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(res_lengths, out=res_off[1:])
-        res_val = np.fromiter(
-            (c for row in sorted_results for c in row),
-            dtype=np.int64,
-            count=int(res_off[-1]),
-        )
-        self._init_arrays(
-            hierarchy,
-            root,
-            order=np.asarray(order, dtype=np.int64),
-            eparent=np.fromiter(
-                (parent[n] for n in order), dtype=np.int64, count=k
-            ),
-            edepth=np.fromiter(
-                (depth_of[n] for n in order), dtype=np.int64, count=k
-            ),
-            esize=np.fromiter(
-                (subtree_size[n] for n in order), dtype=np.int64, count=k
-            ),
-            child_off=child_off,
-            child_val=child_val,
-            res_off=res_off,
-            res_val=res_val,
-        )
-
-    def _init_arrays(
-        self,
-        hierarchy: ConceptHierarchy,
         root: int,
         order: np.ndarray,
         eparent: np.ndarray,
@@ -145,6 +75,11 @@ class NavigationTree:
         res_off: np.ndarray,
         res_val: np.ndarray,
     ) -> None:
+        """Adopt embedded-preorder arrays (see the module docstring).
+
+        :meth:`build` and :meth:`from_store` compute them with the
+        vectorized embedding; the arrays are frozen on adoption.
+        """
         self.hierarchy = hierarchy
         self.root = root
         self._order = _freeze(order)
@@ -391,8 +326,7 @@ class NavigationTree:
         else:
             res_val_e = np.empty(0, dtype=np.int64)
 
-        self = object.__new__(cls)
-        self._init_arrays(
+        return cls(
             hierarchy,
             root,
             order=kept_nodes,
@@ -406,7 +340,6 @@ class NavigationTree:
             res_off=res_off_e,
             res_val=res_val_e,
         )
-        return self
 
     # ------------------------------------------------------------------
     # Structure
@@ -547,6 +480,27 @@ class NavigationTree:
     def result_values_array(self) -> np.ndarray:
         """Results-CSR values: per-node sorted citation ids (read-only)."""
         return self._res_val
+
+    def positions(self, nodes: Sequence[int]) -> np.ndarray:
+        """Embedded-preorder position of each hierarchy node id (-1: not kept)."""
+        return self._pos_of[np.asarray(nodes, dtype=np.int64)]
+
+    def component_arrays(
+        self, component: FrozenSet[int]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A connected component as preorder arrays (fresh copies).
+
+        Returns ``(positions, parents, depths)``: the members' embedded
+        preorder positions, sorted — which is the component's own
+        preorder, root first and each sibling group left to right — then
+        per member the index of its parent within ``positions`` (-1 for
+        the component root) and its depth in the tree.
+        """
+        members = np.fromiter(component, dtype=np.int64, count=len(component))
+        positions = np.sort(self._pos_of[members])
+        parents = np.searchsorted(positions, self._pos_of[self._eparent[positions]])
+        parents[0] = -1
+        return positions, parents, self._edepth[positions]
 
     # ------------------------------------------------------------------
     # Statistics (Table I columns)

@@ -61,7 +61,8 @@ class ProbabilityModel:
                 (``LT(n)``); counts below 2 are clamped so the logarithm
                 stays positive.  A corpus store (or any object exposing
                 a ``medline_count`` method) is accepted in place of the
-                bare callable.
+                bare callable; its ``medline_counts``, if any, answers
+                every node in one batch lookup.
             upper_threshold: result count above which EXPAND is certain.
             lower_threshold: result count below which EXPAND never happens.
             use_idf: divide by ``log LT(n)`` (the paper's inverse-document-

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import weakref
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,6 +55,13 @@ HIERARCHY_ARRAY_FILES: Tuple[str, ...] = (
 # Attribute order mirrors HIERARCHY_ARRAY_FILES (strip "hier_"/".npy").
 _FIELDS: Tuple[str, ...] = tuple(
     name[len("hier_") : -len(".npy")] for name in HIERARCHY_ARRAY_FILES
+)
+
+#: Array sets this process has mapped, by the identity of their files.
+#: Every unpickled directory-backed hierarchy reopens its directory, so
+#: without this each one would map the eleven files again.
+_LOADED: "weakref.WeakValueDictionary[tuple, HierarchyArrays]" = (
+    weakref.WeakValueDictionary()
 )
 
 
@@ -88,7 +96,7 @@ class HierarchyArrays:
     layouts listed in the module docstring.
     """
 
-    __slots__ = tuple(_FIELDS) + ("_content_key",)
+    __slots__ = tuple(_FIELDS) + ("_content_key", "__weakref__")
 
     def __init__(self, **arrays: np.ndarray):
         for name in _FIELDS:
@@ -261,16 +269,25 @@ class HierarchyArrays:
 
     @classmethod
     def load(cls, directory: str) -> "HierarchyArrays":
-        """Memory-map persisted arrays copy-free."""
+        """Memory-map persisted arrays copy-free.
+
+        The arrays are frozen, so files this process already mapped
+        (same device, inode, size and mtime) are shared, not mapped again.
+        """
+        paths = [os.path.join(directory, name) for name in HIERARCHY_ARRAY_FILES]
+        identity = tuple(
+            (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns)
+            for stat in map(os.stat, paths)
+        )
+        loaded = _LOADED.get(identity)
+        if loaded is not None:
+            return loaded
         arrays = {
-            field: np.load(
-                os.path.join(directory, file_name),
-                mmap_mode="r",
-                allow_pickle=False,
-            )
-            for file_name, field in zip(HIERARCHY_ARRAY_FILES, _FIELDS)
+            field: np.load(path, mmap_mode="r", allow_pickle=False)
+            for path, field in zip(paths, _FIELDS)
         }
-        return cls(**arrays)
+        loaded = _LOADED[identity] = cls(**arrays)
+        return loaded
 
     @classmethod
     def present(cls, directory: str) -> bool:

@@ -128,7 +128,9 @@ class NavTreeStage:
         else:
             annotations = snapshot.database.annotations_for_result(results.pmids)
             tree = NavigationTree.build(snapshot.hierarchy, annotations)
-        probs = ProbabilityModel(tree, snapshot.database.medline_count)
+        # The database answers LT through its store when it has one, and
+        # the store's batch lookup serves the whole tree at once.
+        probs = ProbabilityModel(tree, store if store is not None else snapshot.database)
         # The artifact carries the vectorized cost-model substrate the
         # probability model built, so the per-stage cache shares the
         # arrays (content-keyed) across every session of the query.

@@ -461,6 +461,13 @@ class MmapStore(CorpusStore):
             return 0
         return int(self._concept_lt[concept])
 
+    def medline_counts(self, concepts: np.ndarray) -> np.ndarray:
+        """:meth:`medline_count` of every id in ``concepts``, one gather."""
+        inside = (concepts >= 0) & (concepts < self.num_concepts)
+        counts = np.zeros(len(concepts), dtype=np.int64)
+        counts[inside] = self._concept_lt[concepts[inside]]
+        return counts
+
     # -- derived answers (bitmap-accelerated) ---------------------------
     def boolean_and(self, concepts: Sequence[int]) -> np.ndarray:
         """AND over the serialized roaring blob, no bitmap inflation.

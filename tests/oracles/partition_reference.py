@@ -1,0 +1,243 @@
+"""Dict-based bottom-up k-partition: the reference oracle.
+
+This is the original per-node implementation of the paper's §VI-A
+partitioner (after Kundu–Misra [11]), kept verbatim as the oracle that
+the array-native :mod:`repro.core.partition` is pinned against
+(``tests/test_partition_equivalence.py``) and that
+``benchmarks/bench_coldpath.py`` times as the legacy first-EXPAND path.
+
+The partitioner processes the tree bottom-up: at each node it accumulates
+the residual weight of its un-partitioned children and, while the
+accumulated weight exceeds the threshold δ, splits off the heaviest
+remaining child subtree as a partition.  Node weight is |L(n)|; δ starts
+at W/N and grows geometrically until at most N partitions result.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
+
+from repro.core.heuristic import HeuristicReducedOpt
+from repro.core.opt_edgecut import CutTree
+
+__all__ = [
+    "ReferenceHeuristicReducedOpt",
+    "k_partition",
+    "partition_with_limit",
+    "preorder_arrays",
+]
+
+Adjacency = Mapping[int, Sequence[int]]
+
+
+def k_partition(
+    adjacency: Adjacency,
+    root: int,
+    weights: Mapping[int, float],
+    delta: float,
+) -> List[List[int]]:
+    """Partition the tree into contiguous subtrees of residual weight ≤ δ.
+
+    Args:
+        adjacency: node → children (the component subtree).
+        root: tree root.
+        weights: node → non-negative weight (|L(n)| in the paper).
+        delta: weight threshold.
+
+    Returns:
+        Partitions as node lists; each partition's first element is its
+        subtree root.  Partitions are emitted bottom-up, with the
+        root-containing partition last.  A single node heavier than δ
+        forms (part of) its own partition — the threshold cannot split
+        atoms.
+    """
+    if delta < 0:
+        raise ValueError("delta must be non-negative")
+    residual_weight: Dict[int, float] = {}
+    residual_members: Dict[int, List[int]] = {}
+    partitions: List[List[int]] = []
+
+    for node in _postorder(adjacency, root):
+        weight = float(weights[node])
+        if weight < 0:
+            raise ValueError("weights must be non-negative")
+        live_children = [(residual_weight[c], c) for c in adjacency.get(node, ())]
+        total = weight + sum(w for w, _ in live_children)
+        # Split off heaviest children until the node's residual fits.
+        live_children.sort()
+        while total > delta and live_children:
+            child_weight, child = live_children.pop()
+            partitions.append(residual_members[child])
+            total -= child_weight
+        members = [node]
+        for _, child in live_children:
+            members.extend(residual_members[child])
+        residual_weight[node] = total
+        residual_members[node] = members
+
+    partitions.append(residual_members[root])
+    return partitions
+
+
+def partition_with_limit(
+    adjacency: Adjacency,
+    root: int,
+    weights: Mapping[int, float],
+    max_partitions: int,
+    growth: float = 1.3,
+) -> List[List[int]]:
+    """Partition into at most ``max_partitions`` parts (paper §VI-A).
+
+    Starts from δ = W / max_partitions and grows δ geometrically until the
+    partition count fits.  When the result collapses to a single partition
+    while the tree has several nodes, the heaviest child subtree of the
+    root is forced out so the reduced tree always has at least one edge to
+    cut (the paper implicitly assumes this never happens because its
+    component trees are large).
+    """
+    if max_partitions < 1:
+        raise ValueError("max_partitions must be at least 1")
+    if growth <= 1.0:
+        raise ValueError("growth must exceed 1")
+    order = _postorder(adjacency, root)
+    node_count = len(order)
+    total = float(sum(weights[n] for n in order))
+    delta = total / max_partitions if total > 0 else 1.0
+    partitions = k_partition(adjacency, root, weights, delta)
+    while len(partitions) > max_partitions:
+        delta *= growth
+        partitions = k_partition(adjacency, root, weights, delta)
+    if len(partitions) == 1 and node_count > 1 and max_partitions > 1:
+        partitions = _force_split(adjacency, root, weights)
+    return partitions
+
+
+def _force_split(
+    adjacency: Adjacency, root: int, weights: Mapping[int, float]
+) -> List[List[int]]:
+    """Split the heaviest root-child subtree into its own partition."""
+    children = list(adjacency.get(root, ()))
+    if not children:
+        return [[root]]
+    subtree_weights = []
+    for child in children:
+        nodes = list(_postorder(adjacency, child))
+        subtree_weights.append((sum(weights[n] for n in nodes), child, nodes))
+    subtree_weights.sort()
+    _, heavy_child, heavy_nodes = subtree_weights[-1]
+    # Keep partition-root-first ordering for the split-off part.
+    split = [heavy_child] + [n for n in heavy_nodes if n != heavy_child]
+    rest = [root] + [
+        n
+        for _, child, nodes in subtree_weights[:-1]
+        for n in ([child] + [m for m in nodes if m != child])
+    ]
+    return [split, rest]
+
+
+def _postorder(adjacency: Adjacency, root: int) -> List[int]:
+    order: List[int] = []
+    stack: List[Tuple[int, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        stack.append((node, True))
+        for child in adjacency.get(node, ()):
+            stack.append((child, False))
+    return order
+
+
+def preorder_arrays(
+    adjacency: Adjacency, root: int, weights: Mapping[int, float]
+) -> Tuple[List[int], List[int], List[float], List[int]]:
+    """``(parents, depths, weights, ids)`` of a tree in preorder.
+
+    Converts the oracle's adjacency form into the array form of
+    :mod:`repro.core.partition`: children are visited in adjacency
+    order, so a node's children sit at increasing positions.
+    """
+    ids: List[int] = []
+    parents: List[int] = []
+    depths: List[int] = []
+    stack: List[Tuple[int, int, int]] = [(root, -1, 0)]
+    while stack:
+        node, parent, depth = stack.pop()
+        position = len(ids)
+        ids.append(node)
+        parents.append(parent)
+        depths.append(depth)
+        for child in reversed(adjacency.get(node, ())):
+            stack.append((child, position, depth + 1))
+    return parents, depths, [weights[n] for n in ids], ids
+
+
+class ReferenceHeuristicReducedOpt(HeuristicReducedOpt):
+    """Heuristic-ReducedOpt with the original dict-based reduction.
+
+    Builds the component's adjacency and weight dicts, partitions them
+    with this module's :func:`partition_with_limit`, and assembles the
+    supernode tree node by node — the first-EXPAND path the array-native
+    ``HeuristicReducedOpt._reduce`` replaced.
+    """
+
+    def _reduce(
+        self, component: FrozenSet[int], root: int
+    ) -> Tuple[CutTree, List[int]]:
+        """Partition the component and build the reduced supernode tree.
+
+        Returns the CutTree plus, per supernode index, the original concept
+        node rooting that partition (used to map cuts back).
+        """
+        tree = self.tree
+        adjacency = {
+            n: [c for c in tree.children(n) if c in component] for n in component
+        }
+        weights = {n: float(len(tree.results(n))) for n in component}
+        partitions = partition_with_limit(
+            adjacency, root, weights, self.max_reduced_nodes
+        )
+        part_of: Dict[int, int] = {}
+        for index, members in enumerate(partitions):
+            for member in members:
+                part_of[member] = index
+        # Each partition list is emitted root-first by the partitioner.
+        roots = [members[0] for members in partitions]
+        root_part = part_of[root]
+
+        # Order supernodes so the overall root is CutTree node 0; keep a
+        # stable order for the rest.
+        order = [root_part] + [i for i in range(len(partitions)) if i != root_part]
+        new_index = {old: new for new, old in enumerate(order)}
+
+        children: List[List[int]] = [[] for _ in partitions]
+        for old_index, part_root in enumerate(roots):
+            if old_index == root_part:
+                continue
+            parent_part = part_of[tree.parent(part_root)]
+            children[new_index[parent_part]].append(new_index[old_index])
+
+        # Supernode statistics evaluated as one batch over the array
+        # substrate: EXPLORE mass sums run vectorized (within 1e-9 of
+        # the scalar oracle's sequential sums — see cost_arrays), and
+        # the member histograms are exact integer gathers.
+        arrays = self.probs.arrays
+        parts = [partitions[old_index] for old_index in order]
+        explore = arrays.explore_mass_sums(parts).tolist()
+        results = []
+        member_counts = []
+        payload: List[object] = []
+        for members in parts:
+            results.append(tree.distinct_results(members))
+            member_counts.append(arrays.result_counts[arrays.positions(members)].tolist())
+            payload.append(tuple(members))
+        reduced = CutTree(
+            children=children,
+            results=results,
+            explore=explore,
+            member_counts=member_counts,
+            payload=payload,
+        )
+        part_roots = [roots[old_index] for old_index in order]
+        return reduced, part_roots

@@ -1251,6 +1251,23 @@ class TestSubstrateImmutabilityRule:
         assert "result_counts" in messages
         assert "'.sort()'" in messages
 
+    def test_navigation_tree_buffer_writes_flagged(self, tmp_path):
+        findings = run_project(
+            tmp_path,
+            {
+                "core/solver.py": (
+                    "def reweight(tree, positions):\n"
+                    "    tree._eparent[positions] = -1\n"
+                    "    tree._res_off.sort()\n"
+                    "    parents = tree._eparent[positions]\n"
+                    "    parents[0] = -1\n"
+                    "    return parents\n"
+                )
+            },
+        )
+        hits = findings_for(findings, "substrate-immutability")
+        assert [h.line for h in hits] == [2, 3]
+
     def test_builder_methods_exempt(self, tmp_path):
         findings = run_project(
             tmp_path,

@@ -206,6 +206,24 @@ class TestRoundTrips:
             assert not arrays.parents.flags.writeable
             assert not arrays.label_blob.flags.writeable
 
+    def test_reopening_a_directory_shares_its_mapped_arrays(self, tmp_path):
+        hierarchy, oracle = build([("add", 0, "alpha"), ("add", 1, "beta")])
+        hierarchy.arrays().save(str(tmp_path))
+        opened = ConceptHierarchy.open(str(tmp_path))
+        reopened = pickle.loads(pickle.dumps(opened))
+        assert reopened is not opened
+        assert reopened.arrays() is opened.arrays()
+        assert ConceptHierarchy.open(str(tmp_path)).arrays() is opened.arrays()
+        # Writing to one opened hierarchy leaves the shared arrays alone.
+        reopened.add_child(0, "gamma", uid="U9")
+        assert_matches(opened, oracle)
+        # Rewritten files are mapped afresh, never served stale.
+        other, other_oracle = build([("add", 0, "a"), ("add", 0, "b"), ("add", 2, "c")])
+        other.arrays().save(str(tmp_path))
+        fresh = ConceptHierarchy.open(str(tmp_path))
+        assert fresh.arrays() is not opened.arrays()
+        assert_matches(fresh, other_oracle)
+
     def test_opened_hierarchy_accepts_construction(self, tmp_path):
         hierarchy, oracle = build([("add", 0, "alpha"), ("add", 0, "beta")])
         hierarchy.arrays().save(str(tmp_path))

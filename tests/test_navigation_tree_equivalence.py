@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.core.cost_model import CostParams
 from repro.core.navigation_tree import NavigationTree
-from repro.core.navigation_tree_reference import ReferenceNavigationTree
 from repro.core.opt_edgecut import MAX_OPT_NODES, CutTree, OptEdgeCut
 from repro.core.probabilities import ProbabilityModel
 from repro.corpus.citation import Citation
@@ -36,6 +35,7 @@ from repro.substrate import (
     SubstrateBuilder,
     citation_chunks,
 )
+from tests.oracles.navigation_tree_reference import ReferenceNavigationTree
 
 
 # ---------------------------------------------------------------------------

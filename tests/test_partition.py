@@ -1,10 +1,27 @@
-"""Unit tests for repro.core.partition (k-partition algorithm)."""
+"""Unit tests for repro.core.partition (k-partition algorithm).
+
+The fixtures describe trees as adjacency dicts; ``preorder_arrays``
+turns them into the preorder arrays the partitioner takes.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.partition import k_partition, partition_with_limit
+from repro.core import partition
+from tests.oracles.partition_reference import preorder_arrays
+
+
+def k_partition(adjacency, root, weights, delta):
+    parents, depths, node_weights, ids = preorder_arrays(adjacency, root, weights)
+    return partition.k_partition(parents, depths, node_weights, ids, delta)
+
+
+def partition_with_limit(adjacency, root, weights, max_partitions, growth=1.3):
+    parents, depths, node_weights, ids = preorder_arrays(adjacency, root, weights)
+    return partition.partition_with_limit(
+        parents, depths, node_weights, ids, max_partitions, growth=growth
+    )
 
 
 @pytest.fixture()

@@ -1,0 +1,242 @@
+"""Array-native k-partition and reduced solve vs the dict-based oracle.
+
+``repro.core.partition`` runs the §VI-A partitioner level by level over
+preorder arrays; ``tests/oracles/partition_reference.py`` keeps the
+original per-node implementation.  The two must return the *same list
+of lists* — same parts, same part order, same member order — because
+member order feeds Opt-EdgeCut's sequential entropy sums, and a
+reordered histogram can flip a tie-break.  The solver-level checks pin
+``HeuristicReducedOpt.best_cut`` (array reduction) to
+``ReferenceHeuristicReducedOpt`` (dict reduction) on root components and
+on the upper and lower components random EXPANDs leave behind.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Dict, List, Tuple
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import partition
+from repro.core.active_tree import ActiveTree
+from repro.core.heuristic import HeuristicReducedOpt
+from repro.core.navigation_tree import NavigationTree
+from repro.core.probabilities import ProbabilityModel
+from repro.hierarchy.concept import ConceptHierarchy
+from tests.oracles import partition_reference as oracle
+
+SHAPES = ("random", "star", "chain", "broom", "bushy")
+#: "halves" (non-integral) and "huge" (2^40-scale) weights stay exactly
+#: summable in float64, so the oracle's lists are still the target.
+WEIGHTS = ("zero", "ties", "wide", "sparse", "halves", "huge")
+IDS = ("identity", "permuted", "sparse")
+
+
+def random_parents(rng: random.Random, n: int, shape: str) -> List[int]:
+    """Parent index of nodes 1..n-1 (node 0 is the root)."""
+    parents = [-1]
+    for i in range(1, n):
+        if shape == "star":
+            parents.append(0)
+        elif shape == "chain":
+            parents.append(i - 1)
+        elif shape == "broom":  # a long handle ending in a wide fan
+            parents.append(i - 1 if i < n // 2 else n // 2 - 1 if n > 2 else 0)
+        elif shape == "bushy":
+            parents.append(rng.randrange(max(1, i // 4)))
+        else:
+            parents.append(rng.randrange(i))
+    return parents
+
+
+def random_weights(rng: random.Random, n: int, style: str) -> List[float]:
+    if style == "zero":
+        return [0.0] * n
+    if style == "ties":
+        return [float(rng.choice((0, 1, 1, 2))) for _ in range(n)]
+    if style == "sparse":
+        return [float(rng.choice((0, 0, 0, 3, 40))) for _ in range(n)]
+    if style == "halves":
+        return [rng.randrange(8) / 2 for _ in range(n)]
+    if style == "huge":
+        return [float(rng.choice((0, 1, 2**40, 2**40 + 1))) for _ in range(n)]
+    return [float(rng.randrange(1000)) for _ in range(n)]
+
+
+def random_ids(rng: random.Random, n: int, style: str) -> List[int]:
+    if style == "identity":
+        return list(range(n))
+    if style == "permuted":
+        ids = list(range(n))
+        rng.shuffle(ids)
+        return ids
+    return rng.sample(range(10**7), n)
+
+
+def build_tree(
+    rng: random.Random, n: int, shape: str, weight_style: str, id_style: str
+) -> Tuple[Dict[int, List[int]], int, Dict[int, float]]:
+    """(adjacency, root, weights) in the oracle's form."""
+    parents = random_parents(rng, n, shape)
+    ids = random_ids(rng, n, id_style)
+    weights = random_weights(rng, n, weight_style)
+    adjacency: Dict[int, List[int]] = {node: [] for node in ids}
+    for i in range(1, n):
+        adjacency[ids[parents[i]]].append(ids[i])
+    return adjacency, ids[0], dict(zip(ids, weights))
+
+
+@st.composite
+def trees(draw, min_nodes: int = 1, max_nodes: int = 400, shapes=SHAPES):
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(min_nodes, max_nodes))
+    return build_tree(
+        rng,
+        n,
+        draw(st.sampled_from(shapes)),
+        draw(st.sampled_from(WEIGHTS)),
+        draw(st.sampled_from(IDS)),
+    )
+
+
+def array_k_partition(adjacency, root, weights, delta):
+    parents, depths, node_weights, ids = oracle.preorder_arrays(adjacency, root, weights)
+    return partition.k_partition(parents, depths, node_weights, ids, delta)
+
+
+def array_partition_with_limit(adjacency, root, weights, limit):
+    parents, depths, node_weights, ids = oracle.preorder_arrays(adjacency, root, weights)
+    return partition.partition_with_limit(parents, depths, node_weights, ids, limit)
+
+
+# ---------------------------------------------------------------------------
+# Partitions
+# ---------------------------------------------------------------------------
+class TestPartitionLists:
+    @given(trees(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_k_partition_equals_oracle(self, tree, data):
+        adjacency, root, weights = tree
+        total = int(sum(weights.values()))
+        # Integer thresholds land exactly on residual sums, the `>` edge.
+        delta = data.draw(
+            st.one_of(
+                st.integers(0, total + 1).map(float),
+                st.floats(0.0, total * 1.2 + 1.0, allow_nan=False),
+            )
+        )
+        expected = oracle.k_partition(adjacency, root, weights, delta)
+        assert array_k_partition(adjacency, root, weights, delta) == expected
+
+    @given(trees(), st.integers(1, 16))
+    @settings(max_examples=150, deadline=None)
+    def test_partition_with_limit_equals_oracle(self, tree, limit):
+        adjacency, root, weights = tree
+        expected = oracle.partition_with_limit(adjacency, root, weights, limit)
+        assert array_partition_with_limit(adjacency, root, weights, limit) == expected
+
+    @given(trees(min_nodes=2001, max_nodes=2600, shapes=("chain", "broom")), st.integers(1, 16))
+    @settings(max_examples=4, deadline=None)
+    def test_deep_chains_equal_oracle(self, tree, limit):
+        adjacency, root, weights = tree
+        expected = oracle.partition_with_limit(adjacency, root, weights, limit)
+        assert array_partition_with_limit(adjacency, root, weights, limit) == expected
+
+    def test_force_split_equals_oracle(self):
+        # All-zero weights: the first δ keeps one part, so the heaviest
+        # (here: highest-id) root child is forced out.
+        rng = random.Random(5)
+        for _ in range(20):
+            adjacency, root, weights = build_tree(rng, 30, "random", "zero", "permuted")
+            expected = oracle.partition_with_limit(adjacency, root, weights, 4)
+            assert len(expected) == 2
+            assert array_partition_with_limit(adjacency, root, weights, 4) == expected
+
+
+# ---------------------------------------------------------------------------
+# Solver decisions
+# ---------------------------------------------------------------------------
+def navigation_instance(rng: random.Random, size: int):
+    """A random navigation tree with tie-heavy result sets."""
+    hierarchy = ConceptHierarchy()
+    for i in range(1, size):
+        hierarchy.add_child(rng.randrange(max(1, i - rng.choice((1, 3, i)))), "c%d" % i)
+    universe = rng.choice((8, 40, 200))
+    annotations = {
+        node: set(rng.sample(range(universe), rng.randint(1, min(universe, 12))))
+        for node in range(1, size)
+        if rng.random() < 0.8
+    }
+    tree = NavigationTree.build(hierarchy, annotations)
+    lt = {node: rng.choice((2, 50, 500, 5000)) for node in range(size)}
+    return tree, ProbabilityModel(tree, lt.__getitem__)
+
+
+def random_cut(rng: random.Random, tree: NavigationTree, component, root):
+    """A valid EdgeCut of ``component``: parent edges of unrelated nodes."""
+    chosen: List[int] = []
+    candidates = sorted(component - {root})
+    rng.shuffle(candidates)
+    for node in candidates[: rng.randint(1, 4)]:
+        if not any(
+            tree.is_tree_ancestor(other, node) or tree.is_tree_ancestor(node, other)
+            for other in chosen
+        ):
+            chosen.append(node)
+    return [(tree.parent(node), node) for node in chosen]
+
+
+def decision(solver, component, root):
+    made = solver.best_cut(component, root)
+    return made.cut, made.reduced_size, made.expected_cost
+
+
+class TestBestCut:
+    @given(st.randoms(use_true_random=False), st.integers(11, 160), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_best_cut_equals_oracle_after_random_expands(self, rng, size, reuse_memo):
+        tree, probs = navigation_instance(rng, size)
+        limit = rng.choice((3, 5, 8, 10))
+        solver = HeuristicReducedOpt(
+            tree, probs, max_reduced_nodes=limit, reuse_memo=reuse_memo
+        )
+        reference = oracle.ReferenceHeuristicReducedOpt(
+            tree, probs, max_reduced_nodes=limit, reuse_memo=reuse_memo
+        )
+        active = ActiveTree(tree)
+        for _ in range(3):
+            roots = active.component_roots()
+            if not roots:
+                break
+            root = rng.choice(sorted(roots))
+            component = active.component(root)
+            assert decision(solver, component, root) == decision(
+                reference, component, root
+            )
+            active.expand(root, random_cut(rng, tree, component, root))
+
+    @given(st.randoms(use_true_random=False), st.integers(11, 160))
+    @settings(max_examples=30, deadline=None)
+    def test_component_child_order_is_preorder(self, rng, size):
+        # The vector pass takes a component's sorted preorder positions as
+        # its preorder; that holds iff each node's in-component children,
+        # left to right, sit at increasing positions.
+        tree, _ = navigation_instance(rng, size)
+        active = ActiveTree(tree)
+        active.expand(tree.root, random_cut(rng, tree, active.component(tree.root), tree.root))
+        for root in active.component_roots():
+            component = active.component(root)
+            adjacency = {
+                n: [c for c in tree.children(n) if c in component] for n in component
+            }
+            for kids in adjacency.values():
+                positions = tree.positions(kids).tolist()
+                assert positions == sorted(positions)
+            ref_parents, _, _, ref_ids = oracle.preorder_arrays(
+                adjacency, root, dict.fromkeys(component, 0)
+            )
+            positions, parents, _ = tree.component_arrays(component)
+            assert tree.preorder_array()[positions].tolist() == ref_ids
+            assert parents.tolist() == ref_parents

@@ -20,6 +20,7 @@ from repro.core.partition import k_partition
 from repro.core.probabilities import ProbabilityModel
 from repro.hierarchy.concept import ConceptHierarchy
 from repro.storage.index import InvertedIndex, tokenize
+from tests.oracles.partition_reference import preorder_arrays
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +288,8 @@ class TestPartitionProperties:
     def test_partition_covers_and_is_contiguous(self, h, delta):
         adjacency = {n: list(h.children(n)) for n in range(len(h))}
         weights = {n: float((n * 7) % 5) for n in range(len(h))}
-        parts = k_partition(adjacency, 0, weights, delta)
+        parents, depths, node_weights, ids = preorder_arrays(adjacency, 0, weights)
+        parts = k_partition(parents, depths, node_weights, ids, delta)
         seen = sorted(n for part in parts for n in part)
         assert seen == list(range(len(h)))
         for part in parts:

@@ -94,6 +94,11 @@ class TestStorePrimitives:
             assert memory_store.medline_count(concept) == mmap_store.medline_count(
                 concept
             ), concept
+        # The batch lookup answers the same, out-of-range ids (→ 0) included.
+        ids = np.arange(-2, mmap_store.num_concepts + 2)
+        assert mmap_store.medline_counts(ids).tolist() == [
+            mmap_store.medline_count(c) for c in ids.tolist()
+        ]
 
     def test_concept_membership_and_bitmaps(self, memory_store, mmap_store):
         for concept in busiest_concepts(mmap_store) + [0, 1]:

@@ -13,7 +13,8 @@ runtime in a cold-cache path no test exercises:
 
 * assignment, augmented assignment, deletion, or subscript-store on a
   known substrate array field (``x.explore_mass = ...``,
-  ``x.result_counts[i] = ...``, ``x.log_lt += ...``);
+  ``x.result_counts[i] = ...``, ``x.log_lt += ...``) or on one of
+  NavigationTree's embedded-preorder buffers (``tree._eparent[i] = ...``);
 * in-place numpy mutation of one (``np.add.at(x.explore_mass, ...)``,
   ``np.copyto``, ``np.place``, ``np.putmask``) and mutating array
   methods (``.sort()``, ``.fill()``, ``.setflags()``, …);
@@ -43,8 +44,25 @@ from tools.analyzer.rules.vectorize import ARRAY_FIELDS
 
 __all__ = ["SubstrateImmutabilityRule"]
 
-#: Every CostArrays field backed by a (frozen) numpy array or scalar.
-SUBSTRATE_FIELDS = ARRAY_FIELDS | {
+#: NavigationTree's embedded-preorder buffers, frozen in its
+#: ``__init__``; solvers index them and work on copies.
+TREE_FIELDS = frozenset(
+    {
+        "_order",
+        "_eparent",
+        "_edepth",
+        "_esize",
+        "_child_off",
+        "_child_val",
+        "_res_off",
+        "_res_val",
+        "_pos_of",
+    }
+)
+
+#: Every CostArrays field backed by a (frozen) numpy array or scalar,
+#: plus the navigation-tree buffers.
+SUBSTRATE_FIELDS = ARRAY_FIELDS | TREE_FIELDS | {
     "normalizer",
     "universe_size",
     "content_key",
@@ -154,7 +172,8 @@ class _Walker(ast.NodeVisitor):
             self._flag(
                 line,
                 "substrate array field '%s' %s outside its builder; "
-                "CostArrays is immutable after construction" % (field, verb),
+                "CostArrays and NavigationTree arrays are immutable after "
+                "construction" % (field, verb),
             )
             return
         # Direct attribute store on an annotated artifact receiver.

@@ -19,7 +19,7 @@ from repro.pipeline.registry import default_registry
 
 def navigate(workload, prepared, use_idf: bool):
     probs = ProbabilityModel(
-        prepared.tree, workload.database.medline_count, use_idf=use_idf
+        prepared.tree, workload.database.store.medline_count, use_idf=use_idf
     )
     strategy = default_registry().create("heuristic", prepared.tree, probs)
     return navigate_to_target(

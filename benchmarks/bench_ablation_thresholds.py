@@ -28,7 +28,7 @@ SWEEP = [
 def navigate_with_thresholds(workload, prepared, upper, lower):
     probs = ProbabilityModel(
         prepared.tree,
-        workload.database.medline_count,
+        workload.database.store.medline_count,
         upper_threshold=upper,
         lower_threshold=lower,
     )

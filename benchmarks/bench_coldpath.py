@@ -55,10 +55,11 @@ from repro.corpus.citation import Citation
 from repro.corpus.medline import MedlineDatabase
 from repro.hierarchy.concept import ConceptHierarchy
 from repro.hierarchy.generator import generate_hierarchy
-from repro.substrate import InMemoryStore, MmapStore
+from repro.substrate import MmapStore, medline_store
 from repro.substrate.roaring import RoaringBitmap
 from tests.oracles.navigation_tree_reference import ReferenceNavigationTree
 from tests.oracles.partition_reference import ReferenceHeuristicReducedOpt
+from tests.oracles.store_reference import InMemoryStore
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_coldpath.json"
@@ -70,9 +71,9 @@ HIERARCHY_SIZE = 2_000 if SMOKE else 0  # 0 = the paper-scale MeSH preset
 SEED = 2008
 RESULT_CAP = 5_000
 
-#: Identity cross-check corpus for the InMemoryStore backend (the full
-#: 1M corpus as Python citation objects would defeat the point of the
-#: substrate; identity is scale-independent).
+#: Identity cross-check corpus for an in-memory substrate build (the
+#: full 1M corpus as Python citation objects would defeat the point of
+#: the substrate; identity is scale-independent).
 IDENTITY_CITATIONS = 4_000
 IDENTITY_HIERARCHY = 600
 
@@ -121,7 +122,7 @@ def write_hierarchy_jsonl(out_dir: Path) -> None:
     ``hier_*.npy`` arrays), so the bench writes it from the persisted
     hierarchy before timing the legacy open.
     """
-    hierarchy = MmapStore(str(out_dir)).hierarchy()
+    hierarchy = MmapStore.open(str(out_dir)).hierarchy()
     with open(out_dir / "hierarchy.jsonl", "w") as handle:
         for uid, label, parent in hierarchy.to_records():
             handle.write(json.dumps([uid, label, parent]) + "\n")
@@ -230,7 +231,7 @@ def measure_cold_paths(out_dir: Path) -> dict:
     hierarchy_from_jsonl(out_dir)
     hierarchy_jsonl_s = time.perf_counter() - started
 
-    store = MmapStore(str(out_dir))
+    store = MmapStore.open(str(out_dir))
     started = time.perf_counter()
     hierarchy = store.hierarchy()
     hierarchy_arrays_s = time.perf_counter() - started
@@ -274,7 +275,10 @@ def measure_cold_paths(out_dir: Path) -> dict:
 
 
 def check_inmemory_identity() -> dict:
-    """Bit-identity on the InMemoryStore backend (scale-independent)."""
+    """Bit-identity on an in-memory substrate build (scale-independent).
+
+    The result set must also equal the dict-based store oracle's.
+    """
     hierarchy = generate_hierarchy(target_size=IDENTITY_HIERARCHY, seed=SEED)
     rng = np.random.default_rng(SEED)
     medline = MedlineDatabase(
@@ -294,10 +298,13 @@ def check_inmemory_identity() -> dict:
                 index_concepts=concepts,
             )
         )
-    store = InMemoryStore(medline, hierarchy=hierarchy)
+    store = medline_store(medline, len(hierarchy), hierarchy=hierarchy)
     # One concept: random co-annotation makes ANDs of two busy concepts
     # of this small corpus empty, and an empty tree checks nothing.
-    pmids = store.boolean_and(pick_busiest(store, k=1))[:RESULT_CAP]
+    busiest = pick_busiest(store, k=1)
+    pmids = store.boolean_and(busiest)[:RESULT_CAP]
+    oracle = InMemoryStore(medline, hierarchy=hierarchy).boolean_and(busiest)
+    assert pmids.tolist() == oracle[:RESULT_CAP].tolist()
     result = [int(p) for p in pmids]
     tree = NavigationTree.from_store(hierarchy, store, result)
     ref = ReferenceNavigationTree.from_store(hierarchy, store, result)

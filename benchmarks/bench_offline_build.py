@@ -2,9 +2,10 @@
 
 The paper's off-line phase took ~20 days against live PubMed; on the
 simulated substrate the same pipeline runs in seconds.  This bench times
-its stages — corpus generation, database build (association extraction +
-denormalization + index), JSON persistence, reload — and verifies the
-harvest-vs-direct equivalence at bench scale.
+its stages — corpus generation, database build (the in-memory substrate
+build + keyword index), persistence as a substrate directory plus
+``MmapStore.open`` — and verifies the harvest-vs-direct equivalence at
+bench scale.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.hierarchy.generator import generate_hierarchy
 from repro.search.evaluator import FieldedEngineAdapter, FieldedSearchEngine
 from repro.storage.database import BioNavDatabase
 from repro.storage.harvest import ConceptHarvester
+from repro.substrate import MmapStore, SubstrateBuilder, citation_chunks
 
 
 @pytest.fixture(scope="module")
@@ -59,21 +61,27 @@ def test_bench_corpus_generation(benchmark):
 def test_bench_database_build(benchmark, offline_inputs):
     hierarchy, medline = offline_inputs
     database = benchmark(BioNavDatabase.build, hierarchy, medline)
-    assert len(database.associations) > 1000
+    assert int(database.store.manifest["pairs"]) > 1000
 
 
 def test_bench_database_save_load(benchmark, offline_inputs, tmp_path):
     hierarchy, medline = offline_inputs
     database = BioNavDatabase.build(hierarchy, medline)
-    path = str(tmp_path / "db.json")
+    path = str(tmp_path / "substrate")
 
     def round_trip():
-        database.save(path)
-        return BioNavDatabase.load(path, medline=medline)
+        builder = SubstrateBuilder(path, num_concepts=len(hierarchy))
+        builder.build(
+            citation_chunks(medline.get(pmid) for pmid in medline.pmids()),
+            hierarchy=hierarchy,
+            background=medline.background_counts(),
+            meta=database.store.manifest["meta"],
+        )
+        return MmapStore.open(path)
 
     loaded = benchmark(round_trip)
-    assert len(loaded.associations) == len(database.associations)
-    assert os.path.getsize(path) > 0
+    assert loaded.manifest_digest == database.store.manifest_digest
+    assert os.path.getsize(os.path.join(path, "manifest.json")) > 0
 
 
 def test_bench_harvest_slice(benchmark, offline_inputs):
@@ -89,6 +97,6 @@ def test_bench_harvest_slice(benchmark, offline_inputs):
     )
     direct = BioNavDatabase.build(hierarchy, medline)
     for concept in concepts:
-        assert result.associations.citations_for(concept) == (
-            direct.associations.citations_for(concept)
+        assert result.associations[concept].tolist() == (
+            direct.store.citations_for_concept(concept).tolist()
         )

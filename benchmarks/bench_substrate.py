@@ -96,7 +96,7 @@ def pick_query_concepts(out_dir: Path) -> list:
 def measure_cold_online(out_dir: Path) -> dict:
     """Open the store fresh and time the first-query path."""
     started = time.perf_counter()
-    store = MmapStore(str(out_dir))
+    store = MmapStore.open(str(out_dir))
     open_s = time.perf_counter() - started
 
     started = time.perf_counter()

@@ -54,7 +54,7 @@ def test_table1_workload_statistics(workload, prepared_queries, report, benchmar
                 tree.citations_with_duplicates(),
                 workload.hierarchy.depth(target),
                 len(tree.results(target)),
-                workload.database.medline_count(target),
+                workload.database.store.medline_count(target),
             )
         )
         # Exact agreement with the spec'd result sizes (the two counts the
@@ -72,10 +72,10 @@ def test_table1_workload_statistics(workload, prepared_queries, report, benchmar
 def test_bench_navigation_tree_construction(benchmark, workload):
     """Time the per-query online setup (the paper's 'done once per query')."""
     pmids = workload.entrez.esearch_all("prothymosin")
-    annotations = workload.database.annotations_for_result(pmids)
+    store = workload.database.store
 
     def build():
-        return NavigationTree.build(workload.hierarchy, annotations)
+        return NavigationTree.from_store(workload.hierarchy, store, pmids)
 
     tree = benchmark(build)
     assert tree.size() > 100

@@ -58,9 +58,9 @@ def main() -> None:
     query = '(prothymosin OR vardenafil) AND expression'
     pmids = sorted(engine.search(query))
     print("  %r -> %d citations" % (query, len(pmids)))
-    annotations = workload.database.annotations_for_result(pmids)
-    tree = NavigationTree.build(workload.hierarchy, annotations)
-    probs = ProbabilityModel(tree, workload.database.medline_count)
+    store = workload.database.store
+    tree = NavigationTree.from_store(workload.hierarchy, store, pmids)
+    probs = ProbabilityModel(tree, store)
     session = NavigationSession(tree, HeuristicReducedOpt(tree, probs))
     session.expand(tree.root)
     session.expand(tree.root)

@@ -18,7 +18,8 @@ from __future__ import annotations
 import io
 
 from repro.corpus.loader import dump_medline_text, load_medline_text
-from repro.corpus.persistence import load_medline_jsonl, save_medline_jsonl
+from repro.corpus.medline import MedlineDatabase
+from repro.corpus.persistence import read_citations_jsonl, write_citations_jsonl
 from repro.hierarchy.mesh_loader import dump_mesh_ascii, load_mesh_ascii
 from repro.storage.database import BioNavDatabase
 from repro.workload.builder import build_workload
@@ -54,18 +55,23 @@ def main() -> None:
         len(back), [c.pmid for c in back] == pmids))
 
     print("\n3. Corpus JSONL freeze → rebuild the BioNav database")
+    medline = workload.medline
     buffer = io.StringIO()
-    count = save_medline_jsonl(workload.medline, buffer)
-    print("   froze %d citations (%.0f KiB)" % (count, len(buffer.getvalue()) / 1024))
-    thawed = load_medline_jsonl(io.StringIO(buffer.getvalue()))
-    database = BioNavDatabase.build(workload.hierarchy, thawed)
-    print("   rebuilt database: %d association tuples, %d concept stats" % (
-        len(database.associations), len(database.stats)))
-    original = BioNavDatabase.build(workload.hierarchy, workload.medline)
-    match = list(database.associations.iter_rows()) == list(
-        original.associations.iter_rows()
+    count = write_citations_jsonl(
+        (medline.get(pmid) for pmid in medline.pmids()),
+        buffer,
+        medline.background_counts(),
     )
+    print("   froze %d citations (%.0f KiB)" % (count, len(buffer.getvalue()) / 1024))
+    background, citations = read_citations_jsonl(io.StringIO(buffer.getvalue()))
+    thawed = MedlineDatabase(background_counts=background)
+    thawed.add_all(citations)
+    database = BioNavDatabase.build(workload.hierarchy, thawed)
+    print("   rebuilt database: %d association pairs over %d citations" % (
+        int(database.store.manifest["pairs"]), len(database.store)))
+    match = database.content_digest() == workload.database.content_digest()
     print("   identical to the original build: %s" % match)
+    assert match
 
 
 if __name__ == "__main__":

@@ -10,9 +10,10 @@ at simulation scale and in seconds:
   1. load the concept hierarchy;
   2. harvest (concept, citationId) association tuples from MEDLINE —
      including the eutils rate limit that dominated the paper's harvest;
-  3. denormalize them into one row per citation;
-  4. record per-concept MEDLINE-wide counts (the LT(n) statistics);
-  5. persist the BioNav database to disk and reload it.
+  3. build the corpus substrate: the association table in both
+     directions (concept → citations, citation → concepts) and the
+     per-concept MEDLINE-wide counts (the LT(n) statistics);
+  4. persist it as a substrate directory and reopen it memory-mapped.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.eutils.client import EntrezClient
 from repro.eutils.errors import RateLimitExceeded
 from repro.hierarchy.generator import generate_hierarchy
 from repro.storage.database import BioNavDatabase
+from repro.substrate import MmapStore, SubstrateBuilder, citation_chunks
 
 
 def main() -> None:
@@ -58,26 +60,33 @@ def main() -> None:
     limited.reset_quota()
     print("   quota window reset; harvesting resumes")
 
-    print("\n4. Off-line build (associations + denormalized table + stats + index)")
+    print("\n4. Off-line build (associations both ways + LT counts + index)")
     database = BioNavDatabase.build(hierarchy, medline)
-    print("   association tuples:        %d" % len(database.associations))
-    print("   denormalized citation rows: %d" % len(database.denormalized))
-    print("   concepts with LT stats:    %d" % len(database.stats))
+    store = database.store
+    print("   association pairs:          %d" % int(store.manifest["pairs"]))
+    print("   citation rows:              %d" % len(store))
+    print("   concepts with citations:    %d" % sum(
+        1 for c in range(store.num_concepts) if store.result_count(c)))
     sample_pmid = medline.pmids()[0]
     print("   e.g. citation %d → %d concepts" % (
-        sample_pmid, len(database.denormalized.get(sample_pmid))))
+        sample_pmid, len(store.concepts_of(sample_pmid))))
 
-    print("\n5. Persist and reload")
+    print("\n5. Persist as a substrate directory and reopen it")
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "bionav-db.json")
-        database.save(path)
-        size_kb = os.path.getsize(path) / 1024
-        reloaded = BioNavDatabase.load(path, medline=medline)
-        print("   saved %.0f KiB → reloaded %d association tuples" % (
-            size_kb, len(reloaded.associations)))
-        assert list(reloaded.associations.iter_rows()) == list(
-            database.associations.iter_rows()
+        builder = SubstrateBuilder(tmp, num_concepts=len(hierarchy))
+        manifest = builder.build(
+            citation_chunks(medline.get(pmid) for pmid in medline.pmids()),
+            hierarchy=hierarchy,
+            background=medline.background_counts(),
+            meta=store.manifest["meta"],
         )
+        size_kb = sum(
+            os.path.getsize(os.path.join(tmp, name)) for name in os.listdir(tmp)
+        ) / 1024
+        reopened = MmapStore.open(tmp)
+        print("   wrote %.0f KiB → reopened %d association pairs (digest %s…)" % (
+            size_kb, int(reopened.manifest["pairs"]), manifest.digest[:12]))
+        assert reopened.manifest_digest == store.manifest_digest
     print("\nDone: the on-line phase (see quickstart.py) runs on this database.")
 
 

@@ -3,8 +3,9 @@
 Ties the off-line and on-line halves together:
 
 * **Off-line**: :meth:`BioNav.build` populates the BioNav database from a
-  concept hierarchy and a MEDLINE snapshot (associations, denormalized
-  table, MEDLINE-wide concept counts, keyword index).
+  concept hierarchy and a MEDLINE snapshot (the corpus substrate —
+  associations in both directions and MEDLINE-wide concept counts — plus
+  the keyword index).
 * **On-line**: :meth:`BioNav.search` resolves a keyword query through the
   staged :class:`~repro.pipeline.NavigationPipeline` — ESearch result
   set, navigation tree, probability model, live session — with every
@@ -31,7 +32,7 @@ from repro.pipeline.pipeline import NavigationPipeline
 from repro.pipeline.registry import SolverRegistry, default_registry
 from repro.search.engine import SearchEngine
 from repro.storage.database import BioNavDatabase
-from repro.substrate.store import CorpusStore
+from repro.substrate.store import MmapStore
 
 __all__ = ["BioNavQuery", "BioNav"]
 
@@ -90,15 +91,20 @@ class BioNav:
         max_reduced_nodes: int = 10,
         params: Optional[CostParams] = None,
     ) -> "BioNav":
-        """Run the off-line pre-processing and stand up the on-line system."""
+        """Run the off-line pre-processing and stand up the on-line system.
+
+        ESearch runs over the database's own store and keyword index;
+        ESummary/EFetch text comes from ``medline``.
+        """
         database = BioNavDatabase.build(hierarchy, medline)
-        entrez = EntrezClient(medline)
+        engine = SearchEngine(database.store, index=database.index, hierarchy=hierarchy)
+        entrez = EntrezClient(medline, engine=engine)
         return cls(database, entrez, max_reduced_nodes=max_reduced_nodes, params=params)
 
     @classmethod
     def from_store(
         cls,
-        store: CorpusStore,
+        store: MmapStore,
         hierarchy: Optional[ConceptHierarchy] = None,
         max_reduced_nodes: int = 10,
         params: Optional[CostParams] = None,
@@ -111,8 +117,7 @@ class BioNav:
         mmap directory shares one page-cached corpus.
 
         Args:
-            store: a :class:`~repro.substrate.store.CorpusStore`
-                (typically :class:`~repro.substrate.store.MmapStore`).
+            store: the corpus :class:`~repro.substrate.store.MmapStore`.
             hierarchy: defaults to the hierarchy captured in the store's
                 build manifest.
         """

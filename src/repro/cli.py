@@ -167,7 +167,7 @@ def _cmd_workload(workload: Workload) -> int:
                 tree.height(),
                 tree.citations_with_duplicates(),
                 len(tree.results(target)),
-                workload.database.medline_count(target),
+                workload.database.store.medline_count(target),
                 workload.hierarchy.depth(target),
             )
         )

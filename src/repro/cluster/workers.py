@@ -158,7 +158,7 @@ def worker_main(
     stop = threading.Event()
 
     with ServingRuntime(bionav, l2=l2, **options) as runtime:
-        store_info = bionav.database.store_info()
+        store_info = bionav.database.store.store_info()
 
         def beat() -> None:
             while not stop.is_set():

@@ -125,7 +125,7 @@ class CostArrays:
         self.upper_threshold = upper_threshold
         self.lower_threshold = lower_threshold
         self.use_idf = use_idf
-        # A corpus store or database (anything exposing a
+        # A corpus store (anything exposing a
         # ``medline_count`` method) is accepted in place of the bare LT
         # callable; one exposing ``medline_counts`` answers every node in
         # one batch lookup instead of a call per node.
@@ -134,32 +134,17 @@ class CostArrays:
         if callable(bound):
             medline_count = bound
 
-        # Array-native trees hand their buffers over whole; the legacy
-        # per-node loops remain for mapping-backed trees (including the
-        # reference oracle) and stay bit-identical — preorder positions
-        # are by construction 0..k-1, result counts are the CSR row
-        # lengths, and the rows hold each node's sorted citations.
-        array_native = hasattr(tree, "result_offsets_array")
-        if array_native:
-            self.preorder_ids = np.asarray(tree.preorder_array(), dtype=np.int64)
-            preorder: List[int] = self.preorder_ids.tolist()
-            k = len(preorder)
-            self._position: Dict[int, int] = {
-                node: index for index, node in enumerate(preorder)
-            }
-            self.result_counts = np.diff(
-                np.asarray(tree.result_offsets_array(), dtype=np.int64)
-            )
-        else:
-            preorder = list(tree.iter_dfs())
-            k = len(preorder)
-            self.preorder_ids = np.asarray(preorder, dtype=np.int64)
-            self._position = {
-                node: index for index, node in enumerate(preorder)
-            }
-            self.result_counts = np.fromiter(
-                (len(tree.results(n)) for n in preorder), dtype=np.int64, count=k
-            )
+        # The tree hands its preorder buffers over whole: positions are
+        # 0..k-1, result counts are the results-CSR row lengths.
+        self.preorder_ids = np.asarray(tree.preorder_array(), dtype=np.int64)
+        preorder: List[int] = self.preorder_ids.tolist()
+        k = len(preorder)
+        self._position: Dict[int, int] = {
+            node: index for index, node in enumerate(preorder)
+        }
+        self.result_counts = np.diff(
+            np.asarray(tree.result_offsets_array(), dtype=np.int64)
+        )
         if callable(batch):
             lt = np.maximum(batch(self.preorder_ids), 2).astype(np.float64)
         else:
@@ -192,18 +177,8 @@ class CostArrays:
 
         # Preorder interval indices: the subtree of a node is one
         # contiguous slice of the preorder (PR 1's positional indices).
-        if array_native:
-            self.subtree_begin = np.arange(k, dtype=np.int64)
-            self.subtree_size = np.asarray(
-                tree.subtree_size_array(), dtype=np.int64
-            ).copy()
-        else:
-            self.subtree_begin = np.fromiter(
-                (self._position[n] for n in preorder), dtype=np.int64, count=k
-            )
-            self.subtree_size = np.fromiter(
-                (tree.subtree_size(n) for n in preorder), dtype=np.int64, count=k
-            )
+        self.subtree_begin = np.arange(k, dtype=np.int64)
+        self.subtree_size = np.asarray(tree.subtree_size_array(), dtype=np.int64).copy()
 
         # The packed citation bitmaps back only the distinct-count /
         # EXPAND batch kernels, and at MEDLINE scale they are the one
@@ -250,19 +225,11 @@ class CostArrays:
         )
         for array in (self.preorder_ids, self.result_counts, self.log_lt):
             hasher.update(array.tobytes())
-        values_array = getattr(self.tree, "result_values_array", None)
-        if values_array is not None:
-            # The results CSR concatenates each node's sorted citations in
-            # preorder, skipping empty nodes implicitly — byte for byte
-            # the stream the per-node loop below produces.
-            hasher.update(
-                np.ascontiguousarray(values_array(), dtype=np.int64).tobytes()
-            )
-        else:
-            for node in self.preorder_ids.tolist():  # repro: ignore[vectorize]
-                citations = sorted(self.tree.results(node))
-                if citations:
-                    hasher.update(np.asarray(citations, dtype=np.int64).tobytes())
+        # The results CSR concatenates each node's sorted citations in
+        # preorder; ``result_counts``, hashed above, delimits the runs.
+        hasher.update(
+            np.ascontiguousarray(self.tree.result_values_array(), dtype=np.int64).tobytes()
+        )
         return hasher.hexdigest()[:40]
 
     def __len__(self) -> int:
@@ -290,42 +257,20 @@ class CostArrays:
     def _build_packed(self) -> np.ndarray:
         width = max(1, (self.universe_size + 7) // 8)
         packed = np.zeros((len(self.preorder_ids), width), dtype=np.uint8)
-        values_array = getattr(self.tree, "result_values_array", None)
-        if values_array is not None:
-            # One scatter for the whole matrix: universe bit positions by
-            # searchsorted over the distinct sorted citations, row index
-            # by repeating each preorder position over its CSR run.
-            values = np.asarray(values_array(), dtype=np.int64)
-            if values.size:
-                universe = np.unique(values)
-                bits = np.searchsorted(universe, values)
-                rows = np.repeat(
-                    np.arange(len(self.preorder_ids), dtype=np.int64),
-                    self.result_counts,
-                )
-                np.bitwise_or.at(
-                    packed,
-                    (rows, bits >> 3),
-                    np.left_shift(1, 7 - (bits & 7)).astype(np.uint8),
-                )
-            packed.setflags(write=False)
-            return packed
-        citation_bit = {
-            citation: bit
-            for bit, citation in enumerate(sorted(self.tree.all_results()))
-        }
-        for index, node in enumerate(self.preorder_ids.tolist()):  # repro: ignore[vectorize]
-            citations = self.tree.results(node)
-            if not citations:
-                continue
-            bits = np.fromiter(
-                (citation_bit[c] for c in citations),
-                dtype=np.int64,
-                count=len(citations),
+        # One scatter for the whole matrix: universe bit positions by
+        # searchsorted over the distinct sorted citations, row index by
+        # repeating each preorder position over its CSR run.
+        values = np.asarray(self.tree.result_values_array(), dtype=np.int64)
+        if values.size:
+            universe = np.unique(values)
+            bits = np.searchsorted(universe, values)
+            rows = np.repeat(
+                np.arange(len(self.preorder_ids), dtype=np.int64),
+                self.result_counts,
             )
             np.bitwise_or.at(
-                packed[index],
-                bits >> 3,
+                packed,
+                (rows, bits >> 3),
                 np.left_shift(1, 7 - (bits & 7)).astype(np.uint8),
             )
         packed.setflags(write=False)

@@ -42,7 +42,7 @@ import numpy as np
 from repro.hierarchy.concept import ConceptHierarchy
 
 if TYPE_CHECKING:  # substrate imports core; keep the reverse edge lazy
-    from repro.substrate.store import CorpusStore
+    from repro.substrate.store import MmapStore
 
 __all__ = ["NavigationTree"]
 
@@ -103,7 +103,7 @@ class NavigationTree:
     def from_store(
         cls,
         hierarchy: ConceptHierarchy,
-        store: "CorpusStore",
+        store: "MmapStore",
         pmids: Iterable[int],
         root: Optional[int] = None,
     ) -> "NavigationTree":
@@ -111,10 +111,10 @@ class NavigationTree:
 
         Args:
             hierarchy: the concept hierarchy.
-            store: a :class:`~repro.substrate.store.CorpusStore`; its
-                ``annotation_arrays`` provides the association restriction
-                directly in CSR form (mmap-backed at substrate scale), so
-                the tree builds without any per-citation Python objects.
+            store: the corpus :class:`~repro.substrate.store.MmapStore`;
+                its ``annotation_arrays`` provides the association
+                restriction directly in CSR form, so the tree builds
+                without any per-citation Python objects.
             pmids: the query result's citation ids.
             root: subtree to embed within; defaults to the hierarchy root.
         """

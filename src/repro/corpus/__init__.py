@@ -11,12 +11,7 @@ from repro.corpus.loader import (
     stream_medline_text,
 )
 from repro.corpus.medline import MedlineDatabase
-from repro.corpus.persistence import (
-    load_medline_jsonl,
-    read_citations_jsonl,
-    save_medline_jsonl,
-    write_citations_jsonl,
-)
+from repro.corpus.persistence import read_citations_jsonl, write_citations_jsonl
 from repro.corpus.validation import CorpusStats, concept_frequency_gini, corpus_stats
 
 __all__ = [
@@ -29,12 +24,10 @@ __all__ = [
     "citations_from_records",
     "concept_frequency_gini",
     "corpus_stats",
-    "load_medline_jsonl",
     "dump_medline_text",
     "load_medline_text",
     "parse_medline_text",
     "read_citations_jsonl",
-    "save_medline_jsonl",
     "stream_medline_records",
     "stream_medline_text",
     "write_citations_jsonl",

@@ -1,32 +1,23 @@
 """JSONL persistence for the simulated MEDLINE corpus.
 
-The BioNav database has JSON persistence (``BioNavDatabase.save``); the
-corpus itself gets the same treatment here — one JSON object per citation
-(the JSONL convention), plus a header object carrying the background LT
-counts.  The primary interface is streaming: :func:`write_citations_jsonl`
-consumes any citation iterable and :func:`read_citations_jsonl` yields
-citations lazily, so a MEDLINE-scale corpus flows through in constant
-memory (this is the interchange path between the substrate builder and
-standard JSONL tooling).  The original whole-database functions
-(:func:`save_medline_jsonl` / :func:`load_medline_jsonl`) remain as
-deprecation shims over the streaming core and write byte-identical output.
+The BioNav database persists as its substrate directory; the corpus
+itself is written here as one JSON object per citation (the JSONL
+convention), plus a header object carrying the background LT counts.
+The interface is streaming: :func:`write_citations_jsonl` consumes any
+citation iterable and :func:`read_citations_jsonl` yields citations
+lazily, so a MEDLINE-scale corpus flows through in constant memory
+(this is the interchange path between the substrate builder and
+standard JSONL tooling).
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from typing import Dict, Iterable, Iterator, Mapping, Optional, TextIO, Tuple
 
 from repro.corpus.citation import Citation
-from repro.corpus.medline import MedlineDatabase
 
-__all__ = [
-    "write_citations_jsonl",
-    "read_citations_jsonl",
-    "save_medline_jsonl",
-    "load_medline_jsonl",
-]
+__all__ = ["write_citations_jsonl", "read_citations_jsonl"]
 
 _HEADER_KIND = "medline-header"
 _CITATION_KIND = "citation"
@@ -116,46 +107,3 @@ def _iter_citation_lines(handle: TextIO) -> Iterator[Citation]:
             mesh_annotations=tuple(record.get("mesh_annotations", ())),
             index_concepts=tuple(record.get("index_concepts", ())),
         )
-
-
-def save_medline_jsonl(medline: MedlineDatabase, handle: TextIO) -> int:
-    """Write the database as JSON lines; returns citations written.
-
-    .. deprecated::
-        Shim over :func:`write_citations_jsonl`, which streams from any
-        iterable instead of requiring a materialized database.  Output is
-        byte-identical.
-    """
-    warnings.warn(
-        "save_medline_jsonl is deprecated; use write_citations_jsonl",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return write_citations_jsonl(
-        (medline.get(pmid) for pmid in medline.pmids()),
-        handle,
-        medline.background_counts(),
-    )
-
-
-def load_medline_jsonl(handle: TextIO) -> MedlineDatabase:
-    """Rebuild a database written by :func:`save_medline_jsonl`.
-
-    .. deprecated::
-        Shim over :func:`read_citations_jsonl`, which yields citations
-        lazily instead of materializing a database.
-
-    Raises:
-        ValueError: missing/invalid header, unsupported version, or an
-            unknown record kind.
-    """
-    warnings.warn(
-        "load_medline_jsonl is deprecated; use read_citations_jsonl",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    background, citations = read_citations_jsonl(handle)
-    medline = MedlineDatabase(background_counts=background)
-    for citation in citations:
-        medline.add(citation)
-    return medline

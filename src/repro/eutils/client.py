@@ -47,11 +47,11 @@ class EntrezClient:
     ):
         """
         Args:
-            medline: the simulated MEDLINE database, or any
-                :class:`~repro.substrate.store.CorpusStore` backend (the
-                client only needs ``get``/``__contains__``/
-                ``iter_citations``); pass an ``engine`` explicitly for
-                store backends without a text index.
+            medline: the simulated MEDLINE database, or a
+                :class:`~repro.substrate.store.MmapStore` (the client only
+                needs ``get``/``__contains__``/``iter_citations``); pass
+                an ``engine`` explicitly for a store, which carries no
+                text index.
             engine: keyword search engine; built from ``medline`` if omitted.
             rate_limit: optional maximum number of requests this client will
                 serve before raising :class:`RateLimitExceeded`; ``None``

@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import os
 import weakref
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -253,18 +253,19 @@ class HierarchyArrays:
             self._content_key = digest.hexdigest()[:40]
         return self._content_key
 
+    def files(self) -> Iterator[Tuple[str, np.ndarray]]:
+        """``(file name, array)`` pairs in :data:`HIERARCHY_ARRAY_FILES` order."""
+        for file_name, field in zip(HIERARCHY_ARRAY_FILES, _FIELDS):
+            yield file_name, np.ascontiguousarray(getattr(self, field))
+
     def save(self, directory: str) -> List[str]:
         """Write the ``hier_*.npy`` files into ``directory``.
 
         Returns the file names written, in :data:`HIERARCHY_ARRAY_FILES`
         order, for manifest registration.
         """
-        for file_name, field in zip(HIERARCHY_ARRAY_FILES, _FIELDS):
-            np.save(
-                os.path.join(directory, file_name),
-                np.ascontiguousarray(getattr(self, field)),
-                allow_pickle=False,
-            )
+        for file_name, array in self.files():
+            np.save(os.path.join(directory, file_name), array, allow_pickle=False)
         return list(HIERARCHY_ARRAY_FILES)
 
     @classmethod

@@ -32,7 +32,7 @@ from repro.core.probabilities import ProbabilityModel
 from repro.core.session import NavigationSession
 from repro.core.strategy import CutDecision
 from repro.hierarchy.concept import ConceptHierarchy
-from repro.storage.database import BioNavDatabase, hierarchy_digest
+from repro.storage.database import BioNavDatabase
 
 __all__ = [
     "content_key",
@@ -76,17 +76,16 @@ class HierarchySnapshot:
 
     One snapshot serves every query and session of a deployment; its
     content key is the database's deployment identity
-    (:meth:`~repro.storage.database.BioNavDatabase.content_digest`):
-    substrate-backed deployments derive it from the offline build
-    manifest digest — no per-deployment rehash of 48k hierarchy
-    records — and toy deployments fingerprint the hierarchy's full
-    (uid, label, parent) record stream, so two deployments of the same
-    MeSH revision share keys and a re-grafted hierarchy gets a new one.
-    Corpus revisions surface downstream instead: they change each
-    query's result set, whose key every navigation-tree key folds in.
+    (:meth:`~repro.storage.database.BioNavDatabase.content_digest`),
+    derived from the corpus store's build manifest digest alone.  That
+    digest covers the hierarchy, the citation table, every association
+    array and the ``LT(n)`` counts (and, for a toy deployment, its
+    keyword text), so a corpus revision gets a new key — and with it
+    every result-set, navigation-tree and cut key chained below it —
+    while two deployments of the same build share keys.
 
     Attributes:
-        database: the off-line BioNav database (associations, counts).
+        database: the off-line BioNav database (corpus store, index).
         hierarchy: the concept hierarchy the database was built over.
         content_key: deterministic fingerprint of the deployment.
     """
@@ -94,16 +93,6 @@ class HierarchySnapshot:
     database: BioNavDatabase
     hierarchy: ConceptHierarchy
     content_key: str
-
-    @staticmethod
-    def compute_key(hierarchy: ConceptHierarchy) -> str:
-        """Fingerprint the hierarchy's full record stream.
-
-        Kept for hierarchy-only callers; snapshot keys come from
-        ``database.content_digest()`` which folds in the substrate
-        manifest when one exists.
-        """
-        return hierarchy_digest(hierarchy)
 
 
 @dataclass(frozen=True)

@@ -73,8 +73,7 @@ class HierarchyStage:
     def build(database: BioNavDatabase) -> HierarchySnapshot:
         """Wrap the database with its deployment content identity.
 
-        Substrate-backed deployments reuse the offline build manifest
-        digest; toy deployments fingerprint the hierarchy records (see
+        The key derives from the store's build manifest digest (see
         :meth:`BioNavDatabase.content_digest`).
         """
         return HierarchySnapshot(
@@ -119,18 +118,11 @@ class NavTreeStage:
     ) -> NavTreeArtifact:
         """Embed the result set in the hierarchy and estimate probabilities."""
         store = snapshot.database.store
-        if store is not None:
-            # Array path: the store hands CSR annotation buffers straight
-            # to the vectorized embedding — no per-concept frozensets.
-            tree = NavigationTree.from_store(
-                snapshot.hierarchy, store, results.pmids
-            )
-        else:
-            annotations = snapshot.database.annotations_for_result(results.pmids)
-            tree = NavigationTree.build(snapshot.hierarchy, annotations)
-        # The database answers LT through its store when it has one, and
-        # the store's batch lookup serves the whole tree at once.
-        probs = ProbabilityModel(tree, store if store is not None else snapshot.database)
+        # The store hands CSR annotation buffers straight to the
+        # vectorized embedding, and its batch LT lookup serves the whole
+        # tree at once.
+        tree = NavigationTree.from_store(snapshot.hierarchy, store, results.pmids)
+        probs = ProbabilityModel(tree, store)
         # The artifact carries the vectorized cost-model substrate the
         # probability model built, so the per-stage cache shares the
         # arrays (content-keyed) across every session of the query.

@@ -13,14 +13,13 @@ Two query surfaces coexist, as in real PubMed:
 * **field-tagged concept terms** — ``term[mh]`` restricts to citations
   associated with the MeSH concept ``term`` (a node id, a concept uid
   like ``D000123``, or a label when a hierarchy is attached).  These
-  resolve through the :class:`~repro.substrate.store.CorpusStore`
-  boolean-AND path, which the mmap backend answers with compressed
-  bitmap intersections — the query shape the substrate bench gates at
-  1M citations.
+  resolve through the :class:`~repro.substrate.store.MmapStore`
+  boolean-AND path, answered with compressed bitmap intersections —
+  the query shape the substrate bench gates at 1M citations.
 
 A query may mix both; the result is the intersection, ranked by the
 text score when text terms are present and in ascending-PMID order for
-pure concept queries (identical across store backends).
+pure concept queries.
 """
 
 from __future__ import annotations
@@ -33,7 +32,8 @@ from repro.corpus.medline import MedlineDatabase
 from repro.hierarchy.concept import ConceptHierarchy
 from repro.search.ranking import rank_results
 from repro.storage import InvertedIndex
-from repro.substrate.store import CorpusStore, InMemoryStore
+from repro.substrate.builder import medline_store
+from repro.substrate.store import MmapStore
 
 __all__ = ["QueryResult", "SearchEngine"]
 
@@ -65,25 +65,28 @@ class SearchEngine:
     """Conjunctive retrieval: TF-IDF-ranked text plus ``[mh]`` concepts.
 
     Args:
-        store: a :class:`CorpusStore`, or a bare :class:`MedlineDatabase`
-            (wrapped in an :class:`InMemoryStore` for compatibility).
+        store: the corpus :class:`MmapStore`, or a bare
+            :class:`MedlineDatabase`, built into an in-memory store over
+            the concept ids it uses (max concept id + 1).
         index: inverted keyword index for free-text terms; when absent,
-            free-text terms raise :class:`ValueError` (the mmap backend
-            carries no text index — concept queries only).
+            free-text terms raise :class:`ValueError` (a pre-built
+            substrate carries no text index — concept queries only).
         hierarchy: resolves uid/label concept terms; node-id terms work
             without it.
     """
 
     def __init__(
         self,
-        store: "CorpusStore | MedlineDatabase",
+        store: "MmapStore | MedlineDatabase",
         index: Optional[InvertedIndex] = None,
         hierarchy: Optional[ConceptHierarchy] = None,
     ):
         if isinstance(store, MedlineDatabase):
-            store = InMemoryStore(store)
-        if not isinstance(store, CorpusStore):
-            raise TypeError("store must be a CorpusStore or MedlineDatabase")
+            concepts = max(
+                (max(c.concepts) for c in store.iter_citations() if c.concepts),
+                default=-1,
+            )
+            store = medline_store(store, concepts + 1)
         self._store = store
         self._index = index
         self._hierarchy = hierarchy if hierarchy is not None else store.hierarchy()
@@ -99,13 +102,13 @@ class SearchEngine:
 
     @classmethod
     def from_store(
-        cls, store: CorpusStore, hierarchy: Optional[ConceptHierarchy] = None
+        cls, store: MmapStore, hierarchy: Optional[ConceptHierarchy] = None
     ) -> "SearchEngine":
         """Concept-query engine over a built store (no text index)."""
         return cls(store, index=None, hierarchy=hierarchy)
 
     @property
-    def store(self) -> CorpusStore:
+    def store(self) -> MmapStore:
         """The corpus store queries resolve against."""
         return self._store
 
@@ -169,8 +172,10 @@ class SearchEngine:
     def _year_map(self) -> Dict[int, int]:
         """pmid → year for ranking tie-breaks, built on first text query."""
         if self._years is None:
-            self._years = {
-                citation.pmid: citation.year
-                for citation in self._store.iter_citations()
-            }
+            self._years = dict(
+                zip(
+                    self._store.pmid_array().tolist(),
+                    self._store.year_array().tolist(),
+                )
+            )
         return self._years

@@ -20,7 +20,7 @@ from typing import Dict, Optional, Set
 from repro.corpus.medline import MedlineDatabase
 from repro.hierarchy.concept import ConceptHierarchy
 from repro.search.query_language import And, Node, Not, Or, Term, parse_query
-from repro.storage.positional import PositionalIndex
+from repro.storage import PositionalIndex
 
 __all__ = ["FieldedSearchEngine", "FieldedEngineAdapter"]
 

@@ -351,7 +351,7 @@ class ServingRuntime:
             # Which corpus backend this process serves from.  Cluster
             # tests assert every worker reports the same mmap directory
             # (one page-cached corpus, not N private copies).
-            "store": self.bionav.database.store_info(),
+            "store": self.bionav.database.store.store_info(),
         }
 
     def stats(self) -> Dict[str, object]:

@@ -18,11 +18,12 @@ directly-extracted one, validating the shortcut
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.eutils.errors import RateLimitExceeded
 from repro.hierarchy.concept import ConceptHierarchy
-from repro.storage.tables import AssociationTable, ConceptStatsTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a circular import)
     from repro.eutils.client import EntrezClient
@@ -35,17 +36,17 @@ class HarvestResult:
     """Outcome of one full harvest.
 
     Attributes:
-        associations: the (concept, citationId) relation.
-        stats: per-concept result counts recorded along the way (the
-            ``LT(n)`` statistics, restricted to the materialized corpus).
+        associations: the (concept, citationId) relation, as each
+            queried concept's ascending int64 PMIDs; its lengths are the
+            per-concept result counts (``LT(n)`` restricted to the
+            materialized corpus).
         concepts_queried: concepts for which a query was issued.
         requests_issued: total eutils requests.
         quota_windows: rate-limit windows consumed (each window is a
             quota reset — wall-clock time in the real system).
     """
 
-    associations: AssociationTable
-    stats: ConceptStatsTable
+    associations: Dict[int, np.ndarray]
     concepts_queried: int
     requests_issued: int
     quota_windows: int
@@ -71,8 +72,7 @@ class ConceptHarvester:
         """
         if concepts is None:
             concepts = [n for n in range(len(self.hierarchy)) if n != self.hierarchy.root]
-        associations = AssociationTable()
-        stats = ConceptStatsTable()
+        associations: Dict[int, np.ndarray] = {}
         requests_before = self.client.total_requests
         windows = 0
         queried = 0
@@ -85,12 +85,9 @@ class ConceptHarvester:
             pmids, extra_windows = self._search_all_with_quota(term, page_size)
             windows += extra_windows
             queried += 1
-            stats.set_count(concept, len(pmids))
-            for pmid in pmids:
-                associations.insert(concept, pmid)
+            associations[concept] = np.unique(np.asarray(pmids, dtype=np.int64))
         return HarvestResult(
             associations=associations,
-            stats=stats,
             concepts_queried=queried,
             requests_issued=self.client.total_requests - requests_before,
             quota_windows=windows,

@@ -6,16 +6,16 @@ pre-processing pass and then queried interactively (§VII).  This package
 is that split at reproduction scale:
 
 * **Offline** — :class:`~repro.substrate.builder.SubstrateBuilder`
-  streams citations in bounded memory into a directory of mmap-able
-  numpy files (PMID-sorted citation table, CSR concept→citation
-  association table, per-concept counts, compressed citation bitmaps)
-  plus a deterministic build manifest.
-* **Online** — one :class:`~repro.substrate.store.CorpusStore`
-  interface with two backends: :class:`~repro.substrate.store.InMemoryStore`
-  wrapping the toy :class:`~repro.corpus.medline.MedlineDatabase`, and
-  :class:`~repro.substrate.store.MmapStore` opening the built directory
-  read-only via ``np.load(mmap_mode="r")`` so every cluster worker
-  shares one OS page cache instead of N private corpus copies.
+  streams citations in bounded memory into the substrate arrays
+  (PMID-sorted citation table, CSR concept→citation association table,
+  per-concept counts, compressed citation bitmaps) plus a deterministic
+  build manifest — written as a directory of mmap-able numpy files, or
+  kept in memory for toy corpora; both give the same digest.
+* **Online** — one store, :class:`~repro.substrate.store.MmapStore`,
+  over either form: a built directory opened read-only via
+  ``np.load(mmap_mode="r")``, so every cluster worker shares one OS
+  page cache instead of N private corpus copies, or the arrays of an
+  in-memory build.  Persistence is the substrate directory.
 
 The compressed bitmaps are roaring-style array/bitmap hybrid containers
 (:mod:`repro.substrate.roaring`) whose bitmap payloads use the same
@@ -23,18 +23,22 @@ packed-``uint8``/MSB-first layout as the ``cost_arrays`` popcount and
 ``bitwise_or`` kernels.
 """
 
-from repro.substrate.builder import BuildManifest, SubstrateBuilder, citation_chunks
+from repro.substrate.builder import (
+    BuildManifest,
+    SubstrateBuilder,
+    citation_chunks,
+    medline_store,
+)
 from repro.substrate.roaring import RoaringBitmap
-from repro.substrate.store import CorpusStore, InMemoryStore, MmapStore
+from repro.substrate.store import MmapStore
 from repro.substrate.synth import SynthSpec, synthetic_background, synthetic_chunks
 
 __all__ = [
     "BuildManifest",
     "SubstrateBuilder",
     "citation_chunks",
+    "medline_store",
     "RoaringBitmap",
-    "CorpusStore",
-    "InMemoryStore",
     "MmapStore",
     "SynthSpec",
     "synthetic_background",

@@ -1,12 +1,19 @@
-"""Streaming offline build of the columnar substrate directory.
+"""Streaming offline build of the columnar corpus substrate.
 
 :class:`SubstrateBuilder` is the reproduction of the paper's ~20-day
 offline pre-processing pass (§VII): it consumes a *stream* of citation
-chunks and produces a directory of mmap-able ``.npy`` files without ever
-holding the corpus as Python objects.  Peak memory is bounded by the
-chunk size plus a handful of per-concept ``int64`` vectors — the
-association elements themselves stage through raw temp files and are
-finalized into ``.npy`` memmaps with windowed copies.
+chunks and produces the substrate arrays without ever holding the corpus
+as Python objects.  It has two targets that run the same passes:
+
+* a **directory** of mmap-able ``.npy`` files — peak memory is bounded
+  by the chunk size plus a handful of per-concept ``int64`` vectors; the
+  association elements stage through raw temp files and are finalized
+  into ``.npy`` memmaps with windowed copies;
+* **memory** (``out_dir=None``) — the same arrays kept in process, which
+  is how toy corpora (:func:`medline_store`) are built.
+
+The manifest hashes each array as its ``.npy`` serialization in both
+cases, so one stream gives one digest whatever the target.
 
 On-disk layout (all arrays little-endian, loadable with
 ``np.load(mmap_mode="r")``):
@@ -41,22 +48,30 @@ byte-identical manifest digests — the determinism gate CI asserts.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Optional, Union
+from typing import BinaryIO, Dict, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
 from repro.corpus.citation import Citation
+from repro.corpus.medline import MedlineDatabase
 from repro.hierarchy.arrays import HIERARCHY_ARRAY_FILES
 from repro.hierarchy.concept import ConceptHierarchy
 from repro.substrate.roaring import ARRAY_CONTAINER_MAX, RoaringBitmap
+from repro.substrate.store import CORPUS_FILES, FORMAT_VERSION, MmapStore
 
-__all__ = ["CitationChunk", "citation_chunks", "BuildManifest", "SubstrateBuilder"]
-
-_FORMAT_VERSION = 2
+__all__ = [
+    "CitationChunk",
+    "citation_chunks",
+    "BuildManifest",
+    "SubstrateBuilder",
+    "medline_store",
+]
 
 #: Elements per windowed pass over the association tables.
 _WINDOW = 1 << 21
@@ -95,28 +110,26 @@ def citation_chunks(
     with ascending PMIDs (e.g. ``MedlineDatabase`` iteration order or a
     streamed JSONL corpus) is a valid builder input.
     """
-    pmids, years, lengths, rows = [], [], [], []
+    pmids, years, lengths, concepts = [], [], [], []
     for citation in citations:
-        row = np.unique(np.asarray(citation.concepts, dtype=np.int32))
+        row = sorted(set(citation.concepts))
         pmids.append(citation.pmid)
         years.append(citation.year)
-        lengths.append(row.size)
-        rows.append(row)
+        lengths.append(len(row))
+        concepts.extend(row)
         if len(pmids) >= chunk_size:
-            yield _make_chunk(pmids, years, lengths, rows)
-            pmids, years, lengths, rows = [], [], [], []
+            yield _make_chunk(pmids, years, lengths, concepts)
+            pmids, years, lengths, concepts = [], [], [], []
     if pmids:
-        yield _make_chunk(pmids, years, lengths, rows)
+        yield _make_chunk(pmids, years, lengths, concepts)
 
 
-def _make_chunk(pmids, years, lengths, rows) -> CitationChunk:
+def _make_chunk(pmids, years, lengths, concepts) -> CitationChunk:
     return CitationChunk(
         pmids=np.asarray(pmids, dtype=np.int64),
         years=np.asarray(years, dtype=np.int16),
         lengths=np.asarray(lengths, dtype=np.int32),
-        concepts=(
-            np.concatenate(rows) if rows else np.empty(0, dtype=np.int32)
-        ).astype(np.int32, copy=False),
+        concepts=np.asarray(concepts, dtype=np.int32),
     )
 
 
@@ -125,7 +138,7 @@ class BuildManifest:
     """Outcome of one offline build.
 
     Attributes:
-        path: the substrate directory.
+        path: the substrate directory (``None`` for an in-memory build).
         digest: sha-256 over the canonical manifest payload — equal
             digests mean byte-identical substrate directories.
         citations: rows in the citation table.
@@ -133,18 +146,157 @@ class BuildManifest:
         concepts: size of the concept id space.
     """
 
-    path: str
+    path: Optional[str]
     digest: str
     citations: int
     pairs: int
     concepts: int
 
 
+def medline_store(
+    medline: MedlineDatabase,
+    num_concepts: int,
+    hierarchy: Optional[ConceptHierarchy] = None,
+    meta: Optional[Dict[str, object]] = None,
+) -> MmapStore:
+    """In-memory substrate of a simulated MEDLINE snapshot.
+
+    Citations stream in ascending-PMID order and the snapshot's
+    background counts complete ``LT(n)``; see :meth:`SubstrateBuilder.build`
+    for ``hierarchy`` and ``meta``.
+    """
+    builder = SubstrateBuilder(None, num_concepts)
+    builder.build(
+        citation_chunks(medline.get(pmid) for pmid in medline.pmids()),
+        hierarchy=hierarchy,
+        background=medline.background_counts(),
+        meta=meta,
+    )
+    return builder.open()
+
+
+class _DiskSink:
+    """Build target that writes every array as a ``.npy`` file."""
+
+    def __init__(self, path: str):
+        self.path = os.path.abspath(path)
+        os.makedirs(self.path, exist_ok=True)
+
+    def _file(self, name: str) -> str:
+        return os.path.join(self.path, name)
+
+    def save(self, name: str, array: np.ndarray) -> None:
+        np.save(self._file(name), array)
+
+    @contextlib.contextmanager
+    def staged(self, name: str, dtype) -> Iterator[BinaryIO]:
+        """Raw bytes written here become array ``name`` on exit.
+
+        They stage through a temp file and are finalized into ``.npy``
+        with windowed copies, so the payload is never held in memory.
+        """
+        raw_path = self._file(name.replace(".npy", ".raw"))
+        with open(raw_path, "wb") as raw:
+            yield raw
+        itemsize = np.dtype(dtype).itemsize
+        count = os.path.getsize(raw_path) // itemsize
+        if count == 0:
+            self.save(name, np.empty(0, dtype=dtype))
+        else:
+            out = self.allocate(name, dtype, count)
+            with open(raw_path, "rb") as src:
+                position = 0
+                while position < count:
+                    step = min(_WINDOW, count - position)
+                    buffer = src.read(step * itemsize)
+                    out[position : position + step] = np.frombuffer(buffer, dtype=dtype)
+                    position += step
+            self.seal(name, out)
+        os.remove(raw_path)
+
+    def allocate(self, name: str, dtype, count: int) -> np.ndarray:
+        return np.lib.format.open_memmap(
+            self._file(name), mode="w+", dtype=dtype, shape=(count,)
+        )
+
+    def seal(self, name: str, array: np.ndarray) -> None:
+        array.flush()
+
+    def load(self, name: str) -> np.ndarray:
+        return np.load(self._file(name), mmap_mode="r")
+
+    def digest(self, name: str) -> Dict[str, object]:
+        path = self._file(name)
+        return {"sha256": _file_sha256(path), "bytes": os.path.getsize(path)}
+
+    def write_manifest(self, payload: Dict[str, object]) -> None:
+        manifest_path = self._file("manifest.json")
+        tmp_path = manifest_path + ".tmp"
+        with open(tmp_path, "w") as handle:
+            json.dump(payload, handle, sort_keys=True, indent=1)
+        os.replace(tmp_path, manifest_path)
+
+
+class _MemorySink:
+    """Build target that keeps every array in memory.
+
+    Digests hash the exact bytes ``np.save`` would write, so an
+    in-memory build and a disk build of one stream agree on every file
+    hash and on the manifest digest.
+    """
+
+    path = None
+
+    def __init__(self) -> None:
+        self.arrays: Dict[str, np.ndarray] = {}
+
+    def save(self, name: str, array: np.ndarray) -> None:
+        self.arrays[name] = array
+
+    @contextlib.contextmanager
+    def staged(self, name: str, dtype) -> Iterator[BinaryIO]:
+        buffer = io.BytesIO()
+        yield buffer
+        self.arrays[name] = np.frombuffer(buffer.getvalue(), dtype=dtype)
+
+    def allocate(self, name: str, dtype, count: int) -> np.ndarray:
+        return np.empty(count, dtype=dtype)
+
+    def seal(self, name: str, array: np.ndarray) -> None:
+        self.arrays[name] = array
+
+    def load(self, name: str) -> np.ndarray:
+        return self.arrays[name]
+
+    def digest(self, name: str) -> Dict[str, object]:
+        writer = _HashingWriter()
+        np.save(writer, self.arrays[name])
+        return {"sha256": writer.hasher.hexdigest(), "bytes": writer.size}
+
+    def write_manifest(self, payload: Dict[str, object]) -> None:
+        pass
+
+
+class _HashingWriter:
+    """File-like sink for ``np.save`` that only hashes and counts bytes."""
+
+    def __init__(self) -> None:
+        self.hasher = hashlib.sha256()
+        self.size = 0
+
+    def write(self, data: bytes) -> int:
+        self.hasher.update(data)
+        self.size += len(data)
+        return len(data)
+
+
 class SubstrateBuilder:
-    """Builds one substrate directory from a chunked citation stream.
+    """Builds one substrate from a chunked citation stream.
 
     Args:
-        out_dir: target directory (created; existing files overwritten).
+        out_dir: target directory (created; existing files overwritten),
+            or ``None`` to keep the arrays in memory.  Both targets run
+            the same passes and produce the same manifest digest.
         num_concepts: size of the concept id space (``len(hierarchy)``).
         array_max: roaring array→bitmap threshold recorded in the
             manifest and used when reopening bitmaps.
@@ -152,15 +304,20 @@ class SubstrateBuilder:
 
     def __init__(
         self,
-        out_dir: str,
+        out_dir: Optional[str],
         num_concepts: int,
         array_max: int = ARRAY_CONTAINER_MAX,
     ):
-        if num_concepts <= 0:
-            raise ValueError("num_concepts must be positive")
-        self.out_dir = os.path.abspath(out_dir)
+        if num_concepts < 0:
+            raise ValueError("num_concepts must be non-negative")
+        self._sink: Union[_DiskSink, _MemorySink] = (
+            _MemorySink() if out_dir is None else _DiskSink(out_dir)
+        )
+        self.out_dir = self._sink.path
         self.num_concepts = num_concepts
         self.array_max = array_max
+        self._payload: Optional[Dict[str, object]] = None
+        self._hierarchy: Optional[ConceptHierarchy] = None
 
     # ------------------------------------------------------------------
     def build(
@@ -170,7 +327,7 @@ class SubstrateBuilder:
         background: Union[None, Dict[int, int], np.ndarray] = None,
         meta: Optional[Dict[str, object]] = None,
     ) -> BuildManifest:
-        """Stream ``chunks`` to disk and write the manifest.
+        """Stream ``chunks`` into the target and write the manifest.
 
         Args:
             chunks: the citation stream (see :class:`CitationChunk`).
@@ -182,14 +339,12 @@ class SubstrateBuilder:
             meta: caller-supplied provenance (seed, generator name)
                 folded into the manifest — and therefore the digest.
         """
-        os.makedirs(self.out_dir, exist_ok=True)
-        raw_concepts = os.path.join(self.out_dir, "cit_concepts.raw")
-
+        sink = self._sink
         counts = np.zeros(self.num_concepts, dtype=np.int64)
         pmid_parts, year_parts, length_parts = [], [], []
         last_pmid = -1
         pairs = 0
-        with open(raw_concepts, "wb") as raw:
+        with sink.staged("cit_concepts.npy", np.int32) as raw:
             for chunk in chunks:
                 self._validate_chunk(chunk, last_pmid)
                 if chunk.pmids.size:
@@ -213,13 +368,12 @@ class SubstrateBuilder:
         concept_offsets = np.zeros(self.num_concepts + 1, dtype=np.int64)
         np.cumsum(counts, out=concept_offsets[1:])
 
-        self._save("pmids.npy", pmids)
-        self._save("years.npy", years)
-        self._save("cit_concept_offsets.npy", cit_offsets)
-        self._save("concept_offsets.npy", concept_offsets)
-        self._save("concept_counts.npy", counts)
-        self._save("concept_lt.npy", counts + self._background_array(background))
-        self._raw_to_npy(raw_concepts, "cit_concepts.npy", np.int32, pairs)
+        sink.save("pmids.npy", pmids)
+        sink.save("years.npy", years)
+        sink.save("cit_concept_offsets.npy", cit_offsets)
+        sink.save("concept_offsets.npy", concept_offsets)
+        sink.save("concept_counts.npy", counts)
+        sink.save("concept_lt.npy", counts + self._background_array(background))
 
         self._scatter_concept_citations(cit_offsets, concept_offsets, pairs)
         self._encode_bitmaps(concept_offsets)
@@ -231,19 +385,34 @@ class SubstrateBuilder:
                     % (len(hierarchy), self.num_concepts)
                 )
             arrays = hierarchy.arrays()
-            arrays.save(self.out_dir)
+            for name, array in arrays.files():
+                sink.save(name, array)
             arrays_key = arrays.content_key
 
-        digest = self._write_manifest(
+        self._payload = self._write_manifest(
             citations, pairs, hierarchy is not None, meta, arrays_key
         )
+        self._hierarchy = hierarchy
         return BuildManifest(
             path=self.out_dir,
-            digest=digest,
+            digest=str(self._payload["digest"]),
             citations=citations,
             pairs=pairs,
             concepts=self.num_concepts,
         )
+
+    def open(self) -> "MmapStore":  # repro: ignore[shadowed-builtin]
+        """The store over what :meth:`build` produced.
+
+        A directory build reopens its files memory-mapped; an in-memory
+        build wraps its arrays and the hierarchy it was given.
+        """
+        if self._payload is None:
+            raise ValueError("nothing built yet")
+        if self.out_dir is not None:
+            return MmapStore.open(self.out_dir)
+        arrays = {name: self._sink.load(name) for name in CORPUS_FILES}
+        return MmapStore(self._payload, arrays, hierarchy=self._hierarchy)
 
     # ------------------------------------------------------------------
     # Pass 1 helpers
@@ -294,16 +463,12 @@ class SubstrateBuilder:
     def _scatter_concept_citations(
         self, cit_offsets: np.ndarray, concept_offsets: np.ndarray, pairs: int
     ) -> None:
+        sink = self._sink
         if pairs == 0:
-            self._save("concept_citations.npy", np.empty(0, dtype=np.uint32))
+            sink.save("concept_citations.npy", np.empty(0, dtype=np.uint32))
             return
-        out = np.lib.format.open_memmap(
-            os.path.join(self.out_dir, "concept_citations.npy"),
-            mode="w+",
-            dtype=np.uint32,
-            shape=(pairs,),
-        )
-        src = np.load(os.path.join(self.out_dir, "cit_concepts.npy"), mmap_mode="r")
+        out = sink.allocate("concept_citations.npy", np.uint32, pairs)
+        src = sink.load("cit_concepts.npy")
         cursors = concept_offsets[:-1].copy()
         for lo in range(0, pairs, _WINDOW):
             hi = min(pairs, lo + _WINDOW)
@@ -324,58 +489,33 @@ class SubstrateBuilder:
             positions = cursors[sorted_concepts] + within
             out[positions] = sorted_ordinals.astype(np.uint32)
             cursors[uniq] += group_sizes
-        out.flush()
-        del out
+        sink.seal("concept_citations.npy", out)
 
     # ------------------------------------------------------------------
     # Pass 3: compressed bitmaps
     # ------------------------------------------------------------------
     def _encode_bitmaps(self, concept_offsets: np.ndarray) -> None:
-        members = np.load(
-            os.path.join(self.out_dir, "concept_citations.npy"), mmap_mode="r"
-        )
-        raw_blob = os.path.join(self.out_dir, "bitmap_blob.raw")
-        offsets = np.zeros(self.num_concepts + 1, dtype=np.int64)
-        with open(raw_blob, "wb") as blob:
-            for concept in range(self.num_concepts):
-                lo = int(concept_offsets[concept])
-                hi = int(concept_offsets[concept + 1])
-                bitmap = RoaringBitmap.from_sorted(
-                    np.asarray(members[lo:hi]), array_max=self.array_max
-                )
-                data = bitmap.serialize()
+        members = self._sink.load("concept_citations.npy")
+        sizes = []
+        empty = RoaringBitmap(array_max=self.array_max).serialize()
+        bounds = concept_offsets.tolist()
+        with self._sink.staged("bitmap_blob.npy", np.uint8) as blob:
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                if lo == hi:
+                    data = empty
+                else:
+                    data = RoaringBitmap.from_sorted(
+                        np.asarray(members[lo:hi]), array_max=self.array_max
+                    ).serialize()
                 blob.write(data)
-                offsets[concept + 1] = offsets[concept] + len(data)
-        self._save("bitmap_offsets.npy", offsets)
-        self._raw_to_npy(raw_blob, "bitmap_blob.npy", np.uint8, int(offsets[-1]))
+                sizes.append(len(data))
+        offsets = np.zeros(self.num_concepts + 1, dtype=np.int64)
+        np.cumsum(np.asarray(sizes, dtype=np.int64), out=offsets[1:])
+        self._sink.save("bitmap_offsets.npy", offsets)
 
     # ------------------------------------------------------------------
-    # File plumbing
+    # Manifest
     # ------------------------------------------------------------------
-    def _save(self, name: str, array: np.ndarray) -> None:
-        np.save(os.path.join(self.out_dir, name.replace(".npy", "")), array)
-
-    def _raw_to_npy(self, raw_path: str, name: str, dtype, count: int) -> None:
-        """Finalize a raw temp file into ``.npy`` with windowed copies."""
-        if count == 0:
-            self._save(name, np.empty(0, dtype=dtype))
-            os.remove(raw_path)
-            return
-        out = np.lib.format.open_memmap(
-            os.path.join(self.out_dir, name), mode="w+", dtype=dtype, shape=(count,)
-        )
-        itemsize = np.dtype(dtype).itemsize
-        with open(raw_path, "rb") as src:
-            position = 0
-            while position < count:
-                step = min(_WINDOW, count - position)
-                buffer = src.read(step * itemsize)
-                out[position : position + step] = np.frombuffer(buffer, dtype=dtype)
-                position += step
-        out.flush()
-        del out
-        os.remove(raw_path)
-
     def _write_manifest(
         self,
         citations: int,
@@ -383,30 +523,12 @@ class SubstrateBuilder:
         with_hierarchy: bool,
         meta: Optional[Dict[str, object]],
         hierarchy_arrays_key: Optional[str] = None,
-    ) -> str:
-        names = [
-            "pmids.npy",
-            "years.npy",
-            "cit_concept_offsets.npy",
-            "cit_concepts.npy",
-            "concept_offsets.npy",
-            "concept_citations.npy",
-            "concept_counts.npy",
-            "concept_lt.npy",
-            "bitmap_offsets.npy",
-            "bitmap_blob.npy",
-        ]
+    ) -> Dict[str, object]:
+        names = list(CORPUS_FILES)
         if with_hierarchy:
             names.extend(HIERARCHY_ARRAY_FILES)
-        files = {}
-        for name in names:
-            path = os.path.join(self.out_dir, name)
-            files[name] = {
-                "sha256": _file_sha256(path),
-                "bytes": os.path.getsize(path),
-            }
-        payload = {
-            "format_version": _FORMAT_VERSION,
+        payload: Dict[str, object] = {
+            "format_version": FORMAT_VERSION,
             "citations": citations,
             "pairs": pairs,
             "concepts": self.num_concepts,
@@ -415,20 +537,15 @@ class SubstrateBuilder:
                 "num_concepts": self.num_concepts,
             },
             "meta": meta or {},
-            "files": files,
+            "files": {name: self._sink.digest(name) for name in names},
         }
         if hierarchy_arrays_key is not None:
             payload["hierarchy_arrays"] = hierarchy_arrays_key
-        digest = hashlib.sha256(
+        payload["digest"] = hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode("utf-8")
         ).hexdigest()
-        payload["digest"] = digest
-        manifest_path = os.path.join(self.out_dir, "manifest.json")
-        tmp_path = manifest_path + ".tmp"
-        with open(tmp_path, "w") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=1)
-        os.replace(tmp_path, manifest_path)
-        return digest
+        self._sink.write_manifest(payload)
+        return payload
 
 
 def _concat(parts, dtype) -> np.ndarray:

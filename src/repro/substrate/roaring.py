@@ -115,11 +115,11 @@ class RoaringBitmap:
             return bitmap
         highs = (values >> _CHUNK_BITS).astype(np.uint32)
         lows = (values & (_CHUNK_SIZE - 1)).astype(np.uint16)
-        keys, starts = np.unique(highs, return_index=True)
-        bounds = np.append(starts, values.size)
-        for i, key in enumerate(keys):
-            chunk = lows[bounds[i] : bounds[i + 1]]
-            bitmap._append_container(int(key), chunk)
+        # Sorted input: chunk boundaries are where the high bits change.
+        starts = np.flatnonzero(highs[1:] != highs[:-1]) + 1
+        bounds = [0] + starts.tolist() + [values.size]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            bitmap._append_container(int(highs[lo]), lows[lo:hi])
         return bitmap
 
     @classmethod

@@ -1,370 +1,161 @@
-"""The ``CorpusStore`` interface and its two backends.
+"""The corpus store: one array-backed view of a built substrate.
 
 Every online layer that needs corpus data — search, the eutils client,
 the BioNav database, the navigation-tree builder, cluster workers —
-consumes this one interface instead of reaching into in-memory tables:
+reads it through :class:`MmapStore`, over the arrays
+:class:`~repro.substrate.builder.SubstrateBuilder` produced:
 
-* :class:`InMemoryStore` wraps the toy
-  :class:`~repro.corpus.medline.MedlineDatabase`, so seed tests and
-  small fixtures keep their exact behaviour;
-* :class:`MmapStore` opens a directory built by
-  :class:`~repro.substrate.builder.SubstrateBuilder` read-only with
-  ``np.load(mmap_mode="r")``.  Nothing is copied at open time, and a
-  store pickled across a process boundary (``fork`` cluster workers,
-  spawn-based tests) reopens by path — every worker maps the same
-  files, so the corpus lives once in the OS page cache.
+* **mapped** — :meth:`MmapStore.open` maps a built directory read-only
+  with ``np.load(mmap_mode="r")``.  Nothing is copied at open time, and
+  a store pickled across a process boundary (``fork`` cluster workers,
+  spawn-based tests) reopens by path, so every worker maps the same
+  files and the corpus lives once in the OS page cache;
+* **in memory** — an in-memory build (toy corpora, see
+  :func:`~repro.substrate.builder.medline_store`) hands its arrays over
+  directly; such a store pickles by value.
 
-Both backends answer the same questions with the same values: citation
-lookup, per-concept membership (as pmid arrays or compressed bitmaps),
-boolean-AND concept queries, the ``annotations_for_result`` restriction
-the navigation tree consumes, and the ``LT(n)`` MEDLINE-wide counts.
-The equivalence suite in ``tests/test_substrate_equivalence.py`` holds
-them bit-identical end to end (ResultSets and Opt-EdgeCut cuts).
+Either way the answers come from the same code: citation lookup,
+per-concept membership (as pmid arrays or compressed bitmaps),
+boolean-AND concept queries over the serialized bitmaps, the CSR
+annotation restriction the navigation tree consumes, and the ``LT(n)``
+MEDLINE-wide counts.  Persistence is the substrate directory.  The
+equivalence suite in ``tests/test_substrate_equivalence.py`` pins both
+forms to a dict-based oracle end to end (ResultSets and Opt-EdgeCut
+cuts).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.corpus.citation import Citation
-from repro.corpus.medline import MedlineDatabase
 from repro.hierarchy.arrays import HierarchyArrays
 from repro.hierarchy.concept import ConceptHierarchy
 from repro.substrate.roaring import RoaringBitmap, intersect_serialized
 
-__all__ = ["CorpusStore", "InMemoryStore", "MmapStore"]
+__all__ = ["CORPUS_FILES", "FORMAT_VERSION", "MmapStore"]
+
+#: Substrate layout version, written by the builder and checked on open.
+FORMAT_VERSION = 2
+
+#: The corpus arrays of a substrate, in the order the manifest hashes them.
+CORPUS_FILES: Tuple[str, ...] = (
+    "pmids.npy",
+    "years.npy",
+    "cit_concept_offsets.npy",
+    "cit_concepts.npy",
+    "concept_offsets.npy",
+    "concept_citations.npy",
+    "concept_counts.npy",
+    "concept_lt.npy",
+    "bitmap_offsets.npy",
+    "bitmap_blob.npy",
+)
 
 
-class CorpusStore:
-    """Read-only corpus access: citations, concept membership, counts.
+class MmapStore:
+    """Read-only corpus store over a built substrate's arrays.
 
-    Subclasses implement the primitive accessors; shared derived
-    answers (grouping a result set by concept, multi-concept AND) are
-    provided here in terms of them but may be overridden with faster
-    backend-specific paths.
+    The arrays are memmaps when the store was opened from a directory
+    (opening a 1M-citation store touches only headers, and N processes
+    opening it share one set of pages) and plain read-only arrays for an
+    in-memory build.  Pickling (the cluster wire format) reduces to the
+    directory path when there is one, so shipping a mapped store to a
+    worker costs bytes, not the corpus; an in-memory store ships its
+    arrays.
+
+    Args:
+        manifest: the build manifest (``digest``, ``params``, ...).
+        arrays: the :data:`CORPUS_FILES` arrays, by file name.
+        path: the substrate directory the arrays were mapped from.
+        hierarchy: the build-time hierarchy of an in-memory build; a
+            directory store reopens its own ``hier_*.npy`` files.
     """
-
-    #: Human-readable backend name, surfaced in ``store_info()``.
-    backend = "abstract"
-
-    # -- identity -------------------------------------------------------
-    @property
-    def manifest_digest(self) -> Optional[str]:
-        """Digest of the offline build manifest (None when not built)."""
-        return None
-
-    def store_info(self) -> Dict[str, object]:
-        """Observability block for ``health()`` endpoints."""
-        return {
-            "backend": self.backend,
-            "path": getattr(self, "path", None),
-            "manifest": self.manifest_digest,
-            "citations": len(self),
-        }
-
-    def hierarchy(self) -> Optional[ConceptHierarchy]:
-        """The hierarchy captured at build time (None for raw corpora)."""
-        return None
-
-    # -- citation table -------------------------------------------------
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def __contains__(self, pmid: int) -> bool:
-        raise NotImplementedError
-
-    def get(self, pmid: int) -> Citation:
-        """One citation; raises KeyError for unknown PMIDs."""
-        raise NotImplementedError
-
-    def get_many(self, pmids: Sequence[int]) -> List[Citation]:
-        """Several citations, preserving the requested order."""
-        return [self.get(pmid) for pmid in pmids]
-
-    def iter_citations(self) -> Iterator[Citation]:
-        """Stream every citation in ascending-PMID order."""
-        raise NotImplementedError
-
-    def pmids(self) -> List[int]:
-        """All stored PMIDs, ascending."""
-        raise NotImplementedError
-
-    def concepts_of(self, pmid: int) -> Tuple[int, ...]:
-        """Sorted association set of one citation (KeyError when absent)."""
-        raise NotImplementedError
-
-    # -- concept membership ---------------------------------------------
-    @property
-    def num_concepts(self) -> int:
-        """Size of the concept id space the store was built over."""
-        raise NotImplementedError
-
-    def citations_for_concept(self, concept: int) -> np.ndarray:
-        """Ascending int64 PMIDs associated with ``concept``."""
-        raise NotImplementedError
-
-    def concept_bitmap(self, concept: int) -> RoaringBitmap:
-        """Compressed citation-ordinal set of ``concept``.
-
-        Ordinals index the ascending PMID order of :meth:`pmids`.
-        """
-        raise NotImplementedError
-
-    def result_count(self, concept: int) -> int:
-        """Citations in *this corpus* associated with ``concept``."""
-        raise NotImplementedError
-
-    def medline_count(self, concept: int) -> int:
-        """``LT(n)``: corpus count plus the simulated background mass."""
-        raise NotImplementedError
-
-    # -- derived answers ------------------------------------------------
-    def boolean_and(self, concepts: Sequence[int]) -> np.ndarray:
-        """PMIDs associated with *every* concept, ascending (int64).
-
-        This is the substrate half of a ``term[mh]`` conjunctive query;
-        backends may override with bitmap kernels.
-        """
-        if not concepts:
-            return np.empty(0, dtype=np.int64)
-        sets = sorted(
-            (self.citations_for_concept(c) for c in concepts), key=len
-        )
-        result = sets[0]
-        for other in sets[1:]:
-            if result.size == 0:
-                break
-            result = np.intersect1d(result, other, assume_unique=True)
-        return result.astype(np.int64, copy=False)
-
-    def concepts_of_citations(
-        self, pmids: Sequence[int]
-    ) -> Dict[int, Tuple[int, ...]]:
-        """Concept lists for a query result; missing PMIDs are skipped."""
-        out: Dict[int, Tuple[int, ...]] = {}
-        for pmid in pmids:
-            if pmid in self:
-                out[pmid] = self.concepts_of(pmid)
-        return out
-
-    def annotations_for_result(
-        self, pmids: Sequence[int]
-    ) -> Dict[int, FrozenSet[int]]:
-        """concept → set of result PMIDs attached to it.
-
-        Exactly the association-table restriction the initial
-        navigation tree is built from.
-        """
-        by_concept: Dict[int, set] = {}
-        for pmid, concepts in self.concepts_of_citations(pmids).items():
-            for concept in concepts:
-                by_concept.setdefault(concept, set()).add(pmid)
-        return {concept: frozenset(ids) for concept, ids in by_concept.items()}
-
-    def annotation_arrays(
-        self, pmids: Sequence[int]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR form of :meth:`annotations_for_result`.
-
-        Returns ``(concepts, offsets, values)``: annotated concept ids
-        sorted ascending (int64), int64 CSR offsets, and per-concept
-        sorted result PMIDs (int64) — the buffers the array-native
-        navigation-tree build consumes directly.  The generic
-        implementation flattens the dict answer; ``MmapStore`` overrides
-        it with a pure-array gather.
-        """
-        annotations = self.annotations_for_result(pmids)
-        concepts = np.asarray(sorted(annotations), dtype=np.int64)
-        rows = [sorted(annotations[c]) for c in concepts.tolist()]
-        lengths = np.fromiter(
-            (len(row) for row in rows), dtype=np.int64, count=len(rows)
-        )
-        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        values = np.fromiter(
-            (pmid for row in rows for pmid in row),
-            dtype=np.int64,
-            count=int(offsets[-1]),
-        )
-        return concepts, offsets, values
-
-
-class InMemoryStore(CorpusStore):
-    """Adapter presenting a :class:`MedlineDatabase` as a ``CorpusStore``.
-
-    Concept-major views (pmid arrays, bitmaps) are derived lazily on
-    first use and cached; citation access delegates straight through,
-    so wrapping is free for code paths that never ask concept-major
-    questions.
-    """
-
-    backend = "memory"
 
     def __init__(
         self,
-        medline: MedlineDatabase,
+        manifest: Mapping[str, object],
+        arrays: Mapping[str, np.ndarray],
+        path: Optional[str] = None,
         hierarchy: Optional[ConceptHierarchy] = None,
-        manifest_digest: Optional[str] = None,
     ):
-        self._medline = medline
-        self._hierarchy = hierarchy
-        self._digest = manifest_digest
-        self._by_concept: Optional[Dict[int, np.ndarray]] = None
-        self._sorted_pmids: Optional[np.ndarray] = None
+        _check_format(manifest)
+        self.manifest = dict(manifest)
+        self.path = path
+        self._arrays = {name: _frozen(arrays[name]) for name in CORPUS_FILES}
+        self._pmids = self._arrays["pmids.npy"]
+        self._years = self._arrays["years.npy"]
+        self._cit_offsets = self._arrays["cit_concept_offsets.npy"]
+        self._cit_concepts = self._arrays["cit_concepts.npy"]
+        self._concept_offsets = self._arrays["concept_offsets.npy"]
+        self._concept_citations = self._arrays["concept_citations.npy"]
+        self._concept_counts = self._arrays["concept_counts.npy"]
+        self._concept_lt = self._arrays["concept_lt.npy"]
+        self._bitmap_offsets = self._arrays["bitmap_offsets.npy"]
+        self._bitmap_blob = self._arrays["bitmap_blob.npy"]
+        params = self.manifest.get("params", {})
+        self._array_max = int(params.get("array_max", 4096))
+        self._hierarchy_cache = hierarchy
 
-    @property
-    def medline(self) -> MedlineDatabase:
-        """The wrapped in-memory corpus."""
-        return self._medline
-
-    @property
-    def manifest_digest(self) -> Optional[str]:
-        """Digest of a substrate build this corpus was loaded from, if any."""
-        return self._digest
-
-    def hierarchy(self) -> Optional[ConceptHierarchy]:
-        return self._hierarchy
-
-    # -- citation table -------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._medline)
-
-    def __contains__(self, pmid: int) -> bool:
-        return pmid in self._medline
-
-    def get(self, pmid: int) -> Citation:
-        return self._medline.get(pmid)
-
-    def get_many(self, pmids: Sequence[int]) -> List[Citation]:
-        return self._medline.get_many(pmids)
-
-    def iter_citations(self) -> Iterator[Citation]:
-        for pmid in self._medline.pmids():
-            yield self._medline.get(pmid)
-
-    def pmids(self) -> List[int]:
-        return self._medline.pmids()
-
-    def concepts_of(self, pmid: int) -> Tuple[int, ...]:
-        return tuple(sorted(set(self._medline.get(pmid).concepts)))
-
-    # -- concept membership ---------------------------------------------
-    def _concept_index(self) -> Dict[int, np.ndarray]:
-        if self._by_concept is None:
-            buckets: Dict[int, List[int]] = {}
-            for citation in self._medline.iter_citations():
-                for concept in set(citation.concepts):
-                    buckets.setdefault(concept, []).append(citation.pmid)
-            self._by_concept = {
-                concept: np.array(sorted(ids), dtype=np.int64)
-                for concept, ids in buckets.items()
-            }
-        return self._by_concept
-
-    def _pmid_order(self) -> np.ndarray:
-        if self._sorted_pmids is None:
-            self._sorted_pmids = np.array(self._medline.pmids(), dtype=np.int64)
-        return self._sorted_pmids
-
-    @property
-    def num_concepts(self) -> int:
-        """Hierarchy size when known, else one past the max observed concept."""
-        if self._hierarchy is not None:
-            return len(self._hierarchy)
-        index = self._concept_index()
-        return max(index) + 1 if index else 0
-
-    def citations_for_concept(self, concept: int) -> np.ndarray:
-        return self._concept_index().get(concept, np.empty(0, dtype=np.int64))
-
-    def concept_bitmap(self, concept: int) -> RoaringBitmap:
-        members = self.citations_for_concept(concept)
-        ordinals = np.searchsorted(self._pmid_order(), members)
-        return RoaringBitmap.from_sorted(ordinals.astype(np.uint32))
-
-    def result_count(self, concept: int) -> int:
-        return self._medline.corpus_count(concept)
-
-    def medline_count(self, concept: int) -> int:
-        return self._medline.medline_count(concept)
-
-    def background_counts(self) -> Dict[int, int]:
-        """Simulated out-of-corpus counts (persistence passthrough)."""
-        return self._medline.background_counts()
-
-
-class MmapStore(CorpusStore):
-    """Zero-copy read-only view over a built substrate directory.
-
-    All columnar files open as ``np.load(..., mmap_mode="r")`` memmaps:
-    opening a 1M-citation store touches only headers, and N processes
-    opening the same directory share one set of pages.  Pickling (the
-    cluster wire format) reduces to the directory path, so shipping a
-    store to a worker costs bytes, not the corpus.
-    """
-
-    backend = "mmap"
-
-    def __init__(self, path: str):
-        self.path = os.path.abspath(path)
-        with open(os.path.join(self.path, "manifest.json"), "rb") as handle:
-            self._manifest_bytes = handle.read()
-        self.manifest: Dict[str, object] = json.loads(self._manifest_bytes)
-        if self.manifest.get("format_version") != 2:
-            raise ValueError(
-                "unsupported substrate format_version %r"
-                % self.manifest.get("format_version")
-            )
+    @classmethod
+    def open(cls, path: str) -> "MmapStore":  # repro: ignore[shadowed-builtin]
+        """Map a directory written by ``SubstrateBuilder``."""
+        path = os.path.abspath(path)
+        with open(os.path.join(path, "manifest.json"), "rb") as handle:
+            manifest = json.loads(handle.read())
+        _check_format(manifest)
 
         def _mm(name: str) -> np.ndarray:
-            target = os.path.join(self.path, name)
+            target = os.path.join(path, name)
             try:
                 return np.load(target, mmap_mode="r")
             except ValueError:
                 # Zero-length arrays cannot be mmapped; load eagerly.
                 return np.load(target)
 
-        self._pmids = _mm("pmids.npy")
-        self._years = _mm("years.npy")
-        self._cit_offsets = _mm("cit_concept_offsets.npy")
-        self._cit_concepts = _mm("cit_concepts.npy")
-        self._concept_offsets = _mm("concept_offsets.npy")
-        self._concept_citations = _mm("concept_citations.npy")
-        self._concept_counts = _mm("concept_counts.npy")
-        self._concept_lt = _mm("concept_lt.npy")
-        self._bitmap_offsets = _mm("bitmap_offsets.npy")
-        self._bitmap_blob = _mm("bitmap_blob.npy")
-        params = self.manifest.get("params", {})
-        self._array_max = int(params.get("array_max", 4096))
-        self._hierarchy_cache: Optional[ConceptHierarchy] = None
-
-    @classmethod
-    def open(cls, path: str) -> "MmapStore":  # repro: ignore[shadowed-builtin]
-        """Open a directory written by ``SubstrateBuilder``."""
-        return cls(path)
+        return cls(manifest, {name: _mm(name) for name in CORPUS_FILES}, path=path)
 
     def __reduce__(self):
-        # Reopen-by-path: the memmaps themselves never cross process
-        # boundaries, each process maps the shared files directly.
-        return (MmapStore.open, (self.path,))
+        if self.path is not None:
+            # Reopen-by-path: the memmaps themselves never cross process
+            # boundaries, each process maps the shared files directly.
+            return (MmapStore.open, (self.path,))
+        return (MmapStore, (self.manifest, self._arrays, None, self._hierarchy_cache))
 
     @property
-    def manifest_digest(self) -> Optional[str]:
-        """The build manifest digest — the directory's content identity."""
+    def backend(self) -> str:
+        """``"mmap"`` for a mapped directory, ``"memory"`` otherwise."""
+        return "mmap" if self.path is not None else "memory"
+
+    @property
+    def manifest_digest(self) -> str:
+        """The build manifest digest — the substrate's content identity."""
         return str(self.manifest["digest"])
 
-    def hierarchy(self) -> Optional[ConceptHierarchy]:
-        """The build-time hierarchy, mmapped from its positional arrays.
+    def store_info(self) -> Dict[str, object]:
+        """Observability block for ``health()`` endpoints."""
+        return {
+            "backend": self.backend,
+            "path": self.path,
+            "manifest": self.manifest_digest,
+            "citations": len(self),
+        }
 
-        Opening the ``hier_*.npy`` files is a handful of header reads, so
-        a cold hierarchy access costs file opens.  ``None`` when the
-        directory was built without a hierarchy.
+    def hierarchy(self) -> Optional[ConceptHierarchy]:
+        """The build-time hierarchy (``None`` when built without one).
+
+        A directory store maps it from its positional arrays on first
+        access — a handful of header reads.
         """
-        if self._hierarchy_cache is None and HierarchyArrays.present(self.path):
+        if (
+            self._hierarchy_cache is None
+            and self.path is not None
+            and HierarchyArrays.present(self.path)
+        ):
             self._hierarchy_cache = ConceptHierarchy.open(self.path)
         return self._hierarchy_cache
 
@@ -401,20 +192,28 @@ class MmapStore(CorpusStore):
         )
 
     def get(self, pmid: int) -> Citation:
+        """One citation (synthetic title); raises KeyError for unknown PMIDs."""
         return self._citation_at(self._ordinal(pmid))
 
     def iter_citations(self) -> Iterator[Citation]:
+        """Stream every citation in ascending-PMID order."""
         for ordinal in range(len(self)):
             yield self._citation_at(ordinal)
 
     def pmids(self) -> List[int]:
+        """All stored PMIDs, ascending."""
         return self._pmids.tolist()
 
     def pmid_array(self) -> np.ndarray:
-        """The ascending PMID column itself (zero-copy memmap)."""
+        """The ascending PMID column itself (zero-copy, read-only)."""
         return self._pmids
 
+    def year_array(self) -> np.ndarray:
+        """Publication years aligned with :meth:`pmid_array` (read-only)."""
+        return self._years
+
     def concepts_of(self, pmid: int) -> Tuple[int, ...]:
+        """Sorted association set of one citation (KeyError when absent)."""
         ordinal = self._ordinal(pmid)
         row = self._cit_concepts[
             int(self._cit_offsets[ordinal]) : int(self._cit_offsets[ordinal + 1])
@@ -438,10 +237,15 @@ class MmapStore(CorpusStore):
         ]
 
     def citations_for_concept(self, concept: int) -> np.ndarray:
+        """Ascending int64 PMIDs associated with ``concept``."""
         ordinals = self._concept_ordinals(concept)
         return np.asarray(self._pmids[ordinals], dtype=np.int64)
 
     def concept_bitmap(self, concept: int) -> RoaringBitmap:
+        """Compressed citation-ordinal set of ``concept``.
+
+        Ordinals index the ascending PMID order of :meth:`pmids`.
+        """
         self._check_concept(concept)
         start = int(self._bitmap_offsets[concept])
         stop = int(self._bitmap_offsets[concept + 1])
@@ -453,10 +257,12 @@ class MmapStore(CorpusStore):
         )
 
     def result_count(self, concept: int) -> int:
+        """Citations in *this corpus* associated with ``concept``."""
         self._check_concept(concept)
         return int(self._concept_counts[concept])
 
     def medline_count(self, concept: int) -> int:
+        """``LT(n)``: corpus count plus the background mass (0 off-range)."""
         if not 0 <= concept < self.num_concepts:
             return 0
         return int(self._concept_lt[concept])
@@ -517,35 +323,14 @@ class MmapStore(CorpusStore):
         flat = self._cit_concepts[base + np.arange(total) - reset]
         return flat, lengths
 
-    def concepts_of_citations(
-        self, pmids: Sequence[int]
-    ) -> Dict[int, Tuple[int, ...]]:
-        """Concept rows for a result, via one batched table lookup.
-
-        The per-PMID ``_ordinal`` + tuple loop this replaces sat on the
-        tree-annotation path of every cold query; here the ordinal
-        resolution is a single ``searchsorted`` and the rows come back
-        as CSR slice views converted once.
-        """
-        ordinals = self._result_ordinals(pmids)
-        if ordinals.size == 0:
-            return {}
-        flat, lengths = self._concept_rows(ordinals)
-        flat_list = flat.tolist()
-        bounds = np.zeros(len(ordinals) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=bounds[1:])
-        bound_list = bounds.tolist()
-        found_pmids = self._pmids[ordinals].tolist()
-        return {
-            pmid: tuple(flat_list[bound_list[i] : bound_list[i + 1]])
-            for i, pmid in enumerate(found_pmids)
-        }
-
     def annotation_arrays(
         self, pmids: Sequence[int]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR annotations straight from the citation table (no dicts).
+        """concept → result PMIDs, in CSR form, from the citation table.
 
+        Returns ``(concepts, offsets, values)``: the annotated concept
+        ids ascending (int64), int64 CSR offsets, and each concept's
+        sorted result PMIDs (int64); PMIDs not in the store are skipped.
         Gathers the result's concept rows, inverts them with one stable
         sort by concept (ordinals ascend within the input, so each
         concept's PMID run comes out sorted), and groups with
@@ -564,3 +349,18 @@ class MmapStore(CorpusStore):
         concepts, starts = np.unique(concepts_sorted, return_index=True)
         offsets = np.append(starts, len(values)).astype(np.int64)
         return concepts.astype(np.int64), offsets, values
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` made read-only (memmaps opened with ``mode="r"`` are)."""
+    if array.flags.writeable:
+        array.setflags(write=False)
+    return array
+
+
+def _check_format(manifest: Mapping[str, object]) -> None:
+    if manifest.get("format_version") != FORMAT_VERSION:
+        raise ValueError(
+            "unsupported substrate format_version %r"
+            % manifest.get("format_version")
+        )

@@ -27,6 +27,7 @@ from repro.hierarchy.concept import ConceptHierarchy
 from repro.hierarchy.generator import generate_hierarchy
 from repro.pipeline.artifacts import ActiveTreeArtifact
 from repro.pipeline.pipeline import NavigationPipeline
+from repro.search.engine import SearchEngine
 from repro.storage.database import BioNavDatabase
 from repro.workload.queries import TABLE_I_QUERIES, WorkloadQuery
 
@@ -168,7 +169,8 @@ def build_workload(
 
     medline.add_all(corpus_gen.generate_background(background_citations))
     database = BioNavDatabase.build(hierarchy, medline)
-    entrez = EntrezClient(medline)
+    engine = SearchEngine(database.store, index=database.index, hierarchy=hierarchy)
+    entrez = EntrezClient(medline, engine=engine)
     return Workload(hierarchy, medline, database, entrez, built_queries)
 
 

@@ -67,7 +67,7 @@ def run_comparison(workload: Workload, prepared: PreparedQuery) -> QueryReport:
         with_duplicates=tree.citations_with_duplicates(),
         target_level=workload.hierarchy.depth(prepared.target_node),
         target_l=len(tree.results(prepared.target_node)),
-        target_lt=workload.database.medline_count(prepared.target_node),
+        target_lt=workload.database.store.medline_count(prepared.target_node),
         static=static,
         bionav=bionav,
     )

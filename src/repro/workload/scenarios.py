@@ -121,6 +121,7 @@ def _build_with_hierarchy(hierarchy, query: WorkloadQuery) -> Workload:
     from repro.corpus.generator import CorpusGenerator, TopicSpec
     from repro.corpus.medline import MedlineDatabase
     from repro.eutils.client import EntrezClient
+    from repro.search.engine import SearchEngine
     from repro.storage.database import BioNavDatabase
     from repro.workload.builder import BuiltQuery, _build_anchors, _ensure_target_coverage, _pick_target
 
@@ -137,11 +138,12 @@ def _build_with_hierarchy(hierarchy, query: WorkloadQuery) -> Workload:
     medline.add_all(citations)
     medline.add_all(generator.generate_background(40))
     database = BioNavDatabase.build(hierarchy, medline)
+    engine = SearchEngine(database.store, index=database.index, hierarchy=hierarchy)
     return Workload(
         hierarchy,
         medline,
         database,
-        EntrezClient(medline),
+        EntrezClient(medline, engine=engine),
         [BuiltQuery(spec=query, target_node=target, anchors=anchors)],
     )
 

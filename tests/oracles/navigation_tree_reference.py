@@ -16,6 +16,10 @@ verbatim — for two purposes:
 * ``benchmarks/bench_coldpath.py`` measures the cold-build speedup of
   the vectorized path over this one.
 
+Its preorder-array accessors are built from its own dicts, so a
+``CostArrays`` over this tree checks the array-native tree's buffers
+against an independent construction.
+
 Do not use this class in production code paths; it exists to keep the
 vectorized builder honest.
 """
@@ -24,10 +28,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.hierarchy.concept import ConceptHierarchy
 
 if TYPE_CHECKING:  # substrate imports core; keep the reverse edge lazy
-    from repro.substrate.store import CorpusStore
+    from repro.substrate.store import MmapStore
 
 __all__ = ["ReferenceNavigationTree"]
 
@@ -84,14 +90,22 @@ class ReferenceNavigationTree:
     def from_store(
         cls,
         hierarchy: ConceptHierarchy,
-        store: "CorpusStore",
+        store: "MmapStore",
         pmids: Iterable[int],
         root: Optional[int] = None,
     ) -> "ReferenceNavigationTree":
-        """Navigation tree for a result set answered by a corpus store."""
-        return cls.build(
-            hierarchy, store.annotations_for_result(list(pmids)), root=root
-        )
+        """Navigation tree for a result set answered by a corpus store.
+
+        The annotations come one citation at a time from
+        ``store.concepts_of``, not from the CSR gather the array-native
+        tree uses.
+        """
+        annotations: Dict[int, Set[int]] = {}
+        for pmid in pmids:
+            if pmid in store:
+                for concept in store.concepts_of(pmid):
+                    annotations.setdefault(concept, set()).add(pmid)
+        return cls.build(hierarchy, annotations, root=root)
 
     @classmethod
     def build(
@@ -239,6 +253,33 @@ class ReferenceNavigationTree:
     def all_results(self) -> FrozenSet[int]:
         """All distinct citations in the tree."""
         return self.subtree_results(self.root)
+
+    # ------------------------------------------------------------------
+    # Preorder arrays (the buffers CostArrays ingests)
+    # ------------------------------------------------------------------
+    def preorder_array(self) -> np.ndarray:
+        """Node ids in embedded preorder (``int64``)."""
+        return np.asarray(self._preorder, dtype=np.int64)
+
+    def subtree_size_array(self) -> np.ndarray:
+        """Embedded subtree sizes per preorder position."""
+        return np.asarray(
+            [self._subtree_size[n] for n in self._preorder], dtype=np.int64
+        )
+
+    def result_offsets_array(self) -> np.ndarray:
+        """Results-CSR offsets per preorder position."""
+        offsets = [0]
+        for node in self._preorder:
+            offsets.append(offsets[-1] + len(self._results[node]))
+        return np.asarray(offsets, dtype=np.int64)
+
+    def result_values_array(self) -> np.ndarray:
+        """Results-CSR values: per-node sorted citation ids."""
+        return np.asarray(
+            [c for node in self._preorder for c in sorted(self._results[node])],
+            dtype=np.int64,
+        )
 
     # ------------------------------------------------------------------
     # Statistics (Table I columns)

@@ -576,8 +576,17 @@ class TestSubstrateBoundaryRule:
         findings = run_rules(
             tmp_path,
             "search/engine.py",
-            "from repro.storage.tables import AssociationTable\n"
-            "print(AssociationTable)\n",
+            "from repro.storage.index import InvertedIndex\n"
+            "print(InvertedIndex)\n",
+        )
+        assert "substrate-boundary" in rule_ids(findings)
+
+    def test_flags_from_import_of_positional_module(self, tmp_path):
+        findings = run_rules(
+            tmp_path,
+            "search/evaluator.py",
+            "from repro.storage.positional import PositionalIndex\n"
+            "print(PositionalIndex)\n",
         )
         assert "substrate-boundary" in rule_ids(findings)
 
@@ -593,7 +602,7 @@ class TestSubstrateBoundaryRule:
         findings = run_rules(
             tmp_path,
             "search/engine.py",
-            "from repro.storage import tables\nprint(tables)\n",
+            "from repro.storage import index\nprint(index)\n",
         )
         assert "substrate-boundary" in rule_ids(findings)
 
@@ -628,8 +637,8 @@ class TestSubstrateBoundaryRule:
             findings = run_rules(
                 tmp_path,
                 owner,
-                "from repro.storage.tables import AssociationTable\n"
-                "print(AssociationTable)\n",
+                "from repro.storage.index import InvertedIndex\n"
+                "print(InvertedIndex)\n",
             )
             assert "substrate-boundary" not in rule_ids(findings), owner
 
@@ -637,8 +646,8 @@ class TestSubstrateBoundaryRule:
         findings = run_rules(
             tmp_path,
             "benchmarks/bench_tables.py",
-            "from repro.storage.tables import AssociationTable\n"
-            "print(AssociationTable)\n",
+            "from repro.storage.index import InvertedIndex\n"
+            "print(InvertedIndex)\n",
         )
         assert "substrate-boundary" not in rule_ids(findings)
 
@@ -655,6 +664,7 @@ class TestSubstrateBoundaryRule:
         findings, _, _, _ = analyze(
             paths=[
                 "src/repro/search/engine.py",
+                "src/repro/search/evaluator.py",
                 "src/repro/search/ranking.py",
                 "src/repro/search/suggest.py",
                 "src/repro/serving/runtime.py",

@@ -1,8 +1,8 @@
 """End-to-end story: every subsystem in one scenario.
 
 Offline: generate hierarchy + corpus → persist the corpus as JSONL →
-reload → harvest associations the paper's way → build the BioNav database
-→ persist and reload it.  Online: search through the web interface,
+reload → harvest associations the paper's way → build the BioNav
+database's substrate directory → reopen it.  Online: search through the web interface,
 replay the session's log against a locally reconstructed tree, and
 produce the Markdown report.  One scenario touching each subsystem's
 public seam, complementing the per-module suites.
@@ -18,11 +18,13 @@ import pytest
 from repro.bionav import BioNav
 from repro.core.navigation_tree import NavigationTree
 from repro.core.replay import record_session, replay_session
-from repro.corpus.persistence import load_medline_jsonl, save_medline_jsonl
+from repro.corpus.medline import MedlineDatabase
+from repro.corpus.persistence import read_citations_jsonl, write_citations_jsonl
 from repro.eutils.client import EntrezClient
 from repro.search.evaluator import FieldedEngineAdapter, FieldedSearchEngine
 from repro.storage.database import BioNavDatabase
 from repro.storage.harvest import ConceptHarvester
+from repro.substrate import MmapStore, SubstrateBuilder, citation_chunks
 from repro.web.app import BioNavWebApp
 
 
@@ -33,16 +35,30 @@ def story(request, tmp_path_factory):
 
     # Corpus persistence round trip.
     corpus_path = tmp / "corpus.jsonl"
+    source = workload.medline
     with open(corpus_path, "w") as handle:
-        save_medline_jsonl(workload.medline, handle)
+        write_citations_jsonl(
+            (source.get(pmid) for pmid in source.pmids()),
+            handle,
+            source.background_counts(),
+        )
     with open(corpus_path) as handle:
-        medline = load_medline_jsonl(handle)
+        background, citations = read_citations_jsonl(handle)
+        medline = MedlineDatabase(background_counts=background)
+        medline.add_all(citations)
 
-    # Offline build + database persistence round trip.
-    database = BioNavDatabase.build(workload.hierarchy, medline)
-    db_path = tmp / "bionav.json"
-    database.save(str(db_path))
-    database = BioNavDatabase.load(str(db_path), medline=medline)
+    # Offline build straight from the JSONL stream into the substrate
+    # directory — the database's persistent form — then reopen it.
+    db_path = tmp / "substrate"
+    builder = SubstrateBuilder(str(db_path), num_concepts=len(workload.hierarchy))
+    with open(corpus_path) as handle:
+        _, citations = read_citations_jsonl(handle)
+        builder.build(
+            citation_chunks(citations),
+            hierarchy=workload.hierarchy,
+            background=background,
+        )
+    database = BioNavDatabase.from_store(MmapStore.open(str(db_path)))
 
     bionav = BioNav(database, EntrezClient(medline))
     return workload, medline, database, bionav
@@ -63,8 +79,8 @@ class TestOfflineStory:
         sample = [n for n in range(1, 60)]
         result = harvester.harvest(concepts=sample)
         for concept in sample:
-            assert result.associations.citations_for(concept) == (
-                database.associations.citations_for(concept)
+            assert result.associations[concept].tolist() == (
+                database.store.citations_for_concept(concept).tolist()
             )
 
 
@@ -84,9 +100,7 @@ class TestOnlineStory:
 
         # Reconstruct the tree independently and replay.
         pmids = bionav.entrez.esearch_all("prothymosin")
-        tree = NavigationTree.build(
-            database.hierarchy, database.annotations_for_result(pmids)
-        )
+        tree = NavigationTree.from_store(database.hierarchy, database.store, pmids)
         replayed = replay_session(tree, log)
         assert set(replayed.active.visible_nodes()) == set(
             session.active.visible_nodes()

@@ -269,7 +269,7 @@ class TestSubstrateFormat:
         SubstrateBuilder(str(tmp_path), num_concepts=len(hierarchy)).build(
             citation_chunks(iter(citations), chunk_size=4), hierarchy=hierarchy
         )
-        assert MmapStore(str(tmp_path)).hierarchy().arrays().content_key == (
+        assert MmapStore.open(str(tmp_path)).hierarchy().arrays().content_key == (
             hierarchy.arrays().content_key
         )
         assert HierarchyArrays.present(str(tmp_path))
@@ -282,4 +282,4 @@ class TestSubstrateFormat:
         with open(manifest_path, "w") as handle:
             json.dump(manifest, handle)
         with pytest.raises(ValueError, match="format_version"):
-            MmapStore(str(tmp_path))
+            MmapStore.open(str(tmp_path))

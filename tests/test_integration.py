@@ -102,20 +102,25 @@ class TestOnlinePipeline:
         assert len(summaries) == 3
 
     def test_database_round_trip_preserves_navigation(self, small_workload, tmp_path):
-        """Save/load the BioNav database and navigate identically."""
+        """Persist the BioNav database as a substrate directory, reopen it
+        and navigate identically."""
         from repro.core.navigation_tree import NavigationTree
         from repro.storage.database import BioNavDatabase
+        from repro.substrate import MmapStore, SubstrateBuilder, citation_chunks
 
-        path = str(tmp_path / "db.json")
-        small_workload.database.save(path)
-        loaded = BioNavDatabase.load(path, medline=small_workload.medline)
+        database = small_workload.database
+        medline = small_workload.medline
+        builder = SubstrateBuilder(str(tmp_path), num_concepts=len(database.hierarchy))
+        builder.build(
+            citation_chunks(medline.get(p) for p in medline.pmids()),
+            hierarchy=database.hierarchy,
+            background=medline.background_counts(),
+            meta=database.store.manifest["meta"],
+        )
+        loaded = BioNavDatabase.from_store(MmapStore.open(str(tmp_path)))
+        assert loaded.content_digest() == database.content_digest()
         pmids = small_workload.entrez.esearch_all("LbetaT2")
-        original = NavigationTree.build(
-            small_workload.hierarchy,
-            small_workload.database.annotations_for_result(pmids),
-        )
-        restored = NavigationTree.build(
-            loaded.hierarchy, loaded.annotations_for_result(pmids)
-        )
-        assert sorted(original.nodes()) == sorted(restored.nodes())
+        original = NavigationTree.from_store(database.hierarchy, database.store, pmids)
+        restored = NavigationTree.from_store(loaded.hierarchy, loaded.store, pmids)
+        assert list(original.iter_dfs()) == list(restored.iter_dfs())
         assert original.citations_with_duplicates() == restored.citations_with_duplicates()

@@ -8,8 +8,8 @@ same subtree sizes — and, downstream, bit-identical CostArrays content
 keys, probability masses, and Opt-EdgeCut cuts/costs.  A hypothesis
 sweep over random hierarchies × sparse annotation maps enforces this,
 plus directed edge cases (empty root, all-empty subtrees, single
-citation, truthy-but-empty annotation iterables) and both corpus-store
-backends for the ``from_store`` path.
+citation, truthy-but-empty annotation iterables) and both store forms
+(in-memory build, mapped directory) for the ``from_store`` path.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from repro.corpus.medline import MedlineDatabase
 from repro.hierarchy.concept import ConceptHierarchy
 from repro.hierarchy.generator import generate_hierarchy
 from repro.substrate import (
-    InMemoryStore,
     MmapStore,
     SubstrateBuilder,
     citation_chunks,
+    medline_store,
 )
 from tests.oracles.navigation_tree_reference import ReferenceNavigationTree
 
@@ -103,9 +103,9 @@ def assert_costs_identical(tree: NavigationTree, ref: ReferenceNavigationTree):
     """Downstream cost model + Opt-EdgeCut are bit-identical."""
     probs_new = ProbabilityModel(tree, lambda n: 500)
     probs_ref = ProbabilityModel(ref, lambda n: 500)
-    # CostArrays ingests the array tree through the buffer seam and the
-    # oracle through the per-node legacy path; equal content keys mean
-    # the two ingestion paths hashed identical byte streams.
+    # CostArrays ingests both trees through their preorder buffers: the
+    # array tree's own, and the oracle's rebuilt from its dicts; equal
+    # content keys mean the two constructions hashed identical bytes.
     assert probs_new.arrays.content_key == probs_ref.arrays.content_key
     assert np.array_equal(
         probs_new.arrays.preorder_ids, probs_ref.arrays.preorder_ids
@@ -258,7 +258,7 @@ class TestEdgeCases:
 
 
 # ---------------------------------------------------------------------------
-# from_store parity on both backends
+# from_store parity on both store forms
 # ---------------------------------------------------------------------------
 N_CITATIONS = 160
 
@@ -291,7 +291,7 @@ def memory_store(corpus):
     hierarchy, citations, background = corpus
     medline = MedlineDatabase(background_counts=background)
     medline.add_all(citations)
-    return InMemoryStore(medline, hierarchy=hierarchy)
+    return medline_store(medline, len(hierarchy), hierarchy=hierarchy)
 
 
 @pytest.fixture(scope="module")
@@ -304,7 +304,7 @@ def mmap_store(corpus, tmp_path_factory):
         hierarchy=hierarchy,
         background=background,
     )
-    return MmapStore(str(out))
+    return MmapStore.open(str(out))
 
 
 class TestFromStoreParity:

@@ -23,25 +23,25 @@ def harvest_setup(request):
 class TestHarvest:
     def test_harvest_matches_direct_extraction(self, harvest_setup):
         """The paper's query-per-concept harvest and the direct extraction
-        of BioNavDatabase.build must produce the same association table."""
+        of BioNavDatabase.build must produce the same associations."""
         workload, harvester, _ = harvest_setup
         # Harvest a slice of concepts (full harvest is O(concepts × corpus)).
         concepts = [n for n in range(1, 120)]
         result = harvester.harvest(concepts=concepts)
         direct = BioNavDatabase.build(workload.hierarchy, workload.medline)
+        assert sorted(result.associations) == concepts
         for concept in concepts:
-            assert result.associations.citations_for(concept) == (
-                direct.associations.citations_for(concept)
+            assert result.associations[concept].tolist() == (
+                direct.store.citations_for_concept(concept).tolist()
             ), concept
 
     def test_stats_record_result_counts(self, harvest_setup):
         workload, harvester, _ = harvest_setup
         concepts = [n for n in range(1, 40)]
         result = harvester.harvest(concepts=concepts)
+        store = workload.database.store
         for concept in concepts:
-            assert result.stats.count(concept) == len(
-                result.associations.citations_for(concept)
-            )
+            assert len(result.associations[concept]) == store.result_count(concept)
 
     def test_rate_limit_windows_consumed(self, harvest_setup):
         workload, _, _ = harvest_setup

@@ -20,13 +20,7 @@ import pytest
 
 from repro.corpus.citation import Citation
 from repro.corpus.loader import stream_medline_text
-from repro.corpus.medline import MedlineDatabase
-from repro.corpus.persistence import (
-    load_medline_jsonl,
-    read_citations_jsonl,
-    save_medline_jsonl,
-    write_citations_jsonl,
-)
+from repro.corpus.persistence import read_citations_jsonl, write_citations_jsonl
 from repro.hierarchy.generator import (
     MESH_2008_SEED,
     generate_hierarchy,
@@ -89,7 +83,7 @@ class TestBuilder:
 
     def test_csr_tables_cross_consistent(self, built_dir):
         out, citations, _, _ = built_dir
-        store = MmapStore(str(out))
+        store = MmapStore.open(str(out))
         by_pmid = {c.pmid: tuple(sorted(set(c.concepts))) for c in citations}
         for citation in citations[::37]:
             assert store.concepts_of(citation.pmid) == by_pmid[citation.pmid]
@@ -104,7 +98,7 @@ class TestBuilder:
 
     def test_counts_and_lt(self, built_dir):
         out, citations, background, _ = built_dir
-        store = MmapStore(str(out))
+        store = MmapStore.open(str(out))
         concept = citations[5].concepts[-1]
         n = sum(1 for c in citations if concept in c.concepts)
         assert store.result_count(concept) == n
@@ -148,7 +142,7 @@ class TestBuilder:
     def test_empty_stream_builds_empty_store(self, tmp_path):
         builder = SubstrateBuilder(str(tmp_path), num_concepts=10)
         manifest = builder.build(iter(()))
-        store = MmapStore(str(tmp_path))
+        store = MmapStore.open(str(tmp_path))
         assert manifest.citations == 0 and len(store) == 0
         assert store.boolean_and([3]).size == 0
 
@@ -156,7 +150,7 @@ class TestBuilder:
 class TestMmapStore:
     def test_manifest_digest_and_info(self, built_dir):
         out, citations, _, manifest = built_dir
-        store = MmapStore(str(out))
+        store = MmapStore.open(str(out))
         assert store.manifest_digest == manifest.digest
         info = store.store_info()
         assert info["backend"] == "mmap"
@@ -165,12 +159,12 @@ class TestMmapStore:
 
     def test_arrays_are_memory_mapped(self, built_dir):
         out, _, _, _ = built_dir
-        store = MmapStore(str(out))
+        store = MmapStore.open(str(out))
         assert isinstance(store.pmid_array(), np.memmap)
 
     def test_pickle_reopens_by_path(self, built_dir):
         out, citations, _, manifest = built_dir
-        store = MmapStore(str(out))
+        store = MmapStore.open(str(out))
         clone = pickle.loads(pickle.dumps(store))
         assert clone.path == store.path
         assert clone.manifest_digest == manifest.digest
@@ -178,19 +172,19 @@ class TestMmapStore:
 
     def test_hierarchy_round_trips(self, built_dir, small_hierarchy):
         out, _, _, _ = built_dir
-        store = MmapStore(str(out))
+        store = MmapStore.open(str(out))
         assert store.hierarchy().to_records() == small_hierarchy.to_records()
 
     def test_unknown_pmid_raises(self, built_dir):
         out, _, _, _ = built_dir
-        store = MmapStore(str(out))
+        store = MmapStore.open(str(out))
         with pytest.raises(KeyError):
             store.get(1)
         assert 1 not in store
 
     def test_boolean_and_matches_set_oracle(self, built_dir):
         out, citations, _, _ = built_dir
-        store = MmapStore(str(out))
+        store = MmapStore.open(str(out))
         a, b = citations[0].concepts[0], citations[1].concepts[-1]
         expected = sorted(
             c.pmid for c in citations if a in c.concepts and b in c.concepts
@@ -251,20 +245,6 @@ class TestStreamingPersistence:
         assert background == {3: 77}
         assert next(iter(stream)).pmid == citations[0].pmid
 
-    def test_shims_match_streaming_bytes(self):
-        medline = MedlineDatabase(background_counts={1: 5})
-        medline.add_all(toy_citations(20))
-        legacy, streaming = io.StringIO(), io.StringIO()
-        with pytest.warns(DeprecationWarning):
-            save_medline_jsonl(medline, legacy)
-        write_citations_jsonl(
-            medline.iter_citations(), streaming, medline.background_counts()
-        )
-        assert legacy.getvalue() == streaming.getvalue()
-        with pytest.warns(DeprecationWarning):
-            restored = load_medline_jsonl(io.StringIO(legacy.getvalue()))
-        assert restored.pmids() == medline.pmids()
-
     def test_jsonl_stream_feeds_builder(self, tmp_path, small_hierarchy):
         citations = toy_citations(100)
         buffer = io.StringIO()
@@ -322,6 +302,6 @@ class TestBuildCli:
         assert report["citations"] == 500
         assert report["max_rss_bytes"] > 0
         assert report["disk_bytes"] > 0
-        store = MmapStore(str(tmp_path / "cli"))
+        store = MmapStore.open(str(tmp_path / "cli"))
         assert store.manifest_digest == report["digest"]
         assert store.hierarchy() is not None

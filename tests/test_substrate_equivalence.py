@@ -1,16 +1,23 @@
-"""Backend-equivalence suite: ``InMemoryStore`` vs ``MmapStore``.
+"""One store, two forms, one oracle.
 
-One corpus, two backends: the toy in-memory store and a substrate
-directory built from the same citation stream must answer every corpus
-question with the same values — store primitives, boolean-AND result
-sets, search-engine ``[mh]`` queries, navigation trees, and the
-Opt-EdgeCut expansions the solver path produces (bit-identical cuts).
-Also verifies that a fleet of forked cluster workers serves one shared
-mmap store rather than per-process corpus copies.
+One corpus is built twice through ``SubstrateBuilder`` — kept in memory
+and written to a directory that ``MmapStore.open`` maps — and both
+stores must answer every corpus question exactly as the dict-based
+oracle in ``tests/oracles/store_reference.py`` does: store primitives,
+boolean-AND result sets, search-engine ``[mh]`` queries, navigation
+trees, and the Opt-EdgeCut expansions the solver path produces
+(bit-identical cuts).  The two builds must also agree byte for byte, the
+in-memory store pickles by value and the mapped one by path, and a fleet
+of forked cluster workers serves one shared mmap store rather than
+per-process corpus copies.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
+import os
+import pickle
 import time
 
 import numpy as np
@@ -20,9 +27,12 @@ from repro.bionav import BioNav
 from repro.cluster.workers import WorkerSupervisor
 from repro.corpus.citation import Citation
 from repro.corpus.medline import MedlineDatabase
+from repro.eutils.client import EntrezClient
 from repro.hierarchy.generator import generate_hierarchy
 from repro.search.engine import SearchEngine
-from repro.substrate import InMemoryStore, MmapStore, SubstrateBuilder, citation_chunks
+from repro.substrate import MmapStore, SubstrateBuilder, citation_chunks
+from repro.substrate.store import CORPUS_FILES
+from tests.oracles.store_reference import InMemoryStore
 
 N_CITATIONS = 500
 
@@ -51,24 +61,39 @@ def corpus():
 
 
 @pytest.fixture(scope="module")
-def memory_store(corpus):
+def oracle(corpus):
     hierarchy, citations, background = corpus
     medline = MedlineDatabase(background_counts=background)
     medline.add_all(citations)
     return InMemoryStore(medline, hierarchy=hierarchy)
 
 
-@pytest.fixture(scope="module")
-def mmap_store(corpus, tmp_path_factory):
+def build(corpus, out_dir):
     hierarchy, citations, background = corpus
-    out = tmp_path_factory.mktemp("equivalence-substrate")
-    builder = SubstrateBuilder(str(out), num_concepts=len(hierarchy))
-    builder.build(
+    builder = SubstrateBuilder(out_dir, num_concepts=len(hierarchy))
+    manifest = builder.build(
         citation_chunks(iter(citations), chunk_size=128),
         hierarchy=hierarchy,
         background=background,
     )
-    return MmapStore(str(out))
+    return manifest, builder.open()
+
+
+@pytest.fixture(scope="module")
+def memory_store(corpus):
+    return build(corpus, None)[1]
+
+
+@pytest.fixture(scope="module")
+def mmap_store(corpus, tmp_path_factory):
+    out = tmp_path_factory.mktemp("equivalence-substrate")
+    build(corpus, str(out))
+    return MmapStore.open(str(out))
+
+
+@pytest.fixture(scope="module")
+def stores(memory_store, mmap_store):
+    return {"memory": memory_store, "mmap": mmap_store}
 
 
 def busiest_concepts(store, k=6):
@@ -76,73 +101,88 @@ def busiest_concepts(store, k=6):
     return [c for _, c in sorted(counts, reverse=True)[:k]]
 
 
+def annotations(store, pmids):
+    """``annotation_arrays`` as the oracle's concept → PMID-set dict."""
+    concepts, offsets, values = store.annotation_arrays(pmids)
+    return {
+        concept: frozenset(values[offsets[i] : offsets[i + 1]].tolist())
+        for i, concept in enumerate(concepts.tolist())
+    }
+
+
 class TestStorePrimitives:
-    def test_same_corpus_shape(self, memory_store, mmap_store):
-        assert len(memory_store) == len(mmap_store) == N_CITATIONS
-        assert memory_store.pmids() == mmap_store.pmids()
-        assert memory_store.num_concepts == mmap_store.num_concepts
+    def test_same_corpus_shape(self, oracle, stores):
+        for name, store in stores.items():
+            assert len(oracle) == len(store) == N_CITATIONS, name
+            assert oracle.pmids() == store.pmids(), name
+            assert oracle.num_concepts == store.num_concepts, name
 
-    def test_concepts_of_every_citation(self, memory_store, mmap_store):
-        for pmid in memory_store.pmids():
-            assert memory_store.concepts_of(pmid) == mmap_store.concepts_of(pmid)
+    def test_concepts_of_every_citation(self, oracle, stores):
+        for store in stores.values():
+            for pmid in oracle.pmids():
+                assert oracle.concepts_of(pmid) == store.concepts_of(pmid)
 
-    def test_counts_match_for_every_concept(self, memory_store, mmap_store):
-        for concept in range(memory_store.num_concepts):
-            assert memory_store.result_count(concept) == mmap_store.result_count(
-                concept
-            ), concept
-            assert memory_store.medline_count(concept) == mmap_store.medline_count(
-                concept
-            ), concept
-        # The batch lookup answers the same, out-of-range ids (→ 0) included.
-        ids = np.arange(-2, mmap_store.num_concepts + 2)
-        assert mmap_store.medline_counts(ids).tolist() == [
-            mmap_store.medline_count(c) for c in ids.tolist()
-        ]
+    def test_counts_match_for_every_concept(self, oracle, stores):
+        for store in stores.values():
+            for concept in range(oracle.num_concepts):
+                assert oracle.result_count(concept) == store.result_count(
+                    concept
+                ), concept
+                assert oracle.medline_count(concept) == store.medline_count(
+                    concept
+                ), concept
+            # The batch lookup answers the same, out-of-range ids (→ 0) included.
+            ids = np.arange(-2, store.num_concepts + 2)
+            assert store.medline_counts(ids).tolist() == [
+                store.medline_count(c) for c in ids.tolist()
+            ]
 
-    def test_concept_membership_and_bitmaps(self, memory_store, mmap_store):
-        for concept in busiest_concepts(mmap_store) + [0, 1]:
-            assert (
-                memory_store.citations_for_concept(concept).tolist()
-                == mmap_store.citations_for_concept(concept).tolist()
-            )
-            assert memory_store.concept_bitmap(concept) == mmap_store.concept_bitmap(
-                concept
-            )
+    def test_concept_membership_and_bitmaps(self, oracle, stores):
+        for store in stores.values():
+            for concept in busiest_concepts(store) + [0, 1]:
+                assert (
+                    oracle.citations_for_concept(concept).tolist()
+                    == store.citations_for_concept(concept).tolist()
+                )
+                assert oracle.concept_bitmap(concept) == store.concept_bitmap(
+                    concept
+                )
 
-    def test_boolean_and_identical(self, memory_store, mmap_store):
-        top = busiest_concepts(mmap_store)
-        for combo in ([top[0]], top[:2], top[:3], [top[0], top[-1]]):
-            assert (
-                memory_store.boolean_and(combo).tolist()
-                == mmap_store.boolean_and(combo).tolist()
-            ), combo
+    def test_boolean_and_identical(self, oracle, stores):
+        for store in stores.values():
+            top = busiest_concepts(store)
+            for combo in ([top[0]], top[:2], top[:3], [top[0], top[-1]]):
+                assert (
+                    oracle.boolean_and(combo).tolist()
+                    == store.boolean_and(combo).tolist()
+                ), combo
 
-    def test_annotations_for_result_identical(self, memory_store, mmap_store):
-        pmids = memory_store.pmids()[::7]
-        assert memory_store.annotations_for_result(
-            pmids
-        ) == mmap_store.annotations_for_result(pmids)
+    def test_annotations_for_result_identical(self, oracle, stores):
+        pmids = oracle.pmids()[::7]
+        for store in stores.values():
+            assert oracle.annotations_for_result(pmids) == annotations(store, pmids)
+        # PMIDs the corpus does not hold are skipped.
+        assert annotations(stores["memory"], [1, pmids[0]]) == (
+            oracle.annotations_for_result([pmids[0]])
+        )
 
 
 class TestSearchEquivalence:
-    def test_mh_queries_return_identical_result_sets(
-        self, corpus, memory_store, mmap_store
-    ):
+    def test_mh_queries_return_identical_result_sets(self, corpus, oracle, stores):
         hierarchy, _, _ = corpus
-        mem = SearchEngine.from_store(memory_store)
-        mm = SearchEngine.from_store(mmap_store)
-        top = busiest_concepts(mmap_store)
+        top = busiest_concepts(oracle)
         queries = [
-            "%d[mh]" % top[0],
-            "%d[mh] %d[mh]" % (top[0], top[1]),
-            "%s[mh]" % hierarchy.uid(top[2]),
-            "%s[mh]" % hierarchy.label(top[3]),
+            ("%d[mh]" % top[0], [top[0]]),
+            ("%d[mh] %d[mh]" % (top[0], top[1]), top[:2]),
+            ("%s[mh]" % hierarchy.uid(top[2]), [top[2]]),
+            ("%s[mh]" % hierarchy.label(top[3]), [top[3]]),
         ]
-        for query in queries:
-            left, right = mem.search(query), mm.search(query)
-            assert left.pmids == right.pmids, query
-            assert left.count > 0, query
+        for store in stores.values():
+            engine = SearchEngine.from_store(store)
+            for query, concepts in queries:
+                result = engine.search(query)
+                assert list(result.pmids) == oracle.boolean_and(concepts).tolist()
+                assert result.count > 0, query
 
     def test_free_text_rejected_without_index(self, mmap_store):
         engine = SearchEngine.from_store(mmap_store)
@@ -158,17 +198,18 @@ class TestNavigationEquivalence:
             BioNav.from_store(mmap_store),
         )
 
-    def test_end_to_end_trees_and_cuts_are_bit_identical(self, systems, mmap_store):
+    def test_end_to_end_trees_and_cuts_are_bit_identical(self, systems, oracle):
         mem_nav, mmap_nav = systems
-        top = busiest_concepts(mmap_store)
+        top = busiest_concepts(oracle)
         query = "%d[mh] %d[mh]" % (top[0], top[1])
         left = mem_nav.search(query)
         right = mmap_nav.search(query)
+        assert list(left.pmids) == oracle.boolean_and(top[:2]).tolist()
         assert left.pmids == right.pmids
         assert set(left.tree.nodes()) == set(right.tree.nodes())
-        # Drive the same expansion sequence on both backends; the
-        # EdgeCut chosen at every step must reveal the same nodes in
-        # the same order — the "bit-identical cuts" gate.
+        # Drive the same expansion sequence on both stores; the EdgeCut
+        # chosen at every step must reveal the same nodes in the same
+        # order — the "bit-identical cuts" gate.
         frontier = [left.tree.root]
         expansions = 0
         while frontier and expansions < 3:
@@ -176,7 +217,7 @@ class TestNavigationEquivalence:
             try:
                 out_l = left.session.expand(node)
             except ValueError:
-                # Leaf/no-component node: the other backend must agree.
+                # Leaf/no-component node: the other store must agree.
                 with pytest.raises(ValueError):
                     right.session.expand(node)
                 continue
@@ -187,16 +228,83 @@ class TestNavigationEquivalence:
         assert left.session.navigation_cost == right.session.navigation_cost
 
     def test_content_keys_come_from_manifest_not_rehash(self, systems, mmap_store):
-        _, mmap_nav = systems
-        digest = mmap_nav.database.content_digest()
-        # Store-backed keys derive from the build manifest digest; the
-        # toy path hashes the hierarchy records instead.
-        import hashlib
-
+        mem_nav, mmap_nav = systems
+        # Keys derive from the build manifest digest alone, which both
+        # builds of the one stream share.
         expected = hashlib.sha256(
             ("substrate|%s" % mmap_store.manifest_digest).encode("utf-8")
         ).hexdigest()[:40]
-        assert digest == expected
+        assert mmap_nav.database.content_digest() == expected
+        assert mem_nav.database.content_digest() == expected
+
+
+class TestOneStore:
+    def test_memory_and_disk_builds_are_byte_identical(self, corpus, tmp_path):
+        disk_manifest, disk = build(corpus, str(tmp_path))
+        memory_manifest, memory = build(corpus, None)
+        assert memory_manifest.digest == disk_manifest.digest
+        assert memory.manifest == disk.manifest
+        assert memory_manifest.path is None and memory.path is None
+        for name in CORPUS_FILES:
+            buffer = io.BytesIO()
+            np.save(buffer, memory._arrays[name])
+            with open(os.path.join(str(tmp_path), name), "rb") as handle:
+                assert buffer.getvalue() == handle.read(), name
+
+    def test_memory_store_pickles_by_value(self, memory_store, oracle):
+        payload = pickle.dumps(memory_store)
+        assert len(payload) > memory_store.pmid_array().nbytes
+        clone = pickle.loads(payload)
+        assert clone.path is None and clone.backend == "memory"
+        assert clone.manifest_digest == memory_store.manifest_digest
+        assert clone.pmids() == oracle.pmids()
+        top = busiest_concepts(oracle)
+        assert clone.boolean_and(top[:2]).tolist() == oracle.boolean_and(top[:2]).tolist()
+        assert clone.hierarchy().arrays().content_key == (
+            memory_store.hierarchy().arrays().content_key
+        )
+        with pytest.raises(ValueError):
+            clone.pmid_array()[0] = 1
+
+    def test_disk_store_pickles_by_path(self, mmap_store):
+        payload = pickle.dumps(mmap_store)
+        assert len(payload) < 1024
+        clone = pickle.loads(payload)
+        assert clone.path == mmap_store.path and clone.backend == "mmap"
+        assert isinstance(clone.pmid_array(), np.memmap)
+        assert clone.manifest_digest == mmap_store.manifest_digest
+
+    def test_empty_corpus(self):
+        medline = MedlineDatabase()
+        engine = SearchEngine.from_medline(medline)
+        assert len(engine) == 0
+        assert engine.store.num_concepts == 0
+        assert engine.search("anything").pmids == ()
+        with pytest.raises(ValueError):
+            engine.search("0[mh]")
+        builder = SubstrateBuilder(None, num_concepts=5)
+        builder.build(iter(()))
+        store = builder.open()
+        assert len(store) == 0 and store.boolean_and([3]).size == 0
+        assert store.annotation_arrays([7])[0].size == 0
+
+    def test_engine_and_client_over_medline_without_hierarchy(self, corpus, oracle):
+        _, citations, background = corpus
+        medline = MedlineDatabase(background_counts=background)
+        medline.add_all(citations)
+        client = EntrezClient(medline)
+        top = busiest_concepts(oracle)
+        page = client.esearch("%d[mh]" % top[0], retmax=5)
+        assert page.count == oracle.result_count(top[0])
+        assert list(page.ids) == oracle.boolean_and([top[0]]).tolist()[:5]
+        hits = client.esearch_all("equivalence citation 7")
+        assert 30_000_007 in hits
+        engine = SearchEngine(medline)
+        largest = max(c for citation in citations for c in citation.concepts)
+        assert engine.store.num_concepts == largest + 1
+        assert engine.store.hierarchy() is None
+        with pytest.raises(ValueError):
+            engine.search("%s[mh]" % "no such label")
 
 
 class TestClusterSharedStore:

@@ -94,5 +94,5 @@ class TestMaterialization:
 
     def test_medline_counts_available_for_probabilities(self, small_workload):
         prepared = small_workload.prepare("LbetaT2")
-        count = small_workload.database.medline_count(prepared.target_node)
+        count = small_workload.database.store.medline_count(prepared.target_node)
         assert count > 0

@@ -1,28 +1,28 @@
-"""Substrate boundary rule: storage internals stay behind the store API.
+"""Substrate boundary rule: storage internals stay behind their API.
 
-The corpus substrate refactor made :class:`repro.substrate.store.CorpusStore`
-the one corpus interface every online layer consumes; the row-oriented
-internals (``repro.storage.tables``, ``repro.storage.index``) are now an
-implementation detail of the in-memory backend.  A direct
-``from repro.storage.tables import AssociationTable`` in, say, the search
-engine would silently pin that layer to the toy backend and break the
-mmap path, so the convention is machine-checked:
+Corpus data has one interface, :class:`repro.substrate.store.MmapStore`;
+what remains private to ``repro.storage`` is the keyword-index machinery
+(``repro.storage.index``, ``repro.storage.positional``), which online
+layers reach through the names ``repro.storage`` re-exports.  A direct
+``from repro.storage.index import InvertedIndex`` in, say, the serving
+runtime would pin that layer to the module layout instead of the
+package surface, so the convention is machine-checked:
 
 * **Scope** — every semantic-rule target outside ``repro/storage`` (the
-  owner), ``repro/substrate`` (the store layer wrapping it), and
-  ``repro/corpus`` (the offline ingest side that feeds both).
+  owner), ``repro/substrate`` (the store layer), and ``repro/corpus``
+  (the offline ingest side that feeds both).
 * **Flagged** — ``import``/``from``-imports that name the
-  ``repro.storage.tables`` or ``repro.storage.index`` *modules*, whether
-  absolute, via the package (``from repro.storage import tables``), or
-  relative (``from ..storage.index import ...``).
+  ``repro.storage.index`` or ``repro.storage.positional`` *modules*,
+  whether absolute, via the package (``from repro.storage import
+  index``), or relative (``from ..storage.index import ...``).
 * **Not flagged** — the classes re-exported by ``repro.storage``
-  (``InvertedIndex``, ``tokenize``, ...): those are the sanctioned public
-  surface, and ``repro.storage.database`` / other storage modules remain
-  importable everywhere.
+  (``InvertedIndex``, ``PositionalIndex``, ``tokenize``, ...): those are
+  the sanctioned public surface, and ``repro.storage.database`` / other
+  storage modules remain importable everywhere.
 
 Tests and examples are lint-only targets, so white-box unit tests of the
-tables and index keep their direct imports.  Benchmarks are exempted
-explicitly: storage micro-benches measure the internals by name.
+index keep their direct imports.  Benchmarks are exempted explicitly:
+storage micro-benches measure the internals by name.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ __all__ = ["SubstrateBoundaryRule", "RESTRICTED_STORAGE_MODULES"]
 
 #: Storage-internal modules reachable only through the substrate boundary.
 RESTRICTED_STORAGE_MODULES = frozenset(
-    {"repro.storage.tables", "repro.storage.index"}
+    {"repro.storage.index", "repro.storage.positional"}
 )
 
 
@@ -55,7 +55,7 @@ class SubstrateBoundaryRule(Rule):
     id = "substrate-boundary"
     severity = "error"
     lint_level = False
-    description = "storage table/index internals are reached via the store API"
+    description = "storage index internals are reached via the package API"
 
     def applies_to(self, module: ModuleInfo) -> bool:
         for owner in ("storage", "substrate", "corpus"):
@@ -91,5 +91,5 @@ class SubstrateBoundaryRule(Rule):
             module,
             line,
             "storage internal '%s' imported across the substrate boundary; "
-            "go through repro.storage re-exports or a CorpusStore" % dotted,
+            "go through repro.storage re-exports or the corpus store" % dotted,
         )

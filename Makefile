@@ -41,7 +41,7 @@ bench-tables:
 # Fast benchmark subset for CI: the Figure 10 heuristic-latency curve, the
 # opt-engine speedup gate (writes BENCH_opt_engine.json), the staged
 # pipeline's cache-hit gate (writes BENCH_pipeline.json), the EXPAND
-# hot-path gate — batched cost model + warm serving p99 (writes
+# hot-path gate — warm serving p99 and zero new cut misses (writes
 # BENCH_expand_hotpath.json) — and the cold-path identity smoke
 # (array-native tree bit-identical to the dict oracle on both backends;
 # first EXPAND identical to the tests/oracles partition path).

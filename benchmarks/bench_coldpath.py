@@ -17,15 +17,16 @@ same directory and gates the speedups:
   dict-based reference build >= ``COMBINED_SPEEDUP_MIN``x (full scale);
 * **bit-identity** — the array-native tree matches the retained
   :class:`ReferenceNavigationTree` oracle node for node (preorder,
-  parents, per-node results) and produces the identical CostArrays
-  content key (hence identical navigation costs) on **both** store
-  backends, at every scale;
+  parents, per-node results) and yields a bit-identical probability
+  model — preorder ids, results CSR, result counts, log LT, EXPLORE
+  mass and normalizer (hence identical navigation costs) — on **both**
+  store backends, at every scale;
 * **first-EXPAND identity** — on the cold tree, the array-native
   Heuristic-ReducedOpt (level-by-level k-partition over the preorder
   arrays) returns the same cut, reduced size and expected cost as the
   dict-based reduction kept in ``tests/oracles``, and the probability
-  model built through the batched LT lookup has the same content key
-  as the one built with a per-node ``medline_count`` call.  Both paths
+  model built through the batched LT lookup is bit-identical to the
+  one built with a per-node ``medline_count`` call.  Both paths
   are timed (fastest of three) and recorded; neither timing is gated.
 
 ``COLDPATH_BENCH_SMOKE=1`` runs the same identity gates at 20k
@@ -47,7 +48,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.cost_arrays import CostArrays
 from repro.core.heuristic import HeuristicReducedOpt
 from repro.core.navigation_tree import NavigationTree
 from repro.core.probabilities import ProbabilityModel
@@ -57,6 +57,7 @@ from repro.hierarchy.concept import ConceptHierarchy
 from repro.hierarchy.generator import generate_hierarchy
 from repro.substrate import MmapStore, medline_store
 from repro.substrate.roaring import RoaringBitmap
+from tests.oracles.cost_identity import models_identical
 from tests.oracles.navigation_tree_reference import ReferenceNavigationTree
 from tests.oracles.partition_reference import ReferenceHeuristicReducedOpt
 from tests.oracles.store_reference import InMemoryStore
@@ -161,10 +162,11 @@ def trees_identical(tree: NavigationTree, ref: ReferenceNavigationTree) -> bool:
 
 
 def cost_keys_identical(store, tree, ref) -> bool:
-    """Same CostArrays content key => identical navigation costs."""
-    new_key = CostArrays(tree, store.medline_count).content_key
-    ref_key = CostArrays(ref, store.medline_count).content_key
-    return new_key == ref_key
+    """Bit-identical probability models => identical navigation costs."""
+    return models_identical(
+        ProbabilityModel(tree, store.medline_count),
+        ProbabilityModel(ref, store.medline_count),
+    )
 
 
 def fastest(func, repeats: int = FIRST_EXPAND_REPEATS):
@@ -200,9 +202,7 @@ def first_expand(store, tree: NavigationTree) -> dict:
     return {
         "prob_model_ref_s": prob_model_ref_s,
         "prob_model_new_s": prob_model_new_s,
-        "prob_model_keys_identical": (
-            legacy_probs.arrays.content_key == probs.arrays.content_key
-        ),
+        "prob_model_keys_identical": models_identical(legacy_probs, probs),
         "first_expand_ref_s": first_expand_ref_s,
         "first_expand_new_s": first_expand_new_s,
         "reduced_size": new.reduced_size,

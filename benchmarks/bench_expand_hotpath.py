@@ -1,41 +1,24 @@
-"""EXPAND hot path — batched cost-model evaluation and warm-serving p99.
+"""EXPAND hot path — warm-serving EXPAND p99 under closed-loop load.
 
-Two closed-loop measurements of the §IV cost model's hot path, gated
-and written to ``BENCH_expand_hotpath.json`` at the repository root:
+After a warm-up pass populates the pipeline's cut-stage cache of a
+:class:`~repro.serving.ServingRuntime` (bench_serving's shape, zero
+simulated backend latency so the measurement is the compute path), two
+phases run, gated and written to ``BENCH_expand_hotpath.json`` at the
+repository root:
 
-1. **Batch vs scalar cost-model evaluation.**  For seeded random
-   navigation trees at 8/10/12 nodes, every candidate component an
-   EdgeCut evaluation touches (each node's subtree plus each upper
-   component left by cutting one child edge) is scored twice: once with
-   the scalar :class:`~repro.core.probabilities.ProbabilityModel` loops
-   (one component at a time) and once with the vectorized
-   :class:`~repro.core.cost_arrays.CostArrays` kernels (the whole batch
-   in one shot).  Gate: ≥ 3x batch speedup at 12-node trees — the size
-   class Heuristic-ReducedOpt actually runs near the N=10 cap.  Per the
-   no-silent-caps convention, sub-floor speedups at non-gated sizes are
-   logged explicitly instead of scrolling past.
-
-2. **Warm EXPAND p99 under closed-loop serving load.**  After a warm-up
-   pass populates the pipeline's cut-stage cache of a
-   :class:`~repro.serving.ServingRuntime` (bench_serving's shape, zero
-   simulated backend latency so the measurement is the compute path),
-   two phases run:
-
-   * a concurrent client fleet drives search/EXPAND/BACKTRACK loops.
-     Gate: the cut stage records **zero new misses** — every EXPAND of
-     the storm is answered from the cache, i.e. the runtime actually
-     serves warm under load.  Client-observed request latency is
-     reported for context only: it adds view rendering, queue waits and
-     GIL preemption across the worker pool (at the default 5 ms switch
-     interval a 0.2 ms decision can be descheduled for tens of
-     milliseconds under 4 CPU-bound threads), none of which is the path
-     this PR optimizes.
-   * a solo probe client then replays warm EXPANDs with the pool idle.
-     The runtime's :class:`~repro.serving.concurrency.AtomicSolverProfile`
-     records one timing per EXPAND decision; the records appended during
-     the probe are exactly its warm decisions.  Gate: warm per-EXPAND
-     decision p99 below one millisecond — the §IV cost-model path the
-     arrays substrate serves.
+* a concurrent client fleet drives search/EXPAND/BACKTRACK loops.
+  Gate: the cut stage records **zero new misses** — every EXPAND of the
+  storm is answered from the cache, i.e. the runtime actually serves
+  warm under load.  Client-observed request latency is reported for
+  context only: it adds view rendering, queue waits and GIL preemption
+  across the worker pool (at the default 5 ms switch interval a 0.2 ms
+  decision can be descheduled for tens of milliseconds under 4
+  CPU-bound threads), none of which is the decision path gated here.
+* a solo probe client then replays warm EXPANDs with the pool idle.
+  The runtime's :class:`~repro.serving.concurrency.AtomicSolverProfile`
+  records one timing per EXPAND decision; the records appended during
+  the probe are exactly its warm decisions.  Gate: warm per-EXPAND
+  decision p99 below one millisecond.
 """
 
 from __future__ import annotations
@@ -48,18 +31,9 @@ import time
 from pathlib import Path
 
 from repro.bionav import BioNav
-from repro.core.navigation_tree import NavigationTree
-from repro.core.probabilities import ProbabilityModel
-from repro.hierarchy.concept import ConceptHierarchy
 from repro.serving import ServingRuntime
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_expand_hotpath.json"
-
-SIZES = (8, 10, 12)
-TREES_PER_SIZE = 4
-BATCH_REPEATS = 5
-BATCH_FLOOR = 3.0
-GATED_SIZE = 12
 
 CLIENTS = 4
 ITERATIONS = 25
@@ -67,104 +41,6 @@ PROBE_EXPANDS = 300
 P99_FLOOR_MS = 1.0
 
 
-# ----------------------------------------------------------------------
-# Part 1 — batch vs scalar cost-model evaluation
-# ----------------------------------------------------------------------
-def random_tree(size: int, seed: int):
-    """A seeded random navigation tree at paper-scale citation density.
-
-    The §VI queries return thousands of citations, so component scoring
-    at MEDLINE scale unions result sets in the hundreds per concept —
-    that density (not toy tens) is what the scalar set unions pay for
-    and the packed bitmaps shrug off.
-    """
-    rng = random.Random(seed)
-    h = ConceptHierarchy(root_label="r")
-    nodes = [0]
-    for i in range(size - 1):
-        nodes.append(h.add_child(rng.choice(nodes), "c%d" % i))
-    annotations = {
-        n: set(rng.sample(range(2000), rng.randint(25, 200))) for n in nodes
-    }
-    tree = NavigationTree.build(h, annotations)
-    probs = ProbabilityModel(tree, lambda n: 5000)
-    return tree, probs
-
-
-def candidate_components(tree: NavigationTree):
-    """The components an EdgeCut evaluation scores for one tree.
-
-    Every node's subtree, plus every upper component produced by
-    severing one child edge — the same population the cut search walks.
-    """
-    components = []
-    for node in tree.iter_dfs():
-        subtree = tree.subtree_nodes(node)
-        components.append(sorted(subtree))
-        for child in tree.children(node):
-            upper = subtree - tree.subtree_nodes(child)
-            components.append(sorted(upper))
-    return components
-
-
-def _best_of(callable_, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        callable_()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
-def measure_batch_speedup():
-    rows = []
-    for size in SIZES:
-        scenarios = [random_tree(size, 9000 + 100 * size + i) for i in range(TREES_PER_SIZE)]
-        batches = [
-            (probs, candidate_components(tree)) for tree, probs in scenarios
-        ]
-        component_count = sum(len(comps) for _, comps in batches)
-
-        def scalar_pass():
-            for probs, comps in batches:
-                for comp in comps:
-                    probs.explore(comp)
-                    probs.expand(frozenset(comp), comp[0])
-
-        def batch_pass():
-            for probs, comps in batches:
-                probs.explore_batch(comps)
-                probs.expand_batch(comps)
-
-        # Equivalence spot-check before timing: the batch kernels must
-        # agree with the scalar oracle on every candidate component.
-        for probs, comps in batches:
-            explore = probs.explore_batch(comps)
-            expand = probs.expand_batch(comps)
-            for comp, pe, px in zip(comps, explore, expand):
-                se = probs.explore(comp)
-                sx = probs.expand(frozenset(comp), comp[0])
-                assert abs(pe - se) <= 1e-9 * max(1.0, abs(se))
-                assert abs(px - sx) <= 1e-9 * max(1.0, abs(sx))
-
-        scalar_s = _best_of(scalar_pass, BATCH_REPEATS)
-        batch_s = _best_of(batch_pass, BATCH_REPEATS)
-        rows.append(
-            {
-                "size": size,
-                "trees": TREES_PER_SIZE,
-                "components": component_count,
-                "scalar_ms": scalar_s * 1000.0,
-                "batch_ms": batch_s * 1000.0,
-                "speedup": scalar_s / batch_s if batch_s > 0 else float("inf"),
-            }
-        )
-    return rows
-
-
-# ----------------------------------------------------------------------
-# Part 2 — warm EXPAND p99 under closed-loop serving load
-# ----------------------------------------------------------------------
 def run_serving_measurement(workload) -> dict:
     bionav = BioNav(workload.database, workload.entrez)
     keywords = [built.spec.keyword for built in workload.queries]
@@ -273,39 +149,14 @@ def run_serving_measurement(workload) -> dict:
 
 # ----------------------------------------------------------------------
 def test_expand_hotpath(workload, report, benchmark):
-    def measure():
-        return measure_batch_speedup(), run_serving_measurement(workload)
-
-    batch_rows, serving = benchmark.pedantic(measure, rounds=1, iterations=1)
+    serving = benchmark.pedantic(
+        run_serving_measurement, args=(workload,), rounds=1, iterations=1
+    )
     lines = [
         "",
         "=" * 74,
-        "EXPAND HOT PATH — batched cost model + warm serving p99",
+        "EXPAND HOT PATH — warm serving p99",
         "=" * 74,
-        "%8s %8s %12s %12s %12s %10s"
-        % ("|T|", "trees", "components", "scalar ms", "batch ms", "speedup"),
-        "-" * 74,
-    ]
-    for row in batch_rows:
-        lines.append(
-            "%8d %8d %12d %12.3f %12.3f %9.1fx"
-            % (
-                row["size"],
-                row["trees"],
-                row["components"],
-                row["scalar_ms"],
-                row["batch_ms"],
-                row["speedup"],
-            )
-        )
-    lines.append("-" * 74)
-    below_floor = [row for row in batch_rows if row["speedup"] < BATCH_FLOOR]
-    for row in below_floor:
-        lines.append(
-            "BELOW FLOOR: size %d speedup %.2fx < %.1fx (gate only asserts size %d)"
-            % (row["size"], row["speedup"], BATCH_FLOOR, GATED_SIZE)
-        )
-    lines.append(
         "fleet (%d clients x %d iters): %d EXPANDs, %d new cut misses "
         "(gated zero); request p50 %.3f ms / p99 %.3f ms (view render + "
         "queueing + GIL, context only)"
@@ -316,9 +167,7 @@ def test_expand_hotpath(workload, report, benchmark):
             serving["fleet_new_cut_misses"],
             serving["request_p50_ms"],
             serving["request_p99_ms"],
-        )
-    )
-    lines.append(
+        ),
         "warm EXPAND decision (solo probe, %d expands): p50 %.3f ms  "
         "p95 %.3f ms  p99 %.3f ms  max %.3f ms (floor %.1f ms)"
         % (
@@ -328,28 +177,12 @@ def test_expand_hotpath(workload, report, benchmark):
             serving["warm_decision_p99_ms"],
             serving["warm_decision_max_ms"],
             serving["p99_floor_ms"],
-        )
-    )
+        ),
+    ]
     report("\n".join(lines))
     OUTPUT.write_text(
-        json.dumps(
-            {
-                "benchmark": "expand_hotpath",
-                "batch_floor": BATCH_FLOOR,
-                "gated_size": GATED_SIZE,
-                "below_floor_sizes": [row["size"] for row in below_floor],
-                "batch_rows": batch_rows,
-                "serving": serving,
-            },
-            indent=2,
-        )
+        json.dumps({"benchmark": "expand_hotpath", "serving": serving}, indent=2)
         + "\n"
-    )
-    gated = [row for row in batch_rows if row["size"] == GATED_SIZE]
-    assert gated, "gated size missing from measurement"
-    assert gated[0]["speedup"] >= BATCH_FLOOR, (
-        "batched cost-model evaluation %.2fx below the %.1fx floor at %d nodes"
-        % (gated[0]["speedup"], BATCH_FLOOR, GATED_SIZE)
     )
     assert serving["fleet_new_cut_misses"] == 0, (
         "%d cut-stage misses during the warm fleet phase — the storm was "

@@ -158,9 +158,9 @@ class ClusterStageCache:
             with self._lock:
                 self._misses += 1
             return MISS
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-            # Torn write or stale class layout: drop the entry and
-            # let the caller rebuild it.
+        except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ImportError):
+            # Torn write, or a stale class layout or module path from an
+            # older build: drop the entry and let the caller rebuild it.
             path.unlink(missing_ok=True)
             with self._lock:
                 self._errors += 1

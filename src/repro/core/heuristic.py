@@ -24,7 +24,6 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 import numpy as np
 
 from repro.core.active_tree import ActiveTree
-from repro.core.cost_arrays import segment_sums
 from repro.core.cost_model import CostParams
 from repro.core.navigation_tree import NavigationTree
 from repro.core.opt_edgecut import CutTree, OptEdgeCut
@@ -32,9 +31,35 @@ from repro.core.partition import partition_with_limit
 from repro.core.probabilities import ProbabilityModel
 from repro.core.strategy import CutDecision, ExpansionStrategy, SolverCapabilities
 
-__all__ = ["HeuristicReducedOpt"]
+__all__ = ["HeuristicReducedOpt", "segment_sums"]
 
 Edge = Tuple[int, int]
+
+
+def segment_sums(
+    values: np.ndarray, offsets: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """Per-segment sums of a flattened batch (empty segments sum to 0).
+
+    ``values`` holds every segment back to back; segment ``i`` spans
+    ``values[offsets[i] : offsets[i] + lengths[i]]``.  Built on
+    ``np.add.reduceat`` over ``values`` plus a zero sentinel: a trailing
+    empty segment's offset equals ``len(values)``, which is a valid
+    index into the extended array, so no offset ever has to be clamped
+    onto the preceding segment's final element (clamping would shift
+    that segment's reduction boundary and truncate its sum).  The
+    remaining reduceat quirk — an empty segment reports the element *at*
+    its offset — is masked out explicitly.
+    """
+    out = np.zeros(len(offsets), dtype=np.float64)
+    if len(values) == 0 or len(offsets) == 0:
+        return out
+    extended = np.zeros(len(values) + 1, dtype=np.float64)
+    extended[: len(values)] = values
+    sums = np.add.reduceat(extended, offsets)
+    nonempty = lengths > 0
+    out[nonempty] = sums[nonempty]
+    return out
 
 
 class HeuristicReducedOpt(ExpansionStrategy):
@@ -184,14 +209,15 @@ class HeuristicReducedOpt(ExpansionStrategy):
         node rooting that partition (used to map cuts back).
         """
         tree = self.tree
-        # The cost arrays index nodes by the tree's preorder positions.
-        arrays = self.probs.arrays
+        # The model's arrays index nodes by the tree's preorder positions.
+        probs = self.probs
+        preorder = tree.preorder_array()
         positions, parents, depths = tree.component_arrays(component)
         partitions = partition_with_limit(
             parents,
             depths,
-            arrays.result_counts[positions],
-            tree.preorder_array()[positions],
+            probs.result_counts[positions],
+            preorder[positions],
             self.max_reduced_nodes,
         )
         # The root's part comes last; it becomes CutTree node 0 and the
@@ -211,15 +237,14 @@ class HeuristicReducedOpt(ExpansionStrategy):
             children[parent_part].append(index)
 
         # Supernode statistics over the arrays: EXPLORE sums run over each
-        # part's members in ascending id order (the order the CostArrays
-        # kernels use), member histograms keep the partition's member
-        # order, and each part's citations are one gather of its
-        # results-CSR rows.
-        by_id = flat[np.lexsort((arrays.preorder_ids[flat], part_of[flat]))]
-        explore = segment_sums(arrays.explore_mass[by_id], offsets, sizes).tolist()
-        member_counts = arrays.result_counts[flat].tolist()
+        # part's members in ascending id order, member histograms keep
+        # the partition's member order, and each part's citations are
+        # one gather of its results-CSR rows.
+        by_id = flat[np.lexsort((preorder[flat], part_of[flat]))]
+        explore = segment_sums(probs.explore_mass[by_id], offsets, sizes).tolist()
+        member_counts = probs.result_counts[flat].tolist()
         row_begin = tree.result_offsets_array()[flat]
-        row_length = arrays.result_counts[flat]
+        row_length = probs.result_counts[flat]
         starts = np.cumsum(row_length) - row_length
         citations = tree.result_values_array()[
             np.repeat(row_begin - starts, row_length) + np.arange(int(row_length.sum()))

@@ -22,7 +22,7 @@ The tree is immutable once built and stores its structure as flat arrays
 in *embedded preorder*: node ids, parents, children-CSR, depths, subtree
 sizes, and a per-node results-CSR of sorted citation ids.  Per-node
 ``frozenset`` views materialize lazily from CSR slices, and the cost
-substrate (:class:`repro.core.cost_arrays.CostArrays`) ingests the
+model (:class:`repro.core.probabilities.ProbabilityModel`) ingests the
 buffers whole via :meth:`NavigationTree.preorder_array` and friends.
 ``tree_depth``, ``is_tree_ancestor`` and ``subtree_size`` remain O(1)
 lookups; ``iter_dfs``/``subtree_nodes`` are contiguous slices.
@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.hierarchy.concept import ConceptHierarchy
 
-if TYPE_CHECKING:  # substrate imports core; keep the reverse edge lazy
+if TYPE_CHECKING:  # annotation only
     from repro.substrate.store import MmapStore
 
 __all__ = ["NavigationTree"]
@@ -463,7 +463,7 @@ class NavigationTree:
         return self.subtree_results(self.root)
 
     # ------------------------------------------------------------------
-    # Array views (the cost-substrate ingestion seam)
+    # Array views (the cost-model ingestion seam)
     # ------------------------------------------------------------------
     def preorder_array(self) -> np.ndarray:
         """Node ids in embedded preorder (``int64``, read-only)."""
@@ -480,6 +480,10 @@ class NavigationTree:
     def result_values_array(self) -> np.ndarray:
         """Results-CSR values: per-node sorted citation ids (read-only)."""
         return self._res_val
+
+    def position(self, node: int) -> int:
+        """Embedded-preorder position of ``node`` (``KeyError`` if not kept)."""
+        return self._require_raw(node)
 
     def positions(self, nodes: Sequence[int]) -> np.ndarray:
         """Embedded-preorder position of each hierarchy node id (-1: not kept)."""

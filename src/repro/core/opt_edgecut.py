@@ -49,10 +49,10 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tup
 
 import numpy as np
 
-from repro.core.cost_arrays import POPCOUNT_TABLE
 from repro.core.cost_model import CostParams
 from repro.core.navigation_tree import NavigationTree
 from repro.core.probabilities import ProbabilityModel
+from repro.substrate.roaring import POPCOUNT_TABLE
 
 __all__ = ["CutTree", "BestCut", "OptEdgeCut", "MAX_OPT_NODES"]
 
@@ -139,7 +139,7 @@ class CutTree:
         return cls(
             children=children,
             results=[tree.results(n) for n in order],
-            explore=[probs.explore_mass(n) for n in order],
+            explore=probs.masses(order),
             member_counts=[[len(tree.results(n))] for n in order],
             payload=list(order),
         )

@@ -23,11 +23,10 @@ Two probabilities drive the cost model:
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, FrozenSet, Iterable, Sequence
+from typing import Callable, FrozenSet, Iterable, List, Sequence
 
 import numpy as np
 
-from repro.core.cost_arrays import CostArrays
 from repro.core.navigation_tree import NavigationTree
 
 __all__ = ["ProbabilityModel"]
@@ -36,14 +35,24 @@ __all__ = ["ProbabilityModel"]
 class ProbabilityModel:
     """EXPLORE / EXPAND probability estimator for one navigation tree.
 
-    Construction builds the :class:`~repro.core.cost_arrays.CostArrays`
-    substrate (exposed as :attr:`arrays`) and derives the per-node mass
-    table from its elementwise arrays, so the scalar and vectorized
-    paths share one source of truth per node.  The scalar methods remain
-    the **reference oracle**: they accumulate sequentially over sorted
-    members, and the batch kernels are pinned to them within 1e-9
-    relative by the property suite (see the ``cost_arrays`` module
-    docstring for where float accumulation order legitimately differs).
+    Construction lays the per-node quantities out once, as frozen arrays
+    indexed by the tree's embedded preorder position (entry ``i``
+    describes node ``tree.preorder_array()[i]``):
+
+    * :attr:`result_counts` — ``|L(n)|``;
+    * :attr:`log_lt` — the clamped ``log LT(n)`` IDF denominators;
+    * :attr:`explore_mass` — the unnormalized EXPLORE weight
+      ``|L(n)| / log LT(n)`` (plain ``|L(n)|`` without IDF; zero for
+      empty nodes);
+    * :attr:`normalizer` — ``Z``, the sum of :attr:`explore_mass`
+      accumulated sequentially in preorder.
+
+    The scalar methods below are the production path: every solver, the
+    evaluator, ``explain``, ``montecarlo`` and relevance ranking read the
+    arrays through them, and the heuristic's reduction gathers the
+    arrays directly.  The model is shared by every session of a query,
+    so the arrays are read-only: an in-place write raises instead of
+    silently corrupting other sessions' solves.
     """
 
     def __init__(
@@ -76,28 +85,56 @@ class ProbabilityModel:
         self.upper_threshold = upper_threshold
         self.lower_threshold = lower_threshold
         self.use_idf = use_idf
-        self.arrays = CostArrays(
-            tree,
-            medline_count,
-            upper_threshold=upper_threshold,
-            lower_threshold=lower_threshold,
-            use_idf=use_idf,
-        )
-        self._mass: Dict[int, float] = dict(
-            zip(self.arrays.preorder_ids.tolist(), self.arrays.explore_mass.tolist())
-        )
-        self._normalizer = self.arrays.normalizer
+        batch = getattr(medline_count, "medline_counts", None)
+        bound = getattr(medline_count, "medline_count", None)
+        if callable(bound):
+            medline_count = bound
+
+        preorder = tree.preorder_array()
+        self.result_counts = np.diff(tree.result_offsets_array())
+        if callable(batch):
+            lt = np.maximum(batch(preorder), 2).astype(np.float64)
+        else:
+            lt = np.fromiter(
+                (max(2, medline_count(n)) for n in preorder.tolist()),
+                dtype=np.float64,
+                count=len(preorder),
+            )
+        self.log_lt = np.log(lt)
+        counts = self.result_counts.astype(np.float64)
+        mass = counts / self.log_lt if use_idf else counts
+        self.explore_mass = np.where(self.result_counts > 0, mass, 0.0)
+        for array in (self.result_counts, self.log_lt, self.explore_mass):
+            array.setflags(write=False)
+
+        # Sequential preorder accumulation pins Z to one exact float.
+        total = 0.0
+        for value in self.explore_mass.tolist():  # repro: ignore[vectorize]
+            total += value
+        self.normalizer = total if total > 0 else 1.0
 
     # ------------------------------------------------------------------
     # EXPLORE
     # ------------------------------------------------------------------
     def explore_node(self, node: int) -> float:
         """``pE(n)`` for a single concept node."""
-        return self._mass[node] / self._normalizer
+        return self.node_mass(node) / self.normalizer
 
-    def explore_mass(self, node: int) -> float:
-        """Unnormalized EXPLORE weight ``|L(n)| / log LT(n)``."""
-        return self._mass[node]
+    def node_mass(self, node: int) -> float:
+        """Unnormalized EXPLORE weight ``|L(n)| / log LT(n)`` of one node."""
+        return float(self.explore_mass[self.tree.position(node)])
+
+    def masses(self, nodes: Iterable[int]) -> List[float]:
+        """Unnormalized EXPLORE weights of ``nodes``, in iteration order.
+
+        Raises:
+            KeyError: a node is not in the navigation tree.
+        """
+        members = list(nodes)
+        positions = self.tree.positions(members)
+        if positions.size and int(positions.min()) < 0:
+            raise KeyError(members[int(positions.argmin())])
+        return self.explore_mass[positions].tolist()
 
     def explore(self, component: Iterable[int]) -> float:
         """``pE(I(n))``: sum of member node probabilities.
@@ -106,7 +143,7 @@ class ProbabilityModel:
         order — and therefore the probability to the last ulp — depends
         only on the component's contents, never on set iteration order.
         """
-        return sum(self._mass[m] for m in sorted(component)) / self._normalizer
+        return sum(self.masses(sorted(component))) / self.normalizer
 
     # ------------------------------------------------------------------
     # EXPAND
@@ -162,24 +199,3 @@ class ProbabilityModel:
         if max_entropy <= 0:
             return 0.0
         return min(1.0, entropy / max_entropy)
-
-    # ------------------------------------------------------------------
-    # Batched kernels (the vectorized hot path)
-    # ------------------------------------------------------------------
-    def explore_batch(self, components: Sequence[Iterable[int]]) -> np.ndarray:
-        """``pE`` for a whole batch of components in one shot.
-
-        Vectorized over the :attr:`arrays` substrate; agrees with
-        :meth:`explore` within 1e-9 relative (pairwise vs sequential
-        summation — see :mod:`repro.core.cost_arrays`).
-        """
-        return self.arrays.explore(components)
-
-    def expand_batch(self, components: Sequence[Iterable[int]]) -> np.ndarray:
-        """``pX`` for a whole batch of components in one shot.
-
-        Threshold selection is exact (integer distinct counts on both
-        paths); the entropy branch agrees with :meth:`expand` within
-        1e-9 relative.
-        """
-        return self.arrays.expand(components)

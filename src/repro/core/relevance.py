@@ -23,7 +23,7 @@ __all__ = ["relevance_of", "rank_siblings", "ranked_visualization"]
 
 def relevance_of(active: ActiveTree, probs: ProbabilityModel, node: int) -> float:
     """Query relevance of a visible node: its component's EXPLORE mass."""
-    return sum(probs.explore_mass(m) for m in active.component(node))
+    return sum(probs.masses(active.component(node)))
 
 
 def rank_siblings(

@@ -26,7 +26,6 @@ from typing import Dict, FrozenSet, Iterable, Tuple
 
 import numpy as np
 
-from repro.core.cost_arrays import CostArrays
 from repro.core.navigation_tree import NavigationTree
 from repro.core.probabilities import ProbabilityModel
 from repro.core.session import NavigationSession
@@ -126,13 +125,8 @@ class NavTreeArtifact:
     Attributes:
         query: the keyword query.
         tree: the navigation tree embedded in the hierarchy.
-        probs: EXPLORE/EXPAND probability estimates over ``tree``.
-        arrays: the vectorized cost-model substrate built alongside
-            ``probs`` (immutable numpy arrays + batch kernels).  Riding
-            this artifact makes it content-keyed for free: every
-            session of the query shares one instance through the
-            nav-tree stage cache, and ``arrays.content_key`` fingerprints
-            the array contents themselves.
+        probs: EXPLORE/EXPAND probability estimates over ``tree``
+            (the per-node cost-model arrays, read-only).
         decisions: component → cut decision, shared by every strategy
             instance of this query.  EdgeCut decisions are deterministic
             per (tree, probs, params), so concurrent sessions may write
@@ -144,7 +138,6 @@ class NavTreeArtifact:
     query: str
     tree: NavigationTree
     probs: ProbabilityModel
-    arrays: CostArrays
     content_key: str
     decisions: Dict[FrozenSet[int], CutDecision] = field(default_factory=dict)
 

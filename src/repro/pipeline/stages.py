@@ -123,15 +123,8 @@ class NavTreeStage:
         # tree at once.
         tree = NavigationTree.from_store(snapshot.hierarchy, store, results.pmids)
         probs = ProbabilityModel(tree, store)
-        # The artifact carries the vectorized cost-model substrate the
-        # probability model built, so the per-stage cache shares the
-        # arrays (content-keyed) across every session of the query.
         return NavTreeArtifact(
-            query=results.query,
-            tree=tree,
-            probs=probs,
-            arrays=probs.arrays,
-            content_key=key,
+            query=results.query, tree=tree, probs=probs, content_key=key
         )
 
 

@@ -10,9 +10,10 @@ Two query surfaces coexist, as in real PubMed:
 * **free-text terms** — conjunctive retrieval over the inverted keyword
   index with TF-IDF ranking (toy-scale corpora only; the index is an
   in-memory structure);
-* **field-tagged concept terms** — ``term[mh]`` restricts to citations
-  associated with the MeSH concept ``term`` (a node id, a concept uid
-  like ``D000123``, or a label when a hierarchy is attached).  These
+* **field-tagged concept terms** — ``term[mh]`` (or ``term[mh:noexp]``)
+  restricts to citations associated with the MeSH concept ``term`` (a
+  node id, a concept uid like ``D000123``, or a label — bare or
+  double-quoted — when a hierarchy is attached).  These
   resolve through the :class:`~repro.substrate.store.MmapStore`
   boolean-AND path, answered with compressed bitmap intersections —
   the query shape the substrate bench gates at 1M citations.
@@ -37,10 +38,13 @@ from repro.substrate.store import MmapStore
 
 __all__ = ["QueryResult", "SearchEngine"]
 
-#: ``term[mh]`` — PubMed's MeSH field tag, case-insensitive.  The term
-#: is everything up to the tag, so labels with spaces work: ``"Kinase,
-#: Alpha (L1-0001)[mh]"``.
-_MH_RE = re.compile(r"\s*([^\[\]]+?)\s*\[mh\]", re.IGNORECASE)
+#: ``term[mh]`` / ``term[mh:noexp]`` — PubMed's MeSH field tags,
+#: case-insensitive.  The term is a double-quoted phrase or everything
+#: up to the tag, so labels with spaces work either way:
+#: ``"Kinase, Alpha (L1-0001)"[mh:noexp]``, ``Kinase, Alpha
+#: (L1-0001)[mh]``.  Both tags resolve to the concept's own postings
+#: (the substrate stores no subtree explosion).
+_MH_RE = re.compile(r'\s*("[^"]*"|[^\[\]"]+?)\s*\[mh(?::noexp)?\]', re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,8 @@ class SearchEngine:
     Args:
         store: the corpus :class:`MmapStore`, or a bare
             :class:`MedlineDatabase`, built into an in-memory store over
-            the concept ids it uses (max concept id + 1).
+            the concept ids it uses (max concept id + 1, and at least
+            every node of ``hierarchy``).
         index: inverted keyword index for free-text terms; when absent,
             free-text terms raise :class:`ValueError` (a pre-built
             substrate carries no text index — concept queries only).
@@ -86,6 +91,8 @@ class SearchEngine:
                 (max(c.concepts) for c in store.iter_citations() if c.concepts),
                 default=-1,
             )
+            if hierarchy is not None:
+                concepts = max(concepts, len(hierarchy) - 1)
             store = medline_store(store, concepts + 1)
         self._store = store
         self._index = index
@@ -150,7 +157,7 @@ class SearchEngine:
         seen = False
         for match in _MH_RE.finditer(query):
             seen = True
-            concepts.append(self._resolve_concept(match.group(1)))
+            concepts.append(self._resolve_concept(match.group(1).strip('"').strip()))
         text = _MH_RE.sub(" ", query)
         return (concepts if seen else None), text
 

@@ -6,10 +6,11 @@ cache, `repro.analysis.runtime.SolverProfile`)
 are single-threaded shared state.  This package supplies the runtime that
 makes them safe to drive from many threads at once:
 
-* :mod:`repro.serving.concurrency` — a locked LRU cache whose
-  ``get_or_create`` is **single-flight** (concurrent misses on one query
-  build the navigation tree exactly once) and an atomic wrapper around
-  :class:`~repro.analysis.runtime.SolverProfile`.
+* :mod:`repro.serving.concurrency` — an atomic wrapper around
+  :class:`~repro.analysis.runtime.SolverProfile`; the locked,
+  **single-flight** LRU cache (concurrent misses on one query build the
+  navigation tree exactly once) is
+  :class:`~repro.pipeline.concurrency.SingleFlightCache`.
 * :mod:`repro.serving.sessions` — a bounded session registry handing out
   per-session locks, so interleaved EXPAND/BACKTRACK on one session stay
   serializable, and distinguishing *expired* sessions from unknown ones.
@@ -34,7 +35,8 @@ from repro.serving.admission import (
     DeadlineExceeded,
     RetryLater,
 )
-from repro.serving.concurrency import AtomicSolverProfile, SingleFlightCache
+from repro.pipeline.concurrency import SingleFlightCache
+from repro.serving.concurrency import AtomicSolverProfile
 from repro.serving.dispatcher import WorkerPoolDispatcher
 from repro.serving.runtime import (
     CostView,

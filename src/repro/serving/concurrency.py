@@ -1,10 +1,4 @@
-"""Thread-safe cache and profiling primitives.
-
-:class:`SingleFlightCache` — the locked LRU cache with single-flight
-``get_or_create`` that every pipeline stage and the serving layer share
-— lives in :mod:`repro.pipeline.concurrency` (the pipeline's stage
-cache is its primary holder) and is re-exported here for the serving
-layer and its historical importers.
+"""Thread-safe profiling primitive.
 
 :class:`AtomicSolverProfile` wraps the append-only
 :class:`~repro.analysis.runtime.SolverProfile` so that recording an
@@ -19,9 +13,8 @@ import threading
 from typing import Dict, List
 
 from repro.analysis.runtime import SolverProfile, SolverTiming
-from repro.pipeline.concurrency import SingleFlightCache
 
-__all__ = ["SingleFlightCache", "AtomicSolverProfile"]
+__all__ = ["AtomicSolverProfile"]
 
 
 class AtomicSolverProfile:

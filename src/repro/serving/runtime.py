@@ -30,16 +30,16 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-if TYPE_CHECKING:  # import cycle: repro.bionav builds on repro.pipeline,
-    # whose cache layer reuses this package's SingleFlightCache.
+if TYPE_CHECKING:  # import cycle: repro.bionav builds on repro.pipeline
     from repro.bionav import BioNav
 
 from repro.core.active_tree import VisNode
 from repro.core.relevance import ranked_visualization
 from repro.corpus.citation import DocSummary
+from repro.pipeline.concurrency import SingleFlightCache
 from repro.pipeline.pipeline import NavigationPipeline
 from repro.pipeline.stages import NavTreeStage
-from repro.serving.concurrency import AtomicSolverProfile, SingleFlightCache
+from repro.serving.concurrency import AtomicSolverProfile
 from repro.serving.dispatcher import WorkerPoolDispatcher
 from repro.serving.sessions import SessionEntry, SessionRegistry
 
@@ -359,11 +359,8 @@ class ServingRuntime:
 
         The ``pipeline`` block reports every stage's cache hit/miss/
         latency counters; ``query_cache`` remains as the historical
-        alias of the navigation-tree stage's counters.  Within it,
-        ``hit_ratio`` is the canonical hit-fraction key (matching the
-        per-stage ``pipeline`` rows); ``hit_rate`` is a **deprecated
-        alias** kept for one release so existing dashboards keep
-        reading — it always equals ``hit_ratio`` and will be removed.
+        alias of the navigation-tree stage's counters, with the same
+        ``hit_ratio`` key as the per-stage ``pipeline`` rows.
         The ``solver`` block is the shared :class:`AtomicSolverProfile`
         summary of per-EXPAND decision timings (p50/p95/p99 in
         milliseconds) — the p99 is the warm-EXPAND latency
@@ -387,9 +384,6 @@ class ServingRuntime:
                 "hits": cache["hits"],
                 "misses": cache["misses"],
                 "evictions": cache["evictions"],
-                # Deprecated alias of hit_ratio (see the docstring);
-                # slated for removal once external readers migrate.
-                "hit_rate": cache["hit_ratio"],
                 "hit_ratio": cache["hit_ratio"],
                 "single_flight_coalesced": cache["coalesced"],
             },

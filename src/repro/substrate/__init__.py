@@ -18,9 +18,9 @@ is that split at reproduction scale:
   in-memory build.  Persistence is the substrate directory.
 
 The compressed bitmaps are roaring-style array/bitmap hybrid containers
-(:mod:`repro.substrate.roaring`) whose bitmap payloads use the same
-packed-``uint8``/MSB-first layout as the ``cost_arrays`` popcount and
-``bitwise_or`` kernels.
+(:mod:`repro.substrate.roaring`) whose bitmap payloads use the
+packed-``uint8``/MSB-first ``np.packbits`` layout, so cardinalities are
+popcount-table lookups and unions are ``bitwise_or``.
 """
 
 from repro.substrate.builder import (

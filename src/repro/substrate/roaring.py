@@ -11,10 +11,10 @@ chunks keyed by the high 16 bits, and each chunk holds either
   MSB-first within each byte, the ``np.packbits`` default), used for
   dense chunks.
 
-The bitmap payloads share their layout with the packed result bitmaps in
-:mod:`repro.core.cost_arrays`: unions are ``np.bitwise_or`` and
-cardinalities are :data:`~repro.core.cost_arrays.POPCOUNT_TABLE`
-lookups, so the container plugs straight into the existing kernels
+The bitmap payloads share their layout with the packed citation rows
+of Opt-EdgeCut (:mod:`repro.core.opt_edgecut`): unions are
+``np.bitwise_or`` and cardinalities are :data:`POPCOUNT_TABLE` lookups,
+so a container plugs straight into those kernels
 (:meth:`RoaringBitmap.to_packed` produces a kernel-compatible row).
 
 Containers are kept *canonical* — an array container never exceeds
@@ -31,14 +31,20 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.cost_arrays import POPCOUNT_TABLE
-
 __all__ = [
     "RoaringBitmap",
     "ARRAY_CONTAINER_MAX",
     "BITMAP_CONTAINER_BYTES",
+    "POPCOUNT_TABLE",
     "intersect_serialized",
 ]
+
+#: Bits set per byte value; ``POPCOUNT_TABLE[packed].sum()`` is the
+#: population count of a packed bitmap.
+POPCOUNT_TABLE = np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1
+).sum(axis=1).astype(np.int64)
+POPCOUNT_TABLE.setflags(write=False)
 
 #: Classic roaring threshold: chunks with at most this many values stay
 #: sorted-array containers (2 bytes/value); denser chunks flip to packed
@@ -62,8 +68,8 @@ _HEADER = struct.Struct("<I")
 _CONTAINER = struct.Struct("<HBI")
 
 # MSB-first bit masks: value ``v`` lives in byte ``v >> 3`` under mask
-# ``0x80 >> (v & 7)`` — the same orientation as np.packbits and the
-# cost_arrays packed rows.
+# ``0x80 >> (v & 7)`` — the same orientation as np.packbits and
+# Opt-EdgeCut's packed rows.
 _BIT_MASKS = (np.uint8(0x80) >> np.arange(8, dtype=np.uint8)).astype(np.uint8)
 
 
@@ -203,12 +209,11 @@ class RoaringBitmap:
         return np.concatenate(pieces)
 
     def to_packed(self, universe: int) -> np.ndarray:
-        """One ``cost_arrays``-compatible packed row over ``universe`` bits.
+        """One packed row over ``universe`` bits.
 
         Bit ``j`` (MSB-first within each byte) is set iff ordinal ``j``
-        is a member — the exact layout ``CostArrays.packed_results``
-        rows use, so the result feeds the existing popcount /
-        ``bitwise_or`` kernels directly.
+        is a member — the ``np.packbits`` layout, so the result feeds
+        :data:`POPCOUNT_TABLE` and ``bitwise_or`` kernels directly.
         """
         row = np.zeros((universe + 7) >> 3, dtype=np.uint8)
         for key, payload in zip(self._keys, self._payloads):

@@ -16,9 +16,9 @@ verbatim — for two purposes:
 * ``benchmarks/bench_coldpath.py`` measures the cold-build speedup of
   the vectorized path over this one.
 
-Its preorder-array accessors are built from its own dicts, so a
-``CostArrays`` over this tree checks the array-native tree's buffers
-against an independent construction.
+Its preorder-array and position accessors are built from its own
+dicts, so a ``ProbabilityModel`` over this tree checks the array-native
+tree's buffers against an independent construction.
 
 Do not use this class in production code paths; it exists to keep the
 vectorized builder honest.
@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.hierarchy.concept import ConceptHierarchy
 
-if TYPE_CHECKING:  # substrate imports core; keep the reverse edge lazy
+if TYPE_CHECKING:  # annotation only
     from repro.substrate.store import MmapStore
 
 __all__ = ["ReferenceNavigationTree"]
@@ -255,8 +255,18 @@ class ReferenceNavigationTree:
         return self.subtree_results(self.root)
 
     # ------------------------------------------------------------------
-    # Preorder arrays (the buffers CostArrays ingests)
+    # Preorder arrays (the buffers ProbabilityModel ingests)
     # ------------------------------------------------------------------
+    def position(self, node: int) -> int:
+        """Embedded-preorder position of ``node`` (``KeyError`` if absent)."""
+        return self._position[node]
+
+    def positions(self, nodes: Sequence[int]) -> np.ndarray:
+        """Embedded-preorder position of each node id (-1: not kept)."""
+        return np.asarray(
+            [self._position.get(n, -1) for n in nodes], dtype=np.int64
+        )
+
     def preorder_array(self) -> np.ndarray:
         """Node ids in embedded preorder (``int64``)."""
         return np.asarray(self._preorder, dtype=np.int64)

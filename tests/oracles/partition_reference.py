@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
-from repro.core.heuristic import HeuristicReducedOpt
+import numpy as np
+
+from repro.core.heuristic import HeuristicReducedOpt, segment_sums
 from repro.core.opt_edgecut import CutTree
 
 __all__ = [
@@ -218,19 +220,22 @@ class ReferenceHeuristicReducedOpt(HeuristicReducedOpt):
             parent_part = part_of[tree.parent(part_root)]
             children[new_index[parent_part]].append(new_index[old_index])
 
-        # Supernode statistics evaluated as one batch over the array
-        # substrate: EXPLORE mass sums run vectorized (within 1e-9 of
-        # the scalar oracle's sequential sums — see cost_arrays), and
-        # the member histograms are exact integer gathers.
-        arrays = self.probs.arrays
+        # Supernode statistics over the model's arrays: EXPLORE mass
+        # sums are segmented sums over each part's members in ascending
+        # id order, and the member histograms are exact integer gathers.
+        probs = self.probs
         parts = [partitions[old_index] for old_index in order]
-        explore = arrays.explore_mass_sums(parts).tolist()
+        sizes = np.asarray([len(members) for members in parts], dtype=np.int64)
+        flat = tree.positions([m for members in parts for m in sorted(members)])
+        explore = segment_sums(
+            probs.explore_mass[flat], np.cumsum(sizes) - sizes, sizes
+        ).tolist()
         results = []
         member_counts = []
         payload: List[object] = []
         for members in parts:
             results.append(tree.distinct_results(members))
-            member_counts.append(arrays.result_counts[arrays.positions(members)].tolist())
+            member_counts.append(probs.result_counts[tree.positions(members)].tolist())
             payload.append(tuple(members))
         reduced = CutTree(
             children=children,

@@ -374,9 +374,9 @@ class TestVectorizeRule:
         findings = run_rules(
             tmp_path,
             "core/mod.py",
-            "def f(arrays):\n"
+            "def f(probs):\n"
             "    total = 0.0\n"
-            "    for value in arrays.explore_mass:\n"
+            "    for value in probs.explore_mass:\n"
             "        total += value\n"
             "    return total\n",
         )
@@ -386,8 +386,8 @@ class TestVectorizeRule:
         findings = run_rules(
             tmp_path,
             "core/mod.py",
-            "def f(arrays):\n"
-            "    return [c + 1 for c in arrays.result_counts.tolist()]\n",
+            "def f(probs):\n"
+            "    return [c + 1 for c in probs.result_counts.tolist()]\n",
         )
         assert "vectorize" in rule_ids(findings)
 
@@ -395,10 +395,10 @@ class TestVectorizeRule:
         findings = run_rules(
             tmp_path,
             "core/mod.py",
-            "def f(arrays):\n"
+            "def f(probs):\n"
             "    out = {}\n"
-            "    for i, node in enumerate(arrays.preorder_ids):\n"
-            "        out[int(node)] = i\n"
+            "    for i, value in enumerate(probs.log_lt):\n"
+            "        out[i] = value\n"
             "    return out\n",
         )
         assert "vectorize" in rule_ids(findings)
@@ -408,8 +408,8 @@ class TestVectorizeRule:
             tmp_path,
             "core/mod.py",
             "import numpy as np\n"
-            "def f(arrays, flat):\n"
-            "    gathered = arrays.explore_mass[flat]\n"
+            "def f(probs, flat):\n"
+            "    gathered = probs.explore_mass[flat]\n"
             "    return float(np.sum(gathered))\n",
         )
         assert "vectorize" not in rule_ids(findings)
@@ -427,8 +427,8 @@ class TestVectorizeRule:
         findings = run_rules(
             tmp_path,
             "analysis/mod.py",
-            "def f(arrays):\n"
-            "    return [v for v in arrays.explore_mass]\n",
+            "def f(probs):\n"
+            "    return [v for v in probs.explore_mass]\n",
         )
         assert "vectorize" not in rule_ids(findings)
 
@@ -436,9 +436,9 @@ class TestVectorizeRule:
         findings = run_rules(
             tmp_path,
             "core/mod.py",
-            "def f(arrays):\n"
+            "def f(probs):\n"
             "    total = 0.0\n"
-            "    for v in arrays.explore_mass.tolist():  # repro: ignore[vectorize]\n"
+            "    for v in probs.explore_mass.tolist():  # repro: ignore[vectorize]\n"
             "        total += v\n"
             "    return total\n",
         )
@@ -1245,11 +1245,11 @@ class TestSubstrateImmutabilityRule:
                     "import numpy as np\n"
                     "\n"
                     "\n"
-                    "def tweak(arrays, adjustment):\n"
-                    "    arrays.explore_mass += adjustment\n"
-                    "    arrays.result_counts[0] = 7\n"
-                    "    np.add.at(arrays.explore_mass, [0], 1.0)\n"
-                    "    arrays.log_lt.sort()\n"
+                    "def tweak(probs, adjustment):\n"
+                    "    probs.explore_mass += adjustment\n"
+                    "    probs.result_counts[0] = 7\n"
+                    "    np.add.at(probs.explore_mass, [0], 1.0)\n"
+                    "    probs.log_lt.sort()\n"
                 )
             },
         )
@@ -1282,24 +1282,43 @@ class TestSubstrateImmutabilityRule:
         findings = run_project(
             tmp_path,
             {
-                "core/cost_arrays.py": (
+                "core/probabilities.py": (
                     "import numpy as np\n"
                     "\n"
                     "\n"
-                    "class CostArrays:\n"
+                    "class ProbabilityModel:\n"
                     "    def __init__(self, counts):\n"
                     "        self.result_counts = np.asarray(counts)\n"
                     "        self.explore_mass = self.result_counts * 2.0\n"
                     "        self.explore_mass += 1.0\n"
-                    "\n"
-                    "    def _build_packed(self):\n"
-                    "        self._packed = np.zeros(4)\n"
-                    "        self._packed[0] = 1\n"
-                    "        return self._packed\n"
+                    "        self.normalizer = float(self.explore_mass.sum())\n"
                 )
             },
         )
         assert findings_for(findings, "substrate-immutability") == []
+
+    def test_post_build_model_write_flagged(self, tmp_path):
+        findings = run_project(
+            tmp_path,
+            {
+                "core/probabilities.py": (
+                    "class ProbabilityModel:\n"
+                    "    def rescale(self, factor):\n"
+                    "        self.explore_mass *= factor\n"
+                    "        self.normalizer = 1.0\n"
+                ),
+                "pipeline/use.py": (
+                    "def retune(probs: 'ProbabilityModel'):\n"
+                    "    probs.upper_threshold = 60\n"
+                ),
+            },
+        )
+        hits = findings_for(findings, "substrate-immutability")
+        assert sorted((h.path.rsplit("/", 1)[-1], h.line) for h in hits) == [
+            ("probabilities.py", 3),
+            ("probabilities.py", 4),
+            ("use.py", 2),
+        ]
 
     def test_builder_exemption_is_self_only(self, tmp_path):
         findings = run_project(
@@ -1307,9 +1326,9 @@ class TestSubstrateImmutabilityRule:
             {
                 "core/wrap.py": (
                     "class Wrapper:\n"
-                    "    def __init__(self, arrays):\n"
-                    "        arrays.explore_mass[0] = 0.0\n"
-                    "        self.arrays = arrays\n"
+                    "    def __init__(self, probs):\n"
+                    "        probs.explore_mass[0] = 0.0\n"
+                    "        self.probs = probs\n"
                 )
             },
         )
@@ -1358,18 +1377,20 @@ class TestSubstrateImmutabilityRule:
     def test_runtime_arrays_are_frozen(self):
         if str(REPO_ROOT / "src") not in sys.path:
             sys.path.insert(0, str(REPO_ROOT / "src"))
-        from repro.core.cost_arrays import CostArrays
         from repro.core.navigation_tree import NavigationTree
+        from repro.core.probabilities import ProbabilityModel
         from repro.hierarchy.concept import ConceptHierarchy
 
         hierarchy = ConceptHierarchy(root_label="root")
         child = hierarchy.add_child(0, "child")
         tree = NavigationTree.build(hierarchy, {child: {1, 2, 3}})
-        arrays = CostArrays(tree, lambda n: 10)
+        probs = ProbabilityModel(tree, lambda n: 10)
         with pytest.raises(ValueError):
-            arrays.explore_mass[0] = 99.0
+            probs.explore_mass[0] = 99.0
         with pytest.raises(ValueError):
-            arrays.packed_results[0, 0] = 1
+            probs.result_counts[0] = 1
+        with pytest.raises(ValueError):
+            probs.log_lt[0] = 1.0
 
 
 class TestInterproceduralCLI:

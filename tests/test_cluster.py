@@ -141,6 +141,18 @@ class TestClusterStageCache:
         assert not path.exists()
         assert store.stats()["errors"] == 1
 
+    def test_entry_naming_a_missing_module_is_a_miss(self, tmp_path):
+        # An entry written by an older build can pickle a class whose
+        # module no longer exists; reading it must miss, not raise.
+        store = ClusterStageCache(tmp_path)
+        store.put("nav_tree", KEY_A, [1, 2, 3])
+        path = store._entry_path("nav_tree", KEY_A)
+        path.write_bytes(b"crepro_removed_module_for_l2_test\nGone\n.")
+        assert store.get("nav_tree", KEY_A) is MISS
+        assert not path.exists()
+        stats = store.stats()
+        assert stats["errors"] == 1 and stats["misses"] == 1
+
     def test_lru_eviction_by_entry_count(self, tmp_path):
         store = ClusterStageCache(tmp_path, max_entries=2)
         store.put("nav_tree", KEY_A, "a")

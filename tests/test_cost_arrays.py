@@ -1,15 +1,16 @@
-"""Property suite: vectorized CostArrays kernels vs the scalar oracle.
+"""Property suite: the §IV cost model's per-node arrays and edge cases.
 
-The scalar :class:`~repro.core.probabilities.ProbabilityModel` is the
-reference implementation of the §IV estimates; the vectorized
-:class:`~repro.core.cost_arrays.CostArrays` kernels must agree with it
-within 1e-9 relative on every component of every tree — including the
-corners that historically break vectorizations: components whose
-distinct-citation count sits *exactly* on the lower or upper threshold,
-members with zero citations, and singleton components.  Aggregate float
-sums may legitimately differ in the last ulps (pairwise vs sequential
-summation — see the ``cost_arrays`` module docstring); the tolerance
-pins how far.
+:class:`~repro.core.probabilities.ProbabilityModel` lays ``|L(n)|``,
+``log LT(n)`` and the EXPLORE mass out as preorder arrays and answers
+every EXPLORE/EXPAND query from them.  The suite pins the arrays to the
+§IV formula elementwise, and the EXPAND decision to its exact branch at
+the corners that historically break cost-model implementations:
+components whose distinct-citation count sits *exactly* on the lower or
+upper threshold, members with zero citations, and singleton components.
+It also covers :func:`~repro.core.heuristic.segment_sums`, the
+segmented reduction the heuristic's supernode EXPLORE sums run on, and
+the bit-identity check the equivalence suites and the cold-path bench
+compare models with.
 """
 
 from __future__ import annotations
@@ -20,18 +21,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cost_arrays import CostArrays, segment_sums
+from repro.core.heuristic import segment_sums
 from repro.core.navigation_tree import NavigationTree
 from repro.core.probabilities import ProbabilityModel
 from repro.hierarchy.concept import ConceptHierarchy
-
-RELATIVE_TOLERANCE = 1e-9
-
-
-def close(batch_value: float, scalar_value: float) -> bool:
-    return abs(batch_value - scalar_value) <= RELATIVE_TOLERANCE * max(
-        1.0, abs(scalar_value)
-    )
+from tests.oracles.cost_identity import models_identical
 
 
 # ---------------------------------------------------------------------------
@@ -39,12 +33,13 @@ def close(batch_value: float, scalar_value: float) -> bool:
 # ---------------------------------------------------------------------------
 @st.composite
 def scenarios(draw, max_nodes: int = 18, max_citations: int = 40):
-    """(tree, probs) over a random hierarchy with random annotations.
+    """(tree, probs, lt) over a random hierarchy with random annotations.
 
     Unannotated nodes are spliced out of the navigation tree per
     Definition 2, but the always-kept root is a natural zero-count
     member whenever it draws no annotations itself.  MEDLINE totals are
-    drawn per scenario so the IDF denominators vary too.
+    drawn per node so the IDF denominators vary too, including the
+    clamped values below 2.
     """
     n = draw(st.integers(2, max_nodes))
     h = ConceptHierarchy(root_label="root")
@@ -58,94 +53,31 @@ def scenarios(draw, max_nodes: int = 18, max_citations: int = 40):
                 st.sets(st.integers(1, max_citations), min_size=1, max_size=10)
             )
     tree = NavigationTree.build(h, annotations)
-    total = draw(st.integers(1, 10_000))
-    probs = ProbabilityModel(tree, lambda _node: total)
-    return tree, probs
-
-
-@st.composite
-def components_of(draw, tree: NavigationTree, max_components: int = 8):
-    """A batch of random connected-ish components (subsets incl. corners).
-
-    Always includes at least one singleton so every batch exercises the
-    ``len(component) <= 1`` branch.  Drawn components may be *empty*
-    (min_size=0) — and can land anywhere in the batch, including last,
-    the position where a clamped segmented reduction would corrupt the
-    preceding component's value (the PR-review regression).
-    """
-    nodes = sorted(tree.iter_dfs())
-    batch: List[List[int]] = [[draw(st.sampled_from(nodes))]]
-    count = draw(st.integers(0, max_components - 1))
-    for _ in range(count):
-        members = draw(
-            st.sets(st.sampled_from(nodes), min_size=0, max_size=len(nodes))
-        )
-        batch.append(sorted(members))
-    return batch
+    totals = draw(st.lists(st.integers(0, 10_000), min_size=n, max_size=n))
+    probs = ProbabilityModel(tree, lambda node: totals[node])
+    return tree, probs, totals
 
 
 # ---------------------------------------------------------------------------
-# Equivalence properties
+# Per-node arrays
 # ---------------------------------------------------------------------------
-class TestBatchScalarEquivalence:
-    @given(st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_explore_matches_scalar(self, data):
-        tree, probs = data.draw(scenarios())
-        batch = data.draw(components_of(tree))
-        values = probs.explore_batch(batch)
-        assert values.shape == (len(batch),)
-        for component, value in zip(batch, values):
-            assert close(value, probs.explore(component))
-
-    @given(st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_expand_matches_scalar(self, data):
-        tree, probs = data.draw(scenarios())
-        batch = data.draw(components_of(tree))
-        values = probs.expand_batch(batch)
-        for component, value in zip(batch, values):
-            root = component[0] if component else tree.root
-            expected = probs.expand(frozenset(component), root)
-            assert close(value, expected)
-
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_distinct_counts_are_exact(self, data):
-        tree, probs = data.draw(scenarios())
-        batch = data.draw(components_of(tree))
-        counts = probs.arrays.distinct_counts(batch)
-        for component, count in zip(batch, counts):
-            assert int(count) == len(tree.distinct_results(component))
-
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_entropy_matches_scalar(self, data):
-        tree, probs = data.draw(scenarios())
-        batch = data.draw(components_of(tree))
-        arrays = probs.arrays
-        flat, offsets, lengths = arrays.flatten(batch)
-        entropy = arrays.normalized_entropy(
-            arrays.result_counts[flat], offsets, lengths
-        )
-        for component, value in zip(batch, entropy):
-            member_counts = [
-                len(tree.results(m)) for m in sorted(component)
-            ]
-            expected = probs._normalized_entropy(member_counts)
-            assert close(value, expected)
-
+class TestPerNodeArrays:
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_per_node_mass_is_bit_identical(self, data):
-        tree, probs = data.draw(scenarios())
-        arrays = probs.arrays
-        for index, node in enumerate(arrays.preorder_ids.tolist()):
-            assert probs.explore_mass(node) == float(arrays.explore_mass[index])
-        singles = [[n] for n in arrays.preorder_ids.tolist()]
-        batch = probs.explore_batch(singles)
-        for node, value in zip(arrays.preorder_ids.tolist(), batch):
-            assert close(value, probs.explore_node(node))
+        tree, probs, totals = data.draw(scenarios())
+        preorder = tree.preorder_array().tolist()
+        counts = [len(tree.results(n)) for n in preorder]
+        # |L(n)| / log(max(2, LT(n))) per node, zero for empty nodes.
+        log_lt = np.log(np.asarray([max(2, totals[n]) for n in preorder], dtype=float))
+        expected = [
+            c / log_lt[i] if c else 0.0 for i, c in enumerate(counts)
+        ]
+        assert probs.explore_mass.tolist() == expected
+        assert probs.result_counts.tolist() == counts
+        for node, mass in zip(preorder, expected):
+            assert probs.node_mass(node) == mass
+            assert probs.explore_node(node) == mass / probs.normalizer
 
 
 class TestThresholdEdges:
@@ -166,50 +98,47 @@ class TestThresholdEdges:
         probs = ProbabilityModel(tree, lambda _n: 1000)
         return tree, probs
 
-    def _assert_agreement(self, probs, component):
-        batch = float(probs.expand_batch([component])[0])
-        scalar = probs.expand(frozenset(component), component[0])
-        assert close(batch, scalar)
-        return batch
+    def _expand(self, probs, component):
+        return probs.expand(frozenset(component), component[0])
 
     def test_distinct_exactly_at_lower_threshold(self):
         # distinct == lower: not "< lower", so the entropy branch runs.
         tree, probs = self._chain_with_counts([5, 5])
         component = sorted(tree.iter_dfs())
         assert len(tree.distinct_results(component)) == probs.lower_threshold
-        value = self._assert_agreement(probs, component)
+        value = self._expand(probs, component)
         assert 0.0 < value <= 1.0
 
     def test_distinct_one_below_lower_threshold(self):
         tree, probs = self._chain_with_counts([5, 4])
         component = sorted(tree.iter_dfs())
         assert len(tree.distinct_results(component)) == probs.lower_threshold - 1
-        assert self._assert_agreement(probs, component) == 0.0
+        assert self._expand(probs, component) == 0.0
 
     def test_distinct_exactly_at_upper_threshold(self):
         # distinct == upper: not "> upper", so the entropy branch runs.
         tree, probs = self._chain_with_counts([25, 25])
         component = sorted(tree.iter_dfs())
         assert len(tree.distinct_results(component)) == probs.upper_threshold
-        value = self._assert_agreement(probs, component)
+        value = self._expand(probs, component)
         assert 0.0 < value <= 1.0
 
     def test_distinct_one_above_upper_threshold(self):
         tree, probs = self._chain_with_counts([26, 25])
         component = sorted(tree.iter_dfs())
         assert len(tree.distinct_results(component)) == probs.upper_threshold + 1
-        assert self._assert_agreement(probs, component) == 1.0
+        assert self._expand(probs, component) == 1.0
 
     def test_singleton_component_is_zero_even_above_threshold(self):
         tree, probs = self._chain_with_counts([60])
         component = [sorted(tree.iter_dfs())[1]]
-        assert self._assert_agreement(probs, component) == 0.0
+        assert self._expand(probs, component) == 0.0
 
     def test_zero_count_member_in_entropy_denominator(self):
         # Empty-result concepts are spliced out (Definition 2), so the
         # root is the one zero-count member a navigation tree can hold.
         # It must contribute nothing to the entropy sum but still widen
-        # the max-entropy denominator (log 3, not log 2) on both paths.
+        # the max-entropy denominator (log 3, not log 2).
         h = ConceptHierarchy(root_label="root")
         a = h.add_child(0, "a")
         b = h.add_child(0, "b")
@@ -217,7 +146,7 @@ class TestThresholdEdges:
         probs = ProbabilityModel(tree, lambda _n: 1000)
         component = [0, a, b]
         assert len(tree.results(0)) == 0
-        value = self._assert_agreement(probs, component)
+        value = self._expand(probs, component)
         assert 0.0 < value < 1.0
 
     def test_zero_count_singleton_root(self):
@@ -225,8 +154,8 @@ class TestThresholdEdges:
         a = h.add_child(0, "a")
         tree = NavigationTree.build(h, {a: {1, 2}})
         probs = ProbabilityModel(tree, lambda _n: 1000)
-        assert self._assert_agreement(probs, [0]) == 0.0
-        assert float(probs.explore_batch([[0]])[0]) == 0.0
+        assert self._expand(probs, [0]) == 0.0
+        assert probs.explore([0]) == 0.0
 
 
 class TestSegmentSums:
@@ -248,9 +177,9 @@ class TestSegmentSums:
         assert out.tolist() == [7.0, 24.0, 0.0]
 
     def test_batch_ending_in_empty_component(self):
-        # Same regression at the kernel level: the empty component must
-        # not truncate the preceding component's sums, distinct counts,
-        # or EXPAND value.
+        # Same regression on the heuristic's supernode sums: a trailing
+        # empty part must not truncate the preceding part's EXPLORE
+        # mass, and an empty component scores zero on both estimates.
         h = ConceptHierarchy(root_label="root")
         a = h.add_child(0, "a")
         b = h.add_child(0, "b")
@@ -260,14 +189,15 @@ class TestSegmentSums:
         )
         probs = ProbabilityModel(tree, lambda _n: 1000)
         full = [a, b, c]
-        batch = [[a], full, []]
-        explore = probs.explore_batch(batch)
-        assert close(float(explore[1]), probs.explore(full))
-        distinct = probs.arrays.distinct_counts(batch)
-        assert distinct.tolist() == [10, 25, 0]
-        expand = probs.expand_batch(batch)
-        assert close(float(expand[1]), probs.expand(frozenset(full), a))
-        assert float(expand[0]) == 0.0 and float(expand[2]) == 0.0
+        flat = probs.explore_mass[tree.positions([a] + full)]
+        sums = segment_sums(flat, np.asarray([0, 1, 4]), np.asarray([1, 3, 0]))
+        assert sums.tolist() == [probs.node_mass(a), sum(probs.masses(full)), 0.0]
+        assert sums[1] / probs.normalizer == probs.explore(full)
+        assert len(tree.distinct_results(full)) == 25
+        assert 0.0 < probs.expand(frozenset(full), a) <= 1.0
+        assert probs.expand(frozenset([a]), a) == 0.0
+        assert probs.explore([]) == 0.0
+        assert probs.expand(frozenset(), a) == 0.0
 
     def test_empty_batch(self):
         out = segment_sums(
@@ -275,38 +205,35 @@ class TestSegmentSums:
         )
         assert out.shape == (0,)
 
-    def test_content_key_is_deterministic(self):
+
+
+class TestModelIdentity:
+    """The bit-identity check the equivalence suites and benches rely on."""
+
+    def test_model_identity_is_deterministic(self):
         h = ConceptHierarchy(root_label="root")
         a = h.add_child(0, "a")
-        tree = NavigationTree.build(h, {a: {1, 2, 3}})
-        first = CostArrays(tree, lambda _n: 100)
-        second = CostArrays(tree, lambda _n: 100)
-        assert first.content_key == second.content_key
-        assert len(first.content_key) == 40
-        different = CostArrays(tree, lambda _n: 100, upper_threshold=51)
-        assert different.content_key != first.content_key
+        b = h.add_child(0, "b")
+        tree = NavigationTree.build(h, {a: {1, 2, 3}, b: {3, 4}})
+        first = ProbabilityModel(tree, lambda _n: 100)
+        assert models_identical(first, ProbabilityModel(tree, lambda _n: 100))
+        assert not models_identical(
+            first, ProbabilityModel(tree, lambda _n: 100, upper_threshold=51)
+        )
+        # One perturbed LT value changes that node's log LT and mass.
+        assert not models_identical(
+            first, ProbabilityModel(tree, lambda n: 101 if n == b else 100)
+        )
 
-    def test_content_key_sees_citation_identity(self):
-        # Same per-node counts, different citation ids → different keys
-        # (distinct-count semantics differ, so the cache must not share).
+    def test_model_identity_sees_citation_identity(self):
+        # Same per-node counts, different citation ids → not identical
+        # (distinct-count semantics differ, so the cuts may too).
         h = ConceptHierarchy(root_label="root")
         a = h.add_child(0, "a")
         b = h.add_child(0, "b")
         overlapping = NavigationTree.build(h, {a: {1, 2}, b: {2, 3}})
         disjoint = NavigationTree.build(h, {a: {1, 2}, b: {3, 4}})
-        assert (
-            CostArrays(overlapping, lambda _n: 100).content_key
-            != CostArrays(disjoint, lambda _n: 100).content_key
+        assert not models_identical(
+            ProbabilityModel(overlapping, lambda _n: 100),
+            ProbabilityModel(disjoint, lambda _n: 100),
         )
-
-    def test_citation_bitmap_is_lazy(self):
-        h = ConceptHierarchy(root_label="root")
-        a = h.add_child(0, "a")
-        b = h.add_child(0, "b")
-        tree = NavigationTree.build(h, {a: {1, 2, 3}, b: {3, 4}})
-        arrays = CostArrays(tree, lambda _n: 100)
-        assert arrays._packed is None  # keying must not force the build
-        arrays.explore([[a, b]])
-        assert arrays._packed is None  # EXPLORE never needs bitmaps
-        assert arrays.distinct_counts([[a, b]]).tolist() == [4]
-        assert arrays._packed is not None

@@ -4,8 +4,8 @@ The vectorized builder (`repro.core.navigation_tree.NavigationTree`)
 must be *observationally identical* to the legacy per-node
 implementation retained as `ReferenceNavigationTree`: same nodes in the
 same preorder, same parent/children maps, same per-node result sets,
-same subtree sizes — and, downstream, bit-identical CostArrays content
-keys, probability masses, and Opt-EdgeCut cuts/costs.  A hypothesis
+same subtree sizes — and, downstream, bit-identical cost-model arrays,
+probability masses, and Opt-EdgeCut cuts/costs.  A hypothesis
 sweep over random hierarchies × sparse annotation maps enforces this,
 plus directed edge cases (empty root, all-empty subtrees, single
 citation, truthy-but-empty annotation iterables) and both store forms
@@ -35,6 +35,7 @@ from repro.substrate import (
     citation_chunks,
     medline_store,
 )
+from tests.oracles.cost_identity import models_identical
 from tests.oracles.navigation_tree_reference import ReferenceNavigationTree
 
 
@@ -103,19 +104,15 @@ def assert_costs_identical(tree: NavigationTree, ref: ReferenceNavigationTree):
     """Downstream cost model + Opt-EdgeCut are bit-identical."""
     probs_new = ProbabilityModel(tree, lambda n: 500)
     probs_ref = ProbabilityModel(ref, lambda n: 500)
-    # CostArrays ingests both trees through their preorder buffers: the
+    # The model ingests both trees through their preorder buffers: the
     # array tree's own, and the oracle's rebuilt from its dicts; equal
-    # content keys mean the two constructions hashed identical bytes.
-    assert probs_new.arrays.content_key == probs_ref.arrays.content_key
-    assert np.array_equal(
-        probs_new.arrays.preorder_ids, probs_ref.arrays.preorder_ids
-    )
-    assert np.array_equal(
-        probs_new.arrays.explore_mass, probs_ref.arrays.explore_mass
-    )
-    assert probs_new.arrays.normalizer == probs_ref.arrays.normalizer
+    # bytes mean the two constructions feed every solve the same inputs.
+    assert models_identical(probs_new, probs_ref)
+    assert np.array_equal(tree.preorder_array(), ref.preorder_array())
+    assert np.array_equal(probs_new.explore_mass, probs_ref.explore_mass)
+    assert probs_new.normalizer == probs_ref.normalizer
     for node in ref.nodes():
-        assert probs_new.explore_mass(node) == probs_ref.explore_mass(node)
+        assert probs_new.node_mass(node) == probs_ref.node_mass(node)
     if len(ref) > MAX_OPT_NODES:
         return
     component = frozenset(ref.nodes())
@@ -345,5 +342,5 @@ class TestFromStoreParity:
         ref = ReferenceNavigationTree.from_store(hierarchy, mmap_store, pmids)
         probs_new = ProbabilityModel(tree, mmap_store.medline_count)
         probs_ref = ProbabilityModel(ref, mmap_store.medline_count)
-        assert probs_new.arrays.content_key == probs_ref.arrays.content_key
-        assert probs_new.arrays.normalizer == probs_ref.arrays.normalizer
+        assert models_identical(probs_new, probs_ref)
+        assert probs_new.normalizer == probs_ref.normalizer

@@ -75,7 +75,7 @@ class TestExploreProbability:
 
     def test_explore_mass_unnormalized(self, tree):
         probs = ProbabilityModel(tree, flat_counts)
-        assert probs.explore_mass(1) == pytest.approx(10 / math.log(1000))
+        assert probs.node_mass(1) == pytest.approx(10 / math.log(1000))
 
 
 class TestExpandProbability:
@@ -153,7 +153,7 @@ class TestThresholdBoundaries:
 class TestIdfAblationFlag:
     def test_without_idf_mass_is_result_count(self, tree):
         probs = ProbabilityModel(tree, flat_counts, use_idf=False)
-        assert probs.explore_mass(2) == pytest.approx(20.0)
+        assert probs.node_mass(2) == pytest.approx(20.0)
 
     def test_idf_changes_relative_weights(self, tree):
         def counts(node):

@@ -28,7 +28,7 @@ class TestRelevance:
         # Any visible node's relevance equals its component mass.
         for node in expanded_active.visible_nodes():
             expected = sum(
-                fragment_probs.explore_mass(m)
+                fragment_probs.node_mass(m)
                 for m in expanded_active.component(node)
             )
             assert relevance_of(expanded_active, fragment_probs, node) == pytest.approx(expected)

@@ -17,8 +17,9 @@ from urllib.parse import urlencode
 import pytest
 
 from repro.bionav import BioNav
+from repro.pipeline.concurrency import SingleFlightCache
 from repro.serving.admission import DeadlineExceeded, RetryLater
-from repro.serving.concurrency import AtomicSolverProfile, SingleFlightCache
+from repro.serving.concurrency import AtomicSolverProfile
 from repro.serving.dispatcher import WorkerPoolDispatcher
 from repro.serving.runtime import ServingRuntime
 from repro.serving.sessions import SessionExpired, SessionRegistry
@@ -418,20 +419,6 @@ class TestWebShedding:
             assert app.runtime.health()["status"] in ("ok", "overloaded")
         finally:
             app.close()
-
-
-class TestStatsAliases:
-    def test_hit_rate_is_deprecated_alias_of_hit_ratio(self, bionav):
-        """``query_cache.hit_rate`` must track canonical ``hit_ratio``
-        exactly until its scheduled removal — dashboards read either."""
-        with ServingRuntime(bionav, workers=2, max_queue=8) as runtime:
-            runtime.search("prothymosin")
-            runtime.search("prothymosin")
-            cache = runtime.stats()["query_cache"]
-            assert "hit_ratio" in cache
-            assert "hit_rate" in cache
-            assert cache["hit_rate"] == cache["hit_ratio"]
-            assert cache["hit_ratio"] > 0.0
 
 
 class TestShedRetryAfterDerivation:

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.corpus.citation import Citation
+from repro.corpus.medline import MedlineDatabase
 from repro.eutils.client import EntrezClient
+from repro.hierarchy.concept import ConceptHierarchy
+from repro.search.engine import SearchEngine
 from repro.search.evaluator import FieldedEngineAdapter, FieldedSearchEngine
 from repro.storage.database import BioNavDatabase
 from repro.storage.harvest import ConceptHarvester
@@ -64,3 +68,52 @@ class TestHarvest:
             n for n in range(len(workload.hierarchy)) if n != workload.hierarchy.root
         ]
         assert len(default_concepts) == len(workload.hierarchy) - 1
+
+
+class TestDefaultClientHarvest:
+    """The harvester's ``"<label>"[mh:noexp]`` terms through a plain
+    :class:`SearchEngine` (the engine ``EntrezClient`` defaults to), given
+    the hierarchy that resolves concept labels."""
+
+    def test_harvest_equals_store_postings_for_every_concept(self):
+        hierarchy = ConceptHierarchy(root_label="root")
+        kinase = hierarchy.add_child(0, "Kinase, Alpha (L1-0001)")
+        ice = hierarchy.add_child(kinase, "Ice nucleation")
+        hierarchy.add_child(0, "Unannotated concept")
+        medline = MedlineDatabase()
+        medline.add(Citation(pmid=1, title="first", index_concepts=(kinase,)))
+        medline.add(Citation(pmid=2, title="second", index_concepts=(kinase, ice)))
+        store = BioNavDatabase.build(hierarchy, medline).store
+        client = EntrezClient(medline, engine=SearchEngine(medline, hierarchy=hierarchy))
+        harvester = ConceptHarvester(hierarchy, client)
+        result = harvester.harvest()
+        assert sorted(result.associations) == list(range(1, len(hierarchy)))
+        for concept, pmids in result.associations.items():
+            assert pmids.tolist() == store.citations_for_concept(concept).tolist()
+        assert result.associations[kinase].tolist() == [1, 2]
+
+    def test_workload_harvest_equals_store_postings(self, small_workload):
+        database = small_workload.database
+        engine = SearchEngine(database.store, database.index, small_workload.hierarchy)
+        client = EntrezClient(small_workload.medline, engine=engine)
+        result = ConceptHarvester(small_workload.hierarchy, client).harvest()
+        store = database.store
+        assert len(result.associations) == len(small_workload.hierarchy) - 1
+        for concept, pmids in result.associations.items():
+            assert pmids.tolist() == store.citations_for_concept(concept).tolist(), concept
+
+    def test_noexp_and_quoted_terms_resolve_to_own_postings(self, small_workload):
+        database = small_workload.database
+        hierarchy = small_workload.hierarchy
+        engine = SearchEngine(database.store, database.index, hierarchy)
+        concept = max(range(1, len(hierarchy)), key=database.store.result_count)
+        expected = engine.search("%d[mh]" % concept).pmids
+        assert expected
+        label = hierarchy.label(concept)
+        for query in (
+            '"%s"[mh:noexp]' % label,
+            "%s[MH:NOEXP]" % label,
+            '"%s"[mh]' % label,
+            "%s[mh:noexp]" % hierarchy.uid(concept),
+        ):
+            assert engine.search(query).pmids == expected, query

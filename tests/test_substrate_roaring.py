@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cost_arrays import POPCOUNT_TABLE
 from repro.substrate.roaring import (
     ARRAY_CONTAINER_MAX,
     BITMAP_CONTAINER_BYTES,
+    POPCOUNT_TABLE,
     RoaringBitmap,
 )
 
@@ -119,7 +119,7 @@ class TestSerialization:
 class TestPackedInterop:
     @given(ordinal_sets)
     @settings(max_examples=40, deadline=None)
-    def test_to_packed_matches_cost_arrays_layout(self, values):
+    def test_to_packed_matches_packbits_layout(self, values):
         universe = (max(values) + 1) if values else 8
         row = from_set(values).to_packed(universe)
         assert row.dtype == np.uint8

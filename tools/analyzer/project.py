@@ -17,7 +17,7 @@ on: every module parsed by the index pass is resolved into
   ``classmethod`` markers, and parameter annotations recorded), plus
   per-class ``self.<attr>`` type inference from ``__init__`` bodies
   (``self.tree = tree`` with an annotated parameter, or
-  ``self.arrays = CostArrays(...)``).
+  ``self.probs = ProbabilityModel(...)``).
 
 The context is built lazily — once per analysis run, on the first
 interprocedural rule that asks — and cached on the
@@ -63,8 +63,8 @@ def module_dotted(rel: str) -> str:
 def annotation_name(annotation: Optional[ast.expr]) -> Optional[str]:
     """The dotted type name an annotation spells, if it spells one.
 
-    ``NavigationTree`` → ``NavigationTree``; ``repro.core.CostArrays`` →
-    ``repro.core.CostArrays``; ``Optional[Foo]``/``"Foo"`` unwrap to
+    ``NavigationTree`` → ``NavigationTree``; ``repro.core.ProbabilityModel`` →
+    ``repro.core.ProbabilityModel``; ``Optional[Foo]``/``"Foo"`` unwrap to
     ``Foo``.  Anything structural (unions, callables) returns None.
     """
     if annotation is None:
@@ -361,7 +361,7 @@ class ProjectContext:
         resolved = self.resolve_name(seen_from, name)
         if isinstance(resolved, ClassSymbol):
             return resolved
-        # Fully qualified annotation ("repro.core.cost_arrays.CostArrays").
+        # Fully qualified annotation ("repro.core.probabilities.ProbabilityModel").
         resolved = self.resolve(name)
         if isinstance(resolved, ClassSymbol):
             return resolved

@@ -1,15 +1,16 @@
 """Substrate-immutability rule: frozen artifacts stay frozen.
 
 Bit-identical solves (BioNav §IV/§V) and sound per-stage caching both
-assume the :class:`~repro.core.cost_arrays.CostArrays` substrate and the
-pipeline's frozen artifacts never change after construction: a cached
+assume the per-node arrays of
+:class:`~repro.core.probabilities.ProbabilityModel` and the pipeline's
+frozen artifacts never change after construction: a cached
 ``NavTreeArtifact`` is shared by every session of a query, so one
-in-place ``arrays.explore_mass += adjustment`` silently corrupts every
+in-place ``probs.explore_mass += adjustment`` silently corrupts every
 other session's solves — and numpy in-place ops bypass the frozen
-dataclass machinery entirely.  PR 6 backs this with a runtime guarantee
-(``writeable=False`` on every substrate array); this rule catches the
-violations statically, including the ones that would only trip at
-runtime in a cold-cache path no test exercises:
+dataclass machinery entirely.  The model backs this with a runtime
+guarantee (``writeable=False`` on every per-node array); this rule
+catches the violations statically, including the ones that would only
+trip at runtime in a cold-cache path no test exercises:
 
 * assignment, augmented assignment, deletion, or subscript-store on a
   known substrate array field (``x.explore_mass = ...``,
@@ -26,9 +27,8 @@ runtime in a cold-cache path no test exercises:
   stores through artifact attributes are *not* flagged:
   ``nav.decisions[k] = v`` is the documented shared decision store.
 
-Exempt: the builders — methods of ``CostArrays`` that construct the
-arrays (``__init__``, ``_build_packed``, ``packed_results``) — and
-``__init__`` methods assigning fresh arrays on ``self``.  Anything else
+Exempt: ``__init__`` methods assigning fresh arrays on ``self`` (the
+model's constructor builds its arrays there).  Anything else
 carries ``# repro: ignore[substrate-immutability]`` with a comment
 explaining why the mutation is safe.
 """
@@ -60,20 +60,14 @@ TREE_FIELDS = frozenset(
     }
 )
 
-#: Every CostArrays field backed by a (frozen) numpy array or scalar,
-#: plus the navigation-tree buffers.
-SUBSTRATE_FIELDS = ARRAY_FIELDS | TREE_FIELDS | {
-    "normalizer",
-    "universe_size",
-    "content_key",
-    "_count_log_count",
-    "_packed",
-}
+#: Every ProbabilityModel field backed by a (frozen) numpy array or
+#: scalar, plus the navigation-tree buffers.
+SUBSTRATE_FIELDS = ARRAY_FIELDS | TREE_FIELDS | {"normalizer"}
 
-#: Frozen pipeline artifact types (plus the substrate itself).
+#: Frozen pipeline artifact types (plus the cost model itself).
 ARTIFACT_TYPES = frozenset(
     {
-        "CostArrays",
+        "ProbabilityModel",
         "HierarchySnapshot",
         "ResultSet",
         "NavTreeArtifact",
@@ -89,10 +83,6 @@ _MUTATING_METHODS = frozenset(
 
 #: numpy module-level in-place writers: np.<name>(target, ...).
 _NUMPY_INPLACE = frozenset({"copyto", "place", "putmask", "put"})
-
-#: CostArrays methods allowed to build/mutate the substrate.
-_BUILDER_METHODS = frozenset({"__init__", "_build_packed", "packed_results"})
-
 
 def _substrate_attr(expr: ast.expr) -> Optional[str]:
     """The substrate field an expression addresses (through subscripts)."""
@@ -148,13 +138,8 @@ class _Walker(ast.NodeVisitor):
     visit_AsyncFunctionDef = _enter_function
 
     def _in_builder(self) -> bool:
-        """Inside a CostArrays builder method (or any ``__init__``)."""
-        if not self.func_stack:
-            return False
-        func = self.func_stack[-1]
-        if self.class_stack and self.class_stack[-1] == "CostArrays":
-            return func in _BUILDER_METHODS
-        return func == "__init__"
+        """Inside an ``__init__`` (where the arrays are built)."""
+        return bool(self.func_stack) and self.func_stack[-1] == "__init__"
 
     def _artifact_type_of(self, name: str) -> Optional[str]:
         for scope in reversed(self.artifact_vars):
@@ -172,7 +157,7 @@ class _Walker(ast.NodeVisitor):
             self._flag(
                 line,
                 "substrate array field '%s' %s outside its builder; "
-                "CostArrays and NavigationTree arrays are immutable after "
+                "ProbabilityModel and NavigationTree arrays are immutable after "
                 "construction" % (field, verb),
             )
             return
@@ -251,13 +236,13 @@ class _Walker(ast.NodeVisitor):
 
 @register
 class SubstrateImmutabilityRule(Rule):
-    """Frozen artifact / CostArrays mutation outside construction."""
+    """Frozen artifact / cost-model array mutation outside construction."""
 
     id = "substrate-immutability"
     severity = "error"
     lint_level = False
     interprocedural = True
-    description = "frozen artifact or CostArrays field mutated after build"
+    description = "frozen artifact or ProbabilityModel field mutated after build"
 
     def check(self, module: ModuleInfo, index: ProjectIndex) -> List[Finding]:
         if module.tree is None:

@@ -1,11 +1,12 @@
 """Vectorize rule: per-element Python loops over cost-model array fields.
 
-The :mod:`repro.core.cost_arrays` substrate exists so that hot-path
-aggregation over per-concept quantities runs as numpy kernels, not
-Python loops.  A ``for`` loop (or comprehension) marching element by
-element over one of the substrate's array fields silently reintroduces
-the scalar bottleneck the arrays were built to remove — usually without
-failing any test, since the values stay correct.
+:class:`~repro.core.probabilities.ProbabilityModel` lays the §IV cost
+model out as per-node arrays so that hot-path aggregation over
+per-concept quantities runs as numpy gathers and reductions, not Python
+loops.  A ``for`` loop (or comprehension) marching element by element
+over one of those array fields silently reintroduces the scalar
+bottleneck the arrays were built to remove — usually without failing
+any test, since the values stay correct.
 
 Scope: modules under ``core`` directories (the solver layer) plus the
 cold-query path — ``substrate/store.py`` and ``core/navigation_tree.py``
@@ -26,16 +27,12 @@ from tools.analyzer.core import Finding, ModuleInfo, ProjectIndex, Rule, registe
 
 __all__ = ["VectorizeRule"]
 
-#: Attribute names of the CostArrays substrate whose element-wise
+#: ProbabilityModel's per-node array fields, whose element-wise
 #: traversal is the anti-pattern this rule exists to catch.
 ARRAY_FIELDS = {
     "result_counts",
     "explore_mass",
     "log_lt",
-    "preorder_ids",
-    "packed_results",
-    "subtree_begin",
-    "subtree_size",
 }
 
 #: Cold-path array columns: the mmap store's citation/concept/bitmap
@@ -112,7 +109,7 @@ class _LoopVisitor(ast.NodeVisitor):
                 self.module,
                 node.lineno,
                 "per-element Python %s over array field '%s'; use a "
-                "vectorized CostArrays kernel (or mark a deliberate "
+                "vectorized numpy gather/reduction (or mark a deliberate "
                 "sequential order with # repro: ignore[vectorize])"
                 % (context, field),
             )
@@ -151,7 +148,7 @@ class VectorizeRule(Rule):
     id = "vectorize"
     severity = "warning"
     lint_level = False
-    description = "Python loop over a CostArrays field defeats vectorization"
+    description = "Python loop over a cost-model array field defeats vectorization"
 
     def applies_to(self, module: ModuleInfo) -> bool:
         if "core" in module.parts:

@@ -101,7 +101,7 @@ Extends the per-query rows and solver summary with serving counters:
   (`build_seconds_total`, `build_ms_avg`, `build_ms_max`).
 - `query_cache` — the `nav_tree` stage's counters rendered on the
   historical surface: `size`, `capacity`, `hits`, `misses`,
-  `evictions`, `hit_ratio` (same value as the legacy `hit_rate` key),
+  `evictions`, `hit_ratio`,
   and `single_flight_coalesced`: requests that waited on another
   thread's in-progress tree build instead of duplicating it.
 - `sessions` — `active`, `capacity`, `created`, `evicted`, and

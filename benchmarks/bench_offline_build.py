@@ -18,7 +18,7 @@ from repro.corpus.generator import CorpusGenerator, TopicSpec
 from repro.corpus.medline import MedlineDatabase
 from repro.eutils.client import EntrezClient
 from repro.hierarchy.generator import generate_hierarchy
-from repro.search.evaluator import FieldedEngineAdapter, FieldedSearchEngine
+from repro.search.engine import SearchEngine
 from repro.storage.database import BioNavDatabase
 from repro.storage.harvest import ConceptHarvester
 from repro.substrate import MmapStore, SubstrateBuilder, citation_chunks
@@ -86,16 +86,14 @@ def test_bench_database_save_load(benchmark, offline_inputs, tmp_path):
 
 def test_bench_harvest_slice(benchmark, offline_inputs):
     hierarchy, medline = offline_inputs
-    fielded = FieldedSearchEngine(medline, hierarchy)
-    harvester = ConceptHarvester(
-        hierarchy, EntrezClient(medline, engine=FieldedEngineAdapter(fielded))
-    )
+    direct = BioNavDatabase.build(hierarchy, medline)
+    engine = SearchEngine(direct.store, direct.index)
+    harvester = ConceptHarvester(hierarchy, EntrezClient(medline, engine))
     concepts = list(range(1, 80))
 
     result = benchmark.pedantic(
         harvester.harvest, kwargs={"concepts": concepts}, rounds=2, iterations=1
     )
-    direct = BioNavDatabase.build(hierarchy, medline)
     for concept in concepts:
         assert result.associations[concept].tolist() == (
             direct.store.citations_for_concept(concept).tolist()

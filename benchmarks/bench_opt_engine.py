@@ -3,7 +3,7 @@
 The bitmask engine (`repro.core.opt_edgecut.OptEdgeCut`) must be a pure
 perf win: identical `BestCut` output (same cut edges, same expected cost,
 bit for bit) at a fraction of the runtime.  This bench pits it against
-`repro.core.opt_edgecut_reference.ReferenceOptEdgeCut` on seeded random
+`tests.oracles.opt_edgecut_reference.ReferenceOptEdgeCut` on seeded random
 navigation-tree components at 8, 10 and 12 nodes (realistic citation-set
 sizes, real EXPLORE mass), asserts exact agreement at every size, and
 gates the speedup (≥3× on the full 12-node solve — the size class
@@ -21,9 +21,9 @@ from pathlib import Path
 from repro.core.cost_model import CostParams
 from repro.core.navigation_tree import NavigationTree
 from repro.core.opt_edgecut import CutTree, OptEdgeCut
-from repro.core.opt_edgecut_reference import ReferenceOptEdgeCut
 from repro.core.probabilities import ProbabilityModel
 from repro.hierarchy.concept import ConceptHierarchy
+from tests.oracles.opt_edgecut_reference import ReferenceOptEdgeCut
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_opt_engine.json"
 

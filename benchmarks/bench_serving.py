@@ -139,10 +139,8 @@ def run_load(
             "sessions_opened": len(sessions),
             "sessions_lost": len(lost),
             "shed": snapshot["serving"]["shed"]["total"],
-            "cache_hit_ratio": snapshot["query_cache"]["hit_ratio"],
-            "single_flight_coalesced": snapshot["query_cache"][
-                "single_flight_coalesced"
-            ],
+            "cache_hit_ratio": snapshot["pipeline"]["nav_tree"]["hit_ratio"],
+            "single_flight_coalesced": snapshot["pipeline"]["nav_tree"]["coalesced"],
         }
     finally:
         runtime.close()

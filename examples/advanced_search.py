@@ -1,13 +1,15 @@
-"""Advanced search: the PubMed-style query language over the corpus.
+"""Advanced search: free text and ``[mh]`` concept terms over the corpus.
 
 Run with::
 
     python examples/advanced_search.py
 
-Demonstrates the fielded boolean query language — phrases, ``[ti]``/``[ab]``
-text fields, and ``[mh]`` MeSH-concept queries with subtree explosion —
-and then feeds a fielded result set into a BioNav navigation, showing that
-the navigation machinery is agnostic to how the result set was produced.
+Demonstrates the query surface of the one search engine — conjunctive
+free text with TF-IDF ranking, intersected with ``[mh]`` MeSH-concept
+terms given as a label (bare or quoted), a concept uid or a node id —
+then the §IX refinement suggestions, and finally feeds a mixed
+text-and-concept result set into a BioNav navigation, showing that the
+navigation machinery is agnostic to how the result set was produced.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from repro.core.heuristic import HeuristicReducedOpt
 from repro.core.navigation_tree import NavigationTree
 from repro.core.probabilities import ProbabilityModel
 from repro.core.session import NavigationSession
-from repro.search.evaluator import FieldedSearchEngine
+from repro.search.engine import SearchEngine
+from repro.search.suggest import suggest_concepts, suggest_terms
 from repro.viz.render import render_active_tree
 from repro.workload.builder import build_workload
 
@@ -24,26 +27,28 @@ from repro.workload.builder import build_workload
 def main() -> None:
     print("Materializing the workload...")
     workload = build_workload(hierarchy_size=1500)
-    engine = FieldedSearchEngine(workload.medline, workload.hierarchy)
+    database = workload.database
+    engine = SearchEngine(database.store, database.index)
+    target = workload.built_query("LbetaT2").target_node
+    uid = workload.hierarchy.uid(target)
 
     queries = [
         "prothymosin",
-        "prothymosin[ti]",
-        "prothymosin AND expression",
-        "prothymosin OR vardenafil",
-        "prothymosin NOT expression",
+        "prothymosin expression",
         '"Mice, Transgenic"[mh]',
-        '(prothymosin OR vardenafil) AND "Mice, Transgenic"[mh]',
+        "Mice, Transgenic[mh]",
+        "%s[mh:noexp]" % uid,
+        "%d[mh]" % target,
+        "LbetaT2 Mice, Transgenic[mh]",
+        '"Mice, Transgenic"[mh] LbetaT2',
     ]
-    print("\nQuery language demonstration:\n")
+    print("\nQuery surface demonstration:\n")
     for query in queries:
-        matches = engine.search(query)
-        print("  %-55s -> %4d citations" % (query, len(matches)))
+        result = engine.search(query)
+        print("  %-55s -> %4d citations" % (query, result.count))
 
     print("\nQuery refinement suggestions (the §IX PubReMiner/XplorMed features):")
-    from repro.search.suggest import suggest_concepts, suggest_terms
-
-    pmids = sorted(engine.search("prothymosin"))
+    pmids = list(engine.search("prothymosin").pmids)
     print("  Top associated MeSH concepts:")
     for s in suggest_concepts(workload.medline, workload.hierarchy, pmids, top_k=5):
         print("    %-40s %4d (%.0f%%)" % (s.label[:40], s.count, 100 * s.fraction))
@@ -54,11 +59,11 @@ def main() -> None:
             % (s.term, s.result_count, len(pmids), s.score)
         )
 
-    print("\nNavigating a fielded result set with BioNav:")
-    query = '(prothymosin OR vardenafil) AND expression'
-    pmids = sorted(engine.search(query))
+    print("\nNavigating a text-and-concept result set with BioNav:")
+    query = 'LbetaT2 "Mice, Transgenic"[mh]'
+    pmids = sorted(engine.search(query).pmids)
     print("  %r -> %d citations" % (query, len(pmids)))
-    store = workload.database.store
+    store = database.store
     tree = NavigationTree.from_store(workload.hierarchy, store, pmids)
     probs = ProbabilityModel(tree, store)
     session = NavigationSession(tree, HeuristicReducedOpt(tree, probs))

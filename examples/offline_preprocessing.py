@@ -8,12 +8,14 @@ Demonstrates the pipeline the paper ran against live PubMed over ~20 days,
 at simulation scale and in seconds:
 
   1. load the concept hierarchy;
-  2. harvest (concept, citationId) association tuples from MEDLINE —
-     including the eutils rate limit that dominated the paper's harvest;
+  2. materialize the MEDLINE snapshot;
   3. build the corpus substrate: the association table in both
-     directions (concept → citations, citation → concepts) and the
-     per-concept MEDLINE-wide counts (the LT(n) statistics);
-  4. persist it as a substrate directory and reopen it memory-mapped.
+     directions (concept → citations, citation → concepts), the
+     per-concept MEDLINE-wide counts (the LT(n) statistics) and the
+     keyword index;
+  4. harvest through eutils — including the rate limit that dominated
+     the paper's harvest;
+  5. persist it as a substrate directory and reopen it memory-mapped.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.corpus.medline import MedlineDatabase
 from repro.eutils.client import EntrezClient
 from repro.eutils.errors import RateLimitExceeded
 from repro.hierarchy.generator import generate_hierarchy
+from repro.search.engine import SearchEngine
 from repro.storage.database import BioNavDatabase
 from repro.substrate import MmapStore, SubstrateBuilder, citation_chunks
 
@@ -48,19 +51,7 @@ def main() -> None:
     medline.add_all(generator.generate_background(80))
     print("   %d citations materialized (real MEDLINE: ~18M)" % len(medline))
 
-    print("\n3. Rate-limited harvest (why the paper's took ~20 days)")
-    limited = EntrezClient(medline, rate_limit=3)
-    served = 0
-    try:
-        while True:
-            limited.esearch("prothymosin", retmax=5)
-            served += 1
-    except RateLimitExceeded as exc:
-        print("   after %d requests: %s" % (served, exc))
-    limited.reset_quota()
-    print("   quota window reset; harvesting resumes")
-
-    print("\n4. Off-line build (associations both ways + LT counts + index)")
+    print("\n3. Off-line build (associations both ways + LT counts + index)")
     database = BioNavDatabase.build(hierarchy, medline)
     store = database.store
     print("   association pairs:          %d" % int(store.manifest["pairs"]))
@@ -70,6 +61,19 @@ def main() -> None:
     sample_pmid = medline.pmids()[0]
     print("   e.g. citation %d → %d concepts" % (
         sample_pmid, len(store.concepts_of(sample_pmid))))
+
+    print("\n4. Rate-limited harvest (why the paper's took ~20 days)")
+    engine = SearchEngine(database.store, database.index)
+    limited = EntrezClient(medline, engine, rate_limit=3)
+    served = 0
+    try:
+        while True:
+            limited.esearch("prothymosin", retmax=5)
+            served += 1
+    except RateLimitExceeded as exc:
+        print("   after %d requests: %s" % (served, exc))
+    limited.reset_quota()
+    print("   quota window reset; harvesting resumes")
 
     print("\n5. Persist as a substrate directory and reopen it")
     with tempfile.TemporaryDirectory() as tmp:

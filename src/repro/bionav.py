@@ -97,8 +97,8 @@ class BioNav:
         ESummary/EFetch text comes from ``medline``.
         """
         database = BioNavDatabase.build(hierarchy, medline)
-        engine = SearchEngine(database.store, index=database.index, hierarchy=hierarchy)
-        entrez = EntrezClient(medline, engine=engine)
+        engine = SearchEngine(database.store, database.index)
+        entrez = EntrezClient(medline, engine)
         return cls(database, entrez, max_reduced_nodes=max_reduced_nodes, params=params)
 
     @classmethod
@@ -122,8 +122,8 @@ class BioNav:
                 build manifest.
         """
         database = BioNavDatabase.from_store(store, hierarchy=hierarchy)
-        engine = SearchEngine.from_store(store, hierarchy=database.hierarchy)
-        entrez = EntrezClient(store, engine=engine)
+        engine = SearchEngine(store, hierarchy=database.hierarchy)
+        entrez = EntrezClient(store, engine)
         return cls(database, entrez, max_reduced_nodes=max_reduced_nodes, params=params)
 
     # ------------------------------------------------------------------

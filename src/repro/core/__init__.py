@@ -11,7 +11,7 @@ from repro.core.duplication import (
     tree_duplication,
 )
 from repro.core.evaluation import expected_strategy_cost
-from repro.core.exact import OptEdgeCutStrategy, ReferenceOptEdgeCutStrategy
+from repro.core.exact import OptEdgeCutStrategy
 from repro.core.explain import CutAlternative, ExpansionExplanation, explain_expansion
 from repro.core.gopubmed import GoPubMedNavigation
 from repro.core.heuristic import HeuristicReducedOpt
@@ -51,7 +51,6 @@ __all__ = [
     "OptEdgeCut",
     "OptEdgeCutStrategy",
     "ProbabilityModel",
-    "ReferenceOptEdgeCutStrategy",
     "SessionLog",
     "SolverCapabilities",
     "StaticNavigation",

@@ -1,17 +1,16 @@
 """Opt-EdgeCut lifted into the :class:`ExpansionStrategy` protocol.
 
-The optimal solvers (the bitmask engine and the retained exhaustive
-reference) operate on :class:`~repro.core.opt_edgecut.CutTree` index
-trees, not on navigation-tree components, so they cannot drive a
-:class:`~repro.core.session.NavigationSession` directly.  These wrappers
-close that gap: each EXPAND lifts the component into a ``CutTree``,
+The bitmask engine operates on :class:`~repro.core.opt_edgecut.CutTree`
+index trees, not on navigation-tree components, so it cannot drive a
+:class:`~repro.core.session.NavigationSession` directly.  This wrapper
+closes that gap: each EXPAND lifts the component into a ``CutTree``,
 solves it exactly, and maps the winning cut back through the payload —
 exactly the plumbing :class:`~repro.core.heuristic.HeuristicReducedOpt`
 performs for components small enough to skip the reduction.
 
-Both wrappers refuse components above ``MAX_OPT_NODES`` (Opt-EdgeCut is
-exponential); the solver registry advertises that cap through their
-capability records so callers can fall back to the heuristic instead of
+The wrapper refuses components above ``MAX_OPT_NODES`` (Opt-EdgeCut is
+exponential); the solver registry advertises that cap through its
+capability record so callers can fall back to the heuristic instead of
 tripping the engine's guard.
 """
 
@@ -23,11 +22,10 @@ from repro.core.active_tree import ActiveTree
 from repro.core.cost_model import CostParams
 from repro.core.navigation_tree import NavigationTree
 from repro.core.opt_edgecut import MAX_OPT_NODES, CutTree, OptEdgeCut
-from repro.core.opt_edgecut_reference import ReferenceOptEdgeCut
 from repro.core.probabilities import ProbabilityModel
 from repro.core.strategy import CutDecision, ExpansionStrategy, SolverCapabilities
 
-__all__ = ["OptEdgeCutStrategy", "ReferenceOptEdgeCutStrategy"]
+__all__ = ["OptEdgeCutStrategy"]
 
 Edge = Tuple[int, int]
 
@@ -45,10 +43,6 @@ class OptEdgeCutStrategy(ExpansionStrategy):
         cost_bound=None,
         description="bitmask Opt-EdgeCut on every component (exponential; size-capped)",
     )
-
-    #: Engine class the wrapper instantiates per solve; the reference
-    #: subclass swaps in the exhaustive oracle.
-    engine = OptEdgeCut
 
     def __init__(
         self,
@@ -74,7 +68,7 @@ class OptEdgeCutStrategy(ExpansionStrategy):
         if len(component) <= 1:
             return CutDecision(cut=(), reduced_size=len(component))
         cut_tree = CutTree.from_component(self.tree, self.probs, component, root)
-        solved = self.engine(cut_tree, self.probs, self.params).solve()
+        solved = OptEdgeCut(cut_tree, self.probs, self.params).solve()
         cut: Tuple[Edge, ...] = tuple(
             (cut_tree.payload[p], cut_tree.payload[c]) for p, c in solved.cut
         )
@@ -83,25 +77,3 @@ class OptEdgeCutStrategy(ExpansionStrategy):
             reduced_size=len(cut_tree),
             expected_cost=solved.expected_cost,
         )
-
-
-class ReferenceOptEdgeCutStrategy(OptEdgeCutStrategy):
-    """The exhaustive reference engine behind the same strategy surface.
-
-    Exists so the registry's cross-solver equivalence suite can compare
-    every optimal-capable solver against the oracle through one
-    interface; never use it on a hot path.
-    """
-
-    name = "opt-edgecut-reference"
-    capabilities = SolverCapabilities(
-        name="opt_edgecut_reference",
-        optimal=True,
-        exact_below=MAX_OPT_NODES,
-        max_nodes=MAX_OPT_NODES,
-        estimates_cost=True,
-        cost_bound=None,
-        description="exhaustive reference Opt-EdgeCut (test oracle; slow)",
-    )
-
-    engine = ReferenceOptEdgeCut

@@ -35,7 +35,7 @@ dense node indices instead of a ``FrozenSet[int]``:
   beat the best expansion term found so far.
 
 The engine is observationally identical to the retained legacy
-implementation (:mod:`repro.core.opt_edgecut_reference`): it enumerates
+implementation (the exhaustive reference in ``tests/oracles``): it enumerates
 cuts in the same order, accumulates cost terms in the same floating-point
 order, and breaks ties identically, so both return bit-identical
 :class:`BestCut` values — a property test enforces this on randomized

@@ -1,17 +1,17 @@
-"""Simulated Entrez Programming Utilities (ESearch/ESummary/EFetch)."""
+"""Simulated Entrez Programming Utilities (ESearch/ESummary/EFetch/ELink).
+
+:class:`EntrezClient` wraps the one :class:`~repro.search.engine.SearchEngine`
+with eutils' paging and request-quota conventions.
+"""
 
 from repro.eutils.client import EntrezClient, ESearchResult
 from repro.eutils.errors import BadRequestError, EutilsError, RateLimitExceeded, UnknownIdError
-from repro.eutils.history import HistoryEntrezClient, HistoryKey, HistoryServer
 
 __all__ = [
     "BadRequestError",
     "ESearchResult",
     "EntrezClient",
     "EutilsError",
-    "HistoryEntrezClient",
-    "HistoryKey",
-    "HistoryServer",
     "RateLimitExceeded",
     "UnknownIdError",
 ]

@@ -6,7 +6,9 @@ fetches display summaries for SHOWRESULTS, EFetch retrieves full records.
 This module reproduces that surface over the local simulated corpus so the
 whole online pipeline exercises the same code path shapes, including
 ``retstart``/``retmax`` paging and the request-rate quota that constrained
-the paper's 20-day harvest.
+the paper's 20-day harvest.  ESearch delegates to the one
+:class:`~repro.search.engine.SearchEngine` the caller built over the
+corpus store; the client never builds an engine of its own.
 """
 
 from __future__ import annotations
@@ -42,23 +44,22 @@ class EntrezClient:
     def __init__(
         self,
         medline: MedlineDatabase,
-        engine: Optional[SearchEngine] = None,
+        engine: SearchEngine,
         rate_limit: Optional[int] = None,
     ):
         """
         Args:
             medline: the simulated MEDLINE database, or a
                 :class:`~repro.substrate.store.MmapStore` (the client only
-                needs ``get``/``__contains__``/``iter_citations``); pass
-                an ``engine`` explicitly for a store, which carries no
-                text index.
-            engine: keyword search engine; built from ``medline`` if omitted.
+                needs ``get``/``__contains__``/``iter_citations``).
+            engine: the keyword search engine ESearch runs, usually
+                ``SearchEngine(database.store, database.index)``.
             rate_limit: optional maximum number of requests this client will
                 serve before raising :class:`RateLimitExceeded`; ``None``
                 disables the quota.  Call :meth:`reset_quota` to refill.
         """
         self._medline = medline
-        self._engine = engine or SearchEngine.from_medline(medline)
+        self._engine = engine
         self._rate_limit = rate_limit
         self._requests_served = 0
         self._total_requests = 0

@@ -168,16 +168,6 @@ class StageCache:
             ledger.build_seconds += seconds
             ledger.build_seconds_max = max(ledger.build_seconds_max, seconds)
 
-    def stage_cache(self, stage: str) -> SingleFlightCache:
-        """The stage's underlying single-flight cache (created on demand).
-
-        Exposed so the serving layer can keep its historical
-        ``runtime.queries`` counter surface pointed at the
-        navigation-tree stage; everything else should read
-        :meth:`snapshot` instead.
-        """
-        return self._cache_for(stage)
-
     def items(self, stage: str) -> List[Tuple[str, object]]:
         """Snapshot of one stage's (key, value) entries, LRU first.
 

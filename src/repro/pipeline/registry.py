@@ -1,8 +1,8 @@
 """The unified solver registry.
 
 Every expansion strategy the reproduction ships — Heuristic-ReducedOpt,
-the static and GoPubMed-style baselines, paged static, and the two exact
-Opt-EdgeCut engines — is selected here *by name*, with its
+the static and GoPubMed-style baselines, paged static, and the exact
+Opt-EdgeCut engine — is selected here *by name*, with its
 :class:`~repro.core.strategy.SolverCapabilities` record attached.  Call
 sites (the BioNav facade, the CLI, the serving runtime, the workload
 harness, benchmarks) never import solver modules; they ask the registry.
@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.cost_model import CostParams
-from repro.core.exact import OptEdgeCutStrategy, ReferenceOptEdgeCutStrategy
+from repro.core.exact import OptEdgeCutStrategy
 from repro.core.gopubmed import GoPubMedNavigation
 from repro.core.heuristic import HeuristicReducedOpt
 from repro.core.navigation_tree import NavigationTree
@@ -198,20 +198,11 @@ def _make_opt(
     return OptEdgeCutStrategy(tree, probs, params=params)
 
 
-def _make_opt_reference(
-    tree: NavigationTree,
-    probs: ProbabilityModel,
-    params: Optional[CostParams] = None,
-    **options: object,
-) -> ExpansionStrategy:
-    return ReferenceOptEdgeCutStrategy(tree, probs, params=params)
-
-
 _DEFAULT: Optional[SolverRegistry] = None
 
 
 def default_registry() -> SolverRegistry:
-    """The process-wide registry holding the paper's six solvers.
+    """The process-wide registry holding the paper's five solvers.
 
     Built once on first use; callers wanting an isolated registry (tests
     registering experimental solvers) construct their own
@@ -234,11 +225,6 @@ def default_registry() -> SolverRegistry:
         )
         registry.register(
             _make_opt, OptEdgeCutStrategy.capabilities, aliases=("opt", "opt-edgecut")
-        )
-        registry.register(
-            _make_opt_reference,
-            ReferenceOptEdgeCutStrategy.capabilities,
-            aliases=("opt-edgecut-reference",),
         )
         _DEFAULT = registry
     return _DEFAULT

@@ -1,17 +1,11 @@
-"""Keyword query engine: conjunctive search, TF-IDF ranking, and the
-PubMed-style query language with field tags and phrases."""
+"""Keyword query engine: one :class:`SearchEngine` over the corpus store.
+
+Conjunctive free-text search with TF-IDF ranking, intersected with
+``[mh]`` concept terms answered from the store's own postings; plus the
+§IX-style refinement suggestions over a result set.
+"""
 
 from repro.search.engine import QueryResult, SearchEngine
-from repro.search.evaluator import FieldedEngineAdapter, FieldedSearchEngine
-from repro.search.query_language import (
-    And,
-    Not,
-    Or,
-    QuerySyntaxError,
-    Term,
-    format_query,
-    parse_query,
-)
 from repro.search.ranking import rank_results, tf_idf_score
 from repro.search.suggest import (
     ConceptSuggestion,
@@ -21,19 +15,10 @@ from repro.search.suggest import (
 )
 
 __all__ = [
-    "And",
     "ConceptSuggestion",
-    "FieldedEngineAdapter",
-    "FieldedSearchEngine",
-    "Not",
-    "Or",
     "QueryResult",
-    "QuerySyntaxError",
     "SearchEngine",
     "TermSuggestion",
-    "Term",
-    "format_query",
-    "parse_query",
     "rank_results",
     "suggest_concepts",
     "suggest_terms",

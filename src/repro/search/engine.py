@@ -1,26 +1,28 @@
-"""Keyword query engine over the simulated MEDLINE corpus.
+"""Keyword query engine over the corpus store.
 
 This is the server-side piece PubMed provides in the paper's architecture:
 given a query it returns the matching citation IDs, ranked.  The simulated
 eutils client (``repro.eutils.client``) wraps this engine with the ESearch
-wire-level conventions (retstart/retmax paging, counts).
+wire-level conventions (retstart/retmax paging, counts).  It is the one
+query path: every query string, from the web edge to the §VII harvest,
+becomes a PMID list here.
 
-Two query surfaces coexist, as in real PubMed:
+A query mixes two kinds of term, and the result is their intersection:
 
 * **free-text terms** — conjunctive retrieval over the inverted keyword
   index with TF-IDF ranking (toy-scale corpora only; the index is an
   in-memory structure);
-* **field-tagged concept terms** — ``term[mh]`` (or ``term[mh:noexp]``)
-  restricts to citations associated with the MeSH concept ``term`` (a
-  node id, a concept uid like ``D000123``, or a label — bare or
-  double-quoted — when a hierarchy is attached).  These
-  resolve through the :class:`~repro.substrate.store.MmapStore`
-  boolean-AND path, answered with compressed bitmap intersections —
-  the query shape the substrate bench gates at 1M citations.
+* **concept terms** — ``term[mh]`` (or ``term[mh:noexp]``) restricts to
+  the citations annotated with the MeSH concept ``term``: its own
+  postings, with no subtree explosion, for both tags.  The term is a
+  node id, a concept uid like ``D000123``, or a label, bare or
+  double-quoted.  Concept terms resolve through the
+  :class:`~repro.substrate.store.MmapStore` boolean-AND path, answered
+  with compressed bitmap intersections — the query shape the substrate
+  bench gates at 1M citations.
 
-A query may mix both; the result is the intersection, ranked by the
-text score when text terms are present and in ascending-PMID order for
-pure concept queries.
+Results are ranked by the text score when text terms are present and in
+ascending-PMID order for pure concept queries.
 """
 
 from __future__ import annotations
@@ -29,22 +31,21 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.corpus.medline import MedlineDatabase
 from repro.hierarchy.concept import ConceptHierarchy
 from repro.search.ranking import rank_results
 from repro.storage import InvertedIndex
-from repro.substrate.builder import medline_store
 from repro.substrate.store import MmapStore
 
 __all__ = ["QueryResult", "SearchEngine"]
 
 #: ``term[mh]`` / ``term[mh:noexp]`` — PubMed's MeSH field tags,
-#: case-insensitive.  The term is a double-quoted phrase or everything
-#: up to the tag, so labels with spaces work either way:
-#: ``"Kinase, Alpha (L1-0001)"[mh:noexp]``, ``Kinase, Alpha
-#: (L1-0001)[mh]``.  Both tags resolve to the concept's own postings
-#: (the substrate stores no subtree explosion).
+#: case-insensitive.  The term is a double-quoted phrase or the run of
+#: text before the tag; of a bare run, the longest whitespace-separated
+#: suffix that names a concept is the term and the rest is free text, so
+#: ``prothymosin Kinase, Alpha (L1-0001)[mh]`` is the text ``prothymosin``
+#: AND that concept.
 _MH_RE = re.compile(r'\s*("[^"]*"|[^\[\]"]+?)\s*\[mh(?::noexp)?\]', re.IGNORECASE)
+_WORD_RE = re.compile(r"\S+")
 
 
 @dataclass(frozen=True)
@@ -69,50 +70,24 @@ class SearchEngine:
     """Conjunctive retrieval: TF-IDF-ranked text plus ``[mh]`` concepts.
 
     Args:
-        store: the corpus :class:`MmapStore`, or a bare
-            :class:`MedlineDatabase`, built into an in-memory store over
-            the concept ids it uses (max concept id + 1, and at least
-            every node of ``hierarchy``).
+        store: the corpus :class:`MmapStore`.
         index: inverted keyword index for free-text terms; when absent,
             free-text terms raise :class:`ValueError` (a pre-built
             substrate carries no text index — concept queries only).
-        hierarchy: resolves uid/label concept terms; node-id terms work
-            without it.
+        hierarchy: resolves uid/label concept terms; defaults to the
+            store's build-time hierarchy.  Node-id terms work without one.
     """
 
     def __init__(
         self,
-        store: "MmapStore | MedlineDatabase",
+        store: MmapStore,
         index: Optional[InvertedIndex] = None,
         hierarchy: Optional[ConceptHierarchy] = None,
     ):
-        if isinstance(store, MedlineDatabase):
-            concepts = max(
-                (max(c.concepts) for c in store.iter_citations() if c.concepts),
-                default=-1,
-            )
-            if hierarchy is not None:
-                concepts = max(concepts, len(hierarchy) - 1)
-            store = medline_store(store, concepts + 1)
         self._store = store
         self._index = index
         self._hierarchy = hierarchy if hierarchy is not None else store.hierarchy()
         self._years: Optional[Dict[int, int]] = None
-
-    @classmethod
-    def from_medline(cls, medline: MedlineDatabase) -> "SearchEngine":
-        """Build the text index from scratch over a toy corpus."""
-        index = InvertedIndex()
-        for citation in medline.iter_citations():
-            index.add_document(citation.pmid, citation.searchable_text())
-        return cls(medline, index)
-
-    @classmethod
-    def from_store(
-        cls, store: MmapStore, hierarchy: Optional[ConceptHierarchy] = None
-    ) -> "SearchEngine":
-        """Concept-query engine over a built store (no text index)."""
-        return cls(store, index=None, hierarchy=hierarchy)
 
     @property
     def store(self) -> MmapStore:
@@ -154,12 +129,33 @@ class SearchEngine:
     def _parse(self, query: str) -> Tuple[Optional[List[int]], str]:
         """Split a query into resolved ``[mh]`` concept ids + text rest."""
         concepts: List[int] = []
-        seen = False
+        text: List[str] = []
+        end = 0
         for match in _MH_RE.finditer(query):
-            seen = True
-            concepts.append(self._resolve_concept(match.group(1).strip('"').strip()))
-        text = _MH_RE.sub(" ", query)
-        return (concepts if seen else None), text
+            text.append(query[end : match.start()])
+            end = match.end()
+            term = match.group(1)
+            if term.startswith('"'):
+                concepts.append(self._resolve_concept(term.strip('"').strip()))
+                continue
+            prefix, concept = self._split_term(term)
+            text.append(prefix)
+            concepts.append(concept)
+        text.append(query[end:])
+        return (concepts or None), " ".join(text)
+
+    def _split_term(self, term: str) -> Tuple[str, int]:
+        """(free text, concept) of a bare ``[mh]`` run.
+
+        The concept is the longest whitespace-separated suffix that
+        resolves; when none does, the whole run's error is raised.
+        """
+        for word in _WORD_RE.finditer(term):
+            try:
+                return term[: word.start()], self._resolve_concept(term[word.start() :])
+            except ValueError:
+                continue
+        return "", self._resolve_concept(term)
 
     def _resolve_concept(self, term: str) -> int:
         """Node id for one ``[mh]`` term (id, uid, or label)."""

@@ -36,7 +36,6 @@ if TYPE_CHECKING:  # import cycle: repro.bionav builds on repro.pipeline
 from repro.core.active_tree import VisNode
 from repro.core.relevance import ranked_visualization
 from repro.corpus.citation import DocSummary
-from repro.pipeline.concurrency import SingleFlightCache
 from repro.pipeline.pipeline import NavigationPipeline
 from repro.pipeline.stages import NavTreeStage
 from repro.serving.concurrency import AtomicSolverProfile
@@ -201,11 +200,6 @@ class ServingRuntime:
         )
         self._started = time.monotonic()
 
-    @property
-    def queries(self) -> SingleFlightCache:
-        """The navigation-tree stage's cache (historical counter surface)."""
-        return self.pipeline.cache.stage_cache(NavTreeStage.name)
-
     # ------------------------------------------------------------------
     # Dispatched operations (the request surface)
     # ------------------------------------------------------------------
@@ -358,16 +352,14 @@ class ServingRuntime:
         """Operational statistics for ``GET /api/stats``.
 
         The ``pipeline`` block reports every stage's cache hit/miss/
-        latency counters; ``query_cache`` remains as the historical
-        alias of the navigation-tree stage's counters, with the same
-        ``hit_ratio`` key as the per-stage ``pipeline`` rows.
+        latency counters (``pipeline["nav_tree"]`` is the per-query
+        navigation-tree cache).
         The ``solver`` block is the shared :class:`AtomicSolverProfile`
         summary of per-EXPAND decision timings (p50/p95/p99 in
         milliseconds) — the p99 is the warm-EXPAND latency
         ``bench_expand_hotpath`` gates sub-millisecond.
         """
         admission = self.dispatcher.stats()
-        cache = self.queries.snapshot()
         query_rows = [
             {
                 "query": nav.query,
@@ -378,15 +370,6 @@ class ServingRuntime:
         ]
         return {
             "pipeline": self.pipeline.stage_stats(),
-            "query_cache": {
-                "size": cache["size"],
-                "capacity": cache["capacity"],
-                "hits": cache["hits"],
-                "misses": cache["misses"],
-                "evictions": cache["evictions"],
-                "hit_ratio": cache["hit_ratio"],
-                "single_flight_coalesced": cache["coalesced"],
-            },
             "sessions": self.sessions.snapshot(),
             "serving": {
                 "workers": self.dispatcher.workers,

@@ -3,13 +3,11 @@
 from repro.storage.database import BioNavDatabase
 from repro.storage.harvest import ConceptHarvester, HarvestResult
 from repro.storage.index import InvertedIndex, tokenize
-from repro.storage.positional import PositionalIndex
 
 __all__ = [
     "BioNavDatabase",
     "ConceptHarvester",
     "HarvestResult",
     "InvertedIndex",
-    "PositionalIndex",
     "tokenize",
 ]

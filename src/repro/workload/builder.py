@@ -169,8 +169,8 @@ def build_workload(
 
     medline.add_all(corpus_gen.generate_background(background_citations))
     database = BioNavDatabase.build(hierarchy, medline)
-    engine = SearchEngine(database.store, index=database.index, hierarchy=hierarchy)
-    entrez = EntrezClient(medline, engine=engine)
+    engine = SearchEngine(database.store, database.index)
+    entrez = EntrezClient(medline, engine)
     return Workload(hierarchy, medline, database, entrez, built_queries)
 
 

@@ -138,12 +138,12 @@ def _build_with_hierarchy(hierarchy, query: WorkloadQuery) -> Workload:
     medline.add_all(citations)
     medline.add_all(generator.generate_background(40))
     database = BioNavDatabase.build(hierarchy, medline)
-    engine = SearchEngine(database.store, index=database.index, hierarchy=hierarchy)
+    engine = SearchEngine(database.store, database.index)
     return Workload(
         hierarchy,
         medline,
         database,
-        EntrezClient(medline, engine=engine),
+        EntrezClient(medline, engine),
         [BuiltQuery(spec=query, target_node=target, anchors=anchors)],
     )
 

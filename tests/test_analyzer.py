@@ -581,15 +581,6 @@ class TestSubstrateBoundaryRule:
         )
         assert "substrate-boundary" in rule_ids(findings)
 
-    def test_flags_from_import_of_positional_module(self, tmp_path):
-        findings = run_rules(
-            tmp_path,
-            "search/evaluator.py",
-            "from repro.storage.positional import PositionalIndex\n"
-            "print(PositionalIndex)\n",
-        )
-        assert "substrate-boundary" in rule_ids(findings)
-
     def test_flags_plain_import_of_index_module(self, tmp_path):
         findings = run_rules(
             tmp_path,
@@ -664,7 +655,6 @@ class TestSubstrateBoundaryRule:
         findings, _, _, _ = analyze(
             paths=[
                 "src/repro/search/engine.py",
-                "src/repro/search/evaluator.py",
                 "src/repro/search/ranking.py",
                 "src/repro/search/suggest.py",
                 "src/repro/serving/runtime.py",

@@ -8,6 +8,23 @@ from repro.corpus.citation import Citation, DocSummary
 from repro.corpus.medline import MedlineDatabase
 from repro.eutils.client import EntrezClient
 from repro.eutils.errors import BadRequestError, RateLimitExceeded, UnknownIdError
+from repro.hierarchy.concept import ConceptHierarchy
+from repro.search.engine import SearchEngine
+from repro.storage.database import BioNavDatabase
+
+
+def entrez(medline: MedlineDatabase, rate_limit=None) -> EntrezClient:
+    """A client whose engine runs over the corpus's own database build.
+
+    The flat ten-concept hierarchy covers every concept id these tests
+    annotate.
+    """
+    hierarchy = ConceptHierarchy()
+    for concept in range(1, 10):
+        hierarchy.add_child(hierarchy.root, "concept %d" % concept)
+    database = BioNavDatabase.build(hierarchy, medline)
+    engine = SearchEngine(database.store, database.index)
+    return EntrezClient(medline, engine, rate_limit=rate_limit)
 
 
 @pytest.fixture()
@@ -28,7 +45,7 @@ def medline() -> MedlineDatabase:
 
 @pytest.fixture()
 def client(medline) -> EntrezClient:
-    return EntrezClient(medline)
+    return entrez(medline)
 
 
 class TestESearch:
@@ -102,7 +119,7 @@ class TestELink:
         db.add(Citation(pmid=2, title="close", mesh_annotations=(1, 2), index_concepts=(1, 2)))
         db.add(Citation(pmid=3, title="far", mesh_annotations=(3,), index_concepts=(3,)))
         db.add(Citation(pmid=4, title="unrelated", mesh_annotations=(9,), index_concepts=(9,)))
-        client = EntrezClient(db)
+        client = entrez(db)
         related = client.elink_related(1)
         assert related == [2, 3]
 
@@ -110,14 +127,14 @@ class TestELink:
         db = MedlineDatabase()
         db.add(Citation(pmid=1, title="a", mesh_annotations=(1,), index_concepts=(1,)))
         db.add(Citation(pmid=2, title="b", mesh_annotations=(1,), index_concepts=(1,)))
-        local = EntrezClient(db)
+        local = entrez(db)
         assert 1 not in local.elink_related(1)
 
     def test_retmax_truncates(self):
         db = MedlineDatabase()
         for pmid in range(1, 12):
             db.add(Citation(pmid=pmid, title="t", mesh_annotations=(5,), index_concepts=(5,)))
-        client = EntrezClient(db)
+        client = entrez(db)
         assert len(client.elink_related(1, retmax=4)) == 4
 
     def test_unknown_pmid(self, client):
@@ -129,7 +146,7 @@ class TestELink:
         assert client.elink_related(1) == []
 
     def test_total_requests_survives_quota_reset(self, medline):
-        client = EntrezClient(medline, rate_limit=1)
+        client = entrez(medline, rate_limit=1)
         client.esearch("prothymosin")
         client.reset_quota()
         client.esearch("prothymosin")
@@ -139,14 +156,14 @@ class TestELink:
 
 class TestRateLimiting:
     def test_quota_enforced(self, medline):
-        client = EntrezClient(medline, rate_limit=2)
+        client = entrez(medline, rate_limit=2)
         client.esearch("prothymosin")
         client.esummary([1])
         with pytest.raises(RateLimitExceeded):
             client.efetch([1])
 
     def test_reset_quota(self, medline):
-        client = EntrezClient(medline, rate_limit=1)
+        client = entrez(medline, rate_limit=1)
         client.esearch("prothymosin")
         client.reset_quota()
         client.esearch("prothymosin")  # does not raise

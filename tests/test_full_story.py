@@ -21,7 +21,7 @@ from repro.core.replay import record_session, replay_session
 from repro.corpus.medline import MedlineDatabase
 from repro.corpus.persistence import read_citations_jsonl, write_citations_jsonl
 from repro.eutils.client import EntrezClient
-from repro.search.evaluator import FieldedEngineAdapter, FieldedSearchEngine
+from repro.search.engine import SearchEngine
 from repro.storage.database import BioNavDatabase
 from repro.storage.harvest import ConceptHarvester
 from repro.substrate import MmapStore, SubstrateBuilder, citation_chunks
@@ -60,7 +60,10 @@ def story(request, tmp_path_factory):
         )
     database = BioNavDatabase.from_store(MmapStore.open(str(db_path)))
 
-    bionav = BioNav(database, EntrezClient(medline))
+    # ESearch over the reopened store, with the reloaded corpus's
+    # keyword index for free-text terms.
+    index = BioNavDatabase.build(workload.hierarchy, medline).index
+    bionav = BioNav(database, EntrezClient(medline, SearchEngine(database.store, index)))
     return workload, medline, database, bionav
 
 
@@ -70,12 +73,10 @@ class TestOfflineStory:
         assert medline.pmids() == workload.medline.pmids()
 
     def test_harvest_agrees_with_persisted_database(self, story):
-        workload, medline, database, _ = story
-        fielded = FieldedSearchEngine(medline, workload.hierarchy)
-        harvester = ConceptHarvester(
-            workload.hierarchy,
-            EntrezClient(medline, engine=FieldedEngineAdapter(fielded)),
-        )
+        workload, _, database, _ = story
+        # Harvested through the workload's in-memory build of the
+        # original corpus, checked against the persisted directory.
+        harvester = ConceptHarvester(workload.hierarchy, workload.entrez)
         sample = [n for n in range(1, 60)]
         result = harvester.harvest(concepts=sample)
         for concept in sample:

@@ -9,6 +9,7 @@ from repro.core.strategy import CutDecision, ExpansionStrategy
 from repro.eutils.client import EntrezClient
 from repro.eutils.errors import BadRequestError
 from repro.hierarchy.generator import generate_hierarchy
+from repro.search.engine import SearchEngine
 
 
 class TestStrategyInterface:
@@ -73,7 +74,9 @@ class TestEutilsEdges:
         assert result.ids == ()
 
     def test_fresh_client_has_no_requests(self, small_workload):
-        client = EntrezClient(small_workload.medline)
+        database = small_workload.database
+        engine = SearchEngine(database.store, database.index)
+        client = EntrezClient(small_workload.medline, engine)
         assert client.requests_served == 0
         assert client.total_requests == 0
 

@@ -18,9 +18,9 @@ import pytest
 from repro.core.cost_model import CostParams
 from repro.core.navigation_tree import NavigationTree
 from repro.core.opt_edgecut import MAX_OPT_NODES, CutTree, OptEdgeCut
-from repro.core.opt_edgecut_reference import ReferenceOptEdgeCut
 from repro.core.probabilities import ProbabilityModel
 from repro.hierarchy.concept import ConceptHierarchy
+from tests.oracles.opt_edgecut_reference import ReferenceOptEdgeCut
 
 
 def random_scenario(size: int, seed: int):

@@ -11,45 +11,6 @@ from repro.corpus.citation import Citation
 from repro.corpus.loader import dump_medline_text, load_medline_text
 from repro.hierarchy.generator import generate_hierarchy
 from repro.hierarchy.mesh_loader import dump_mesh_ascii, load_mesh_ascii
-from repro.search.query_language import And, Not, Or, Term, format_query, parse_query
-
-
-# ---------------------------------------------------------------------------
-# Query language: parse/format round trip
-# ---------------------------------------------------------------------------
-_word = st.text(
-    alphabet="abcdefghijklmnopqrstuvwxyz0123456789+-/", min_size=1, max_size=10
-).filter(lambda w: w.upper() not in ("AND", "OR", "NOT") and w.strip("-"))
-
-_phrase_text = st.lists(_word, min_size=1, max_size=3).map(" ".join)
-
-
-@st.composite
-def query_asts(draw, depth: int = 3):
-    if depth == 0 or draw(st.booleans()):
-        phrase = draw(st.booleans())
-        text = draw(_phrase_text) if phrase else draw(_word)
-        field = draw(st.sampled_from(["all", "ti", "ab", "mh"]))
-        return Term(text=text, field=field, phrase=phrase)
-    kind = draw(st.sampled_from(["and", "or", "not"]))
-    if kind == "not":
-        return Not(draw(query_asts(depth=depth - 1)))
-    left = draw(query_asts(depth=depth - 1))
-    right = draw(query_asts(depth=depth - 1))
-    return And(left, right) if kind == "and" else Or(left, right)
-
-
-class TestQueryRoundTrip:
-    @given(query_asts())
-    @settings(max_examples=150, deadline=None)
-    def test_parse_format_round_trip(self, ast):
-        assert parse_query(format_query(ast)) == ast
-
-    @given(query_asts())
-    @settings(max_examples=80, deadline=None)
-    def test_format_is_stable(self, ast):
-        rendered = format_query(ast)
-        assert format_query(parse_query(rendered)) == rendered
 
 
 # ---------------------------------------------------------------------------

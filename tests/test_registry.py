@@ -3,7 +3,8 @@
 The second half is the acceptance gate for the registry refactor: on
 small random navigation trees (where the exhaustive oracle is feasible),
 every solver advertising ``optimal=True`` must produce cuts and costs
-bit-identical to ``opt_edgecut_reference``, and the heuristic must stay
+bit-identical to the reference strategy in
+``tests/oracles/opt_edgecut_reference.py``, and the heuristic must stay
 within its documented ``cost_bound`` of the optimum even when forced
 through its reduction path.
 """
@@ -21,8 +22,7 @@ from repro.core.probabilities import ProbabilityModel
 from repro.core.strategy import ExpansionStrategy, SolverCapabilities
 from repro.hierarchy.concept import ConceptHierarchy
 from repro.pipeline.registry import SolverRegistry, default_registry
-
-REFERENCE = "opt_edgecut_reference"
+from tests.oracles.opt_edgecut_reference import ReferenceOptEdgeCutStrategy
 
 
 def random_scenario(size: int, seed: int):
@@ -46,12 +46,11 @@ def registry() -> SolverRegistry:
 
 
 class TestRegistryApi:
-    def test_six_canonical_solvers(self, registry):
+    def test_five_canonical_solvers(self, registry):
         assert registry.names() == (
             "gopubmed",
             "heuristic",
             "opt_edgecut",
-            REFERENCE,
             "paged_static",
             "static_nav",
         )
@@ -62,7 +61,6 @@ class TestRegistryApi:
         assert registry.resolve("paged-static") == "paged_static"
         assert registry.resolve("opt") == "opt_edgecut"
         assert registry.resolve("opt-edgecut") == "opt_edgecut"
-        assert registry.resolve("opt-edgecut-reference") == REFERENCE
 
     def test_all_names_includes_aliases(self, registry):
         names = registry.all_names()
@@ -92,7 +90,7 @@ class TestRegistryApi:
         assert all(c.description for c in catalog)
 
     def test_optimal_names(self, registry):
-        assert registry.optimal_names() == ("opt_edgecut", REFERENCE)
+        assert registry.optimal_names() == ("opt_edgecut",)
 
     def test_created_solver_carries_its_capabilities(self, registry):
         tree, probs = random_scenario(4, 1)
@@ -122,14 +120,14 @@ class TestCrossSolverEquivalence:
 
     def test_optimal_solvers_match_reference_bit_for_bit(self, registry):
         params = CostParams()
-        optimal = [n for n in registry.optimal_names() if n != REFERENCE]
+        optimal = list(registry.optimal_names())
         assert optimal  # the refactor must not lose the fast engine
         for seed in range(40):
             rng = random.Random(seed)
             size = rng.randint(2, 10)
             tree, probs = random_scenario(size, 7_000 + seed)
             component = frozenset(tree.iter_dfs())
-            oracle = registry.create(REFERENCE, tree, probs, params=params)
+            oracle = ReferenceOptEdgeCutStrategy(tree, probs, params=params)
             expected = oracle.best_cut(component, tree.root)
             for name in optimal:
                 solver = registry.create(name, tree, probs, params=params)
@@ -147,7 +145,7 @@ class TestCrossSolverEquivalence:
             size = rng.randint(2, 10)
             tree, probs = random_scenario(size, 11_000 + seed)
             component = frozenset(tree.iter_dfs())
-            oracle = registry.create(REFERENCE, tree, probs)
+            oracle = ReferenceOptEdgeCutStrategy(tree, probs)
             heuristic = registry.create(
                 "heuristic", tree, probs, max_reduced_nodes=10
             )
@@ -165,7 +163,7 @@ class TestCrossSolverEquivalence:
             rng = random.Random(seed)
             size = rng.randint(2, 10)
             tree, probs = random_scenario(size, 1_000 + seed)
-            oracle = registry.create(REFERENCE, tree, probs)
+            oracle = ReferenceOptEdgeCutStrategy(tree, probs)
             heuristic = registry.create(
                 "heuristic", tree, probs, max_reduced_nodes=4
             )
@@ -183,7 +181,7 @@ class TestCrossSolverEquivalence:
         lower expected cost than the exact solver."""
         for seed in range(10):
             tree, probs = random_scenario(8, 21_000 + seed)
-            oracle = registry.create(REFERENCE, tree, probs)
+            oracle = ReferenceOptEdgeCutStrategy(tree, probs)
             optimum = expected_strategy_cost(tree, probs, oracle)
             for name in ("static_nav", "gopubmed", "paged_static"):
                 baseline = registry.create(name, tree, probs)

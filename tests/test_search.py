@@ -6,8 +6,10 @@ import pytest
 
 from repro.corpus.citation import Citation
 from repro.corpus.medline import MedlineDatabase
+from repro.hierarchy.concept import ConceptHierarchy
 from repro.search.engine import SearchEngine
 from repro.search.ranking import rank_results, tf_idf_score
+from repro.storage.database import BioNavDatabase
 from repro.storage.index import InvertedIndex
 
 
@@ -31,7 +33,8 @@ def medline() -> MedlineDatabase:
 
 @pytest.fixture()
 def engine(medline) -> SearchEngine:
-    return SearchEngine.from_medline(medline)
+    database = BioNavDatabase.build(ConceptHierarchy(), medline)
+    return SearchEngine(database.store, database.index)
 
 
 class TestSearchEngine:
@@ -87,3 +90,35 @@ class TestRanking:
         index.add_document(3, "alpha")
         ranked = rank_results(index, [1, 2, 3], "alpha", years={1: 1990, 2: 2008, 3: 2008})
         assert ranked == [2, 3, 1]
+
+
+class TestConceptTerms:
+    """``[mh]`` terms mixed with free text, in either order."""
+
+    def test_text_before_bare_mh_term_stays_free_text(self, small_workload):
+        database = small_workload.database
+        hierarchy = small_workload.hierarchy
+        engine = SearchEngine(database.store, database.index)
+        keyword = set(engine.search("prothymosin").pmids)
+
+        def overlap(concept):
+            hits = database.store.citations_for_concept(concept).tolist()
+            return len(keyword.intersection(hits))
+
+        concept = max(range(1, len(hierarchy)), key=overlap)
+        assert overlap(concept) > 0
+        tag_first = engine.search("%d[mh] prothymosin" % concept).pmids
+        assert tag_first
+        assert engine.search("prothymosin %d[mh]" % concept).pmids == tag_first
+
+        # Free text before a multi-word label: the label is the longest
+        # suffix of the run that names a concept.
+        label = max(
+            (n for n in range(1, len(hierarchy)) if " " in hierarchy.label(n)),
+            key=overlap,
+        )
+        assert overlap(label) > 0
+        expected = engine.search('"%s"[mh] prothymosin' % hierarchy.label(label)).pmids
+        assert expected
+        assert engine.search("prothymosin %s[mh]" % hierarchy.label(label)).pmids == expected
+        assert engine.search("%s[mh] prothymosin" % hierarchy.label(label)).pmids == expected

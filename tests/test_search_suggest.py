@@ -99,11 +99,12 @@ class TestSuggestTerms:
         suggestions = suggest_terms(small_workload.medline, pmids)
         assert suggestions
         # Refinement terms must actually narrow the result set when ANDed.
-        from repro.search.evaluator import FieldedSearchEngine
+        from repro.search.engine import SearchEngine
 
-        engine = FieldedSearchEngine(small_workload.medline, small_workload.hierarchy)
-        refined = engine.search("prothymosin AND %s" % suggestions[0].term)
-        assert 0 < len(refined) < len(pmids)
+        database = small_workload.database
+        engine = SearchEngine(database.store, database.index)
+        refined = engine.search("prothymosin %s" % suggestions[0].term)
+        assert 0 < refined.count < len(pmids)
 
     def test_concept_suggestions_on_workload(self, small_workload):
         pmids = small_workload.entrez.esearch_all("ice nucleation")

@@ -278,8 +278,9 @@ class TestRuntimeSingleFlight:
             assert len(set(sids)) == 16
             # The 15 losers either coalesced onto the in-flight build or
             # (if scheduled late) hit the freshly cached tree.
-            assert runtime.queries.misses == 1
-            assert runtime.queries.hits + runtime.queries.coalesced == 15
+            nav_tree = runtime.stats()["pipeline"]["nav_tree"]
+            assert nav_tree["misses"] == 1
+            assert nav_tree["hits"] + nav_tree["coalesced"] == 15
             assert runtime.pipeline.stage_stats()["nav_tree"]["builds"] == 1
             # Zero lost sessions: every issued id still answers.
             for sid in sids:

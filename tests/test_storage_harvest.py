@@ -9,7 +9,6 @@ from repro.corpus.medline import MedlineDatabase
 from repro.eutils.client import EntrezClient
 from repro.hierarchy.concept import ConceptHierarchy
 from repro.search.engine import SearchEngine
-from repro.search.evaluator import FieldedEngineAdapter, FieldedSearchEngine
 from repro.storage.database import BioNavDatabase
 from repro.storage.harvest import ConceptHarvester
 
@@ -17,10 +16,8 @@ from repro.storage.harvest import ConceptHarvester
 @pytest.fixture(scope="module")
 def harvest_setup(request):
     workload = request.getfixturevalue("small_workload")
-    fielded = FieldedSearchEngine(workload.medline, workload.hierarchy)
-    client = EntrezClient(
-        workload.medline, engine=FieldedEngineAdapter(fielded), rate_limit=500
-    )
+    engine = SearchEngine(workload.database.store, workload.database.index)
+    client = EntrezClient(workload.medline, engine, rate_limit=500)
     return workload, ConceptHarvester(workload.hierarchy, client), client
 
 
@@ -49,10 +46,8 @@ class TestHarvest:
 
     def test_rate_limit_windows_consumed(self, harvest_setup):
         workload, _, _ = harvest_setup
-        fielded = FieldedSearchEngine(workload.medline, workload.hierarchy)
-        tight_client = EntrezClient(
-            workload.medline, engine=FieldedEngineAdapter(fielded), rate_limit=3
-        )
+        engine = SearchEngine(workload.database.store, workload.database.index)
+        tight_client = EntrezClient(workload.medline, engine, rate_limit=3)
         harvester = ConceptHarvester(workload.hierarchy, tight_client)
         result = harvester.harvest(concepts=list(range(1, 25)))
         # 24 concept queries through a 3-request window need several resets.
@@ -71,9 +66,9 @@ class TestHarvest:
 
 
 class TestDefaultClientHarvest:
-    """The harvester's ``"<label>"[mh:noexp]`` terms through a plain
-    :class:`SearchEngine` (the engine ``EntrezClient`` defaults to), given
-    the hierarchy that resolves concept labels."""
+    """The harvester's ``"<label>"[mh:noexp]`` terms through the
+    :class:`SearchEngine` over the database's store, whose build-time
+    hierarchy resolves concept labels."""
 
     def test_harvest_equals_store_postings_for_every_concept(self):
         hierarchy = ConceptHierarchy(root_label="root")
@@ -83,8 +78,9 @@ class TestDefaultClientHarvest:
         medline = MedlineDatabase()
         medline.add(Citation(pmid=1, title="first", index_concepts=(kinase,)))
         medline.add(Citation(pmid=2, title="second", index_concepts=(kinase, ice)))
-        store = BioNavDatabase.build(hierarchy, medline).store
-        client = EntrezClient(medline, engine=SearchEngine(medline, hierarchy=hierarchy))
+        database = BioNavDatabase.build(hierarchy, medline)
+        store = database.store
+        client = EntrezClient(medline, SearchEngine(store, database.index))
         harvester = ConceptHarvester(hierarchy, client)
         result = harvester.harvest()
         assert sorted(result.associations) == list(range(1, len(hierarchy)))
@@ -94,8 +90,8 @@ class TestDefaultClientHarvest:
 
     def test_workload_harvest_equals_store_postings(self, small_workload):
         database = small_workload.database
-        engine = SearchEngine(database.store, database.index, small_workload.hierarchy)
-        client = EntrezClient(small_workload.medline, engine=engine)
+        engine = SearchEngine(database.store, database.index)
+        client = EntrezClient(small_workload.medline, engine)
         result = ConceptHarvester(small_workload.hierarchy, client).harvest()
         store = database.store
         assert len(result.associations) == len(small_workload.hierarchy) - 1
@@ -105,7 +101,7 @@ class TestDefaultClientHarvest:
     def test_noexp_and_quoted_terms_resolve_to_own_postings(self, small_workload):
         database = small_workload.database
         hierarchy = small_workload.hierarchy
-        engine = SearchEngine(database.store, database.index, hierarchy)
+        engine = SearchEngine(database.store, database.index)
         concept = max(range(1, len(hierarchy)), key=database.store.result_count)
         expected = engine.search("%d[mh]" % concept).pmids
         assert expected

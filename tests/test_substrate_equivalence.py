@@ -30,7 +30,9 @@ from repro.corpus.medline import MedlineDatabase
 from repro.eutils.client import EntrezClient
 from repro.hierarchy.generator import generate_hierarchy
 from repro.search.engine import SearchEngine
-from repro.substrate import MmapStore, SubstrateBuilder, citation_chunks
+from repro.storage.database import BioNavDatabase
+from repro.storage.index import InvertedIndex
+from repro.substrate import MmapStore, SubstrateBuilder, citation_chunks, medline_store
 from repro.substrate.store import CORPUS_FILES
 from tests.oracles.store_reference import InMemoryStore
 
@@ -178,14 +180,14 @@ class TestSearchEquivalence:
             ("%s[mh]" % hierarchy.label(top[3]), [top[3]]),
         ]
         for store in stores.values():
-            engine = SearchEngine.from_store(store)
+            engine = SearchEngine(store)
             for query, concepts in queries:
                 result = engine.search(query)
                 assert list(result.pmids) == oracle.boolean_and(concepts).tolist()
                 assert result.count > 0, query
 
     def test_free_text_rejected_without_index(self, mmap_store):
-        engine = SearchEngine.from_store(mmap_store)
+        engine = SearchEngine(mmap_store)
         with pytest.raises(ValueError):
             engine.search("prothymosin")
 
@@ -276,7 +278,7 @@ class TestOneStore:
 
     def test_empty_corpus(self):
         medline = MedlineDatabase()
-        engine = SearchEngine.from_medline(medline)
+        engine = SearchEngine(medline_store(medline, 0), InvertedIndex())
         assert len(engine) == 0
         assert engine.store.num_concepts == 0
         assert engine.search("anything").pmids == ()
@@ -289,18 +291,19 @@ class TestOneStore:
         assert store.annotation_arrays([7])[0].size == 0
 
     def test_engine_and_client_over_medline_without_hierarchy(self, corpus, oracle):
-        _, citations, background = corpus
+        hierarchy, citations, background = corpus
         medline = MedlineDatabase(background_counts=background)
         medline.add_all(citations)
-        client = EntrezClient(medline)
+        database = BioNavDatabase.build(hierarchy, medline)
+        client = EntrezClient(medline, SearchEngine(database.store, database.index))
         top = busiest_concepts(oracle)
         page = client.esearch("%d[mh]" % top[0], retmax=5)
         assert page.count == oracle.result_count(top[0])
         assert list(page.ids) == oracle.boolean_and([top[0]]).tolist()[:5]
         hits = client.esearch_all("equivalence citation 7")
         assert 30_000_007 in hits
-        engine = SearchEngine(medline)
         largest = max(c for citation in citations for c in citation.concepts)
+        engine = SearchEngine(medline_store(medline, largest + 1))
         assert engine.store.num_concepts == largest + 1
         assert engine.store.hierarchy() is None
         with pytest.raises(ValueError):

@@ -259,10 +259,10 @@ class TestRouterFuzz:
 
 class TestCaching:
     def test_tree_shared_across_sessions(self, app):
-        before = app.runtime.queries.hits
+        before = app.runtime.stats()["pipeline"]["nav_tree"]["hits"]
         request_page(app, "/search", {"q": "dyslexia genetics"})
         request_page(app, "/search", {"q": "dyslexia genetics"})
-        assert app.runtime.queries.hits > before
+        assert app.runtime.stats()["pipeline"]["nav_tree"]["hits"] > before
 
     def test_sessions_are_independent(self, app):
         _, body_a = request_page(app, "/search", {"q": "LbetaT2"})
@@ -291,9 +291,10 @@ class TestStatsEndpoint:
         status, body = request_page(app, "/api/stats")
         assert status == "200 OK"
         stats = json.loads(body)
-        assert stats["query_cache"]["size"] == 1
-        assert 0.0 <= stats["query_cache"]["hit_ratio"] <= 1.0
-        assert stats["query_cache"]["single_flight_coalesced"] == 0
+        nav_tree = stats["pipeline"]["nav_tree"]
+        assert nav_tree["size"] == 1
+        assert 0.0 <= nav_tree["hit_ratio"] <= 1.0
+        assert nav_tree["coalesced"] == 0
         assert stats["sessions"]["active"] == 1
         assert stats["sessions"]["created"] == 1
         assert stats["sessions"]["evicted"] == 0

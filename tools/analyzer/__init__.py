@@ -2,7 +2,7 @@
 
 The bitmask Opt-EdgeCut engine is only correct because of invariants the
 code cannot express in types: enumeration order and first-minimum
-tie-breaking must stay bit-identical to ``opt_edgecut_reference``, tree
+tie-breaking must stay bit-identical to the reference oracle, tree
 traversals must stay iterative, and the prefix-cost prune is only safe
 with non-negative, monotonically rounded cost addends.  This package is
 the static gate that keeps future changes from silently breaking them.

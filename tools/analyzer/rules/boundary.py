@@ -2,8 +2,8 @@
 
 Corpus data has one interface, :class:`repro.substrate.store.MmapStore`;
 what remains private to ``repro.storage`` is the keyword-index machinery
-(``repro.storage.index``, ``repro.storage.positional``), which online
-layers reach through the names ``repro.storage`` re-exports.  A direct
+(``repro.storage.index``), which online layers reach through the names
+``repro.storage`` re-exports.  A direct
 ``from repro.storage.index import InvertedIndex`` in, say, the serving
 runtime would pin that layer to the module layout instead of the
 package surface, so the convention is machine-checked:
@@ -12,11 +12,11 @@ package surface, so the convention is machine-checked:
   owner), ``repro/substrate`` (the store layer), and ``repro/corpus``
   (the offline ingest side that feeds both).
 * **Flagged** — ``import``/``from``-imports that name the
-  ``repro.storage.index`` or ``repro.storage.positional`` *modules*,
-  whether absolute, via the package (``from repro.storage import
-  index``), or relative (``from ..storage.index import ...``).
+  ``repro.storage.index`` *module*, whether absolute, via the package
+  (``from repro.storage import index``), or relative
+  (``from ..storage.index import ...``).
 * **Not flagged** — the classes re-exported by ``repro.storage``
-  (``InvertedIndex``, ``PositionalIndex``, ``tokenize``, ...): those are
+  (``InvertedIndex``, ``tokenize``, ...): those are
   the sanctioned public surface, and ``repro.storage.database`` / other
   storage modules remain importable everywhere.
 
@@ -36,9 +36,7 @@ from tools.analyzer.rules.layering import _absolutize
 __all__ = ["SubstrateBoundaryRule", "RESTRICTED_STORAGE_MODULES"]
 
 #: Storage-internal modules reachable only through the substrate boundary.
-RESTRICTED_STORAGE_MODULES = frozenset(
-    {"repro.storage.index", "repro.storage.positional"}
-)
+RESTRICTED_STORAGE_MODULES = frozenset({"repro.storage.index"})
 
 
 def _is_restricted(dotted: str) -> bool:

@@ -12,8 +12,7 @@ inequalities (``x <= 0.0`` for non-negative masses).
 
 Scope: the cost model and every module that compares solver costs
 (``cost_model.py``, ``probabilities.py``, ``opt_edgecut.py``,
-``opt_edgecut_reference.py``, ``heuristic.py``, ``evaluation.py``,
-``montecarlo.py``).  The helpers themselves are recognized by name and
+``heuristic.py``, ``evaluation.py``, ``montecarlo.py``).  The helpers themselves are recognized by name and
 exempt.
 """
 
@@ -30,7 +29,6 @@ _SOLVER_MODULES = {
     "cost_model.py",
     "probabilities.py",
     "opt_edgecut.py",
-    "opt_edgecut_reference.py",
     "heuristic.py",
     "evaluation.py",
     "montecarlo.py",

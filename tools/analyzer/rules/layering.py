@@ -14,7 +14,7 @@ makes the convention machine-checked:
   the single sanctioned importer.
 * **Flagged** — ``import``/``from``-imports of a solver implementation
   module (``heuristic``, ``static_nav``, ``gopubmed``, ``paged_static``,
-  ``opt_edgecut``, ``opt_edgecut_reference``, ``exact``), whether
+  ``opt_edgecut``, ``exact``), whether
   absolute (``repro.core.heuristic``), via the package
   (``from repro.core import heuristic``), or relative
   (``from .core.heuristic import ...``).
@@ -47,7 +47,6 @@ SOLVER_MODULES = frozenset(
         "gopubmed",
         "paged_static",
         "opt_edgecut",
-        "opt_edgecut_reference",
         "exact",
     )
 )

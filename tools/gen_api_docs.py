@@ -55,7 +55,7 @@ bitmask (bit *i* set ⟺ node *i* in the component):
   term.  Because every addend is non-negative and IEEE rounding is
   monotone, the bound never exceeds the true term, so pruning is exact:
   the engine returns bit-identical cuts and expected costs to the
-  exhaustive reference (`repro.core.opt_edgecut_reference`, kept as the
+  exhaustive reference (`tests/oracles/opt_edgecut_reference.py`, the
   oracle for the property suite in `tests/test_opt_engine_equivalence.py`).
 
 The enumeration order matches the legacy engine (per child: cut edge
@@ -98,12 +98,9 @@ Extends the per-query rows and solver summary with serving counters:
   `results`, `nav_tree`, `active_tree`, and `cut`, the stage's
   `hits` / `misses` / `coalesced` / `evictions` / `size` / `capacity`
   (cached stages), `builds` / `runs`, and build-latency aggregates
-  (`build_seconds_total`, `build_ms_avg`, `build_ms_max`).
-- `query_cache` — the `nav_tree` stage's counters rendered on the
-  historical surface: `size`, `capacity`, `hits`, `misses`,
-  `evictions`, `hit_ratio`,
-  and `single_flight_coalesced`: requests that waited on another
-  thread's in-progress tree build instead of duplicating it.
+  (`build_seconds_total`, `build_ms_avg`, `build_ms_max`).  `coalesced`
+  counts requests that waited on another thread's in-progress build
+  instead of duplicating it.
 - `sessions` — `active`, `capacity`, `created`, `evicted`, and
   `expired_lookups` (requests that named an evicted session and were
   answered `410 Gone` / `session_expired`).

@@ -27,7 +27,12 @@ same directory and gates the speedups:
   dict-based reduction kept in ``tests/oracles``, and the probability
   model built through the batched LT lookup is bit-identical to the
   one built with a per-node ``medline_count`` call.  Both paths
-  are timed (fastest of three) and recorded; neither timing is gated.
+  are timed (fastest of three) and recorded; neither timing is gated;
+* **active tree** — opening a session's interval
+  :class:`~repro.core.active_tree.ActiveTree` over the cold tree must
+  take at most ``ACTIVE_TREE_BUDGET_S`` (full scale; the frozenset
+  oracle in ``tests/oracles`` is timed beside it), and its first view —
+  before and after the first EXPAND — must match the oracle's rows.
 
 ``COLDPATH_BENCH_SMOKE=1`` runs the same identity gates at 20k
 citations over a 2k-concept hierarchy for CI (speedup gates are only
@@ -48,6 +53,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.active_tree import ActiveTree
+from repro.core.edgecut import Component
 from repro.core.heuristic import HeuristicReducedOpt
 from repro.core.navigation_tree import NavigationTree
 from repro.core.probabilities import ProbabilityModel
@@ -57,6 +64,7 @@ from repro.hierarchy.concept import ConceptHierarchy
 from repro.hierarchy.generator import generate_hierarchy
 from repro.substrate import MmapStore, medline_store
 from repro.substrate.roaring import RoaringBitmap
+from tests.oracles.active_tree_reference import ReferenceActiveTree
 from tests.oracles.cost_identity import models_identical
 from tests.oracles.navigation_tree_reference import ReferenceNavigationTree
 from tests.oracles.partition_reference import ReferenceHeuristicReducedOpt
@@ -86,6 +94,12 @@ FIRST_EXPAND_REPEATS = 3
 #: combined, 190ms -> <=19ms hierarchy open).
 COMBINED_SPEEDUP_MIN = 4.0
 HIERARCHY_SPEEDUP_MIN = 10.0
+
+#: Full-scale budget for opening an ActiveTree over the cold tree (the
+#: frozenset form took ~3.3 ms on the 29k-node probe tree).
+ACTIVE_TREE_BUDGET_S = 1e-4
+#: Timed repeats of the (microsecond-scale) ActiveTree construction.
+ACTIVE_TREE_REPEATS = 50
 
 
 def run_build(out_dir: Path) -> dict:
@@ -192,7 +206,7 @@ def first_expand(store, tree: NavigationTree) -> dict:
         lambda: ProbabilityModel(tree, store.medline_count)
     )
     prob_model_new_s, probs = fastest(lambda: ProbabilityModel(tree, store))
-    component = frozenset(tree.iter_dfs())
+    component = Component(tree, tree.root)
     first_expand_ref_s, ref = fastest(
         lambda: ReferenceHeuristicReducedOpt(tree, probs).best_cut(component, tree.root)
     )
@@ -210,6 +224,29 @@ def first_expand(store, tree: NavigationTree) -> dict:
             (new.cut, new.reduced_size, new.expected_cost)
             == (ref.cut, ref.reduced_size, ref.expected_cost)
         ),
+        **first_view(tree, new.cut),
+    }
+
+
+def first_view(tree: NavigationTree, cut) -> dict:
+    """Time ActiveTree construction and compare the first view's rows.
+
+    The interval tree and the frozenset oracle are each opened over the
+    cold tree (fastest of ``ACTIVE_TREE_REPEATS``); their rows must be
+    equal on the initial view and after applying the first EXPAND's cut.
+    """
+    active_tree_ref_s, oracle = fastest(
+        lambda: ReferenceActiveTree(tree), ACTIVE_TREE_REPEATS
+    )
+    active_tree_new_s, active = fastest(lambda: ActiveTree(tree), ACTIVE_TREE_REPEATS)
+    identical = active.visualize() == oracle.visualize()
+    active.expand(tree.root, cut)
+    oracle.expand(tree.root, cut)
+    return {
+        "active_tree_ref_s": active_tree_ref_s,
+        "active_tree_new_s": active_tree_new_s,
+        "first_view_rows": len(active.visualize()),
+        "first_view_identical": identical and active.visualize() == oracle.visualize(),
     }
 
 
@@ -356,6 +393,7 @@ def test_coldpath_speedup_and_identity(tmp_path_factory, report, benchmark):
         "gates": {
             "combined_speedup_min": COMBINED_SPEEDUP_MIN,
             "hierarchy_speedup_min": HIERARCHY_SPEEDUP_MIN,
+            "active_tree_budget_s": ACTIVE_TREE_BUDGET_S,
         },
     }
 
@@ -409,6 +447,13 @@ def test_coldpath_speedup_and_identity(tmp_path_factory, report, benchmark):
             cold["first_expand_new_s"] * 1e3,
             cold["first_expand_ref_s"] / cold["first_expand_new_s"],
         )
+        + "\n%-38s %9.3f ms -> %7.3f ms  (budget %.1f ms at full scale)"
+        % (
+            "active tree open (frozenset -> interval)",
+            cold["active_tree_ref_s"] * 1e3,
+            cold["active_tree_new_s"] * 1e3,
+            ACTIVE_TREE_BUDGET_S * 1e3,
+        )
         + "\n%-38s %12s / %s"
         % (
             "bit-identity (mmap / in-memory)",
@@ -420,6 +465,8 @@ def test_coldpath_speedup_and_identity(tmp_path_factory, report, benchmark):
             "first-EXPAND identity (array / oracle)",
             cold["first_expand_identical"] and cold["prob_model_keys_identical"],
         )
+        + "\n%-38s %12s"
+        % ("first-view identity (interval / oracle)", cold["first_view_identical"])
         + "\n"
         + "=" * 78
     )
@@ -430,6 +477,7 @@ def test_coldpath_speedup_and_identity(tmp_path_factory, report, benchmark):
     assert cold["result_size"] > 0 and cold["tree_size"] > 1
     assert inmemory["result_size"] > 0 and inmemory["tree_size"] > 1
     assert cold["first_expand_identical"] and cold["prob_model_keys_identical"]
+    assert cold["first_view_identical"]
 
     # Speedup gates are only meaningful at full scale: at smoke size the
     # legacy path is already a few milliseconds and the ratio is noise.
@@ -452,6 +500,15 @@ def test_coldpath_speedup_and_identity(tmp_path_factory, report, benchmark):
                 hierarchy_speedup,
                 cold["hierarchy_jsonl_s"] * 1e3,
                 HIERARCHY_SPEEDUP_MIN,
+            )
+        )
+        assert cold["active_tree_new_s"] <= ACTIVE_TREE_BUDGET_S, (
+            "ActiveTree construction %.3f ms over the %d-node cold tree "
+            "exceeds the %.1f ms budget"
+            % (
+                cold["active_tree_new_s"] * 1e3,
+                cold["tree_size"],
+                ACTIVE_TREE_BUDGET_S * 1e3,
             )
         )
         OUTPUT.write_text(json.dumps(rows, indent=2) + "\n")

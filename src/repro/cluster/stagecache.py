@@ -39,6 +39,7 @@ import time
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
+from repro.pipeline.artifacts import KEY_FORMAT_VERSION
 from repro.pipeline.cache import L2_MISS as MISS
 
 __all__ = ["MISS", "ClusterStageCache"]
@@ -136,8 +137,14 @@ class ClusterStageCache:
     # Addressing
     # ------------------------------------------------------------------
     def _entry_path(self, stage: str, key: str) -> Path:
-        """Canonical entry path: ``root/<stage>/<key[:2]>/<key>.pkl``."""
-        return self.root / stage / key[:2] / (key + ".pkl")
+        """Canonical entry path: ``root/<stage>.v<N>/<key[:2]>/<key>.pkl``.
+
+        ``N`` is :data:`~repro.pipeline.artifacts.KEY_FORMAT_VERSION`, so
+        entries written under another key or layout version are never
+        read back (they age out through eviction).
+        """
+        directory = "%s.v%d" % (stage, KEY_FORMAT_VERSION)
+        return self.root / directory / key[:2] / (key + ".pkl")
 
     # ------------------------------------------------------------------
     # Reads

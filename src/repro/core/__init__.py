@@ -2,7 +2,7 @@
 
 from repro.core.active_tree import ActiveTree, VisNode
 from repro.core.cost_model import CostLedger, CostParams, cost_improves, costs_equal
-from repro.core.edgecut import component_edges, cut_components, is_valid_edgecut
+from repro.core.edgecut import Component, component_edges, is_valid_edgecut
 from repro.core.duplication import (
     DuplicationStats,
     cut_duplication,
@@ -31,6 +31,7 @@ from repro.core.strategy import CutDecision, ExpansionStrategy, SolverCapabiliti
 __all__ = [
     "ActiveTree",
     "BestCut",
+    "Component",
     "CostLedger",
     "CostParams",
     "CutAlternative",
@@ -59,7 +60,6 @@ __all__ = [
     "component_edges",
     "cost_improves",
     "costs_equal",
-    "cut_components",
     "cut_duplication",
     "estimate_expected_cost",
     "expected_strategy_cost",

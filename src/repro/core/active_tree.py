@@ -9,16 +9,25 @@ expand hyperlink when the component is expandable.
 
 An EXPAND action performs an EdgeCut on one component, replacing it with
 the upper component (same root) and one lower component per cut edge; the
-active tree is closed under this operation, and a history stack supports
-the BACKTRACK action of the general navigation model (§III).
+active tree is closed under this operation, and an undo log supports the
+BACKTRACK action of the general navigation model (§III).
+
+Each component is held in interval form
+(:class:`~repro.core.edgecut.Component`): its root plus the preorder
+positions of the subtree roots cut away below it, which are exactly the
+nearest visible nodes under the root.  The state is therefore a map from
+each visible node to those positions plus the sorted list of visible
+positions, and every read — membership, counts, the visualization — costs
+what the visible rows and cut edges cost, never a walk over the tree.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from repro.core.edgecut import component_edges, cut_components
+from repro.core.edgecut import Component
 from repro.core.navigation_tree import NavigationTree
 
 __all__ = ["VisNode", "ActiveTree"]
@@ -53,67 +62,70 @@ class ActiveTree:
 
     def __init__(self, tree: NavigationTree):
         self.tree = tree
-        # Non-singleton components only, keyed by their root node.
-        self._components: Dict[int, FrozenSet[int]] = {}
-        all_nodes = frozenset(tree.iter_dfs())
-        if len(all_nodes) > 1:
-            self._components[tree.root] = all_nodes
-        self._hidden = frozenset(all_nodes - {tree.root})
-        self._history: List[Tuple[Dict[int, FrozenSet[int]], FrozenSet[int]]] = []
+        # Every visible node -> the excluded positions of its component.
+        # Insertion order follows EXPANDs (the expanded root moves to the
+        # end, then the revealed roots), which fixes component_roots().
+        self._excluded: Dict[int, Tuple[int, ...]] = {tree.root: ()}
+        self._visible: List[int] = [tree.position(tree.root)]
+        # One entry per EXPAND: (root, its index in _excluded, its
+        # excluded positions before the cut, the revealed roots).
+        self._log: List[Tuple[int, int, Tuple[int, ...], Tuple[int, ...]]] = []
 
     # ------------------------------------------------------------------
     # Component accessors
     # ------------------------------------------------------------------
-    def component(self, node: int) -> FrozenSet[int]:
-        """``I(node)``: the component rooted at ``node`` ({node} if singleton).
+    def interval(self, node: int) -> Component:
+        """``I(node)`` in interval form (the hot-path accessor).
 
         Raises KeyError when ``node`` is hidden inside another component.
         """
-        if node in self._components:
-            return self._components[node]
-        if node in self._hidden:
-            raise KeyError("node %r is hidden inside another component" % (node,))
-        if node not in self.tree:
+        excluded = self._excluded.get(node)
+        if excluded is None:
+            if node in self.tree:
+                raise KeyError("node %r is hidden inside another component" % (node,))
             raise KeyError("node %r is not in the navigation tree" % (node,))
-        return frozenset((node,))
+        return Component(self.tree, node, excluded)
+
+    def component(self, node: int) -> FrozenSet[int]:
+        """``I(node)`` as a member set ({node} if singleton).
+
+        Built on every call; the solvers and views that run per request
+        read :meth:`interval` instead.  Raises KeyError when ``node`` is
+        hidden inside another component.
+        """
+        return frozenset(self.interval(node))
 
     def component_roots(self) -> List[int]:
         """Roots of all non-singleton components."""
-        return list(self._components)
+        return [node for node in self._excluded if len(self.interval(node)) > 1]
 
     def is_visible(self, node: int) -> bool:
         """True when the node appears in the visualization."""
-        return node in self.tree and node not in self._hidden
+        return node in self._excluded
 
     def is_expandable(self, node: int) -> bool:
         """True when a non-singleton component is rooted at ``node``."""
-        return node in self._components
+        return node in self._excluded and len(self.interval(node)) > 1
 
     def visible_nodes(self) -> List[int]:
         """All visible nodes, in navigation-tree pre-order."""
-        return [n for n in self.tree.iter_dfs() if n not in self._hidden]
+        return self.tree.preorder_array()[self._visible].tolist()
 
     def component_count(self, node: int) -> int:
         """Distinct citations in ``I(node)`` — the number shown in the UI."""
-        return len(self.tree.distinct_results(self.component(node)))
-
-    def expandable_edges(self, node: int) -> List[Edge]:
-        """Edges of the component rooted at ``node`` (EdgeCut candidates)."""
-        return component_edges(self.tree, self.component(node))
+        return len(self.interval(node).distinct_results())
 
     def containing_root(self, node: int) -> int:
         """Root of the component that contains ``node``.
 
-        For visible nodes this is the node itself.
+        For visible nodes this is the node itself; a hidden node belongs
+        to its nearest visible ancestor.
         """
         if node not in self.tree:
             raise KeyError("node %r is not in the navigation tree" % (node,))
-        if node not in self._hidden:
-            return node
-        for root, members in self._components.items():
-            if node in members:
-                return root
-        raise AssertionError("hidden node %r missing from all components" % (node,))
+        while node not in self._excluded:
+            node = self.tree.parent(node)
+        return node
 
     # ------------------------------------------------------------------
     # EXPAND (EdgeCut) and BACKTRACK
@@ -130,37 +142,39 @@ class ActiveTree:
         """
         if not cut:
             raise ValueError("an EXPAND action needs a non-empty EdgeCut")
-        if node not in self._components:
+        if not self.is_expandable(node):
             raise ValueError("node %r has no expandable component" % (node,))
-        component = self._components[node]
-        upper, lowers = cut_components(self.tree, component, node, cut)
-        self._history.append((dict(self._components), self._hidden))
-        del self._components[node]
-        if len(upper) > 1:
-            self._components[node] = upper
-        newly_visible = {node}
-        for lower_root, members in lowers.items():
-            if len(members) > 1:
-                self._components[lower_root] = members
-            newly_visible.add(lower_root)
-        hidden = set(self._hidden)
-        hidden -= newly_visible
-        self._hidden = frozenset(hidden)
+        excluded = self._excluded
+        before = excluded[node]
+        upper, lowers = self.interval(node).cut(cut)
+        index = list(excluded).index(node)
+        del excluded[node]
+        excluded[node] = upper.excluded
+        for lower_root, lower in lowers.items():
+            excluded[lower_root] = lower.excluded
+            insort(self._visible, lower.begin)
+        self._log.append((node, index, before, tuple(lowers)))
         return [node] + [child for _, child in cut]
 
     def backtrack(self) -> bool:
         """Undo the most recent EXPAND; returns False when at initial state."""
-        if not self._history:
+        if not self._log:
             return False
-        components, hidden = self._history.pop()
-        self._components = components
-        self._hidden = hidden
+        node, index, before, revealed = self._log.pop()
+        for lower_root in revealed:
+            del self._excluded[lower_root]
+            position = self.tree.position(lower_root)
+            del self._visible[bisect_left(self._visible, position)]
+        del self._excluded[node]
+        items = list(self._excluded.items())
+        items.insert(index, (node, before))
+        self._excluded = dict(items)
         return True
 
     @property
     def expansions_performed(self) -> int:
         """Number of EXPANDs applied (and undoable via backtrack)."""
-        return len(self._history)
+        return len(self._log)
 
     # ------------------------------------------------------------------
     # Visualization (Definition 5)
@@ -169,40 +183,29 @@ class ActiveTree:
         """The embedded visible tree, in pre-order, with counts.
 
         The visible parent of a node is its nearest visible ancestor in the
-        navigation tree.  The walk is an explicit-stack pre-order (children
-        pushed reversed so siblings emit left to right): deep MeSH chains
-        must not depend on the interpreter recursion limit.
+        navigation tree.  One pass over the sorted visible positions keeps
+        the open ancestors on a stack (each with the end of its preorder
+        interval), so the cost is O(visible rows), not O(tree).
         """
+        tree = self.tree
+        order = tree.preorder_array()
+        sizes = tree.subtree_size_array()
         rows: List[VisNode] = []
-        stack: List[Tuple[int, int, int]] = [(self.tree.root, 0, -1)]
-        while stack:
-            node, depth, parent = stack.pop()
+        open_ends: List[Tuple[int, int]] = []
+        for position in self._visible:
+            while open_ends and position >= open_ends[-1][0]:
+                open_ends.pop()
+            node = int(order[position])
+            component = Component(tree, node, self._excluded[node])
             rows.append(
                 VisNode(
                     node=node,
-                    label=self.tree.label(node),
-                    count=self.component_count(node),
-                    expandable=self.is_expandable(node),
-                    depth=depth,
-                    parent=parent,
+                    label=tree.label(node),
+                    count=len(component.distinct_results()),
+                    expandable=len(component) > 1,
+                    depth=len(open_ends),
+                    parent=open_ends[-1][1] if open_ends else -1,
                 )
             )
-            for visible_child in reversed(self._visible_children(node)):
-                stack.append((visible_child, depth + 1, node))
+            open_ends.append((position + int(sizes[position]), node))
         return rows
-
-    def _visible_children(self, node: int) -> List[int]:
-        """Nearest visible descendants of a visible node, left to right.
-
-        Hidden nodes are skipped over: the DFS descends through them and
-        stops at the first visible node on each downward path.
-        """
-        found: List[int] = []
-        stack = list(reversed(self.tree.children(node)))
-        while stack:
-            current = stack.pop()
-            if current in self._hidden:
-                stack.extend(reversed(self.tree.children(current)))
-            else:
-                found.append(current)
-        return found

@@ -5,25 +5,179 @@ into one *upper* component (containing the root) and one *lower* component
 per cut edge.  A cut is **valid** when no two of its edges lie on the same
 root-to-leaf path — invalid cuts would reveal a node together with one of
 its descendants as siblings, which the paper rules out as unintuitive.
+
+Every component an EdgeCut produces is a subtree of the navigation tree
+minus some lower subtrees, so a :class:`Component` stores exactly that:
+its root and the sorted preorder positions of the subtree roots cut away
+below it.  Its members are the contiguous preorder slices between those
+cut-away intervals, so membership, size, citation unions and the cut
+itself are interval arithmetic on the tree's preorder and subtree-size
+arrays and never build the member set (DESIGN.md §16).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from bisect import bisect_left, bisect_right
+from typing import AbstractSet, Dict, Iterable, Iterator, List, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.core.navigation_tree import NavigationTree
 
 __all__ = [
+    "Component",
+    "as_component",
     "is_valid_edgecut",
-    "cut_components",
     "component_edges",
     "component_children",
 ]
 
 Edge = Tuple[int, int]
+#: ``(root, excluded)``: a component's identity, independent of the tree
+#: object (decision caches and cut-stage keys use it).
+ComponentKey = Tuple[int, Tuple[int, ...]]
 
 
-def component_edges(tree: NavigationTree, component: FrozenSet[int]) -> List[Edge]:
+class Component:
+    """A connected component of a navigation tree, as preorder intervals.
+
+    Attributes:
+        tree: the navigation tree.
+        root: node id of the component root.
+        excluded: sorted embedded-preorder positions of the subtree roots
+            cut away below ``root``; their subtrees are pairwise disjoint
+            and lie strictly inside the root's subtree.
+
+    The component behaves as a read-only collection of node ids (``len``,
+    ``in`` and iteration in preorder), so solvers written against member
+    sets accept it unchanged.
+    """
+
+    __slots__ = ("tree", "root", "excluded", "begin", "end")
+
+    def __init__(self, tree: NavigationTree, root: int, excluded: Tuple[int, ...] = ()):
+        self.tree = tree
+        self.root = root
+        self.excluded = excluded
+        self.begin = tree.position(root)
+        self.end = self.begin + int(tree.subtree_size_array()[self.begin])
+
+    @classmethod
+    def from_members(
+        cls, tree: NavigationTree, members: Iterable[int], root: int
+    ) -> "Component":
+        """The interval form of a member set rooted at ``root``.
+
+        Raises:
+            ValueError: the members are not a connected subtree at ``root``.
+        """
+        ids = np.fromiter(members, dtype=np.int64)
+        begin = tree.position(root)
+        end = begin + int(tree.subtree_size_array()[begin])
+        positions = tree.positions(ids)
+        inside = np.zeros(end - begin, dtype=bool)
+        if len(positions) and ((positions < begin) | (positions >= end)).any():
+            raise ValueError("component is not a connected subtree at its root")
+        inside[positions - begin] = True
+        outside = np.flatnonzero(~inside) + begin
+        parents = tree.positions(tree.parent_array()[outside]) - begin
+        component = cls(tree, root, tuple(outside[inside[parents]].tolist()))
+        if not inside[0] or len(component) != int(inside.sum()):
+            raise ValueError("component is not a connected subtree at its root")
+        return component
+
+    @property
+    def key(self) -> ComponentKey:
+        """``(root, excluded)``: equal keys name equal member sets."""
+        return (self.root, self.excluded)
+
+    def slices(self) -> List[Tuple[int, int]]:
+        """The members as non-empty ``[begin, end)`` preorder slices."""
+        sizes = self.tree.subtree_size_array()
+        out: List[Tuple[int, int]] = []
+        cursor = self.begin
+        for position in self.excluded:
+            if position > cursor:
+                out.append((cursor, position))
+            cursor = position + int(sizes[position])
+        if self.end > cursor:
+            out.append((cursor, self.end))
+        return out
+
+    def positions(self) -> np.ndarray:
+        """Sorted embedded-preorder positions of the members."""
+        return np.concatenate(
+            [np.arange(begin, end, dtype=np.int64) for begin, end in self.slices()]
+        )
+
+    def distinct_results(self) -> np.ndarray:
+        """Sorted distinct citations attached anywhere in the component."""
+        offsets = self.tree.result_offsets_array()
+        values = self.tree.result_values_array()
+        return np.unique(
+            np.concatenate(
+                [values[offsets[begin] : offsets[end]] for begin, end in self.slices()]
+            )
+        )
+
+    def cut(self, edges: Sequence[Edge]) -> Tuple["Component", Dict[int, "Component"]]:
+        """Apply a valid EdgeCut: ``(upper, {lower_root: lower})``.
+
+        A lower component keeps the cut-away positions inside its subtree;
+        the upper one keeps the rest plus one new position per cut edge.
+
+        Raises:
+            ValueError: if the cut is not a valid EdgeCut of the component.
+        """
+        if not is_valid_edgecut(self.tree, self, edges):
+            raise ValueError("not a valid EdgeCut of this component: %r" % (edges,))
+        sizes = self.tree.subtree_size_array()
+        kept = list(self.excluded)
+        lowers: Dict[int, Component] = {}
+        for _, child in edges:
+            begin = self.tree.position(child)
+            low = bisect_left(kept, begin)
+            high = bisect_left(kept, begin + int(sizes[begin]))
+            lowers[child] = Component(self.tree, child, tuple(kept[low:high]))
+            kept[low:high] = [begin]
+        return Component(self.tree, self.root, tuple(kept)), lowers
+
+    def __len__(self) -> int:
+        sizes = self.tree.subtree_size_array()
+        return self.end - self.begin - sum(int(sizes[p]) for p in self.excluded)
+
+    def __contains__(self, node: object) -> bool:
+        try:
+            position = self.tree.position(node)  # type: ignore[arg-type]
+        except KeyError:
+            return False
+        if not self.begin <= position < self.end:
+            return False
+        index = bisect_right(self.excluded, position) - 1
+        if index < 0:
+            return True
+        cut = self.excluded[index]
+        return position >= cut + int(self.tree.subtree_size_array()[cut])
+
+    def __iter__(self) -> Iterator[int]:
+        order = self.tree.preorder_array()
+        for begin, end in self.slices():
+            yield from order[begin:end].tolist()
+
+    def __repr__(self) -> str:  # pragma: no cover - debug helper
+        return "Component(root=%r, excluded=%r)" % (self.root, self.excluded)
+
+
+def as_component(
+    tree: NavigationTree, component: Union[Component, AbstractSet[int]], root: int
+) -> Component:
+    """``component`` in interval form (member sets are converted)."""
+    if isinstance(component, Component):
+        return component
+    return Component.from_members(tree, component, root)
+
+
+def component_edges(tree: NavigationTree, component: AbstractSet[int]) -> List[Edge]:
     """Navigation-tree edges with both endpoints inside ``component``.
 
     Iterates the component in sorted order so the returned edge list is a
@@ -39,14 +193,14 @@ def component_edges(tree: NavigationTree, component: FrozenSet[int]) -> List[Edg
 
 
 def component_children(
-    tree: NavigationTree, component: FrozenSet[int], node: int
+    tree: NavigationTree, component: AbstractSet[int], node: int
 ) -> List[int]:
     """Children of ``node`` that lie within ``component``."""
     return [child for child in tree.children(node) if child in component]
 
 
 def is_valid_edgecut(
-    tree: NavigationTree, component: FrozenSet[int], edges: Iterable[Edge]
+    tree: NavigationTree, component: AbstractSet[int], edges: Iterable[Edge]
 ) -> bool:
     """Check Definition 3 for a cut of the component subtree.
 
@@ -71,46 +225,3 @@ def is_valid_edgecut(
             if tree.is_tree_ancestor(a, b) or tree.is_tree_ancestor(b, a):
                 return False
     return True
-
-
-def cut_components(
-    tree: NavigationTree,
-    component: FrozenSet[int],
-    root: int,
-    edges: Sequence[Edge],
-) -> Tuple[FrozenSet[int], Dict[int, FrozenSet[int]]]:
-    """Apply a valid EdgeCut and return (upper, {lower_root: lower_nodes}).
-
-    The lower component of a cut edge (p, c) is the component-subtree
-    rooted at c; the upper component is everything else and keeps ``root``.
-
-    Raises:
-        ValueError: if the cut is not a valid EdgeCut of the component.
-    """
-    if not is_valid_edgecut(tree, component, edges):
-        raise ValueError("not a valid EdgeCut of this component: %r" % (edges,))
-    lowers: Dict[int, FrozenSet[int]] = {}
-    removed: Set[int] = set()
-    for _, child in edges:
-        lower = _restricted_subtree(tree, component, child)
-        lowers[child] = lower
-        removed.update(lower)
-    upper = frozenset(component - removed)
-    if root not in upper:
-        raise ValueError("cut would remove the component root")
-    return upper, lowers
-
-
-def _restricted_subtree(
-    tree: NavigationTree, component: FrozenSet[int], node: int
-) -> FrozenSet[int]:
-    """Nodes of the component subtree rooted at ``node``."""
-    collected: Set[int] = set()
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        collected.add(current)
-        for child in tree.children(current):
-            if child in component:
-                stack.append(child)
-    return frozenset(collected)

@@ -16,10 +16,10 @@ Opt-EdgeCut-vs-heuristic quality ablation, or cost-model parameter sweeps.
 from __future__ import annotations
 
 import sys
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.core.cost_model import CostParams
-from repro.core.edgecut import cut_components
+from repro.core.edgecut import Component, ComponentKey
 from repro.core.navigation_tree import NavigationTree
 from repro.core.probabilities import ProbabilityModel
 from repro.core.strategy import ExpansionStrategy
@@ -49,12 +49,12 @@ def expected_strategy_cost(
             ``max_components`` (a non-terminating policy).
     """
     params = params or CostParams()
-    memo: Dict[Tuple[int, FrozenSet[int]], float] = {}
+    memo: Dict[ComponentKey, float] = {}
     evaluated = 0
 
-    def cost(component: FrozenSet[int], root: int) -> float:
+    def cost(component: Component, root: int) -> float:
         nonlocal evaluated
-        key = (root, component)
+        key = component.key
         cached = memo.get(key)
         if cached is not None:
             return cached
@@ -64,7 +64,7 @@ def expected_strategy_cost(
                 "expected-cost evaluation exceeded %d components" % max_components
             )
         explore = probs.explore(component)
-        result_count = len(tree.distinct_results(component))
+        result_count = len(component.distinct_results())
         # EXPLORE mass is non-negative, so <= is the exact zero test
         # without comparing floats for equality (float-equality rule).
         if explore <= 0.0:
@@ -80,7 +80,7 @@ def expected_strategy_cost(
             value = explore * result_count
             memo[key] = value
             return value
-        upper, lowers = cut_components(tree, component, root, decision.cut)
+        upper, lowers = component.cut(decision.cut)
         expand_term = params.expand_cost
         expand_term += params.reveal_cost + cost(upper, root)
         for lower_root, members in lowers.items():
@@ -91,7 +91,7 @@ def expected_strategy_cost(
         memo[key] = value
         return value
 
-    component = frozenset(tree.iter_dfs())
+    component = Component(tree, tree.root)
     # Lazy single-edge policies can nest expansions O(|tree|) deep; give
     # the recursion enough headroom for the trees this library targets.
     previous_limit = sys.getrecursionlimit()

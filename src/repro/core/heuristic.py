@@ -19,12 +19,13 @@ exactly.  The paper uses N = 10.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import AbstractSet, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.active_tree import ActiveTree
 from repro.core.cost_model import CostParams
+from repro.core.edgecut import Component, ComponentKey, as_component
 from repro.core.navigation_tree import NavigationTree
 from repro.core.opt_edgecut import CutTree, OptEdgeCut
 from repro.core.partition import partition_with_limit
@@ -86,7 +87,7 @@ class HeuristicReducedOpt(ExpansionStrategy):
         max_reduced_nodes: int = 10,
         params: Optional[CostParams] = None,
         reuse_memo: bool = True,
-        decision_cache: Optional[Dict[FrozenSet[int], CutDecision]] = None,
+        decision_cache: Optional[Dict[ComponentKey, CutDecision]] = None,
     ):
         """
         Args:
@@ -99,8 +100,9 @@ class HeuristicReducedOpt(ExpansionStrategy):
                 paper's §VI-B reuse).  Cached decisions keep the EXPLORE
                 normalization of the solve that produced them; disable to
                 re-normalize every component independently instead.
-            decision_cache: optional externally-owned decision store.
-                Decisions are deterministic per (tree, probs, params)
+            decision_cache: optional externally-owned decision store,
+                keyed by the component's ``(root, excluded)`` interval
+                key.  Decisions are deterministic per (tree, probs, params)
                 query, so concurrent sessions of the same query can pass a
                 shared dict and answer each other's EXPANDs from cache —
                 the web layer shares one per cached query state.
@@ -117,7 +119,7 @@ class HeuristicReducedOpt(ExpansionStrategy):
         # exploits this so subsequent EXPANDs need no re-optimization
         # (§VI-B).  We harvest those memo entries into a decision cache.
         self.reuse_memo = reuse_memo
-        self._decision_cache: Dict[FrozenSet[int], CutDecision] = (
+        self._decision_cache: Dict[ComponentKey, CutDecision] = (
             decision_cache if decision_cache is not None else {}
         )
         self.cache_hits = 0
@@ -129,19 +131,26 @@ class HeuristicReducedOpt(ExpansionStrategy):
 
     # ------------------------------------------------------------------
     def choose_cut(self, active: ActiveTree, node: int) -> CutDecision:
-        component = active.component(node)
-        return self.best_cut(component, node)
+        return self.best_cut(active.interval(node), node)
 
-    def best_cut(self, component: FrozenSet[int], root: int) -> CutDecision:
-        """Best EdgeCut for one component (no active tree required)."""
-        if len(component) <= 1:
-            return CutDecision(cut=(), reduced_size=len(component))
-        cached = self._decision_cache.get(component) if self.reuse_memo else None
+    def best_cut(
+        self, component: Union[Component, AbstractSet[int]], root: int
+    ) -> CutDecision:
+        """Best EdgeCut for one component (no active tree required).
+
+        ``component`` is an interval :class:`Component` or a member set
+        (converted); decisions are cached by its ``(root, excluded)`` key.
+        """
+        component = as_component(self.tree, component, root)
+        size = len(component)
+        if size <= 1:
+            return CutDecision(cut=(), reduced_size=size)
+        cached = self._decision_cache.get(component.key) if self.reuse_memo else None
         if cached is not None:
             self.cache_hits += 1
             self.last_reduced_size = cached.reduced_size
             return cached
-        if len(component) <= self.max_reduced_nodes:
+        if size <= self.max_reduced_nodes:
             cut_tree = CutTree.from_component(self.tree, self.probs, component, root)
             solver = OptEdgeCut(cut_tree, self.probs, self.params)
             solved = solver.solve()
@@ -171,7 +180,7 @@ class HeuristicReducedOpt(ExpansionStrategy):
             # Reduced solves are deterministic per component; remembering
             # them makes repeated expansions of the same component (replays,
             # Monte-Carlo walks, concurrent sessions) O(1).
-            self._decision_cache[component] = decision
+            self._decision_cache[component.key] = decision
         return decision
 
     # ------------------------------------------------------------------
@@ -180,20 +189,38 @@ class HeuristicReducedOpt(ExpansionStrategy):
 
         Solver memo keys are CutTree-index bitmasks over *plain*
         components (each index is one navigation-tree node here), so each
-        mask bit translates directly through the payload to a
-        navigation-tree component member.
+        mask translates to an interval key directly: its lowest index is
+        the sub-component root (the CutTree lists nodes parents first),
+        and its excluded positions are the members' navigation-tree
+        children that are not members.
         """
+        tree = self.tree
         payload = cut_tree.payload
+        index_of = {node: index for index, node in enumerate(payload)}
+        # Per CutTree index: navigation-tree children as (position, index
+        # or -1 when outside the solved component).
+        kids = [
+            [
+                (tree.position(child), index_of.get(child, -1))
+                for child in tree.children(node)
+            ]
+            for node in payload
+        ]
         for mask, best in solver.memo_masks():
             members = []
             remaining = mask
             while remaining:
                 low = remaining & -remaining
-                members.append(payload[low.bit_length() - 1])
+                members.append(low.bit_length() - 1)
                 remaining ^= low
-            original = frozenset(members)
+            excluded = sorted(
+                position
+                for member in members
+                for position, index in kids[member]
+                if index < 0 or not mask >> index & 1
+            )
             cut = tuple((payload[p], payload[c]) for p, c in best.cut)
-            self._decision_cache[original] = CutDecision(
+            self._decision_cache[(payload[members[0]], tuple(excluded))] = CutDecision(
                 cut=cut,
                 reduced_size=len(members),
                 expected_cost=best.expected_cost,
@@ -201,7 +228,7 @@ class HeuristicReducedOpt(ExpansionStrategy):
 
     # ------------------------------------------------------------------
     def _reduce(
-        self, component: FrozenSet[int], root: int
+        self, component: Union[Component, AbstractSet[int]], root: int
     ) -> Tuple[CutTree, List[int]]:
         """Partition the component and build the reduced supernode tree.
 
@@ -212,7 +239,9 @@ class HeuristicReducedOpt(ExpansionStrategy):
         # The model's arrays index nodes by the tree's preorder positions.
         probs = self.probs
         preorder = tree.preorder_array()
-        positions, parents, depths = tree.component_arrays(component)
+        positions, parents, depths = tree.component_arrays(
+            as_component(tree, component, root)
+        )
         partitions = partition_with_limit(
             parents,
             depths,

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.cost_model import CostParams
-from repro.core.edgecut import cut_components
+from repro.core.edgecut import Component
 from repro.core.navigation_tree import NavigationTree
 from repro.core.probabilities import ProbabilityModel
 from repro.core.strategy import ExpansionStrategy
@@ -69,19 +69,17 @@ def sample_walk(
     ignored = 0
 
     # Work stack of (component, root) pairs the user has chosen to explore.
-    stack: List[Tuple[FrozenSet[int], int]] = [
-        (frozenset(tree.iter_dfs()), tree.root)
-    ]
+    stack: List[Tuple[Component, int]] = [(Component(tree, tree.root), tree.root)]
     while stack:
         component, root = stack.pop()
-        result_count = len(tree.distinct_results(component))
+        result_count = len(component.distinct_results())
         p_expand = probs.expand(component, root)
         decision = strategy.best_cut(component, root)
         can_expand = bool(decision.cut) and expands < max_expands
         if can_expand and rng.random() < p_expand:
             expands += 1
             cost += params.expand_cost
-            upper, lowers = cut_components(tree, component, root, decision.cut)
+            upper, lowers = component.cut(decision.cut)
             produced = [(upper, root)] + [
                 (members, lower_root) for lower_root, members in lowers.items()
             ]

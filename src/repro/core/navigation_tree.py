@@ -42,6 +42,7 @@ import numpy as np
 from repro.hierarchy.concept import ConceptHierarchy
 
 if TYPE_CHECKING:  # annotation only
+    from repro.core.edgecut import Component
     from repro.substrate.store import MmapStore
 
 __all__ = ["NavigationTree"]
@@ -469,6 +470,10 @@ class NavigationTree:
         """Node ids in embedded preorder (``int64``, read-only)."""
         return self._order
 
+    def parent_array(self) -> np.ndarray:
+        """Embedded parent node id per preorder position (-1: root)."""
+        return self._eparent
+
     def subtree_size_array(self) -> np.ndarray:
         """Embedded subtree sizes per preorder position (read-only)."""
         return self._esize
@@ -490,7 +495,7 @@ class NavigationTree:
         return self._pos_of[np.asarray(nodes, dtype=np.int64)]
 
     def component_arrays(
-        self, component: FrozenSet[int]
+        self, component: "Component"
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """A connected component as preorder arrays (fresh copies).
 
@@ -498,10 +503,10 @@ class NavigationTree:
         preorder positions, sorted — which is the component's own
         preorder, root first and each sibling group left to right — then
         per member the index of its parent within ``positions`` (-1 for
-        the component root) and its depth in the tree.
+        the component root) and its depth in the tree.  The positions
+        come straight from the interval component's preorder slices.
         """
-        members = np.fromiter(component, dtype=np.int64, count=len(component))
-        positions = np.sort(self._pos_of[members])
+        positions = component.positions()
         parents = np.searchsorted(positions, self._pos_of[self._eparent[positions]])
         parents[0] = -1
         return positions, parents, self._edepth[positions]

@@ -13,6 +13,8 @@ under either policy, leaving parent/child structure untouched.
 
 from __future__ import annotations
 
+import math
+from itertools import chain
 from typing import Callable, Dict, List, Sequence
 
 from repro.core.active_tree import ActiveTree, VisNode
@@ -22,8 +24,18 @@ __all__ = ["relevance_of", "rank_siblings", "ranked_visualization"]
 
 
 def relevance_of(active: ActiveTree, probs: ProbabilityModel, node: int) -> float:
-    """Query relevance of a visible node: its component's EXPLORE mass."""
-    return sum(probs.masses(active.component(node)))
+    """Query relevance of a visible node: its component's EXPLORE mass.
+
+    ``math.fsum`` over the component's preorder slices gives the exactly
+    rounded sum, so the value depends only on the members, never on the
+    order an expansion history happened to produce them in.
+    """
+    mass = probs.explore_mass
+    return math.fsum(
+        chain.from_iterable(
+            mass[begin:end].tolist() for begin, end in active.interval(node).slices()
+        )
+    )
 
 
 def rank_siblings(
@@ -32,26 +44,21 @@ def rank_siblings(
     """Reorder a pre-order row list so siblings sort by descending key.
 
     The tree shape (each node listed before its visible subtree) is
-    preserved; only the order among siblings changes.
+    preserved; only the order among siblings changes.  The walk is an
+    explicit-stack pre-order (each sorted sibling group pushed reversed),
+    so deep visible chains do not depend on the recursion limit.
     """
     children: Dict[int, List[VisNode]] = {}
-    by_node: Dict[int, VisNode] = {}
     for row in rows:
-        by_node[row.node] = row
         children.setdefault(row.parent, []).append(row)
 
     ordered: List[VisNode] = []
-
-    def emit(row: VisNode) -> None:
+    stack = list(reversed(children.get(-1, [])))
+    while stack:
+        row = stack.pop()
         ordered.append(row)
-        for child in sorted(
-            children.get(row.node, []), key=key, reverse=True
-        ):
-            emit(child)
-
-    roots = children.get(-1, [])
-    for root in roots:
-        emit(root)
+        ranked = sorted(children.get(row.node, []), key=key, reverse=True)
+        stack.extend(reversed(ranked))
     return ordered
 
 

@@ -113,7 +113,7 @@ class NavigationSession:
         Charges one unit per citation displayed; returns the PMIDs sorted
         for deterministic display.
         """
-        pmids = sorted(self.tree.distinct_results(self.active.component(node)))
+        pmids = self.active.interval(node).distinct_results().tolist()
         self.ledger.charge_show_results(len(pmids))
         return pmids
 

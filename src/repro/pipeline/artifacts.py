@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
+from repro.core.edgecut import Component, ComponentKey
 from repro.core.navigation_tree import NavigationTree
 from repro.core.probabilities import ProbabilityModel
 from repro.core.session import NavigationSession
@@ -34,6 +35,7 @@ from repro.hierarchy.concept import ConceptHierarchy
 from repro.storage.database import BioNavDatabase
 
 __all__ = [
+    "KEY_FORMAT_VERSION",
     "content_key",
     "component_digest",
     "HierarchySnapshot",
@@ -44,28 +46,35 @@ __all__ = [
 ]
 
 
+#: Version of the key schemes and of the artifact layouts they address.
+#: Every content key and the cross-process L2's directory names fold it
+#: in, so a store written by code with other keys or other pickled
+#: layouts is never read.  Version 2: cut keys and decision caches name a
+#: component by ``(root, excluded)`` instead of by its member set.
+KEY_FORMAT_VERSION = 2
+
+
 def content_key(*parts: str) -> str:
     """Deterministic digest of ordered string parts (sha-256, 40 hex chars).
 
-    40 hex characters (160 bits) keep keys short enough for stats output
-    while leaving collisions out of practical reach.
+    The parts are prefixed with :data:`KEY_FORMAT_VERSION`.  40 hex
+    characters (160 bits) keep keys short enough for stats output while
+    leaving collisions out of practical reach.
     """
-    digest = hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
-    return digest[:40]
+    joined = "|".join(("v%d" % KEY_FORMAT_VERSION,) + parts)
+    return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:40]
 
 
-def component_digest(component: Iterable[int]) -> str:
-    """Order-insensitive digest of a node-id set (sorted before hashing).
+def component_digest(component: Component) -> str:
+    """Digest of a component's ``(root, excluded)`` interval key.
 
-    Runs on every EXPAND (the cut-stage key folds it in), so the ids are
-    sorted and hashed as one little-endian int64 buffer instead of a
-    joined string — the digest is on the warm-decision path the
-    expand-hot-path bench gates sub-millisecond.
+    Runs on every EXPAND (the cut-stage key folds it in); it hashes the
+    root and the cut-away positions as one little-endian int64 buffer, so
+    it costs O(cut edges), not O(members).
     """
-    ids = np.fromiter(component, dtype=np.int64)
-    ids.sort()
+    ids = np.array((component.root,) + component.excluded, dtype="<i8")
     hasher = hashlib.sha256(b"component\x1e")
-    hasher.update(ids.astype("<i8", copy=False).tobytes())
+    hasher.update(ids.tobytes())
     return hasher.hexdigest()[:40]
 
 
@@ -127,11 +136,12 @@ class NavTreeArtifact:
         tree: the navigation tree embedded in the hierarchy.
         probs: EXPLORE/EXPAND probability estimates over ``tree``
             (the per-node cost-model arrays, read-only).
-        decisions: component → cut decision, shared by every strategy
-            instance of this query.  EdgeCut decisions are deterministic
-            per (tree, probs, params), so concurrent sessions may write
-            the same key only with the same value — sharing is safe
-            under per-session locks (see DESIGN.md §10).
+        decisions: component ``(root, excluded)`` key → cut decision,
+            shared by every strategy instance of this query.  EdgeCut
+            decisions are deterministic per (tree, probs, params), so
+            concurrent sessions may write the same key only with the
+            same value — sharing is safe under per-session locks (see
+            DESIGN.md §10).
         content_key: digest chaining the hierarchy and result-set keys.
     """
 
@@ -139,7 +149,7 @@ class NavTreeArtifact:
     tree: NavigationTree
     probs: ProbabilityModel
     content_key: str
-    decisions: Dict[FrozenSet[int], CutDecision] = field(default_factory=dict)
+    decisions: Dict[ComponentKey, CutDecision] = field(default_factory=dict)
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Dict, FrozenSet, List, Optional
+from typing import AbstractSet, Dict, List, Optional, Union
 
 from repro.core.active_tree import ActiveTree
 from repro.core.cost_model import CostParams
+from repro.core.edgecut import Component, as_component
 from repro.core.strategy import CutDecision, ExpansionStrategy
 from repro.eutils.client import EntrezClient
 from repro.pipeline.artifacts import (
@@ -84,10 +85,11 @@ class PipelineStrategy(ExpansionStrategy):
 
     def choose_cut(self, active: ActiveTree, node: int) -> CutDecision:
         """EdgeCut for ``node``'s component, via the cut-stage cache."""
-        component = active.component(node)
-        return self.best_cut(component, node)
+        return self.best_cut(active.interval(node), node)
 
-    def best_cut(self, component: FrozenSet[int], root: int) -> CutDecision:
+    def best_cut(
+        self, component: Union[Component, AbstractSet[int]], root: int
+    ) -> CutDecision:
         """Cached-or-solved cut for one component (see :class:`CutStage`)."""
         plan = self.pipeline.plan_cut(
             self.nav, component, root, self.solver, inner=self.inner
@@ -197,7 +199,7 @@ class NavigationPipeline:
     def plan_cut(
         self,
         nav: NavTreeArtifact,
-        component: FrozenSet[int],
+        component: Union[Component, AbstractSet[int]],
         root: int,
         solver: str,
         inner: Optional[ExpansionStrategy] = None,
@@ -206,13 +208,15 @@ class NavigationPipeline:
 
         Args:
             nav: the component's navigation-tree artifact.
-            component: the expanded component's node set.
+            component: the expanded component (interval form, or a
+                member set converted on the way in).
             root: the component's root concept.
             solver: solver name (canonical or alias).
             inner: the session's already-built bare strategy; built from
                 the registry when omitted (one-off callers).
         """
         canonical = self.registry.resolve(solver)
+        component = as_component(nav.tree, component, root)
         key = CutStage.key(nav, canonical, self._cost_key, component, root)
 
         def build() -> CutPlan:

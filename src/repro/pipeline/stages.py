@@ -20,9 +20,10 @@ to a cache and a solver registry; nothing here holds state.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.cost_model import CostParams
+from repro.core.edgecut import Component
 from repro.core.navigation_tree import NavigationTree
 from repro.core.probabilities import ProbabilityModel
 from repro.core.session import NavigationSession
@@ -179,23 +180,22 @@ class CutStage:
         nav: NavTreeArtifact,
         solver: str,
         cost_key: str,
-        component: Iterable[int],
+        component: Component,
         root: int,
     ) -> str:
-        """Identify a cut by tree, solver, cost params, component, and root."""
+        """Identify a cut by tree, solver, cost params, and component.
+
+        The component's ``(root, excluded)`` interval key includes the
+        root.
+        """
         return content_key(
-            "cut",
-            nav.content_key,
-            solver,
-            cost_key,
-            str(root),
-            component_digest(component),
+            "cut", nav.content_key, solver, cost_key, component_digest(component)
         )
 
     @staticmethod
     def build(
         strategy: ExpansionStrategy,
-        component: FrozenSet[int],
+        component: Component,
         root: int,
         solver: str,
         key: str,

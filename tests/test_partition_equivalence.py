@@ -237,6 +237,6 @@ class TestBestCut:
             ref_parents, _, _, ref_ids = oracle.preorder_arrays(
                 adjacency, root, dict.fromkeys(component, 0)
             )
-            positions, parents, _ = tree.component_arrays(component)
+            positions, parents, _ = tree.component_arrays(active.interval(root))
             assert tree.preorder_array()[positions].tolist() == ref_ids
             assert parents.tolist() == ref_parents

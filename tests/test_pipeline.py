@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.edgecut import Component
 from repro.pipeline.artifacts import component_digest, content_key
 from repro.pipeline.cache import StageCache
 from repro.pipeline.pipeline import NavigationPipeline, PipelineStrategy
@@ -44,9 +45,16 @@ class TestContentKeys:
         assert content_key("a", "b") != content_key("b", "a")
         assert content_key("ab") != content_key("a", "b")
 
-    def test_component_digest_is_order_insensitive(self):
-        assert component_digest([3, 1, 2]) == component_digest((2, 3, 1))
-        assert component_digest([1, 2]) != component_digest([1, 2, 3])
+    def test_component_digest_is_order_insensitive(self, fragment_tree):
+        root = fragment_tree.root
+        members = sorted(fragment_tree.iter_dfs())
+        forward = Component.from_members(fragment_tree, members, root)
+        backward = Component.from_members(fragment_tree, members[::-1], root)
+        assert component_digest(forward) == component_digest(backward)
+        child = fragment_tree.children(root)[0]
+        upper, lowers = forward.cut([(root, child)])
+        assert component_digest(upper) != component_digest(forward)
+        assert component_digest(lowers[child]) != component_digest(upper)
 
     def test_params_key_tracks_unit_costs(self):
         assert params_key(CostParams()) == params_key(CostParams())
@@ -67,10 +75,19 @@ class TestContentKeys:
     def test_cut_keys_separate_solvers_and_components(self, pipeline):
         nav = pipeline.nav_tree("prothymosin")
         cost = params_key(pipeline.params)
-        base = CutStage.key(nav, "heuristic", cost, {0, 1}, 0)
-        assert base == CutStage.key(nav, "heuristic", cost, {1, 0}, 0)
-        assert base != CutStage.key(nav, "static_nav", cost, {0, 1}, 0)
-        assert base != CutStage.key(nav, "heuristic", cost, {0, 1, 2}, 0)
+        root = nav.tree.root
+        first, second = nav.tree.children(root)[:2]
+
+        def component(*members):
+            return Component.from_members(nav.tree, members, root)
+
+        def key(solver, *members):
+            return CutStage.key(nav, solver, cost, component(*members), root)
+
+        base = key("heuristic", root, first)
+        assert base == key("heuristic", first, root)
+        assert base != key("static_nav", root, first)
+        assert base != key("heuristic", root, first, second)
 
 
 class TestStageSharing:

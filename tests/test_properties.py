@@ -12,7 +12,7 @@ from repro.complexity.mes import MESInstance, mes_optimum
 from repro.complexity.reduction import mes_to_ted, ted_subtree_count_for_k
 from repro.complexity.ted import ted_best_duplicates
 from repro.core.active_tree import ActiveTree
-from repro.core.edgecut import component_edges, cut_components, is_valid_edgecut
+from repro.core.edgecut import component_edges, is_valid_edgecut
 from repro.core.heuristic import HeuristicReducedOpt
 from repro.core.navigation_tree import NavigationTree
 from repro.core.opt_edgecut import CutTree, OptEdgeCut
@@ -20,6 +20,7 @@ from repro.core.partition import k_partition
 from repro.core.probabilities import ProbabilityModel
 from repro.hierarchy.concept import ConceptHierarchy
 from repro.storage.index import InvertedIndex, tokenize
+from tests.oracles.active_tree_reference import cut_components
 from tests.oracles.partition_reference import preorder_arrays
 
 

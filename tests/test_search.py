@@ -95,6 +95,26 @@ class TestRanking:
 class TestConceptTerms:
     """``[mh]`` terms mixed with free text, in either order."""
 
+    def test_mh_labels_match_case_insensitively(self):
+        hierarchy = ConceptHierarchy()
+        first = hierarchy.add_child(0, "Apoptosis")
+        shouted = hierarchy.add_child(0, "APOPTOSIS")
+        medline = MedlineDatabase()
+        medline.add_all(
+            [
+                Citation(pmid=1, title="cell death", index_concepts=(first,)),
+                Citation(pmid=2, title="more cell death", index_concepts=(shouted,)),
+            ]
+        )
+        database = BioNavDatabase.build(hierarchy, medline)
+        engine = SearchEngine(database.store, database.index)
+        # No exact label: the casefolded match with the lowest node id.
+        assert list(engine.search("apoptosis[mh]").pmids) == [1]
+        assert list(engine.search('"aPoPtOsIs"[mh]').pmids) == [1]
+        # An exact label wins over an earlier casefolded one.
+        assert list(engine.search("APOPTOSIS[mh]").pmids) == [2]
+        assert list(engine.search("Apoptosis[mh]").pmids) == [1]
+
     def test_text_before_bare_mh_term_stays_free_text(self, small_workload):
         database = small_workload.database
         hierarchy = small_workload.hierarchy

@@ -7,7 +7,8 @@ precomputed preorder).  A future "cleaner" recursive helper would pass
 unit tests on shallow fixtures and then blow the interpreter stack in
 production — exactly the kind of regression a type checker cannot see.
 
-Scope: ``navigation_tree.py``, ``active_tree.py`` and ``partition.py``.
+Scope: ``navigation_tree.py``, ``active_tree.py``, ``partition.py`` and
+``relevance.py`` (its sibling ranking walks the visible tree).
 Flagged: any function (including nested helpers) that calls itself,
 directly (``f(...)`` inside ``def f``) or through ``self``/``cls``.
 """
@@ -21,7 +22,12 @@ from tools.analyzer.core import Finding, ModuleInfo, ProjectIndex, Rule, registe
 
 __all__ = ["NoRecursionRule"]
 
-_TRAVERSAL_MODULES = {"navigation_tree.py", "active_tree.py", "partition.py"}
+_TRAVERSAL_MODULES = {
+    "navigation_tree.py",
+    "active_tree.py",
+    "partition.py",
+    "relevance.py",
+}
 
 
 def _self_calls(func: ast.AST, name: str) -> List[int]:

@@ -27,7 +27,10 @@ same directory and gates the speedups:
   dict-based reduction kept in ``tests/oracles``, and the probability
   model built through the batched LT lookup is bit-identical to the
   one built with a per-node ``medline_count`` call.  Both paths
-  are timed (fastest of three) and recorded; neither timing is gated;
+  are timed (fastest of three) and recorded; neither timing is gated.
+  The array path is also recorded in three layers: the partition
+  (component arrays plus the δ scan), the supernode build (the rest of
+  the reduction) and the Opt-EdgeCut solve of the reduced tree;
 * **active tree** — opening a session's interval
   :class:`~repro.core.active_tree.ActiveTree` over the cold tree must
   take at most ``ACTIVE_TREE_BUDGET_S`` (full scale; the frozenset
@@ -57,6 +60,8 @@ from repro.core.active_tree import ActiveTree
 from repro.core.edgecut import Component
 from repro.core.heuristic import HeuristicReducedOpt
 from repro.core.navigation_tree import NavigationTree
+from repro.core.opt_edgecut import OptEdgeCut
+from repro.core.partition import partition_with_limit
 from repro.core.probabilities import ProbabilityModel
 from repro.corpus.citation import Citation
 from repro.corpus.medline import MedlineDatabase
@@ -214,6 +219,7 @@ def first_expand(store, tree: NavigationTree) -> dict:
         lambda: HeuristicReducedOpt(tree, probs).best_cut(component, tree.root)
     )
     return {
+        **first_expand_layers(tree, probs, component),
         "prob_model_ref_s": prob_model_ref_s,
         "prob_model_new_s": prob_model_new_s,
         "prob_model_keys_identical": models_identical(legacy_probs, probs),
@@ -225,6 +231,36 @@ def first_expand(store, tree: NavigationTree) -> dict:
             == (ref.cut, ref.reduced_size, ref.expected_cost)
         ),
         **first_view(tree, new.cut),
+    }
+
+
+def first_expand_layers(
+    tree: NavigationTree, probs: ProbabilityModel, component: Component
+) -> dict:
+    """The array first EXPAND in layers: partition, supernodes, solve.
+
+    Each layer is timed on its own (fastest of ``FIRST_EXPAND_REPEATS``);
+    the supernode build is the reduction minus its partition.
+    """
+    solver = HeuristicReducedOpt(tree, probs)
+
+    def partition():
+        positions, parents, depths = tree.component_arrays(component)
+        return partition_with_limit(
+            parents,
+            depths,
+            probs.result_counts[positions],
+            tree.preorder_array()[positions],
+            solver.max_reduced_nodes,
+        )
+
+    partition_s, _ = fastest(partition)
+    reduce_s, (reduced, _) = fastest(lambda: solver._reduce(component, tree.root))
+    solve_s, _ = fastest(lambda: OptEdgeCut(reduced, probs, solver.params).solve())
+    return {
+        "first_expand_partition_s": partition_s,
+        "first_expand_supernodes_s": max(0.0, reduce_s - partition_s),
+        "first_expand_opt_edgecut_s": solve_s,
     }
 
 
@@ -446,6 +482,13 @@ def test_coldpath_speedup_and_identity(tmp_path_factory, report, benchmark):
             cold["first_expand_ref_s"] * 1e3,
             cold["first_expand_new_s"] * 1e3,
             cold["first_expand_ref_s"] / cold["first_expand_new_s"],
+        )
+        + "\n%-38s %9.1f / %.1f / %.1f ms"
+        % (
+            "  partition / supernodes / solve",
+            cold["first_expand_partition_s"] * 1e3,
+            cold["first_expand_supernodes_s"] * 1e3,
+            cold["first_expand_opt_edgecut_s"] * 1e3,
         )
         + "\n%-38s %9.3f ms -> %7.3f ms  (budget %.1f ms at full scale)"
         % (

@@ -18,7 +18,6 @@ exactly.  The paper uses N = 10.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import AbstractSet, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -32,35 +31,9 @@ from repro.core.partition import partition_with_limit
 from repro.core.probabilities import ProbabilityModel
 from repro.core.strategy import CutDecision, ExpansionStrategy, SolverCapabilities
 
-__all__ = ["HeuristicReducedOpt", "segment_sums"]
+__all__ = ["HeuristicReducedOpt"]
 
 Edge = Tuple[int, int]
-
-
-def segment_sums(
-    values: np.ndarray, offsets: np.ndarray, lengths: np.ndarray
-) -> np.ndarray:
-    """Per-segment sums of a flattened batch (empty segments sum to 0).
-
-    ``values`` holds every segment back to back; segment ``i`` spans
-    ``values[offsets[i] : offsets[i] + lengths[i]]``.  Built on
-    ``np.add.reduceat`` over ``values`` plus a zero sentinel: a trailing
-    empty segment's offset equals ``len(values)``, which is a valid
-    index into the extended array, so no offset ever has to be clamped
-    onto the preceding segment's final element (clamping would shift
-    that segment's reduction boundary and truncate its sum).  The
-    remaining reduceat quirk — an empty segment reports the element *at*
-    its offset — is masked out explicitly.
-    """
-    out = np.zeros(len(offsets), dtype=np.float64)
-    if len(values) == 0 or len(offsets) == 0:
-        return out
-    extended = np.zeros(len(values) + 1, dtype=np.float64)
-    extended[: len(values)] = values
-    sums = np.add.reduceat(extended, offsets)
-    nonempty = lengths > 0
-    out[nonempty] = sums[nonempty]
-    return out
 
 
 class HeuristicReducedOpt(ExpansionStrategy):
@@ -102,10 +75,11 @@ class HeuristicReducedOpt(ExpansionStrategy):
                 re-normalize every component independently instead.
             decision_cache: optional externally-owned decision store,
                 keyed by the component's ``(root, excluded)`` interval
-                key.  Decisions are deterministic per (tree, probs, params)
-                query, so concurrent sessions of the same query can pass a
-                shared dict and answer each other's EXPANDs from cache —
-                the web layer shares one per cached query state.
+                key.  Decisions are deterministic per (tree, probs, params,
+                options), so concurrent sessions of the same query and
+                options can pass a shared dict and answer each other's
+                EXPANDs from cache — the pipeline shares one per query
+                among its default-option sessions.
         """
         if max_reduced_nodes < 2:
             raise ValueError("max_reduced_nodes must be at least 2")
@@ -242,7 +216,7 @@ class HeuristicReducedOpt(ExpansionStrategy):
         positions, parents, depths = tree.component_arrays(
             as_component(tree, component, root)
         )
-        partitions = partition_with_limit(
+        members, ends = partition_with_limit(
             parents,
             depths,
             probs.result_counts[positions],
@@ -251,44 +225,40 @@ class HeuristicReducedOpt(ExpansionStrategy):
         )
         # The root's part comes last; it becomes CutTree node 0 and the
         # rest keep their order.
-        parts = [partitions[-1]] + partitions[:-1]
-        sizes = np.array([len(members) for members in parts], dtype=np.int64)
+        sizes = np.diff(ends, prepend=0)
+        members, sizes = np.roll(members, sizes[-1]), np.roll(sizes, 1)
         offsets = np.cumsum(sizes) - sizes
-        flat = tree.positions(
-            np.fromiter(chain.from_iterable(parts), dtype=np.int64, count=len(positions))
-        )
-        part_of = np.zeros(len(tree), dtype=np.int64)
-        part_of[flat] = np.repeat(np.arange(len(parts)), sizes)
-        part_roots = [members[0] for members in parts]
-        children: List[List[int]] = [[] for _ in parts]
-        parent_parts = part_of[tree.positions([tree.parent(r) for r in part_roots[1:]])]
-        for index, parent_part in enumerate(parent_parts.tolist(), start=1):
+        part = np.repeat(np.arange(len(sizes)), sizes)
+        part_of = np.empty(len(members), dtype=np.int64)
+        part_of[members] = part
+        heads = members[offsets]
+        part_roots = preorder[positions[heads]].tolist()
+        children: List[List[int]] = [[] for _ in part_roots]
+        for index, parent_part in enumerate(part_of[parents[heads[1:]]].tolist(), 1):
             children[parent_part].append(index)
 
         # Supernode statistics over the arrays: EXPLORE sums run over each
         # part's members in ascending id order, member histograms keep
         # the partition's member order, and each part's citations are
         # one gather of its results-CSR rows.
-        by_id = flat[np.lexsort((preorder[flat], part_of[flat]))]
-        explore = segment_sums(probs.explore_mass[by_id], offsets, sizes).tolist()
-        member_counts = probs.result_counts[flat].tolist()
-        row_begin = tree.result_offsets_array()[flat]
-        row_length = probs.result_counts[flat]
-        starts = np.cumsum(row_length) - row_length
+        flat = positions[members]
+        ids = preorder[flat]
+        # The trailing zero keeps the last part's pairwise summation
+        # blocks, hence its float bits, as they were pinned.
+        explore = np.add.reduceat(
+            np.append(probs.explore_mass[flat[np.lexsort((ids, part))]], 0.0), offsets
+        ).tolist()
+        counts = probs.result_counts[flat]
+        starts = np.cumsum(counts) - counts
         citations = tree.result_values_array()[
-            np.repeat(row_begin - starts, row_length) + np.arange(int(row_length.sum()))
-        ].tolist()
-        bounds = np.append(starts, len(citations))[np.append(offsets, len(flat))].tolist()
-        ends = (offsets + sizes).tolist()
+            np.repeat(tree.result_offsets_array()[flat] - starts, counts)
+            + np.arange(int(counts.sum()))
+        ]
         reduced = CutTree(
             children=children,
-            results=[
-                frozenset(citations[bounds[i] : bounds[i + 1]]) for i in range(len(parts))
-            ],
+            results=np.split(citations, starts[offsets[1:]]),
             explore=explore,
-            member_counts=[
-                member_counts[begin:end] for begin, end in zip(offsets.tolist(), ends)
-            ],
-            payload=[tuple(members) for members in parts],
+            member_counts=np.split(counts, offsets[1:]),
+            payload=np.split(ids, offsets[1:]),
         )
         return reduced, part_roots

@@ -25,10 +25,13 @@ dense node indices instead of a ``FrozenSet[int]``:
   instead of a DFS per lower root;
 * the per-component **cost memo** (:attr:`OptEdgeCut._memo`) and the
   per-component **statistics memo** (EXPLORE mass, distinct-result count,
-  member-count histogram) are keyed on masks, making lookups integer
-  hashes;
+  member count) are keyed on masks, making lookups integer hashes; the
+  member-count histogram is built only for the components whose EXPAND
+  probability reads it (distinct count between the two thresholds);
 * distinct-result counting ORs precomputed per-node **citation bitmaps**
-  and takes a popcount, instead of unioning Python sets;
+  and takes a popcount, instead of unioning Python sets; the bitmaps
+  come from one ``np.unique`` numbering of the tree's citations and one
+  ``np.packbits`` pass;
 * cut enumeration is a **lazy depth-first search** over per-child choices
   (cut the edge, or recurse into the child) that prunes whole prefixes of
   the cut space once the accumulated lower-component cost can no longer
@@ -72,8 +75,9 @@ class CutTree:
 
     Attributes:
         children: adjacency lists.
-        results: distinct citation set attached to each node (for a
-            supernode: the union over its members).
+        results: citation ids attached to each node, as an int64 array
+            (for a supernode: its members' citations back to back;
+            repeats are allowed).  Other collections are converted.
         explore: *unnormalized* EXPLORE mass ``|L(n)| / log LT(n)`` per node
             (for a supernode: the sum over its members).  Opt-EdgeCut
             normalizes over the whole CutTree, so the tree it is invoked on
@@ -81,19 +85,25 @@ class CutTree:
             (paper §IV) — each expansion conditions on the user having
             chosen to explore this component.
         member_counts: per node, the |L(m)| histogram used by the entropy
-            term of the EXPAND probability.  For plain nodes this is
+            term of the EXPAND probability (read only where neither
+            threshold decides it).  For plain nodes this is
             ``[len(results)]``; for supernodes, one entry per member.
+            Any int sequence (list or int64 array).
         payload: opaque caller identity per node (navigation-tree node id,
             or partition descriptor), used to map cuts back.
     """
 
     children: List[List[int]]
-    results: List[FrozenSet[int]]
+    results: List[np.ndarray]
     explore: List[float]
-    member_counts: List[List[int]]
+    member_counts: List[Sequence[int]]
     payload: List[object]
 
     def __post_init__(self) -> None:
+        self.results = [
+            np.fromiter(r, np.int64, len(r)) if not isinstance(r, np.ndarray) else r
+            for r in self.results
+        ]
         k = len(self.children)
         if not (len(self.results) == len(self.explore) == len(self.payload) == k):
             raise ValueError("CutTree field lengths disagree")
@@ -136,11 +146,13 @@ class CutTree:
             for child in tree.children(node):
                 if child in component:
                     children[index[node]].append(index[child])
+        offsets, values = tree.result_offsets_array(), tree.result_values_array()
+        positions = tree.positions(order).tolist()
         return cls(
             children=children,
-            results=[tree.results(n) for n in order],
+            results=[values[offsets[p] : offsets[p + 1]] for p in positions],
             explore=probs.masses(order),
-            member_counts=[[len(tree.results(n))] for n in order],
+            member_counts=[[int(offsets[p + 1] - offsets[p])] for p in positions],
             payload=list(order),
         )
 
@@ -225,30 +237,28 @@ class OptEdgeCut:
                 mask |= self._subtree_mask[child]
             self._subtree_mask[node] = mask
         # Citation bitmaps: each distinct citation id across the tree gets
-        # one bit, so distinct-result counts are OR + popcount.
-        citation_bit: Dict[int, int] = {}
-        self._result_bits: List[int] = []
-        for citations in cut_tree.results:
-            bits = 0
-            for citation in citations:
-                bit = citation_bit.get(citation)
-                if bit is None:
-                    bit = 1 << len(citation_bit)
-                    citation_bit[citation] = bit
-                bits |= bit
-            self._result_bits.append(bits)
-        self._explore: List[float] = list(cut_tree.explore)
-        self._member_counts: List[Tuple[int, ...]] = [
-            tuple(counts) for counts in cut_tree.member_counts
+        # one bit (its rank), so distinct-result counts are OR + popcount.
+        lengths = [len(citations) for citations in cut_tree.results]
+        distinct, column = np.unique(
+            np.concatenate(cut_tree.results), return_inverse=True
+        )
+        matrix = np.zeros((k, max(1, len(distinct))), dtype=bool)
+        matrix[np.repeat(np.arange(k), lengths), column] = True
+        packed = np.packbits(matrix, axis=1, bitorder="little")
+        self._result_bits: List[int] = [
+            int.from_bytes(row.tobytes(), "little") for row in packed
         ]
+        self._explore: List[float] = list(cut_tree.explore)
+        self._member_counts = cut_tree.member_counts
+        self._members: List[int] = [len(counts) for counts in cut_tree.member_counts]
         # Mask-keyed memos: best cut per component, and component
-        # statistics (EXPLORE mass, distinct results, member histogram).
+        # statistics (EXPLORE mass, distinct results, member count).
         self._memo: Dict[int, BestCut] = {}
-        self._stats: Dict[int, Tuple[float, int, Tuple[int, ...]]] = {}
-        self._seed_subtree_stats(citation_bit)
+        self._stats: Dict[int, Tuple[float, int, int]] = {}
+        self._seed_subtree_stats(packed)
 
     # ------------------------------------------------------------------
-    def _seed_subtree_stats(self, citation_bit: Dict[int, int]) -> None:
+    def _seed_subtree_stats(self, packed: np.ndarray) -> None:
         """Batch-evaluate the statistics of every per-node subtree mask.
 
         EdgeCut search decomposes a component into its children's
@@ -258,18 +268,12 @@ class OptEdgeCut:
         in one vectorized pass — packed citation bitmaps, byte-wise OR
         per subtree segment (``np.bitwise_or.reduceat``), popcount table
         lookup — which is exact integer arithmetic and therefore
-        bit-identical to the lazy per-mask path.  EXPLORE sums and
-        member histograms are accumulated sequentially in ascending
-        index order, the exact accumulation :meth:`_component_stats`
-        performs, so the seeded floats match it to the last bit.
+        bit-identical to the lazy per-mask path.  EXPLORE sums are
+        accumulated sequentially in ascending index order, the exact
+        accumulation :meth:`_component_stats` performs, so the seeded
+        floats match it to the last bit.
         """
         k = len(self._children)
-        nbytes = max(1, (len(citation_bit) + 7) // 8)
-        packed = np.zeros((k, nbytes), dtype=np.uint8)
-        for index, bits in enumerate(self._result_bits):
-            packed[index] = np.frombuffer(
-                bits.to_bytes(nbytes, "little"), dtype=np.uint8
-            )
         members_per_node: List[List[int]] = []
         flat: List[int] = []
         offsets: List[int] = []
@@ -286,14 +290,14 @@ class OptEdgeCut:
         distinct = POPCOUNT_TABLE[orred].sum(axis=1)
         for node in range(k):
             explore_sum = 0.0
-            member_counts: List[int] = []
+            members = 0
             for member in members_per_node[node]:
                 explore_sum += self._explore[member]
-                member_counts.extend(self._member_counts[member])
+                members += self._members[member]
             self._stats[self._subtree_mask[node]] = (
                 explore_sum,
                 int(distinct[node]),
-                tuple(member_counts),
+                members,
             )
 
     # ------------------------------------------------------------------
@@ -354,14 +358,14 @@ class OptEdgeCut:
             mask ^= low
         return frozenset(indices)
 
-    def _component_stats(self, mask: int) -> Tuple[float, int, Tuple[int, ...]]:
-        """(EXPLORE mass, distinct results, member histogram) for ``mask``."""
+    def _component_stats(self, mask: int) -> Tuple[float, int, int]:
+        """(EXPLORE mass, distinct results, member count) for ``mask``."""
         stats = self._stats.get(mask)
         if stats is not None:
             return stats
         explore_sum = 0.0
         result_bits = 0
-        member_counts: List[int] = []
+        members = 0
         remaining = mask
         # Ascending index order — the same summation order the reference
         # engine's frozenset iteration produces for indices < 16.
@@ -370,15 +374,15 @@ class OptEdgeCut:
             index = low.bit_length() - 1
             explore_sum += self._explore[index]
             result_bits |= self._result_bits[index]
-            member_counts.extend(self._member_counts[index])
+            members += self._members[index]
             remaining ^= low
-        stats = (explore_sum, result_bits.bit_count(), tuple(member_counts))
+        stats = (explore_sum, result_bits.bit_count(), members)
         self._stats[mask] = stats
         return stats
 
     # ------------------------------------------------------------------
     def _solve(self, mask: int, root: int) -> BestCut:
-        explore_sum, result_count, member_counts = self._component_stats(mask)
+        explore_sum, result_count, members = self._component_stats(mask)
         explore = explore_sum / self._explore_norm
         kids = [c for c in self._children[root] if (mask >> c) & 1]
         if not kids:
@@ -386,7 +390,11 @@ class OptEdgeCut:
             cost = explore * result_count
             return BestCut(cut=(), expected_cost=cost, expansion_term=0.0)
 
-        p_expand = self.probs.expand_from_distribution(member_counts, result_count)
+        p_expand = self.probs.expand_by_threshold(members, result_count)
+        if p_expand is None:  # the histogram decides: build it, in index order
+            counts = [self._member_counts[i] for i in sorted(self._indices_of(mask))]
+            histogram = np.concatenate(counts).tolist()
+            p_expand = self.probs.expand_from_distribution(histogram, result_count)
         best_term, best_children = self._search_cuts(mask, root, kids)
         best_cut = tuple((self._parent[c], c) for c in best_children)
         show_cost = (1.0 - p_expand) * result_count

@@ -21,15 +21,17 @@ ranks every sibling group by ascending (residual, id) and one segmented
 cumsum turns "pop the heaviest child while the total exceeds δ" into one
 comparison per child — child ``j`` is split off iff its parent's weight
 plus the residuals of the siblings up to and including ``j`` exceeds δ.
-Integer weights keep every sum exact in float64, so the cuts equal the
-sequential algorithm's.  Only the last pass is turned into lists, reusing
-its rankings (DESIGN.md §5 states the part and member order contract).
-The dict-based original is the oracle in ``tests/oracles``.
+A pass visits only the sibling groups whose parent's subtree outweighs
+δ: below a lighter node nothing is split and every residual is the
+subtree weight, computed once.  Integer weights keep every sum exact in
+float64, so the cuts equal the sequential algorithm's.  Only the last
+pass is materialized (DESIGN.md §5 states the part and member order
+contract).  The dict-based original is the oracle in ``tests/oracles``.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Sequence, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,6 +39,8 @@ __all__ = ["k_partition", "partition_with_limit"]
 
 #: A per-position column: a numpy array or any sequence of numbers.
 Column = Union[np.ndarray, Sequence[float]]
+#: Parts as ``(members, ends)``: positions part by part, and part ends.
+Parts = Tuple[np.ndarray, np.ndarray]
 
 
 class _Level(NamedTuple):
@@ -44,19 +48,17 @@ class _Level(NamedTuple):
 
     nodes: np.ndarray  # positions at this depth, by (parent, id)
     parents: np.ndarray  # their parents; sibling groups are contiguous
-    starts: np.ndarray  # index of each sibling group's first node
+    bounds: np.ndarray  # index of each sibling group's first node, then len
     group: np.ndarray  # sibling-group index of each node
-    parent_weight: np.ndarray  # weight of each node's parent
     heads: np.ndarray  # each group's parent
+    head_subtree: np.ndarray  # subtree weight of each group's parent
 
 
 class _Pass(NamedTuple):
-    """One δ pass's outcome, per level bottom up."""
+    """One δ pass's outcome."""
 
-    cuts: int
     residual: np.ndarray  # final residual of every node
-    orders: List[np.ndarray]  # level indices ranked by (parent, residual, id)
-    splits: List[np.ndarray]  # split flag of each ranked node
+    split: np.ndarray  # positions split off from their parent
 
 
 class _Levels:
@@ -78,20 +80,22 @@ class _Levels:
         depths = np.asarray(depths, dtype=np.int64) - int(depths[0])
         by_depth = np.argsort(depths, kind="stable")
         bounds = np.searchsorted(depths[by_depth], np.arange(int(depths.max()) + 2))
+        self.subtree = self.weights.copy()
         self.levels: List[_Level] = []
         for depth in range(len(bounds) - 2, 0, -1):
             # Nodes grouped by parent, ascending id within each group: a
-            # stable sort by (parent, residual) then breaks ties by id.
+            # stable sort by (group, residual) then breaks ties by id.
             nodes = by_depth[bounds[depth] : bounds[depth + 1]]
             nodes = nodes[np.lexsort((self.ids[nodes], self.parents[nodes]))]
             par = self.parents[nodes]
+            self.subtree += np.bincount(par, weights=self.subtree[nodes], minlength=k)
             first = np.ones(len(nodes), dtype=bool)
             first[1:] = par[1:] != par[:-1]
             starts = np.flatnonzero(first)
             self.levels.append(
                 _Level(
-                    nodes, par, starts, np.cumsum(first) - 1,
-                    self.weights[par], par[starts],
+                    nodes, par, np.append(starts, len(nodes)), np.cumsum(first) - 1,
+                    par[starts], self.subtree[par[starts]],
                 )
             )
 
@@ -99,31 +103,40 @@ class _Levels:
         return len(self.parents)
 
     def sweep(self, delta: float) -> _Pass:
-        """One δ pass, bottom up.
+        """One δ pass, bottom up, over the groups whose parent outweighs δ.
 
-        Per level, one lexsort ranks each sibling group by ascending
+        Every other node keeps its subtree weight as its residual.  Per
+        level, one lexsort ranks each visited group by ascending
         (residual, id) and one segmented cumsum gives prefix sums; a child
         is split off iff its parent's weight plus the residuals up to and
         including it exceeds δ.
         """
-        residual = self.weights.copy()
-        orders, splits = [], []
+        residual = self.subtree.copy()
+        splits = []
         for level in self.levels:
-            values = residual[level.nodes]
-            order = np.lexsort((values, level.parents))
+            heavy = np.flatnonzero(level.head_subtree > delta)
+            if not len(heavy):
+                continue
+            lengths = level.bounds[heavy + 1] - level.bounds[heavy]
+            starts = np.cumsum(lengths) - lengths
+            group = np.repeat(np.arange(len(heavy)), lengths)
+            nodes = level.nodes[
+                np.repeat(level.bounds[heavy] - starts, lengths) + np.arange(len(group))
+            ]
+            values = residual[nodes]
+            order = np.lexsort((values, group))
             ranked = values[order]
             running = np.cumsum(ranked)
-            prefix = running - (running - ranked)[level.starts][level.group]
-            split = level.parent_weight + prefix > delta
-            kept = np.maximum.reduceat(np.where(split, 0.0, prefix), level.starts)
-            residual[level.heads] = self.weights[level.heads] + kept
-            orders.append(order)
-            splits.append(split)
-        cuts = sum(int(np.count_nonzero(split)) for split in splits)
-        return _Pass(cuts, residual, orders, splits)
+            prefix = running - (running - ranked)[starts][group]
+            heads = level.heads[heavy]
+            split = self.weights[heads][group] + prefix > delta
+            kept = np.maximum.reduceat(np.where(split, 0.0, prefix), starts)
+            residual[heads] = self.weights[heads] + kept
+            splits.append(nodes[order[split]])
+        return _Pass(residual, np.concatenate(splits or [np.zeros(0, np.int64)]))
 
-    def materialize(self, result: _Pass) -> List[List[int]]:
-        """A δ pass's parts as id lists, in the sequential algorithm's order.
+    def materialize(self, result: _Pass) -> Parts:
+        """A δ pass's parts, in the sequential algorithm's order.
 
         Parts follow the right-to-left postorder of their parent node —
         the reverse of preorder — heaviest first among siblings, with the
@@ -132,8 +145,7 @@ class _Levels:
         """
         ids, residual = self.ids, result.residual
         cut = np.zeros(len(self), dtype=bool)
-        for level, order, split in zip(self.levels, result.orders, result.splits):
-            cut[level.nodes[order]] = split
+        cut[result.split] = True
         # Kept-subtree sizes bottom up, then member slots top down.
         size = np.ones(len(self), dtype=np.int64)
         for level in self.levels:
@@ -147,38 +159,39 @@ class _Levels:
         ends = np.cumsum(size[roots])
         slot = np.empty(len(self), dtype=np.int64)
         slot[roots] = ends - size[roots]
-        for level, order in zip(reversed(self.levels), reversed(result.orders)):
-            ranked = level.nodes[order]
+        for level in reversed(self.levels):
+            ranked = level.nodes[np.lexsort((residual[level.nodes], level.group))]
             keep = ~cut[ranked]
             sizes = np.where(keep, size[ranked], 0)
             before = np.cumsum(sizes) - sizes
-            offset = before - before[level.starts][level.group] + 1
+            offset = before - before[level.bounds[level.group]] + 1
             slot[ranked[keep]] = slot[level.parents[keep]] + offset[keep]
-        flat = np.empty(len(self), dtype=np.int64)
-        flat[slot] = ids
-        members = flat.tolist()
-        bounds = [0] + ends.tolist()
-        return [members[bounds[i] : bounds[i + 1]] for i in range(len(roots))]
+        members = np.empty(len(self), dtype=np.int64)
+        members[slot] = np.arange(len(self))
+        return members, ends
 
-    def force_split(self) -> List[List[int]]:
+    def force_split(self) -> Parts:
         """Split the heaviest root-child subtree into its own partition.
 
         Each part lists its root, then the rest of its subtree in
         right-to-left postorder (reverse preorder).
         """
-        ids = self.ids
         heads = np.flatnonzero(self.parents == 0)
         ends = np.append(heads[1:], len(self))
-        cumulative = np.concatenate(([0.0], np.cumsum(self.weights)))
-        ranked = np.lexsort((ids[heads], cumulative[ends] - cumulative[heads]))
+        ranked = np.lexsort((self.ids[heads], self.subtree[heads])).tolist()
         pieces = [
-            np.concatenate(([ids[heads[i]]], ids[heads[i] + 1 : ends[i]][::-1]))
-            for i in ranked.tolist()
+            np.append(heads[i], np.arange(ends[i] - 1, heads[i], -1)) for i in ranked
         ]
-        rest = [int(ids[0])]
-        for piece in pieces[:-1]:
-            rest.extend(piece.tolist())
-        return [pieces[-1].tolist(), rest]
+        members = np.concatenate([pieces[-1], [0]] + pieces[:-1])
+        return members, np.array([len(pieces[-1]), len(self)])
+
+
+def _as_lists(ids: Column, parts: Parts) -> List[List[int]]:
+    """Parts as node-id lists."""
+    members, ends = parts
+    labels = np.asarray(ids, dtype=np.int64)[members].tolist()
+    bounds = [0] + ends.tolist()
+    return [labels[bounds[i] : bounds[i + 1]] for i in range(len(ends))]
 
 
 def k_partition(
@@ -209,7 +222,7 @@ def k_partition(
     if delta < 0:
         raise ValueError("delta must be non-negative")
     tree = _Levels(parents, depths, weights, ids)
-    return tree.materialize(tree.sweep(delta))
+    return _as_lists(ids, tree.materialize(tree.sweep(delta)))
 
 
 def partition_with_limit(
@@ -219,16 +232,20 @@ def partition_with_limit(
     ids: Column,
     max_partitions: int,
     growth: float = 1.3,
-) -> List[List[int]]:
-    """Partition into at most ``max_partitions`` parts (paper §VI-A).
+) -> Parts:
+    """At most ``max_partitions`` parts, as positions (paper §VI-A).
 
     Starts from δ = W / max_partitions and grows δ geometrically until the
-    partition count fits; only the last pass is turned into lists.  When
-    the result collapses to a single partition while the tree has several
-    nodes, the heaviest child subtree of the root is forced out so the
-    reduced tree always has at least one edge to cut (the paper
-    implicitly assumes this never happens because its component trees are
-    large).  Arguments as for :func:`k_partition`.
+    partition count fits.  When the result collapses to a single partition
+    while the tree has several nodes, the heaviest child subtree of the
+    root is forced out so the reduced tree always has at least one edge to
+    cut (the paper implicitly assumes this never happens because its
+    component trees are large).  Arguments as for :func:`k_partition`.
+
+    Returns:
+        ``(members, ends)``: every position once, part by part in
+        :func:`k_partition`'s part and member order, and each part's end
+        in ``members``.
     """
     if max_partitions < 1:
         raise ValueError("max_partitions must be at least 1")
@@ -238,9 +255,9 @@ def partition_with_limit(
     total = float(tree.weights.sum())
     delta = total / max_partitions if total > 0 else 1.0
     result = tree.sweep(delta)
-    while result.cuts + 1 > max_partitions:
+    while len(result.split) + 1 > max_partitions:
         delta *= growth
         result = tree.sweep(delta)
-    if result.cuts == 0 and len(tree) > 1 and max_partitions > 1:
+    if not len(result.split) and len(tree) > 1 and max_partitions > 1:
         return tree.force_split()
     return tree.materialize(result)

@@ -23,7 +23,7 @@ Two probabilities drive the cost model:
 from __future__ import annotations
 
 import math
-from typing import Callable, FrozenSet, Iterable, List, Sequence
+from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -170,13 +170,21 @@ class ProbabilityModel:
         Exposed separately so the reduced supernode trees of the heuristic
         can reuse the exact same estimate.
         """
-        if len(member_counts) <= 1:
+        decided = self.expand_by_threshold(len(member_counts), distinct_count)
+        return self._normalized_entropy(member_counts) if decided is None else decided
+
+    def expand_by_threshold(self, members: int, distinct_count: int) -> Optional[float]:
+        """pX where the member count or a threshold decides it, else ``None``.
+
+        ``None``: the entropy of the member-count histogram decides.
+        """
+        if members <= 1:
             return 0.0
         if distinct_count > self.upper_threshold:
             return 1.0
         if distinct_count < self.lower_threshold:
             return 0.0
-        return self._normalized_entropy(member_counts)
+        return None
 
     def _normalized_entropy(self, member_counts: Sequence[int]) -> float:
         """Entropy of the citation distribution, normalized to [0, 1].

@@ -51,7 +51,8 @@ __all__ = [
 #: in, so a store written by code with other keys or other pickled
 #: layouts is never read.  Version 2: cut keys and decision caches name a
 #: component by ``(root, excluded)`` instead of by its member set.
-KEY_FORMAT_VERSION = 2
+#: Version 3: cut keys fold in the session's solver options.
+KEY_FORMAT_VERSION = 3
 
 
 def content_key(*parts: str) -> str:
@@ -137,11 +138,12 @@ class NavTreeArtifact:
         probs: EXPLORE/EXPAND probability estimates over ``tree``
             (the per-node cost-model arrays, read-only).
         decisions: component ``(root, excluded)`` key → cut decision,
-            shared by every strategy instance of this query.  EdgeCut
-            decisions are deterministic per (tree, probs, params), so
-            concurrent sessions may write the same key only with the
-            same value — sharing is safe under per-session locks (see
-            DESIGN.md §10).
+            shared by every default-option strategy instance of this
+            query (a session with other solver options keeps its own).
+            EdgeCut decisions are deterministic per (tree, probs,
+            params, options), so concurrent sessions may write the same
+            key only with the same value — sharing is safe under
+            per-session locks (see DESIGN.md §10).
         content_key: digest chaining the hierarchy and result-set keys.
     """
 

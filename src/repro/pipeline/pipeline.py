@@ -14,9 +14,10 @@ What is shared vs per-session:
 * **hierarchy** — one snapshot per deployment, shared by every query;
 * **results**, **nav_tree** — shared by every session of a query;
 * **active_tree** — per-session (never cached; still timed);
-* **cut** — shared by every session of a query: an EXPAND's plan is
-  keyed by (tree, component, root, solver, cost params), so repeated
-  expansions replay cached plans.
+* **cut** — shared by every session of a query that uses the same
+  solver options: an EXPAND's plan is keyed by (tree, component, root,
+  solver, solver options, cost params), so repeated expansions replay
+  cached plans.
 
 Sessions opened through the pipeline run a :class:`PipelineStrategy`:
 the registry-built solver wrapped so each EXPAND routes through the cut
@@ -73,11 +74,13 @@ class PipelineStrategy(ExpansionStrategy):
         nav: NavTreeArtifact,
         solver: str,
         inner: ExpansionStrategy,
+        options: Dict[str, object],
     ):
         self.pipeline = pipeline
         self.nav = nav
         self.solver = solver
         self.inner = inner
+        self.options = options
         # Present as the wrapped solver: simulators, profiles, and the
         # web layer report strategy names.
         self.name = inner.name
@@ -92,7 +95,7 @@ class PipelineStrategy(ExpansionStrategy):
     ) -> CutDecision:
         """Cached-or-solved cut for one component (see :class:`CutStage`)."""
         plan = self.pipeline.plan_cut(
-            self.nav, component, root, self.solver, inner=self.inner
+            self.nav, component, root, self.solver, inner=self.inner, **self.options
         )
         return plan.decision
 
@@ -203,6 +206,7 @@ class NavigationPipeline:
         root: int,
         solver: str,
         inner: Optional[ExpansionStrategy] = None,
+        **options: object,
     ) -> CutPlan:
         """Stage 5: the EdgeCut plan for one component (cached).
 
@@ -212,17 +216,22 @@ class NavigationPipeline:
                 member set converted on the way in).
             root: the component's root concept.
             solver: solver name (canonical or alias).
-            inner: the session's already-built bare strategy; built from
-                the registry when omitted (one-off callers).
+            inner: the session's already-built bare strategy (built with
+                ``options``); built from the registry when omitted
+                (one-off callers).
+            options: the session's solver options, as given to
+                :meth:`activate`; they are part of the plan's key.
         """
         canonical = self.registry.resolve(solver)
         component = as_component(nav.tree, component, root)
-        key = CutStage.key(nav, canonical, self._cost_key, component, root)
+        key = CutStage.key(
+            nav, canonical, self._cost_key, component, root, self.options_key(**options)
+        )
 
         def build() -> CutPlan:
             strategy = inner
             if strategy is None:
-                strategy = self._bare_strategy(nav, canonical)
+                strategy = self._bare_strategy(nav, canonical, **options)
             return CutStage.build(strategy, component, root, canonical, key)
 
         return self.cache.get_or_build(CutStage.name, key, build)
@@ -248,17 +257,36 @@ class NavigationPipeline:
         """A pipeline-routed strategy for ``nav`` (cut-stage cached)."""
         canonical = self.registry.resolve(solver)
         inner = self._bare_strategy(nav, canonical, **options)
-        return PipelineStrategy(self, nav, canonical, inner)
+        return PipelineStrategy(self, nav, canonical, inner, options)
+
+    def options_key(self, **options: object) -> str:
+        """The cut-key part naming a session's solver options.
+
+        Merged over the pipeline's defaults, so a default value given
+        explicitly names the default plans; a ``decision_cache`` is not
+        an input.
+        """
+        return repr(sorted(self._solver_options(options).items()))
+
+    def _solver_options(self, options: Dict[str, object]) -> Dict[str, object]:
+        merged = {"max_reduced_nodes": self.max_reduced_nodes, "reuse_memo": True}
+        merged.update(options)
+        merged.pop("decision_cache", None)
+        return merged
 
     def _bare_strategy(
         self, nav: NavTreeArtifact, canonical: str, **options: object
     ) -> ExpansionStrategy:
-        """Registry-build the underlying solver with pipeline defaults."""
-        merged: Dict[str, object] = {
-            "max_reduced_nodes": self.max_reduced_nodes,
-            "decision_cache": nav.decisions,
-        }
-        merged.update(options)
+        """Registry-build the underlying solver with pipeline defaults.
+
+        Only default-option sessions share the query's decision dict,
+        which is keyed by component alone; others keep a private one.
+        """
+        merged = self._solver_options(options)
+        default = merged == self._solver_options({})
+        merged["decision_cache"] = options.get(
+            "decision_cache", nav.decisions if default else None
+        )
         return self.registry.create(
             canonical, nav.tree, nav.probs, params=self.params, **merged
         )

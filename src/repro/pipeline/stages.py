@@ -167,9 +167,10 @@ class CutStage:
     """One component + solver → :class:`CutPlan` (the EXPAND decision).
 
     Cached: EdgeCut decisions are deterministic per (navigation tree,
-    component, root, solver, cost params), so one session's EXPAND work
-    answers every session of the query — including replays of the same
-    component after a BACKTRACK.
+    component, root, solver, solver options, cost params), so one
+    session's EXPAND work answers every session of the query with the
+    same options — including replays of the same component after a
+    BACKTRACK.
     """
 
     name = "cut"
@@ -182,14 +183,17 @@ class CutStage:
         cost_key: str,
         component: Component,
         root: int,
+        options: str,
     ) -> str:
-        """Identify a cut by tree, solver, cost params, and component.
+        """Identify a cut by tree, solver, options, cost params, and component.
 
         The component's ``(root, excluded)`` interval key includes the
-        root.
+        root; ``options`` names the solver options
+        (:meth:`~repro.pipeline.pipeline.NavigationPipeline.options_key`).
         """
         return content_key(
-            "cut", nav.content_key, solver, cost_key, component_digest(component)
+            "cut", nav.content_key, solver, options, cost_key,
+            component_digest(component),
         )
 
     @staticmethod

@@ -19,7 +19,7 @@ from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.heuristic import HeuristicReducedOpt, segment_sums
+from repro.core.heuristic import HeuristicReducedOpt
 from repro.core.opt_edgecut import CutTree
 
 __all__ = [
@@ -27,9 +27,36 @@ __all__ = [
     "k_partition",
     "partition_with_limit",
     "preorder_arrays",
+    "segment_sums",
 ]
 
 Adjacency = Mapping[int, Sequence[int]]
+
+
+def segment_sums(
+    values: np.ndarray, offsets: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """Per-segment sums of a flattened batch (empty segments sum to 0).
+
+    ``values`` holds every segment back to back; segment ``i`` spans
+    ``values[offsets[i] : offsets[i] + lengths[i]]``.  Built on
+    ``np.add.reduceat`` over ``values`` plus a zero sentinel: a trailing
+    empty segment's offset equals ``len(values)``, which is a valid
+    index into the extended array, so no offset ever has to be clamped
+    onto the preceding segment's final element (clamping would shift
+    that segment's reduction boundary and truncate its sum).  The
+    remaining reduceat quirk — an empty segment reports the element *at*
+    its offset — is masked out explicitly.
+    """
+    out = np.zeros(len(offsets), dtype=np.float64)
+    if len(values) == 0 or len(offsets) == 0:
+        return out
+    extended = np.zeros(len(values) + 1, dtype=np.float64)
+    extended[: len(values)] = values
+    sums = np.add.reduceat(extended, offsets)
+    nonempty = lengths > 0
+    out[nonempty] = sums[nonempty]
+    return out
 
 
 def k_partition(

@@ -192,7 +192,12 @@ class TestClusterStageCache:
         monkeypatch.setattr(artifacts, "KEY_FORMAT_VERSION", older)
         monkeypatch.setattr(stagecache, "KEY_FORMAT_VERSION", older)
         stale_key = CutStage.key(
-            nav, "heuristic", params_key(pipeline.params), root, root.root
+            nav,
+            "heuristic",
+            params_key(pipeline.params),
+            root,
+            root.root,
+            pipeline.options_key(),
         )
         wrong = CutPlan(
             solver="heuristic",

@@ -7,8 +7,9 @@ every EXPLORE/EXPAND query from them.  The suite pins the arrays to the
 the corners that historically break cost-model implementations:
 components whose distinct-citation count sits *exactly* on the lower or
 upper threshold, members with zero citations, and singleton components.
-It also covers :func:`~repro.core.heuristic.segment_sums`, the
-segmented reduction the heuristic's supernode EXPLORE sums run on, and
+It also covers ``segment_sums``, the empty-segment-safe reduction the
+oracle reduction in ``tests/oracles/partition_reference.py`` sums its
+supernode EXPLORE masses with, and
 the bit-identity check the equivalence suites and the cold-path bench
 compare models with.
 """
@@ -21,11 +22,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.heuristic import segment_sums
 from repro.core.navigation_tree import NavigationTree
 from repro.core.probabilities import ProbabilityModel
 from repro.hierarchy.concept import ConceptHierarchy
 from tests.oracles.cost_identity import models_identical
+from tests.oracles.partition_reference import segment_sums
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,39 @@ def supernode_cut_tree(seed: int, size: int) -> CutTree:
     )
 
 
+def threshold_cut_tree(seed: int, size: int, distinct: int) -> CutTree:
+    """A supernode CutTree whose whole tree holds exactly ``distinct`` citations.
+
+    Every citation of ``range(distinct)`` lands on at least one node, and
+    nodes repeat citations, so sub-components fall on both sides of the
+    EXPAND thresholds too.
+    """
+    rng = random.Random(seed)
+    children = [[] for _ in range(size)]
+    for node in range(1, size):
+        children[rng.randrange(node)].append(node)
+    owners = [rng.randrange(size) for _ in range(distinct)]
+    results = []
+    member_counts = []
+    for node in range(size):
+        own = {c for c, owner in enumerate(owners) if owner == node}
+        extra = rng.sample(range(distinct), rng.randint(0, min(distinct, 6)))
+        citations = sorted(own | set(extra))
+        members = rng.randint(1, 4)
+        cuts = sorted(rng.randint(0, len(citations)) for _ in range(members - 1))
+        member_counts.append(
+            [b - a for a, b in zip([0] + cuts, cuts + [len(citations)])]
+        )
+        results.append(frozenset(citations))
+    return CutTree(
+        children=children,
+        results=results,
+        explore=[rng.uniform(0.2, 5.0) for _ in range(size)],
+        member_counts=member_counts,
+        payload=list(range(size)),
+    )
+
+
 @pytest.fixture(scope="module")
 def shared_probs():
     """A probability model for raw CutTrees.
@@ -108,6 +141,25 @@ class TestEngineEquivalence:
             new = OptEdgeCut(cut_tree, shared_probs, params).solve()
             old = ReferenceOptEdgeCut(cut_tree, shared_probs, params).solve()
             assert new == old, "seed %d" % seed
+
+    @pytest.mark.parametrize("distinct", [9, 10, 50, 51])
+    def test_threshold_edges_identical(self, shared_probs, distinct):
+        """Distinct counts on both sides of the thresholds (10 and 50):
+        the histogram is built lazily, only between them, and the
+        engines must still agree to the last bit, memo included."""
+        assert (shared_probs.lower_threshold, shared_probs.upper_threshold) == (10, 50)
+        params = CostParams()
+        for seed in range(15):
+            cut_tree = threshold_cut_tree(7000 + seed, 2 + seed % 8, distinct)
+            new = OptEdgeCut(cut_tree, shared_probs, params)
+            old = ReferenceOptEdgeCut(cut_tree, shared_probs, params)
+            assert new.solve() == old.solve(), "seed %d" % seed
+            reference_memo = dict(old.memo_items())
+            for component, best in new.memo_items():
+                assert reference_memo[component] == best, "seed %d" % seed
+            whole = new._component_stats(new._subtree_mask[0])
+            assert whole[1] == distinct
+            assert whole[2] == sum(len(c) for c in cut_tree.member_counts)
 
     def test_nonuniform_costs_agree(self, shared_probs):
         """Equivalence must not depend on the default unit costs."""

@@ -19,9 +19,10 @@ def k_partition(adjacency, root, weights, delta):
 
 def partition_with_limit(adjacency, root, weights, max_partitions, growth=1.3):
     parents, depths, node_weights, ids = preorder_arrays(adjacency, root, weights)
-    return partition.partition_with_limit(
+    parts = partition.partition_with_limit(
         parents, depths, node_weights, ids, max_partitions, growth=growth
     )
+    return partition._as_lists(ids, parts)
 
 
 @pytest.fixture()

@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Tuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +31,7 @@ from tests.oracles import partition_reference as oracle
 SHAPES = ("random", "star", "chain", "broom", "bushy")
 #: "halves" (non-integral) and "huge" (2^40-scale) weights stay exactly
 #: summable in float64, so the oracle's lists are still the target.
-WEIGHTS = ("zero", "ties", "wide", "sparse", "halves", "huge")
+WEIGHTS = ("zero", "ties", "wide", "sparse", "halves", "huge", "heavy")
 IDS = ("identity", "permuted", "sparse")
 
 
@@ -62,6 +63,8 @@ def random_weights(rng: random.Random, n: int, style: str) -> List[float]:
         return [rng.randrange(8) / 2 for _ in range(n)]
     if style == "huge":
         return [float(rng.choice((0, 1, 2**40, 2**40 + 1))) for _ in range(n)]
+    if style == "heavy":  # a few atoms outweigh W / N on their own
+        return [float(n if rng.random() < 0.05 else rng.choice((0, 1))) for _ in range(n)]
     return [float(rng.randrange(1000)) for _ in range(n)]
 
 
@@ -108,7 +111,8 @@ def array_k_partition(adjacency, root, weights, delta):
 
 def array_partition_with_limit(adjacency, root, weights, limit):
     parents, depths, node_weights, ids = oracle.preorder_arrays(adjacency, root, weights)
-    return partition.partition_with_limit(parents, depths, node_weights, ids, limit)
+    parts = partition.partition_with_limit(parents, depths, node_weights, ids, limit)
+    return partition._as_lists(ids, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +157,49 @@ class TestPartitionLists:
             expected = oracle.partition_with_limit(adjacency, root, weights, 4)
             assert len(expected) == 2
             assert array_partition_with_limit(adjacency, root, weights, 4) == expected
+
+
+class TestDeltaSearch:
+    """The δ scan over passes that visit only groups under heavy parents.
+
+    ``partition_with_limit`` must pick the δ of the oracle's linear scan
+    (the same repeated ``*= growth`` floats) and return its parts and
+    member order exactly, as positions.
+    """
+
+    @given(
+        trees(shapes=("star", "chain", "broom", "random")),
+        st.integers(1, 16),
+        st.sampled_from((1.05, 1.3, 2.0)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_positions_equal_linear_scan(self, tree, limit, growth):
+        adjacency, root, weights = tree
+        parents, depths, node_weights, ids = oracle.preorder_arrays(
+            adjacency, root, weights
+        )
+        members, ends = partition.partition_with_limit(
+            parents, depths, node_weights, ids, limit, growth
+        )
+        assert sorted(members.tolist()) == list(range(len(ids)))
+        labels = [ids[m] for m in members.tolist()]
+        bounds = [0] + ends.tolist()
+        parts = [labels[bounds[i] : bounds[i + 1]] for i in range(len(ends))]
+        assert parts == oracle.partition_with_limit(
+            adjacency, root, weights, limit, growth
+        )
+
+    @pytest.mark.parametrize("shape", ["star", "bushy"])
+    def test_collapse_to_one_part_forces_a_split(self, shape):
+        # The root alone outweighs every δ that splits off fewer parts than
+        # it has children, so the scan ends on one part.
+        rng = random.Random(11)
+        for _ in range(10):
+            adjacency, root, weights = build_tree(rng, 25, shape, "zero", "permuted")
+            weights[root] = 100.0
+            expected = oracle.partition_with_limit(adjacency, root, weights, 3)
+            assert len(expected) == 2
+            assert array_partition_with_limit(adjacency, root, weights, 3) == expected
 
 
 # ---------------------------------------------------------------------------

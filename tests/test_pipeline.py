@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.edgecut import Component
+from repro.core.heuristic import HeuristicReducedOpt
 from repro.pipeline.artifacts import component_digest, content_key
 from repro.pipeline.cache import StageCache
 from repro.pipeline.pipeline import NavigationPipeline, PipelineStrategy
@@ -81,13 +82,21 @@ class TestContentKeys:
         def component(*members):
             return Component.from_members(nav.tree, members, root)
 
-        def key(solver, *members):
-            return CutStage.key(nav, solver, cost, component(*members), root)
+        def key(solver, *members, **options):
+            return CutStage.key(
+                nav, solver, cost, component(*members), root,
+                pipeline.options_key(**options),
+            )
 
         base = key("heuristic", root, first)
         assert base == key("heuristic", first, root)
         assert base != key("static_nav", root, first)
         assert base != key("heuristic", root, first, second)
+        assert base != key("heuristic", root, first, max_reduced_nodes=5)
+        assert base != key("heuristic", root, first, reuse_memo=False)
+        # Defaults given explicitly, or a decision store, name the same plan.
+        assert base == key("heuristic", root, first, max_reduced_nodes=10)
+        assert base == key("heuristic", root, first, decision_cache={})
 
 
 class TestStageSharing:
@@ -193,6 +202,36 @@ class TestPipelineStrategy:
         stats = pipeline.stage_stats()[CutStage.name]
         assert stats["builds"] == 1
         assert stats["hits"] == 1
+
+    @pytest.mark.parametrize("first", [{}, {"max_reduced_nodes": 5}])
+    def test_plans_follow_the_session_options(self, pipeline, first):
+        # Whichever session expands first, a session with other solver
+        # options must get its own plan, not the one cached for the other.
+        nav = pipeline.nav_tree("prothymosin")
+        component = frozenset(nav.tree.iter_dfs())
+        root = nav.tree.root
+        assert len(component) > 10
+        second = {"max_reduced_nodes": 5} if not first else {}
+        for options in (first, second):
+            decision = pipeline.strategy(nav, "heuristic", **options).best_cut(
+                component, root
+            )
+            fresh = HeuristicReducedOpt(
+                nav.tree, nav.probs, params=pipeline.params, **options
+            ).best_cut(component, root)
+            assert decision == fresh
+        assert pipeline.stage_stats()[CutStage.name]["builds"] == 2
+
+    def test_non_default_options_keep_a_private_decision_store(self, pipeline):
+        nav = pipeline.nav_tree("prothymosin")
+        pipeline.strategy(nav, "heuristic", max_reduced_nodes=5).best_cut(
+            frozenset(nav.tree.iter_dfs()), nav.tree.root
+        )
+        assert nav.decisions == {}
+        pipeline.strategy(nav, "heuristic").best_cut(
+            frozenset(nav.tree.iter_dfs()), nav.tree.root
+        )
+        assert len(nav.decisions) == 1
 
     def test_unknown_solver_rejected(self, pipeline):
         nav = pipeline.nav_tree("prothymosin")

@@ -1,0 +1,117 @@
+"""A pinned digest of every EXPAND decision over a fixed seeded workload.
+
+perfbench's ``nav_cost_mean`` is blind to cut changes (every session
+there expands the root twice and ends on it), so the solver's outputs
+are pinned here instead: a seeded in-memory substrate, a handful of
+one-concept queries whose trees run to ~1.5k nodes, and per query a
+walk that EXPANDs the largest and the smallest expandable component in
+turn.  EXPANDs of large components go through the reduced (§VI-B) path,
+those of small ones through the exact path and the harvested memo.
+Every decision's cut, reduced size and ``repr(expected_cost)`` feed one
+sha-256, for three solver configurations.
+
+A change that moves any cut or any cost bit fails this test.  Such a
+change must bump :data:`~repro.pipeline.artifacts.KEY_FORMAT_VERSION`
+(cached plans of the old solver must not be served) and re-pin both
+values below together.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.core.active_tree import ActiveTree
+from repro.core.heuristic import HeuristicReducedOpt
+from repro.core.navigation_tree import NavigationTree
+from repro.core.probabilities import ProbabilityModel
+from repro.hierarchy.generator import generate_hierarchy
+from repro.pipeline.artifacts import KEY_FORMAT_VERSION
+from repro.substrate import (
+    SubstrateBuilder,
+    SynthSpec,
+    synthetic_background,
+    synthetic_chunks,
+)
+
+#: The key version the digest below was pinned under.
+PINNED_KEY_FORMAT_VERSION = 3
+#: sha-256 over every decision of :func:`walk_decisions`.
+PLAN_DIGEST = "6991ccacf078a8f5ffa7ae73195c81352130593c35a6b1a7e7205949701ce8b5"
+
+SEED = 21
+QUERIES = 8
+EXPANDS_PER_WALK = 10
+
+
+@pytest.fixture(scope="module")
+def workload():
+    hierarchy = generate_hierarchy(target_size=2500, seed=SEED)
+    builder = SubstrateBuilder(None, num_concepts=len(hierarchy))
+    builder.build(
+        synthetic_chunks(
+            SynthSpec(citations=12_000, num_concepts=len(hierarchy), seed=SEED)
+        ),
+        hierarchy=hierarchy,
+        background=synthetic_background(len(hierarchy), seed=SEED),
+    )
+    store = builder.open()
+    counts = np.array([store.result_count(c) for c in range(len(hierarchy))])
+    # Mid-frequency concepts: trees of a few hundred nodes.
+    concepts = np.flatnonzero((counts >= 60) & (counts <= 120))[:QUERIES]
+    assert len(concepts) == QUERIES
+    return hierarchy, store, concepts.tolist()
+
+
+def walk_decisions(hierarchy, store, concept, **options):
+    """Decisions of one walk over the largest and smallest components."""
+    tree = NavigationTree.from_store(hierarchy, store, store.boolean_and([concept]))
+    probs = ProbabilityModel(tree, store)
+    solver = HeuristicReducedOpt(tree, probs, **options)
+    active = ActiveTree(tree)
+    decisions = []
+    for step in range(EXPANDS_PER_WALK):
+        sizes = sorted(
+            (len(active.interval(r)), r) for r in active.component_roots()
+        )
+        sizes = [(size, root) for size, root in sizes if size > 1]
+        if not sizes:
+            break
+        # Alternate the largest component with the smallest expandable one.
+        size, root = sizes[0] if step % 2 else sizes[-1]
+        decision = solver.best_cut(active.interval(root), root)
+        decisions.append(
+            (root, decision.cut, decision.reduced_size, repr(decision.expected_cost))
+        )
+        active.expand(root, decision.cut)
+    return tree.size(), decisions
+
+
+def plan_digest(workload) -> str:
+    hierarchy, store, concepts = workload
+    hasher = hashlib.sha256()
+    for options in ({}, {"reuse_memo": False}, {"max_reduced_nodes": 5}):
+        for concept in concepts:
+            hasher.update(repr(walk_decisions(hierarchy, store, concept, **options)).encode())
+    return hasher.hexdigest()
+
+
+def test_walks_cover_both_solve_paths(workload):
+    hierarchy, store, concepts = workload
+    sizes = []
+    for concept in concepts:
+        tree_size, decisions = walk_decisions(hierarchy, store, concept)
+        assert tree_size > 100
+        sizes.extend(reduced for _, _, reduced, _ in decisions)
+    assert len(sizes) == QUERIES * EXPANDS_PER_WALK
+    # Reduced solves of big components, exact solves of small ones.
+    assert max(sizes) == 10 and min(sizes) < 10
+
+
+def test_plan_digest_is_pinned(workload):
+    assert (KEY_FORMAT_VERSION, plan_digest(workload)) == (
+        PINNED_KEY_FORMAT_VERSION,
+        PLAN_DIGEST,
+    ), "solver output changed: bump KEY_FORMAT_VERSION and re-pin the digest"

@@ -112,10 +112,15 @@ def demo_cross_worker_l2(cluster: BioNavCluster, keyword: str) -> dict:
     read worker 1's pipeline ledger: its navigation tree must arrive
     via L2 fetch (``l2_hits`` grows) with zero local ``builds``.
     """
-    before = cluster._supervisor.call(1, "stats")["pipeline"]["nav_tree"]
+    def nav_tree_row() -> dict:
+        # A stage's row appears with its first lookup: none yet is zero.
+        pipeline = cluster._supervisor.call(1, "stats")["pipeline"]
+        return pipeline.get("nav_tree", {"l2_hits": 0, "builds": 0})
+
+    before = nav_tree_row()
     cluster._supervisor.call(0, "search", {"query": keyword})
     cluster._supervisor.call(1, "search", {"query": keyword})
-    after = cluster._supervisor.call(1, "stats")["pipeline"]["nav_tree"]
+    after = nav_tree_row()
     return {
         "keyword": keyword,
         "l2_hits_delta": after["l2_hits"] - before["l2_hits"],

@@ -1,4 +1,4 @@
-"""Sharded multiprocess serving over a shared stage cache.
+"""Multiprocess serving over a shared stage cache.
 
 The serving runtime (:mod:`repro.serving`) is one process: a
 ``ThreadPoolExecutor`` over CPU-bound solver work, so the GIL caps real
@@ -7,11 +7,6 @@ calls for — the shape of the deployed BioNav system (paper §VII), where
 many concurrent navigation sessions front one shared MEDLINE/MeSH
 store:
 
-* :class:`~repro.cluster.hashring.ConsistentHashRing` — session/shard
-  placement with minimal re-mapping when the worker count changes;
-* :class:`~repro.cluster.shardmap.ShardMap` — partitions the concept
-  hierarchy by MeSH top-level subtree, with a hash-of-query fallback
-  for queries whose results span branches;
 * :class:`~repro.cluster.stagecache.ClusterStageCache` — a file-backed,
   content-addressed artifact store the per-process
   :class:`~repro.pipeline.cache.StageCache` consults as an L2, so a
@@ -19,22 +14,20 @@ store:
 * :mod:`~repro.cluster.workers` — worker-process lifecycle: spawn,
   heartbeats, crash detection, automatic respawn;
 * :class:`~repro.cluster.router.BioNavCluster` — the front-end facade
-  that routes search/EXPAND/BACKTRACK to the owning worker and merges
-  ``/api/health`` / ``/api/stats`` across the fleet.  It exposes the
-  same operation surface as :class:`~repro.serving.runtime.ServingRuntime`,
-  so :class:`~repro.web.app.BioNavWebApp` mounts either interchangeably
+  that places each new session on the next worker in round-robin
+  order, routes EXPAND/BACKTRACK to the worker that owns the session,
+  and merges ``/api/health`` / ``/api/stats`` across the fleet.  It
+  exposes the same operation surface as
+  :class:`~repro.serving.runtime.ServingRuntime`, so
+  :class:`~repro.web.app.BioNavWebApp` mounts either interchangeably
   (``python -m repro.web --cluster N``).
 """
 
-from repro.cluster.hashring import ConsistentHashRing
 from repro.cluster.router import BioNavCluster, ClusterConfig
-from repro.cluster.shardmap import ShardMap
 from repro.cluster.stagecache import ClusterStageCache
 
 __all__ = [
     "BioNavCluster",
     "ClusterConfig",
     "ClusterStageCache",
-    "ConsistentHashRing",
-    "ShardMap",
 ]

@@ -1,4 +1,4 @@
-"""The cluster front end: shard-aware routing over a worker fleet.
+"""The cluster front end: round-robin sessions over a worker fleet.
 
 :class:`BioNavCluster` presents the *same* request surface as a single
 :class:`~repro.serving.runtime.ServingRuntime` — ``search`` / ``view``
@@ -7,25 +7,18 @@
 interchangeably.  Underneath, requests fan out to a
 :class:`~repro.cluster.workers.WorkerSupervisor` fleet:
 
-* **Shard identity** comes from the :class:`~repro.cluster.shardmap.ShardMap`
-  (MeSH top-level subtree, hash-of-query fallback); **worker placement**
-  from the :class:`~repro.cluster.hashring.ConsistentHashRing` over the
-  fleet's stable member names.
-* **Two-phase routing** — the first search of a query routes by the
-  hash fallback; the owning worker classifies the built navigation tree
-  and the router remembers the returned branch key for later searches.
-* **Placement modes** — ``"spread"`` (default) hashes shard key *plus*
-  a session ordinal, spreading sessions of one hot query across the
-  fleet (CPU-bound scaling; the shared L2 keeps stage work
-  build-once); ``"shard"`` hashes the shard key alone for strict cache
-  affinity.
+* **Placement** — a new session goes to the next worker in round-robin
+  order, so concurrent sessions of one hot query spread over the fleet
+  (CPU-bound scaling).  No query affinity is needed: the shared L2
+  keeps stage work build-once, so a worker that has not seen a query
+  fetches its artifacts instead of rebuilding them.
 * **Session identity** — cluster session ids are
   ``w<worker>g<generation>-<local sid>``.  The worker index pins every
   follow-up action to the owning process; the generation makes worker
   death observable: after a crash and respawn the slot's generation has
   advanced, so stale ids answer
   :class:`~repro.serving.sessions.SessionExpired` (``410 Gone``, re-run
-  the search) without consulting the replacement worker.  Other
+  the search) without consulting the respawned worker.  Other
   workers' sessions never notice.
 * **Crash windows** — a request in flight when its worker dies
   surfaces as :class:`~repro.serving.admission.RetryLater` (``503`` +
@@ -40,15 +33,11 @@ from __future__ import annotations
 
 import itertools
 import re
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.bionav import BioNav
-from repro.cluster.hashring import DEFAULT_REPLICAS, ConsistentHashRing
-from repro.cluster.shardmap import ShardMap
 from repro.cluster.workers import WorkerCrashed, WorkerSupervisor, WorkerUnavailable
 from repro.serving.admission import RetryLater
 from repro.serving.runtime import (
@@ -64,9 +53,6 @@ __all__ = ["ClusterConfig", "BioNavCluster"]
 #: Cluster session ids: worker index, generation, then the local sid.
 _SID = re.compile(r"^w(\d+)g(\d+)-(s\d{6,})$")
 
-#: Remembered query → branch shard keys (two-phase routing state).
-_HINT_BOUND = 4096
-
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -78,9 +64,6 @@ class ClusterConfig:
             :class:`~repro.cluster.stagecache.ClusterStageCache`; None
             disables the L2 (workers still scale, but rebuild stages
             independently).
-        placement: ``"spread"`` or ``"shard"`` (see the module
-            docstring).
-        replicas: virtual nodes per ring member.
         heartbeat_interval: seconds between worker heartbeats.
         heartbeat_timeout: seconds without a heartbeat before a live
             worker is declared wedged and restarted.
@@ -95,8 +78,6 @@ class ClusterConfig:
 
     workers: int = 2
     cache_dir: Optional[str] = None
-    placement: str = "spread"
-    replicas: int = DEFAULT_REPLICAS
     heartbeat_interval: float = 0.25
     heartbeat_timeout: float = 30.0
     poll_interval: float = 0.05
@@ -105,24 +86,22 @@ class ClusterConfig:
     runtime: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        """Validate fleet shape and placement mode."""
+        """Validate fleet shape."""
         if self.workers < 1:
             raise ValueError("workers must be positive")
-        if self.placement not in ("spread", "shard"):
-            raise ValueError("placement must be 'spread' or 'shard'")
 
 
 class BioNavCluster:
-    """Sharded multiprocess serving behind a runtime-shaped facade.
+    """Multiprocess serving behind a runtime-shaped facade.
 
     Args:
         bionav: the system every worker serves (shared copy-on-write
             via fork).
         config: fleet shape and per-worker options.
 
-    Thread safety: routing state (learned shard hints) mutates under
-    ``self._lock``; the supervisor and hash ring manage their own
-    synchronization.
+    Thread safety: the only routing state is the round-robin counter
+    (``itertools.count``, atomic under the GIL); the supervisor manages
+    its own synchronization.
     """
 
     def __init__(self, bionav: BioNav, config: Optional[ClusterConfig] = None):
@@ -130,7 +109,6 @@ class BioNavCluster:
         options: Dict[str, Any] = dict(self.config.runtime)
         options["cache_dir"] = self.config.cache_dir
         options["heartbeat_interval"] = self.config.heartbeat_interval
-        self._lock = threading.Lock()
         self._supervisor = WorkerSupervisor(
             bionav,
             self.config.workers,
@@ -139,11 +117,6 @@ class BioNavCluster:
             poll_interval=self.config.poll_interval,
             request_timeout=self.config.request_timeout,
         )
-        self._shardmap = ShardMap(bionav.database.hierarchy)
-        self._ring = ConsistentHashRing(
-            self._supervisor.names, replicas=self.config.replicas
-        )
-        self._hints: "OrderedDict[str, str]" = OrderedDict()
         self._spread = itertools.count()
         self._started = time.monotonic()
 
@@ -177,41 +150,15 @@ class BioNavCluster:
         return hint
 
     # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-    def shard_key(self, query: str) -> str:
-        """The routing shard key for ``query`` as known right now."""
-        with self._lock:
-            learned = self._hints.get(query)
-        return learned or self._shardmap.query_fallback(query)
-
-    def _place(self, shard_key: str) -> int:
-        """Worker index for one new session of ``shard_key``."""
-        if self.config.placement == "spread":
-            member = self._ring.lookup("%s#%d" % (shard_key, next(self._spread)))
-        else:
-            member = self._ring.lookup(shard_key)
-        return self._supervisor.index_of(member)
-
-    def _learn(self, query: str, shard_key: str) -> None:
-        """Remember the worker-classified shard key (bounded, LRU-ish)."""
-        with self._lock:
-            self._hints[query] = shard_key
-            self._hints.move_to_end(query)
-            while len(self._hints) > _HINT_BOUND:
-                self._hints.popitem(last=False)
-
-    # ------------------------------------------------------------------
     # The request surface
     # ------------------------------------------------------------------
     def search(self, query: str) -> SearchResult:
-        """Route a search, learn its shard key, return a cluster sid."""
-        index = self._place(self.shard_key(query))
+        """Run a search on the next worker; return a cluster sid."""
+        index = next(self._spread) % self.config.workers
         try:
             payload = self._supervisor.call(index, "search", {"query": query})
         except (WorkerCrashed, WorkerUnavailable):
             raise RetryLater(self.shed_retry_after)
-        self._learn(query, payload["shard_hint"])
         result: SearchResult = payload["result"]
         sid = "w%dg%d-%s" % (index, payload["generation"], result.session)
         return replace(result, session=sid)
@@ -317,7 +264,6 @@ class BioNavCluster:
             "uptime_seconds": time.monotonic() - self._started,
             "cluster": {
                 "size": self.config.workers,
-                "placement": self.config.placement,
                 "crashes": self._supervisor.crashes,
             },
             "shards": shards,
@@ -338,8 +284,6 @@ class BioNavCluster:
         l2_census: Optional[Dict[str, Any]] = None
         shed_total = 0
         workers = []
-        with self._lock:
-            hints_learned = len(self._hints)
         for row, answer in probed:
             entry: Dict[str, Any] = {
                 "name": row["name"],
@@ -389,14 +333,7 @@ class BioNavCluster:
         return {
             "cluster": {
                 "size": self.config.workers,
-                "placement": self.config.placement,
                 "crashes": self._supervisor.crashes,
-                "hints_learned": hints_learned,
-                "branch_shards": self._shardmap.snapshot()["branch_shards"],
-                "ring": {
-                    "members": list(self._ring.members),
-                    "replicas": self.config.replicas,
-                },
                 "shed_total": shed_total,
             },
             "pipeline": pipeline,

@@ -63,7 +63,7 @@ class _BuildLock:
         self.acquired = self._try_acquire()
         if not self.acquired and self._is_stale():
             # The previous builder died mid-build: break its lock and
-            # race for the replacement.  At worst two workers build the
+            # race to rebuild the value.  At worst two workers build the
             # same value and the publishes overwrite idempotently.
             self._path.unlink(missing_ok=True)
             self.acquired = self._try_acquire()

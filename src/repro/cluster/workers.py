@@ -1,4 +1,4 @@
-"""Worker lifecycle: process-per-shard serving with supervised respawn.
+"""Worker lifecycle: one serving process per fleet slot, supervised respawn.
 
 Each worker is one forked process hosting a full
 :class:`~repro.serving.runtime.ServingRuntime` (its own GIL, thread
@@ -24,11 +24,10 @@ into the *same* exception types a local runtime would raise, so the web
 layer's error mapping works unchanged against a cluster.
 
 Crash semantics: when a worker dies, its in-flight requests fail with
-:class:`WorkerCrashed`, its **generation** is bumped, and a replacement
-is forked onto the same request queue under the same ring member name —
-so the hash ring never re-maps and other shards' sessions are
-untouched.  Requests queued for the dead generation are answered
-``worker_restarted`` by the replacement and dropped.  Session ids embed
+:class:`WorkerCrashed`, its **generation** is bumped, and a new process
+is forked into the same slot under the same name — other workers'
+sessions are untouched.  Requests queued for the dead generation fail
+with it (see :meth:`WorkerSupervisor._respawn`).  Session ids embed
 the generation (see :mod:`repro.cluster.router`), which is what turns
 "my worker was respawned" into an honest ``410 Gone``.
 """
@@ -43,7 +42,6 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bionav import BioNav
-from repro.cluster.shardmap import ShardMap
 from repro.cluster.stagecache import ClusterStageCache
 from repro.serving.admission import DeadlineExceeded, RetryLater
 from repro.serving.runtime import ServingRuntime
@@ -73,7 +71,6 @@ class WorkerUnavailable(Exception):
 # ----------------------------------------------------------------------
 def _execute(
     runtime: ServingRuntime,
-    shardmap: ShardMap,
     l2: Optional[ClusterStageCache],
     generation: int,
     op: str,
@@ -83,14 +80,7 @@ def _execute(
     try:
         if op == "search":
             result = runtime.search(kwargs["query"])
-            # The navigation tree is an L1 hit after the search; its
-            # node set tells the router the query's true shard key.
-            nav = runtime.pipeline.nav_tree(kwargs["query"])
-            hint = shardmap.shard_key(kwargs["query"], nav.tree.nodes())
-            return (
-                "ok",
-                {"result": result, "shard_hint": hint, "generation": generation},
-            )
+            return ("ok", {"result": result, "generation": generation})
         if op == "view":
             return ("ok", runtime.view(kwargs["sid"]))
         if op == "expand":
@@ -154,7 +144,6 @@ def worker_main(
     heartbeat_interval = float(options.pop("heartbeat_interval", 0.25))
     cache_dir = options.pop("cache_dir", None)
     l2 = ClusterStageCache(cache_dir) if cache_dir else None
-    shardmap = ShardMap(bionav.database.hierarchy)
     stop = threading.Event()
 
     with ServingRuntime(bionav, l2=l2, **options) as runtime:
@@ -199,7 +188,7 @@ def worker_main(
                     responses.put(("res", req_id, ("err", "worker_restarted", {})))
                     continue
                 responses.put(
-                    ("res", req_id, _execute(runtime, shardmap, l2, generation, op, kwargs))
+                    ("res", req_id, _execute(runtime, l2, generation, op, kwargs))
                 )
         finally:
             stop.set()
@@ -224,7 +213,7 @@ class WorkerHandle:
 
     Attributes:
         index: fleet slot (stable across respawns).
-        name: ring member name, ``w<index>`` (stable across respawns).
+        name: ``w<index>`` (stable across respawns).
         generation: current incarnation (bumped on every respawn).
         process: the live child process.
         requests: the incarnation's inbound queue (fresh per respawn).
@@ -325,24 +314,10 @@ class WorkerSupervisor:
     # ------------------------------------------------------------------
     # Fleet shape
     # ------------------------------------------------------------------
-    @property
-    def names(self) -> Tuple[str, ...]:
-        """Ring member names, one per slot (stable across respawns)."""
-        with self._lock:
-            return tuple(self._handles[i].name for i in sorted(self._handles))
-
     def __len__(self) -> int:
         """Fleet size."""
         with self._lock:
             return len(self._handles)
-
-    def index_of(self, name: str) -> int:
-        """Slot index for a ring member name (``w<index>``)."""
-        with self._lock:
-            for handle in self._handles.values():
-                if handle.name == name:
-                    return handle.index
-        raise KeyError("no worker named %r" % name)
 
     def generation_of(self, index: int) -> int:
         """Current incarnation of slot ``index``."""
@@ -504,7 +479,7 @@ class WorkerSupervisor:
     def _respawn(self, stale: WorkerHandle) -> None:
         """Replace one dead worker: fail its in-flight work, fork anew.
 
-        The replacement gets *fresh* request and response queues: a
+        The new incarnation gets *fresh* request and response queues: a
         SIGKILLed worker can die holding a queue's shared reader or
         writer lock, which would wedge any successor (or, for a shared
         response queue, every healthy worker) touching the same queue

@@ -39,7 +39,7 @@ COST_RTOL = 1e-9
 def costs_equal(a: float, b: float, rtol: float = COST_RTOL) -> bool:
     """Tolerance equality for independently computed cost values.
 
-    This is the sanctioned replacement for ``==`` on floats (the
+    This is the sanctioned substitute for ``==`` on floats (the
     ``float-equality`` analyzer rule): two costs that agree within
     ``rtol`` relative tolerance are the same expected cost, differing
     only by floating-point association order.

@@ -57,7 +57,7 @@ class WorkloadQuery:
 
 
 # The ten Table I queries.  Target labels are the paper's; depths follow
-# the real MeSH placement (shallow for Mice/Plants organisms, deeper for
+# the real MeSH tree positions (shallow for Mice/Plants organisms, deeper for
 # specific proteins).
 TABLE_I_QUERIES: List[WorkloadQuery] = [
     WorkloadQuery(

@@ -1,7 +1,7 @@
-"""Tests for ``repro.cluster``: shard map, L2 stage cache, fleet serving.
+"""Tests for ``repro.cluster``: L2 stage cache, fleet serving.
 
-Covers the four layers of the scale-out subsystem bottom-up: shard
-identity (:class:`ShardMap`), the cross-process content-addressed store
+Covers the three layers of the scale-out subsystem bottom-up: the
+cross-process content-addressed store
 (:class:`ClusterStageCache`) and its L2 hook inside
 :class:`~repro.pipeline.cache.StageCache`, the worker fleet
 (supervised spawn / crash / respawn), and the
@@ -21,12 +21,7 @@ from urllib.parse import urlencode
 import pytest
 
 from repro.bionav import BioNav
-from repro.cluster import (
-    BioNavCluster,
-    ClusterConfig,
-    ClusterStageCache,
-    ShardMap,
-)
+from repro.cluster import BioNavCluster, ClusterConfig, ClusterStageCache
 from repro.cluster import stagecache
 from repro.cluster.stagecache import MISS
 from repro.core.edgecut import Component
@@ -62,58 +57,6 @@ def request_page(
 
     body = b"".join(app(environ, start_response))
     return captured["status"], captured["headers"], body.decode("utf-8")
-
-
-# ----------------------------------------------------------------------
-# Shard identity
-# ----------------------------------------------------------------------
-class TestShardMap:
-    def test_every_top_level_concept_is_a_branch_shard(self, fragment_hierarchy):
-        shardmap = ShardMap(fragment_hierarchy)
-        top = fragment_hierarchy.children(fragment_hierarchy.root)
-        assert len(shardmap.branches) == len(top)
-        assert all(key.startswith("branch:") for key in shardmap.branches)
-        assert shardmap.snapshot() == {"branch_shards": len(top)}
-
-    def test_single_branch_node_set_classifies_to_that_branch(
-        self, fragment_hierarchy
-    ):
-        shardmap = ShardMap(fragment_hierarchy)
-        branch = fragment_hierarchy.children(fragment_hierarchy.root)[0]
-        subtree = [branch] + list(fragment_hierarchy.children(branch))
-        key = shardmap.classify(subtree)
-        assert key == "branch:%s" % fragment_hierarchy.uid(branch)
-        # The root rides along in every navigation tree; it is ignored.
-        assert shardmap.classify([fragment_hierarchy.root] + subtree) == key
-
-    def test_spanning_node_set_classifies_to_none(self, fragment_hierarchy):
-        shardmap = ShardMap(fragment_hierarchy)
-        top = fragment_hierarchy.children(fragment_hierarchy.root)
-        assert len(top) >= 2, "fragment must have multiple top-level branches"
-        assert shardmap.classify([top[0], top[1]]) is None
-        assert shardmap.classify([fragment_hierarchy.root]) is None
-
-    def test_shard_key_falls_back_to_query_hash(self, fragment_hierarchy):
-        shardmap = ShardMap(fragment_hierarchy)
-        top = fragment_hierarchy.children(fragment_hierarchy.root)
-        fallback = shardmap.shard_key("prothymosin", [top[0], top[1]])
-        assert fallback == ShardMap.query_fallback("prothymosin")
-        assert fallback.startswith("query:")
-        # Deterministic, and distinct queries get distinct keys.
-        assert fallback == ShardMap.query_fallback("prothymosin")
-        assert fallback != ShardMap.query_fallback("varenicline")
-
-    def test_branch_of_walks_and_caches_the_parent_chain(self, fragment_hierarchy):
-        shardmap = ShardMap(fragment_hierarchy)
-        branch = fragment_hierarchy.children(fragment_hierarchy.root)[0]
-        deep = branch
-        children = fragment_hierarchy.children(deep)
-        while children:
-            deep = children[0]
-            children = fragment_hierarchy.children(deep)
-        assert shardmap.branch_of(deep) == branch
-        assert shardmap.branch_of(deep) == branch  # cached path
-        assert shardmap.branch_of(fragment_hierarchy.root) is None
 
 
 # ----------------------------------------------------------------------
@@ -349,6 +292,20 @@ def cluster(cluster_bionav, tmp_path_factory):
         yield fleet
 
 
+@pytest.fixture()
+def fresh_cluster(cluster_bionav, tmp_path):
+    """A 2-worker fleet of its own, for tests that count or crash."""
+    config = ClusterConfig(
+        workers=2,
+        cache_dir=str(tmp_path / "l2"),
+        heartbeat_interval=0.05,
+        poll_interval=0.02,
+        request_timeout=30.0,
+    )
+    with BioNavCluster(cluster_bionav, config) as fleet:
+        yield fleet
+
+
 class TestClusterServing:
     def test_full_session_roundtrip_through_the_fleet(self, cluster, keywords):
         result = cluster.search(keywords[0])
@@ -374,11 +331,11 @@ class TestClusterServing:
         with pytest.raises(KeyError):
             cluster.view("w0g0-s999999")  # never-issued local sid
 
-    def test_router_learns_the_shard_hint(self, cluster, keywords):
-        cluster.search(keywords[1])
-        assert cluster.stats()["cluster"]["hints_learned"] >= 1
-        learned = cluster.shard_key(keywords[1])
-        assert learned.startswith(("branch:", "query:"))
+    def test_consecutive_searches_alternate_workers(self, cluster, keywords):
+        """Round-robin: two back-to-back searches land on both workers."""
+        first = cluster.search(keywords[1]).session
+        second = cluster.search(keywords[1]).session
+        assert {first[:2], second[:2]} == {"w0", "w1"}
 
     def test_cross_worker_l2_hit(self, cluster, keywords):
         """Worker B never rebuilds a navigation tree worker A built:
@@ -407,8 +364,6 @@ class TestClusterServing:
             assert "queue_depth" in shard and "respawns" in shard
         stats = cluster.stats()
         assert stats["cluster"]["size"] == 2
-        assert stats["cluster"]["branch_shards"] >= 1
-        assert len(stats["cluster"]["ring"]["members"]) == 2
         assert len(stats["workers"]) == 2
         assert "hit_ratio" in stats["l2"]
 
@@ -454,42 +409,42 @@ class TestClusterServing:
         assert status == "200 OK" and "<ul" in body
 
 
-class TestWorkerCrashRecovery:
-    @pytest.fixture()
-    def crash_cluster(self, cluster_bionav, tmp_path):
-        config = ClusterConfig(
-            workers=2,
-            cache_dir=str(tmp_path / "l2"),
-            heartbeat_interval=0.05,
-            poll_interval=0.02,
-            request_timeout=30.0,
-        )
-        with BioNavCluster(cluster_bionav, config) as fleet:
-            yield fleet
+class TestFleetStats:
+    def test_each_search_counts_one_lookup_per_stage(self, fresh_cluster, keywords):
+        """A search looks its result set and navigation tree up once:
+        the merged ledger over N searches holds exactly N lookups."""
+        queries = (keywords * 2)[:6]
+        for query in queries:
+            fresh_cluster.search(query)
+        pipeline = fresh_cluster.stats()["pipeline"]
+        for stage in ("results", "nav_tree"):
+            row = pipeline[stage]
+            assert row["hits"] + row["misses"] == len(queries), stage
 
+
+class TestWorkerCrashRecovery:
     @staticmethod
     def _sessions_on_both_workers(fleet, keywords) -> Dict[int, str]:
-        """Search until both workers own a session (spread placement)."""
+        """One search per worker (round-robin puts them on both)."""
         owned: Dict[int, str] = {}
-        for attempt in range(50):
-            sid = fleet.search(keywords[attempt % len(keywords)]).session
-            owned.setdefault(int(sid[1 : sid.index("g")]), sid)
-            if len(owned) == 2:
-                return owned
-        raise AssertionError("spread placement never used both workers")
+        for keyword in keywords[:2]:
+            sid = fleet.search(keyword).session
+            owned[int(sid[1 : sid.index("g")])] = sid
+        assert sorted(owned) == [0, 1]
+        return owned
 
     def test_crash_respawn_410_and_other_shard_survives(
-        self, crash_cluster, keywords
+        self, fresh_cluster, keywords
     ):
         """The ISSUE's crash contract: killing one worker mid-session
         loses no other shard's sessions, and the dead worker's sessions
         answer 410 Gone (re-run the search) after automatic respawn."""
-        owned = self._sessions_on_both_workers(crash_cluster, keywords)
+        owned = self._sessions_on_both_workers(fresh_cluster, keywords)
         victim, survivor = sorted(owned)[0], sorted(owned)[1]
-        crash_cluster.kill_worker(victim)
+        fresh_cluster.kill_worker(victim)
         deadline = time.monotonic() + 15
         while time.monotonic() < deadline:
-            health = crash_cluster.health()
+            health = fresh_cluster.health()
             if health["cluster"]["crashes"] >= 1 and all(
                 s["alive"] for s in health["shards"]
             ):
@@ -499,24 +454,24 @@ class TestWorkerCrashRecovery:
             raise AssertionError("worker was not respawned in time")
         # The dead worker's session: gone, honestly.
         with pytest.raises(SessionExpired):
-            crash_cluster.view(owned[victim])
+            fresh_cluster.view(owned[victim])
         # The other shard's session: untouched.
-        assert crash_cluster.view(owned[survivor]).rows
+        assert fresh_cluster.view(owned[survivor]).rows
         # The respawned slot serves fresh sessions again.
-        fresh = crash_cluster.search(keywords[0])
-        assert crash_cluster.view(fresh.session).rows
-        assert crash_cluster.health()["cluster"]["crashes"] == 1
+        fresh = fresh_cluster.search(keywords[0])
+        assert fresh_cluster.view(fresh.session).rows
+        assert fresh_cluster.health()["cluster"]["crashes"] == 1
 
     def test_stale_sid_maps_to_410_with_research_hint_over_http(
-        self, crash_cluster, keywords
+        self, fresh_cluster, keywords
     ):
-        app = BioNavWebApp(runtime=crash_cluster)
-        sid = crash_cluster.search(keywords[0]).session
+        app = BioNavWebApp(runtime=fresh_cluster)
+        sid = fresh_cluster.search(keywords[0]).session
         victim = int(sid[1 : sid.index("g")])
-        crash_cluster.kill_worker(victim)
+        fresh_cluster.kill_worker(victim)
         deadline = time.monotonic() + 15
         while time.monotonic() < deadline:
-            health = crash_cluster.health()
+            health = fresh_cluster.health()
             if all(s["alive"] for s in health["shards"]) and health["cluster"][
                 "crashes"
             ]:

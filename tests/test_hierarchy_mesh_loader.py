@@ -87,7 +87,7 @@ class TestBuildHierarchy:
 
     def test_polyhierarchy_duplicates_descriptor(self):
         hierarchy = load_mesh_ascii(io.StringIO(SAMPLE))
-        # The C23... placement gets a suffixed uid and placeholder parents.
+        # The C23... occurrence gets a suffixed uid and placeholder parents.
         second = hierarchy.by_uid("D017209.1")
         assert hierarchy.label(second) == "Apoptosis"
 

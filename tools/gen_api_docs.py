@@ -127,7 +127,8 @@ full `ServingRuntime`, sharing stage artifacts through the file-backed
 L2 store (DESIGN.md §13) — behind the same web app, which duck-types
 the runtime surface.  Session ids gain a routing prefix
 (`w<index>g<generation>-s…`); sessions owned by a crashed-and-respawned
-worker answer `410 Gone` with the re-search hint.  The two
+worker answer `410 Gone` with the re-search hint.  A new session goes
+to the next worker in round-robin order.  The two
 observability endpoints merge the fleet:
 
 ### `GET /api/health` (cluster)
@@ -138,7 +139,7 @@ any shard is unreachable or non-`ok` — summed `queue_depth`,
 
 | field     | meaning                                                   |
 |-----------|-----------------------------------------------------------|
-| `cluster` | `size`, `placement` (`spread`/`shard`), `crashes` (respawns over the fleet's lifetime) |
+| `cluster` | `size`, `crashes` (respawns over the fleet's lifetime) |
 | `shards`  | one row per worker: `name`, `generation`, `alive`, `respawns`, `queue_depth`, `status`, and the worker's own `health` answer |
 
 ### `GET /api/stats` (cluster)
@@ -148,9 +149,7 @@ any shard is unreachable or non-`ok` — summed `queue_depth`,
 - `l2` — the shared store, fleet-wide: summed `hits` / `misses` /
   `publishes` / `evictions` / `errors`, recomputed `hit_ratio`, and a
   single `entries` / `bytes` census (every worker sees one directory).
-- `cluster` — `size`, `placement`, `crashes`, `hints_learned` (shard
-  hints the router has cached), `branch_shards`, the hash `ring`
-  (`members`, `replicas`), and fleet-summed `shed_total`.
+- `cluster` — `size`, `crashes`, and fleet-summed `shed_total`.
 - `workers` — per-worker raw `stats` answers for drill-down, each with
   `name` / `generation` / `alive` / `respawns` / `queue_depth`.
 

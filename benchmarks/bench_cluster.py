@@ -113,9 +113,7 @@ def demo_cross_worker_l2(cluster: BioNavCluster, keyword: str) -> dict:
     via L2 fetch (``l2_hits`` grows) with zero local ``builds``.
     """
     def nav_tree_row() -> dict:
-        # A stage's row appears with its first lookup: none yet is zero.
-        pipeline = cluster._supervisor.call(1, "stats")["pipeline"]
-        return pipeline.get("nav_tree", {"l2_hits": 0, "builds": 0})
+        return cluster._supervisor.call(1, "stats")["pipeline"]["nav_tree"]
 
     before = nav_tree_row()
     cluster._supervisor.call(0, "search", {"query": keyword})

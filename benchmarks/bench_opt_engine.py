@@ -42,10 +42,13 @@ def random_scenario(size: int, seed: int):
     realistic result-set sizes, not toy ones.
     """
     rng = random.Random(seed)
-    h = ConceptHierarchy(root_label="r")
-    nodes = [0]
-    for i in range(size - 1):
-        nodes.append(h.add_child(rng.choice(nodes), "c%d" % i))
+    parents = [-1]
+    for _ in range(size - 1):
+        parents.append(rng.choice(range(len(parents))))
+    h = ConceptHierarchy.from_parents(
+        parents, ["r"] + ["c%d" % i for i in range(size - 1)]
+    )
+    nodes = range(size)
     annotations = {
         n: set(rng.sample(range(300), rng.randint(5, 40))) for n in nodes
     }

@@ -34,15 +34,12 @@ from repro.core import (
     OptEdgeCut,
     PagedStaticNavigation,
     ProbabilityModel,
-    SessionLog,
     SolverCapabilities,
     StaticNavigation,
     VisNode,
     expected_strategy_cost,
     navigate_to_target,
     ranked_visualization,
-    record_session,
-    replay_session,
 )
 from repro.corpus.citation import Citation, DocSummary
 from repro.corpus.medline import MedlineDatabase
@@ -84,7 +81,6 @@ __all__ = [
     "PagedStaticNavigation",
     "PipelineStrategy",
     "ProbabilityModel",
-    "SessionLog",
     "SolverCapabilities",
     "SolverRegistry",
     "StaticNavigation",
@@ -99,6 +95,4 @@ __all__ = [
     "navigate_to_target",
     "paper_fragment",
     "ranked_visualization",
-    "record_session",
-    "replay_session",
 ]

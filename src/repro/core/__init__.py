@@ -3,16 +3,8 @@
 from repro.core.active_tree import ActiveTree, VisNode
 from repro.core.cost_model import CostLedger, CostParams, cost_improves, costs_equal
 from repro.core.edgecut import Component, component_edges, is_valid_edgecut
-from repro.core.duplication import (
-    DuplicationStats,
-    cut_duplication,
-    group_stats,
-    least_overlapping_groups,
-    tree_duplication,
-)
 from repro.core.evaluation import expected_strategy_cost
 from repro.core.exact import OptEdgeCutStrategy
-from repro.core.explain import CutAlternative, ExpansionExplanation, explain_expansion
 from repro.core.gopubmed import GoPubMedNavigation
 from repro.core.heuristic import HeuristicReducedOpt
 from repro.core.imperfect import ImperfectOutcome, navigate_with_errors
@@ -22,7 +14,6 @@ from repro.core.opt_edgecut import BestCut, CutTree, OptEdgeCut
 from repro.core.paged_static import PagedStaticNavigation
 from repro.core.probabilities import ProbabilityModel
 from repro.core.relevance import ranked_visualization, relevance_of
-from repro.core.replay import SessionLog, record_session, replay_session
 from repro.core.session import ExpandOutcome, NavigationSession
 from repro.core.simulator import ExpandRecord, NavigationOutcome, navigate_to_target
 from repro.core.static_nav import StaticNavigation
@@ -34,12 +25,9 @@ __all__ = [
     "Component",
     "CostLedger",
     "CostParams",
-    "CutAlternative",
     "CutDecision",
-    "DuplicationStats",
     "CutTree",
     "ExpandOutcome",
-    "ExpansionExplanation",
     "ExpandRecord",
     "ExpansionStrategy",
     "GoPubMedNavigation",
@@ -52,7 +40,6 @@ __all__ = [
     "OptEdgeCut",
     "OptEdgeCutStrategy",
     "ProbabilityModel",
-    "SessionLog",
     "SolverCapabilities",
     "StaticNavigation",
     "VisNode",
@@ -60,19 +47,12 @@ __all__ = [
     "component_edges",
     "cost_improves",
     "costs_equal",
-    "cut_duplication",
     "estimate_expected_cost",
     "expected_strategy_cost",
-    "explain_expansion",
-    "group_stats",
     "is_valid_edgecut",
-    "least_overlapping_groups",
     "navigate_to_target",
     "navigate_with_errors",
     "ranked_visualization",
-    "record_session",
     "sample_walk",
     "relevance_of",
-    "replay_session",
-    "tree_duplication",
 ]

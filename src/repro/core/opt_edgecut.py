@@ -48,7 +48,7 @@ trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -496,63 +496,3 @@ class OptEdgeCut:
                 slots = rest
                 acc = acc + (reveal_cost + cost)
         return best_term, best_children
-
-    # ------------------------------------------------------------------
-    # Introspection (kept for tests and repro.core.explain)
-    # ------------------------------------------------------------------
-    def _expansion_term(
-        self, component: FrozenSet[int], root: int, cut: Sequence[CutTreeEdge]
-    ) -> float:
-        """Cost of executing this EXPAND: click + per-revealed-root terms."""
-        params = self.params
-        mask = self._mask_of(component)
-        removed = 0
-        for _, child in cut:
-            removed |= self._subtree_mask[child] & mask
-        upper = mask & ~removed
-        term = params.expand_cost
-        # The EdgeCut operation returns the upper root plus every lower
-        # root; each contributes an examination cost and its own expected
-        # exploration cost.
-        term += params.reveal_cost + self.solve_component_mask(upper, root).expected_cost
-        for _, child in cut:
-            lower = self._subtree_mask[child] & mask
-            term += (
-                params.reveal_cost
-                + self.solve_component_mask(lower, child).expected_cost
-            )
-        return term
-
-    def _enumerate_cuts(
-        self, node: int, component: FrozenSet[int]
-    ) -> List[List[CutTreeEdge]]:
-        """All valid EdgeCuts of the component subtree at ``node``.
-
-        Materializes :meth:`_iter_cuts` (including the empty cut) in the
-        legacy enumeration order; the solver itself never builds this list.
-        """
-        return [list(cut) for cut in self._iter_cuts(node, self._mask_of(component))]
-
-    def _iter_cuts(self, node: int, mask: int) -> Iterator[Tuple[CutTreeEdge, ...]]:
-        """Lazily yield every valid cut of the component subtree at ``node``.
-
-        Validity — at most one cut edge per root-to-leaf path — is
-        guaranteed structurally: once an edge is cut, no edge below it is
-        considered.  The order matches the legacy engine's materialized
-        product exactly (earlier children vary slowest; per child the cut
-        edge precedes the child's own cuts, with the empty cut last).
-        """
-        kids = [c for c in self._children[node] if (mask >> c) & 1]
-
-        def per_kid(i: int) -> Iterator[Tuple[CutTreeEdge, ...]]:
-            if i == len(kids):
-                yield ()
-                return
-            child = kids[i]
-            for rest in per_kid(i + 1):
-                yield ((node, child),) + rest
-            for sub in self._iter_cuts(child, mask):
-                for rest in per_kid(i + 1):
-                    yield sub + rest
-
-        return per_kid(0)

@@ -48,7 +48,7 @@ class ProbabilityModel:
       accumulated sequentially in preorder.
 
     The scalar methods below are the production path: every solver, the
-    evaluator, ``explain``, ``montecarlo`` and relevance ranking read the
+    evaluator, ``montecarlo`` and relevance ranking read the
     arrays through them, and the heuristic's reduction gathers the
     arrays directly.  The model is shared by every session of a query,
     so the arrays are read-only: an in-place write raises instead of

@@ -149,7 +149,7 @@ class NavigationSession:
 
     @property
     def expand_log(self) -> List[ExpandOutcome]:
-        """Chronological record of EXPAND actions (for replay)."""
+        """Chronological record of EXPAND actions."""
         return list(self._expand_log)
 
     @property

@@ -12,18 +12,14 @@ from repro.corpus.loader import (
 )
 from repro.corpus.medline import MedlineDatabase
 from repro.corpus.persistence import read_citations_jsonl, write_citations_jsonl
-from repro.corpus.validation import CorpusStats, concept_frequency_gini, corpus_stats
 
 __all__ = [
     "Citation",
     "CorpusGenerator",
-    "CorpusStats",
     "DocSummary",
     "MedlineDatabase",
     "TopicSpec",
     "citations_from_records",
-    "concept_frequency_gini",
-    "corpus_stats",
     "dump_medline_text",
     "load_medline_text",
     "parse_medline_text",

@@ -18,9 +18,9 @@ The preorder encoding gives every subtree a contiguous interval
 the navigation-tree embedding run as whole-array passes instead of a
 per-node traversal (DESIGN.md §15).
 
-Every :class:`~repro.hierarchy.concept.ConceptHierarchy` read goes
-through these arrays: an in-memory hierarchy freezes its append-only
-build log into them on first read, and a persisted one memory-maps its
+A :class:`~repro.hierarchy.concept.ConceptHierarchy` is one of these
+array sets and nothing else: an in-memory hierarchy computes them once
+from its parent/label/uid lists, and a persisted one memory-maps its
 ``hier_*.npy`` files from the substrate directory, so a cold hierarchy
 open is a file open.
 """
@@ -90,8 +90,9 @@ def _decode_strings(blob: np.ndarray, offsets: np.ndarray) -> List[str]:
 class HierarchyArrays:
     """Immutable positional-array encoding of one concept hierarchy.
 
-    Instances come from :meth:`_from_parent_arrays` (freezing a build
-    log) or :meth:`load` (mmap open of a substrate directory).  All
+    Instances come from :meth:`_from_parent_arrays` (via
+    ``ConceptHierarchy.from_parents``) or :meth:`load` (mmap open of a
+    substrate directory).  All
     arrays are frozen; the structural arrays are int32/int64 in the
     layouts listed in the module docstring.
     """

@@ -14,8 +14,9 @@ for external lookups.  Every read is answered from the tree's
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,101 +47,84 @@ class Concept:
 class ConceptHierarchy:
     """A rooted, labeled concept tree with MeSH-style tree numbers.
 
-    The hierarchy is append-only: nodes are added with :meth:`add_child`
-    and never removed.  Construction writes a build log (parent, label
-    and uid lists); the first read after a write freezes the log into
-    :class:`HierarchyArrays`, and every accessor reads those arrays.
-    Per-node queries are O(1) array lookups; subtree queries are slices
-    of the contiguous preorder interval of the subtree.
+    Immutable: a hierarchy *is* its :class:`HierarchyArrays`, built once
+    by :meth:`from_parents` (or memory-mapped from a substrate directory
+    by :meth:`open`), and every accessor reads those arrays.  Per-node
+    queries are O(1) array lookups; subtree queries are slices of the
+    contiguous preorder interval of the subtree.  :meth:`relabeled`
+    returns a new hierarchy, so one instance can be shared freely.
     """
 
-    def __init__(self, root_label: str = "MeSH", root_uid: str = "ROOT"):
-        self._parents: Optional[List[int]] = [-1]
-        self._labels: Optional[List[str]] = [root_label]
-        self._uids: Optional[List[str]] = [root_uid]
-        self._uid_index: Optional[Dict[str, int]] = {root_uid: 0}
-        self._arr: Optional[HierarchyArrays] = None
-        self._path: Optional[str] = None
+    def __init__(self, arrays: HierarchyArrays, path: Optional[str] = None):
+        self._arr = arrays
+        self._path = path
         self._by_uid: Optional[Dict[str, int]] = None
         self._by_label: Optional[Tuple[Dict[str, int], Dict[str, int]]] = None
 
     @classmethod
-    def _of_arrays(
-        cls, arrays: HierarchyArrays, path: Optional[str] = None
+    def from_parents(
+        cls,
+        parents: Sequence[int],
+        labels: Sequence[str],
+        uids: Optional[Sequence[str]] = None,
     ) -> "ConceptHierarchy":
-        """A hierarchy read from ``arrays``, with no build log until a write."""
-        hierarchy = cls()
-        hierarchy._parents = hierarchy._labels = hierarchy._uids = None
-        hierarchy._uid_index = None
-        hierarchy._arr = arrays
-        hierarchy._path = path
-        return hierarchy
+        """Build a hierarchy from insertion-ordered parent/label/uid lists.
+
+        Node ``i`` has parent ``parents[i]``, which must be an earlier
+        node; the root is node 0 with parent -1.  Without ``uids`` every
+        node gets ``"D%06d" % id`` and the root ``"ROOT"``.
+
+        Raises:
+            ValueError: when the root is missing or not first, a parent
+                does not precede its child, the three lists differ in
+                length, or a uid repeats.
+        """
+        if uids is None:
+            uids = ["ROOT"] + ["D%06d" % node for node in range(1, len(parents))]
+        if not len(parents) == len(labels) == len(uids):
+            raise ValueError(
+                "parents, labels and uids differ in length: %d, %d, %d"
+                % (len(parents), len(labels), len(uids))
+            )
+        if not len(parents) or parents[0] != -1:
+            raise ValueError("node 0 must be the root (parent -1)")
+        checked = np.asarray(parents, dtype=np.int64)
+        bad = np.flatnonzero(
+            (checked[1:] < 0) | (checked[1:] >= np.arange(1, len(checked)))
+        )
+        if len(bad):
+            node = int(bad[0]) + 1
+            raise ValueError(
+                "node %d has parent %d, not an earlier node" % (node, checked[node])
+            )
+        if len(set(uids)) != len(uids):
+            duplicate = next(uid for uid, n in Counter(uids).items() if n > 1)
+            raise ValueError("duplicate concept uid: %r" % duplicate)
+        return cls(HierarchyArrays._from_parent_arrays(checked, labels, uids))
 
     @classmethod
     def open(cls, directory: str) -> "ConceptHierarchy":  # repro: ignore[shadowed-builtin]
         """Open the hierarchy persisted in a substrate directory (mmap)."""
-        return cls._of_arrays(HierarchyArrays.load(directory), path=directory)
+        return cls(HierarchyArrays.load(directory), path=directory)
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def add_child(self, parent: int, label: str, uid: Optional[str] = None) -> int:
-        """Append a new concept under ``parent`` and return its node id.
+    def relabeled(self, labels: Mapping[int, str]) -> "ConceptHierarchy":
+        """The same tree with the nodes in ``labels`` renamed.
 
-        Args:
-            parent: node id of the parent concept.
-            label: label of the new concept.
-            uid: optional stable identifier; autogenerated when omitted.
-
-        Raises:
-            IndexError: if ``parent`` is not a valid node id.
-            ValueError: if ``uid`` is already present in the hierarchy.
+        Used to graft real MeSH names onto synthetic hierarchies for the
+        workload targets.  Only the label pool is rebuilt; the structural
+        arrays are shared.
         """
-        self._check_node(parent)
-        self._open_log()
-        node_id = len(self._parents)
-        if uid is None:
-            uid = "D%06d" % node_id
-        if uid in self._uid_index:
-            raise ValueError("duplicate concept uid: %r" % uid)
-        self._parents.append(parent)
-        self._labels.append(label)
-        self._uids.append(uid)
-        self._uid_index[uid] = node_id
-        self._arr = self._by_uid = self._by_label = None
-        return node_id
-
-    def relabel(self, node: int, label: str) -> None:
-        """Rename a concept (used when grafting real MeSH names onto
-        synthetic hierarchies for the workload targets).
-
-        Only the label pool is rebuilt; the structural arrays are kept.
-        """
-        self._check_node(node)
-        self._open_log()
-        self._labels[node] = label
-        if self._arr is not None:
-            self._arr = self._arr.relabeled(self._labels)
-        self._by_label = None
-
-    def _open_log(self) -> None:
-        """Make the build log writable, reconstructing it from the arrays
-        when the hierarchy was opened or unpickled from its array form."""
-        self._path = None
-        if self._parents is None:
-            arr = self._arr
-            self._parents = arr.parents.tolist()
-            self._labels = arr.labels()
-            self._uids = arr.uids()
-            self._uid_index = {uid: node for node, uid in enumerate(self._uids)}
+        names = self._arr.labels()
+        for node, label in labels.items():
+            self._at(node)
+            names[node] = label
+        return ConceptHierarchy(self._arr.relabeled(names))
 
     # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        if self._arr is not None:
-            return len(self._arr)
-        return len(self._parents)
+        return len(self._arr)
 
     @property
     def root(self) -> int:
@@ -320,24 +304,17 @@ class ConceptHierarchy:
         Records must list each parent before any of its children, with the
         root (parent -1) first — the order :meth:`to_records` produces.
         """
-        iterator = iter(records)
-        try:
-            root_uid, root_label, root_parent = next(iterator)
-        except StopIteration:
-            raise ValueError("no records: a hierarchy needs at least a root")
-        if root_parent != -1:
-            raise ValueError("first record must be the root (parent -1)")
-        hierarchy = cls(root_label=root_label, root_uid=root_uid)
-        for uid, label, parent in iterator:
-            hierarchy.add_child(parent, label, uid=uid)
-        return hierarchy
+        rows = list(records)
+        return cls.from_parents(
+            [row[2] for row in rows], [row[1] for row in rows], [row[0] for row in rows]
+        )
 
     def __reduce__(self):
         # Directory-backed hierarchies reopen by path on the receiving end
         # (the arrays mmap back in); the rest ship their arrays.
         if self._path is not None:
             return (ConceptHierarchy.open, (self._path,))
-        return (ConceptHierarchy._of_arrays, (self.arrays(),))
+        return (ConceptHierarchy, (self._arr,))
 
     # ------------------------------------------------------------------
     # Array form
@@ -346,14 +323,8 @@ class ConceptHierarchy:
         """Positional-array form of this hierarchy.
 
         Returns the flat int32/int64 encoding every accessor and the
-        cold-path kernels read.  A write since the last read freezes the
-        build log into fresh arrays here, so the returned object always
-        matches the current tree.
+        cold-path kernels read.
         """
-        if self._arr is None:
-            self._arr = HierarchyArrays._from_parent_arrays(
-                self._parents, self._labels, self._uids
-            )
         return self._arr
 
     # ------------------------------------------------------------------
@@ -363,11 +334,6 @@ class ConceptHierarchy:
         if not 0 <= node < len(arr.parents):
             raise IndexError("node id %r out of range" % (node,))
         return arr
-
-    def _check_node(self, node: int) -> None:
-        """Validate ``node`` for a write, without freezing the build log."""
-        if not 0 <= node < len(self):
-            raise IndexError("node id %r out of range" % (node,))
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return "ConceptHierarchy(%d nodes, root=%r)" % (len(self), self.label(0))

@@ -105,26 +105,29 @@ class HierarchyGenerator:
     def generate(self) -> ConceptHierarchy:
         """Generate one hierarchy of roughly ``shape.target_size`` concepts."""
         shape = self.shape
-        hierarchy = ConceptHierarchy(root_label="MeSH")
-        frontier: List[int] = []
-        for _ in range(shape.root_fanout):
-            node = hierarchy.add_child(hierarchy.root, self._make_label(1))
-            frontier.append(node)
+        parents: List[int] = [-1]
+        labels: List[str] = ["MeSH"]
+
+        def add(parent: int, depth: int) -> int:
+            parents.append(parent)
+            labels.append(self._make_label(depth))
+            return len(parents) - 1
+
+        frontier = [add(0, 1) for _ in range(shape.root_fanout)]
         depth = 1
-        while frontier and len(hierarchy) < shape.target_size and depth < shape.max_depth:
+        while frontier and len(parents) < shape.target_size and depth < shape.max_depth:
             mean_children = shape.branching * (shape.decay ** (depth - 1))
             next_frontier: List[int] = []
             for node in frontier:
-                if len(hierarchy) >= shape.target_size:
+                if len(parents) >= shape.target_size:
                     break
                 for _ in range(self._sample_fanout(mean_children)):
-                    if len(hierarchy) >= shape.target_size:
+                    if len(parents) >= shape.target_size:
                         break
-                    child = hierarchy.add_child(node, self._make_label(depth + 1))
-                    next_frontier.append(child)
+                    next_frontier.append(add(node, depth + 1))
             frontier = next_frontier
             depth += 1
-        return hierarchy
+        return ConceptHierarchy.from_parents(parents, labels)
 
     # ------------------------------------------------------------------
     def _sample_fanout(self, mean: float) -> int:
@@ -147,9 +150,9 @@ class HierarchyGenerator:
 #: builds in the determinism gate) generates the identical tree.
 MESH_2008_SEED = 2008
 
-#: Seed-keyed cache of paper-scale hierarchies.  Generation walks ~48k
-#: Python-object insertions (~190ms); every bench/test that re-derives
-#: the canonical tree would otherwise pay it again.
+#: Seed-keyed cache of paper-scale hierarchies.  Generation draws ~48k
+#: labels and fanouts in Python; every bench/test that re-derives the
+#: canonical tree would otherwise pay it again.
 _MESH_2008_CACHE: Dict[int, ConceptHierarchy] = {}
 
 
@@ -163,10 +166,9 @@ def mesh_2008_hierarchy(seed: int = MESH_2008_SEED) -> ConceptHierarchy:
 
     Cache-identity contract: same seed ⇒ the *same object*, not a fresh
     copy.  That is sound because the tree is a pure function of the seed
-    and consumers treat hierarchies as immutable (nothing on the query
-    path mutates one; the substrate digest pins the content).  Callers
-    that genuinely need a private mutable tree must construct their own
-    :class:`HierarchyGenerator` instead of mutating the shared instance.
+    and :class:`ConceptHierarchy` is immutable: there is no method that
+    changes one (:meth:`ConceptHierarchy.relabeled` returns a new tree),
+    so sharing the instance cannot leak a write between callers.
     """
     hierarchy = _MESH_2008_CACHE.get(seed)
     if hierarchy is None:

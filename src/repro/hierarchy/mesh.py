@@ -152,12 +152,15 @@ def paper_fragment() -> ConceptHierarchy:
     Returns a :class:`ConceptHierarchy` whose labels match the paper's
     figures; concept uids are autogenerated.
     """
-    hierarchy = ConceptHierarchy(root_label="MeSH")
-    ids: Dict[str, int] = {"MeSH": hierarchy.root}
+    parents: List[int] = [-1]
+    labels: List[str] = ["MeSH"]
+    ids: Dict[str, int] = {"MeSH": 0}
     for label, parent_label in PAPER_FRAGMENT_EDGES:
         if parent_label not in ids:
             raise ValueError("fragment edge references unknown parent %r" % parent_label)
         if label in ids:
             raise ValueError("duplicate fragment label %r" % label)
-        ids[label] = hierarchy.add_child(ids[parent_label], label)
-    return hierarchy
+        ids[label] = len(parents)
+        parents.append(ids[parent_label])
+        labels.append(label)
+    return ConceptHierarchy.from_parents(parents, labels)

@@ -118,25 +118,28 @@ def hierarchy_from_records(
             )
             by_tree_number[tree_number] = (record.heading, uid)
 
-    hierarchy = ConceptHierarchy(root_label=root_label)
-    node_of: Dict[str, int] = {"": hierarchy.root}
+    parents: List[int] = [-1]
+    labels: List[str] = [root_label]
+    uids: List[str] = ["ROOT"]
+    node_of: Dict[str, int] = {"": 0}
 
     def ensure(tree_number: str) -> int:
         existing = node_of.get(tree_number)
         if existing is not None:
             return existing
-        parent_number = _parent_tree_number(tree_number)
-        parent = ensure(parent_number)
+        parent = ensure(_parent_tree_number(tree_number))
         heading, uid = by_tree_number.get(
             tree_number, ("[%s]" % tree_number, "PLACEHOLDER-%s" % tree_number)
         )
-        node = hierarchy.add_child(parent, heading, uid=uid)
-        node_of[tree_number] = node
+        node = node_of[tree_number] = len(parents)
+        parents.append(parent)
+        labels.append(heading)
+        uids.append(uid)
         return node
 
     for tree_number in sorted(by_tree_number):
         ensure(tree_number)
-    return hierarchy
+    return ConceptHierarchy.from_parents(parents, labels, uids)
 
 
 def load_mesh_ascii(handle: TextIO, root_label: str = "MeSH") -> ConceptHierarchy:

@@ -12,6 +12,9 @@ relies on), and the per-stage counters feed ``GET /api/stats``.
 Stages that are deliberately uncached — activating a session's active
 tree is per-user state — still report through :meth:`record_run`, so
 the stats surface covers every stage of the dataflow, cached or not.
+The pipeline declares each of its stages up front
+(:meth:`StageCache.declare`), so a stage has its zero row before its
+first lookup.
 
 An optional **L2** extends the single-flight guarantee across
 *processes*: when the in-process cache misses, the builder path first
@@ -159,6 +162,15 @@ class StageCache:
             if l2.put(stage, key, built):  # type: ignore[union-attr]
                 self._record_l2(stage, publishes=1)
         return built
+
+    def declare(self, stage: str, cached: bool = True) -> None:
+        """List ``stage`` in :meth:`snapshot`, with zero counters, before
+        its first lookup or run, so a cold deployment reports every stage."""
+        if cached:
+            self._cache_for(stage)
+        else:
+            with self._lock:
+                self._ledger_locked(stage)
 
     def record_run(self, stage: str, seconds: float) -> None:
         """Account one execution of an uncached stage."""

@@ -46,6 +46,7 @@ from repro.pipeline.artifacts import (
 from repro.pipeline.cache import StageCache
 from repro.pipeline.registry import SolverRegistry, default_registry
 from repro.pipeline.stages import (
+    ALL_STAGES,
     ActiveTreeStage,
     CutStage,
     HierarchyStage,
@@ -136,6 +137,8 @@ class NavigationPipeline:
         self.params = params or CostParams()
         self.max_reduced_nodes = max_reduced_nodes
         self.cache = cache or StageCache(capacities, l2=l2)
+        for stage in ALL_STAGES:
+            self.cache.declare(stage.name, stage.cached)
         self._cost_key = params_key(self.params)
         self._activations = itertools.count(1)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.corpus.citation import Citation
 from repro.corpus.generator import CorpusGenerator, TopicSpec
@@ -146,12 +146,13 @@ def build_workload(
     )
 
     used_targets: set = set()
+    target_labels: Dict[int, str] = {}
     built_queries: List[BuiltQuery] = []
     for spec in specs:
         rng = random.Random(spec.seed * 7919 + seed)
         target = _pick_target(hierarchy, rng, spec.target_depth, used_targets)
         used_targets.add(target)
-        hierarchy.relabel(target, spec.target_label)
+        target_labels[target] = spec.target_label
         anchors = _build_anchors(hierarchy, rng, spec, target)
         topic = TopicSpec(
             keyword=spec.keyword,
@@ -168,6 +169,7 @@ def build_workload(
         )
 
     medline.add_all(corpus_gen.generate_background(background_citations))
+    hierarchy = hierarchy.relabeled(target_labels)
     database = BioNavDatabase.build(hierarchy, medline)
     engine = SearchEngine(database.store, database.index)
     entrez = EntrezClient(medline, engine)

@@ -44,7 +44,7 @@ def paper_scale_hierarchy() -> ConceptHierarchy:
 
     Delegates to :func:`~repro.hierarchy.generator.mesh_2008_hierarchy`
     and inherits its cache-identity contract: repeated calls return the
-    same (treat-as-immutable) object, not a fresh copy.
+    same (immutable) object, not a fresh copy.
     """
     return mesh_2008_hierarchy()
 
@@ -129,7 +129,6 @@ def _build_with_hierarchy(hierarchy, query: WorkloadQuery) -> Workload:
     medline = MedlineDatabase(background_counts=generator.background_counts(scale=50_000))
     rng = random.Random(query.seed)
     target = _pick_target(hierarchy, rng, query.target_depth, set())
-    hierarchy.relabel(target, query.target_label)
     anchors = _build_anchors(hierarchy, rng, query, target)
     citations = generator.generate_topic(
         TopicSpec(keyword=query.keyword, n_citations=query.n_citations, anchors=anchors)
@@ -137,6 +136,7 @@ def _build_with_hierarchy(hierarchy, query: WorkloadQuery) -> Workload:
     citations = _ensure_target_coverage(citations, target, min_count=2, rng=rng)
     medline.add_all(citations)
     medline.add_all(generator.generate_background(40))
+    hierarchy = hierarchy.relabeled({target: query.target_label})
     database = BioNavDatabase.build(hierarchy, medline)
     engine = SearchEngine(database.store, database.index)
     return Workload(

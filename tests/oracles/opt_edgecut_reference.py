@@ -5,14 +5,17 @@ algorithm: components are ``FrozenSet[int]`` index sets, every valid cut
 is materialized up-front by a nested-list product, and each cut's
 expansion term is computed in full before comparison.  It is kept —
 verbatim, apart from hoisting the duplicated ``subtree_indices`` traversal
-in :meth:`ReferenceOptEdgeCut._expansion_term` — for two purposes:
+in :meth:`ReferenceOptEdgeCut._expansion_term` — for three purposes:
 
 * the property suite asserts the production bitmask engine
   (:class:`repro.core.opt_edgecut.OptEdgeCut`) returns **bit-identical**
   :class:`~repro.core.opt_edgecut.BestCut` values (same cut edges, same
   expected cost, same expansion term) on randomized trees, and
 * ``benchmarks/bench_opt_engine.py`` measures the speedup of the bitmask
-  engine over this path.
+  engine over this path, and
+* its :meth:`~ReferenceOptEdgeCut._enumerate_cuts` and
+  :meth:`~ReferenceOptEdgeCut._expansion_term` let the unit and property
+  suites check the production solver against every valid cut.
 
 :class:`ReferenceOptEdgeCutStrategy` puts the same engine behind the
 :class:`~repro.core.exact.OptEdgeCutStrategy` surface, so the registry's

@@ -14,16 +14,21 @@ def tree() -> NavigationTree:
     # Mirrors the paper's Fig. 3 component:
     # BP(1) -> CP(2) -> CD(3) -> {Auto(4), Apo(5), Necr(6)}
     #               -> CGP(7) -> Prolif(8) -> Div(9)
-    h = ConceptHierarchy(root_label="MeSH")
-    bp = h.add_child(0, "Biological Phenomena")
-    cp = h.add_child(bp, "Cell Physiology")
-    cd = h.add_child(cp, "Cell Death")
-    h.add_child(cd, "Autophagy")
-    h.add_child(cd, "Apoptosis")
-    h.add_child(cd, "Necrosis")
-    cgp = h.add_child(cp, "Cell Growth Processes")
-    prolif = h.add_child(cgp, "Cell Proliferation")
-    h.add_child(prolif, "Cell Division")
+    h = ConceptHierarchy.from_parents(
+        [-1, 0, 1, 2, 3, 3, 3, 2, 7, 8],
+        [
+            "MeSH",
+            "Biological Phenomena",
+            "Cell Physiology",
+            "Cell Death",
+            "Autophagy",
+            "Apoptosis",
+            "Necrosis",
+            "Cell Growth Processes",
+            "Cell Proliferation",
+            "Cell Division",
+        ],
+    )
     annotations = {
         1: {100},
         2: {101},
@@ -61,7 +66,7 @@ class TestInitialState:
         assert active.component_count(tree.root) == len(tree.all_results())
 
     def test_singleton_tree_has_no_components(self):
-        h = ConceptHierarchy()
+        h = ConceptHierarchy.from_parents([-1], ["MeSH"])
         lone = NavigationTree.build(h, {})
         single = ActiveTree(lone)
         assert not single.is_expandable(lone.root)

@@ -59,9 +59,10 @@ class OracleSession(NavigationSession):
 
 
 def random_tree(rng: random.Random, size: int) -> NavigationTree:
-    hierarchy = ConceptHierarchy(root_label="root")
-    for node in range(1, size):
-        hierarchy.add_child(rng.randrange(node), "n%d" % node)
+    parents = [-1] + [rng.randrange(node) for node in range(1, size)]
+    hierarchy = ConceptHierarchy.from_parents(
+        parents, ["root"] + ["n%d" % node for node in range(1, size)]
+    )
     annotations: Dict[int, Set[int]] = {}
     for node in range(size):
         if rng.random() < 0.7:
@@ -203,9 +204,10 @@ class TestRelevance:
         # on the expansion history.
         rng = random.Random(7)
         size = rng.randint(2000, 6000)
-        hierarchy = ConceptHierarchy(root_label="root")
-        for node in range(1, size):
-            hierarchy.add_child(rng.randrange(max(1, node // 50)), "n%d" % node)
+        parents = [-1] + [rng.randrange(max(1, node // 50)) for node in range(1, size)]
+        hierarchy = ConceptHierarchy.from_parents(
+            parents, ["root"] + ["n%d" % node for node in range(1, size)]
+        )
         annotations = {
             node: {rng.randrange(1, 500) for _ in range(rng.randint(1, 4))}
             for node in range(size)

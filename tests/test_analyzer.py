@@ -1387,9 +1387,8 @@ class TestSubstrateImmutabilityRule:
         from repro.core.probabilities import ProbabilityModel
         from repro.hierarchy.concept import ConceptHierarchy
 
-        hierarchy = ConceptHierarchy(root_label="root")
-        child = hierarchy.add_child(0, "child")
-        tree = NavigationTree.build(hierarchy, {child: {1, 2, 3}})
+        hierarchy = ConceptHierarchy.from_parents([-1, 0], ["root", "child"])
+        tree = NavigationTree.build(hierarchy, {1: {1, 2, 3}})
         probs = ProbabilityModel(tree, lambda n: 10)
         with pytest.raises(ValueError):
             probs.explore_mass[0] = 99.0

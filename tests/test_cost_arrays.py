@@ -43,10 +43,10 @@ def scenarios(draw, max_nodes: int = 18, max_citations: int = 40):
     clamped values below 2.
     """
     n = draw(st.integers(2, max_nodes))
-    h = ConceptHierarchy(root_label="root")
-    for node in range(1, n):
-        parent = draw(st.integers(0, node - 1))
-        h.add_child(parent, "n%d" % node)
+    parents = [-1] + [draw(st.integers(0, node - 1)) for node in range(1, n)]
+    h = ConceptHierarchy.from_parents(
+        parents, ["root"] + ["n%d" % node for node in range(1, n)]
+    )
     annotations: Dict[int, Set[int]] = {}
     for node in range(1, n):
         if draw(st.booleans()):
@@ -86,15 +86,14 @@ class TestThresholdEdges:
 
     def _chain_with_counts(self, counts: List[int]):
         """A root chain where node i+1 carries ``counts[i]`` distinct pmids."""
-        h = ConceptHierarchy(root_label="root")
+        labels = ["root"]
         annotations: Dict[int, Set[int]] = {}
         next_pmid = 1
-        previous = 0
-        for count in counts:
-            node = h.add_child(previous, "n%d" % next_pmid)
+        for node, count in enumerate(counts, start=1):
+            labels.append("n%d" % next_pmid)
             annotations[node] = set(range(next_pmid, next_pmid + count))
             next_pmid += count
-            previous = node
+        h = ConceptHierarchy.from_parents(list(range(-1, len(counts))), labels)
         tree = NavigationTree.build(h, annotations)
         probs = ProbabilityModel(tree, lambda _n: 1000)
         return tree, probs
@@ -140,9 +139,8 @@ class TestThresholdEdges:
         # root is the one zero-count member a navigation tree can hold.
         # It must contribute nothing to the entropy sum but still widen
         # the max-entropy denominator (log 3, not log 2).
-        h = ConceptHierarchy(root_label="root")
-        a = h.add_child(0, "a")
-        b = h.add_child(0, "b")
+        h = ConceptHierarchy.from_parents([-1, 0, 0], ["root", "a", "b"])
+        a, b = 1, 2
         tree = NavigationTree.build(h, {a: set(range(1, 11)), b: set(range(11, 21))})
         probs = ProbabilityModel(tree, lambda _n: 1000)
         component = [0, a, b]
@@ -151,9 +149,8 @@ class TestThresholdEdges:
         assert 0.0 < value < 1.0
 
     def test_zero_count_singleton_root(self):
-        h = ConceptHierarchy(root_label="root")
-        a = h.add_child(0, "a")
-        tree = NavigationTree.build(h, {a: {1, 2}})
+        h = ConceptHierarchy.from_parents([-1, 0], ["root", "a"])
+        tree = NavigationTree.build(h, {1: {1, 2}})
         probs = ProbabilityModel(tree, lambda _n: 1000)
         assert self._expand(probs, [0]) == 0.0
         assert probs.explore([0]) == 0.0
@@ -181,10 +178,8 @@ class TestSegmentSums:
         # Same regression on the heuristic's supernode sums: a trailing
         # empty part must not truncate the preceding part's EXPLORE
         # mass, and an empty component scores zero on both estimates.
-        h = ConceptHierarchy(root_label="root")
-        a = h.add_child(0, "a")
-        b = h.add_child(0, "b")
-        c = h.add_child(0, "c")
+        h = ConceptHierarchy.from_parents([-1, 0, 0, 0], ["root", "a", "b", "c"])
+        a, b, c = 1, 2, 3
         tree = NavigationTree.build(
             h, {a: set(range(1, 11)), b: set(range(6, 16)), c: set(range(16, 26))}
         )
@@ -212,9 +207,8 @@ class TestModelIdentity:
     """The bit-identity check the equivalence suites and benches rely on."""
 
     def test_model_identity_is_deterministic(self):
-        h = ConceptHierarchy(root_label="root")
-        a = h.add_child(0, "a")
-        b = h.add_child(0, "b")
+        h = ConceptHierarchy.from_parents([-1, 0, 0], ["root", "a", "b"])
+        a, b = 1, 2
         tree = NavigationTree.build(h, {a: {1, 2, 3}, b: {3, 4}})
         first = ProbabilityModel(tree, lambda _n: 100)
         assert models_identical(first, ProbabilityModel(tree, lambda _n: 100))
@@ -229,9 +223,8 @@ class TestModelIdentity:
     def test_model_identity_sees_citation_identity(self):
         # Same per-node counts, different citation ids → not identical
         # (distinct-count semantics differ, so the cuts may too).
-        h = ConceptHierarchy(root_label="root")
-        a = h.add_child(0, "a")
-        b = h.add_child(0, "b")
+        h = ConceptHierarchy.from_parents([-1, 0, 0], ["root", "a", "b"])
+        a, b = 1, 2
         overlapping = NavigationTree.build(h, {a: {1, 2}, b: {2, 3}})
         disjoint = NavigationTree.build(h, {a: {1, 2}, b: {3, 4}})
         assert not models_identical(

@@ -20,10 +20,9 @@ def flat_counts(node: int) -> int:
 @pytest.fixture()
 def deep_chain_tree():
     """A 300-deep annotated chain — stresses anything recursive."""
-    h = ConceptHierarchy()
-    parent = 0
-    for i in range(300):
-        parent = h.add_child(parent, "level %d" % i)
+    h = ConceptHierarchy.from_parents(
+        list(range(-1, 300)), ["MeSH"] + ["level %d" % i for i in range(300)]
+    )
     annotations = {n: {n} for n in range(1, len(h))}
     return h, NavigationTree.build(h, annotations)
 
@@ -31,9 +30,9 @@ def deep_chain_tree():
 @pytest.fixture()
 def wide_star_tree():
     """A 400-child star — stresses anything quadratic in fanout."""
-    h = ConceptHierarchy()
-    for i in range(400):
-        h.add_child(0, "leaf %d" % i)
+    h = ConceptHierarchy.from_parents(
+        [-1] + [0] * 400, ["MeSH"] + ["leaf %d" % i for i in range(400)]
+    )
     annotations = {n: {n, 1000 + (n % 7)} for n in range(1, len(h))}
     return h, NavigationTree.build(h, annotations)
 
@@ -102,8 +101,8 @@ class TestWideStar:
 
 class TestDegenerateResults:
     def test_single_citation_corpus(self):
-        h = ConceptHierarchy()
-        a = h.add_child(0, "only")
+        h = ConceptHierarchy.from_parents([-1, 0], ["MeSH", "only"])
+        a = 1
         tree = NavigationTree.build(h, {a: {42}})
         probs = ProbabilityModel(tree, flat_counts)
         outcome = navigate_to_target(tree, HeuristicReducedOpt(tree, probs), a)
@@ -112,10 +111,11 @@ class TestDegenerateResults:
 
     def test_every_node_same_citation(self):
         """Total duplication: all concepts hold the identical citation."""
-        h = ConceptHierarchy()
-        nodes = [h.add_child(0, "n%d" % i) for i in range(5)]
-        for n in nodes[:3]:
-            h.add_child(n, "c%d" % n)
+        nodes = [1, 2, 3, 4, 5]
+        h = ConceptHierarchy.from_parents(
+            [-1, 0, 0, 0, 0, 0, 1, 2, 3],
+            ["MeSH"] + ["n%d" % i for i in range(5)] + ["c%d" % n for n in nodes[:3]],
+        )
         annotations = {n: {7} for n in range(1, len(h))}
         tree = NavigationTree.build(h, annotations)
         probs = ProbabilityModel(tree, flat_counts)
@@ -126,10 +126,8 @@ class TestDegenerateResults:
 
     def test_duplicate_free_tree(self):
         """Zero duplication: every concept holds distinct citations."""
-        h = ConceptHierarchy()
-        a = h.add_child(0, "a")
-        b = h.add_child(a, "b")
-        c = h.add_child(a, "c")
+        h = ConceptHierarchy.from_parents([-1, 0, 1, 1], ["MeSH", "a", "b", "c"])
+        a, b, c = 1, 2, 3
         tree = NavigationTree.build(h, {a: {1}, b: {2}, c: {3}})
         assert tree.citations_with_duplicates() == len(tree.all_results())
         probs = ProbabilityModel(tree, flat_counts)

@@ -19,12 +19,9 @@ def tree() -> NavigationTree:
     # root(0) -> a(1) -> b(2) -> c(3)
     #                 -> d(4)
     #         -> e(5)
-    h = ConceptHierarchy(root_label="root")
-    a = h.add_child(0, "a")
-    b = h.add_child(a, "b")
-    h.add_child(b, "c")
-    h.add_child(a, "d")
-    h.add_child(0, "e")
+    h = ConceptHierarchy.from_parents(
+        [-1, 0, 1, 2, 1, 0], ["root", "a", "b", "c", "d", "e"]
+    )
     annotations = {n: {n * 10} for n in range(1, 6)}
     return NavigationTree.build(h, annotations)
 

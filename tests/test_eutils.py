@@ -19,9 +19,9 @@ def entrez(medline: MedlineDatabase, rate_limit=None) -> EntrezClient:
     The flat ten-concept hierarchy covers every concept id these tests
     annotate.
     """
-    hierarchy = ConceptHierarchy()
-    for concept in range(1, 10):
-        hierarchy.add_child(hierarchy.root, "concept %d" % concept)
+    hierarchy = ConceptHierarchy.from_parents(
+        [-1] + [0] * 9, ["MeSH"] + ["concept %d" % concept for concept in range(1, 10)]
+    )
     database = BioNavDatabase.build(hierarchy, medline)
     engine = SearchEngine(database.store, database.index)
     return EntrezClient(medline, engine, rate_limit=rate_limit)

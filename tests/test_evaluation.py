@@ -20,11 +20,7 @@ def flat_counts(node: int) -> int:
 
 @pytest.fixture()
 def small_tree():
-    h = ConceptHierarchy(root_label="root")
-    a = h.add_child(0, "a")
-    h.add_child(a, "b")
-    h.add_child(a, "c")
-    h.add_child(0, "d")
+    h = ConceptHierarchy.from_parents([-1, 0, 1, 1, 0], ["root", "a", "b", "c", "d"])
     return NavigationTree.build(
         h,
         {
@@ -43,7 +39,7 @@ class TestExpectedStrategyCost:
         assert 0 < cost < 10_000
 
     def test_single_node_tree_costs_its_results(self):
-        h = ConceptHierarchy()
+        h = ConceptHierarchy.from_parents([-1], ["MeSH"])
         tree = NavigationTree.build(h, {})
         probs = ProbabilityModel(tree, flat_counts)
         cost = expected_strategy_cost(tree, probs, StaticNavigation(tree))

@@ -3,7 +3,7 @@
 Offline: generate hierarchy + corpus → persist the corpus as JSONL →
 reload → harvest associations the paper's way → build the BioNav
 database's substrate directory → reopen it.  Online: search through the web interface,
-replay the session's log against a locally reconstructed tree, and
+re-apply the session's EXPANDs to a locally reconstructed tree, and
 produce the Markdown report.  One scenario touching each subsystem's
 public seam, complementing the per-module suites.
 """
@@ -16,8 +16,8 @@ from urllib.parse import urlencode
 import pytest
 
 from repro.bionav import BioNav
+from repro.core.active_tree import ActiveTree
 from repro.core.navigation_tree import NavigationTree
-from repro.core.replay import record_session, replay_session
 from repro.corpus.medline import MedlineDatabase
 from repro.corpus.persistence import read_citations_jsonl, write_citations_jsonl
 from repro.eutils.client import EntrezClient
@@ -97,15 +97,14 @@ class TestOnlineStory:
         ]
         if expandable:
             session.expand(expandable[0])
-        log = record_session(session)
 
-        # Reconstruct the tree independently and replay.
+        # Reconstruct the tree independently and apply the same EXPANDs.
         pmids = bionav.entrez.esearch_all("prothymosin")
         tree = NavigationTree.from_store(database.hierarchy, database.store, pmids)
-        replayed = replay_session(tree, log)
-        assert set(replayed.active.visible_nodes()) == set(
-            session.active.visible_nodes()
-        )
+        rebuilt = ActiveTree(tree)
+        for outcome in session.expand_log:
+            rebuilt.expand(outcome.node, outcome.decision.cut)
+        assert set(rebuilt.visible_nodes()) == set(session.active.visible_nodes())
 
     def test_web_interface_over_persisted_database(self, story):
         _, _, _, bionav = story

@@ -1,7 +1,7 @@
 """The positional-array form behind every ConceptHierarchy read.
 
-Random trees are built through ``add_child`` with ``relabel`` and reads
-interleaved, then every public accessor is checked against a plain
+Random trees are built through ``from_parents`` plus a ``relabeled``
+pass, then every public accessor is checked against a plain
 parent-list oracle.  The same answers (and the same ``content_key``)
 must survive save -> ``ConceptHierarchy.open`` -> pickle, and a
 substrate directory from the pre-arrays format must be refused.
@@ -124,10 +124,10 @@ def assert_matches(hierarchy: ConceptHierarchy, oracle: ParentListOracle) -> Non
         hierarchy.by_label("no such label")
 
 
-# One step of construction: add a child, relabel a node, or read.
+# One step of construction: add a child or relabel a node.
 _steps = st.lists(
     st.tuples(
-        st.sampled_from(("add", "add", "relabel", "read")),
+        st.sampled_from(("add", "add", "relabel")),
         st.integers(0, 10**6),
         st.sampled_from(LABELS),
     ),
@@ -137,26 +137,23 @@ _steps = st.lists(
 
 
 def build(steps) -> tuple:
-    """Replay ``steps`` on a hierarchy and the oracle in lockstep."""
-    hierarchy = ConceptHierarchy(root_label="root", root_uid="ROOT")
+    """Apply ``steps`` to the oracle, then build the hierarchy from its
+    lists with one ``from_parents`` call and one ``relabeled`` pass."""
     oracle = ParentListOracle()
+    renames: Dict[int, str] = {}
     for op, pick, label in steps:
         node = pick % len(oracle)
         if op == "add":
-            uid = "U%d" % len(oracle)
-            assert hierarchy.add_child(node, label, uid=uid) == len(oracle)
             oracle.parents.append(node)
             oracle.labels.append(label)
-            oracle.uids.append(uid)
-        elif op == "relabel":
-            hierarchy.relabel(node, label)
-            oracle.labels[node] = label
+            oracle.uids.append("U%d" % len(oracle))
         else:
-            assert hierarchy.label(node) == oracle.labels[node]
-            assert hierarchy.subtree_size(node) == len(oracle.preorder(node))
-            assert hierarchy.by_label(oracle.labels[node]) == oracle.by_label()[
-                oracle.labels[node]
-            ]
+            renames[node] = label
+    hierarchy = ConceptHierarchy.from_parents(oracle.parents, oracle.labels, oracle.uids)
+    if renames:
+        hierarchy = hierarchy.relabeled(renames)
+        for node, label in renames.items():
+            oracle.labels[node] = label
     return hierarchy, oracle
 
 
@@ -170,15 +167,6 @@ class TestAccessorsAgainstOracle:
     def test_single_root(self):
         hierarchy, oracle = build([("read", 0, "alpha")])
         assert_matches(hierarchy, oracle)
-
-    def test_add_child_validates_parent_and_uid(self):
-        hierarchy = ConceptHierarchy()
-        hierarchy.add_child(0, "a", uid="X")
-        with pytest.raises(IndexError):
-            hierarchy.add_child(5, "b")
-        with pytest.raises(ValueError):
-            hierarchy.add_child(0, "b", uid="X")
-        assert len(hierarchy) == 2
 
 
 class TestRoundTrips:
@@ -214,8 +202,8 @@ class TestRoundTrips:
         assert reopened is not opened
         assert reopened.arrays() is opened.arrays()
         assert ConceptHierarchy.open(str(tmp_path)).arrays() is opened.arrays()
-        # Writing to one opened hierarchy leaves the shared arrays alone.
-        reopened.add_child(0, "gamma", uid="U9")
+        # Relabelling one opened hierarchy leaves the shared arrays alone.
+        reopened.relabeled({0: "gamma"})
         assert_matches(opened, oracle)
         # Rewritten files are mapped afresh, never served stale.
         other, other_oracle = build([("add", 0, "a"), ("add", 0, "b"), ("add", 2, "c")])
@@ -224,31 +212,29 @@ class TestRoundTrips:
         assert fresh.arrays() is not opened.arrays()
         assert_matches(fresh, other_oracle)
 
-    def test_opened_hierarchy_accepts_construction(self, tmp_path):
+    def test_relabeled_opened_hierarchy_ships_its_arrays(self, tmp_path):
         hierarchy, oracle = build([("add", 0, "alpha"), ("add", 0, "beta")])
         hierarchy.arrays().save(str(tmp_path))
         opened = ConceptHierarchy.open(str(tmp_path))
-        assert opened.add_child(1, "gamma", uid="U3") == 3
-        opened.relabel(0, "delta")
-        oracle.parents.append(1)
-        oracle.labels.append("gamma")
-        oracle.uids.append("U3")
-        oracle.labels[0] = "delta"
+        relabeled = opened.relabeled({0: "delta"})
         assert_matches(opened, oracle)
+        oracle.labels[0] = "delta"
+        assert_matches(relabeled, oracle)
+        assert relabeled.arrays().parents is opened.arrays().parents
         # No longer the persisted tree: pickling ships the arrays.
-        assert_matches(pickle.loads(pickle.dumps(opened)), oracle)
-        with pytest.raises(ValueError):
-            opened.add_child(0, "dup", uid="U3")
+        shipped = pickle.loads(pickle.dumps(relabeled))
+        assert shipped.arrays() is not opened.arrays()
+        assert_matches(shipped, oracle)
 
 
 class TestByLabelIsFormIndependent:
     def test_relabel_onto_a_later_label(self, tmp_path):
         """Relabelling node 1 to the label node 2 already holds: every
         form answers the lowest id carrying the label."""
-        hierarchy = ConceptHierarchy(root_label="root")
-        first = hierarchy.add_child(0, "A")
-        hierarchy.add_child(0, "B")
-        hierarchy.relabel(first, "B")
+        first = 1
+        hierarchy = ConceptHierarchy.from_parents(
+            [-1, 0, 0], ["root", "A", "B"]
+        ).relabeled({first: "B"})
         records = ConceptHierarchy.from_records(hierarchy.to_records())
         assert [h.by_label("B") for h in (hierarchy, records)] == [first] * 2
         hierarchy.arrays().save(str(tmp_path))

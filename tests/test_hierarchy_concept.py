@@ -14,36 +14,46 @@ def small() -> ConceptHierarchy:
     #      a      b
     #     / \      \
     #    c   d      e
-    h = ConceptHierarchy(root_label="root")
-    a = h.add_child(0, "a")
-    b = h.add_child(0, "b")
-    h.add_child(a, "c")
-    h.add_child(a, "d")
-    h.add_child(b, "e")
-    return h
+    return ConceptHierarchy.from_parents(
+        [-1, 0, 0, 1, 1, 2], ["root", "a", "b", "c", "d", "e"]
+    )
 
 
 class TestConstruction:
     def test_new_hierarchy_has_only_root(self):
-        h = ConceptHierarchy()
+        h = ConceptHierarchy.from_parents([-1], ["MeSH"])
         assert len(h) == 1
         assert h.root == 0
         assert h.label(0) == "MeSH"
+        assert h.uid(0) == "ROOT"
 
-    def test_add_child_returns_sequential_ids(self, small):
+    def test_node_ids_follow_list_order(self, small):
         assert small.label(1) == "a"
         assert small.label(2) == "b"
         assert len(small) == 6
 
-    def test_add_child_to_bad_parent_raises(self, small):
-        with pytest.raises(IndexError):
-            small.add_child(99, "x")
+    @pytest.mark.parametrize(
+        "parents, labels, uids",
+        [
+            pytest.param([], [], None, id="empty"),
+            pytest.param([0, 0], ["r", "a"], None, id="root-not-first"),
+            pytest.param([-1, -1], ["r", "a"], None, id="second-root"),
+            pytest.param([-1, 0, 2], ["r", "a", "b"], None, id="own-parent"),
+            pytest.param([-1, 2, 0], ["r", "a", "b"], None, id="parent-after-child"),
+            pytest.param([-1, 0, 99], ["r", "a", "b"], None, id="parent-out-of-range"),
+            pytest.param([-1, 0], ["r"], None, id="labels-length"),
+            pytest.param([-1, 0], ["r", "a"], ["ROOT"], id="uids-length"),
+            pytest.param([-1, 0, 0], ["r", "a", "b"], ["R", "X", "X"], id="duplicate-uid"),
+        ],
+    )
+    def test_malformed_input_rejected(self, parents, labels, uids):
+        with pytest.raises(ValueError):
+            ConceptHierarchy.from_parents(parents, labels, uids)
 
     def test_duplicate_uid_rejected(self):
-        h = ConceptHierarchy()
-        h.add_child(0, "a", uid="X")
-        with pytest.raises(ValueError):
-            h.add_child(0, "b", uid="X")
+        records = [("ROOT", "r", -1), ("X", "a", 0), ("X", "b", 0)]
+        with pytest.raises(ValueError, match="'X'"):
+            ConceptHierarchy.from_records(records)
 
     def test_auto_uid_is_unique(self, small):
         uids = [small.uid(n) for n in range(len(small))]
@@ -95,22 +105,30 @@ class TestAccessors:
 
 class TestRelabel:
     def test_relabel_changes_label_and_index(self, small):
-        small.relabel(3, "Apoptosis")
-        assert small.label(3) == "Apoptosis"
-        assert small.by_label("Apoptosis") == 3
+        renamed = small.relabeled({3: "Apoptosis"})
+        assert renamed.label(3) == "Apoptosis"
+        assert renamed.by_label("Apoptosis") == 3
 
     def test_relabel_removes_old_index_entry(self, small):
-        small.relabel(3, "renamed")
+        renamed = small.relabeled({3: "renamed"})
         with pytest.raises(KeyError):
-            small.by_label("c")
+            renamed.by_label("c")
 
     def test_relabel_keeps_other_duplicate_label(self):
-        h = ConceptHierarchy()
-        first = h.add_child(0, "dup")
-        second = h.add_child(0, "dup")
-        h.relabel(first, "unique")
+        h = ConceptHierarchy.from_parents([-1, 0, 0], ["root", "dup", "dup"])
+        renamed = h.relabeled({1: "unique"})
         # The other holder of "dup" is still findable.
-        assert h.by_label("dup") == second
+        assert renamed.by_label("dup") == 2
+
+    def test_relabeled_leaves_the_original_unchanged(self, small):
+        renamed = small.relabeled({3: "renamed", 5: "other"})
+        assert small.label(3) == "c"
+        assert small.by_label("c") == 3
+        assert renamed.arrays().children is small.arrays().children
+
+    def test_relabel_of_bad_node_raises(self, small):
+        with pytest.raises(IndexError):
+            small.relabeled({len(small): "x"})
 
 
 class TestTreeNumbers:

@@ -11,13 +11,9 @@ from repro.hierarchy.stats import branching_histogram, level_widths, shape_stats
 
 @pytest.fixture()
 def small() -> ConceptHierarchy:
-    h = ConceptHierarchy(root_label="root")
-    a = h.add_child(0, "a")
-    b = h.add_child(0, "b")
-    h.add_child(a, "c")
-    h.add_child(a, "d")
-    h.add_child(a, "e")
-    return h
+    return ConceptHierarchy.from_parents(
+        [-1, 0, 0, 1, 1, 1], ["root", "a", "b", "c", "d", "e"]
+    )
 
 
 class TestLevelWidths:
@@ -25,7 +21,7 @@ class TestLevelWidths:
         assert level_widths(small) == {0: 1, 1: 2, 2: 3}
 
     def test_single_node(self):
-        assert level_widths(ConceptHierarchy()) == {0: 1}
+        assert level_widths(ConceptHierarchy.from_parents([-1], ["MeSH"])) == {0: 1}
 
 
 class TestBranchingHistogram:

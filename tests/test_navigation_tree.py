@@ -11,12 +11,7 @@ from repro.hierarchy.concept import ConceptHierarchy
 @pytest.fixture()
 def chain_hierarchy() -> ConceptHierarchy:
     # root -> a -> b -> c, plus root -> d
-    h = ConceptHierarchy(root_label="root")
-    a = h.add_child(0, "a")  # 1
-    b = h.add_child(a, "b")  # 2
-    h.add_child(b, "c")      # 3
-    h.add_child(0, "d")      # 4
-    return h
+    return ConceptHierarchy.from_parents([-1, 0, 1, 2, 0], ["root", "a", "b", "c", "d"])
 
 
 class TestMaximumEmbedding:
@@ -144,10 +139,11 @@ class TestPositionalIndices:
         import random
 
         rng = random.Random(11)
-        h = ConceptHierarchy(root_label="root")
-        nodes = [0]
-        for i in range(60):
-            nodes.append(h.add_child(rng.choice(nodes), "n%d" % i))
+        parents = [-1]
+        for _ in range(60):
+            parents.append(rng.choice(range(len(parents))))
+        h = ConceptHierarchy.from_parents(parents, ["root"] + ["n%d" % i for i in range(60)])
+        nodes = range(len(parents))
         annotations = {
             n: {rng.randrange(200) for _ in range(rng.randint(0, 4))}
             for n in nodes
@@ -196,12 +192,11 @@ class TestPositionalIndices:
     def test_deep_chain_does_not_hit_recursion_limit(self):
         # 2,000 annotated nodes in a single chain: the iterative embedding
         # and index construction must not recurse.
-        h = ConceptHierarchy(root_label="root")
-        node = 0
-        annotations = {}
-        for i in range(2000):
-            node = h.add_child(node, "deep%d" % i)
-            annotations[node] = {i}
+        h = ConceptHierarchy.from_parents(
+            list(range(-1, 2000)), ["root"] + ["deep%d" % i for i in range(2000)]
+        )
+        annotations = {i + 1: {i} for i in range(2000)}
+        node = 2000
         tree = NavigationTree.build(h, annotations)
         assert tree.size() == 2001
         assert tree.height() == 2000

@@ -46,11 +46,10 @@ from tests.oracles.navigation_tree_reference import ReferenceNavigationTree
 def hierarchies(draw, min_nodes: int = 1, max_nodes: int = 30):
     """Random hierarchy encoded as a parent vector (ids are insertion order)."""
     n = draw(st.integers(min_nodes, max_nodes))
-    h = ConceptHierarchy(root_label="root")
-    for node in range(1, n):
-        parent = draw(st.integers(0, node - 1))
-        h.add_child(parent, "n%d" % node)
-    return h
+    parents = [-1] + [draw(st.integers(0, node - 1)) for node in range(1, n)]
+    return ConceptHierarchy.from_parents(
+        parents, ["root"] + ["n%d" % node for node in range(1, n)]
+    )
 
 
 @st.composite
@@ -168,10 +167,9 @@ class TestRandomizedEquivalence:
 # ---------------------------------------------------------------------------
 class TestEdgeCases:
     def _chain(self, n=5):
-        h = ConceptHierarchy(root_label="root")
-        for i in range(1, n):
-            h.add_child(i - 1, "n%d" % i)
-        return h
+        return ConceptHierarchy.from_parents(
+            list(range(-1, n - 1)), ["root"] + ["n%d" % i for i in range(1, n)]
+        )
 
     def test_empty_root_no_annotations(self):
         """No annotations at all: the tree is exactly the (empty) root."""
@@ -183,11 +181,10 @@ class TestEdgeCases:
 
     def test_all_empty_subtree_spliced_out(self):
         """A fully empty branch vanishes; its sibling branch survives."""
-        h = ConceptHierarchy(root_label="root")
-        left = h.add_child(0, "left")
-        l_kid = h.add_child(left, "left-kid")
-        right = h.add_child(0, "right")
-        h.add_child(right, "right-kid")
+        h = ConceptHierarchy.from_parents(
+            [-1, 0, 1, 0, 3], ["root", "left", "left-kid", "right", "right-kid"]
+        )
+        l_kid = 2
         tree, ref = build_both(h, {l_kid: {7, 8}})
         assert_trees_identical(tree, ref)
         assert set(tree.nodes()) == {0, l_kid}

@@ -11,15 +11,12 @@ from repro.core.navigation_tree import NavigationTree
 from repro.core.opt_edgecut import MAX_OPT_NODES, BestCut, CutTree, OptEdgeCut
 from repro.core.probabilities import ProbabilityModel
 from repro.hierarchy.concept import ConceptHierarchy
+from tests.oracles.opt_edgecut_reference import ReferenceOptEdgeCut
 
 
 def make_tree(annotations):
     # root(0) -> a(1) -> b(2), c(3);  root -> d(4)
-    h = ConceptHierarchy(root_label="root")
-    a = h.add_child(0, "a")
-    h.add_child(a, "b")
-    h.add_child(a, "c")
-    h.add_child(0, "d")
+    h = ConceptHierarchy.from_parents([-1, 0, 1, 1, 0], ["root", "a", "b", "c", "d"])
     return NavigationTree.build(h, annotations)
 
 
@@ -111,13 +108,12 @@ class TestOptEdgeCut:
         """Exhaustive check: no single first cut leads to lower cost."""
         component = frozenset(tree.iter_dfs())
         cut_tree = CutTree.from_component(tree, probs, component, tree.root)
-        solver = OptEdgeCut(cut_tree, probs)
-        best = solver.solve()
-        all_cuts = [
-            c for c in solver._enumerate_cuts(0, frozenset(range(len(cut_tree)))) if c
-        ]
+        best = OptEdgeCut(cut_tree, probs).solve()
+        reference = ReferenceOptEdgeCut(cut_tree, probs)
+        full = frozenset(range(len(cut_tree)))
+        all_cuts = [c for c in reference._enumerate_cuts(0, full) if c]
         for cut in all_cuts:
-            term = solver._expansion_term(frozenset(range(len(cut_tree))), 0, cut)
+            term = reference._expansion_term(full, 0, cut)
             assert best.expansion_term <= term + 1e-12
 
     def test_memoization_reuses_components(self, tree, probs):
@@ -132,8 +128,8 @@ class TestOptEdgeCut:
     def test_enumerated_cuts_are_antichains(self, tree, probs):
         component = frozenset(tree.iter_dfs())
         cut_tree = CutTree.from_component(tree, probs, component, tree.root)
-        solver = OptEdgeCut(cut_tree, probs)
-        for cut in solver._enumerate_cuts(0, frozenset(range(len(cut_tree)))):
+        reference = ReferenceOptEdgeCut(cut_tree, probs)
+        for cut in reference._enumerate_cuts(0, frozenset(range(len(cut_tree)))):
             children_cut = [child for _, child in cut]
             for a, b in itertools.combinations(children_cut, 2):
                 assert a not in cut_tree.subtree_indices(b)

@@ -207,9 +207,12 @@ class TestDeltaSearch:
 # ---------------------------------------------------------------------------
 def navigation_instance(rng: random.Random, size: int):
     """A random navigation tree with tie-heavy result sets."""
-    hierarchy = ConceptHierarchy()
-    for i in range(1, size):
-        hierarchy.add_child(rng.randrange(max(1, i - rng.choice((1, 3, i)))), "c%d" % i)
+    parents = [-1] + [
+        rng.randrange(max(1, i - rng.choice((1, 3, i)))) for i in range(1, size)
+    ]
+    hierarchy = ConceptHierarchy.from_parents(
+        parents, ["MeSH"] + ["c%d" % i for i in range(1, size)]
+    )
     universe = rng.choice((8, 40, 200))
     annotations = {
         node: set(rng.sample(range(universe), rng.randint(1, min(universe, 12))))

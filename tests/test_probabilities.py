@@ -12,11 +12,7 @@ from repro.hierarchy.concept import ConceptHierarchy
 
 
 def build_tree(annotations):
-    h = ConceptHierarchy(root_label="root")
-    a = h.add_child(0, "a")       # 1
-    b = h.add_child(a, "b")       # 2
-    c = h.add_child(a, "c")       # 3
-    d = h.add_child(0, "d")       # 4
+    h = ConceptHierarchy.from_parents([-1, 0, 1, 1, 0], ["root", "a", "b", "c", "d"])
     return NavigationTree.build(h, annotations)
 
 

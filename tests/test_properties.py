@@ -21,6 +21,7 @@ from repro.core.probabilities import ProbabilityModel
 from repro.hierarchy.concept import ConceptHierarchy
 from repro.storage.index import InvertedIndex, tokenize
 from tests.oracles.active_tree_reference import cut_components
+from tests.oracles.opt_edgecut_reference import ReferenceOptEdgeCut
 from tests.oracles.partition_reference import preorder_arrays
 
 
@@ -31,11 +32,10 @@ from tests.oracles.partition_reference import preorder_arrays
 def hierarchies(draw, min_nodes: int = 2, max_nodes: int = 25):
     """Random hierarchy encoded as a parent vector."""
     n = draw(st.integers(min_nodes, max_nodes))
-    h = ConceptHierarchy(root_label="root")
-    for node in range(1, n):
-        parent = draw(st.integers(0, node - 1))
-        h.add_child(parent, "n%d" % node)
-    return h
+    parents = [-1] + [draw(st.integers(0, node - 1)) for node in range(1, n)]
+    return ConceptHierarchy.from_parents(
+        parents, ["root"] + ["n%d" % node for node in range(1, n)]
+    )
 
 
 @st.composite
@@ -177,13 +177,13 @@ class TestOptimizerProperties:
         probs = ProbabilityModel(tree, lambda n: 100)
         component = frozenset(tree.iter_dfs())
         cut_tree = CutTree.from_component(tree, probs, component, tree.root)
-        solver = OptEdgeCut(cut_tree, probs)
-        best = solver.solve()
+        best = OptEdgeCut(cut_tree, probs).solve()
+        reference = ReferenceOptEdgeCut(cut_tree, probs)
         full = frozenset(range(len(cut_tree)))
-        for cut in solver._enumerate_cuts(0, full):
+        for cut in reference._enumerate_cuts(0, full):
             if not cut:
                 continue
-            assert best.expansion_term <= solver._expansion_term(full, 0, cut) + 1e-9
+            assert best.expansion_term <= reference._expansion_term(full, 0, cut) + 1e-9
 
     @given(navigation_scenarios(max_nodes=25))
     @settings(max_examples=40, deadline=None)
@@ -272,8 +272,7 @@ class TestProbabilityProperties:
     )
     @settings(max_examples=100, deadline=None)
     def test_expand_probability_bounded(self, counts, distinct):
-        h = ConceptHierarchy()
-        h.add_child(0, "a")
+        h = ConceptHierarchy.from_parents([-1, 0], ["MeSH", "a"])
         tree = NavigationTree.build(h, {1: {1}})
         probs = ProbabilityModel(tree, lambda n: 100)
         value = probs.expand_from_distribution(counts, distinct)

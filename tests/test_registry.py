@@ -28,10 +28,13 @@ from tests.oracles.opt_edgecut_reference import ReferenceOptEdgeCutStrategy
 def random_scenario(size: int, seed: int):
     """A random ``size``-node navigation tree plus its probability model."""
     rng = random.Random(seed)
-    h = ConceptHierarchy(root_label="r")
-    nodes = [0]
-    for i in range(size - 1):
-        nodes.append(h.add_child(rng.choice(nodes), "c%d" % i))
+    parents = [-1]
+    for _ in range(size - 1):
+        parents.append(rng.choice(range(len(parents))))
+    h = ConceptHierarchy.from_parents(
+        parents, ["r"] + ["c%d" % i for i in range(size - 1)]
+    )
+    nodes = range(size)
     annotations = {
         n: set(rng.sample(range(120), rng.randint(1, 25))) for n in nodes
     }

@@ -33,7 +33,7 @@ def medline() -> MedlineDatabase:
 
 @pytest.fixture()
 def engine(medline) -> SearchEngine:
-    database = BioNavDatabase.build(ConceptHierarchy(), medline)
+    database = BioNavDatabase.build(ConceptHierarchy.from_parents([-1], ["MeSH"]), medline)
     return SearchEngine(database.store, database.index)
 
 
@@ -96,9 +96,10 @@ class TestConceptTerms:
     """``[mh]`` terms mixed with free text, in either order."""
 
     def test_mh_labels_match_case_insensitively(self):
-        hierarchy = ConceptHierarchy()
-        first = hierarchy.add_child(0, "Apoptosis")
-        shouted = hierarchy.add_child(0, "APOPTOSIS")
+        hierarchy = ConceptHierarchy.from_parents(
+            [-1, 0, 0], ["MeSH", "Apoptosis", "APOPTOSIS"]
+        )
+        first, shouted = 1, 2
         medline = MedlineDatabase()
         medline.add_all(
             [

@@ -12,10 +12,10 @@ from repro.search.suggest import suggest_concepts, suggest_terms
 
 @pytest.fixture()
 def setup():
-    h = ConceptHierarchy()
-    a = h.add_child(0, "Apoptosis")     # 1
-    b = h.add_child(0, "Necrosis")      # 2
-    c = h.add_child(0, "Kinases")       # 3
+    h = ConceptHierarchy.from_parents(
+        [-1, 0, 0, 0], ["MeSH", "Apoptosis", "Necrosis", "Kinases"]
+    )
+    a, b, c = 1, 2, 3
     db = MedlineDatabase()
     # Result set (pmids 1-4): mostly Apoptosis; 3 of 4 discuss "chromatin".
     for pmid in range(1, 5):

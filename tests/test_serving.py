@@ -288,6 +288,19 @@ class TestRuntimeSingleFlight:
 
 
 class TestPipelineStatsAcrossQueries:
+    def test_cold_runtime_lists_every_stage_with_zero_counters(self, bionav):
+        from repro.pipeline.stages import ALL_STAGES
+
+        with ServingRuntime(bionav, workers=2, max_queue=4) as runtime:
+            stages = runtime.stats()["pipeline"]
+            assert set(stages) == {stage.name for stage in ALL_STAGES}
+            for stage in ALL_STAGES:
+                row = stages[stage.name]
+                assert row["builds"] == row["runs"] == row["l2_hits"] == 0
+                if stage.cached:
+                    assert row["hits"] == row["misses"] == row["size"] == 0
+                    assert row["hit_ratio"] == 0.0
+
     def test_hierarchy_stage_is_shared_across_distinct_queries(self, bionav):
         """Two different keywords build two trees but one hierarchy
         snapshot — the per-stage counters in ``stats()`` prove the

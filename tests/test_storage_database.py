@@ -16,11 +16,7 @@ from repro.substrate import MmapStore, SubstrateBuilder, citation_chunks
 
 @pytest.fixture()
 def hierarchy() -> ConceptHierarchy:
-    h = ConceptHierarchy()
-    h.add_child(0, "A")  # 1
-    h.add_child(0, "B")  # 2
-    h.add_child(1, "C")  # 3
-    return h
+    return ConceptHierarchy.from_parents([-1, 0, 0, 1], ["MeSH", "A", "B", "C"])
 
 
 @pytest.fixture()

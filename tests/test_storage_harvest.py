@@ -71,10 +71,11 @@ class TestDefaultClientHarvest:
     hierarchy resolves concept labels."""
 
     def test_harvest_equals_store_postings_for_every_concept(self):
-        hierarchy = ConceptHierarchy(root_label="root")
-        kinase = hierarchy.add_child(0, "Kinase, Alpha (L1-0001)")
-        ice = hierarchy.add_child(kinase, "Ice nucleation")
-        hierarchy.add_child(0, "Unannotated concept")
+        hierarchy = ConceptHierarchy.from_parents(
+            [-1, 0, 1, 0],
+            ["root", "Kinase, Alpha (L1-0001)", "Ice nucleation", "Unannotated concept"],
+        )
+        kinase, ice = 1, 2
         medline = MedlineDatabase()
         medline.add(Citation(pmid=1, title="first", index_concepts=(kinase,)))
         medline.add(Citation(pmid=2, title="second", index_concepts=(kinase, ice)))

@@ -19,10 +19,9 @@ from repro.substrate import MmapStore
 
 def flat_hierarchy(size: int) -> ConceptHierarchy:
     """A root with ``size - 1`` children: concept ids ``0 .. size - 1``."""
-    h = ConceptHierarchy()
-    for i in range(1, size):
-        h.add_child(0, "C%d" % i)
-    return h
+    return ConceptHierarchy.from_parents(
+        [-1] + [0] * (size - 1), ["MeSH"] + ["C%d" % i for i in range(1, size)]
+    )
 
 
 def build(citations, size: int = 10, background=None) -> MmapStore:

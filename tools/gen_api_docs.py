@@ -60,7 +60,7 @@ bitmask (bit *i* set ⟺ node *i* in the component):
 
 The enumeration order matches the legacy engine (per child: cut edge
 first, then the child's own cuts, empty cut last; earlier children vary
-slowest) and ties break to the first minimum, so `explain` traces and
+slowest) and ties break to the first minimum, so tie-broken cuts and
 golden tests are unaffected.  `benchmarks/bench_opt_engine.py` holds the
 speedup floor (≥3× on a 12-node exact solve) and emits
 `BENCH_opt_engine.json`.

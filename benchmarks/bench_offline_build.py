@@ -88,7 +88,7 @@ def test_bench_harvest_slice(benchmark, offline_inputs):
     hierarchy, medline = offline_inputs
     direct = BioNavDatabase.build(hierarchy, medline)
     engine = SearchEngine(direct.store, direct.index)
-    harvester = ConceptHarvester(hierarchy, EntrezClient(medline, engine))
+    harvester = ConceptHarvester(hierarchy, EntrezClient(direct.store, engine))
     concepts = list(range(1, 80))
 
     result = benchmark.pedantic(

@@ -64,7 +64,7 @@ def main() -> None:
 
     print("\n4. Rate-limited harvest (why the paper's took ~20 days)")
     engine = SearchEngine(database.store, database.index)
-    limited = EntrezClient(medline, engine, rate_limit=3)
+    limited = EntrezClient(database.store, engine, rate_limit=3)
     served = 0
     try:
         while True:

@@ -93,12 +93,13 @@ class BioNav:
     ) -> "BioNav":
         """Run the off-line pre-processing and stand up the on-line system.
 
-        ESearch runs over the database's own store and keyword index;
-        ESummary/EFetch text comes from ``medline``.
+        ``medline`` is the build input only: ESearch runs over the
+        database's own store and keyword index, and ESummary/EFetch read
+        the store's display columns.
         """
         database = BioNavDatabase.build(hierarchy, medline)
         engine = SearchEngine(database.store, database.index)
-        entrez = EntrezClient(medline, engine)
+        entrez = EntrezClient(database.store, engine)
         return cls(database, entrez, max_reduced_nodes=max_reduced_nodes, params=params)
 
     @classmethod

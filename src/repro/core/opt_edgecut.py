@@ -306,16 +306,6 @@ class OptEdgeCut:
         root = self.tree.root
         return self.solve_component_mask(self._subtree_mask[root], root)
 
-    def solve_component(self, component: FrozenSet[int], root: int) -> BestCut:
-        """Best cut for a connected sub-component rooted at ``root``.
-
-        Because costs are memoized per component, solving the full tree
-        also yields the optimal cut of every component later expansions can
-        produce — the reuse the paper exploits to call the optimizer once
-        per user query rather than once per EXPAND.
-        """
-        return self.solve_component_mask(self._mask_of(component), root)
-
     def solve_component_mask(self, mask: int, root: int) -> BestCut:
         """Best cut for the component ``mask`` (bitmask) rooted at ``root``."""
         cached = self._memo.get(mask)
@@ -342,13 +332,6 @@ class OptEdgeCut:
     # ------------------------------------------------------------------
     # Mask helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _mask_of(indices) -> int:
-        mask = 0
-        for index in indices:
-            mask |= 1 << index
-        return mask
-
     @staticmethod
     def _indices_of(mask: int) -> FrozenSet[int]:
         indices = []

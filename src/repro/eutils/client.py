@@ -3,23 +3,26 @@
 The paper's online phase talks to PubMed exclusively through eutils
 (paper §VII): ESearch resolves a keyword query to citation IDs, ESummary
 fetches display summaries for SHOWRESULTS, EFetch retrieves full records.
-This module reproduces that surface over the local simulated corpus so the
+This module reproduces that surface over the local corpus store so the
 whole online pipeline exercises the same code path shapes, including
 ``retstart``/``retmax`` paging and the request-rate quota that constrained
-the paper's 20-day harvest.  ESearch delegates to the one
+the paper's 20-day harvest.  ESummary, EFetch and ELink read the store's
+columns (titles, authors, years, the concept CSR) with one batched
+lookup per request.  ESearch delegates to the one
 :class:`~repro.search.engine.SearchEngine` the caller built over the
 corpus store; the client never builds an engine of its own.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.corpus.citation import Citation, DocSummary
-from repro.corpus.medline import MedlineDatabase
 from repro.eutils.errors import BadRequestError, RateLimitExceeded, UnknownIdError
 from repro.search.engine import SearchEngine
+from repro.substrate.store import MmapStore
 
 __all__ = ["ESearchResult", "EntrezClient"]
 
@@ -39,26 +42,25 @@ class ESearchResult:
 
 
 class EntrezClient:
-    """ESearch / ESummary / EFetch over the simulated MEDLINE."""
+    """ESearch / ESummary / EFetch / ELink over the corpus store."""
 
     def __init__(
         self,
-        medline: MedlineDatabase,
+        store: MmapStore,
         engine: SearchEngine,
         rate_limit: Optional[int] = None,
     ):
         """
         Args:
-            medline: the simulated MEDLINE database, or a
-                :class:`~repro.substrate.store.MmapStore` (the client only
-                needs ``get``/``__contains__``/``iter_citations``).
+            store: the corpus store; ESummary, EFetch and ELink read its
+                display columns and concept rows.
             engine: the keyword search engine ESearch runs, usually
                 ``SearchEngine(database.store, database.index)``.
             rate_limit: optional maximum number of requests this client will
                 serve before raising :class:`RateLimitExceeded`; ``None``
                 disables the quota.  Call :meth:`reset_quota` to refill.
         """
-        self._medline = medline
+        self._store = store
         self._engine = engine
         self._rate_limit = rate_limit
         self._requests_served = 0
@@ -108,24 +110,29 @@ class EntrezClient:
         self._consume_quota()
         if not pmids:
             raise BadRequestError("esummary requires at least one id")
-        summaries = []
-        for pmid in pmids:
-            if pmid not in self._medline:
-                raise UnknownIdError("unknown pmid %d" % pmid)
-            summaries.append(DocSummary.from_citation(self._medline.get(pmid)))
-        return summaries
+        with _known_ids():
+            return self._store.summaries(pmids)
 
     def efetch(self, pmids: Sequence[int]) -> List[Citation]:
-        """Full citation records."""
+        """Citation records: the display fields plus the index concepts.
+
+        The store keeps no abstract and no separate MEDLINE annotation
+        set, so those fields are empty.
+        """
         self._consume_quota()
         if not pmids:
             raise BadRequestError("efetch requires at least one id")
-        citations = []
-        for pmid in pmids:
-            if pmid not in self._medline:
-                raise UnknownIdError("unknown pmid %d" % pmid)
-            citations.append(self._medline.get(pmid))
-        return citations
+        with _known_ids():
+            return [
+                Citation(
+                    pmid=summary.pmid,
+                    title=summary.title,
+                    authors=summary.authors,
+                    year=summary.year,
+                    index_concepts=self._store.concepts_of(summary.pmid),
+                )
+                for summary in self._store.summaries(pmids)
+            ]
 
     # ------------------------------------------------------------------
     # ELink
@@ -141,20 +148,8 @@ class EntrezClient:
         self._consume_quota()
         if retmax < 0:
             raise BadRequestError("retmax must be non-negative")
-        if pmid not in self._medline:
-            raise UnknownIdError("unknown pmid %d" % pmid)
-        anchor = set(self._medline.get(pmid).concepts)
-        if not anchor:
-            return []
-        scored = []
-        for citation in self._medline.iter_citations():
-            if citation.pmid == pmid:
-                continue
-            shared = len(anchor & set(citation.concepts))
-            if shared:
-                scored.append((-shared, citation.pmid))
-        scored.sort()
-        return [p for _, p in scored[:retmax]]
+        with _known_ids():
+            return self._store.related(pmid, retmax)
 
     # ------------------------------------------------------------------
     # Quota bookkeeping
@@ -180,3 +175,12 @@ class EntrezClient:
             )
         self._requests_served += 1
         self._total_requests += 1
+
+
+@contextlib.contextmanager
+def _known_ids() -> Iterator[None]:
+    """Report the store's unknown-PMID ``KeyError`` as ``UnknownIdError``."""
+    try:
+        yield
+    except KeyError as missing:
+        raise UnknownIdError("unknown pmid %d" % missing.args[0]) from None

@@ -32,15 +32,21 @@ On-disk layout (all arrays little-endian, loadable with
 ``concept_lt.npy``     int64[C]   counts + background = ``LT(n)``
 ``bitmap_offsets.npy`` int64[C+1] byte offsets into the bitmap blob
 ``bitmap_blob.npy``    uint8[B]   serialized roaring bitmaps
+``title_offsets.npy``  int64[N+1] CSR byte offsets into the title blob
+``title_blob.npy``     uint8[T]   UTF-8 titles, concatenated
+``author_offsets.npy`` int64[N+1] CSR byte offsets into the author blob
+``author_blob.npy``    uint8[A]   UTF-8 author names, each citation's
+                                  joined by ``AUTHOR_SEPARATOR``
 ``hier_*.npy``                    positional hierarchy arrays (11 files,
                                   see ``repro.hierarchy.arrays``)
 ``manifest.json``                 file hashes, counts, params, digest
 ================================  =====================================
 
-The build runs three passes: (1) stream chunks → citation columns plus
-raw association elements and per-concept counts; (2) windowed
-counting-sort scatter of citation ordinals into the concept-major CSR;
-(3) per-concept roaring encoding into the bitmap blob.  Every byte
+The build runs three passes: (1) stream chunks → citation columns (the
+display columns among them) plus raw association elements and
+per-concept counts; (2) windowed counting-sort scatter of citation
+ordinals into the concept-major CSR; (3) per-concept roaring encoding
+into the bitmap blob.  Every byte
 written is a pure function of the input stream and the builder params,
 so two same-seed builds produce byte-identical files and therefore
 byte-identical manifest digests — the determinism gate CI asserts.
@@ -54,7 +60,7 @@ import io
 import json
 import os
 from dataclasses import dataclass
-from typing import BinaryIO, Dict, Iterable, Iterator, Optional, Union
+from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -63,7 +69,13 @@ from repro.corpus.medline import MedlineDatabase
 from repro.hierarchy.arrays import HIERARCHY_ARRAY_FILES
 from repro.hierarchy.concept import ConceptHierarchy
 from repro.substrate.roaring import ARRAY_CONTAINER_MAX, RoaringBitmap
-from repro.substrate.store import CORPUS_FILES, FORMAT_VERSION, MmapStore
+from repro.substrate.store import (
+    AUTHOR_SEPARATOR,
+    CORPUS_FILES,
+    DISPLAY_COLUMNS,
+    FORMAT_VERSION,
+    MmapStore,
+)
 
 __all__ = [
     "CitationChunk",
@@ -87,18 +99,34 @@ class CitationChunk:
         lengths: int32 per-citation concept counts.
         concepts: int32 concatenation of the per-citation concept rows;
             each row strictly ascending (sorted, duplicate-free).
+        title_lengths: int32 per-citation UTF-8 byte lengths of the title.
+        titles: uint8 concatenation of the UTF-8 titles.
+        author_lengths: int32 per-citation byte lengths of the author field.
+        authors: uint8 concatenation of the author fields: each
+            citation's names in UTF-8, joined by ``AUTHOR_SEPARATOR``.
     """
 
     pmids: np.ndarray
     years: np.ndarray
     lengths: np.ndarray
     concepts: np.ndarray
+    title_lengths: np.ndarray
+    titles: np.ndarray
+    author_lengths: np.ndarray
+    authors: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.pmids.size != self.years.size or self.pmids.size != self.lengths.size:
+        if self.years.size != self.pmids.size:
             raise ValueError("chunk columns must be aligned")
-        if int(self.lengths.sum()) != self.concepts.size:
-            raise ValueError("lengths do not cover the concept buffer")
+        for lengths, buffer in (
+            (self.lengths, self.concepts),
+            (self.title_lengths, self.titles),
+            (self.author_lengths, self.authors),
+        ):
+            if lengths.size != self.pmids.size:
+                raise ValueError("chunk columns must be aligned")
+            if int(lengths.sum()) != buffer.size:
+                raise ValueError("row lengths do not cover their buffer")
 
 
 def citation_chunks(
@@ -109,28 +137,47 @@ def citation_chunks(
     Rows are deduplicated and sorted here, so any ``Citation`` stream
     with ascending PMIDs (e.g. ``MedlineDatabase`` iteration order or a
     streamed JSONL corpus) is a valid builder input.
+
+    Raises:
+        ValueError: an author name is empty or contains
+            ``AUTHOR_SEPARATOR``, so the joined field would not split
+            back into the same names.
     """
-    pmids, years, lengths, concepts = [], [], [], []
+    rows: List[Citation] = []
     for citation in citations:
-        row = sorted(set(citation.concepts))
-        pmids.append(citation.pmid)
-        years.append(citation.year)
-        lengths.append(len(row))
-        concepts.extend(row)
-        if len(pmids) >= chunk_size:
-            yield _make_chunk(pmids, years, lengths, concepts)
-            pmids, years, lengths, concepts = [], [], [], []
-    if pmids:
-        yield _make_chunk(pmids, years, lengths, concepts)
+        rows.append(citation)
+        if len(rows) >= chunk_size:
+            yield _make_chunk(rows)
+            rows = []
+    if rows:
+        yield _make_chunk(rows)
 
 
-def _make_chunk(pmids, years, lengths, concepts) -> CitationChunk:
+def _make_chunk(citations: List[Citation]) -> CitationChunk:
+    concept_rows = [sorted(set(citation.concepts)) for citation in citations]
+    titles = [citation.title.encode("utf-8") for citation in citations]
+    authors = [_author_field(citation) for citation in citations]
     return CitationChunk(
-        pmids=np.asarray(pmids, dtype=np.int64),
-        years=np.asarray(years, dtype=np.int16),
-        lengths=np.asarray(lengths, dtype=np.int32),
-        concepts=np.asarray(concepts, dtype=np.int32),
+        pmids=np.asarray([citation.pmid for citation in citations], dtype=np.int64),
+        years=np.asarray([citation.year for citation in citations], dtype=np.int16),
+        lengths=np.asarray([len(row) for row in concept_rows], dtype=np.int32),
+        concepts=np.asarray(
+            [concept for row in concept_rows for concept in row], dtype=np.int32
+        ),
+        title_lengths=np.asarray([len(title) for title in titles], dtype=np.int32),
+        titles=np.frombuffer(b"".join(titles), dtype=np.uint8),
+        author_lengths=np.asarray([len(field) for field in authors], dtype=np.int32),
+        authors=np.frombuffer(b"".join(authors), dtype=np.uint8),
     )
+
+
+def _author_field(citation: Citation) -> bytes:
+    if any(not name or AUTHOR_SEPARATOR in name for name in citation.authors):
+        raise ValueError(
+            "pmid %d: an author name is empty or contains the author separator"
+            % citation.pmid
+        )
+    return AUTHOR_SEPARATOR.join(citation.authors).encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -342,35 +389,42 @@ class SubstrateBuilder:
         sink = self._sink
         counts = np.zeros(self.num_concepts, dtype=np.int64)
         pmid_parts, year_parts, length_parts = [], [], []
+        title_parts, author_parts = [], []
         last_pmid = -1
         pairs = 0
-        with sink.staged("cit_concepts.npy", np.int32) as raw:
+        with contextlib.ExitStack() as stack:
+            raw = stack.enter_context(sink.staged("cit_concepts.npy", np.int32))
+            title_blob, author_blob = [
+                stack.enter_context(sink.staged(blob, np.uint8))
+                for _, blob in DISPLAY_COLUMNS
+            ]
             for chunk in chunks:
                 self._validate_chunk(chunk, last_pmid)
                 if chunk.pmids.size:
                     last_pmid = int(chunk.pmids[-1])
                 counts += np.bincount(chunk.concepts, minlength=self.num_concepts)
                 raw.write(np.ascontiguousarray(chunk.concepts, dtype="<i4").tobytes())
+                title_blob.write(chunk.titles.tobytes())
+                author_blob.write(chunk.authors.tobytes())
                 pairs += chunk.concepts.size
                 pmid_parts.append(np.ascontiguousarray(chunk.pmids, dtype=np.int64))
                 year_parts.append(np.ascontiguousarray(chunk.years, dtype=np.int16))
-                length_parts.append(
-                    np.ascontiguousarray(chunk.lengths, dtype=np.int64)
-                )
+                length_parts.append(chunk.lengths)
+                title_parts.append(chunk.title_lengths)
+                author_parts.append(chunk.author_lengths)
 
         pmids = _concat(pmid_parts, np.int64)
         years = _concat(year_parts, np.int16)
-        lengths = _concat(length_parts, np.int64)
         citations = int(pmids.size)
-
-        cit_offsets = np.zeros(citations + 1, dtype=np.int64)
-        np.cumsum(lengths, out=cit_offsets[1:])
+        cit_offsets = _offsets(length_parts)
         concept_offsets = np.zeros(self.num_concepts + 1, dtype=np.int64)
         np.cumsum(counts, out=concept_offsets[1:])
 
         sink.save("pmids.npy", pmids)
         sink.save("years.npy", years)
         sink.save("cit_concept_offsets.npy", cit_offsets)
+        for (offsets_name, _), parts in zip(DISPLAY_COLUMNS, (title_parts, author_parts)):
+            sink.save(offsets_name, _offsets(parts))
         sink.save("concept_offsets.npy", concept_offsets)
         sink.save("concept_counts.npy", counts)
         sink.save("concept_lt.npy", counts + self._background_array(background))
@@ -552,6 +606,14 @@ def _concat(parts, dtype) -> np.ndarray:
     if not parts:
         return np.empty(0, dtype=dtype)
     return np.concatenate(parts).astype(dtype, copy=False)
+
+
+def _offsets(length_parts) -> np.ndarray:
+    """int64 CSR offsets (leading 0) of the concatenated row lengths."""
+    lengths = _concat(length_parts, np.int64)
+    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
 
 
 def _file_sha256(path: str) -> str:

@@ -14,7 +14,9 @@ reads it through :class:`MmapStore`, over the arrays
   :func:`~repro.substrate.builder.medline_store`) hands its arrays over
   directly; such a store pickles by value.
 
-Either way the answers come from the same code: citation lookup,
+Either way the answers come from the same code: batched citation
+lookup (ESummary display records gathered from the title and author
+columns, ELink neighbours ranked over the concept CSR),
 per-concept membership (as pmid arrays or compressed bitmaps),
 boolean-AND concept queries over the serialized bitmaps, the CSR
 annotation restriction the navigation tree consumes, and the ``LT(n)``
@@ -28,19 +30,37 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.corpus.citation import Citation
+from repro.corpus.citation import DocSummary
 from repro.hierarchy.arrays import HierarchyArrays
 from repro.hierarchy.concept import ConceptHierarchy
 from repro.substrate.roaring import RoaringBitmap, intersect_serialized
 
-__all__ = ["CORPUS_FILES", "FORMAT_VERSION", "MmapStore"]
+__all__ = [
+    "AUTHOR_SEPARATOR",
+    "CORPUS_FILES",
+    "DISPLAY_COLUMNS",
+    "FORMAT_VERSION",
+    "MmapStore",
+    "SubstrateError",
+]
 
 #: Substrate layout version, written by the builder and checked on open.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+
+#: Joins one citation's author names in the author blob; the builder
+#: rejects it inside a name.
+AUTHOR_SEPARATOR = "\x1f"
+
+#: The display columns (paper §VII's denormalized citation table), as
+#: ``(offsets, blob)`` pairs: int64[N+1] CSR offsets into a UTF-8 blob.
+DISPLAY_COLUMNS: Tuple[Tuple[str, str], ...] = (
+    ("title_offsets.npy", "title_blob.npy"),
+    ("author_offsets.npy", "author_blob.npy"),
+)
 
 #: The corpus arrays of a substrate, in the order the manifest hashes them.
 CORPUS_FILES: Tuple[str, ...] = (
@@ -54,19 +74,23 @@ CORPUS_FILES: Tuple[str, ...] = (
     "concept_lt.npy",
     "bitmap_offsets.npy",
     "bitmap_blob.npy",
-)
+) + tuple(name for pair in DISPLAY_COLUMNS for name in pair)
+
+
+class SubstrateError(ValueError):
+    """A substrate the store cannot serve: wrong format or broken columns."""
 
 
 class MmapStore:
     """Read-only corpus store over a built substrate's arrays.
 
     The arrays are memmaps when the store was opened from a directory
-    (opening a 1M-citation store touches only headers, and N processes
-    opening it share one set of pages) and plain read-only arrays for an
-    in-memory build.  Pickling (the cluster wire format) reduces to the
-    directory path when there is one, so shipping a mapped store to a
-    worker costs bytes, not the corpus; an in-memory store ships its
-    arrays.
+    (opening a 1M-citation store reads the headers plus one pass over
+    the display-column offsets, and N processes opening it share one set
+    of pages) and plain read-only arrays for an in-memory build.
+    Pickling (the cluster wire format) reduces to the directory path
+    when there is one, so shipping a mapped store to a worker costs
+    bytes, not the corpus; an in-memory store ships its arrays.
 
     Args:
         manifest: the build manifest (``digest``, ``params``, ...).
@@ -74,6 +98,11 @@ class MmapStore:
         path: the substrate directory the arrays were mapped from.
         hierarchy: the build-time hierarchy of an in-memory build; a
             directory store reopens its own ``hier_*.npy`` files.
+
+    Raises:
+        SubstrateError: the manifest's ``format_version`` is not
+            :data:`FORMAT_VERSION`, or a display column's offsets are not
+            a CSR over its blob.
     """
 
     def __init__(
@@ -87,8 +116,10 @@ class MmapStore:
         self.manifest = dict(manifest)
         self.path = path
         self._arrays = {name: _frozen(arrays[name]) for name in CORPUS_FILES}
-        self._pmids = self._arrays["pmids.npy"]
-        self._years = self._arrays["years.npy"]
+        # Plain views of the two columns every batched gather reads:
+        # indexing a memmap goes through its Python-level __getitem__.
+        self._pmids = np.asarray(self._arrays["pmids.npy"])
+        self._years = np.asarray(self._arrays["years.npy"])
         self._cit_offsets = self._arrays["cit_concept_offsets.npy"]
         self._cit_concepts = self._arrays["cit_concepts.npy"]
         self._concept_offsets = self._arrays["concept_offsets.npy"]
@@ -97,13 +128,21 @@ class MmapStore:
         self._concept_lt = self._arrays["concept_lt.npy"]
         self._bitmap_offsets = self._arrays["bitmap_offsets.npy"]
         self._bitmap_blob = self._arrays["bitmap_blob.npy"]
+        # Rows are sliced from memoryviews of the blobs: per-row memmap
+        # slicing costs microseconds, a memoryview slice a fraction of one.
+        self._titles = _display_column(self._arrays, *DISPLAY_COLUMNS[0])
+        self._authors = _display_column(self._arrays, *DISPLAY_COLUMNS[1])
         params = self.manifest.get("params", {})
         self._array_max = int(params.get("array_max", 4096))
         self._hierarchy_cache = hierarchy
 
     @classmethod
     def open(cls, path: str) -> "MmapStore":  # repro: ignore[shadowed-builtin]
-        """Map a directory written by ``SubstrateBuilder``."""
+        """Map a directory written by ``SubstrateBuilder``.
+
+        Raises:
+            SubstrateError: see the class docstring.
+        """
         path = os.path.abspath(path)
         with open(os.path.join(path, "manifest.json"), "rb") as handle:
             manifest = json.loads(handle.read())
@@ -163,42 +202,73 @@ class MmapStore:
     def __len__(self) -> int:
         return int(self._pmids.size)
 
-    def _ordinal(self, pmid: int) -> int:
-        pos = int(np.searchsorted(self._pmids, pmid))
-        if pos >= self._pmids.size or int(self._pmids[pos]) != pmid:
-            raise KeyError(pmid)
-        return pos
+    def _lookup(self, pmids: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """``searchsorted`` positions of ``pmids`` and which are stored."""
+        requested = np.asarray(pmids, dtype=np.int64)
+        found = np.searchsorted(self._pmids, requested)
+        if self._pmids.size == 0:
+            return found, np.zeros(requested.shape, dtype=bool)
+        last = self._pmids.size - 1
+        return found, self._pmids.take(np.minimum(found, last)) == requested
 
-    def __contains__(self, pmid: int) -> bool:
-        try:
-            self._ordinal(pmid)
-        except KeyError:
-            return False
-        return True
+    def _ordinals(self, pmids: Sequence[int]) -> np.ndarray:
+        """Citation ordinals of ``pmids``, in input order.
 
-    def _citation_at(self, ordinal: int) -> Citation:
-        pmid = int(self._pmids[ordinal])
-        concepts = tuple(
-            int(c)
-            for c in self._cit_concepts[
-                int(self._cit_offsets[ordinal]) : int(self._cit_offsets[ordinal + 1])
-            ]
+        Raises:
+            KeyError: naming the first PMID not in the store.
+        """
+        found, present = self._lookup(pmids)
+        if not present.all():
+            raise KeyError(int(np.asarray(pmids, dtype=np.int64)[np.argmin(present)]))
+        return found
+
+    def summaries(self, pmids: Sequence[int]) -> List[DocSummary]:
+        """ESummary display records of ``pmids``, in input order.
+
+        One ``searchsorted`` over the PMID column and one gather per
+        display column; duplicates are answered as often as asked.
+
+        Raises:
+            KeyError: naming the first PMID not in the store.
+        """
+        ordinals = self._ordinals(pmids)
+        authors = [
+            tuple(names.split(AUTHOR_SEPARATOR)) if names else ()
+            for names in _decode(self._authors, ordinals)
+        ]
+        rows = zip(
+            self._pmids[ordinals].tolist(),
+            _decode(self._titles, ordinals),
+            authors,
+            self._years[ordinals].tolist(),
         )
-        return Citation(
-            pmid=pmid,
-            title="Synthetic citation %d" % pmid,
-            year=int(self._years[ordinal]),
-            index_concepts=concepts,
+        return [DocSummary(*row) for row in rows]
+
+    def related(self, pmid: int, limit: int) -> List[int]:
+        """Up to ``limit`` PMIDs sharing concepts with ``pmid``.
+
+        Ranked by shared-concept count, descending, then by PMID; the
+        anchor itself is excluded.  One ``np.bincount`` over the
+        concept-major ordinals of the anchor's concepts scores every
+        citation at once.
+
+        Raises:
+            KeyError: ``pmid`` is not in the store.
+        """
+        anchor = self._ordinals([pmid])
+        concepts, _ = self._concept_rows(anchor)
+        begins = self._concept_offsets[concepts].astype(np.int64)
+        lengths = self._concept_offsets[concepts + 1].astype(np.int64) - begins
+        shared = np.bincount(
+            self._concept_citations[_csr_positions(begins, lengths)],
+            minlength=len(self),
         )
-
-    def get(self, pmid: int) -> Citation:
-        """One citation (synthetic title); raises KeyError for unknown PMIDs."""
-        return self._citation_at(self._ordinal(pmid))
-
-    def iter_citations(self) -> Iterator[Citation]:
-        """Stream every citation in ascending-PMID order."""
-        for ordinal in range(len(self)):
-            yield self._citation_at(ordinal)
+        shared[anchor] = 0
+        candidates = np.flatnonzero(shared)
+        # Ordinals ascend with PMIDs, so a stable sort on -shared breaks
+        # ties by PMID.
+        order = np.argsort(-shared[candidates], kind="stable")
+        return self._pmids[candidates[order[:limit]]].tolist()
 
     def pmids(self) -> List[int]:
         """All stored PMIDs, ascending."""
@@ -206,19 +276,16 @@ class MmapStore:
 
     def pmid_array(self) -> np.ndarray:
         """The ascending PMID column itself (zero-copy, read-only)."""
-        return self._pmids
+        return self._arrays["pmids.npy"]
 
     def year_array(self) -> np.ndarray:
         """Publication years aligned with :meth:`pmid_array` (read-only)."""
-        return self._years
+        return self._arrays["years.npy"]
 
     def concepts_of(self, pmid: int) -> Tuple[int, ...]:
         """Sorted association set of one citation (KeyError when absent)."""
-        ordinal = self._ordinal(pmid)
-        row = self._cit_concepts[
-            int(self._cit_offsets[ordinal]) : int(self._cit_offsets[ordinal + 1])
-        ]
-        return tuple(int(c) for c in row)
+        flat, _ = self._concept_rows(self._ordinals([pmid]))
+        return tuple(flat.tolist())
 
     # -- concept membership ---------------------------------------------
     @property
@@ -302,13 +369,7 @@ class MmapStore:
         One ``np.searchsorted`` over the PMID column answers the whole
         request; missing PMIDs are dropped.  Order follows the input.
         """
-        requested = np.asarray(pmids, dtype=np.int64)
-        if requested.size == 0 or self._pmids.size == 0:
-            return np.empty(0, dtype=np.int64)
-        found = np.minimum(
-            np.searchsorted(self._pmids, requested), self._pmids.size - 1
-        )
-        present = self._pmids[found] == requested
+        found, present = self._lookup(pmids)
         return found[present]
 
     def _concept_rows(
@@ -317,11 +378,7 @@ class MmapStore:
         """Flattened concept rows of ``ordinals`` plus per-row lengths."""
         begins = self._cit_offsets[ordinals].astype(np.int64)
         lengths = self._cit_offsets[ordinals + 1].astype(np.int64) - begins
-        total = int(lengths.sum())
-        base = np.repeat(begins, lengths)
-        reset = np.repeat(np.cumsum(lengths) - lengths, lengths)
-        flat = self._cit_concepts[base + np.arange(total) - reset]
-        return flat, lengths
+        return self._cit_concepts[_csr_positions(begins, lengths)], lengths
 
     def annotation_arrays(
         self, pmids: Sequence[int]
@@ -358,9 +415,49 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _csr_positions(begins: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Flat value positions of the CSR rows ``[begin, begin + length)``."""
+    base = np.repeat(begins, lengths)
+    reset = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return base + np.arange(int(lengths.sum())) - reset
+
+
+def _display_column(
+    arrays: Mapping[str, np.ndarray], offsets_name: str, blob_name: str
+) -> Tuple[np.ndarray, memoryview]:
+    """One display column as (offsets, blob memoryview), checked as a CSR.
+
+    Raises:
+        SubstrateError: the offsets are not one longer than the PMID
+            column, do not start at 0, decrease, or do not end at the
+            blob length.
+    """
+    offsets = np.asarray(arrays[offsets_name])
+    blob = np.asarray(arrays[blob_name])
+    if (
+        offsets.shape != (arrays["pmids.npy"].size + 1,)
+        or int(offsets[0]) != 0
+        or bool((offsets[1:] < offsets[:-1]).any())
+        or int(offsets[-1]) != blob.size
+    ):
+        raise SubstrateError(
+            "%s is not a CSR over %s for %d citations"
+            % (offsets_name, blob_name, arrays["pmids.npy"].size)
+        )
+    return offsets, memoryview(blob)
+
+
+def _decode(column: Tuple[np.ndarray, memoryview], ordinals: np.ndarray) -> List[str]:
+    """The UTF-8 strings of ``ordinals`` in one display column."""
+    offsets, blob = column
+    starts = offsets[ordinals].tolist()
+    stops = offsets[ordinals + 1].tolist()
+    return [blob[start:stop].tobytes().decode() for start, stop in zip(starts, stops)]
+
+
 def _check_format(manifest: Mapping[str, object]) -> None:
     if manifest.get("format_version") != FORMAT_VERSION:
-        raise ValueError(
-            "unsupported substrate format_version %r"
-            % manifest.get("format_version")
+        raise SubstrateError(
+            "unsupported substrate format_version %r (this store reads %d)"
+            % (manifest.get("format_version"), FORMAT_VERSION)
         )

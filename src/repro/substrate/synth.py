@@ -28,6 +28,9 @@ __all__ = ["SynthSpec", "synthetic_chunks", "synthetic_background"]
 #: First synthetic PMID; mirrors the corpus generator's numbering block.
 _PMID_BASE = 10_000_001
 
+#: Every synthetic title is this prefix plus the decimal PMID.
+_TITLE_PREFIX = "Synthetic citation "
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -62,7 +65,8 @@ def synthetic_chunks(spec: SynthSpec) -> Iterator[CitationChunk]:
     Each citation draws a Zipf-flavored *anchor* concept (popular
     concepts are shared by many citations, giving the dense bitmap
     containers their workload) plus a geometric halo of nearby ids
-    (locality: related concepts co-occur), deduplicated per row.
+    (locality: related concepts co-occur), deduplicated per row.  Titles
+    read ``"Synthetic citation <pmid>"``; author fields are empty.
     """
     produced = 0
     chunk_index = 0
@@ -98,11 +102,18 @@ def synthetic_chunks(spec: SynthSpec) -> Iterator[CitationChunk]:
         concepts = concepts[keep]
         lengths = np.bincount(rows, minlength=n).astype(np.int32)
 
+        numbers = [str(pmid) for pmid in pmids.tolist()]
+        titles = _TITLE_PREFIX + _TITLE_PREFIX.join(numbers)
+        digits = np.fromiter(map(len, numbers), dtype=np.int32, count=n)
         yield CitationChunk(
             pmids=pmids,
             years=years,
             lengths=lengths,
             concepts=concepts.astype(np.int32),
+            title_lengths=(len(_TITLE_PREFIX) + digits).astype(np.int32),
+            titles=np.frombuffer(titles.encode("ascii"), dtype=np.uint8),
+            author_lengths=np.zeros(n, dtype=np.int32),
+            authors=np.empty(0, dtype=np.uint8),
         )
         produced += n
         chunk_index += 1

@@ -172,7 +172,7 @@ def build_workload(
     hierarchy = hierarchy.relabeled(target_labels)
     database = BioNavDatabase.build(hierarchy, medline)
     engine = SearchEngine(database.store, database.index)
-    entrez = EntrezClient(medline, engine)
+    entrez = EntrezClient(database.store, engine)
     return Workload(hierarchy, medline, database, entrez, built_queries)
 
 

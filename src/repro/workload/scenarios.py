@@ -143,7 +143,7 @@ def _build_with_hierarchy(hierarchy, query: WorkloadQuery) -> Workload:
         hierarchy,
         medline,
         database,
-        EntrezClient(medline, engine),
+        EntrezClient(database.store, engine),
         [BuiltQuery(spec=query, target_node=target, anchors=anchors)],
     )
 

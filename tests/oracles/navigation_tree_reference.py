@@ -101,8 +101,9 @@ class ReferenceNavigationTree:
         tree uses.
         """
         annotations: Dict[int, Set[int]] = {}
+        stored = set(store.pmids())
         for pmid in pmids:
-            if pmid in store:
+            if pmid in stored:
                 for concept in store.concepts_of(pmid):
                     annotations.setdefault(concept, set()).add(pmid)
         return cls.build(hierarchy, annotations, root=root)

@@ -24,7 +24,7 @@ def entrez(medline: MedlineDatabase, rate_limit=None) -> EntrezClient:
     )
     database = BioNavDatabase.build(hierarchy, medline)
     engine = SearchEngine(database.store, database.index)
-    return EntrezClient(medline, engine, rate_limit=rate_limit)
+    return EntrezClient(database.store, engine, rate_limit=rate_limit)
 
 
 @pytest.fixture()

@@ -63,7 +63,7 @@ def story(request, tmp_path_factory):
     # ESearch over the reopened store, with the reloaded corpus's
     # keyword index for free-text terms.
     index = BioNavDatabase.build(workload.hierarchy, medline).index
-    bionav = BioNav(database, EntrezClient(medline, SearchEngine(database.store, index)))
+    bionav = BioNav(database, EntrezClient(database.store, SearchEngine(database.store, index)))
     return workload, medline, database, bionav
 
 

@@ -76,7 +76,7 @@ class TestEutilsEdges:
     def test_fresh_client_has_no_requests(self, small_workload):
         database = small_workload.database
         engine = SearchEngine(database.store, database.index)
-        client = EntrezClient(small_workload.medline, engine)
+        client = EntrezClient(database.store, engine)
         assert client.requests_served == 0
         assert client.total_requests == 0
 

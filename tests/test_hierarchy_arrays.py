@@ -24,6 +24,7 @@ from repro.corpus.citation import Citation
 from repro.hierarchy.arrays import HierarchyArrays
 from repro.hierarchy.concept import Concept, ConceptHierarchy
 from repro.substrate import MmapStore, SubstrateBuilder, citation_chunks
+from repro.substrate.store import FORMAT_VERSION
 
 LABELS = ("alpha", "beta", "gamma", "delta")
 
@@ -262,7 +263,7 @@ class TestSubstrateFormat:
         manifest_path = os.path.join(str(tmp_path), "manifest.json")
         with open(manifest_path) as handle:
             manifest = json.load(handle)
-        assert manifest["format_version"] == 2
+        assert manifest["format_version"] == FORMAT_VERSION
         assert "hierarchy.jsonl" not in manifest["files"]
         manifest["format_version"] = 1
         with open(manifest_path, "w") as handle:

@@ -99,7 +99,7 @@ class TestAssociationArrays:
     def test_concepts_of_unknown_citation_raises(self, database):
         with pytest.raises(KeyError):
             database.store.concepts_of(999)
-        assert 999 not in database.store
+        assert 999 not in database.store.pmids()
 
     def test_pmids_ascending_whatever_the_insert_order(self, hierarchy):
         medline = MedlineDatabase()

@@ -17,7 +17,7 @@ from repro.storage.harvest import ConceptHarvester
 def harvest_setup(request):
     workload = request.getfixturevalue("small_workload")
     engine = SearchEngine(workload.database.store, workload.database.index)
-    client = EntrezClient(workload.medline, engine, rate_limit=500)
+    client = EntrezClient(workload.database.store, engine, rate_limit=500)
     return workload, ConceptHarvester(workload.hierarchy, client), client
 
 
@@ -47,7 +47,7 @@ class TestHarvest:
     def test_rate_limit_windows_consumed(self, harvest_setup):
         workload, _, _ = harvest_setup
         engine = SearchEngine(workload.database.store, workload.database.index)
-        tight_client = EntrezClient(workload.medline, engine, rate_limit=3)
+        tight_client = EntrezClient(workload.database.store, engine, rate_limit=3)
         harvester = ConceptHarvester(workload.hierarchy, tight_client)
         result = harvester.harvest(concepts=list(range(1, 25)))
         # 24 concept queries through a 3-request window need several resets.
@@ -81,7 +81,7 @@ class TestDefaultClientHarvest:
         medline.add(Citation(pmid=2, title="second", index_concepts=(kinase, ice)))
         database = BioNavDatabase.build(hierarchy, medline)
         store = database.store
-        client = EntrezClient(medline, SearchEngine(store, database.index))
+        client = EntrezClient(store, SearchEngine(store, database.index))
         harvester = ConceptHarvester(hierarchy, client)
         result = harvester.harvest()
         assert sorted(result.associations) == list(range(1, len(hierarchy)))
@@ -92,7 +92,7 @@ class TestDefaultClientHarvest:
     def test_workload_harvest_equals_store_postings(self, small_workload):
         database = small_workload.database
         engine = SearchEngine(database.store, database.index)
-        client = EntrezClient(small_workload.medline, engine)
+        client = EntrezClient(database.store, engine)
         result = ConceptHarvester(small_workload.hierarchy, client).harvest()
         store = database.store
         assert len(result.associations) == len(small_workload.hierarchy) - 1

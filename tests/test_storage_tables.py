@@ -84,13 +84,13 @@ class TestDenormalizedTable:
     def test_put_get(self):
         store = build([(7, (3, 1, 2))])
         assert store.concepts_of(7) == (1, 2, 3)
-        assert 7 in store
+        assert store.pmids() == [7]
 
     def test_get_missing_raises(self):
         store = build([])
         with pytest.raises(KeyError):
             store.concepts_of(1)
-        assert 1 not in store
+        assert store.pmids() == []
 
     def test_get_many_skips_missing(self):
         store = build([(1, (5,))])

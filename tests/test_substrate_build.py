@@ -168,7 +168,7 @@ class TestMmapStore:
         clone = pickle.loads(pickle.dumps(store))
         assert clone.path == store.path
         assert clone.manifest_digest == manifest.digest
-        assert clone.get(citations[0].pmid).pmid == citations[0].pmid
+        assert clone.summaries([citations[0].pmid])[0].pmid == citations[0].pmid
 
     def test_hierarchy_round_trips(self, built_dir, small_hierarchy):
         out, _, _, _ = built_dir
@@ -179,8 +179,8 @@ class TestMmapStore:
         out, _, _, _ = built_dir
         store = MmapStore.open(str(out))
         with pytest.raises(KeyError):
-            store.get(1)
-        assert 1 not in store
+            store.summaries([1])
+        assert 1 not in store.pmids()
 
     def test_boolean_and_matches_set_oracle(self, built_dir):
         out, citations, _, _ = built_dir

@@ -295,7 +295,7 @@ class TestOneStore:
         medline = MedlineDatabase(background_counts=background)
         medline.add_all(citations)
         database = BioNavDatabase.build(hierarchy, medline)
-        client = EntrezClient(medline, SearchEngine(database.store, database.index))
+        client = EntrezClient(database.store, SearchEngine(database.store, database.index))
         top = busiest_concepts(oracle)
         page = client.esearch("%d[mh]" % top[0], retmax=5)
         assert page.count == oracle.result_count(top[0])

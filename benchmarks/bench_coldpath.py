@@ -3,18 +3,19 @@
 A *cold* query is the paper's worst case: a fresh process opens the
 substrate directory, loads the hierarchy, answers a conjunctive
 boolean-AND, and builds the navigation tree for the result (§II, §VII).
-PR 9 ran that path through per-node Python: ~190ms rebuilding the
+The legacy path ran through per-node Python: ~190ms rebuilding the
 ~48k-concept hierarchy from ``hierarchy.jsonl`` (no longer part of the
-substrate; the bench writes it before timing), full roaring-bitmap
-deserialization per AND operand, and a dict-per-node tree build.  PR 10
-made every stage array-native; this bench measures both paths on the
-same directory and gates the speedups:
+substrate; the bench writes it before timing) and a dict-per-node tree
+build; its AND is the ``np.intersect1d`` fold perfbench checks answers
+against.  The array-native path replaced every stage; this bench
+measures both paths on the same directory and gates the speedups:
 
 * **hierarchy open** — mmapping the persisted ``hier_*.npy`` arrays
   must beat the jsonl rebuild >= ``HIERARCHY_SPEEDUP_MIN``x (full scale);
-* **AND + tree build** — the serialized-blob roaring kernel plus the
-  vectorized maximum embedding must beat full deserialization plus the
-  dict-based reference build >= ``COMBINED_SPEEDUP_MIN``x (full scale);
+* **AND + tree build** — the ``searchsorted`` AND over the concept CSR
+  plus the vectorized maximum embedding must beat the ``np.intersect1d``
+  fold plus the dict-based reference build >= ``COMBINED_SPEEDUP_MIN``x
+  (full scale);
 * **bit-identity** — the array-native tree matches the retained
   :class:`ReferenceNavigationTree` oracle node for node (preorder,
   parents, per-node results) and yields a bit-identical probability
@@ -68,7 +69,6 @@ from repro.corpus.medline import MedlineDatabase
 from repro.hierarchy.concept import ConceptHierarchy
 from repro.hierarchy.generator import generate_hierarchy
 from repro.substrate import MmapStore, medline_store
-from repro.substrate.roaring import RoaringBitmap
 from tests.oracles.active_tree_reference import ReferenceActiveTree
 from tests.oracles.cost_identity import models_identical
 from tests.oracles.navigation_tree_reference import ReferenceNavigationTree
@@ -133,7 +133,7 @@ def run_build(out_dir: Path) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Legacy-path reimplementations (what PR 9 executed)
+# Legacy-path reimplementations and the reference AND
 # ---------------------------------------------------------------------------
 def write_hierarchy_jsonl(out_dir: Path) -> None:
     """Write the legacy ``hierarchy.jsonl`` record stream.
@@ -160,10 +160,12 @@ def hierarchy_from_jsonl(out_dir: Path) -> ConceptHierarchy:
 
 
 def boolean_and_reference(store: MmapStore, concepts) -> np.ndarray:
-    """The pre-kernel AND: fully deserialize every operand bitmap."""
-    bitmaps = [store.concept_bitmap(c) for c in concepts]
-    ordinals = RoaringBitmap.intersect_many(bitmaps).to_array()
-    return np.asarray(store._pmids[ordinals.astype(np.int64)], dtype=np.int64)
+    """The oracle AND perfbench checks against: an ``np.intersect1d``
+    fold over each concept's PMIDs."""
+    pmids = store.citations_for_concept(concepts[0])
+    for concept in concepts[1:]:
+        pmids = np.intersect1d(pmids, store.citations_for_concept(concept))
+    return pmids
 
 
 def trees_identical(tree: NavigationTree, ref: ReferenceNavigationTree) -> bool:
@@ -311,7 +313,7 @@ def measure_cold_paths(out_dir: Path) -> dict:
 
     concepts = pick_query_concepts(out_dir)
 
-    # Boolean AND: full per-concept deserialization vs the blob kernel.
+    # Boolean AND: the np.intersect1d fold vs the CSR searchsorted AND.
     started = time.perf_counter()
     pmids_ref = boolean_and_reference(store, concepts)
     boolean_and_ref_s = time.perf_counter() - started
@@ -449,7 +451,7 @@ def test_coldpath_speedup_and_identity(tmp_path_factory, report, benchmark):
         )
         + "\n%-38s %9.1f ms -> %7.1f ms  (%.1fx)"
         % (
-            "boolean AND (inflate -> kernel)",
+            "boolean AND (intersect1d -> CSR)",
             cold["boolean_and_ref_s"] * 1e3,
             cold["boolean_and_new_s"] * 1e3,
             cold["boolean_and_ref_s"] / cold["boolean_and_new_s"],

@@ -15,7 +15,7 @@ repository root:
   decision can be descheduled for tens of milliseconds under 4
   CPU-bound threads), none of which is the decision path gated here.
 * a solo probe client then replays warm EXPANDs with the pool idle.
-  The runtime's :class:`~repro.serving.concurrency.AtomicSolverProfile`
+  The runtime's :class:`~repro.analysis.runtime.SolverProfile`
   records one timing per EXPAND decision; the records appended during
   the probe are exactly its warm decisions.  Gate: warm per-EXPAND
   decision p99 below one millisecond.
@@ -118,7 +118,7 @@ def run_serving_measurement(workload) -> dict:
         finally:
             gc.enable()
         decisions = sorted(
-            timing.seconds for timing in runtime.profile.records()[probe_mark:]
+            timing.seconds for timing in runtime.profile.snapshot()[probe_mark:]
         )
         assert len(decisions) == PROBE_EXPANDS, (
             "profile recorded %d decisions for %d probe EXPANDs"

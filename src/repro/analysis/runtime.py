@@ -16,6 +16,7 @@ production rather than only on the bench.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
@@ -63,43 +64,52 @@ class SolverTiming:
 class SolverProfile:
     """Accumulates per-EXPAND solver timings across sessions.
 
-    A single profile can be shared by every session of a deployment (the
-    web layer keeps one per application); ``record`` is append-only, so
-    aggregation never perturbs the measured path.
+    A single profile can be shared by every session of a deployment and
+    by every request thread of the serving runtime: ``record``,
+    ``len``, :meth:`snapshot` and :meth:`summary` hold the profile's
+    lock, so a summary always describes a consistent prefix of the
+    recording stream.  ``record`` is append-only, so aggregation never
+    perturbs the measured path.
     """
 
     records: List[SolverTiming] = field(default_factory=list)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     def record(self, node: int, seconds: float, reduced_size: int) -> None:
         """Append one EXPAND decision's timing."""
         if seconds < 0:
             raise ValueError("seconds must be non-negative")
-        self.records.append(
-            SolverTiming(node=node, seconds=seconds, reduced_size=reduced_size)
-        )
+        timing = SolverTiming(node=node, seconds=seconds, reduced_size=reduced_size)
+        with self._lock:
+            self.records.append(timing)
 
     def __len__(self) -> int:
-        return len(self.records)
+        with self._lock:
+            return len(self.records)
+
+    def snapshot(self) -> List[SolverTiming]:
+        """A point-in-time copy of every recorded timing."""
+        with self._lock:
+            return list(self.records)
 
     @property
     def total_seconds(self) -> float:
         """Total solver time recorded."""
-        return sum(r.seconds for r in self.records)
+        return sum(r.seconds for r in self.snapshot())
 
     @property
     def mean_seconds(self) -> float:
         """Mean per-EXPAND solver time (0.0 with no records)."""
-        return self.total_seconds / len(self.records) if self.records else 0.0
+        records = self.snapshot()
+        return sum(r.seconds for r in records) / len(records) if records else 0.0
 
     def percentile_seconds(self, q: float) -> float:
         """The ``q``-th percentile (0..100) of per-EXPAND solver time."""
         if not 0 <= q <= 100:
             raise ValueError("percentile must be within [0, 100]")
-        if not self.records:
-            return 0.0
-        ordered = sorted(r.seconds for r in self.records)
-        rank = int(round((q / 100.0) * (len(ordered) - 1)))
-        return ordered[rank]
+        return _percentile(sorted(r.seconds for r in self.snapshot()), q)
 
     def summary(self) -> Dict[str, float]:
         """Aggregate statistics, in milliseconds where latency-like.
@@ -109,7 +119,8 @@ class SolverProfile:
         ``p99_ms`` is the per-EXPAND latency tail the expand-hot-path
         bench gates sub-millisecond (warm) and ``/api/stats`` surfaces.
         """
-        if not self.records:
+        records = self.snapshot()
+        if not records:
             return {
                 "expands": 0,
                 "total_ms": 0.0,
@@ -120,16 +131,18 @@ class SolverProfile:
                 "max_ms": 0.0,
                 "mean_reduced_size": 0.0,
             }
+        total = sum(r.seconds for r in records)
+        ordered = sorted(r.seconds for r in records)
         return {
-            "expands": len(self.records),
-            "total_ms": self.total_seconds * 1000.0,
-            "mean_ms": self.mean_seconds * 1000.0,
-            "p50_ms": self.percentile_seconds(50) * 1000.0,
-            "p95_ms": self.percentile_seconds(95) * 1000.0,
-            "p99_ms": self.percentile_seconds(99) * 1000.0,
-            "max_ms": max(r.seconds for r in self.records) * 1000.0,
+            "expands": len(records),
+            "total_ms": total * 1000.0,
+            "mean_ms": total / len(records) * 1000.0,
+            "p50_ms": _percentile(ordered, 50) * 1000.0,
+            "p95_ms": _percentile(ordered, 95) * 1000.0,
+            "p99_ms": _percentile(ordered, 99) * 1000.0,
+            "max_ms": ordered[-1] * 1000.0,
             "mean_reduced_size": (
-                sum(r.reduced_size for r in self.records) / len(self.records)
+                sum(r.reduced_size for r in records) / len(records)
             ),
         }
 
@@ -140,10 +153,17 @@ class SolverProfile:
             ValueError: fewer than 3 records or non-positive timings (the
                 log-linear fit needs t > 0).
         """
+        records = self.snapshot()
         return fit_exponential(
-            [float(r.reduced_size) for r in self.records],
-            [r.seconds for r in self.records],
+            [float(r.reduced_size) for r in records], [r.seconds for r in records]
         )
+
+
+def _percentile(ordered: Sequence[float], q: float) -> float:
+    """Nearest-rank ``q``-th percentile of an ascending series (0.0 if empty)."""
+    if not ordered:
+        return 0.0
+    return ordered[int(round((q / 100.0) * (len(ordered) - 1)))]
 
 
 def fit_exponential(

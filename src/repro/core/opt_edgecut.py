@@ -55,9 +55,15 @@ import numpy as np
 from repro.core.cost_model import CostParams
 from repro.core.navigation_tree import NavigationTree
 from repro.core.probabilities import ProbabilityModel
-from repro.substrate.roaring import POPCOUNT_TABLE
 
 __all__ = ["CutTree", "BestCut", "OptEdgeCut", "MAX_OPT_NODES"]
+
+#: Bits set per byte value; ``POPCOUNT_TABLE[packed].sum()`` is the
+#: population count of a packed bitmap.
+POPCOUNT_TABLE = np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1
+).sum(axis=1).astype(np.int64)
+POPCOUNT_TABLE.setflags(write=False)
 
 # Above this size the exhaustive enumeration is intractable in real time;
 # the paper caps reduced trees at N = 10.  The bitmask engine additionally

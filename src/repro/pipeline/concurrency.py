@@ -10,8 +10,7 @@ exactly once no matter how many users issue it concurrently.
 
 The class lives in the pipeline layer because the
 :class:`~repro.pipeline.cache.StageCache` is its primary holder; the
-serving layer re-exports it from :mod:`repro.serving.concurrency`
-alongside its own profiling primitives.
+serving layer re-exports it from :mod:`repro.serving`.
 """
 
 from __future__ import annotations

@@ -2,15 +2,13 @@
 
 The paper's system is a multi-user web application, but the substrate
 modules (`repro.web.app`, the shared Heuristic-ReducedOpt decision
-cache, `repro.analysis.runtime.SolverProfile`)
-are single-threaded shared state.  This package supplies the runtime that
-makes them safe to drive from many threads at once:
+cache) are single-threaded shared state.  This package supplies the
+runtime that makes them safe to drive from many threads at once:
 
-* :mod:`repro.serving.concurrency` — an atomic wrapper around
-  :class:`~repro.analysis.runtime.SolverProfile`; the locked,
-  **single-flight** LRU cache (concurrent misses on one query build the
-  navigation tree exactly once) is
-  :class:`~repro.pipeline.concurrency.SingleFlightCache`.
+* the locked, **single-flight** LRU cache (concurrent misses on one
+  query build the navigation tree exactly once) is
+  :class:`~repro.pipeline.concurrency.SingleFlightCache`;
+  :class:`~repro.analysis.runtime.SolverProfile` holds its own lock.
 * :mod:`repro.serving.sessions` — a bounded session registry handing out
   per-session locks, so interleaved EXPAND/BACKTRACK on one session stay
   serializable, and distinguishing *expired* sessions from unknown ones.
@@ -36,7 +34,6 @@ from repro.serving.admission import (
     RetryLater,
 )
 from repro.pipeline.concurrency import SingleFlightCache
-from repro.serving.concurrency import AtomicSolverProfile
 from repro.serving.dispatcher import WorkerPoolDispatcher
 from repro.serving.runtime import (
     CostView,
@@ -50,7 +47,6 @@ from repro.serving.sessions import SessionExpired, SessionRegistry
 __all__ = [
     "AdmissionController",
     "AdmissionStats",
-    "AtomicSolverProfile",
     "CostView",
     "DeadlineExceeded",
     "ResultsView",

@@ -33,12 +33,12 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 if TYPE_CHECKING:  # import cycle: repro.bionav builds on repro.pipeline
     from repro.bionav import BioNav
 
+from repro.analysis.runtime import SolverProfile
 from repro.core.active_tree import VisNode
 from repro.core.relevance import ranked_visualization
 from repro.corpus.citation import DocSummary
 from repro.pipeline.pipeline import NavigationPipeline
 from repro.pipeline.stages import NavTreeStage
-from repro.serving.concurrency import AtomicSolverProfile
 from repro.serving.dispatcher import WorkerPoolDispatcher
 from repro.serving.sessions import SessionEntry, SessionRegistry
 
@@ -194,7 +194,7 @@ class ServingRuntime:
             l2=l2,
         )
         self.sessions = SessionRegistry(max_sessions)
-        self.profile = AtomicSolverProfile()
+        self.profile = SolverProfile()
         self.dispatcher = WorkerPoolDispatcher(
             workers, max_queue=max_queue, retry_after=retry_after
         )
@@ -354,7 +354,7 @@ class ServingRuntime:
         The ``pipeline`` block reports every stage's cache hit/miss/
         latency counters (``pipeline["nav_tree"]`` is the per-query
         navigation-tree cache).
-        The ``solver`` block is the shared :class:`AtomicSolverProfile`
+        The ``solver`` block is the shared :class:`SolverProfile`
         summary of per-EXPAND decision timings (p50/p95/p99 in
         milliseconds) — the p99 is the warm-EXPAND latency
         ``bench_expand_hotpath`` gates sub-millisecond.

@@ -7,20 +7,19 @@ is that split at reproduction scale:
 
 * **Offline** — :class:`~repro.substrate.builder.SubstrateBuilder`
   streams citations in bounded memory into the substrate arrays
-  (PMID-sorted citation table, CSR concept→citation association table,
-  per-concept counts, compressed citation bitmaps) plus a deterministic
-  build manifest — written as a directory of mmap-able numpy files, or
-  kept in memory for toy corpora; both give the same digest.
+  (PMID-sorted citation table, the concept–citation association table
+  as a CSR in each direction, per-concept counts, display columns) plus
+  a deterministic build manifest — written as a directory of mmap-able
+  numpy files, or kept in memory for toy corpora; both give the same
+  digest.
 * **Online** — one store, :class:`~repro.substrate.store.MmapStore`,
   over either form: a built directory opened read-only via
   ``np.load(mmap_mode="r")``, so every cluster worker shares one OS
   page cache instead of N private corpus copies, or the arrays of an
   in-memory build.  Persistence is the substrate directory.
 
-The compressed bitmaps are roaring-style array/bitmap hybrid containers
-(:mod:`repro.substrate.roaring`) whose bitmap payloads use the
-packed-``uint8``/MSB-first ``np.packbits`` layout, so cardinalities are
-popcount-table lookups and unions are ``bitwise_or``.
+The concept→citation CSR is the one postings form: each concept's
+sorted citation-ordinal slice answers membership and boolean AND alike.
 """
 
 from repro.substrate.builder import (
@@ -29,7 +28,6 @@ from repro.substrate.builder import (
     citation_chunks,
     medline_store,
 )
-from repro.substrate.roaring import RoaringBitmap
 from repro.substrate.store import MmapStore
 from repro.substrate.synth import SynthSpec, synthetic_background, synthetic_chunks
 
@@ -38,7 +36,6 @@ __all__ = [
     "SubstrateBuilder",
     "citation_chunks",
     "medline_store",
-    "RoaringBitmap",
     "MmapStore",
     "SynthSpec",
     "synthetic_background",

@@ -4,10 +4,10 @@
 deterministic synthetic stream (hierarchy + citations from ``--seed``)
 and builds the substrate directory, printing one JSON object with the
 manifest digest and the build's own resource footprint (wall time,
-``ru_maxrss``, final on-disk bytes).  The bench runs this in a
-subprocess so the reported peak RSS is the build's alone — the gate is
-*build RSS < ~4x on-disk size*, which a whole-corpus-in-memory builder
-cannot meet at 1M citations.
+``ru_maxrss``, on-disk bytes of the files the build wrote).  The bench
+runs this in a subprocess so the reported peak RSS is the build's alone
+— the gate is *build RSS < ~4x on-disk size*, which a
+whole-corpus-in-memory builder cannot meet at 1M citations.
 
 Also wired as ``make substrate-build``.
 """
@@ -29,11 +29,14 @@ from repro.substrate.synth import SynthSpec, synthetic_background, synthetic_chu
 __all__ = ["main"]
 
 
-def _directory_bytes(path: str) -> int:
-    total = 0
-    for name in os.listdir(path):
-        total += os.path.getsize(os.path.join(path, name))
-    return total
+def _build_bytes(path: str) -> int:
+    """Bytes of the build in ``path``: its manifest and the files it lists.
+
+    Files an earlier build left in the directory are not counted.
+    """
+    with open(os.path.join(path, "manifest.json")) as handle:
+        names = list(json.load(handle)["files"]) + ["manifest.json"]
+    return sum(os.path.getsize(os.path.join(path, name)) for name in names)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -95,7 +98,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "concepts": manifest.concepts,
         "elapsed_s": round(elapsed, 3),
         "max_rss_bytes": max_rss,
-        "disk_bytes": _directory_bytes(manifest.path),
+        "disk_bytes": _build_bytes(manifest.path),
     }
     json.dump(report, sys.stdout)
     sys.stdout.write("\n")

@@ -30,8 +30,6 @@ On-disk layout (all arrays little-endian, loadable with
                        uint32[P]  ascending within each concept
 ``concept_counts.npy`` int64[C]   per-concept result counts
 ``concept_lt.npy``     int64[C]   counts + background = ``LT(n)``
-``bitmap_offsets.npy`` int64[C+1] byte offsets into the bitmap blob
-``bitmap_blob.npy``    uint8[B]   serialized roaring bitmaps
 ``title_offsets.npy``  int64[N+1] CSR byte offsets into the title blob
 ``title_blob.npy``     uint8[T]   UTF-8 titles, concatenated
 ``author_offsets.npy`` int64[N+1] CSR byte offsets into the author blob
@@ -42,11 +40,11 @@ On-disk layout (all arrays little-endian, loadable with
 ``manifest.json``                 file hashes, counts, params, digest
 ================================  =====================================
 
-The build runs three passes: (1) stream chunks → citation columns (the
+The build runs two passes: (1) stream chunks → citation columns (the
 display columns among them) plus raw association elements and
 per-concept counts; (2) windowed counting-sort scatter of citation
-ordinals into the concept-major CSR; (3) per-concept roaring encoding
-into the bitmap blob.  Every byte
+ordinals into the concept-major CSR, which is also the postings form
+boolean AND reads.  Every byte
 written is a pure function of the input stream and the builder params,
 so two same-seed builds produce byte-identical files and therefore
 byte-identical manifest digests — the determinism gate CI asserts.
@@ -68,7 +66,6 @@ from repro.corpus.citation import Citation
 from repro.corpus.medline import MedlineDatabase
 from repro.hierarchy.arrays import HIERARCHY_ARRAY_FILES
 from repro.hierarchy.concept import ConceptHierarchy
-from repro.substrate.roaring import ARRAY_CONTAINER_MAX, RoaringBitmap
 from repro.substrate.store import (
     AUTHOR_SEPARATOR,
     CORPUS_FILES,
@@ -345,16 +342,9 @@ class SubstrateBuilder:
             or ``None`` to keep the arrays in memory.  Both targets run
             the same passes and produce the same manifest digest.
         num_concepts: size of the concept id space (``len(hierarchy)``).
-        array_max: roaring array→bitmap threshold recorded in the
-            manifest and used when reopening bitmaps.
     """
 
-    def __init__(
-        self,
-        out_dir: Optional[str],
-        num_concepts: int,
-        array_max: int = ARRAY_CONTAINER_MAX,
-    ):
+    def __init__(self, out_dir: Optional[str], num_concepts: int):
         if num_concepts < 0:
             raise ValueError("num_concepts must be non-negative")
         self._sink: Union[_DiskSink, _MemorySink] = (
@@ -362,7 +352,6 @@ class SubstrateBuilder:
         )
         self.out_dir = self._sink.path
         self.num_concepts = num_concepts
-        self.array_max = array_max
         self._payload: Optional[Dict[str, object]] = None
         self._hierarchy: Optional[ConceptHierarchy] = None
 
@@ -430,7 +419,6 @@ class SubstrateBuilder:
         sink.save("concept_lt.npy", counts + self._background_array(background))
 
         self._scatter_concept_citations(cit_offsets, concept_offsets, pairs)
-        self._encode_bitmaps(concept_offsets)
         arrays_key = None
         if hierarchy is not None:
             if len(hierarchy) != self.num_concepts:
@@ -546,28 +534,6 @@ class SubstrateBuilder:
         sink.seal("concept_citations.npy", out)
 
     # ------------------------------------------------------------------
-    # Pass 3: compressed bitmaps
-    # ------------------------------------------------------------------
-    def _encode_bitmaps(self, concept_offsets: np.ndarray) -> None:
-        members = self._sink.load("concept_citations.npy")
-        sizes = []
-        empty = RoaringBitmap(array_max=self.array_max).serialize()
-        bounds = concept_offsets.tolist()
-        with self._sink.staged("bitmap_blob.npy", np.uint8) as blob:
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                if lo == hi:
-                    data = empty
-                else:
-                    data = RoaringBitmap.from_sorted(
-                        np.asarray(members[lo:hi]), array_max=self.array_max
-                    ).serialize()
-                blob.write(data)
-                sizes.append(len(data))
-        offsets = np.zeros(self.num_concepts + 1, dtype=np.int64)
-        np.cumsum(np.asarray(sizes, dtype=np.int64), out=offsets[1:])
-        self._sink.save("bitmap_offsets.npy", offsets)
-
-    # ------------------------------------------------------------------
     # Manifest
     # ------------------------------------------------------------------
     def _write_manifest(
@@ -586,10 +552,7 @@ class SubstrateBuilder:
             "citations": citations,
             "pairs": pairs,
             "concepts": self.num_concepts,
-            "params": {
-                "array_max": self.array_max,
-                "num_concepts": self.num_concepts,
-            },
+            "params": {"num_concepts": self.num_concepts},
             "meta": meta or {},
             "files": {name: self._sink.digest(name) for name in names},
         }

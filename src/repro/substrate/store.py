@@ -17,13 +17,14 @@ reads it through :class:`MmapStore`, over the arrays
 Either way the answers come from the same code: batched citation
 lookup (ESummary display records gathered from the title and author
 columns, ELink neighbours ranked over the concept CSR),
-per-concept membership (as pmid arrays or compressed bitmaps),
-boolean-AND concept queries over the serialized bitmaps, the CSR
-annotation restriction the navigation tree consumes, and the ``LT(n)``
-MEDLINE-wide counts.  Persistence is the substrate directory.  The
-equivalence suite in ``tests/test_substrate_equivalence.py`` pins both
-forms to a dict-based oracle end to end (ResultSets and Opt-EdgeCut
-cuts).
+per-concept membership, boolean-AND concept queries over the concept
+CSR's sorted ordinal slices, the CSR annotation restriction the
+navigation tree consumes, and the ``LT(n)`` MEDLINE-wide counts.  The
+concept CSR is the one postings form: the concept–citation association
+table (paper §VII) is stored once in each direction and nowhere else.
+Persistence is the substrate directory.  The equivalence suite in
+``tests/test_substrate_equivalence.py`` pins both forms to a dict-based
+oracle end to end (ResultSets and Opt-EdgeCut cuts).
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import numpy as np
 from repro.corpus.citation import DocSummary
 from repro.hierarchy.arrays import HierarchyArrays
 from repro.hierarchy.concept import ConceptHierarchy
-from repro.substrate.roaring import RoaringBitmap, intersect_serialized
 
 __all__ = [
     "AUTHOR_SEPARATOR",
@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 #: Substrate layout version, written by the builder and checked on open.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: Joins one citation's author names in the author blob; the builder
 #: rejects it inside a name.
@@ -72,8 +72,6 @@ CORPUS_FILES: Tuple[str, ...] = (
     "concept_citations.npy",
     "concept_counts.npy",
     "concept_lt.npy",
-    "bitmap_offsets.npy",
-    "bitmap_blob.npy",
 ) + tuple(name for pair in DISPLAY_COLUMNS for name in pair)
 
 
@@ -86,8 +84,8 @@ class MmapStore:
 
     The arrays are memmaps when the store was opened from a directory
     (opening a 1M-citation store reads the headers plus one pass over
-    the display-column offsets, and N processes opening it share one set
-    of pages) and plain read-only arrays for an in-memory build.
+    every CSR's offsets, and N processes opening it share one set of
+    pages) and plain read-only arrays for an in-memory build.
     Pickling (the cluster wire format) reduces to the directory path
     when there is one, so shipping a mapped store to a worker costs
     bytes, not the corpus; an in-memory store ships its arrays.
@@ -101,8 +99,8 @@ class MmapStore:
 
     Raises:
         SubstrateError: the manifest's ``format_version`` is not
-            :data:`FORMAT_VERSION`, or a display column's offsets are not
-            a CSR over its blob.
+            :data:`FORMAT_VERSION`, or the offsets of a display column or
+            of an association table are not a CSR over its values.
     """
 
     def __init__(
@@ -120,20 +118,21 @@ class MmapStore:
         # indexing a memmap goes through its Python-level __getitem__.
         self._pmids = np.asarray(self._arrays["pmids.npy"])
         self._years = np.asarray(self._arrays["years.npy"])
-        self._cit_offsets = self._arrays["cit_concept_offsets.npy"]
-        self._cit_concepts = self._arrays["cit_concepts.npy"]
-        self._concept_offsets = self._arrays["concept_offsets.npy"]
-        self._concept_citations = self._arrays["concept_citations.npy"]
         self._concept_counts = self._arrays["concept_counts.npy"]
         self._concept_lt = self._arrays["concept_lt.npy"]
-        self._bitmap_offsets = self._arrays["bitmap_offsets.npy"]
-        self._bitmap_blob = self._arrays["bitmap_blob.npy"]
+        citations, concepts = self._pmids.size, self._concept_counts.size
+        self._cit_offsets, self._cit_concepts = _checked_csr(
+            self._arrays, "cit_concept_offsets.npy", "cit_concepts.npy", citations
+        )
+        self._concept_offsets, self._concept_citations = _checked_csr(
+            self._arrays, "concept_offsets.npy", "concept_citations.npy", concepts
+        )
         # Rows are sliced from memoryviews of the blobs: per-row memmap
         # slicing costs microseconds, a memoryview slice a fraction of one.
-        self._titles = _display_column(self._arrays, *DISPLAY_COLUMNS[0])
-        self._authors = _display_column(self._arrays, *DISPLAY_COLUMNS[1])
-        params = self.manifest.get("params", {})
-        self._array_max = int(params.get("array_max", 4096))
+        self._titles, self._authors = [
+            _display_column(self._arrays, offsets, blob, citations)
+            for offsets, blob in DISPLAY_COLUMNS
+        ]
         self._hierarchy_cache = hierarchy
 
     @classmethod
@@ -141,7 +140,8 @@ class MmapStore:
         """Map a directory written by ``SubstrateBuilder``.
 
         Raises:
-            SubstrateError: see the class docstring.
+            SubstrateError: see the class docstring; also a corpus file
+                that does not hold the array its header describes.
         """
         path = os.path.abspath(path)
         with open(os.path.join(path, "manifest.json"), "rb") as handle:
@@ -153,8 +153,13 @@ class MmapStore:
             try:
                 return np.load(target, mmap_mode="r")
             except ValueError:
-                # Zero-length arrays cannot be mmapped; load eagerly.
+                pass
+            # Zero-length arrays cannot be mmapped; load eagerly.  A file
+            # shorter than its header says fails both ways.
+            try:
                 return np.load(target)
+            except ValueError as exc:
+                raise SubstrateError("%s is unreadable: %s" % (name, exc)) from exc
 
         return cls(manifest, {name: _mm(name) for name in CORPUS_FILES}, path=path)
 
@@ -308,21 +313,6 @@ class MmapStore:
         ordinals = self._concept_ordinals(concept)
         return np.asarray(self._pmids[ordinals], dtype=np.int64)
 
-    def concept_bitmap(self, concept: int) -> RoaringBitmap:
-        """Compressed citation-ordinal set of ``concept``.
-
-        Ordinals index the ascending PMID order of :meth:`pmids`.
-        """
-        self._check_concept(concept)
-        start = int(self._bitmap_offsets[concept])
-        stop = int(self._bitmap_offsets[concept + 1])
-        return RoaringBitmap.deserialize(
-            self._bitmap_blob,
-            offset=start,
-            array_max=self._array_max,
-            length=stop - start,
-        )
-
     def result_count(self, concept: int) -> int:
         """Citations in *this corpus* associated with ``concept``."""
         self._check_concept(concept)
@@ -341,27 +331,30 @@ class MmapStore:
         counts[inside] = self._concept_lt[concepts[inside]]
         return counts
 
-    # -- derived answers (bitmap-accelerated) ---------------------------
+    # -- derived answers ------------------------------------------------
     def boolean_and(self, concepts: Sequence[int]) -> np.ndarray:
-        """AND over the serialized roaring blob, no bitmap inflation.
+        """PMIDs associated with every concept, ascending (int64).
 
-        :func:`~repro.substrate.roaring.intersect_serialized` galloping
-        over the per-concept byte spans touches only the containers
-        whose 16-bit key appears in *every* operand; everything else in
-        the memmapped blob stays cold on disk.
+        Each concept's ``concept_citations`` slice is already a sorted
+        ordinal run.  The slices are taken smallest first; the running
+        set is narrowed against each larger slice with one
+        ``np.searchsorted``, keeping the ordinals whose probe hits, so
+        the work is bounded by the smallest operand.  A one-concept
+        query is its slice, gathered to PMIDs.
+
+        Raises:
+            IndexError: a concept is outside the store universe.
         """
         if not concepts:
             return np.empty(0, dtype=np.int64)
-        spans = []
-        for concept in concepts:
-            self._check_concept(concept)
-            start = int(self._bitmap_offsets[concept])
-            stop = int(self._bitmap_offsets[concept + 1])
-            spans.append((start, stop - start))
-        ordinals = intersect_serialized(
-            self._bitmap_blob, spans, array_max=self._array_max
-        )
-        return np.asarray(self._pmids[ordinals.astype(np.int64)], dtype=np.int64)
+        slices = sorted((self._concept_ordinals(c) for c in concepts), key=len)
+        ordinals = slices[0]
+        for other in slices[1:]:
+            if ordinals.size == 0:
+                break
+            probe = np.minimum(np.searchsorted(other, ordinals), other.size - 1)
+            ordinals = ordinals[other[probe] == ordinals]
+        return np.asarray(self._pmids[ordinals], dtype=np.int64)
 
     def _result_ordinals(self, pmids: Sequence[int]) -> np.ndarray:
         """Citation ordinals of the PMIDs present in the store (batched).
@@ -422,28 +415,34 @@ def _csr_positions(begins: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return base + np.arange(int(lengths.sum())) - reset
 
 
-def _display_column(
-    arrays: Mapping[str, np.ndarray], offsets_name: str, blob_name: str
-) -> Tuple[np.ndarray, memoryview]:
-    """One display column as (offsets, blob memoryview), checked as a CSR.
+def _checked_csr(
+    arrays: Mapping[str, np.ndarray], offsets_name: str, values_name: str, rows: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One CSR as plain (offsets, values) views, checked at open.
 
     Raises:
-        SubstrateError: the offsets are not one longer than the PMID
-            column, do not start at 0, decrease, or do not end at the
-            blob length.
+        SubstrateError: the offsets are not ``rows + 1`` long, do not
+            start at 0, decrease, or do not end at the values length.
     """
     offsets = np.asarray(arrays[offsets_name])
-    blob = np.asarray(arrays[blob_name])
+    values = np.asarray(arrays[values_name])
     if (
-        offsets.shape != (arrays["pmids.npy"].size + 1,)
+        offsets.shape != (rows + 1,)
         or int(offsets[0]) != 0
         or bool((offsets[1:] < offsets[:-1]).any())
-        or int(offsets[-1]) != blob.size
+        or int(offsets[-1]) != values.size
     ):
         raise SubstrateError(
-            "%s is not a CSR over %s for %d citations"
-            % (offsets_name, blob_name, arrays["pmids.npy"].size)
+            "%s is not a CSR over %s for %d rows" % (offsets_name, values_name, rows)
         )
+    return offsets, values
+
+
+def _display_column(
+    arrays: Mapping[str, np.ndarray], offsets_name: str, blob_name: str, rows: int
+) -> Tuple[np.ndarray, memoryview]:
+    """One display column as (offsets, blob memoryview), checked as a CSR."""
+    offsets, blob = _checked_csr(arrays, offsets_name, blob_name, rows)
     return offsets, memoryview(blob)
 
 

@@ -6,8 +6,8 @@ Python sets and dicts: concept membership is a lazily built
 concept → sorted-PMID dict, boolean AND is a chain of
 ``np.intersect1d`` calls, and the navigation tree's annotation
 restriction is grouped citation by citation.  None of it shares code
-with :class:`repro.substrate.store.MmapStore`'s CSR arrays and
-serialized-bitmap kernels, which is the point:
+with :class:`repro.substrate.store.MmapStore`'s CSR arrays and its
+``searchsorted`` AND over the concept CSR, which is the point:
 ``tests/test_substrate_equivalence.py`` pins both forms of the one
 store (in-memory build, mapped directory) to these answers.
 
@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.corpus.medline import MedlineDatabase
 from repro.hierarchy.concept import ConceptHierarchy
-from repro.substrate.roaring import RoaringBitmap
 
 __all__ = ["InMemoryStore"]
 
@@ -78,13 +77,6 @@ class InMemoryStore:
     def citations_for_concept(self, concept: int) -> np.ndarray:
         """Ascending int64 PMIDs associated with ``concept``."""
         return self._concept_index().get(concept, np.empty(0, dtype=np.int64))
-
-    def concept_bitmap(self, concept: int) -> RoaringBitmap:
-        """Citation-ordinal set of ``concept`` (ordinals index :meth:`pmids`)."""
-        members = self.citations_for_concept(concept)
-        order = np.array(self._medline.pmids(), dtype=np.int64)
-        ordinals = np.searchsorted(order, members)
-        return RoaringBitmap.from_sorted(ordinals.astype(np.uint32))
 
     def result_count(self, concept: int) -> int:
         """Citations in this corpus associated with ``concept``."""

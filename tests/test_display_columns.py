@@ -7,7 +7,8 @@ replaced: ``DocSummary.from_citation(medline.get(pmid))`` for ESummary
 and the per-citation Python scan in ``tests/oracles/elink_reference.py``
 for ELink, on the toy workload in both store forms; they also check the
 synthetic stream's titles, build determinism, and that a broken or
-older substrate fails at open with ``SubstrateError``.
+older substrate (a display column or an association table that is not
+a CSR, a cut-off file) fails at open with ``SubstrateError``.
 """
 
 from __future__ import annotations
@@ -217,9 +218,44 @@ class TestOpenTimeChecks:
     def test_older_format_fails_at_open(self, built):
         manifest_path = built / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["format_version"] = FORMAT_VERSION - 1
+        # Format 3 still carried the roaring bitmap copy of the postings.
+        assert FORMAT_VERSION == 4
+        manifest["format_version"] = 3
         manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(SubstrateError, match="format_version 2"):
+        with pytest.raises(SubstrateError, match="format_version 3"):
+            MmapStore.open(str(built))
+
+    @pytest.mark.parametrize(
+        "offsets_name,values_name",
+        [
+            ("concept_offsets.npy", "concept_citations.npy"),
+            ("cit_concept_offsets.npy", "cit_concepts.npy"),
+        ],
+    )
+    @pytest.mark.parametrize("damage", ["truncate_values", "decrease", "short"])
+    def test_broken_association_csr_fails_at_open(
+        self, built, offsets_name, values_name, damage
+    ):
+        if damage == "truncate_values":
+            path = built / values_name
+            np.save(path, np.load(path)[:-1])
+        else:
+            path = built / offsets_name
+            offsets = np.load(path)
+            if damage == "decrease":
+                # Swap an interior rising step, leaving offsets[0] == 0.
+                step = 1 + int(np.flatnonzero(np.diff(offsets[1:]) > 0)[0])
+                offsets[step], offsets[step + 1] = offsets[step + 1], offsets[step]
+            else:
+                offsets = offsets[:-1]
+            np.save(path, offsets)
+        with pytest.raises(SubstrateError, match=offsets_name):
+            MmapStore.open(str(built))
+
+    def test_cut_off_values_file_fails_at_open(self, built):
+        path = built / "concept_citations.npy"
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(SubstrateError, match="concept_citations.npy"):
             MmapStore.open(str(built))
 
     def test_in_memory_arrays_are_checked_too(self):

@@ -16,10 +16,10 @@ from urllib.parse import urlencode
 
 import pytest
 
+from repro.analysis.runtime import SolverProfile
 from repro.bionav import BioNav
 from repro.pipeline.concurrency import SingleFlightCache
 from repro.serving.admission import DeadlineExceeded, RetryLater
-from repro.serving.concurrency import AtomicSolverProfile
 from repro.serving.dispatcher import WorkerPoolDispatcher
 from repro.serving.runtime import ServingRuntime
 from repro.serving.sessions import SessionExpired, SessionRegistry
@@ -141,9 +141,9 @@ class TestSingleFlightCache:
         assert cache.hits == 8 * 500
 
 
-class TestAtomicSolverProfile:
+class TestSolverProfile:
     def test_concurrent_records_all_land(self):
-        profile = AtomicSolverProfile()
+        profile = SolverProfile()
 
         def worker(i: int) -> None:
             for j in range(200):
@@ -151,6 +151,8 @@ class TestAtomicSolverProfile:
 
         run_threads(8, worker)
         assert len(profile) == 1600
+        records = profile.snapshot()
+        assert len(records) == 1600 and {r.node for r in records} == set(range(8))
         summary = profile.summary()
         assert summary["expands"] == 1600
         assert summary["p95_ms"] >= summary["p50_ms"] >= 0.0

@@ -34,6 +34,7 @@ from repro.substrate import (
     synthetic_background,
     synthetic_chunks,
 )
+from repro.substrate.build import main as build_main
 
 
 @pytest.fixture(scope="module")
@@ -92,9 +93,6 @@ class TestBuilder:
         members = store.citations_for_concept(concept)
         expected = sorted(p for p, cs in by_pmid.items() if concept in cs)
         assert members.tolist() == expected
-        # bitmap agrees with the CSR ordinals
-        ordinals = store.concept_bitmap(concept).to_array()
-        assert np.asarray(store.pmid_array()[ordinals.astype(np.int64)]).tolist() == expected
 
     def test_counts_and_lt(self, built_dir):
         out, citations, background, _ = built_dir
@@ -305,3 +303,16 @@ class TestBuildCli:
         store = MmapStore.open(str(tmp_path / "cli"))
         assert store.manifest_digest == report["digest"]
         assert store.hierarchy() is not None
+
+    def test_disk_bytes_count_only_this_build(self, tmp_path, capsys):
+        args = ["--citations", "300", "--seed", "4", "--hierarchy-size", "120"]
+        stale = tmp_path / "stale"
+        stale.mkdir()
+        # A file an earlier build left behind is not part of this build.
+        np.save(stale / "bitmap_blob.npy", np.zeros(4096, dtype=np.uint8))
+        reports = []
+        for out in (tmp_path / "fresh", stale):
+            assert build_main(["--out", str(out)] + args) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0]["digest"] == reports[1]["digest"]
+        assert reports[0]["disk_bytes"] == reports[1]["disk_bytes"]

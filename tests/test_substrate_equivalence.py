@@ -139,25 +139,49 @@ class TestStorePrimitives:
                 store.medline_count(c) for c in ids.tolist()
             ]
 
-    def test_concept_membership_and_bitmaps(self, oracle, stores):
+    def test_concept_membership(self, oracle, stores):
         for store in stores.values():
             for concept in busiest_concepts(store) + [0, 1]:
                 assert (
                     oracle.citations_for_concept(concept).tolist()
                     == store.citations_for_concept(concept).tolist()
                 )
-                assert oracle.concept_bitmap(concept) == store.concept_bitmap(
-                    concept
-                )
 
     def test_boolean_and_identical(self, oracle, stores):
+        posted = [c for c in range(oracle.num_concepts) if oracle.result_count(c)]
+        unposted = next(c for c in range(oracle.num_concepts) if c not in posted)
+        disjoint = next(
+            [a, b]
+            for a in posted
+            for b in posted
+            if a < b
+            and not np.intersect1d(
+                oracle.citations_for_concept(a), oracle.citations_for_concept(b)
+            ).size
+        )
         for store in stores.values():
             top = busiest_concepts(store)
-            for combo in ([top[0]], top[:2], top[:3], [top[0], top[-1]]):
-                assert (
-                    oracle.boolean_and(combo).tolist()
-                    == store.boolean_and(combo).tolist()
-                ), combo
+            combos = (
+                [top[0]],
+                top[:2],
+                top[:3],
+                [top[0], top[-1]],
+                disjoint,
+                [unposted],
+                [top[0], unposted],
+                [top[1], top[1]],
+                [top[0], top[1], top[0]],
+                [],
+            )
+            for combo in combos:
+                expected = oracle.boolean_and(combo)
+                answer = store.boolean_and(combo)
+                assert answer.dtype == np.int64, combo
+                assert expected.tolist() == answer.tolist(), combo
+            assert store.boolean_and(disjoint).size == 0
+            for outside in (-1, store.num_concepts):
+                with pytest.raises(IndexError):
+                    store.boolean_and([top[0], outside])
 
     def test_annotations_for_result_identical(self, oracle, stores):
         pmids = oracle.pmids()[::7]

@@ -49,8 +49,6 @@ COLD_PATH_FIELDS = {
     "_concept_citations",
     "_concept_counts",
     "_concept_lt",
-    "_bitmap_offsets",
-    "_bitmap_blob",
     # NavigationTree embedded-tree arrays
     "_order",
     "_eparent",

@@ -108,7 +108,7 @@ Extends the per-query rows and solver summary with serving counters:
   `admitted`, `completed`, and `shed.overload` / `shed.deadline` /
   `shed.total` (requests rejected `503` with a `Retry-After` hint).
 - `solver` — per-EXPAND latency aggregates including `p50_ms` and
-  `p95_ms`, collected by the shared `AtomicSolverProfile`.
+  `p95_ms`, collected by the shared `SolverProfile`.
 
 Shed responses use HTTP 503 with `Retry-After` (derived from the
 configured queueing deadline); requests naming an evicted session get

@@ -34,7 +34,7 @@ __all__ = [
 
 Edge = Tuple[int, int]
 #: ``(root, excluded)``: a component's identity, independent of the tree
-#: object (decision caches and cut-stage keys use it).
+#: object (cut-stage keys use it).
 ComponentKey = Tuple[int, Tuple[int, ...]]
 
 

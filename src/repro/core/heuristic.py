@@ -14,17 +14,25 @@ subtrees (thousands of nodes for real queries).  Instead, for each EXPAND:
 
 Components already at or below N nodes skip the reduction and are solved
 exactly.  The paper uses N = 10.
+
+The strategy is a pure function of (tree, probs, params, N, component).
+§VI-B also suggests answering later EXPANDs from the Opt-EdgeCut memo of
+an earlier solve, but a memo entry keeps the EXPLORE normalization of the
+solve that produced it, while §IV normalizes each EXPAND over the
+component being expanded — and the argmin depends on it.  So every
+component is solved under its own normalization, and remembering plans is
+the pipeline cut stage's job (:class:`repro.pipeline.stages.CutStage`).
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, List, Optional, Tuple, Union
+from typing import AbstractSet, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.active_tree import ActiveTree
 from repro.core.cost_model import CostParams
-from repro.core.edgecut import Component, ComponentKey, as_component
+from repro.core.edgecut import Component, as_component
 from repro.core.navigation_tree import NavigationTree
 from repro.core.opt_edgecut import CutTree, OptEdgeCut
 from repro.core.partition import partition_with_limit
@@ -32,8 +40,6 @@ from repro.core.probabilities import ProbabilityModel
 from repro.core.strategy import CutDecision, ExpansionStrategy, SolverCapabilities
 
 __all__ = ["HeuristicReducedOpt"]
-
-Edge = Tuple[int, int]
 
 
 class HeuristicReducedOpt(ExpansionStrategy):
@@ -59,8 +65,6 @@ class HeuristicReducedOpt(ExpansionStrategy):
         probs: ProbabilityModel,
         max_reduced_nodes: int = 10,
         params: Optional[CostParams] = None,
-        reuse_memo: bool = True,
-        decision_cache: Optional[Dict[ComponentKey, CutDecision]] = None,
     ):
         """
         Args:
@@ -68,18 +72,6 @@ class HeuristicReducedOpt(ExpansionStrategy):
             probs: its probability model.
             max_reduced_nodes: N, the largest tree Opt-EdgeCut may see.
             params: cost-model unit costs.
-            reuse_memo: harvest Opt-EdgeCut's per-component memo so later
-                EXPANDs on sub-components are answered from cache (the
-                paper's §VI-B reuse).  Cached decisions keep the EXPLORE
-                normalization of the solve that produced them; disable to
-                re-normalize every component independently instead.
-            decision_cache: optional externally-owned decision store,
-                keyed by the component's ``(root, excluded)`` interval
-                key.  Decisions are deterministic per (tree, probs, params,
-                options), so concurrent sessions of the same query and
-                options can pass a shared dict and answer each other's
-                EXPANDs from cache — the pipeline shares one per query
-                among its default-option sessions.
         """
         if max_reduced_nodes < 2:
             raise ValueError("max_reduced_nodes must be at least 2")
@@ -87,21 +79,6 @@ class HeuristicReducedOpt(ExpansionStrategy):
         self.probs = probs
         self.max_reduced_nodes = max_reduced_nodes
         self.params = params or CostParams()
-        self.last_reduced_size = 0
-        # Once Opt-EdgeCut runs on a component, the best cuts of every
-        # sub-component it can produce are already in its memo; the paper
-        # exploits this so subsequent EXPANDs need no re-optimization
-        # (§VI-B).  We harvest those memo entries into a decision cache.
-        self.reuse_memo = reuse_memo
-        self._decision_cache: Dict[ComponentKey, CutDecision] = (
-            decision_cache if decision_cache is not None else {}
-        )
-        self.cache_hits = 0
-
-    @property
-    def decision_cache_size(self) -> int:
-        """Entries in the (possibly shared) decision cache."""
-        return len(self._decision_cache)
 
     # ------------------------------------------------------------------
     def choose_cut(self, active: ActiveTree, node: int) -> CutDecision:
@@ -113,92 +90,27 @@ class HeuristicReducedOpt(ExpansionStrategy):
         """Best EdgeCut for one component (no active tree required).
 
         ``component`` is an interval :class:`Component` or a member set
-        (converted); decisions are cached by its ``(root, excluded)`` key.
+        (converted).  Every call solves afresh under the component's own
+        EXPLORE normalization; caching plans is the pipeline cut stage's
+        job.
         """
         component = as_component(self.tree, component, root)
         size = len(component)
         if size <= 1:
             return CutDecision(cut=(), reduced_size=size)
-        cached = self._decision_cache.get(component.key) if self.reuse_memo else None
-        if cached is not None:
-            self.cache_hits += 1
-            self.last_reduced_size = cached.reduced_size
-            return cached
         if size <= self.max_reduced_nodes:
             cut_tree = CutTree.from_component(self.tree, self.probs, component, root)
-            solver = OptEdgeCut(cut_tree, self.probs, self.params)
-            solved = solver.solve()
-            if self.reuse_memo:
-                self._harvest_memo(cut_tree, solver)
-            cut = tuple(
-                (cut_tree.payload[p], cut_tree.payload[c]) for p, c in solved.cut
-            )
-            self.last_reduced_size = len(cut_tree)
-            return CutDecision(
-                cut=cut,
-                reduced_size=len(cut_tree),
-                expected_cost=solved.expected_cost,
-            )
-        reduced, part_roots = self._reduce(component, root)
-        solved = OptEdgeCut(reduced, self.probs, self.params).solve()
-        cut = tuple(
-            (self.tree.parent(part_roots[c]), part_roots[c]) for _, c in solved.cut
-        )
-        self.last_reduced_size = len(reduced)
-        decision = CutDecision(
-            cut=cut,
-            reduced_size=len(reduced),
+            heads = cut_tree.payload
+        else:
+            cut_tree, heads = self._reduce(component, root)
+        solved = OptEdgeCut(cut_tree, self.probs, self.params).solve()
+        # Cutting the edge into a (super)node cuts the navigation-tree
+        # edge above its head concept.
+        return CutDecision(
+            cut=tuple((self.tree.parent(heads[c]), heads[c]) for _, c in solved.cut),
+            reduced_size=len(cut_tree),
             expected_cost=solved.expected_cost,
         )
-        if self.reuse_memo:
-            # Reduced solves are deterministic per component; remembering
-            # them makes repeated expansions of the same component (replays,
-            # Monte-Carlo walks, concurrent sessions) O(1).
-            self._decision_cache[component.key] = decision
-        return decision
-
-    # ------------------------------------------------------------------
-    def _harvest_memo(self, cut_tree: CutTree, solver: OptEdgeCut) -> None:
-        """Store every exactly-solved sub-component's decision for reuse.
-
-        Solver memo keys are CutTree-index bitmasks over *plain*
-        components (each index is one navigation-tree node here), so each
-        mask translates to an interval key directly: its lowest index is
-        the sub-component root (the CutTree lists nodes parents first),
-        and its excluded positions are the members' navigation-tree
-        children that are not members.
-        """
-        tree = self.tree
-        payload = cut_tree.payload
-        index_of = {node: index for index, node in enumerate(payload)}
-        # Per CutTree index: navigation-tree children as (position, index
-        # or -1 when outside the solved component).
-        kids = [
-            [
-                (tree.position(child), index_of.get(child, -1))
-                for child in tree.children(node)
-            ]
-            for node in payload
-        ]
-        for mask, best in solver.memo_masks():
-            members = []
-            remaining = mask
-            while remaining:
-                low = remaining & -remaining
-                members.append(low.bit_length() - 1)
-                remaining ^= low
-            excluded = sorted(
-                position
-                for member in members
-                for position, index in kids[member]
-                if index < 0 or not mask >> index & 1
-            )
-            cut = tuple((payload[p], payload[c]) for p, c in best.cut)
-            self._decision_cache[(payload[members[0]], tuple(excluded))] = CutDecision(
-                cut=cut,
-                reduced_size=len(members),
-                expected_cost=best.expected_cost,
-            )
 
     # ------------------------------------------------------------------
     def _reduce(

@@ -16,15 +16,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.cost_model import CostParams
-from repro.core.edgecut import Component
+from repro.core.edgecut import Component, ComponentKey
 from repro.core.navigation_tree import NavigationTree
 from repro.core.probabilities import ProbabilityModel
-from repro.core.strategy import ExpansionStrategy
+from repro.core.strategy import CutDecision, ExpansionStrategy
 
 __all__ = ["WalkOutcome", "sample_walk", "estimate_expected_cost"]
+
+#: Default EXPAND budget of one walk.
+_MAX_EXPANDS = 10_000
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,7 @@ def sample_walk(
     strategy: ExpansionStrategy,
     rng: random.Random,
     params: Optional[CostParams] = None,
-    max_expands: int = 10_000,
+    max_expands: int = _MAX_EXPANDS,
 ) -> WalkOutcome:
     """Sample one user walk under the Fig. 6 TOPDOWN process.
 
@@ -62,6 +65,18 @@ def sample_walk(
     Revealed components are explored independently with their conditional
     EXPLORE probabilities.
     """
+    return _walk(tree, probs, strategy.best_cut, rng, params, max_expands)
+
+
+def _walk(
+    tree: NavigationTree,
+    probs: ProbabilityModel,
+    best_cut: Callable[[Component, int], CutDecision],
+    rng: random.Random,
+    params: Optional[CostParams],
+    max_expands: int,
+) -> WalkOutcome:
+    """:func:`sample_walk` with the strategy's ``best_cut`` passed in."""
     params = params or CostParams()
     cost = 0.0
     expands = 0
@@ -74,7 +89,7 @@ def sample_walk(
         component, root = stack.pop()
         result_count = len(component.distinct_results())
         p_expand = probs.expand(component, root)
-        decision = strategy.best_cut(component, root)
+        decision = best_cut(component, root)
         can_expand = bool(decision.cut) and expands < max_expands
         if can_expand and rng.random() < p_expand:
             expands += 1
@@ -112,13 +127,23 @@ def estimate_expected_cost(
 ) -> Tuple[float, float]:
     """Monte-Carlo mean and standard error of the walk cost.
 
-    Returns (mean cost, standard error of the mean).
+    Returns (mean cost, standard error of the mean).  Walks revisit the
+    same components, so the strategy is asked once per component and its
+    decision replayed for the rest of the call.
     """
     if n_walks < 1:
         raise ValueError("n_walks must be positive")
+    decisions: Dict[ComponentKey, CutDecision] = {}
+
+    def best_cut(component: Component, root: int) -> CutDecision:
+        decision = decisions.get(component.key)
+        if decision is None:
+            decision = decisions[component.key] = strategy.best_cut(component, root)
+        return decision
+
     rng = random.Random(seed)
     costs = [
-        sample_walk(tree, probs, strategy, rng, params=params).cost
+        _walk(tree, probs, best_cut, rng, params, _MAX_EXPANDS).cost
         for _ in range(n_walks)
     ]
     mean = sum(costs) / n_walks

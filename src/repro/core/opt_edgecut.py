@@ -4,9 +4,12 @@
 EdgeCut minimizing the expected TOPDOWN navigation cost.  It enumerates all
 valid EdgeCuts of the subtree and recursively costs every component each
 cut creates, memoizing costs per component (the paper's dynamic-programming
-reuse).  The complexity is exponential — O(2^|T|) components in the worst
-case — which is exactly why the paper only runs it on reduced trees of at
-most ~10 supernodes (see :mod:`repro.core.heuristic`).
+reuse).  The memo lives for one solve: every entry is normalized over the
+EXPLORE mass of the whole solved tree, not over the sub-component it
+describes, so it is never read as another component's plan.  The
+complexity is exponential — O(2^|T|) components in the worst case — which
+is exactly why the paper only runs it on reduced trees of at most ~10
+supernodes (see :mod:`repro.core.heuristic`).
 
 The algorithm operates on a :class:`CutTree`, a tiny standalone tree
 carrying per-node result sets and EXPLORE mass.  Both raw navigation-tree
@@ -53,6 +56,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.cost_model import CostParams
+from repro.core.edgecut import Component
 from repro.core.navigation_tree import NavigationTree
 from repro.core.probabilities import ProbabilityModel
 
@@ -129,10 +133,14 @@ class CutTree:
         cls,
         tree: NavigationTree,
         probs: ProbabilityModel,
-        component: FrozenSet[int],
+        component: Component,
         root: int,
     ) -> "CutTree":
-        """Lift a navigation-tree component into a CutTree (payload = node id)."""
+        """Lift a navigation-tree component into a CutTree (payload = node id).
+
+        Any member container with ``in`` and iteration works as
+        ``component`` (a member set too).
+        """
         order: List[int] = []
         index: Dict[int, int] = {}
         stack = [root]
@@ -320,20 +328,6 @@ class OptEdgeCut:
         result = self._solve(mask, root)
         self._memo[mask] = result
         return result
-
-    def memo_items(self) -> List[Tuple[FrozenSet[int], "BestCut"]]:
-        """All (component index set, BestCut) pairs solved so far.
-
-        After :meth:`solve`, this covers every sub-component the chosen
-        cuts can produce — the reuse Heuristic-ReducedOpt harvests.
-        Component keys are materialized as frozensets; use
-        :meth:`memo_masks` for the raw mask-keyed entries.
-        """
-        return [(self._indices_of(mask), best) for mask, best in self._memo.items()]
-
-    def memo_masks(self) -> List[Tuple[int, "BestCut"]]:
-        """All (component bitmask, BestCut) pairs solved so far."""
-        return list(self._memo.items())
 
     # ------------------------------------------------------------------
     # Mask helpers

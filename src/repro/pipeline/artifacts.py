@@ -13,20 +13,19 @@ active-tree / cut stages re-run on EXPAND.
 
 Artifacts are frozen dataclasses: stages may only communicate through
 them, never through side channels, which is what makes per-stage caching
-sound.  The one deliberate exception is
-:attr:`NavTreeArtifact.decisions` — the query-scoped EdgeCut decision
-store — whose sharing contract is documented on the field.
+sound.  EdgeCut decisions are remembered in one place only: the cut
+stage's :class:`CutPlan` entries.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
-from repro.core.edgecut import Component, ComponentKey
+from repro.core.edgecut import Component
 from repro.core.navigation_tree import NavigationTree
 from repro.core.probabilities import ProbabilityModel
 from repro.core.session import NavigationSession
@@ -51,8 +50,11 @@ __all__ = [
 #: in, so a store written by code with other keys or other pickled
 #: layouts is never read.  Version 2: cut keys and decision caches name a
 #: component by ``(root, excluded)`` instead of by its member set.
-#: Version 3: cut keys fold in the session's solver options.
-KEY_FORMAT_VERSION = 3
+#: Version 3: cut keys fold in the session's solver options.  Version 4:
+#: the §VI-B memo harvest and the navigation tree's decision store are
+#: gone (plans are fresh solves), so the options string and the pickled
+#: :class:`NavTreeArtifact` layout changed.
+KEY_FORMAT_VERSION = 4
 
 
 def content_key(*parts: str) -> str:
@@ -129,21 +131,13 @@ class NavTreeArtifact:
     """Stage 3 — the query's navigation tree and probability model.
 
     Shared by every session of the query: the tree and probability model
-    are immutable after construction, and ``decisions`` is the
-    query-scoped EdgeCut decision store.
+    are immutable after construction.
 
     Attributes:
         query: the keyword query.
         tree: the navigation tree embedded in the hierarchy.
         probs: EXPLORE/EXPAND probability estimates over ``tree``
             (the per-node cost-model arrays, read-only).
-        decisions: component ``(root, excluded)`` key → cut decision,
-            shared by every default-option strategy instance of this
-            query (a session with other solver options keeps its own).
-            EdgeCut decisions are deterministic per (tree, probs,
-            params, options), so concurrent sessions may write the same
-            key only with the same value — sharing is safe under
-            per-session locks (see DESIGN.md §10).
         content_key: digest chaining the hierarchy and result-set keys.
     """
 
@@ -151,7 +145,6 @@ class NavTreeArtifact:
     tree: NavigationTree
     probs: ProbabilityModel
     content_key: str
-    decisions: Dict[ComponentKey, CutDecision] = field(default_factory=dict)
 
 
 @dataclass(frozen=True, eq=False)

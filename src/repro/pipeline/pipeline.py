@@ -266,32 +266,20 @@ class NavigationPipeline:
         """The cut-key part naming a session's solver options.
 
         Merged over the pipeline's defaults, so a default value given
-        explicitly names the default plans; a ``decision_cache`` is not
-        an input.
+        explicitly names the default plans.
         """
         return repr(sorted(self._solver_options(options).items()))
 
     def _solver_options(self, options: Dict[str, object]) -> Dict[str, object]:
-        merged = {"max_reduced_nodes": self.max_reduced_nodes, "reuse_memo": True}
-        merged.update(options)
-        merged.pop("decision_cache", None)
-        return merged
+        return {"max_reduced_nodes": self.max_reduced_nodes, **options}
 
     def _bare_strategy(
         self, nav: NavTreeArtifact, canonical: str, **options: object
     ) -> ExpansionStrategy:
-        """Registry-build the underlying solver with pipeline defaults.
-
-        Only default-option sessions share the query's decision dict,
-        which is keyed by component alone; others keep a private one.
-        """
-        merged = self._solver_options(options)
-        default = merged == self._solver_options({})
-        merged["decision_cache"] = options.get(
-            "decision_cache", nav.decisions if default else None
-        )
+        """Registry-build the underlying solver with pipeline defaults."""
         return self.registry.create(
-            canonical, nav.tree, nav.probs, params=self.params, **merged
+            canonical, nav.tree, nav.probs, params=self.params,
+            **self._solver_options(options),
         )
 
     # ------------------------------------------------------------------

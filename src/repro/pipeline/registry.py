@@ -127,7 +127,7 @@ class SolverRegistry:
             probs: its probability model.
             params: cost-model unit costs (solvers that model cost).
             options: solver-specific configuration — e.g.
-                ``max_reduced_nodes`` / ``decision_cache`` (heuristic),
+                ``max_reduced_nodes`` (heuristic),
                 ``top_k`` (gopubmed), ``page_size`` (paged_static).
                 Unknown options are ignored by the selected factory.
 
@@ -151,8 +151,6 @@ def _make_heuristic(
         probs,
         max_reduced_nodes=int(options.get("max_reduced_nodes", 10)),  # type: ignore[arg-type]
         params=params,
-        reuse_memo=bool(options.get("reuse_memo", True)),
-        decision_cache=options.get("decision_cache"),  # type: ignore[arg-type]
     )
 
 

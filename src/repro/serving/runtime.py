@@ -361,11 +361,7 @@ class ServingRuntime:
         """
         admission = self.dispatcher.stats()
         query_rows = [
-            {
-                "query": nav.query,
-                "tree_size": len(nav.tree),
-                "decision_cache_size": len(nav.decisions),
-            }
+            {"query": nav.query, "tree_size": len(nav.tree)}
             for _, nav in self.pipeline.cache.items(NavTreeStage.name)
         ]
         return {

@@ -53,7 +53,7 @@ class SessionEntry:
     Attributes:
         query: the keyword query the session navigates.
         session: the navigation session itself.
-        state: the shared per-query artifacts (tree/probs/decisions)
+        state: the shared per-query artifacts (tree/probs)
             the web layer caches; held here by reference so the session
             keeps working even after the query cache evicts the entry.
         lock: the per-session lock serializing this session's actions.

@@ -29,11 +29,26 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cost_model import CostParams
 from repro.core.exact import OptEdgeCutStrategy
-from repro.core.opt_edgecut import MAX_OPT_NODES, BestCut, CutTree, CutTreeEdge
+from repro.core.opt_edgecut import (
+    MAX_OPT_NODES,
+    BestCut,
+    CutTree,
+    CutTreeEdge,
+    OptEdgeCut,
+)
 from repro.core.probabilities import ProbabilityModel
 from repro.core.strategy import CutDecision, SolverCapabilities
 
-__all__ = ["ReferenceOptEdgeCut", "ReferenceOptEdgeCutStrategy"]
+__all__ = ["ReferenceOptEdgeCut", "ReferenceOptEdgeCutStrategy", "engine_memo_items"]
+
+
+def engine_memo_items(solver: OptEdgeCut) -> List[Tuple[FrozenSet[int], BestCut]]:
+    """The bitmask engine's per-solve memo as (index set, BestCut) pairs.
+
+    The engine keys its memo by component bitmask; converting the masks to
+    index sets makes it comparable with :meth:`ReferenceOptEdgeCut.memo_items`.
+    """
+    return [(solver._indices_of(mask), best) for mask, best in solver._memo.items()]
 
 
 class ReferenceOptEdgeCut:

@@ -64,6 +64,32 @@ class TestEstimate:
         )
         assert stderr == 0.0
 
+    def test_one_solve_per_component_same_estimate(
+        self, fragment_tree, fragment_probs, heuristic
+    ):
+        asked = []
+
+        class Counting(HeuristicReducedOpt):
+            def best_cut(self, component, root):
+                asked.append(component.key)
+                return super().best_cut(component, root)
+
+        walks = 20
+        mean, stderr = estimate_expected_cost(
+            fragment_tree, fragment_probs, Counting(fragment_tree, fragment_probs),
+            n_walks=walks, seed=5,
+        )
+        assert len(asked) == len(set(asked)) > 1
+        # Replayed decisions leave every rng draw, so every bit, unchanged.
+        rng = random.Random(5)
+        costs = [
+            sample_walk(fragment_tree, fragment_probs, heuristic, rng).cost
+            for _ in range(walks)
+        ]
+        expected = sum(costs) / walks
+        variance = sum((c - expected) ** 2 for c in costs) / (walks - 1)
+        assert (mean, stderr) == (expected, (variance / walks) ** 0.5)
+
     def test_n_walks_validation(self, fragment_tree, fragment_probs, heuristic):
         with pytest.raises(ValueError):
             estimate_expected_cost(fragment_tree, fragment_probs, heuristic, n_walks=0)

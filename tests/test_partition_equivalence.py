@@ -244,16 +244,14 @@ def decision(solver, component, root):
 
 
 class TestBestCut:
-    @given(st.randoms(use_true_random=False), st.integers(11, 160), st.booleans())
+    @given(st.randoms(use_true_random=False), st.integers(11, 160))
     @settings(max_examples=40, deadline=None)
-    def test_best_cut_equals_oracle_after_random_expands(self, rng, size, reuse_memo):
+    def test_best_cut_equals_oracle_after_random_expands(self, rng, size):
         tree, probs = navigation_instance(rng, size)
         limit = rng.choice((3, 5, 8, 10))
-        solver = HeuristicReducedOpt(
-            tree, probs, max_reduced_nodes=limit, reuse_memo=reuse_memo
-        )
+        solver = HeuristicReducedOpt(tree, probs, max_reduced_nodes=limit)
         reference = oracle.ReferenceHeuristicReducedOpt(
-            tree, probs, max_reduced_nodes=limit, reuse_memo=reuse_memo
+            tree, probs, max_reduced_nodes=limit
         )
         active = ActiveTree(tree)
         for _ in range(3):

@@ -93,10 +93,8 @@ class TestContentKeys:
         assert base != key("static_nav", root, first)
         assert base != key("heuristic", root, first, second)
         assert base != key("heuristic", root, first, max_reduced_nodes=5)
-        assert base != key("heuristic", root, first, reuse_memo=False)
-        # Defaults given explicitly, or a decision store, name the same plan.
+        # A default given explicitly names the same plan.
         assert base == key("heuristic", root, first, max_reduced_nodes=10)
-        assert base == key("heuristic", root, first, decision_cache={})
 
 
 class TestStageSharing:
@@ -221,17 +219,6 @@ class TestPipelineStrategy:
             ).best_cut(component, root)
             assert decision == fresh
         assert pipeline.stage_stats()[CutStage.name]["builds"] == 2
-
-    def test_non_default_options_keep_a_private_decision_store(self, pipeline):
-        nav = pipeline.nav_tree("prothymosin")
-        pipeline.strategy(nav, "heuristic", max_reduced_nodes=5).best_cut(
-            frozenset(nav.tree.iter_dfs()), nav.tree.root
-        )
-        assert nav.decisions == {}
-        pipeline.strategy(nav, "heuristic").best_cut(
-            frozenset(nav.tree.iter_dfs()), nav.tree.root
-        )
-        assert len(nav.decisions) == 1
 
     def test_unknown_solver_rejected(self, pipeline):
         nav = pipeline.nav_tree("prothymosin")

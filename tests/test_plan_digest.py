@@ -6,9 +6,10 @@ are pinned here instead: a seeded in-memory substrate, a handful of
 one-concept queries whose trees run to ~1.5k nodes, and per query a
 walk that EXPANDs the largest and the smallest expandable component in
 turn.  EXPANDs of large components go through the reduced (§VI-B) path,
-those of small ones through the exact path and the harvested memo.
-Every decision's cut, reduced size and ``repr(expected_cost)`` feed one
-sha-256, for three solver configurations.
+those of small ones through the exact path; each is a fresh solve of the
+component under its own EXPLORE normalization.  Every decision's cut,
+reduced size and ``repr(expected_cost)`` feed one sha-256, for two
+solver configurations.
 
 A change that moves any cut or any cost bit fails this test.  Such a
 change must bump :data:`~repro.pipeline.artifacts.KEY_FORMAT_VERSION`
@@ -37,9 +38,9 @@ from repro.substrate import (
 )
 
 #: The key version the digest below was pinned under.
-PINNED_KEY_FORMAT_VERSION = 3
+PINNED_KEY_FORMAT_VERSION = 4
 #: sha-256 over every decision of :func:`walk_decisions`.
-PLAN_DIGEST = "6991ccacf078a8f5ffa7ae73195c81352130593c35a6b1a7e7205949701ce8b5"
+PLAN_DIGEST = "fbcbe98594139687cc99dfa630edc3d004395641658f82e3d0fcad316260bcb1"
 
 SEED = 21
 QUERIES = 8
@@ -92,7 +93,7 @@ def walk_decisions(hierarchy, store, concept, **options):
 def plan_digest(workload) -> str:
     hierarchy, store, concepts = workload
     hasher = hashlib.sha256()
-    for options in ({}, {"reuse_memo": False}, {"max_reduced_nodes": 5}):
+    for options in ({}, {"max_reduced_nodes": 5}):
         for concept in concepts:
             hasher.update(repr(walk_decisions(hierarchy, store, concept, **options)).encode())
     return hasher.hexdigest()

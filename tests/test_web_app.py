@@ -306,7 +306,7 @@ class TestStatsEndpoint:
         assert serving["shed"] == {"overload": 0, "deadline": 0, "total": 0}
         (entry,) = stats["queries"]
         assert entry["query"] == "prothymosin"
-        assert entry["decision_cache_size"] > 0
+        assert entry["tree_size"] > 1
         solver = stats["solver"]
         assert solver["expands"] == 1
         assert solver["mean_ms"] >= 0.0
@@ -338,10 +338,10 @@ class TestStatsEndpoint:
         root = json.loads(state)["rows"][0]["node"]
         request_page(app, "/api/nav/%s/expand" % first, {"node": str(root)})
         _, body = request_page(app, "/api/stats")
-        cached = json.loads(body)["queries"][0]["decision_cache_size"]
+        before = json.loads(body)["pipeline"]["cut"]
 
         # A second session of the same query answers its root EXPAND from
-        # the shared store: the decision cache does not grow.
+        # the cut stage: one more hit, no new miss.
         _, body = request_page(app, "/api/search", {"q": "prothymosin"})
         second = json.loads(body)["session"]
         _, after = request_page(
@@ -350,7 +350,8 @@ class TestStatsEndpoint:
         assert json.loads(after)["rows"]
         _, body = request_page(app, "/api/stats")
         stats = json.loads(body)
-        assert stats["queries"][0]["decision_cache_size"] == cached
+        assert stats["pipeline"]["cut"]["hits"] == before["hits"] + 1
+        assert stats["pipeline"]["cut"]["misses"] == before["misses"]
         assert stats["sessions"]["created"] == 2
 
 

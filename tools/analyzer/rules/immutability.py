@@ -24,8 +24,8 @@ trip at runtime in a cold-cache path no test exercises:
   elsewhere is a bypass);
 * attribute assignment on a receiver annotated as a pipeline artifact
   type (``nav: NavTreeArtifact`` … ``nav.query = ...``).  Subscript
-  stores through artifact attributes are *not* flagged:
-  ``nav.decisions[k] = v`` is the documented shared decision store.
+  stores through artifact attributes (``nav.field[k] = v``) are not
+  flagged; only direct attribute stores are.
 
 Exempt: ``__init__`` methods assigning fresh arrays on ``self`` (the
 model's constructor builds its arrays there).  Anything else

@@ -44,9 +44,10 @@ bitmask (bit *i* set ⟺ node *i* in the component):
   bitmaps popcounted (`int.bit_count()`), replacing frozenset unions.
 - **Mask-keyed memos** — `solve_component_mask` memoizes `BestCut`s in a
   dict keyed by the component mask, and per-mask EXPLORE/result/member
-  statistics are memoized the same way.  `memo_items()` exposes the
-  frozenset view for compatibility; `repro.core.heuristic` harvests the
-  raw masks via `memo_masks()`.
+  statistics are memoized the same way.  The memos live for one solve
+  and stay private: their entries are normalized over the whole solved
+  tree, so no caller reads them as other components' plans (the pipeline
+  cut stage caches plans instead).
 - **Lazy pruned search** — instead of materializing the cross-product of
   per-child cut options, `_search_cuts` walks it as a DFS over a cons
   list of undecided subtrees, accumulating a lower bound (expand cost

@@ -20,6 +20,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import make_solver, run_heuristic
+from repro.core.edgecut import Component
 
 
 def test_fig10_average_expand_time(prepared_queries, report, benchmark):
@@ -73,7 +74,7 @@ def test_fig10_time_tracks_reduced_tree_size(prepared_queries, benchmark):
 def test_bench_root_expand_decision(benchmark, prepared_queries, keyword):
     """Time one Heuristic-ReducedOpt decision on the full root component."""
     prepared = prepared_queries[keyword]
-    component = frozenset(prepared.tree.iter_dfs())
+    component = Component(prepared.tree, prepared.tree.root)
 
     def decide():
         strategy = make_solver(prepared, "heuristic")

@@ -19,10 +19,11 @@ import time
 from pathlib import Path
 
 from repro.core.cost_model import CostParams
-from repro.core.navigation_tree import NavigationTree
+from repro.core.edgecut import Component
 from repro.core.opt_edgecut import CutTree, OptEdgeCut
 from repro.core.probabilities import ProbabilityModel
 from repro.hierarchy.concept import ConceptHierarchy
+from tests.oracles.member_sets import tree_from_mapping
 from tests.oracles.opt_edgecut_reference import ReferenceOptEdgeCut
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_opt_engine.json"
@@ -52,10 +53,9 @@ def random_scenario(size: int, seed: int):
     annotations = {
         n: set(rng.sample(range(300), rng.randint(5, 40))) for n in nodes
     }
-    tree = NavigationTree.build(h, annotations)
+    tree = tree_from_mapping(h, annotations)
     probs = ProbabilityModel(tree, lambda n: 500)
-    component = frozenset(tree.iter_dfs())
-    return CutTree.from_component(tree, probs, component, tree.root), probs
+    return CutTree.from_component(tree, probs, Component(tree, tree.root)), probs
 
 
 def _solve_time(solver_cls, tree: CutTree, probs, params) -> float:

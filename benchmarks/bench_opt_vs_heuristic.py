@@ -18,11 +18,13 @@ import time
 
 import pytest
 
+from repro.core.edgecut import Component
 from repro.core.heuristic import HeuristicReducedOpt
 from repro.core.navigation_tree import NavigationTree
 from repro.core.opt_edgecut import CutTree, OptEdgeCut
 from repro.core.probabilities import ProbabilityModel
 from repro.hierarchy.generator import generate_hierarchy
+from tests.oracles.member_sets import tree_from_mapping
 
 
 def random_navigation_tree(n_nodes: int, seed: int) -> NavigationTree:
@@ -36,7 +38,7 @@ def random_navigation_tree(n_nodes: int, seed: int) -> NavigationTree:
         count += 1
         if count >= n_nodes - 1:
             break
-    return NavigationTree.build(hierarchy, annotations)
+    return tree_from_mapping(hierarchy, annotations)
 
 
 def test_heuristic_quality_vs_optimal(report, benchmark):
@@ -48,8 +50,8 @@ def test_heuristic_quality_vs_optimal(report, benchmark):
                 if tree.size() < 4:
                     continue
                 probs = ProbabilityModel(tree, lambda n: 200)
-                component = frozenset(tree.iter_dfs())
-                cut_tree = CutTree.from_component(tree, probs, component, tree.root)
+                component = Component(tree, tree.root)
+                cut_tree = CutTree.from_component(tree, probs, component)
                 optimal = OptEdgeCut(cut_tree, probs).solve()
                 heuristic = HeuristicReducedOpt(tree, probs, max_reduced_nodes=6)
                 decision = heuristic.best_cut(component, tree.root)
@@ -96,8 +98,8 @@ def test_opt_edgecut_runtime_explodes(report, benchmark):
         for n_nodes in (6, 9, 12, 15):
             tree = random_navigation_tree(n_nodes, seed=99)
             probs = ProbabilityModel(tree, lambda n: 200)
-            component = frozenset(tree.iter_dfs())
-            cut_tree = CutTree.from_component(tree, probs, component, tree.root)
+            component = Component(tree, tree.root)
+            cut_tree = CutTree.from_component(tree, probs, component)
             started = time.perf_counter()
             OptEdgeCut(cut_tree, probs, max_nodes=16).solve()
             elapsed = time.perf_counter() - started
@@ -116,8 +118,8 @@ def test_opt_edgecut_runtime_explodes(report, benchmark):
 def test_bench_opt_edgecut(benchmark, n_nodes):
     tree = random_navigation_tree(n_nodes, seed=7)
     probs = ProbabilityModel(tree, lambda n: 200)
-    component = frozenset(tree.iter_dfs())
-    cut_tree = CutTree.from_component(tree, probs, component, tree.root)
+    component = Component(tree, tree.root)
+    cut_tree = CutTree.from_component(tree, probs, component)
 
     def solve():
         return OptEdgeCut(cut_tree, probs, max_nodes=16).solve()
@@ -129,7 +131,7 @@ def test_bench_opt_edgecut(benchmark, n_nodes):
 def test_bench_heuristic_on_small_tree(benchmark):
     tree = random_navigation_tree(12, seed=7)
     probs = ProbabilityModel(tree, lambda n: 200)
-    component = frozenset(tree.iter_dfs())
+    component = Component(tree, tree.root)
 
     def solve():
         return HeuristicReducedOpt(tree, probs, max_reduced_nodes=6).best_cut(

@@ -19,6 +19,8 @@ Reproduces, on the real concept labels from the paper's figures:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.active_tree import ActiveTree
 from repro.core.navigation_tree import NavigationTree
 from repro.hierarchy.mesh import paper_fragment
@@ -56,7 +58,13 @@ def build_fragment_tree():
         label("Immunity, Innate"): {400, 401, 402},
         label("Cell Differentiation"): {410, 411},
     }
-    return hierarchy, NavigationTree.build(hierarchy, annotations)
+    # The tree builds from an annotation CSR: concept ids ascending, each
+    # row that concept's sorted citation ids.
+    concepts = sorted(annotations)
+    rows = [sorted(annotations[concept]) for concept in concepts]
+    offsets = np.cumsum([0] + [len(row) for row in rows])
+    values = np.concatenate(rows)
+    return hierarchy, NavigationTree.from_csr(hierarchy, concepts, offsets, values)
 
 
 def main() -> None:

@@ -2,7 +2,7 @@
 
 from repro.core.active_tree import ActiveTree, VisNode
 from repro.core.cost_model import CostLedger, CostParams, cost_improves, costs_equal
-from repro.core.edgecut import Component, component_edges, is_valid_edgecut
+from repro.core.edgecut import Component, is_valid_edgecut
 from repro.core.evaluation import expected_strategy_cost
 from repro.core.exact import OptEdgeCutStrategy
 from repro.core.gopubmed import GoPubMedNavigation
@@ -44,7 +44,6 @@ __all__ = [
     "StaticNavigation",
     "VisNode",
     "WalkOutcome",
-    "component_edges",
     "cost_improves",
     "costs_equal",
     "estimate_expected_cost",

@@ -1,8 +1,8 @@
 """The active tree (paper §II, Definitions 4–5).
 
 The active tree is a navigation tree in which every node ``n`` is annotated
-with the set ``I(n)`` of nodes in the (invisible) component subtree rooted
-at ``n``; non-singleton ``I`` sets are disjoint.  BioNav visualizes only
+with the component ``I(n)``, the (invisible) component subtree rooted at
+``n``; non-singleton ``I`` sets are disjoint.  BioNav visualizes only
 the nodes that do not appear inside any other node's component, showing
 next to each one the distinct-citation count of its component and an
 expand hyperlink when the component is expandable.
@@ -12,20 +12,21 @@ the upper component (same root) and one lower component per cut edge; the
 active tree is closed under this operation, and an undo log supports the
 BACKTRACK action of the general navigation model (§III).
 
-Each component is held in interval form
-(:class:`~repro.core.edgecut.Component`): its root plus the preorder
-positions of the subtree roots cut away below it, which are exactly the
-nearest visible nodes under the root.  The state is therefore a map from
-each visible node to those positions plus the sorted list of visible
-positions, and every read — membership, counts, the visualization — costs
-what the visible rows and cut edges cost, never a walk over the tree.
+Each component is held in interval form, and :meth:`ActiveTree.component`
+hands it out as a :class:`~repro.core.edgecut.Component`: its root plus
+the preorder positions of the subtree roots cut away below it, which are
+exactly the nearest visible nodes under the root.  The state is
+therefore a map from each visible node to those positions plus the
+sorted list of visible positions, and every read — membership, counts,
+the visualization — costs what the visible rows and cut edges cost,
+never a walk over the tree.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.edgecut import Component
 from repro.core.navigation_tree import NavigationTree
@@ -74,10 +75,11 @@ class ActiveTree:
     # ------------------------------------------------------------------
     # Component accessors
     # ------------------------------------------------------------------
-    def interval(self, node: int) -> Component:
-        """``I(node)`` in interval form (the hot-path accessor).
+    def component(self, node: int) -> Component:
+        """``I(node)``, the component rooted at ``node``.
 
-        Raises KeyError when ``node`` is hidden inside another component.
+        A singleton component is just ``node``.  Raises KeyError when
+        ``node`` is hidden inside another component.
         """
         excluded = self._excluded.get(node)
         if excluded is None:
@@ -86,18 +88,9 @@ class ActiveTree:
             raise KeyError("node %r is not in the navigation tree" % (node,))
         return Component(self.tree, node, excluded)
 
-    def component(self, node: int) -> FrozenSet[int]:
-        """``I(node)`` as a member set ({node} if singleton).
-
-        Built on every call; the solvers and views that run per request
-        read :meth:`interval` instead.  Raises KeyError when ``node`` is
-        hidden inside another component.
-        """
-        return frozenset(self.interval(node))
-
     def component_roots(self) -> List[int]:
         """Roots of all non-singleton components."""
-        return [node for node in self._excluded if len(self.interval(node)) > 1]
+        return [node for node in self._excluded if len(self.component(node)) > 1]
 
     def is_visible(self, node: int) -> bool:
         """True when the node appears in the visualization."""
@@ -105,7 +98,7 @@ class ActiveTree:
 
     def is_expandable(self, node: int) -> bool:
         """True when a non-singleton component is rooted at ``node``."""
-        return node in self._excluded and len(self.interval(node)) > 1
+        return node in self._excluded and len(self.component(node)) > 1
 
     def visible_nodes(self) -> List[int]:
         """All visible nodes, in navigation-tree pre-order."""
@@ -113,7 +106,7 @@ class ActiveTree:
 
     def component_count(self, node: int) -> int:
         """Distinct citations in ``I(node)`` — the number shown in the UI."""
-        return len(self.interval(node).distinct_results())
+        return len(self.component(node).distinct_results())
 
     def containing_root(self, node: int) -> int:
         """Root of the component that contains ``node``.
@@ -146,7 +139,7 @@ class ActiveTree:
             raise ValueError("node %r has no expandable component" % (node,))
         excluded = self._excluded
         before = excluded[node]
-        upper, lowers = self.interval(node).cut(cut)
+        upper, lowers = self.component(node).cut(cut)
         index = list(excluded).index(node)
         del excluded[node]
         excluded[node] = upper.excluded

@@ -12,25 +12,22 @@ its root and the sorted preorder positions of the subtree roots cut away
 below it.  Its members are the contiguous preorder slices between those
 cut-away intervals, so membership, size, citation unions and the cut
 itself are interval arithmetic on the tree's preorder and subtree-size
-arrays and never build the member set (DESIGN.md §16).
+arrays and never build the member set (DESIGN.md §16).  It is the one
+component form: the active tree, the probability model, every solver and
+the pipeline's cut stage take a :class:`Component`, and a node's subtree
+is ``Component(tree, node)``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import AbstractSet, Dict, Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.navigation_tree import NavigationTree
 
-__all__ = [
-    "Component",
-    "as_component",
-    "is_valid_edgecut",
-    "component_edges",
-    "component_children",
-]
+__all__ = ["Component", "is_valid_edgecut", "component_children"]
 
 Edge = Tuple[int, int]
 #: ``(root, excluded)``: a component's identity, independent of the tree
@@ -49,8 +46,8 @@ class Component:
             and lie strictly inside the root's subtree.
 
     The component behaves as a read-only collection of node ids (``len``,
-    ``in`` and iteration in preorder), so solvers written against member
-    sets accept it unchanged.
+    ``in`` and iteration in preorder); :meth:`positions` and
+    :meth:`distinct_results` read it against the tree's arrays.
     """
 
     __slots__ = ("tree", "root", "excluded", "begin", "end")
@@ -61,30 +58,6 @@ class Component:
         self.excluded = excluded
         self.begin = tree.position(root)
         self.end = self.begin + int(tree.subtree_size_array()[self.begin])
-
-    @classmethod
-    def from_members(
-        cls, tree: NavigationTree, members: Iterable[int], root: int
-    ) -> "Component":
-        """The interval form of a member set rooted at ``root``.
-
-        Raises:
-            ValueError: the members are not a connected subtree at ``root``.
-        """
-        ids = np.fromiter(members, dtype=np.int64)
-        begin = tree.position(root)
-        end = begin + int(tree.subtree_size_array()[begin])
-        positions = tree.positions(ids)
-        inside = np.zeros(end - begin, dtype=bool)
-        if len(positions) and ((positions < begin) | (positions >= end)).any():
-            raise ValueError("component is not a connected subtree at its root")
-        inside[positions - begin] = True
-        outside = np.flatnonzero(~inside) + begin
-        parents = tree.positions(tree.parent_array()[outside]) - begin
-        component = cls(tree, root, tuple(outside[inside[parents]].tolist()))
-        if not inside[0] or len(component) != int(inside.sum()):
-            raise ValueError("component is not a connected subtree at its root")
-        return component
 
     @property
     def key(self) -> ComponentKey:
@@ -168,39 +141,15 @@ class Component:
         return "Component(root=%r, excluded=%r)" % (self.root, self.excluded)
 
 
-def as_component(
-    tree: NavigationTree, component: Union[Component, AbstractSet[int]], root: int
-) -> Component:
-    """``component`` in interval form (member sets are converted)."""
-    if isinstance(component, Component):
-        return component
-    return Component.from_members(tree, component, root)
-
-
-def component_edges(tree: NavigationTree, component: AbstractSet[int]) -> List[Edge]:
-    """Navigation-tree edges with both endpoints inside ``component``.
-
-    Iterates the component in sorted order so the returned edge list is a
-    deterministic function of the component's contents, not of CPython's
-    set layout.
-    """
-    return [
-        (node, child)
-        for node in sorted(component)
-        for child in tree.children(node)
-        if child in component
-    ]
-
-
 def component_children(
-    tree: NavigationTree, component: AbstractSet[int], node: int
+    tree: NavigationTree, component: Component, node: int
 ) -> List[int]:
     """Children of ``node`` that lie within ``component``."""
     return [child for child in tree.children(node) if child in component]
 
 
 def is_valid_edgecut(
-    tree: NavigationTree, component: AbstractSet[int], edges: Iterable[Edge]
+    tree: NavigationTree, component: Component, edges: Iterable[Edge]
 ) -> bool:
     """Check Definition 3 for a cut of the component subtree.
 

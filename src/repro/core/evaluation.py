@@ -52,7 +52,7 @@ def expected_strategy_cost(
     memo: Dict[ComponentKey, float] = {}
     evaluated = 0
 
-    def cost(component: Component, root: int) -> float:
+    def cost(component: Component) -> float:
         nonlocal evaluated
         key = component.key
         cached = memo.get(key)
@@ -74,17 +74,17 @@ def expected_strategy_cost(
             value = explore * result_count
             memo[key] = value
             return value
-        p_expand = probs.expand(component, root)
-        decision = strategy.best_cut(component, root)
+        p_expand = probs.expand(component)
+        decision = strategy.best_cut(component, component.root)
         if not decision.cut:
             value = explore * result_count
             memo[key] = value
             return value
         upper, lowers = component.cut(decision.cut)
         expand_term = params.expand_cost
-        expand_term += params.reveal_cost + cost(upper, root)
-        for lower_root, members in lowers.items():
-            expand_term += params.reveal_cost + cost(members, lower_root)
+        expand_term += params.reveal_cost + cost(upper)
+        for lower in lowers.values():
+            expand_term += params.reveal_cost + cost(lower)
         value = explore * (
             (1.0 - p_expand) * result_count + p_expand * expand_term
         )
@@ -97,6 +97,6 @@ def expected_strategy_cost(
     previous_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(previous_limit, 4 * len(component) + 1000))
     try:
-        return cost(component, tree.root)
+        return cost(component)
     finally:
         sys.setrecursionlimit(previous_limit)

@@ -16,10 +16,11 @@ tripping the engine's guard.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.active_tree import ActiveTree
 from repro.core.cost_model import CostParams
+from repro.core.edgecut import Component
 from repro.core.navigation_tree import NavigationTree
 from repro.core.opt_edgecut import MAX_OPT_NODES, CutTree, OptEdgeCut
 from repro.core.probabilities import ProbabilityModel
@@ -56,10 +57,9 @@ class OptEdgeCutStrategy(ExpansionStrategy):
 
     def choose_cut(self, active: ActiveTree, node: int) -> CutDecision:
         """Solve ``node``'s component exactly and return its best cut."""
-        component = active.component(node)
-        return self.best_cut(component, node)
+        return self.best_cut(active.component(node), node)
 
-    def best_cut(self, component: FrozenSet[int], root: int) -> CutDecision:
+    def best_cut(self, component: Component, root: int) -> CutDecision:
         """Optimal EdgeCut for one component (no active tree required).
 
         Raises:
@@ -67,7 +67,7 @@ class OptEdgeCutStrategy(ExpansionStrategy):
         """
         if len(component) <= 1:
             return CutDecision(cut=(), reduced_size=len(component))
-        cut_tree = CutTree.from_component(self.tree, self.probs, component, root)
+        cut_tree = CutTree.from_component(self.tree, self.probs, component)
         solved = OptEdgeCut(cut_tree, self.probs, self.params).solve()
         cut: Tuple[Edge, ...] = tuple(
             (cut_tree.payload[p], cut_tree.payload[c]) for p, c in solved.cut

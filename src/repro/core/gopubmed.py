@@ -22,10 +22,10 @@ navigation cost the benchmarks contrast with BioNav's.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from repro.core.active_tree import ActiveTree
-from repro.core.edgecut import component_children
+from repro.core.edgecut import Component, component_children
 from repro.core.navigation_tree import NavigationTree
 from repro.core.strategy import CutDecision, ExpansionStrategy, SolverCapabilities
 
@@ -79,10 +79,9 @@ class GoPubMedNavigation(ExpansionStrategy):
         return self._categories
 
     def choose_cut(self, active: ActiveTree, node: int) -> CutDecision:
-        component = active.component(node)
-        return self.best_cut(component, node)
+        return self.best_cut(active.component(node), node)
 
-    def best_cut(self, component: FrozenSet[int], root: int) -> CutDecision:
+    def best_cut(self, component: Component, root: int) -> CutDecision:
         """Category bar at the root; top-k children elsewhere."""
         if root == self.tree.root:
             # The fixed category bar: reveal every predefined category
@@ -98,7 +97,10 @@ class GoPubMedNavigation(ExpansionStrategy):
         children = component_children(self.tree, component, root)
         ranked = sorted(
             children,
-            key=lambda child: (-len(self.tree.subtree_results(child)), child),
+            key=lambda child: (
+                -len(Component(self.tree, child).distinct_results()),
+                child,
+            ),
         )
         cut = tuple((root, child) for child in ranked[: self.top_k])
         return CutDecision(cut=cut, reduced_size=len(component))

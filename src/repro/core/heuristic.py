@@ -26,13 +26,13 @@ the pipeline cut stage's job (:class:`repro.pipeline.stages.CutStage`).
 
 from __future__ import annotations
 
-from typing import AbstractSet, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.active_tree import ActiveTree
 from repro.core.cost_model import CostParams
-from repro.core.edgecut import Component, as_component
+from repro.core.edgecut import Component
 from repro.core.navigation_tree import NavigationTree
 from repro.core.opt_edgecut import CutTree, OptEdgeCut
 from repro.core.partition import partition_with_limit
@@ -82,27 +82,22 @@ class HeuristicReducedOpt(ExpansionStrategy):
 
     # ------------------------------------------------------------------
     def choose_cut(self, active: ActiveTree, node: int) -> CutDecision:
-        return self.best_cut(active.interval(node), node)
+        return self.best_cut(active.component(node), node)
 
-    def best_cut(
-        self, component: Union[Component, AbstractSet[int]], root: int
-    ) -> CutDecision:
+    def best_cut(self, component: Component, root: int) -> CutDecision:
         """Best EdgeCut for one component (no active tree required).
 
-        ``component`` is an interval :class:`Component` or a member set
-        (converted).  Every call solves afresh under the component's own
-        EXPLORE normalization; caching plans is the pipeline cut stage's
-        job.
+        Every call solves afresh under the component's own EXPLORE
+        normalization; caching plans is the pipeline cut stage's job.
         """
-        component = as_component(self.tree, component, root)
         size = len(component)
         if size <= 1:
             return CutDecision(cut=(), reduced_size=size)
         if size <= self.max_reduced_nodes:
-            cut_tree = CutTree.from_component(self.tree, self.probs, component, root)
+            cut_tree = CutTree.from_component(self.tree, self.probs, component)
             heads = cut_tree.payload
         else:
-            cut_tree, heads = self._reduce(component, root)
+            cut_tree, heads = self._reduce(component)
         solved = OptEdgeCut(cut_tree, self.probs, self.params).solve()
         # Cutting the edge into a (super)node cuts the navigation-tree
         # edge above its head concept.
@@ -113,9 +108,7 @@ class HeuristicReducedOpt(ExpansionStrategy):
         )
 
     # ------------------------------------------------------------------
-    def _reduce(
-        self, component: Union[Component, AbstractSet[int]], root: int
-    ) -> Tuple[CutTree, List[int]]:
+    def _reduce(self, component: Component) -> Tuple[CutTree, List[int]]:
         """Partition the component and build the reduced supernode tree.
 
         Returns the CutTree plus, per supernode index, the original concept
@@ -125,9 +118,7 @@ class HeuristicReducedOpt(ExpansionStrategy):
         # The model's arrays index nodes by the tree's preorder positions.
         probs = self.probs
         preorder = tree.preorder_array()
-        positions, parents, depths = tree.component_arrays(
-            as_component(tree, component, root)
-        )
+        positions, parents, depths = tree.component_arrays(component)
         members, ends = partition_with_limit(
             parents,
             depths,

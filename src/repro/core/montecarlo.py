@@ -83,32 +83,30 @@ def _walk(
     shows = 0
     ignored = 0
 
-    # Work stack of (component, root) pairs the user has chosen to explore.
-    stack: List[Tuple[Component, int]] = [(Component(tree, tree.root), tree.root)]
+    # Work stack of the components the user has chosen to explore.
+    stack: List[Component] = [Component(tree, tree.root)]
     while stack:
-        component, root = stack.pop()
+        component = stack.pop()
         result_count = len(component.distinct_results())
-        p_expand = probs.expand(component, root)
-        decision = best_cut(component, root)
+        p_expand = probs.expand(component)
+        decision = best_cut(component, component.root)
         can_expand = bool(decision.cut) and expands < max_expands
         if can_expand and rng.random() < p_expand:
             expands += 1
             cost += params.expand_cost
             upper, lowers = component.cut(decision.cut)
-            produced = [(upper, root)] + [
-                (members, lower_root) for lower_root, members in lowers.items()
-            ]
+            produced = [upper, *lowers.values()]
             # Each revealed component is explored with its EXPLORE
             # probability normalized over the whole active tree (§IV).
             # Note this samples the paper's cost recursion *literally*:
             # the formula nests globally-normalized pE factors, so deep
             # components are explored with the product of their ancestors'
             # probabilities times their own — a conservative user model.
-            for sub_component, sub_root in produced:
+            for sub_component in produced:
                 cost += params.reveal_cost
                 p_explore = probs.explore(sub_component)
                 if rng.random() < p_explore:
-                    stack.append((sub_component, sub_root))
+                    stack.append(sub_component)
                 else:
                     ignored += 1
         else:

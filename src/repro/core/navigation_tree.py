@@ -20,12 +20,19 @@ structure is re-wired by the embedding.
 
 The tree is immutable once built and stores its structure as flat arrays
 in *embedded preorder*: node ids, parents, children-CSR, depths, subtree
-sizes, and a per-node results-CSR of sorted citation ids.  Per-node
-``frozenset`` views materialize lazily from CSR slices, and the cost
-model (:class:`repro.core.probabilities.ProbabilityModel`) ingests the
-buffers whole via :meth:`NavigationTree.preorder_array` and friends.
-``tree_depth``, ``is_tree_ancestor`` and ``subtree_size`` remain O(1)
-lookups; ``iter_dfs``/``subtree_nodes`` are contiguous slices.
+sizes, and a per-node results-CSR of sorted citation ids.  ``results``
+hands out read-only CSR slices, and the cost model
+(:class:`repro.core.probabilities.ProbabilityModel`) ingests the buffers
+whole via :meth:`NavigationTree.preorder_array` and friends.  A subtree
+is a contiguous preorder slice, so its distinct citations are one
+``np.unique`` over a slice of the CSR values: that is
+:meth:`repro.core.edgecut.Component.distinct_results`, the one component
+form (DESIGN.md §16).  ``tree_depth``, ``is_tree_ancestor`` and
+``subtree_size`` remain O(1) lookups; ``iter_dfs`` is a contiguous slice.
+
+:meth:`NavigationTree.from_csr` embeds an annotation CSR (concept rows
+of sorted citation ids); :meth:`NavigationTree.from_store` gathers that
+CSR from a corpus store.
 
 The original dict-based builder is kept verbatim as
 ``ReferenceNavigationTree`` in ``tests/oracles/navigation_tree_reference.py``,
@@ -35,7 +42,7 @@ the oracle the equivalence suite pins this implementation against.
 from __future__ import annotations
 
 import operator
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,7 +85,7 @@ class NavigationTree:
     ) -> None:
         """Adopt embedded-preorder arrays (see the module docstring).
 
-        :meth:`build` and :meth:`from_store` compute them with the
+        :meth:`from_csr` and :meth:`from_store` compute them with the
         vectorized embedding; the arrays are frozen on adoption.
         """
         self.hierarchy = hierarchy
@@ -94,8 +101,6 @@ class NavigationTree:
         pos_of = np.full(len(hierarchy), -1, dtype=np.int64)
         pos_of[order] = np.arange(len(order), dtype=np.int64)
         self._pos_of = _freeze(pos_of)
-        self._results_cache: Dict[int, FrozenSet[int]] = {}
-        self._subtree_cache: Dict[int, FrozenSet[int]] = {}
 
     # ------------------------------------------------------------------
     # Construction (maximum embedding)
@@ -119,8 +124,6 @@ class NavigationTree:
             pmids: the query result's citation ids.
             root: subtree to embed within; defaults to the hierarchy root.
         """
-        if root is None:
-            root = hierarchy.root
         concepts, offsets, values = store.annotation_arrays(list(pmids))
         size = len(hierarchy)
         if len(concepts) and (
@@ -133,79 +136,31 @@ class NavigationTree:
             concepts = concepts[inside]
             offsets = np.zeros(len(concepts) + 1, dtype=np.int64)
             np.cumsum(lengths, out=offsets[1:])
-        return cls._embed(hierarchy, root, concepts, offsets, values)
+        return cls.from_csr(hierarchy, concepts, offsets, values, root)
 
     @classmethod
-    def build(
+    def from_csr(
         cls,
         hierarchy: ConceptHierarchy,
-        annotations: Mapping[int, Iterable[int]],
+        concepts: np.ndarray,
+        offsets: np.ndarray,
+        values: np.ndarray,
         root: Optional[int] = None,
     ) -> "NavigationTree":
-        """Compute the navigation tree for one query result.
+        """Compute the navigation tree from the result's annotation CSR.
 
         Args:
             hierarchy: the concept hierarchy.
-            annotations: concept node id → citation ids attached to it
-                (the restriction of the association table to the result).
+            concepts: the annotated concept ids, sorted ascending, each a
+                hierarchy node id.
+            offsets: CSR offsets, one row per entry of ``concepts``.
+            values: CSR values: row ``i`` holds concept ``concepts[i]``'s
+                citation ids, sorted.
             root: subtree to embed within; defaults to the hierarchy root.
 
-        Empty-result concepts are spliced out per Definition 2; the root is
-        always kept.  Matching the reference builder, annotation entries
-        whose value is falsy are treated as absent, and keys outside the
-        hierarchy are ignored.
-        """
-        if root is None:
-            root = hierarchy.root
-        size = len(hierarchy)
-        concept_list: List[int] = []
-        value_lists: List[List[int]] = []
-        for node, ids in annotations.items():
-            if not ids:
-                continue
-            try:
-                index = operator.index(node)
-            except TypeError:
-                continue
-            if not 0 <= index < size:
-                continue
-            concept_list.append(index)
-            value_lists.append(sorted(set(ids)))
-        concepts = np.asarray(concept_list, dtype=np.int64)
-        sort = np.argsort(concepts, kind="stable")
-        concepts = concepts[sort]
-        value_lists = [value_lists[i] for i in sort.tolist()]
-        lengths = np.fromiter(
-            (len(row) for row in value_lists),
-            dtype=np.int64,
-            count=len(value_lists),
-        )
-        offsets = np.zeros(len(value_lists) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        values = np.fromiter(
-            (c for row in value_lists for c in row),
-            dtype=np.int64,
-            count=int(offsets[-1]),
-        )
-        return cls._embed(hierarchy, root, concepts, offsets, values)
-
-    @classmethod
-    def _embed(
-        cls,
-        hierarchy: ConceptHierarchy,
-        root: int,
-        concepts: np.ndarray,
-        res_off: np.ndarray,
-        res_val: np.ndarray,
-    ) -> "NavigationTree":
-        """Vectorized maximum embedding over the hierarchy arrays.
-
-        ``concepts`` lists the annotated concept ids sorted ascending;
-        row ``i`` of the (``res_off``, ``res_val``) CSR holds concept
-        ``concepts[i]``'s citations, sorted.  Presence in ``concepts``
-        marks a node annotated (kept) even when its row is empty, which
-        mirrors the reference builder's truthiness test on the raw
-        annotation value.
+        Presence in ``concepts`` marks a node annotated (kept) even when
+        its row is empty; empty-result concepts absent from it are
+        spliced out per Definition 2, and the root is always kept.
 
         Everything below runs in *hierarchy preorder position* space,
         restricted to the root's contiguous preorder window: the kept
@@ -214,6 +169,11 @@ class NavigationTree:
         MeSH), and embedded subtree sizes are differences of the kept
         mask's cumulative sum over hierarchy subtree intervals.
         """
+        if root is None:
+            root = hierarchy.root
+        concepts = np.asarray(concepts, dtype=np.int64)
+        res_off = np.asarray(offsets, dtype=np.int64)
+        res_val = np.asarray(values, dtype=np.int64)
         arrays = hierarchy.arrays()
         positions = arrays.positions
         preorder = arrays.preorder
@@ -323,7 +283,7 @@ class NavigationTree:
             reset = np.repeat(
                 np.cumsum(present_lengths) - present_lengths, present_lengths
             )
-            res_val_e = res_val[base + np.arange(total) - reset].astype(np.int64)
+            res_val_e = res_val[base + np.arange(total) - reset]
         else:
             res_val_e = np.empty(0, dtype=np.int64)
 
@@ -357,17 +317,17 @@ class NavigationTree:
 
     def parent(self, node: int) -> int:
         """Embedded parent of ``node`` (-1 for the root)."""
-        return int(self._eparent[self._require_raw(node)])
+        return int(self._eparent[self._require(node)])
 
     def children(self, node: int) -> Sequence[int]:
         """Embedded-tree children of ``node``, left to right."""
-        position = self._require_raw(node)
+        position = self._require(node)
         begin, end = self._child_off[position], self._child_off[position + 1]
         return tuple(self._child_val[begin:end].tolist())
 
     def is_leaf(self, node: int) -> bool:
         """True when ``node`` has no embedded children."""
-        position = self._require_raw(node)
+        position = self._require(node)
         return int(self._child_off[position]) == int(self._child_off[position + 1])
 
     def label(self, node: int) -> str:
@@ -396,12 +356,6 @@ class NavigationTree:
         end = position + int(self._esize[position])
         return iter(self._order[position:end].tolist())
 
-    def subtree_nodes(self, node: int) -> FrozenSet[int]:
-        """All embedded-tree nodes in the subtree rooted at ``node``."""
-        position = self._require(node)
-        end = position + int(self._esize[position])
-        return frozenset(self._order[position:end].tolist())
-
     def subtree_size(self, node: int) -> int:
         """Number of embedded-tree nodes in the subtree of ``node`` (O(1))."""
         return int(self._esize[self._require(node)])
@@ -420,48 +374,14 @@ class NavigationTree:
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
-    def results(self, node: int) -> FrozenSet[int]:
-        """Citations attached directly to ``node`` (L(n))."""
-        position = self._require(node)
-        cached = self._results_cache.get(position)
-        if cached is None:
-            begin, end = self._res_off[position], self._res_off[position + 1]
-            cached = frozenset(self._res_val[begin:end].tolist())
-            self._results_cache[position] = cached
-        return cached
+    def results(self, node: int) -> np.ndarray:
+        """Citations attached directly to ``node`` (L(n)), sorted.
 
-    def subtree_results(self, node: int) -> FrozenSet[int]:
-        """Distinct citations attached anywhere in the subtree of ``node``.
-
-        This is the count shown next to each node in the static interface
-        (Fig. 1).  The subtree's rows are contiguous in the results CSR,
-        so the union is one ``np.unique`` over a slice; computed once per
-        node, then cached.
+        A read-only slice of the results CSR.  A subtree's distinct
+        citations are ``Component(tree, node).distinct_results()``.
         """
         position = self._require(node)
-        cached = self._subtree_cache.get(position)
-        if cached is None:
-            end = position + int(self._esize[position])
-            begin_v, end_v = self._res_off[position], self._res_off[end]
-            cached = frozenset(np.unique(self._res_val[begin_v:end_v]).tolist())
-            self._subtree_cache[position] = cached
-        return cached
-
-    def distinct_results(self, nodes: Iterable[int]) -> FrozenSet[int]:
-        """Distinct citations attached to any node in ``nodes``."""
-        combined: Set[int] = set()
-        offsets = self._res_off
-        values = self._res_val
-        for node in nodes:
-            position = self._require_raw(node)
-            combined.update(
-                values[offsets[position] : offsets[position + 1]].tolist()
-            )
-        return frozenset(combined)
-
-    def all_results(self) -> FrozenSet[int]:
-        """All distinct citations in the tree."""
-        return self.subtree_results(self.root)
+        return self._res_val[self._res_off[position] : self._res_off[position + 1]]
 
     # ------------------------------------------------------------------
     # Array views (the cost-model ingestion seam)
@@ -469,10 +389,6 @@ class NavigationTree:
     def preorder_array(self) -> np.ndarray:
         """Node ids in embedded preorder (``int64``, read-only)."""
         return self._order
-
-    def parent_array(self) -> np.ndarray:
-        """Embedded parent node id per preorder position (-1: root)."""
-        return self._eparent
 
     def subtree_size_array(self) -> np.ndarray:
         """Embedded subtree sizes per preorder position (read-only)."""
@@ -488,7 +404,7 @@ class NavigationTree:
 
     def position(self, node: int) -> int:
         """Embedded-preorder position of ``node`` (``KeyError`` if not kept)."""
-        return self._require_raw(node)
+        return self._require(node)
 
     def positions(self, nodes: Sequence[int]) -> np.ndarray:
         """Embedded-preorder position of each hierarchy node id (-1: not kept)."""
@@ -548,25 +464,14 @@ class NavigationTree:
         return int(self._pos_of[index])
 
     def _require(self, node: int) -> int:
-        position = self._position_of(node)
-        if position < 0:
-            raise KeyError("node %r is not in the navigation tree" % (node,))
-        return position
-
-    def _require_raw(self, node: int) -> int:
-        """Like :meth:`_require` with the legacy dict-lookup exception.
-
-        ``parent``/``children``/``is_leaf`` historically read straight
-        out of per-node dicts, so their miss surface is a bare
-        ``KeyError(node)``; preserved for observational parity.
-        """
+        """``node``'s preorder position; a bare ``KeyError(node)`` if not kept."""
         position = self._position_of(node)
         if position < 0:
             raise KeyError(node)
         return position
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return "NavigationTree(%d nodes, %d distinct citations)" % (
+        return "NavigationTree(%d nodes, %d attachments)" % (
             len(self),
-            len(self.all_results()),
+            len(self._res_val),
         )

@@ -21,7 +21,7 @@ Engine internals (the bitmask representation)
 
 Because solvable trees are capped at :data:`MAX_OPT_NODES` (= 16) nodes,
 every component is represented as an ``int`` bitmask over the CutTree's
-dense node indices instead of a ``FrozenSet[int]``:
+dense node indices:
 
 * per-node **subtree masks** are precomputed once at solver construction,
   so deriving the upper/lower components of a cut is two bitwise ops
@@ -51,12 +51,12 @@ trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.cost_model import CostParams
-from repro.core.edgecut import Component
+from repro.core.edgecut import Component, component_children
 from repro.core.navigation_tree import NavigationTree
 from repro.core.probabilities import ProbabilityModel
 
@@ -87,7 +87,7 @@ class CutTree:
         children: adjacency lists.
         results: citation ids attached to each node, as an int64 array
             (for a supernode: its members' citations back to back;
-            repeats are allowed).  Other collections are converted.
+            repeats are allowed).
         explore: *unnormalized* EXPLORE mass ``|L(n)| / log LT(n)`` per node
             (for a supernode: the sum over its members).  Opt-EdgeCut
             normalizes over the whole CutTree, so the tree it is invoked on
@@ -110,10 +110,6 @@ class CutTree:
     payload: List[object]
 
     def __post_init__(self) -> None:
-        self.results = [
-            np.fromiter(r, np.int64, len(r)) if not isinstance(r, np.ndarray) else r
-            for r in self.results
-        ]
         k = len(self.children)
         if not (len(self.results) == len(self.explore) == len(self.payload) == k):
             raise ValueError("CutTree field lengths disagree")
@@ -130,55 +126,31 @@ class CutTree:
 
     @classmethod
     def from_component(
-        cls,
-        tree: NavigationTree,
-        probs: ProbabilityModel,
-        component: Component,
-        root: int,
+        cls, tree: NavigationTree, probs: ProbabilityModel, component: Component
     ) -> "CutTree":
-        """Lift a navigation-tree component into a CutTree (payload = node id).
-
-        Any member container with ``in`` and iteration works as
-        ``component`` (a member set too).
-        """
+        """Lift a navigation-tree component into a CutTree (payload = node id)."""
         order: List[int] = []
         index: Dict[int, int] = {}
-        stack = [root]
+        stack = [component.root]
         while stack:
             node = stack.pop()
-            if node in index:
-                continue
             index[node] = len(order)
             order.append(node)
-            for child in tree.children(node):
-                if child in component:
-                    stack.append(child)
-        if set(order) != set(component):
-            raise ValueError("component is not a connected subtree at its root")
-        children: List[List[int]] = [[] for _ in order]
-        for node in order:
-            for child in tree.children(node):
-                if child in component:
-                    children[index[node]].append(index[child])
+            stack.extend(component_children(tree, component, node))
+        children: List[List[int]] = [
+            [index[child] for child in component_children(tree, component, node)]
+            for node in order
+        ]
         offsets, values = tree.result_offsets_array(), tree.result_values_array()
-        positions = tree.positions(order).tolist()
+        positions = tree.positions(order)
+        rows = positions.tolist()
         return cls(
             children=children,
-            results=[values[offsets[p] : offsets[p + 1]] for p in positions],
-            explore=probs.masses(order),
-            member_counts=[[int(offsets[p + 1] - offsets[p])] for p in positions],
+            results=[values[offsets[p] : offsets[p + 1]] for p in rows],
+            explore=probs.explore_mass[positions].tolist(),
+            member_counts=[[int(offsets[p + 1] - offsets[p])] for p in rows],
             payload=list(order),
         )
-
-    def subtree_indices(self, node: int) -> FrozenSet[int]:
-        """Indices of the subtree rooted at ``node``."""
-        collected: Set[int] = set()
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            collected.add(current)
-            stack.extend(self.children[current])
-        return frozenset(collected)
 
 
 @dataclass(frozen=True)
@@ -293,7 +265,7 @@ class OptEdgeCut:
         offsets: List[int] = []
         for node in range(k):
             offsets.append(len(flat))
-            members = sorted(self._indices_of(self._subtree_mask[node]))
+            members = self._indices_of(self._subtree_mask[node])
             members_per_node.append(members)
             flat.extend(members)
         orred = np.bitwise_or.reduceat(
@@ -333,13 +305,14 @@ class OptEdgeCut:
     # Mask helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def _indices_of(mask: int) -> FrozenSet[int]:
+    def _indices_of(mask: int) -> List[int]:
+        """The indices set in ``mask``, ascending."""
         indices = []
         while mask:
             low = mask & -mask
             indices.append(low.bit_length() - 1)
             mask ^= low
-        return frozenset(indices)
+        return indices
 
     def _component_stats(self, mask: int) -> Tuple[float, int, int]:
         """(EXPLORE mass, distinct results, member count) for ``mask``."""
@@ -351,7 +324,7 @@ class OptEdgeCut:
         members = 0
         remaining = mask
         # Ascending index order — the same summation order the reference
-        # engine's frozenset iteration produces for indices < 16.
+        # engine's member-set iteration produces for indices < 16.
         while remaining:
             low = remaining & -remaining
             index = low.bit_length() - 1
@@ -375,7 +348,7 @@ class OptEdgeCut:
 
         p_expand = self.probs.expand_by_threshold(members, result_count)
         if p_expand is None:  # the histogram decides: build it, in index order
-            counts = [self._member_counts[i] for i in sorted(self._indices_of(mask))]
+            counts = [self._member_counts[i] for i in self._indices_of(mask)]
             histogram = np.concatenate(counts).tolist()
             p_expand = self.probs.expand_from_distribution(histogram, result_count)
         best_term, best_children = self._search_cuts(mask, root, kids)

@@ -14,10 +14,10 @@ remaining children stay inside the (shrinking) upper component whose
 
 from __future__ import annotations
 
-from typing import FrozenSet, Tuple
+from typing import Tuple
 
 from repro.core.active_tree import ActiveTree
-from repro.core.edgecut import component_children
+from repro.core.edgecut import Component, component_children
 from repro.core.navigation_tree import NavigationTree
 from repro.core.strategy import CutDecision, ExpansionStrategy, SolverCapabilities
 
@@ -45,10 +45,9 @@ class PagedStaticNavigation(ExpansionStrategy):
         self.page_size = page_size
 
     def choose_cut(self, active: ActiveTree, node: int) -> CutDecision:
-        component = active.component(node)
-        return self.best_cut(component, node)
+        return self.best_cut(active.component(node), node)
 
-    def best_cut(self, component: FrozenSet[int], root: int) -> CutDecision:
+    def best_cut(self, component: Component, root: int) -> CutDecision:
         """Cut the next page of root→child edges, ranked by citation count.
 
         Children still inside the component are the not-yet-shown ones;
@@ -58,7 +57,10 @@ class PagedStaticNavigation(ExpansionStrategy):
         children = component_children(self.tree, component, root)
         ranked = sorted(
             children,
-            key=lambda child: (-len(self.tree.subtree_results(child)), child),
+            key=lambda child: (
+                -len(Component(self.tree, child).distinct_results()),
+                child,
+            ),
         )
         page = ranked[: self.page_size]
         cut: Tuple[Tuple[int, int], ...] = tuple((root, child) for child in page)

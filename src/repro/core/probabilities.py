@@ -23,10 +23,11 @@ Two probabilities drive the cost model:
 from __future__ import annotations
 
 import math
-from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from repro.core.edgecut import Component
 from repro.core.navigation_tree import NavigationTree
 
 __all__ = ["ProbabilityModel"]
@@ -124,39 +125,33 @@ class ProbabilityModel:
         """Unnormalized EXPLORE weight ``|L(n)| / log LT(n)`` of one node."""
         return float(self.explore_mass[self.tree.position(node)])
 
-    def masses(self, nodes: Iterable[int]) -> List[float]:
-        """Unnormalized EXPLORE weights of ``nodes``, in iteration order.
-
-        Raises:
-            KeyError: a node is not in the navigation tree.
-        """
-        members = list(nodes)
-        positions = self.tree.positions(members)
-        if positions.size and int(positions.min()) < 0:
-            raise KeyError(members[int(positions.argmin())])
-        return self.explore_mass[positions].tolist()
-
-    def explore(self, component: Iterable[int]) -> float:
+    def explore(self, component: Component) -> float:
         """``pE(I(n))``: sum of member node probabilities.
 
-        Members are summed in sorted order so the float accumulation
-        order — and therefore the probability to the last ulp — depends
-        only on the component's contents, never on set iteration order.
+        Members are summed in ascending node-id order, so the float
+        accumulation order — and therefore the probability to the last
+        ulp — depends only on the component's contents.
         """
-        return sum(self.masses(sorted(component))) / self.normalizer
+        return sum(self._by_node_id(component, self.explore_mass)) / self.normalizer
 
     # ------------------------------------------------------------------
     # EXPAND
     # ------------------------------------------------------------------
-    def expand(self, component: FrozenSet[int], root: int) -> float:
-        """``pX(I(n))`` for a component rooted at ``root``."""
+    def expand(self, component: Component) -> float:
+        """``pX(I(n))`` for one component."""
         if len(component) <= 1:
             return 0.0
-        result_count = len(self.tree.distinct_results(component))
-        # Sorted members pin the entropy summation order (see explore()).
+        # Node-id order pins the entropy summation order (see explore()).
         return self.expand_from_distribution(
-            [len(self.tree.results(m)) for m in sorted(component)], result_count
+            self._by_node_id(component, self.result_counts),
+            len(component.distinct_results()),
         )
+
+    def _by_node_id(self, component: Component, values: np.ndarray) -> list:
+        """``values`` at the component's members, in ascending node-id order."""
+        positions = component.positions()
+        ids = self.tree.preorder_array()[positions]
+        return values[positions[np.argsort(ids, kind="stable")]].tolist()
 
     def expand_from_distribution(
         self, member_counts: Sequence[int], distinct_count: int

@@ -33,7 +33,7 @@ def relevance_of(active: ActiveTree, probs: ProbabilityModel, node: int) -> floa
     mass = probs.explore_mass
     return math.fsum(
         chain.from_iterable(
-            mass[begin:end].tolist() for begin, end in active.interval(node).slices()
+            mass[begin:end].tolist() for begin, end in active.component(node).slices()
         )
     )
 

@@ -113,7 +113,7 @@ class NavigationSession:
         Charges one unit per citation displayed; returns the PMIDs sorted
         for deterministic display.
         """
-        pmids = self.active.interval(node).distinct_results().tolist()
+        pmids = self.active.component(node).distinct_results().tolist()
         self.ledger.charge_show_results(len(pmids))
         return pmids
 
@@ -143,9 +143,9 @@ class NavigationSession:
         return self.active.visualize()
 
     @property
-    def ignored(self) -> Set[int]:
-        """Concepts the user marked as uninteresting."""
-        return set(self._ignored)
+    def ignored(self) -> List[int]:
+        """Concepts the user marked as uninteresting, ascending."""
+        return sorted(self._ignored)
 
     @property
     def expand_log(self) -> List[ExpandOutcome]:

@@ -14,10 +14,10 @@ compares against.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Tuple
+from typing import Tuple
 
 from repro.core.active_tree import ActiveTree
-from repro.core.edgecut import component_children
+from repro.core.edgecut import Component, component_children
 from repro.core.navigation_tree import NavigationTree
 from repro.core.strategy import CutDecision, ExpansionStrategy, SolverCapabilities
 
@@ -42,10 +42,9 @@ class StaticNavigation(ExpansionStrategy):
         self.tree = tree
 
     def choose_cut(self, active: ActiveTree, node: int) -> CutDecision:
-        component = active.component(node)
-        return self.best_cut(component, node)
+        return self.best_cut(active.component(node), node)
 
-    def best_cut(self, component: FrozenSet[int], root: int) -> CutDecision:
+    def best_cut(self, component: Component, root: int) -> CutDecision:
         """Cut every root→child edge of the component."""
         children = component_children(self.tree, component, root)
         cut: Tuple[Tuple[int, int], ...] = tuple((root, child) for child in children)

@@ -53,8 +53,11 @@ __all__ = [
 #: Version 3: cut keys fold in the session's solver options.  Version 4:
 #: the §VI-B memo harvest and the navigation tree's decision store are
 #: gone (plans are fresh solves), so the options string and the pickled
-#: :class:`NavTreeArtifact` layout changed.
-KEY_FORMAT_VERSION = 4
+#: :class:`NavTreeArtifact` layout changed.  Version 5: the navigation
+#: tree lost its per-node result-set caches and :class:`NavTreeArtifact`
+#: carries the tree's distinct-citation count, so the pickled layout
+#: changed.
+KEY_FORMAT_VERSION = 5
 
 
 def content_key(*parts: str) -> str:
@@ -138,12 +141,15 @@ class NavTreeArtifact:
         tree: the navigation tree embedded in the hierarchy.
         probs: EXPLORE/EXPAND probability estimates over ``tree``
             (the per-node cost-model arrays, read-only).
+        distinct_count: distinct citations in the tree, i.e. the root
+            component's display count; computed once at build.
         content_key: digest chaining the hierarchy and result-set keys.
     """
 
     query: str
     tree: NavigationTree
     probs: ProbabilityModel
+    distinct_count: int
     content_key: str
 
 

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import AbstractSet, Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.core.active_tree import ActiveTree
 from repro.core.cost_model import CostParams
-from repro.core.edgecut import Component, as_component
+from repro.core.edgecut import Component
 from repro.core.strategy import CutDecision, ExpansionStrategy
 from repro.eutils.client import EntrezClient
 from repro.pipeline.artifacts import (
@@ -89,11 +89,9 @@ class PipelineStrategy(ExpansionStrategy):
 
     def choose_cut(self, active: ActiveTree, node: int) -> CutDecision:
         """EdgeCut for ``node``'s component, via the cut-stage cache."""
-        return self.best_cut(active.interval(node), node)
+        return self.best_cut(active.component(node), node)
 
-    def best_cut(
-        self, component: Union[Component, AbstractSet[int]], root: int
-    ) -> CutDecision:
+    def best_cut(self, component: Component, root: int) -> CutDecision:
         """Cached-or-solved cut for one component (see :class:`CutStage`)."""
         plan = self.pipeline.plan_cut(
             self.nav, component, root, self.solver, inner=self.inner, **self.options
@@ -205,7 +203,7 @@ class NavigationPipeline:
     def plan_cut(
         self,
         nav: NavTreeArtifact,
-        component: Union[Component, AbstractSet[int]],
+        component: Component,
         root: int,
         solver: str,
         inner: Optional[ExpansionStrategy] = None,
@@ -215,8 +213,7 @@ class NavigationPipeline:
 
         Args:
             nav: the component's navigation-tree artifact.
-            component: the expanded component (interval form, or a
-                member set converted on the way in).
+            component: the expanded component.
             root: the component's root concept.
             solver: solver name (canonical or alias).
             inner: the session's already-built bare strategy (built with
@@ -226,7 +223,6 @@ class NavigationPipeline:
                 :meth:`activate`; they are part of the plan's key.
         """
         canonical = self.registry.resolve(solver)
-        component = as_component(nav.tree, component, root)
         key = CutStage.key(
             nav, canonical, self._cost_key, component, root, self.options_key(**options)
         )

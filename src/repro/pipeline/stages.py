@@ -123,9 +123,12 @@ class NavTreeStage:
         # vectorized embedding, and its batch LT lookup serves the whole
         # tree at once.
         tree = NavigationTree.from_store(snapshot.hierarchy, store, results.pmids)
-        probs = ProbabilityModel(tree, store)
         return NavTreeArtifact(
-            query=results.query, tree=tree, probs=probs, content_key=key
+            query=results.query,
+            tree=tree,
+            probs=ProbabilityModel(tree, store),
+            distinct_count=len(Component(tree, tree.root).distinct_results()),
+            content_key=key,
         )
 
 

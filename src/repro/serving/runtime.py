@@ -84,7 +84,9 @@ class SearchResult:
     Attributes:
         session: the new session id.
         query: the keyword query.
-        count: citations in the query result.
+        count: distinct citations in the query's navigation tree (result
+            citations without any concept in the hierarchy are not
+            counted).
     """
 
     session: str
@@ -233,9 +235,7 @@ class ServingRuntime:
             nav, solver=self.solver, profiler=self.profile
         )
         sid = self.sessions.create(query, artifact.session, nav)
-        return SearchResult(
-            session=sid, query=query, count=len(nav.tree.all_results())
-        )
+        return SearchResult(session=sid, query=query, count=nav.distinct_count)
 
     def _do_view(self, sid: str) -> SessionView:
         self._simulate_backend()

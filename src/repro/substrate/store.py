@@ -99,8 +99,11 @@ class MmapStore:
 
     Raises:
         SubstrateError: the manifest's ``format_version`` is not
-            :data:`FORMAT_VERSION`, or the offsets of a display column or
-            of an association table are not a CSR over its values.
+            :data:`FORMAT_VERSION`; the PMID column does not strictly
+            ascend; the year column is not one entry per citation; the
+            ``LT(n)`` and result-count columns differ in length; or the
+            offsets of a display column or of an association table are
+            not a CSR over its values.
     """
 
     def __init__(
@@ -121,6 +124,16 @@ class MmapStore:
         self._concept_counts = self._arrays["concept_counts.npy"]
         self._concept_lt = self._arrays["concept_lt.npy"]
         citations, concepts = self._pmids.size, self._concept_counts.size
+        # _lookup binary-searches the PMID column; out of order, it would
+        # silently miss stored PMIDs.
+        if bool((self._pmids[1:] <= self._pmids[:-1]).any()):
+            raise SubstrateError("pmids.npy does not strictly ascend")
+        if self._years.shape != (citations,):
+            raise SubstrateError("years.npy does not hold one year per citation")
+        if self._concept_lt.shape != (concepts,):
+            raise SubstrateError(
+                "concept_lt.npy and concept_counts.npy differ in length"
+            )
         self._cit_offsets, self._cit_concepts = _checked_csr(
             self._arrays, "cit_concept_offsets.npy", "cit_concepts.npy", citations
         )
@@ -384,7 +397,7 @@ class MmapStore:
         Gathers the result's concept rows, inverts them with one stable
         sort by concept (ordinals ascend within the input, so each
         concept's PMID run comes out sorted), and groups with
-        ``np.unique`` — the exact buffers ``NavigationTree._embed``
+        ``np.unique`` — the exact buffers ``NavigationTree.from_csr``
         ingests.
         """
         ordinals = np.unique(self._result_ordinals(pmids))

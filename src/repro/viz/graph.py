@@ -14,6 +14,7 @@ from typing import Iterable
 import networkx as nx
 
 from repro.core.active_tree import ActiveTree
+from repro.core.edgecut import Component
 from repro.core.navigation_tree import NavigationTree
 
 __all__ = ["navigation_tree_to_networkx", "active_tree_to_networkx", "to_dot"]
@@ -31,7 +32,7 @@ def navigation_tree_to_networkx(tree: NavigationTree) -> "nx.DiGraph":
             node,
             label=tree.label(node),
             results=len(tree.results(node)),
-            subtree_results=len(tree.subtree_results(node)),
+            subtree_results=len(Component(tree, node).distinct_results()),
             depth=tree.tree_depth(node),
         )
     for parent, child in tree.edges():

@@ -16,6 +16,7 @@ import html
 from typing import Iterable, List, Optional, Sequence
 
 from repro.core.active_tree import ActiveTree, VisNode
+from repro.core.edgecut import Component
 from repro.core.navigation_tree import NavigationTree
 
 __all__ = ["active_tree_to_html", "navigation_tree_to_html", "rows_to_html"]
@@ -101,7 +102,7 @@ def navigation_tree_to_html(
             VisNode(
                 node=node,
                 label=tree.label(node),
-                count=len(tree.subtree_results(node)),
+                count=len(Component(tree, node).distinct_results()),
                 expandable=False,
                 depth=depth,
                 parent=parent,

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence
 
 from repro.core.active_tree import ActiveTree
+from repro.core.edgecut import Component
 from repro.core.navigation_tree import NavigationTree
 
 __all__ = ["render_navigation_tree", "render_active_tree", "render_rows"]
@@ -41,7 +42,7 @@ def render_navigation_tree(
     lines: List[str] = []
 
     def visit(node: int, depth: int) -> None:
-        count = len(tree.subtree_results(node))
+        count = len(Component(tree, node).distinct_results())
         star = " *" if node in marked else ""
         lines.append("%s%s (%d)%s" % (_INDENT * depth, tree.label(node), count, star))
         if max_depth is not None and depth >= max_depth:

@@ -18,6 +18,7 @@ from repro.core.probabilities import ProbabilityModel
 from repro.hierarchy.concept import ConceptHierarchy
 from repro.hierarchy.mesh import paper_fragment
 from repro.workload.builder import Workload, build_workload
+from tests.oracles.member_sets import tree_from_mapping
 
 # Citations (small integers) hand-attached to fragment concepts.  Several
 # citations appear under multiple concepts on purpose — duplicates are what
@@ -80,7 +81,7 @@ def fragment_annotations(fragment_hierarchy) -> Dict[int, FrozenSet[int]]:
 
 @pytest.fixture()
 def fragment_tree(fragment_hierarchy, fragment_annotations) -> NavigationTree:
-    return NavigationTree.build(fragment_hierarchy, fragment_annotations)
+    return tree_from_mapping(fragment_hierarchy, fragment_annotations)
 
 
 @pytest.fixture()

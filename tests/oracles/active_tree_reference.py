@@ -14,8 +14,8 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from repro.core.active_tree import VisNode
-from repro.core.edgecut import component_edges, is_valid_edgecut
 from repro.core.navigation_tree import NavigationTree
+from tests.oracles.member_sets import distinct_results, is_valid_member_cut
 
 __all__ = ["ReferenceActiveTree", "cut_components"]
 
@@ -36,7 +36,7 @@ def cut_components(
     Raises:
         ValueError: if the cut is not a valid EdgeCut of the component.
     """
-    if not is_valid_edgecut(tree, component, edges):
+    if not is_valid_member_cut(tree, component, edges):
         raise ValueError("not a valid EdgeCut of this component: %r" % (edges,))
     lowers: Dict[int, FrozenSet[int]] = {}
     removed: Set[int] = set()
@@ -112,11 +112,7 @@ class ReferenceActiveTree:
 
     def component_count(self, node: int) -> int:
         """Distinct citations in ``I(node)`` — the number shown in the UI."""
-        return len(self.tree.distinct_results(self.component(node)))
-
-    def expandable_edges(self, node: int) -> List[Edge]:
-        """Edges of the component rooted at ``node`` (EdgeCut candidates)."""
-        return component_edges(self.tree, self.component(node))
+        return len(distinct_results(self.tree, self.component(node)))
 
     def containing_root(self, node: int) -> int:
         """Root of the component that contains ``node``.

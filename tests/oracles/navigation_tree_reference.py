@@ -244,13 +244,6 @@ class ReferenceNavigationTree:
             self._subtree_results[n] = frozenset(accumulated)
         return self._subtree_results[node]
 
-    def distinct_results(self, nodes: Iterable[int]) -> FrozenSet[int]:
-        """Distinct citations attached to any node in ``nodes``."""
-        combined: Set[int] = set()
-        for node in nodes:
-            combined.update(self._results[node])
-        return frozenset(combined)
-
     def all_results(self) -> FrozenSet[int]:
         """All distinct citations in the tree."""
         return self.subtree_results(self.root)

@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cost_model import CostParams
+from repro.core.edgecut import Component
 from repro.core.exact import OptEdgeCutStrategy
 from repro.core.opt_edgecut import (
     MAX_OPT_NODES,
@@ -39,7 +40,23 @@ from repro.core.opt_edgecut import (
 from repro.core.probabilities import ProbabilityModel
 from repro.core.strategy import CutDecision, SolverCapabilities
 
-__all__ = ["ReferenceOptEdgeCut", "ReferenceOptEdgeCutStrategy", "engine_memo_items"]
+__all__ = [
+    "ReferenceOptEdgeCut",
+    "ReferenceOptEdgeCutStrategy",
+    "engine_memo_items",
+    "subtree_indices",
+]
+
+
+def subtree_indices(cut_tree: CutTree, node: int) -> FrozenSet[int]:
+    """Indices of the CutTree subtree rooted at ``node``."""
+    collected: Set[int] = set()
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        collected.add(current)
+        stack.extend(cut_tree.children[current])
+    return frozenset(collected)
 
 
 def engine_memo_items(solver: OptEdgeCut) -> List[Tuple[FrozenSet[int], BestCut]]:
@@ -48,7 +65,9 @@ def engine_memo_items(solver: OptEdgeCut) -> List[Tuple[FrozenSet[int], BestCut]
     The engine keys its memo by component bitmask; converting the masks to
     index sets makes it comparable with :meth:`ReferenceOptEdgeCut.memo_items`.
     """
-    return [(solver._indices_of(mask), best) for mask, best in solver._memo.items()]
+    return [
+        (frozenset(solver._indices_of(mask)), best) for mask, best in solver._memo.items()
+    ]
 
 
 class ReferenceOptEdgeCut:
@@ -84,7 +103,7 @@ class ReferenceOptEdgeCut:
     # ------------------------------------------------------------------
     def solve(self) -> BestCut:
         """Best cut (and expected cost) for the whole CutTree."""
-        return self.solve_component(self.tree.subtree_indices(self.tree.root), self.tree.root)
+        return self.solve_component(subtree_indices(self.tree, self.tree.root), self.tree.root)
 
     def solve_component(self, component: FrozenSet[int], root: int) -> BestCut:
         """Best cut for a connected sub-component rooted at ``root``."""
@@ -142,7 +161,7 @@ class ReferenceOptEdgeCut:
         removed: Set[int] = set()
         lowers: List[Tuple[int, FrozenSet[int]]] = []
         for _, child in cut:
-            lower = self.tree.subtree_indices(child) & component
+            lower = subtree_indices(self.tree, child) & component
             removed.update(lower)
             lowers.append((child, lower))
         upper = frozenset(component - removed)
@@ -191,11 +210,11 @@ class ReferenceOptEdgeCutStrategy(OptEdgeCutStrategy):
         description="exhaustive reference Opt-EdgeCut (test oracle; slow)",
     )
 
-    def best_cut(self, component: FrozenSet[int], root: int) -> CutDecision:
+    def best_cut(self, component: Component, root: int) -> CutDecision:
         """Optimal EdgeCut for one component, solved exhaustively."""
         if len(component) <= 1:
             return CutDecision(cut=(), reduced_size=len(component))
-        cut_tree = CutTree.from_component(self.tree, self.probs, component, root)
+        cut_tree = CutTree.from_component(self.tree, self.probs, component)
         solved = ReferenceOptEdgeCut(cut_tree, self.probs, self.params).solve()
         return CutDecision(
             cut=tuple((cut_tree.payload[p], cut_tree.payload[c]) for p, c in solved.cut),

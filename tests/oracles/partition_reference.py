@@ -15,10 +15,11 @@ at W/N and grows geometrically until at most N partitions result.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.edgecut import Component
 from repro.core.heuristic import HeuristicReducedOpt
 from repro.core.opt_edgecut import CutTree
 
@@ -211,15 +212,15 @@ class ReferenceHeuristicReducedOpt(HeuristicReducedOpt):
     ``HeuristicReducedOpt._reduce`` replaced.
     """
 
-    def _reduce(
-        self, component: FrozenSet[int], root: int
-    ) -> Tuple[CutTree, List[int]]:
+    def _reduce(self, interval: Component) -> Tuple[CutTree, List[int]]:
         """Partition the component and build the reduced supernode tree.
 
         Returns the CutTree plus, per supernode index, the original concept
         node rooting that partition (used to map cuts back).
         """
         tree = self.tree
+        component = frozenset(interval)
+        root = interval.root
         adjacency = {
             n: [c for c in tree.children(n) if c in component] for n in component
         }
@@ -261,7 +262,7 @@ class ReferenceHeuristicReducedOpt(HeuristicReducedOpt):
         member_counts = []
         payload: List[object] = []
         for members in parts:
-            results.append(tree.distinct_results(members))
+            results.append(np.concatenate([tree.results(m) for m in members]))
             member_counts.append(probs.result_counts[tree.positions(members)].tolist())
             payload.append(tuple(members))
         reduced = CutTree(

@@ -22,7 +22,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.active_tree import ActiveTree
-from repro.core.edgecut import Component
 from repro.core.heuristic import HeuristicReducedOpt
 from repro.core.navigation_tree import NavigationTree
 from repro.core.probabilities import ProbabilityModel
@@ -32,17 +31,27 @@ from repro.core.static_nav import StaticNavigation
 from repro.core.strategy import CutDecision, ExpansionStrategy
 from repro.hierarchy.concept import ConceptHierarchy
 from tests.oracles.active_tree_reference import ReferenceActiveTree
+from tests.oracles.member_sets import (
+    component_from_members,
+    distinct_results,
+    tree_from_mapping,
+)
 from tests.oracles.partition_reference import ReferenceHeuristicReducedOpt
 
 
 class OracleStrategy(ExpansionStrategy):
-    """Solves the oracle tree's frozenset component with ``inner``."""
+    """Solves the oracle tree's frozenset component with ``inner``.
+
+    The member set is handed over in interval form, the one form the
+    solvers take.
+    """
 
     def __init__(self, inner: ExpansionStrategy):
         self.inner = inner
 
     def choose_cut(self, active, node: int) -> CutDecision:
-        return self.inner.best_cut(active.component(node), node)  # type: ignore[attr-defined]
+        component = component_from_members(active.tree, active.component(node), node)
+        return self.inner.best_cut(component, node)  # type: ignore[attr-defined]
 
 
 class OracleSession(NavigationSession):
@@ -53,7 +62,7 @@ class OracleSession(NavigationSession):
         self.active = ReferenceActiveTree(tree)  # type: ignore[assignment]
 
     def show_results(self, node: int) -> List[int]:
-        pmids = sorted(self.tree.distinct_results(self.active.component(node)))
+        pmids = sorted(distinct_results(self.tree, self.active.component(node)))
         self.ledger.charge_show_results(len(pmids))
         return pmids
 
@@ -67,7 +76,7 @@ def random_tree(rng: random.Random, size: int) -> NavigationTree:
     for node in range(size):
         if rng.random() < 0.7:
             annotations[node] = {rng.randrange(1, 60) for _ in range(rng.randint(1, 5))}
-    return NavigationTree.build(hierarchy, annotations)
+    return tree_from_mapping(hierarchy, annotations)
 
 
 def make_strategy(name: str, tree: NavigationTree, probs: ProbabilityModel, limit: int):
@@ -91,11 +100,11 @@ def assert_same_state(active: ActiveTree, oracle: ReferenceActiveTree) -> None:
         assert active.is_expandable(node) == oracle.is_expandable(node)
         if oracle.is_visible(node):
             members = oracle.component(node)
-            assert active.component(node) == members
+            component = active.component(node)
+            assert frozenset(component) == members
             assert active.component_count(node) == oracle.component_count(node)
-            interval = active.interval(node)
-            assert interval.key == Component.from_members(tree, members, node).key
-            assert len(interval) == len(members)
+            assert component.key == component_from_members(tree, members, node).key
+            assert len(component) == len(members)
         else:
             with pytest.raises(KeyError):
                 active.component(node)
@@ -213,7 +222,7 @@ class TestRelevance:
             for node in range(size)
             if rng.random() < 0.02
         }
-        tree = NavigationTree.build(hierarchy, annotations)
+        tree = tree_from_mapping(hierarchy, annotations)
         probs = ProbabilityModel(tree, lambda node: 50 + (node * 7919) % 1000)
         root = tree.root
         first, last = tree.children(root)[0], tree.children(root)[-1]
@@ -227,4 +236,4 @@ class TestRelevance:
         one_step.expand(root, [(root, first), (root, last)])
         values.append(relevance_of(one_step, probs, root))
         members = sorted(one_step.component(root))
-        assert values == [math.fsum(probs.masses(members))] * 3
+        assert values == [math.fsum(probs.explore_mass[tree.positions(members)])] * 3

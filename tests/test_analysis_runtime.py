@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.runtime import fit_exponential
+from tests.oracles.member_sets import tree_from_mapping
 
 
 class TestFitExponential:
@@ -45,9 +46,9 @@ class TestFitExponential:
         """The §VI complexity claim, measured and fitted."""
         import time
 
+        from repro.core.edgecut import Component
         from repro.core.opt_edgecut import CutTree, OptEdgeCut
         from repro.core.probabilities import ProbabilityModel
-        from repro.core.navigation_tree import NavigationTree
         from repro.hierarchy.generator import generate_hierarchy
 
         sizes = []
@@ -63,10 +64,9 @@ class TestFitExponential:
                 count += 1
                 if count >= n_nodes - 1:
                     break
-            tree = NavigationTree.build(hierarchy, annotations)
+            tree = tree_from_mapping(hierarchy, annotations)
             probs = ProbabilityModel(tree, lambda n: 100)
-            component = frozenset(tree.iter_dfs())
-            cut_tree = CutTree.from_component(tree, probs, component, tree.root)
+            cut_tree = CutTree.from_component(tree, probs, Component(tree, tree.root))
             started = time.perf_counter()
             OptEdgeCut(cut_tree, probs, max_nodes=16).solve()
             times.append(max(time.perf_counter() - started, 1e-6))

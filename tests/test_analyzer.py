@@ -29,6 +29,7 @@ from tools.analyzer.baseline import (  # noqa: E402
 from tools.analyzer.reporters import json_report, text_report  # noqa: E402
 from tools.analyzer.runner import main  # noqa: E402
 from tools.analyzer.rules import bitmask  # noqa: E402
+from tests.oracles.member_sets import tree_from_mapping
 
 
 def run_rules(tmp_path, relpath, source, lint_only=False):
@@ -1368,27 +1369,30 @@ class TestSubstrateImmutabilityRule:
         assert len(hits) == 1
         assert "NavTreeArtifact" in hits[0].message
 
-    def test_decision_store_subscript_write_is_legal(self, tmp_path):
+    def test_subscript_store_through_artifact_flagged(self, tmp_path):
         findings = run_project(
             tmp_path,
             {
                 "pipeline/use.py": (
                     "def record(nav: 'NavTreeArtifact', node, choice):\n"
-                    "    nav.decisions[node] = choice\n"
+                    "    nav.plans[node] = choice\n"
+                    "    nav.counts[node] += 1\n"
+                    "    del nav.plans[node]\n"
                 )
             },
         )
-        assert findings_for(findings, "substrate-immutability") == []
+        hits = findings_for(findings, "substrate-immutability")
+        assert [hit.line for hit in hits] == [2, 3, 4]
+        assert all("NavTreeArtifact" in hit.message for hit in hits)
 
     def test_runtime_arrays_are_frozen(self):
         if str(REPO_ROOT / "src") not in sys.path:
             sys.path.insert(0, str(REPO_ROOT / "src"))
-        from repro.core.navigation_tree import NavigationTree
         from repro.core.probabilities import ProbabilityModel
         from repro.hierarchy.concept import ConceptHierarchy
 
         hierarchy = ConceptHierarchy.from_parents([-1, 0], ["root", "child"])
-        tree = NavigationTree.build(hierarchy, {1: {1, 2, 3}})
+        tree = tree_from_mapping(hierarchy, {1: {1, 2, 3}})
         probs = ProbabilityModel(tree, lambda n: 10)
         with pytest.raises(ValueError):
             probs.explore_mass[0] = 99.0

@@ -22,10 +22,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.navigation_tree import NavigationTree
+from repro.core.edgecut import Component
 from repro.core.probabilities import ProbabilityModel
 from repro.hierarchy.concept import ConceptHierarchy
 from tests.oracles.cost_identity import models_identical
+from tests.oracles.member_sets import (
+    component_from_members,
+    distinct_results,
+    tree_from_mapping,
+)
 from tests.oracles.partition_reference import segment_sums
 
 
@@ -53,7 +58,7 @@ def scenarios(draw, max_nodes: int = 18, max_citations: int = 40):
             annotations[node] = draw(
                 st.sets(st.integers(1, max_citations), min_size=1, max_size=10)
             )
-    tree = NavigationTree.build(h, annotations)
+    tree = tree_from_mapping(h, annotations)
     totals = draw(st.lists(st.integers(0, 10_000), min_size=n, max_size=n))
     probs = ProbabilityModel(tree, lambda node: totals[node])
     return tree, probs, totals
@@ -94,45 +99,46 @@ class TestThresholdEdges:
             annotations[node] = set(range(next_pmid, next_pmid + count))
             next_pmid += count
         h = ConceptHierarchy.from_parents(list(range(-1, len(counts))), labels)
-        tree = NavigationTree.build(h, annotations)
+        tree = tree_from_mapping(h, annotations)
         probs = ProbabilityModel(tree, lambda _n: 1000)
         return tree, probs
 
-    def _expand(self, probs, component):
-        return probs.expand(frozenset(component), component[0])
+    def _expand(self, tree, probs, members):
+        """pX of the component with ``members``, rooted at the first one."""
+        return probs.expand(component_from_members(tree, members, members[0]))
 
     def test_distinct_exactly_at_lower_threshold(self):
         # distinct == lower: not "< lower", so the entropy branch runs.
         tree, probs = self._chain_with_counts([5, 5])
         component = sorted(tree.iter_dfs())
-        assert len(tree.distinct_results(component)) == probs.lower_threshold
-        value = self._expand(probs, component)
+        assert len(distinct_results(tree, component)) == probs.lower_threshold
+        value = self._expand(tree, probs, component)
         assert 0.0 < value <= 1.0
 
     def test_distinct_one_below_lower_threshold(self):
         tree, probs = self._chain_with_counts([5, 4])
         component = sorted(tree.iter_dfs())
-        assert len(tree.distinct_results(component)) == probs.lower_threshold - 1
-        assert self._expand(probs, component) == 0.0
+        assert len(distinct_results(tree, component)) == probs.lower_threshold - 1
+        assert self._expand(tree, probs, component) == 0.0
 
     def test_distinct_exactly_at_upper_threshold(self):
         # distinct == upper: not "> upper", so the entropy branch runs.
         tree, probs = self._chain_with_counts([25, 25])
         component = sorted(tree.iter_dfs())
-        assert len(tree.distinct_results(component)) == probs.upper_threshold
-        value = self._expand(probs, component)
+        assert len(distinct_results(tree, component)) == probs.upper_threshold
+        value = self._expand(tree, probs, component)
         assert 0.0 < value <= 1.0
 
     def test_distinct_one_above_upper_threshold(self):
         tree, probs = self._chain_with_counts([26, 25])
         component = sorted(tree.iter_dfs())
-        assert len(tree.distinct_results(component)) == probs.upper_threshold + 1
-        assert self._expand(probs, component) == 1.0
+        assert len(distinct_results(tree, component)) == probs.upper_threshold + 1
+        assert self._expand(tree, probs, component) == 1.0
 
     def test_singleton_component_is_zero_even_above_threshold(self):
         tree, probs = self._chain_with_counts([60])
         component = [sorted(tree.iter_dfs())[1]]
-        assert self._expand(probs, component) == 0.0
+        assert self._expand(tree, probs, component) == 0.0
 
     def test_zero_count_member_in_entropy_denominator(self):
         # Empty-result concepts are spliced out (Definition 2), so the
@@ -141,19 +147,19 @@ class TestThresholdEdges:
         # the max-entropy denominator (log 3, not log 2).
         h = ConceptHierarchy.from_parents([-1, 0, 0], ["root", "a", "b"])
         a, b = 1, 2
-        tree = NavigationTree.build(h, {a: set(range(1, 11)), b: set(range(11, 21))})
+        tree = tree_from_mapping(h, {a: set(range(1, 11)), b: set(range(11, 21))})
         probs = ProbabilityModel(tree, lambda _n: 1000)
         component = [0, a, b]
         assert len(tree.results(0)) == 0
-        value = self._expand(probs, component)
+        value = self._expand(tree, probs, component)
         assert 0.0 < value < 1.0
 
     def test_zero_count_singleton_root(self):
         h = ConceptHierarchy.from_parents([-1, 0], ["root", "a"])
-        tree = NavigationTree.build(h, {1: {1, 2}})
+        tree = tree_from_mapping(h, {1: {1, 2}})
         probs = ProbabilityModel(tree, lambda _n: 1000)
-        assert self._expand(probs, [0]) == 0.0
-        assert probs.explore([0]) == 0.0
+        assert self._expand(tree, probs, [0]) == 0.0
+        assert probs.explore(component_from_members(tree, [0], 0)) == 0.0
 
 
 class TestSegmentSums:
@@ -177,23 +183,23 @@ class TestSegmentSums:
     def test_batch_ending_in_empty_component(self):
         # Same regression on the heuristic's supernode sums: a trailing
         # empty part must not truncate the preceding part's EXPLORE
-        # mass, and an empty component scores zero on both estimates.
+        # mass; the zero-mass root adds exactly nothing to the sum.
         h = ConceptHierarchy.from_parents([-1, 0, 0, 0], ["root", "a", "b", "c"])
         a, b, c = 1, 2, 3
-        tree = NavigationTree.build(
+        tree = tree_from_mapping(
             h, {a: set(range(1, 11)), b: set(range(6, 16)), c: set(range(16, 26))}
         )
         probs = ProbabilityModel(tree, lambda _n: 1000)
         full = [a, b, c]
         flat = probs.explore_mass[tree.positions([a] + full)]
         sums = segment_sums(flat, np.asarray([0, 1, 4]), np.asarray([1, 3, 0]))
-        assert sums.tolist() == [probs.node_mass(a), sum(probs.masses(full)), 0.0]
-        assert sums[1] / probs.normalizer == probs.explore(full)
-        assert len(tree.distinct_results(full)) == 25
-        assert 0.0 < probs.expand(frozenset(full), a) <= 1.0
-        assert probs.expand(frozenset([a]), a) == 0.0
-        assert probs.explore([]) == 0.0
-        assert probs.expand(frozenset(), a) == 0.0
+        full_mass = sum(probs.explore_mass[tree.positions(full)].tolist())
+        assert sums.tolist() == [probs.node_mass(a), full_mass, 0.0]
+        whole = Component(tree, tree.root)
+        assert sums[1] / probs.normalizer == probs.explore(whole)
+        assert len(whole.distinct_results()) == 25
+        assert 0.0 < probs.expand(whole) <= 1.0
+        assert probs.expand(Component(tree, a)) == 0.0
 
     def test_empty_batch(self):
         out = segment_sums(
@@ -209,7 +215,7 @@ class TestModelIdentity:
     def test_model_identity_is_deterministic(self):
         h = ConceptHierarchy.from_parents([-1, 0, 0], ["root", "a", "b"])
         a, b = 1, 2
-        tree = NavigationTree.build(h, {a: {1, 2, 3}, b: {3, 4}})
+        tree = tree_from_mapping(h, {a: {1, 2, 3}, b: {3, 4}})
         first = ProbabilityModel(tree, lambda _n: 100)
         assert models_identical(first, ProbabilityModel(tree, lambda _n: 100))
         assert not models_identical(
@@ -225,8 +231,8 @@ class TestModelIdentity:
         # (distinct-count semantics differ, so the cuts may too).
         h = ConceptHierarchy.from_parents([-1, 0, 0], ["root", "a", "b"])
         a, b = 1, 2
-        overlapping = NavigationTree.build(h, {a: {1, 2}, b: {2, 3}})
-        disjoint = NavigationTree.build(h, {a: {1, 2}, b: {3, 4}})
+        overlapping = tree_from_mapping(h, {a: {1, 2}, b: {2, 3}})
+        disjoint = tree_from_mapping(h, {a: {1, 2}, b: {3, 4}})
         assert not models_identical(
             ProbabilityModel(overlapping, lambda _n: 100),
             ProbabilityModel(disjoint, lambda _n: 100),

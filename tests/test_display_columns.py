@@ -215,6 +215,28 @@ class TestOpenTimeChecks:
         with pytest.raises(SubstrateError, match=column):
             MmapStore.open(str(built))
 
+    @pytest.mark.parametrize(
+        "column,damage",
+        [
+            ("pmids.npy", "swap"),
+            ("pmids.npy", "repeat"),
+            ("years.npy", "short"),
+            ("concept_lt.npy", "short"),
+        ],
+    )
+    def test_broken_column_fails_at_open(self, built, column, damage):
+        path = built / column
+        values = np.load(path)
+        if damage == "swap":
+            values[2], values[3] = values[3], values[2]
+        elif damage == "repeat":
+            values[3] = values[2]
+        else:
+            values = values[:-1]
+        np.save(path, values)
+        with pytest.raises(SubstrateError, match=column):
+            MmapStore.open(str(built))
+
     def test_older_format_fails_at_open(self, built):
         manifest_path = built / "manifest.json"
         manifest = json.loads(manifest_path.read_text())

@@ -5,12 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.active_tree import ActiveTree
+from repro.core.edgecut import Component
 from repro.core.heuristic import HeuristicReducedOpt
-from repro.core.navigation_tree import NavigationTree
 from repro.core.probabilities import ProbabilityModel
 from repro.core.simulator import navigate_to_target
 from repro.core.static_nav import StaticNavigation
 from repro.hierarchy.concept import ConceptHierarchy
+from tests.oracles.member_sets import tree_from_mapping
 
 
 def flat_counts(node: int) -> int:
@@ -24,7 +25,7 @@ def deep_chain_tree():
         list(range(-1, 300)), ["MeSH"] + ["level %d" % i for i in range(300)]
     )
     annotations = {n: {n} for n in range(1, len(h))}
-    return h, NavigationTree.build(h, annotations)
+    return h, tree_from_mapping(h, annotations)
 
 
 @pytest.fixture()
@@ -34,7 +35,7 @@ def wide_star_tree():
         [-1] + [0] * 400, ["MeSH"] + ["leaf %d" % i for i in range(400)]
     )
     annotations = {n: {n, 1000 + (n % 7)} for n in range(1, len(h))}
-    return h, NavigationTree.build(h, annotations)
+    return h, tree_from_mapping(h, annotations)
 
 
 class TestDeepChain:
@@ -88,14 +89,14 @@ class TestWideStar:
         _, tree = wide_star_tree
         probs = ProbabilityModel(tree, flat_counts)
         strategy = HeuristicReducedOpt(tree, probs)
-        decision = strategy.best_cut(frozenset(tree.iter_dfs()), tree.root)
+        decision = strategy.best_cut(Component(tree, tree.root), tree.root)
         assert 1 <= len(decision.cut) <= 10
 
     def test_partitioning_respects_cap_on_stars(self, wide_star_tree):
         _, tree = wide_star_tree
         probs = ProbabilityModel(tree, flat_counts)
         strategy = HeuristicReducedOpt(tree, probs, max_reduced_nodes=10)
-        decision = strategy.best_cut(frozenset(tree.iter_dfs()), tree.root)
+        decision = strategy.best_cut(Component(tree, tree.root), tree.root)
         assert decision.reduced_size <= 10
 
 
@@ -103,7 +104,7 @@ class TestDegenerateResults:
     def test_single_citation_corpus(self):
         h = ConceptHierarchy.from_parents([-1, 0], ["MeSH", "only"])
         a = 1
-        tree = NavigationTree.build(h, {a: {42}})
+        tree = tree_from_mapping(h, {a: {42}})
         probs = ProbabilityModel(tree, flat_counts)
         outcome = navigate_to_target(tree, HeuristicReducedOpt(tree, probs), a)
         assert outcome.reached
@@ -117,7 +118,7 @@ class TestDegenerateResults:
             ["MeSH"] + ["n%d" % i for i in range(5)] + ["c%d" % n for n in nodes[:3]],
         )
         annotations = {n: {7} for n in range(1, len(h))}
-        tree = NavigationTree.build(h, annotations)
+        tree = tree_from_mapping(h, annotations)
         probs = ProbabilityModel(tree, flat_counts)
         outcome = navigate_to_target(
             tree, HeuristicReducedOpt(tree, probs), nodes[0], show_results=False
@@ -128,10 +129,12 @@ class TestDegenerateResults:
         """Zero duplication: every concept holds distinct citations."""
         h = ConceptHierarchy.from_parents([-1, 0, 1, 1], ["MeSH", "a", "b", "c"])
         a, b, c = 1, 2, 3
-        tree = NavigationTree.build(h, {a: {1}, b: {2}, c: {3}})
-        assert tree.citations_with_duplicates() == len(tree.all_results())
+        tree = tree_from_mapping(h, {a: {1}, b: {2}, c: {3}})
+        assert tree.citations_with_duplicates() == len(
+            Component(tree, tree.root).distinct_results()
+        )
         probs = ProbabilityModel(tree, flat_counts)
         decision = HeuristicReducedOpt(tree, probs).best_cut(
-            frozenset(tree.iter_dfs()), tree.root
+            Component(tree, tree.root), tree.root
         )
         assert decision.cut

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.edgecut import (
-    component_children,
-    component_edges,
-    is_valid_edgecut,
-)
+from repro.core.edgecut import Component, component_children, is_valid_edgecut
 from repro.core.navigation_tree import NavigationTree
 from repro.hierarchy.concept import ConceptHierarchy
 from tests.oracles.active_tree_reference import cut_components
+from tests.oracles.member_sets import (
+    component_edges,
+    component_from_members,
+    tree_from_mapping,
+)
 
 
 @pytest.fixture()
@@ -23,7 +24,7 @@ def tree() -> NavigationTree:
         [-1, 0, 1, 2, 1, 0], ["root", "a", "b", "c", "d", "e"]
     )
     annotations = {n: {n * 10} for n in range(1, 6)}
-    return NavigationTree.build(h, annotations)
+    return tree_from_mapping(h, annotations)
 
 
 @pytest.fixture()
@@ -40,35 +41,49 @@ class TestComponentHelpers:
         component = frozenset({1, 2, 4})
         assert set(component_edges(tree, component)) == {(1, 2), (1, 4)}
 
-    def test_component_children(self, tree, full_component):
-        assert component_children(tree, full_component, 1) == [2, 4]
-        assert component_children(tree, frozenset({1, 4}), 1) == [4]
+    def test_component_children(self, tree):
+        assert component_children(tree, Component(tree, tree.root), 1) == [2, 4]
+        without_b = component_from_members(tree, {1, 4}, 1)
+        assert component_children(tree, without_b, 1) == [4]
+
+    def test_component_from_members_round_trips(self, tree):
+        component = component_from_members(tree, {1, 2, 3}, 1)
+        assert component.key == (1, (tree.position(4),))
+        assert frozenset(component) == {1, 2, 3}
+
+    def test_component_from_members_rejects_disconnected(self, tree):
+        with pytest.raises(ValueError):
+            component_from_members(tree, {0, 2}, 0)
 
 
 class TestValidity:
-    def test_valid_single_edge(self, tree, full_component):
-        assert is_valid_edgecut(tree, full_component, [(1, 2)])
+    @pytest.fixture()
+    def root_component(self, tree):
+        return Component(tree, tree.root)
 
-    def test_valid_sibling_edges(self, tree, full_component):
-        assert is_valid_edgecut(tree, full_component, [(1, 2), (1, 4)])
+    def test_valid_single_edge(self, tree, root_component):
+        assert is_valid_edgecut(tree, root_component, [(1, 2)])
 
-    def test_invalid_same_path(self, tree, full_component):
+    def test_valid_sibling_edges(self, tree, root_component):
+        assert is_valid_edgecut(tree, root_component, [(1, 2), (1, 4)])
+
+    def test_invalid_same_path(self, tree, root_component):
         # (0,1) and (1,2) lie on the root→c path.
-        assert not is_valid_edgecut(tree, full_component, [(0, 1), (1, 2)])
-        assert not is_valid_edgecut(tree, full_component, [(1, 2), (2, 3)])
+        assert not is_valid_edgecut(tree, root_component, [(0, 1), (1, 2)])
+        assert not is_valid_edgecut(tree, root_component, [(1, 2), (2, 3)])
 
     def test_invalid_edge_outside_component(self, tree):
-        component = frozenset({1, 2, 3})
+        component = component_from_members(tree, {1, 2, 3}, 1)
         assert not is_valid_edgecut(tree, component, [(1, 4)])
 
-    def test_invalid_non_edge(self, tree, full_component):
-        assert not is_valid_edgecut(tree, full_component, [(0, 3)])
+    def test_invalid_non_edge(self, tree, root_component):
+        assert not is_valid_edgecut(tree, root_component, [(0, 3)])
 
-    def test_duplicate_edge_invalid(self, tree, full_component):
-        assert not is_valid_edgecut(tree, full_component, [(1, 2), (1, 2)])
+    def test_duplicate_edge_invalid(self, tree, root_component):
+        assert not is_valid_edgecut(tree, root_component, [(1, 2), (1, 2)])
 
-    def test_empty_cut_is_valid(self, tree, full_component):
-        assert is_valid_edgecut(tree, full_component, [])
+    def test_empty_cut_is_valid(self, tree, root_component):
+        assert is_valid_edgecut(tree, root_component, [])
 
 
 class TestCutComponents:

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.edgecut import Component
 from repro.core.evaluation import expected_strategy_cost
 from repro.core.heuristic import HeuristicReducedOpt
-from repro.core.navigation_tree import NavigationTree
 from repro.core.opt_edgecut import CutTree, OptEdgeCut
 from repro.core.paged_static import PagedStaticNavigation
 from repro.core.probabilities import ProbabilityModel
 from repro.core.static_nav import StaticNavigation
 from repro.hierarchy.concept import ConceptHierarchy
+from tests.oracles.member_sets import tree_from_mapping
 
 
 def flat_counts(node: int) -> int:
@@ -21,7 +22,7 @@ def flat_counts(node: int) -> int:
 @pytest.fixture()
 def small_tree():
     h = ConceptHierarchy.from_parents([-1, 0, 1, 1, 0], ["root", "a", "b", "c", "d"])
-    return NavigationTree.build(
+    return tree_from_mapping(
         h,
         {
             1: set(range(0, 20)),
@@ -40,7 +41,7 @@ class TestExpectedStrategyCost:
 
     def test_single_node_tree_costs_its_results(self):
         h = ConceptHierarchy.from_parents([-1], ["MeSH"])
-        tree = NavigationTree.build(h, {})
+        tree = tree_from_mapping(h, {})
         probs = ProbabilityModel(tree, flat_counts)
         cost = expected_strategy_cost(tree, probs, StaticNavigation(tree))
         assert cost == 0.0  # empty root, pE mass 0
@@ -61,8 +62,8 @@ class TestExpectedStrategyCost:
         """On a ≤N-node tree the heuristic *is* Opt-EdgeCut; the evaluator
         must agree with the optimizer's own expected cost."""
         probs = ProbabilityModel(small_tree, flat_counts, upper_threshold=15, lower_threshold=3)
-        component = frozenset(small_tree.iter_dfs())
-        cut_tree = CutTree.from_component(small_tree, probs, component, small_tree.root)
+        component = Component(small_tree, small_tree.root)
+        cut_tree = CutTree.from_component(small_tree, probs, component)
         optimal = OptEdgeCut(cut_tree, probs).solve()
         evaluated = expected_strategy_cost(
             small_tree, probs, HeuristicReducedOpt(small_tree, probs)

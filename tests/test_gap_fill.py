@@ -5,11 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.corpus.generator import CorpusGenerator, TopicSpec
+from repro.core.edgecut import Component
 from repro.core.strategy import CutDecision, ExpansionStrategy
 from repro.eutils.client import EntrezClient
 from repro.eutils.errors import BadRequestError
 from repro.hierarchy.generator import generate_hierarchy
 from repro.search.engine import SearchEngine
+from tests.oracles.member_sets import tree_from_mapping
 
 
 class TestStrategyInterface:
@@ -89,13 +91,11 @@ class TestEutilsEdges:
 class TestNavigationTreeEdges:
     def test_build_within_subtree_root(self, fragment_hierarchy):
         """Building a navigation tree rooted below the hierarchy root."""
-        from repro.core.navigation_tree import NavigationTree
-
         bio = fragment_hierarchy.by_label(
             "Biological Phenomena, Cell Phenomena, and Immunity"
         )
         apoptosis = fragment_hierarchy.by_label("Apoptosis")
-        tree = NavigationTree.build(
+        tree = tree_from_mapping(
             fragment_hierarchy, {apoptosis: {1, 2}}, root=bio
         )
         assert tree.root == bio
@@ -103,8 +103,6 @@ class TestNavigationTreeEdges:
         assert tree.parent(apoptosis) == bio  # intermediates spliced
 
     def test_empty_annotations_leave_only_root(self, fragment_hierarchy):
-        from repro.core.navigation_tree import NavigationTree
-
-        tree = NavigationTree.build(fragment_hierarchy, {})
+        tree = tree_from_mapping(fragment_hierarchy, {})
         assert tree.size() == 1
-        assert tree.all_results() == frozenset()
+        assert len(Component(tree, tree.root).distinct_results()) == 0

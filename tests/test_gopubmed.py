@@ -7,6 +7,7 @@ import pytest
 from repro.core.active_tree import ActiveTree
 from repro.core.gopubmed import GoPubMedNavigation
 from repro.core.simulator import navigate_to_target
+from tests.oracles.member_sets import subtree_results
 
 
 class TestCategoryBar:
@@ -45,11 +46,11 @@ class TestTopKChildren:
         decision = strategy.choose_cut(active, parent)
         assert 1 <= len(decision.cut) <= 2
         revealed_counts = [
-            len(fragment_tree.subtree_results(child)) for _, child in decision.cut
+            len(subtree_results(fragment_tree, child)) for _, child in decision.cut
         ]
         all_counts = sorted(
             (
-                len(fragment_tree.subtree_results(c))
+                len(subtree_results(fragment_tree, c))
                 for c in fragment_tree.children(parent)
             ),
             reverse=True,

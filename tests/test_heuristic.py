@@ -5,12 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core.active_tree import ActiveTree
-from repro.core.edgecut import is_valid_edgecut
+from repro.core.edgecut import Component, is_valid_edgecut
 from repro.core.heuristic import HeuristicReducedOpt
-from repro.core.navigation_tree import NavigationTree
 from repro.core.opt_edgecut import CutTree, OptEdgeCut
 from repro.core.probabilities import ProbabilityModel
 from repro.hierarchy.generator import generate_hierarchy
+from tests.oracles.member_sets import distinct_results, tree_from_mapping
 
 
 @pytest.fixture()
@@ -21,7 +21,7 @@ def big_tree():
     for i, node in enumerate(range(1, len(h))):
         if i % 2 == 0:
             annotations[node] = set(range(i % 40, i % 40 + 5))
-    return NavigationTree.build(h, annotations)
+    return tree_from_mapping(h, annotations)
 
 
 @pytest.fixture()
@@ -32,30 +32,30 @@ def big_probs(big_tree):
 class TestReduction:
     def test_reduced_tree_respects_limit(self, big_tree, big_probs):
         strategy = HeuristicReducedOpt(big_tree, big_probs, max_reduced_nodes=10)
-        component = frozenset(big_tree.iter_dfs())
-        reduced, part_roots = strategy._reduce(component, big_tree.root)
+        component = Component(big_tree, big_tree.root)
+        reduced, part_roots = strategy._reduce(component)
         assert 2 <= len(reduced) <= 10
         assert len(part_roots) == len(reduced)
 
     def test_supernodes_partition_the_component(self, big_tree, big_probs):
         strategy = HeuristicReducedOpt(big_tree, big_probs, max_reduced_nodes=8)
-        component = frozenset(big_tree.iter_dfs())
-        reduced, _ = strategy._reduce(component, big_tree.root)
+        component = Component(big_tree, big_tree.root)
+        reduced, _ = strategy._reduce(component)
         members = [m for payload in reduced.payload for m in payload]
         assert sorted(members) == sorted(component)
 
     def test_supernode_results_are_member_unions(self, big_tree, big_probs):
         strategy = HeuristicReducedOpt(big_tree, big_probs)
-        component = frozenset(big_tree.iter_dfs())
-        reduced, _ = strategy._reduce(component, big_tree.root)
+        component = Component(big_tree, big_tree.root)
+        reduced, _ = strategy._reduce(component)
         for i, payload in enumerate(reduced.payload):
             # A supernode carries its members' citations back to back.
-            assert set(reduced.results[i].tolist()) == big_tree.distinct_results(payload)
+            assert set(reduced.results[i].tolist()) == distinct_results(big_tree, payload)
 
     def test_root_supernode_is_node_zero(self, big_tree, big_probs):
         strategy = HeuristicReducedOpt(big_tree, big_probs)
-        component = frozenset(big_tree.iter_dfs())
-        reduced, part_roots = strategy._reduce(component, big_tree.root)
+        component = Component(big_tree, big_tree.root)
+        reduced, part_roots = strategy._reduce(component)
         assert part_roots[0] == big_tree.root
         assert big_tree.root in reduced.payload[0]
 
@@ -63,7 +63,7 @@ class TestReduction:
 class TestBestCut:
     def test_cut_is_valid_for_original_tree(self, big_tree, big_probs):
         strategy = HeuristicReducedOpt(big_tree, big_probs)
-        component = frozenset(big_tree.iter_dfs())
+        component = Component(big_tree, big_tree.root)
         decision = strategy.best_cut(component, big_tree.root)
         assert decision.cut
         assert is_valid_edgecut(big_tree, component, decision.cut)
@@ -72,24 +72,24 @@ class TestBestCut:
         # Take a small subtree: no reduction should happen.
         small_root = None
         for node in big_tree.iter_dfs():
-            size = len(big_tree.subtree_nodes(node))
+            size = big_tree.subtree_size(node)
             if 3 <= size <= 8:
                 small_root = node
                 break
         assert small_root is not None
-        component = big_tree.subtree_nodes(small_root)
+        component = Component(big_tree, small_root)
         strategy = HeuristicReducedOpt(big_tree, big_probs, max_reduced_nodes=10)
         decision = strategy.best_cut(component, small_root)
         assert decision.reduced_size == len(component)
         # Must match a direct Opt-EdgeCut run.
-        cut_tree = CutTree.from_component(big_tree, big_probs, component, small_root)
+        cut_tree = CutTree.from_component(big_tree, big_probs, component)
         exact = OptEdgeCut(cut_tree, big_probs).solve()
         assert decision.expected_cost == pytest.approx(exact.expected_cost)
 
     def test_singleton_component_yields_empty_cut(self, big_tree, big_probs):
         strategy = HeuristicReducedOpt(big_tree, big_probs)
         leaf = next(n for n in big_tree.iter_dfs() if big_tree.is_leaf(n))
-        decision = strategy.best_cut(frozenset({leaf}), leaf)
+        decision = strategy.best_cut(Component(big_tree, leaf), leaf)
         assert decision.cut == ()
 
     def test_choose_cut_uses_active_component(self, big_tree, big_probs):
@@ -101,7 +101,7 @@ class TestBestCut:
 
     def test_reduced_size_instrumentation(self, big_tree, big_probs):
         strategy = HeuristicReducedOpt(big_tree, big_probs, max_reduced_nodes=10)
-        component = frozenset(big_tree.iter_dfs())
+        component = Component(big_tree, big_tree.root)
         decision = strategy.best_cut(component, big_tree.root)
         assert 2 <= decision.reduced_size <= 10
 

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.navigation_tree import NavigationTree
+from repro.core.edgecut import Component
 from repro.hierarchy.concept import ConceptHierarchy
+from tests.oracles.member_sets import tree_from_mapping
 
 
 @pytest.fixture()
@@ -17,26 +18,26 @@ def chain_hierarchy() -> ConceptHierarchy:
 class TestMaximumEmbedding:
     def test_empty_internal_node_is_spliced_out(self, chain_hierarchy):
         # a and b empty, c annotated: c becomes a direct child of the root.
-        tree = NavigationTree.build(chain_hierarchy, {3: {10}})
+        tree = tree_from_mapping(chain_hierarchy, {3: {10}})
         assert set(tree.nodes()) == {0, 3}
         assert tree.parent(3) == 0
 
     def test_empty_leaf_is_dropped(self, chain_hierarchy):
-        tree = NavigationTree.build(chain_hierarchy, {1: {10}})
+        tree = tree_from_mapping(chain_hierarchy, {1: {10}})
         assert set(tree.nodes()) == {0, 1}
 
     def test_root_kept_even_when_empty(self, chain_hierarchy):
-        tree = NavigationTree.build(chain_hierarchy, {4: {10}})
+        tree = tree_from_mapping(chain_hierarchy, {4: {10}})
         assert tree.root == 0
-        assert tree.results(0) == frozenset()
+        assert tree.results(0).tolist() == []
 
     def test_intermediate_annotated_node_is_kept(self, chain_hierarchy):
-        tree = NavigationTree.build(chain_hierarchy, {2: {10}, 3: {11}})
+        tree = tree_from_mapping(chain_hierarchy, {2: {10}, 3: {11}})
         assert tree.parent(3) == 2
         assert tree.parent(2) == 0
 
     def test_annotations_with_empty_sets_treated_as_empty(self, chain_hierarchy):
-        tree = NavigationTree.build(chain_hierarchy, {1: set(), 3: {10}})
+        tree = tree_from_mapping(chain_hierarchy, {1: set(), 3: {10}})
         assert 1 not in tree
         assert 3 in tree
 
@@ -55,7 +56,7 @@ class TestMaximumEmbedding:
     def test_no_empty_nodes_except_root(self, fragment_tree):
         for node in fragment_tree.nodes():
             if node != fragment_tree.root:
-                assert fragment_tree.results(node)
+                assert len(fragment_tree.results(node))
 
     def test_all_annotated_nodes_kept(self, fragment_tree, fragment_annotations):
         for node in fragment_annotations:
@@ -67,11 +68,18 @@ class TestResults:
         apoptosis = fragment_hierarchy.by_label("Apoptosis")
         assert len(fragment_tree.results(apoptosis)) == 35
 
+    def test_results_are_sorted_read_only_csr_slices(self, fragment_tree, fragment_hierarchy):
+        death = fragment_hierarchy.by_label("Cell Death")
+        results = fragment_tree.results(death)
+        assert results.tolist() == [1, 2, 41, 42]
+        with pytest.raises(ValueError):
+            results[0] = 7
+
     def test_subtree_results_are_distinct_union(self, fragment_tree, fragment_hierarchy):
         cell_death = fragment_hierarchy.by_label("Cell Death")
         # Apoptosis (1..35) ∪ Autophagy {36,37,38} ∪ Necrosis {39,40}
         # ∪ Cell Death {1,2,41,42} = 1..42 → 42 distinct.
-        assert len(fragment_tree.subtree_results(cell_death)) == 42
+        assert len(Component(fragment_tree, cell_death).distinct_results()) == 42
 
     def test_subtree_results_at_root_covers_everything(
         self, fragment_tree, fragment_annotations
@@ -79,12 +87,8 @@ class TestResults:
         everything = set()
         for ids in fragment_annotations.values():
             everything |= ids
-        assert fragment_tree.all_results() == frozenset(everything)
-
-    def test_distinct_results_over_node_subset(self, fragment_tree, fragment_hierarchy):
-        a = fragment_hierarchy.by_label("Autophagy")
-        n = fragment_hierarchy.by_label("Necrosis")
-        assert fragment_tree.distinct_results([a, n]) == frozenset({36, 37, 38, 39, 40})
+        root = Component(fragment_tree, fragment_tree.root)
+        assert root.distinct_results().tolist() == sorted(everything)
 
     def test_results_of_unknown_node_raise(self, fragment_tree):
         with pytest.raises(KeyError):
@@ -126,7 +130,7 @@ class TestTraversal:
 
     def test_subtree_nodes(self, fragment_tree, fragment_hierarchy):
         cell_death = fragment_hierarchy.by_label("Cell Death")
-        members = fragment_tree.subtree_nodes(cell_death)
+        members = fragment_tree.iter_dfs(cell_death)
         labels = {fragment_tree.label(n) for n in members}
         assert labels == {"Cell Death", "Autophagy", "Apoptosis", "Necrosis"}
 
@@ -148,7 +152,7 @@ class TestPositionalIndices:
             n: {rng.randrange(200) for _ in range(rng.randint(0, 4))}
             for n in nodes
         }
-        return NavigationTree.build(h, annotations)
+        return tree_from_mapping(h, annotations)
 
     def test_depth_matches_parent_chain_walk(self, random_tree):
         for node in random_tree.nodes():
@@ -162,7 +166,7 @@ class TestPositionalIndices:
     def test_subtree_size_matches_subtree_nodes(self, random_tree):
         for node in random_tree.nodes():
             assert random_tree.subtree_size(node) == len(
-                random_tree.subtree_nodes(node)
+                list(random_tree.iter_dfs(node))
             )
 
     def test_is_tree_ancestor_matches_naive_walk(self, random_tree):
@@ -197,9 +201,9 @@ class TestPositionalIndices:
         )
         annotations = {i + 1: {i} for i in range(2000)}
         node = 2000
-        tree = NavigationTree.build(h, annotations)
+        tree = tree_from_mapping(h, annotations)
         assert tree.size() == 2001
         assert tree.height() == 2000
         assert tree.tree_depth(node) == 2000
         assert tree.is_tree_ancestor(tree.root, node)
-        assert len(tree.subtree_results(tree.root)) == 2000
+        assert len(Component(tree, tree.root).distinct_results()) == 2000

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cost_model import CostParams
+from repro.core.edgecut import Component
 from repro.core.navigation_tree import NavigationTree
 from repro.core.opt_edgecut import MAX_OPT_NODES, CutTree, OptEdgeCut
 from repro.core.probabilities import ProbabilityModel
@@ -36,6 +37,7 @@ from repro.substrate import (
     medline_store,
 )
 from tests.oracles.cost_identity import models_identical
+from tests.oracles.member_sets import subtree_results, tree_from_mapping
 from tests.oracles.navigation_tree_reference import ReferenceNavigationTree
 
 
@@ -79,17 +81,17 @@ def assert_trees_identical(tree: NavigationTree, ref: ReferenceNavigationTree):
         assert tree.parent(node) == ref.parent(node)
         assert tuple(tree.children(node)) == tuple(ref.children(node))
         assert tree.is_leaf(node) == ref.is_leaf(node)
-        assert tree.results(node) == ref.results(node)
+        assert tree.results(node).tolist() == sorted(ref.results(node))
         assert tree.subtree_size(node) == ref.subtree_size(node)
-        assert tree.subtree_nodes(node) == ref.subtree_nodes(node)
-        assert tree.subtree_results(node) == ref.subtree_results(node)
+        assert frozenset(tree.iter_dfs(node)) == ref.subtree_nodes(node)
+        assert subtree_results(tree, node) == ref.subtree_results(node)
         assert tree.tree_depth(node) == ref.tree_depth(node)
         assert list(tree.iter_dfs(node)) == list(ref.iter_dfs(node))
     assert tree.size() == ref.size()
     assert tree.max_width() == ref.max_width()
     assert tree.height() == ref.height()
     assert tree.citations_with_duplicates() == ref.citations_with_duplicates()
-    assert tree.all_results() == ref.all_results()
+    assert subtree_results(tree, tree.root) == ref.all_results()
     # Missing-node contract: same exception, same message.
     missing = max(ref.nodes()) + 1000
     with pytest.raises(KeyError) as new_err:
@@ -114,9 +116,8 @@ def assert_costs_identical(tree: NavigationTree, ref: ReferenceNavigationTree):
         assert probs_new.node_mass(node) == probs_ref.node_mass(node)
     if len(ref) > MAX_OPT_NODES:
         return
-    component = frozenset(ref.nodes())
-    cut_new = CutTree.from_component(tree, probs_new, component, tree.root)
-    cut_ref = CutTree.from_component(ref, probs_ref, component, ref.root)
+    cut_new = CutTree.from_component(tree, probs_new, Component(tree, tree.root))
+    cut_ref = CutTree.from_component(ref, probs_ref, Component(ref, ref.root))
     best_new = OptEdgeCut(cut_new, probs_new, CostParams()).solve()
     best_ref = OptEdgeCut(cut_ref, probs_ref, CostParams()).solve()
     assert best_new.cut == best_ref.cut
@@ -125,7 +126,7 @@ def assert_costs_identical(tree: NavigationTree, ref: ReferenceNavigationTree):
 
 
 def build_both(hierarchy, annotations):
-    tree = NavigationTree.build(hierarchy, annotations)
+    tree = tree_from_mapping(hierarchy, annotations)
     ref = ReferenceNavigationTree.build(hierarchy, annotations)
     return tree, ref
 
@@ -157,7 +158,7 @@ class TestRandomizedEquivalence:
         hierarchy = data.draw(hierarchies(min_nodes=3))
         annotations = data.draw(annotation_maps(hierarchy))
         root = data.draw(st.integers(0, len(hierarchy) - 1))
-        tree = NavigationTree.build(hierarchy, annotations, root=root)
+        tree = tree_from_mapping(hierarchy, annotations, root=root)
         ref = ReferenceNavigationTree.build(hierarchy, annotations, root=root)
         assert_trees_identical(tree, ref)
 
@@ -176,7 +177,7 @@ class TestEdgeCases:
         tree, ref = build_both(self._chain(), {})
         assert_trees_identical(tree, ref)
         assert len(tree) == 1
-        assert tree.results(tree.root) == frozenset()
+        assert tree.results(tree.root).tolist() == []
         assert_costs_identical(tree, ref)
 
     def test_all_empty_subtree_spliced_out(self):
@@ -194,7 +195,7 @@ class TestEdgeCases:
         h = self._chain(4)
         tree, ref = build_both(h, {3: {42}})
         assert_trees_identical(tree, ref)
-        assert tree.all_results() == frozenset({42})
+        assert subtree_results(tree, tree.root) == {42}
         assert tree.citations_with_duplicates() == 1
         assert_costs_identical(tree, ref)
 
@@ -226,13 +227,13 @@ class TestEdgeCases:
         def empty_gen():
             return iter(())
 
-        tree = NavigationTree.build(self._chain(3), {1: empty_gen(), 2: [5]})
+        tree = tree_from_mapping(self._chain(3), {1: empty_gen(), 2: [5]})
         ref = ReferenceNavigationTree.build(
             self._chain(3), {1: empty_gen(), 2: [5]}
         )
         assert_trees_identical(tree, ref)
         assert 1 in tree
-        assert tree.results(1) == frozenset()
+        assert tree.results(1).tolist() == []
 
     def test_out_of_range_concepts_ignored(self):
         """Annotation keys outside the hierarchy are silently dropped."""
@@ -247,7 +248,7 @@ class TestEdgeCases:
         h = self._chain(3)
         tree, ref = build_both(h, {1: [5, 5, 9, 5], 2: (9,)})
         assert_trees_identical(tree, ref)
-        assert tree.results(1) == frozenset({5, 9})
+        assert tree.results(1).tolist() == [5, 9]
         assert tree.citations_with_duplicates() == 3
 
 
@@ -330,7 +331,7 @@ class TestFromStoreParity:
             mm_tree = NavigationTree.from_store(hierarchy, mmap_store, pmids)
             assert list(mem_tree.iter_dfs()) == list(mm_tree.iter_dfs())
             for node in mem_tree.nodes():
-                assert mem_tree.results(node) == mm_tree.results(node)
+                assert np.array_equal(mem_tree.results(node), mm_tree.results(node))
 
     def test_from_store_costs_match_reference(self, corpus, mmap_store):
         hierarchy = corpus[0]

@@ -4,20 +4,22 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.core.cost_model import CostParams
-from repro.core.navigation_tree import NavigationTree
+from repro.core.edgecut import Component
 from repro.core.opt_edgecut import MAX_OPT_NODES, BestCut, CutTree, OptEdgeCut
 from repro.core.probabilities import ProbabilityModel
 from repro.hierarchy.concept import ConceptHierarchy
-from tests.oracles.opt_edgecut_reference import ReferenceOptEdgeCut
+from tests.oracles.member_sets import tree_from_mapping
+from tests.oracles.opt_edgecut_reference import ReferenceOptEdgeCut, subtree_indices
 
 
 def make_tree(annotations):
     # root(0) -> a(1) -> b(2), c(3);  root -> d(4)
     h = ConceptHierarchy.from_parents([-1, 0, 1, 1, 0], ["root", "a", "b", "c", "d"])
-    return NavigationTree.build(h, annotations)
+    return tree_from_mapping(h, annotations)
 
 
 @pytest.fixture()
@@ -39,39 +41,35 @@ def probs(tree):
 
 class TestCutTree:
     def test_from_component_payload_maps_back(self, tree, probs):
-        component = frozenset(tree.iter_dfs())
-        cut_tree = CutTree.from_component(tree, probs, component, tree.root)
+        component = Component(tree, tree.root)
+        cut_tree = CutTree.from_component(tree, probs, component)
         assert cut_tree.payload[0] == tree.root
         assert set(cut_tree.payload) == set(component)
 
     def test_from_component_preserves_structure(self, tree, probs):
-        component = frozenset(tree.iter_dfs())
-        cut_tree = CutTree.from_component(tree, probs, component, tree.root)
+        component = Component(tree, tree.root)
+        cut_tree = CutTree.from_component(tree, probs, component)
         index = {payload: i for i, payload in enumerate(cut_tree.payload)}
         for parent, child in tree.edges():
             assert index[child] in cut_tree.children[index[parent]]
 
     def test_from_sub_component(self, tree, probs):
-        component = frozenset({1, 2, 3})
-        cut_tree = CutTree.from_component(tree, probs, component, 1)
+        component = Component(tree, 1)
+        cut_tree = CutTree.from_component(tree, probs, component)
         assert len(cut_tree) == 3
         assert cut_tree.payload[0] == 1
 
-    def test_disconnected_component_rejected(self, tree, probs):
-        with pytest.raises(ValueError):
-            CutTree.from_component(tree, probs, frozenset({0, 2}), 0)
-
     def test_subtree_indices(self, tree, probs):
-        component = frozenset(tree.iter_dfs())
-        cut_tree = CutTree.from_component(tree, probs, component, tree.root)
-        root_subtree = cut_tree.subtree_indices(0)
+        component = Component(tree, tree.root)
+        cut_tree = CutTree.from_component(tree, probs, component)
+        root_subtree = subtree_indices(cut_tree, 0)
         assert root_subtree == frozenset(range(len(cut_tree)))
 
     def test_mismatched_field_lengths_rejected(self):
         with pytest.raises(ValueError):
             CutTree(
                 children=[[]],
-                results=[frozenset(), frozenset()],
+                results=[np.zeros(0, dtype=np.int64)] * 2,
                 explore=[1.0],
                 member_counts=[[0]],
                 payload=[0],
@@ -82,7 +80,7 @@ class TestOptEdgeCut:
     def test_rejects_oversized_trees(self, tree, probs):
         huge = CutTree(
             children=[[i + 1] for i in range(MAX_OPT_NODES)] + [[]],
-            results=[frozenset({i}) for i in range(MAX_OPT_NODES + 1)],
+            results=[np.array([i]) for i in range(MAX_OPT_NODES + 1)],
             explore=[1.0] * (MAX_OPT_NODES + 1),
             member_counts=[[1]] * (MAX_OPT_NODES + 1),
             payload=list(range(MAX_OPT_NODES + 1)),
@@ -91,23 +89,23 @@ class TestOptEdgeCut:
             OptEdgeCut(huge, probs)
 
     def test_solves_whole_tree(self, tree, probs):
-        component = frozenset(tree.iter_dfs())
-        cut_tree = CutTree.from_component(tree, probs, component, tree.root)
+        component = Component(tree, tree.root)
+        cut_tree = CutTree.from_component(tree, probs, component)
         best = OptEdgeCut(cut_tree, probs).solve()
         assert isinstance(best, BestCut)
         assert best.cut  # the full tree is expandable
         assert best.expected_cost > 0
 
     def test_singleton_component_has_no_cut(self, tree, probs):
-        cut_tree = CutTree.from_component(tree, probs, frozenset({4}), 4)
+        cut_tree = CutTree.from_component(tree, probs, Component(tree, 4))
         best = OptEdgeCut(cut_tree, probs).solve()
         assert best.cut == ()
         assert best.expansion_term == 0.0
 
     def test_optimal_beats_every_enumerated_cut(self, tree, probs):
         """Exhaustive check: no single first cut leads to lower cost."""
-        component = frozenset(tree.iter_dfs())
-        cut_tree = CutTree.from_component(tree, probs, component, tree.root)
+        component = Component(tree, tree.root)
+        cut_tree = CutTree.from_component(tree, probs, component)
         best = OptEdgeCut(cut_tree, probs).solve()
         reference = ReferenceOptEdgeCut(cut_tree, probs)
         full = frozenset(range(len(cut_tree)))
@@ -117,8 +115,8 @@ class TestOptEdgeCut:
             assert best.expansion_term <= term + 1e-12
 
     def test_memoization_reuses_components(self, tree, probs):
-        component = frozenset(tree.iter_dfs())
-        cut_tree = CutTree.from_component(tree, probs, component, tree.root)
+        component = Component(tree, tree.root)
+        cut_tree = CutTree.from_component(tree, probs, component)
         solver = OptEdgeCut(cut_tree, probs)
         solver.solve()
         memo_size = len(solver._memo)
@@ -126,19 +124,19 @@ class TestOptEdgeCut:
         assert len(solver._memo) == memo_size
 
     def test_enumerated_cuts_are_antichains(self, tree, probs):
-        component = frozenset(tree.iter_dfs())
-        cut_tree = CutTree.from_component(tree, probs, component, tree.root)
+        component = Component(tree, tree.root)
+        cut_tree = CutTree.from_component(tree, probs, component)
         reference = ReferenceOptEdgeCut(cut_tree, probs)
         for cut in reference._enumerate_cuts(0, frozenset(range(len(cut_tree)))):
             children_cut = [child for _, child in cut]
             for a, b in itertools.combinations(children_cut, 2):
-                assert a not in cut_tree.subtree_indices(b)
-                assert b not in cut_tree.subtree_indices(a)
+                assert a not in subtree_indices(cut_tree, b)
+                assert b not in subtree_indices(cut_tree, a)
 
     def test_expand_cost_increase_reveals_more(self, tree, probs):
         """Paper §III: a higher EXPAND cost reveals more concepts per cut."""
-        component = frozenset(tree.iter_dfs())
-        cut_tree = CutTree.from_component(tree, probs, component, tree.root)
+        component = Component(tree, tree.root)
+        cut_tree = CutTree.from_component(tree, probs, component)
         cheap = OptEdgeCut(cut_tree, probs, CostParams(expand_cost=0.1)).solve()
         expensive = OptEdgeCut(cut_tree, probs, CostParams(expand_cost=50.0)).solve()
         assert len(expensive.cut) >= len(cheap.cut)
@@ -159,8 +157,8 @@ class TestOptEdgeCut:
             }
         )
         probs = ProbabilityModel(tree, lambda n: 1000, upper_threshold=100, lower_threshold=1)
-        component = frozenset(tree.iter_dfs())
-        cut_tree = CutTree.from_component(tree, probs, component, tree.root)
+        component = Component(tree, tree.root)
+        cut_tree = CutTree.from_component(tree, probs, component)
         best = OptEdgeCut(cut_tree, probs).solve()
         index = {payload: i for i, payload in enumerate(cut_tree.payload)}
         cut_children = {cut_tree.payload[c] for _, c in best.cut}

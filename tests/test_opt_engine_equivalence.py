@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.cost_model import CostParams
-from repro.core.navigation_tree import NavigationTree
+from repro.core.edgecut import Component
 from repro.core.opt_edgecut import MAX_OPT_NODES, CutTree, OptEdgeCut
 from repro.core.probabilities import ProbabilityModel
 from repro.hierarchy.concept import ConceptHierarchy
+from tests.oracles.member_sets import tree_from_mapping
 from tests.oracles.opt_edgecut_reference import ReferenceOptEdgeCut, engine_memo_items
 
 
@@ -36,10 +38,9 @@ def random_scenario(size: int, seed: int):
     annotations = {
         n: set(rng.sample(range(120), rng.randint(1, 25))) for n in nodes
     }
-    tree = NavigationTree.build(h, annotations)
+    tree = tree_from_mapping(h, annotations)
     probs = ProbabilityModel(tree, lambda n: 500)
-    component = frozenset(tree.iter_dfs())
-    return CutTree.from_component(tree, probs, component, tree.root), probs
+    return CutTree.from_component(tree, probs, Component(tree, tree.root)), probs
 
 
 def supernode_cut_tree(seed: int, size: int) -> CutTree:
@@ -53,7 +54,7 @@ def supernode_cut_tree(seed: int, size: int) -> CutTree:
     for _ in range(size):
         counts = [rng.randint(1, 8) for _ in range(rng.randint(1, 4))]
         member_counts.append(counts)
-        results.append(frozenset(rng.sample(range(200), sum(counts))))
+        results.append(np.array(rng.sample(range(200), sum(counts)), dtype=np.int64))
     return CutTree(
         children=children,
         results=results,
@@ -86,7 +87,7 @@ def threshold_cut_tree(seed: int, size: int, distinct: int) -> CutTree:
         member_counts.append(
             [b - a for a, b in zip([0] + cuts, cuts + [len(citations)])]
         )
-        results.append(frozenset(citations))
+        results.append(np.array(citations, dtype=np.int64))
     return CutTree(
         children=children,
         results=results,
@@ -104,7 +105,7 @@ def shared_probs():
     host tree is irrelevant for hand-built CutTrees.
     """
     h = ConceptHierarchy.from_parents([-1, 0], ["root", "a"])
-    tree = NavigationTree.build(h, {1: set(range(30))})
+    tree = tree_from_mapping(h, {1: set(range(30))})
     return ProbabilityModel(tree, lambda n: 1000)
 
 

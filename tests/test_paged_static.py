@@ -8,6 +8,7 @@ from repro.core.active_tree import ActiveTree
 from repro.core.paged_static import PagedStaticNavigation
 from repro.core.session import NavigationSession
 from repro.core.simulator import navigate_to_target
+from tests.oracles.member_sets import subtree_results
 
 
 class TestPaging:
@@ -17,9 +18,9 @@ class TestPaging:
         decision = strategy.choose_cut(active, fragment_tree.root)
         assert len(decision.cut) == 2
         revealed = [child for _, child in decision.cut]
-        counts = [len(fragment_tree.subtree_results(c)) for c in revealed]
+        counts = [len(subtree_results(fragment_tree, c)) for c in revealed]
         all_counts = sorted(
-            (len(fragment_tree.subtree_results(c)) for c in fragment_tree.children(fragment_tree.root)),
+            (len(subtree_results(fragment_tree, c)) for c in fragment_tree.children(fragment_tree.root)),
             reverse=True,
         )
         assert counts == all_counts[:2]

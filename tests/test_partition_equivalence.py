@@ -27,6 +27,7 @@ from repro.core.navigation_tree import NavigationTree
 from repro.core.probabilities import ProbabilityModel
 from repro.hierarchy.concept import ConceptHierarchy
 from tests.oracles import partition_reference as oracle
+from tests.oracles.member_sets import tree_from_mapping
 
 SHAPES = ("random", "star", "chain", "broom", "bushy")
 #: "halves" (non-integral) and "huge" (2^40-scale) weights stay exactly
@@ -219,7 +220,7 @@ def navigation_instance(rng: random.Random, size: int):
         for node in range(1, size)
         if rng.random() < 0.8
     }
-    tree = NavigationTree.build(hierarchy, annotations)
+    tree = tree_from_mapping(hierarchy, annotations)
     lt = {node: rng.choice((2, 50, 500, 5000)) for node in range(size)}
     return tree, ProbabilityModel(tree, lt.__getitem__)
 
@@ -227,7 +228,7 @@ def navigation_instance(rng: random.Random, size: int):
 def random_cut(rng: random.Random, tree: NavigationTree, component, root):
     """A valid EdgeCut of ``component``: parent edges of unrelated nodes."""
     chosen: List[int] = []
-    candidates = sorted(component - {root})
+    candidates = sorted(set(component) - {root})
     rng.shuffle(candidates)
     for node in candidates[: rng.randint(1, 4)]:
         if not any(
@@ -285,6 +286,6 @@ class TestBestCut:
             ref_parents, _, _, ref_ids = oracle.preorder_arrays(
                 adjacency, root, dict.fromkeys(component, 0)
             )
-            positions, parents, _ = tree.component_arrays(active.interval(root))
+            positions, parents, _ = tree.component_arrays(active.component(root))
             assert tree.preorder_array()[positions].tolist() == ref_ids
             assert parents.tolist() == ref_parents

@@ -27,6 +27,7 @@ from repro.pipeline.stages import (
     params_key,
 )
 from repro.core.cost_model import CostParams
+from tests.oracles.member_sets import component_from_members
 
 
 @pytest.fixture()
@@ -49,8 +50,8 @@ class TestContentKeys:
     def test_component_digest_is_order_insensitive(self, fragment_tree):
         root = fragment_tree.root
         members = sorted(fragment_tree.iter_dfs())
-        forward = Component.from_members(fragment_tree, members, root)
-        backward = Component.from_members(fragment_tree, members[::-1], root)
+        forward = component_from_members(fragment_tree, members, root)
+        backward = component_from_members(fragment_tree, members[::-1], root)
         assert component_digest(forward) == component_digest(backward)
         child = fragment_tree.children(root)[0]
         upper, lowers = forward.cut([(root, child)])
@@ -80,7 +81,7 @@ class TestContentKeys:
         first, second = nav.tree.children(root)[:2]
 
         def component(*members):
-            return Component.from_members(nav.tree, members, root)
+            return component_from_members(nav.tree, members, root)
 
         def key(solver, *members, **options):
             return CutStage.key(
@@ -184,14 +185,14 @@ class TestPipelineStrategy:
             params=pipeline.params,
             max_reduced_nodes=pipeline.max_reduced_nodes,
         )
-        component = frozenset(nav.tree.iter_dfs())
+        component = Component(nav.tree, nav.tree.root)
         root = nav.tree.root
         assert wrapped.best_cut(component, root).cut == bare.best_cut(component, root).cut
 
     def test_repeat_best_cut_hits_the_cut_cache(self, pipeline):
         nav = pipeline.nav_tree("prothymosin")
         strategy = pipeline.strategy(nav, "heuristic")
-        component = frozenset(nav.tree.iter_dfs())
+        component = Component(nav.tree, nav.tree.root)
         first = strategy.best_cut(component, nav.tree.root)
         stats = pipeline.stage_stats()[CutStage.name]
         assert stats["builds"] == 1
@@ -206,7 +207,7 @@ class TestPipelineStrategy:
         # Whichever session expands first, a session with other solver
         # options must get its own plan, not the one cached for the other.
         nav = pipeline.nav_tree("prothymosin")
-        component = frozenset(nav.tree.iter_dfs())
+        component = Component(nav.tree, nav.tree.root)
         root = nav.tree.root
         assert len(component) > 10
         second = {"max_reduced_nodes": 5} if not first else {}

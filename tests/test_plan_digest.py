@@ -38,7 +38,7 @@ from repro.substrate import (
 )
 
 #: The key version the digest below was pinned under.
-PINNED_KEY_FORMAT_VERSION = 4
+PINNED_KEY_FORMAT_VERSION = 5
 #: sha-256 over every decision of :func:`walk_decisions`.
 PLAN_DIGEST = "fbcbe98594139687cc99dfa630edc3d004395641658f82e3d0fcad316260bcb1"
 
@@ -75,14 +75,14 @@ def walk_decisions(hierarchy, store, concept, **options):
     decisions = []
     for step in range(EXPANDS_PER_WALK):
         sizes = sorted(
-            (len(active.interval(r)), r) for r in active.component_roots()
+            (len(active.component(r)), r) for r in active.component_roots()
         )
         sizes = [(size, root) for size, root in sizes if size > 1]
         if not sizes:
             break
         # Alternate the largest component with the smallest expandable one.
         size, root = sizes[0] if step % 2 else sizes[-1]
-        decision = solver.best_cut(active.interval(root), root)
+        decision = solver.best_cut(active.component(root), root)
         decisions.append(
             (root, decision.cut, decision.reduced_size, repr(decision.expected_cost))
         )

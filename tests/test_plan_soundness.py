@@ -78,11 +78,11 @@ def test_every_plan_equals_a_fresh_solve(deployment, rng, small_first):
         order = [2] * 4 + order
     for index in order:
         options, strategy, active = states[index]
-        roots = sorted(r for r in active.component_roots() if len(active.interval(r)) > 1)
+        roots = sorted(r for r in active.component_roots() if len(active.component(r)) > 1)
         if not roots:
             continue
         root = rng.choice(roots)
-        component = active.interval(root)
+        component = active.component(root)
         decision = strategy.choose_cut(active, root)
         assert decision == fresh(nav, pipeline, component, root, **options)
         active.expand(root, decision.cut)
@@ -96,14 +96,14 @@ def walk(nav, steps=10):
     visited = []
     for step in range(steps):
         sizes = sorted(
-            (len(active.interval(r)), r)
+            (len(active.component(r)), r)
             for r in active.component_roots()
-            if len(active.interval(r)) > 1
+            if len(active.component(r)) > 1
         )
         if not sizes:
             break
         _, root = sizes[0] if step % 2 else sizes[-1]
-        component = active.interval(root)
+        component = active.component(root)
         decision = strategy.best_cut(component, root)
         visited.append((component, root, decision))
         active.expand(root, decision.cut)

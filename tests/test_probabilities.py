@@ -6,14 +6,15 @@ import math
 
 import pytest
 
-from repro.core.navigation_tree import NavigationTree
+from repro.core.edgecut import Component
 from repro.core.probabilities import ProbabilityModel
 from repro.hierarchy.concept import ConceptHierarchy
+from tests.oracles.member_sets import component_from_members, tree_from_mapping
 
 
 def build_tree(annotations):
     h = ConceptHierarchy.from_parents([-1, 0, 1, 1, 0], ["root", "a", "b", "c", "d"])
-    return NavigationTree.build(h, annotations)
+    return tree_from_mapping(h, annotations)
 
 
 @pytest.fixture()
@@ -57,11 +58,13 @@ class TestExploreProbability:
     def test_component_probability_is_sum(self, tree):
         probs = ProbabilityModel(tree, flat_counts)
         expected = probs.explore_node(1) + probs.explore_node(2)
-        assert probs.explore([1, 2]) == pytest.approx(expected)
+        assert probs.explore(component_from_members(tree, [1, 2], 1)) == pytest.approx(
+            expected
+        )
 
     def test_whole_tree_component_has_probability_one(self, tree):
         probs = ProbabilityModel(tree, flat_counts)
-        assert probs.explore(tree.iter_dfs()) == pytest.approx(1.0)
+        assert probs.explore(Component(tree, tree.root)) == pytest.approx(1.0)
 
     def test_tiny_lt_clamped(self, tree):
         # LT of 0 or 1 would zero/negate the log; it must be clamped.
@@ -77,23 +80,19 @@ class TestExploreProbability:
 class TestExpandProbability:
     def test_singleton_never_expands(self, tree):
         probs = ProbabilityModel(tree, flat_counts)
-        assert probs.expand(frozenset({2}), 2) == 0.0
+        assert probs.expand(Component(tree, 2)) == 0.0
 
     def test_big_components_always_expand(self, tree):
         probs = ProbabilityModel(tree, flat_counts, upper_threshold=20)
-        component = frozenset(tree.iter_dfs())
-        assert probs.expand(component, tree.root) == 1.0
+        assert probs.expand(Component(tree, tree.root)) == 1.0
 
     def test_small_components_never_expand(self, tree):
         probs = ProbabilityModel(tree, flat_counts, lower_threshold=10)
-        component = frozenset({3, 4})  # R = |20..29 ∪ 0..4| = 15 ... above
-        small = frozenset({4})
-        assert probs.expand(small, 4) == 0.0
+        assert probs.expand(Component(tree, 4)) == 0.0
 
     def test_entropy_band_between_thresholds(self, tree):
         probs = ProbabilityModel(tree, flat_counts, upper_threshold=100, lower_threshold=1)
-        component = frozenset({1, 2, 3})
-        value = probs.expand(component, 1)
+        value = probs.expand(Component(tree, 1))
         assert 0.0 < value <= 1.0
 
     def test_uniform_distribution_gives_high_entropy(self):

@@ -12,7 +12,7 @@ from repro.complexity.mes import MESInstance, mes_optimum
 from repro.complexity.reduction import mes_to_ted, ted_subtree_count_for_k
 from repro.complexity.ted import ted_best_duplicates
 from repro.core.active_tree import ActiveTree
-from repro.core.edgecut import component_edges, is_valid_edgecut
+from repro.core.edgecut import Component, is_valid_edgecut
 from repro.core.heuristic import HeuristicReducedOpt
 from repro.core.navigation_tree import NavigationTree
 from repro.core.opt_edgecut import CutTree, OptEdgeCut
@@ -21,6 +21,12 @@ from repro.core.probabilities import ProbabilityModel
 from repro.hierarchy.concept import ConceptHierarchy
 from repro.storage.index import InvertedIndex, tokenize
 from tests.oracles.active_tree_reference import cut_components
+from tests.oracles.member_sets import (
+    component_edges,
+    is_valid_member_cut,
+    subtree_results,
+    tree_from_mapping,
+)
 from tests.oracles.opt_edgecut_reference import ReferenceOptEdgeCut
 from tests.oracles.partition_reference import preorder_arrays
 
@@ -49,20 +55,21 @@ def navigation_scenarios(draw, max_nodes: int = 20, max_citations: int = 30):
                 st.sets(st.integers(1, max_citations), min_size=1, max_size=8)
             )
             annotations[node] = ids
-    tree = NavigationTree.build(h, annotations)
+    tree = tree_from_mapping(h, annotations)
     return h, annotations, tree
 
 
 @st.composite
 def random_valid_cuts(draw, tree: NavigationTree, component):
     """A random valid EdgeCut: greedily add non-conflicting edges."""
-    edges = component_edges(tree, component)
+    members = frozenset(component)
+    edges = component_edges(tree, members)
     chosen: List[Tuple[int, int]] = []
     for edge in edges:
         if not draw(st.booleans()):
             continue
         candidate = chosen + [edge]
-        if is_valid_edgecut(tree, component, candidate):
+        if is_valid_member_cut(tree, members, candidate):
             chosen.append(edge)
     return chosen
 
@@ -92,7 +99,7 @@ class TestEmbeddingProperties:
     def test_subtree_results_monotone_in_ancestry(self, scenario):
         _, _, tree = scenario
         for parent, child in tree.edges():
-            assert tree.subtree_results(child) <= tree.subtree_results(parent)
+            assert subtree_results(tree, child) <= subtree_results(tree, parent)
 
     @given(navigation_scenarios())
     @settings(max_examples=60, deadline=None)
@@ -101,7 +108,7 @@ class TestEmbeddingProperties:
         union: Set[int] = set()
         for ids in annotations.values():
             union |= ids
-        assert tree.all_results() == frozenset(union)
+        assert subtree_results(tree, tree.root) == frozenset(union)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +146,7 @@ class TestEdgeCutProperties:
             # node is visible or inside exactly one component.
             seen: Set[int] = set()
             for root in active.component_roots():
-                members = active.component(root)
+                members = frozenset(active.component(root))
                 assert not (seen & (members - {root}))
                 seen |= members
             for n in tree.iter_dfs():
@@ -175,8 +182,7 @@ class TestOptimizerProperties:
         if tree.size() < 2:
             return
         probs = ProbabilityModel(tree, lambda n: 100)
-        component = frozenset(tree.iter_dfs())
-        cut_tree = CutTree.from_component(tree, probs, component, tree.root)
+        cut_tree = CutTree.from_component(tree, probs, Component(tree, tree.root))
         best = OptEdgeCut(cut_tree, probs).solve()
         reference = ReferenceOptEdgeCut(cut_tree, probs)
         full = frozenset(range(len(cut_tree)))
@@ -193,7 +199,7 @@ class TestOptimizerProperties:
             return
         probs = ProbabilityModel(tree, lambda n: 100)
         strategy = HeuristicReducedOpt(tree, probs, max_reduced_nodes=6)
-        component = frozenset(tree.iter_dfs())
+        component = Component(tree, tree.root)
         decision = strategy.best_cut(component, tree.root)
         assert decision.cut
         assert is_valid_edgecut(tree, component, decision.cut)
@@ -273,7 +279,7 @@ class TestProbabilityProperties:
     @settings(max_examples=100, deadline=None)
     def test_expand_probability_bounded(self, counts, distinct):
         h = ConceptHierarchy.from_parents([-1, 0], ["MeSH", "a"])
-        tree = NavigationTree.build(h, {1: {1}})
+        tree = tree_from_mapping(h, {1: {1}})
         probs = ProbabilityModel(tree, lambda n: 100)
         value = probs.expand_from_distribution(counts, distinct)
         assert 0.0 <= value <= 1.0

@@ -16,12 +16,13 @@ import random
 import pytest
 
 from repro.core.cost_model import CostParams
+from repro.core.edgecut import Component
 from repro.core.evaluation import expected_strategy_cost
-from repro.core.navigation_tree import NavigationTree
 from repro.core.probabilities import ProbabilityModel
 from repro.core.strategy import ExpansionStrategy, SolverCapabilities
 from repro.hierarchy.concept import ConceptHierarchy
 from repro.pipeline.registry import SolverRegistry, default_registry
+from tests.oracles.member_sets import tree_from_mapping
 from tests.oracles.opt_edgecut_reference import ReferenceOptEdgeCutStrategy
 
 
@@ -38,7 +39,7 @@ def random_scenario(size: int, seed: int):
     annotations = {
         n: set(rng.sample(range(120), rng.randint(1, 25))) for n in nodes
     }
-    tree = NavigationTree.build(h, annotations)
+    tree = tree_from_mapping(h, annotations)
     probs = ProbabilityModel(tree, lambda n: 500)
     return tree, probs
 
@@ -129,7 +130,7 @@ class TestCrossSolverEquivalence:
             rng = random.Random(seed)
             size = rng.randint(2, 10)
             tree, probs = random_scenario(size, 7_000 + seed)
-            component = frozenset(tree.iter_dfs())
+            component = Component(tree, tree.root)
             oracle = ReferenceOptEdgeCutStrategy(tree, probs, params=params)
             expected = oracle.best_cut(component, tree.root)
             for name in optimal:
@@ -147,7 +148,7 @@ class TestCrossSolverEquivalence:
             rng = random.Random(seed)
             size = rng.randint(2, 10)
             tree, probs = random_scenario(size, 11_000 + seed)
-            component = frozenset(tree.iter_dfs())
+            component = Component(tree, tree.root)
             oracle = ReferenceOptEdgeCutStrategy(tree, probs)
             heuristic = registry.create(
                 "heuristic", tree, probs, max_reduced_nodes=10

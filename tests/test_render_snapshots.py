@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro.core.active_tree import ActiveTree
 from repro.viz.render import render_active_tree, render_navigation_tree
+from tests.oracles.member_sets import subtree_results
 
 # The fragment annotations attach citations only to specific concepts, so
 # the maximum embedding splices out the empty category nodes ("Amino
@@ -30,9 +31,9 @@ class TestStaticSnapshot:
         assert text == FIG1_SNAPSHOT
 
     def test_snapshot_counts_cross_check(self, fragment_tree, fragment_hierarchy):
-        assert len(fragment_tree.all_results()) == 105
+        assert len(subtree_results(fragment_tree, fragment_tree.root)) == 105
         chromatin = fragment_hierarchy.by_label("Chromatin")
-        assert len(fragment_tree.subtree_results(chromatin)) == 20
+        assert len(subtree_results(fragment_tree, chromatin)) == 20
 
 
 class TestActiveSnapshot:

@@ -8,6 +8,7 @@ from repro.core.heuristic import HeuristicReducedOpt
 from repro.core.session import NavigationSession
 from repro.core.static_nav import StaticNavigation
 from repro.core.strategy import CutDecision, ExpansionStrategy
+from tests.oracles.member_sets import subtree_results
 
 
 class EmptyCutStrategy(ExpansionStrategy):
@@ -72,7 +73,7 @@ class TestShowResults:
 
     def test_show_results_on_root_lists_everything(self, session, fragment_tree):
         pmids = session.show_results(fragment_tree.root)
-        assert len(pmids) == len(fragment_tree.all_results())
+        assert len(pmids) == len(subtree_results(fragment_tree, fragment_tree.root))
         assert session.total_cost == session.navigation_cost + len(pmids)
 
 

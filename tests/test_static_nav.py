@@ -48,7 +48,7 @@ class TestStaticNavigation:
         active = ActiveTree(fragment_tree)
         active.expand(fragment_tree.root, strategy.choose_cut(active, fragment_tree.root).cut)
         assert not active.is_expandable(fragment_tree.root)
-        assert active.component(fragment_tree.root) == frozenset({fragment_tree.root})
+        assert frozenset(active.component(fragment_tree.root)) == {fragment_tree.root}
 
     def test_reveal_count_matches_child_count(self, fragment_tree):
         strategy = StaticNavigation(fragment_tree)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from repro.core.active_tree import ActiveTree
 from repro.viz.render import render_active_tree, render_navigation_tree, render_rows
+from tests.oracles.member_sets import subtree_results
 
 
 class TestRenderNavigationTree:
@@ -16,7 +17,7 @@ class TestRenderNavigationTree:
     def test_root_count_is_distinct_total(self, fragment_tree):
         text = render_navigation_tree(fragment_tree)
         first_line = text.splitlines()[0]
-        assert first_line == "MeSH (%d)" % len(fragment_tree.all_results())
+        assert first_line == "MeSH (%d)" % len(subtree_results(fragment_tree, fragment_tree.root))
 
     def test_truncation_adds_more_nodes_line(self, fragment_tree):
         text = render_navigation_tree(fragment_tree, max_children=1)
@@ -43,7 +44,7 @@ class TestRenderActiveTree:
     def test_initial_view_is_root_with_hyperlink(self, fragment_tree):
         active = ActiveTree(fragment_tree)
         text = render_active_tree(active)
-        assert text == "MeSH (%d) >>>" % len(fragment_tree.all_results())
+        assert text == "MeSH (%d) >>>" % len(subtree_results(fragment_tree, fragment_tree.root))
 
     def test_after_expansion_shows_revealed_nodes(self, fragment_tree, fragment_hierarchy):
         active = ActiveTree(fragment_tree)

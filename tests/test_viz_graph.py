@@ -7,6 +7,7 @@ import networkx as nx
 from repro.core.active_tree import ActiveTree
 from repro.core.static_nav import StaticNavigation
 from repro.viz.graph import active_tree_to_networkx, navigation_tree_to_networkx, to_dot
+from tests.oracles.member_sets import subtree_results
 
 
 class TestNavigationTreeExport:
@@ -22,7 +23,7 @@ class TestNavigationTreeExport:
         data = graph.nodes[apoptosis]
         assert data["label"] == "Apoptosis"
         assert data["results"] == 35
-        assert data["subtree_results"] == len(fragment_tree.subtree_results(apoptosis))
+        assert data["subtree_results"] == len(subtree_results(fragment_tree, apoptosis))
         assert data["depth"] == fragment_tree.tree_depth(apoptosis)
 
     def test_root_reaches_everything(self, fragment_tree):

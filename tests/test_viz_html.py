@@ -8,6 +8,7 @@ from repro.core.active_tree import ActiveTree
 from repro.core.relevance import ranked_visualization
 from repro.core.static_nav import StaticNavigation
 from repro.viz.html import active_tree_to_html, navigation_tree_to_html, rows_to_html
+from tests.oracles.member_sets import subtree_results
 
 
 @pytest.fixture()
@@ -72,7 +73,7 @@ class TestNavigationTreeHtml:
     def test_counts_are_subtree_counts(self, fragment_tree, fragment_hierarchy):
         page = navigation_tree_to_html(fragment_tree)
         apoptosis = fragment_hierarchy.by_label("Apoptosis")
-        count = len(fragment_tree.subtree_results(apoptosis))
+        count = len(subtree_results(fragment_tree, apoptosis))
         assert "Apoptosis</span> <span class=\"count\">(%d)" % count in page
 
     def test_no_expand_links_in_static_export(self, fragment_tree):

@@ -22,10 +22,12 @@ trip at runtime in a cold-cache path no test exercises:
 * ``object.__setattr__`` anywhere outside the artifact-defining
   modules (the only way to write a frozen dataclass, so any appearance
   elsewhere is a bypass);
-* attribute assignment on a receiver annotated as a pipeline artifact
-  type (``nav: NavTreeArtifact`` … ``nav.query = ...``).  Subscript
-  stores through artifact attributes (``nav.field[k] = v``) are not
-  flagged; only direct attribute stores are.
+* any store through a receiver annotated as a pipeline artifact type
+  (``nav: NavTreeArtifact`` … ``nav.query = ...``): attribute
+  assignment, augmented assignment and deletion, and the same stores
+  into a container reached through one of its attributes
+  (``nav.field[k] = v``, ``nav.field[k] += v``, ``del nav.field[k]``) —
+  a frozen dataclass does not freeze what its fields hold.
 
 Exempt: ``__init__`` methods assigning fresh arrays on ``self`` (the
 model's constructor builds its arrays there).  Anything else
@@ -161,18 +163,18 @@ class _Walker(ast.NodeVisitor):
                 "construction" % (field, verb),
             )
             return
-        # Direct attribute store on an annotated artifact receiver.
-        if (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and not self._in_builder()
-        ):
-            artifact = self._artifact_type_of(target.value.id)
+        # A store through an annotated artifact receiver: on one of its
+        # attributes, or on a subscript or attribute chain below one.
+        root = target
+        while isinstance(root, (ast.Subscript, ast.Attribute)):
+            root = root.value
+        if root is not target and isinstance(root, ast.Name) and not self._in_builder():
+            artifact = self._artifact_type_of(root.id)
             if artifact is not None:
                 self._flag(
                     line,
-                    "attribute '%s.%s' assigned on frozen artifact type %s"
-                    % (target.value.id, target.attr, artifact),
+                    "'%s' %s through frozen artifact type %s"
+                    % (ast.unparse(target), verb, artifact),
                 )
 
     def visit_Assign(self, node: ast.Assign) -> None:

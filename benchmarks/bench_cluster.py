@@ -15,7 +15,7 @@ file-backed L2 — and gates what the GIL forbids in-process:
 * zero lost sessions — every cluster session id handed out still
   answers at the end of the run — and zero shed requests;
 * a warm cross-worker L2 hit: a navigation tree built by worker 0 is
-  fetched, not rebuilt, by worker 1 (pipeline ledger deltas prove it).
+  fetched, not rebuilt, by worker 1 (its nav_tree stage-row deltas prove it).
 
 ``CLUSTER_BENCH_SMOKE=1`` runs a reduced 2-worker load for CI smoke
 (asserts the no-shed/no-lost and L2 invariants only; does not gate
@@ -109,11 +109,11 @@ def demo_cross_worker_l2(cluster: BioNavCluster, keyword: str) -> dict:
     """Prove the warm cross-worker hit on a cold fleet.
 
     Drive the same query through worker 0 then worker 1 directly and
-    read worker 1's pipeline ledger: its navigation tree must arrive
+    read worker 1's nav_tree stage row: its navigation tree must arrive
     via L2 fetch (``l2_hits`` grows) with zero local ``builds``.
     """
     def nav_tree_row() -> dict:
-        return cluster._supervisor.call(1, "stats")["pipeline"]["nav_tree"]
+        return cluster.stats()["workers"][1]["stats"]["pipeline"]["nav_tree"]
 
     before = nav_tree_row()
     cluster._supervisor.call(0, "search", {"query": keyword})

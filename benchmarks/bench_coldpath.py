@@ -215,10 +215,10 @@ def first_expand(store, tree: NavigationTree) -> dict:
     prob_model_new_s, probs = fastest(lambda: ProbabilityModel(tree, store))
     component = Component(tree, tree.root)
     first_expand_ref_s, ref = fastest(
-        lambda: ReferenceHeuristicReducedOpt(tree, probs).best_cut(component, tree.root)
+        lambda: ReferenceHeuristicReducedOpt(tree, probs).best_cut(component)
     )
     first_expand_new_s, new = fastest(
-        lambda: HeuristicReducedOpt(tree, probs).best_cut(component, tree.root)
+        lambda: HeuristicReducedOpt(tree, probs).best_cut(component)
     )
     return {
         **first_expand_layers(tree, probs, component),

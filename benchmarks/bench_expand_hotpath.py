@@ -15,10 +15,12 @@ repository root:
   decision can be descheduled for tens of milliseconds under 4
   CPU-bound threads), none of which is the decision path gated here.
 * a solo probe client then replays warm EXPANDs with the pool idle.
-  The runtime's :class:`~repro.analysis.runtime.SolverProfile`
-  records one timing per EXPAND decision; the records appended during
-  the probe are exactly its warm decisions.  Gate: warm per-EXPAND
-  decision p99 below one millisecond.
+  The runtime's metrics registry records every EXPAND decision in its
+  ``solver.decision_seconds`` histogram; the histogram's growth between
+  a snapshot before and one after the probe is exactly the probe's warm
+  decisions.  Gate: warm per-EXPAND decision p99 below one millisecond.
+  The quantiles read bucket upper bounds, so they never read lower than
+  the exact nearest-rank value (and at most ~19% higher).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import time
 from pathlib import Path
 
 from repro.bionav import BioNav
+from repro.obs import histogram, quantile
 from repro.serving import ServingRuntime
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_expand_hotpath.json"
@@ -39,6 +42,22 @@ CLIENTS = 4
 ITERATIONS = 25
 PROBE_EXPANDS = 300
 P99_FLOOR_MS = 1.0
+DECISIONS = "solver.decision_seconds"
+
+
+def decisions_between(before: dict, after: dict) -> dict:
+    """The decision histogram of the EXPANDs between two snapshots.
+
+    Its ``max`` is the all-time maximum, an upper bound the quantiles
+    are capped at.
+    """
+    old, new = histogram(before, DECISIONS), histogram(after, DECISIONS)
+    return {
+        "count": new["count"] - old["count"],
+        "sum": new["sum"] - old["sum"],
+        "max": new["max"],
+        "buckets": [b - a for a, b in zip(old["buckets"], new["buckets"])],
+    }
 
 
 def run_serving_measurement(workload) -> dict:
@@ -99,12 +118,12 @@ def run_serving_measurement(workload) -> dict:
         assert requests, "no EXPAND latencies recorded"
 
         # Phase B — solo probe: warm per-EXPAND decision latency with the
-        # pool idle.  Every profile record appended during the probe is a
-        # warm, cut-cache-served decision.  The cyclic collector is
+        # pool idle.  Every decision recorded during the probe is a warm,
+        # cut-cache-served decision.  The cyclic collector is
         # paused for the probe (standard latency-bench hygiene): a GC
         # pause landing inside the timed decision would charge the
         # allocator, not the §IV evaluation path this gate certifies.
-        probe_mark = len(runtime.profile)
+        before = runtime.metrics.snapshot()
         rng = random.Random(4999)
         gc.collect()
         gc.disable()
@@ -117,12 +136,10 @@ def run_serving_measurement(workload) -> dict:
                 runtime.backtrack(opened.session)
         finally:
             gc.enable()
-        decisions = sorted(
-            timing.seconds for timing in runtime.profile.snapshot()[probe_mark:]
-        )
-        assert len(decisions) == PROBE_EXPANDS, (
-            "profile recorded %d decisions for %d probe EXPANDs"
-            % (len(decisions), PROBE_EXPANDS)
+        decisions = decisions_between(before, runtime.metrics.snapshot())
+        assert decisions["count"] == PROBE_EXPANDS, (
+            "registry recorded %d decisions for %d probe EXPANDs"
+            % (decisions["count"], PROBE_EXPANDS)
         )
 
         def percentile(series, q: float) -> float:
@@ -137,10 +154,10 @@ def run_serving_measurement(workload) -> dict:
             "request_p50_ms": percentile(requests, 50) * 1000.0,
             "request_p99_ms": percentile(requests, 99) * 1000.0,
             "probe_expands": PROBE_EXPANDS,
-            "warm_decision_p50_ms": percentile(decisions, 50) * 1000.0,
-            "warm_decision_p95_ms": percentile(decisions, 95) * 1000.0,
-            "warm_decision_p99_ms": percentile(decisions, 99) * 1000.0,
-            "warm_decision_max_ms": decisions[-1] * 1000.0,
+            "warm_decision_p50_ms": quantile(decisions, 0.50) * 1000.0,
+            "warm_decision_p95_ms": quantile(decisions, 0.95) * 1000.0,
+            "warm_decision_p99_ms": quantile(decisions, 0.99) * 1000.0,
+            "warm_decision_max_ms": quantile(decisions, 1.0) * 1000.0,
             "p99_floor_ms": P99_FLOOR_MS,
         }
     finally:

@@ -78,7 +78,7 @@ def test_bench_root_expand_decision(benchmark, prepared_queries, keyword):
 
     def decide():
         strategy = make_solver(prepared, "heuristic")
-        return strategy.best_cut(component, prepared.tree.root)
+        return strategy.best_cut(component)
 
     decision = benchmark(decide)
     assert decision.cut

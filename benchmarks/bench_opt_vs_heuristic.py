@@ -54,7 +54,7 @@ def test_heuristic_quality_vs_optimal(report, benchmark):
                 cut_tree = CutTree.from_component(tree, probs, component)
                 optimal = OptEdgeCut(cut_tree, probs).solve()
                 heuristic = HeuristicReducedOpt(tree, probs, max_reduced_nodes=6)
-                decision = heuristic.best_cut(component, tree.root)
+                decision = heuristic.best_cut(component)
                 results.append((tree.size(), seed, optimal, decision))
         return results
 
@@ -135,7 +135,7 @@ def test_bench_heuristic_on_small_tree(benchmark):
 
     def solve():
         return HeuristicReducedOpt(tree, probs, max_reduced_nodes=6).best_cut(
-            component, tree.root
+            component
         )
 
     decision = benchmark(solve)

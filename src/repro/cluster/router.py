@@ -21,12 +21,16 @@ interchangeably.  Underneath, requests fan out to a
   the search) without consulting the respawned worker.  Other
   workers' sessions never notice.
 * **Crash windows** — a request in flight when its worker dies
-  surfaces as :class:`~repro.serving.admission.RetryLater` (``503`` +
+  surfaces as :class:`~repro.serving.dispatcher.RetryLater` (``503`` +
   ``Retry-After``), the same contract as load shedding.
 
-``health()`` and ``stats()`` merge the per-worker answers with
-fleet-level rows: per-shard queue depth, shed counts, respawns, and the
-L2 store's hit ratio.
+``health()`` merges the per-worker answers with fleet-level rows
+(per-shard queue depth, respawns).  ``stats()`` merges the workers'
+raw metrics snapshots with :func:`repro.obs.merge` — counters and
+histogram buckets add — and renders the result with the same
+:func:`~repro.serving.runtime.render_stats` a single process uses, so
+fleet counts, ratios and quantiles are exact arithmetic over every
+worker's events.
 """
 
 from __future__ import annotations
@@ -39,12 +43,14 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.bionav import BioNav
 from repro.cluster.workers import WorkerCrashed, WorkerSupervisor, WorkerUnavailable
-from repro.serving.admission import RetryLater
+from repro.obs import add_up, merge
+from repro.serving.dispatcher import RetryLater
 from repro.serving.runtime import (
     DEFAULT_RESULTS_PAGE_SIZE,
     ResultsView,
     SearchResult,
     SessionView,
+    render_stats,
 )
 from repro.serving.sessions import SessionExpired
 
@@ -272,74 +278,37 @@ class BioNavCluster:
     def stats(self) -> Dict[str, object]:
         """Fleet-merged operational statistics for ``GET /api/stats``.
 
-        Per-stage pipeline counters are summed across workers; hit
-        ratios and average build times are recomputed from the sums and
-        the slowest build is the fleet maximum.  The L2 block merges every
-        worker's view of the shared store; per-worker raw answers ride
-        along under ``workers`` for drill-down.
+        The workers' snapshots merge by addition and their gauges add
+        up; the ``l2`` directory census is one worker's reading, as
+        every worker reads the same shared directory.  Each worker's
+        own rendering rides along under ``workers`` for drill-down.
         """
         probed = self._probe("stats")
-        pipeline: Dict[str, Dict[str, float]] = {}
-        l2_totals: Dict[str, float] = {}
-        l2_census: Optional[Dict[str, Any]] = None
-        shed_total = 0
-        workers = []
-        for row, answer in probed:
-            entry: Dict[str, Any] = {
+        answers = [answer for _, answer in probed if answer is not None]
+        gauges: Dict[str, Any] = add_up(answer["gauges"] for answer in answers)
+        gauges["l2"] = answers[-1]["gauges"]["l2"] if answers else None
+        stats = render_stats(merge(answer["snapshot"] for answer in answers), gauges)
+        stats["cluster"] = {
+            "size": self.config.workers,
+            "crashes": self._supervisor.crashes,
+            "shed_total": stats["serving"]["shed"]["total"],
+        }
+        stats["workers"] = [
+            {
                 "name": row["name"],
                 "generation": row["generation"],
                 "alive": row["alive"],
                 "respawns": row["respawns"],
                 "queue_depth": row["queue_depth"],
-                "stats": answer,
+                "stats": (
+                    None
+                    if answer is None
+                    else render_stats(answer["snapshot"], answer["gauges"])
+                ),
             }
-            workers.append(entry)
-            if answer is None:
-                continue
-            for stage, stage_row in answer.get("pipeline", {}).items():
-                merged = pipeline.setdefault(stage, {})
-                for key, value in stage_row.items():
-                    if key == "build_ms_max":
-                        merged[key] = max(merged.get(key, 0.0), value)
-                    elif isinstance(value, (int, float)):
-                        merged[key] = merged.get(key, 0.0) + value
-            shed_total += int(answer.get("serving", {}).get("shed", {}).get("total", 0))
-            l2 = answer.get("l2")
-            if l2 is not None:
-                for key in ("hits", "misses", "publishes", "evictions", "errors"):
-                    l2_totals[key] = l2_totals.get(key, 0.0) + l2.get(key, 0)
-                # entries/bytes describe the shared directory: every
-                # worker reports the same census, so keep one reading.
-                l2_census = {"entries": l2.get("entries"), "bytes": l2.get("bytes")}
-        for merged in pipeline.values():
-            lookups = merged.get("hits", 0.0) + merged.get("misses", 0.0)
-            if "hit_ratio" in merged:
-                merged["hit_ratio"] = merged.get("hits", 0.0) / lookups if lookups else 0.0
-            if "build_ms_avg" in merged:
-                executed = merged.get("builds", 0.0) + merged.get("runs", 0.0)
-                merged["build_ms_avg"] = (
-                    1000.0 * merged.get("build_seconds_total", 0.0) / executed
-                    if executed
-                    else 0.0
-                )
-        l2_block: Optional[Dict[str, Any]] = None
-        if l2_census is not None:
-            attempts = l2_totals.get("hits", 0.0) + l2_totals.get("misses", 0.0)
-            l2_block = dict(l2_totals)
-            l2_block["hit_ratio"] = (
-                l2_totals.get("hits", 0.0) / attempts if attempts else 0.0
-            )
-            l2_block.update(l2_census)
-        return {
-            "cluster": {
-                "size": self.config.workers,
-                "crashes": self._supervisor.crashes,
-                "shed_total": shed_total,
-            },
-            "pipeline": pipeline,
-            "l2": l2_block,
-            "workers": workers,
-        }
+            for row, answer in probed
+        ]
+        return stats
 
     # ------------------------------------------------------------------
     # Lifecycle

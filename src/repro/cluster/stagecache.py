@@ -28,17 +28,24 @@ the same trust domain as the process memory the L1 caches live in — so
 pickle is an appropriate wire format.  Corrupt or truncated entries
 (a reader racing eviction, a torn disk) are treated as misses and
 deleted, never raised.
+
+Counting: the store counts only what it alone sees, ``l2.errors`` and
+``l2.evictions``, in its own :class:`~repro.obs.Metrics` registry
+(``metrics``).  L2 hits, misses and publishes are counted once per stage
+lookup by the consumer (:class:`~repro.pipeline.cache.StageCache`), so
+a lookup that waits for another worker's build is one hit however
+often :meth:`ClusterStageCache.wait_for` polls.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import threading
 import time
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
+from repro.obs import Metrics
 from repro.pipeline.artifacts import KEY_FORMAT_VERSION
 from repro.pipeline.cache import L2_MISS as MISS
 
@@ -103,9 +110,8 @@ class ClusterStageCache:
         stale_after: seconds after which another worker's build lock is
             considered abandoned and broken.
 
-    Thread safety: file operations are atomic per entry; the in-process
-    counters mutate under ``self._lock`` (the serving layer's
-    lock-discipline rule covers this class).
+    Thread safety: file operations are atomic per entry; the registry
+    locks itself.
     """
 
     def __init__(
@@ -126,12 +132,7 @@ class ClusterStageCache:
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.stale_after = stale_after
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._publishes = 0
-        self._evictions = 0
-        self._errors = 0
+        self.metrics = Metrics()
 
     # ------------------------------------------------------------------
     # Addressing
@@ -162,23 +163,17 @@ class ClusterStageCache:
             with open(path, "rb") as handle:
                 value = pickle.load(handle)
         except FileNotFoundError:
-            with self._lock:
-                self._misses += 1
             return MISS
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ImportError):
             # Torn write, or a stale class layout or module path from an
             # older build: drop the entry and let the caller rebuild it.
             path.unlink(missing_ok=True)
-            with self._lock:
-                self._errors += 1
-                self._misses += 1
+            self.metrics.add("l2.errors")
             return MISS
         try:
             os.utime(path)
         except OSError:
             pass  # evicted between read and touch; the value is still good
-        with self._lock:
-            self._hits += 1
         return value
 
     def wait_for(
@@ -220,11 +215,8 @@ class ClusterStageCache:
             os.replace(tmp, path)
         except (OSError, pickle.PicklingError, TypeError, ValueError, AttributeError):
             tmp.unlink(missing_ok=True)
-            with self._lock:
-                self._errors += 1
+            self.metrics.add("l2.errors")
             return False
-        with self._lock:
-            self._publishes += 1
         self._evict_over_budget()
         return True
 
@@ -267,30 +259,17 @@ class ClusterStageCache:
             total_bytes -= size
             excess += 1
         if excess:
-            with self._lock:
-                self._evictions += excess
+            self.metrics.add("l2.evictions", excess)
 
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    def stats(self) -> Dict[str, object]:
-        """Counters plus an on-disk size census (entries and bytes)."""
+    def census(self) -> Dict[str, int]:
+        """A live reading of the directory: stored ``entries`` and ``bytes``."""
         rows = self._scan()
-        with self._lock:
-            hits, misses = self._hits, self._misses
-            counters = {
-                "hits": hits,
-                "misses": misses,
-                "hit_ratio": hits / (hits + misses) if hits + misses else 0.0,
-                "publishes": self._publishes,
-                "evictions": self._evictions,
-                "errors": self._errors,
-            }
-        counters["entries"] = len(rows)
-        counters["bytes"] = sum(size for _, size, _ in rows)
-        return counters
+        return {"entries": len(rows), "bytes": sum(size for _, size, _ in rows)}
 
     def clear(self) -> None:
-        """Delete every stored entry (counters are kept)."""
+        """Delete every stored entry."""
         for _, _, path in self._scan():
             path.unlink(missing_ok=True)

@@ -43,7 +43,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bionav import BioNav
 from repro.cluster.stagecache import ClusterStageCache
-from repro.serving.admission import DeadlineExceeded, RetryLater
+from repro.obs import merge
+from repro.serving.dispatcher import DeadlineExceeded, RetryLater
 from repro.serving.runtime import ServingRuntime
 from repro.serving.sessions import SessionExpired
 
@@ -92,9 +93,14 @@ def _execute(
         if op == "health":
             return ("ok", runtime.health())
         if op == "stats":
-            stats = dict(runtime.stats())
-            stats["l2"] = l2.stats() if l2 is not None else None
-            return ("ok", stats)
+            # Raw, so the router can merge workers before rendering.
+            snapshots = [runtime.metrics.snapshot()]
+            gauges = runtime.gauges()
+            gauges["l2"] = None
+            if l2 is not None:
+                snapshots.append(l2.metrics.snapshot())
+                gauges["l2"] = l2.census()
+            return ("ok", {"snapshot": merge(snapshots), "gauges": gauges})
         if op == "ping":
             return ("ok", "pong")
         return ("err", "bad_request", {"message": "unknown operation %r" % op})

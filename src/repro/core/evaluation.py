@@ -75,7 +75,7 @@ def expected_strategy_cost(
             memo[key] = value
             return value
         p_expand = probs.expand(component)
-        decision = strategy.best_cut(component, component.root)
+        decision = strategy.best_cut(component)
         if not decision.cut:
             value = explore * result_count
             memo[key] = value

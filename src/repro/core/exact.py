@@ -57,9 +57,9 @@ class OptEdgeCutStrategy(ExpansionStrategy):
 
     def choose_cut(self, active: ActiveTree, node: int) -> CutDecision:
         """Solve ``node``'s component exactly and return its best cut."""
-        return self.best_cut(active.component(node), node)
+        return self.best_cut(active.component(node))
 
-    def best_cut(self, component: Component, root: int) -> CutDecision:
+    def best_cut(self, component: Component) -> CutDecision:
         """Optimal EdgeCut for one component (no active tree required).
 
         Raises:

@@ -79,10 +79,11 @@ class GoPubMedNavigation(ExpansionStrategy):
         return self._categories
 
     def choose_cut(self, active: ActiveTree, node: int) -> CutDecision:
-        return self.best_cut(active.component(node), node)
+        return self.best_cut(active.component(node))
 
-    def best_cut(self, component: Component, root: int) -> CutDecision:
+    def best_cut(self, component: Component) -> CutDecision:
         """Category bar at the root; top-k children elsewhere."""
+        root = component.root
         if root == self.tree.root:
             # The fixed category bar: reveal every predefined category
             # still hidden inside the root component.

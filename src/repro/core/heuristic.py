@@ -82,9 +82,9 @@ class HeuristicReducedOpt(ExpansionStrategy):
 
     # ------------------------------------------------------------------
     def choose_cut(self, active: ActiveTree, node: int) -> CutDecision:
-        return self.best_cut(active.component(node), node)
+        return self.best_cut(active.component(node))
 
-    def best_cut(self, component: Component, root: int) -> CutDecision:
+    def best_cut(self, component: Component) -> CutDecision:
         """Best EdgeCut for one component (no active tree required).
 
         Every call solves afresh under the component's own EXPLORE

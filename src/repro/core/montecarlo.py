@@ -71,7 +71,7 @@ def sample_walk(
 def _walk(
     tree: NavigationTree,
     probs: ProbabilityModel,
-    best_cut: Callable[[Component, int], CutDecision],
+    best_cut: Callable[[Component], CutDecision],
     rng: random.Random,
     params: Optional[CostParams],
     max_expands: int,
@@ -89,7 +89,7 @@ def _walk(
         component = stack.pop()
         result_count = len(component.distinct_results())
         p_expand = probs.expand(component)
-        decision = best_cut(component, component.root)
+        decision = best_cut(component)
         can_expand = bool(decision.cut) and expands < max_expands
         if can_expand and rng.random() < p_expand:
             expands += 1
@@ -133,10 +133,10 @@ def estimate_expected_cost(
         raise ValueError("n_walks must be positive")
     decisions: Dict[ComponentKey, CutDecision] = {}
 
-    def best_cut(component: Component, root: int) -> CutDecision:
+    def best_cut(component: Component) -> CutDecision:
         decision = decisions.get(component.key)
         if decision is None:
-            decision = decisions[component.key] = strategy.best_cut(component, root)
+            decision = decisions[component.key] = strategy.best_cut(component)
         return decision
 
     rng = random.Random(seed)

@@ -45,15 +45,16 @@ class PagedStaticNavigation(ExpansionStrategy):
         self.page_size = page_size
 
     def choose_cut(self, active: ActiveTree, node: int) -> CutDecision:
-        return self.best_cut(active.component(node), node)
+        return self.best_cut(active.component(node))
 
-    def best_cut(self, component: Component, root: int) -> CutDecision:
+    def best_cut(self, component: Component) -> CutDecision:
         """Cut the next page of root→child edges, ranked by citation count.
 
         Children still inside the component are the not-yet-shown ones;
         like GoPubMed, pages are ordered by descending subtree citation
         count so the heaviest categories surface first.
         """
+        root = component.root
         children = component_children(self.tree, component, root)
         ranked = sorted(
             children,

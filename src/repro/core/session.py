@@ -5,25 +5,25 @@ strategy and exposes the four user actions of the general navigation model
 — EXPAND, SHOWRESULTS, IGNORE, BACKTRACK — while a :class:`CostLedger`
 records the actual cost incurred, using the paper's unit charges.
 
-Sessions optionally carry a profiler (any object with a
-``record(node, seconds, reduced_size)`` method, e.g.
-:class:`repro.analysis.SolverProfile`); each EXPAND then reports how long
-the strategy spent choosing its cut — the latency Figure 10 measures.
+Sessions optionally carry a :class:`~repro.obs.Metrics` registry; each
+EXPAND then records how long the strategy spent choosing its cut — the
+latency Figure 10 measures — as one ``solver.decision_seconds``
+observation, and adds the decision's reduced-tree size to the
+``solver.reduced_size`` counter.  The memory this takes is fixed,
+however many EXPANDs a deployment serves.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.core.active_tree import ActiveTree, VisNode
 from repro.core.cost_model import CostLedger, CostParams
 from repro.core.navigation_tree import NavigationTree
 from repro.core.strategy import CutDecision, ExpansionStrategy
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.runtime import SolverProfile
+from repro.obs import Metrics
 
 __all__ = ["ExpandOutcome", "NavigationSession"]
 
@@ -55,22 +55,21 @@ class NavigationSession:
         tree: NavigationTree,
         strategy: ExpansionStrategy,
         params: Optional[CostParams] = None,
-        profiler: "Optional[SolverProfile]" = None,
+        metrics: Optional[Metrics] = None,
     ):
         """
         Args:
             tree: the query's navigation tree.
             strategy: EXPAND strategy (chooses EdgeCuts).
             params: cost-model unit costs.
-            profiler: optional per-EXPAND timing sink; anything exposing
-                ``record(node, seconds, reduced_size)`` works, so the core
-                stays importable without the analysis extras.
+            metrics: optional registry each EXPAND decision is recorded
+                in (see the module docstring).
         """
         self.tree = tree
         self.strategy = strategy
         self.active = ActiveTree(tree)
         self.ledger = CostLedger(params=params or CostParams())
-        self.profiler = profiler
+        self.metrics = metrics
         self._ignored: Set[int] = set()
         self._expand_log: List[ExpandOutcome] = []
 
@@ -91,10 +90,9 @@ class NavigationSession:
         elapsed = time.perf_counter() - started
         if not decision.cut:
             raise ValueError("strategy produced no cut for node %r" % (node,))
-        if self.profiler is not None:
-            self.profiler.record(
-                node=node, seconds=elapsed, reduced_size=decision.reduced_size
-            )
+        if self.metrics is not None:
+            self.metrics.observe("solver.decision_seconds", elapsed)
+            self.metrics.add("solver.reduced_size", decision.reduced_size)
         self.active.expand(node, decision.cut)
         revealed = tuple(child for _, child in decision.cut)
         self.ledger.charge_expand(len(revealed))

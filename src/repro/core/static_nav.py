@@ -42,10 +42,11 @@ class StaticNavigation(ExpansionStrategy):
         self.tree = tree
 
     def choose_cut(self, active: ActiveTree, node: int) -> CutDecision:
-        return self.best_cut(active.component(node), node)
+        return self.best_cut(active.component(node))
 
-    def best_cut(self, component: Component, root: int) -> CutDecision:
+    def best_cut(self, component: Component) -> CutDecision:
         """Cut every root→child edge of the component."""
+        root = component.root
         children = component_children(self.tree, component, root)
         cut: Tuple[Tuple[int, int], ...] = tuple((root, child) for child in children)
         return CutDecision(cut=cut, reduced_size=len(component))

@@ -1,46 +1,39 @@
 """Per-stage caching with hit/miss/latency accounting.
 
 :class:`StageCache` gives every pipeline stage its own
-:class:`~repro.pipeline.concurrency.SingleFlightCache` plus a latency
-ledger, under one façade: ``get_or_build(stage, key, builder)`` is the
-only way stage values come into existence, so hits, misses, coalesced
-lookups and build latency are measured at the exact point the work
-happens.  N concurrent requests missing on the same stage key still run
-the builder exactly once (the single-flight guarantee the serving layer
-relies on), and the per-stage counters feed ``GET /api/stats``.
+:class:`~repro.pipeline.concurrency.SingleFlightCache`:
+``get_or_build(stage, key, builder)`` is the only way stage values come
+into existence, so N concurrent misses on one key run the builder once,
+and hits, misses, coalesced lookups and build latency are counted where
+the work happens, in the cache's :class:`~repro.obs.Metrics` registry
+under ``pipeline.<stage>.``.  :func:`stage_rows` renders them as the
+per-stage rows of ``GET /api/stats``.  The uncached ``active_tree``
+stage reports through :meth:`StageCache.record_run`, and the pipeline
+declares every stage up front, so a cold deployment lists each one.
 
-Stages that are deliberately uncached — activating a session's active
-tree is per-user state — still report through :meth:`record_run`, so
-the stats surface covers every stage of the dataflow, cached or not.
-The pipeline declares each of its stages up front
-(:meth:`StageCache.declare`), so a stage has its zero row before its
-first lookup.
-
-An optional **L2** extends the single-flight guarantee across
-*processes*: when the in-process cache misses, the builder path first
-consults the L2 store (content-addressed by the same stage keys —
-:class:`repro.cluster.stagecache.ClusterStageCache` is the shipped
-implementation), takes the store's cross-process build lock, and
-publishes what it builds.  A navigation tree built by one cluster
-worker is then unpickled, never rebuilt, by the others.  The L2 is
-duck-typed (``stages``/``get``/``put``/``build_lock``/``wait_for``,
-with :data:`L2_MISS` as the miss sentinel) so this layer stays free of
-cluster imports.
-
-Thread safety follows the serving layer's lock discipline: every
-counter mutation happens inside ``self._lock`` (the per-stage entry
-stores live in ``SingleFlightCache`` instances, which lock themselves).
+An optional **L2** extends single-flight across *processes*: on an L1
+miss the builder path reads the L2 store (content-addressed by the same
+stage keys; :class:`repro.cluster.stagecache.ClusterStageCache` is the
+shipped implementation), else takes its cross-process build lock and
+waits for the winner or builds and publishes.  The L2 is duck-typed
+(``stages``/``get``/``put``/``build_lock``/``wait_for``, with
+:data:`L2_MISS` as the miss sentinel) so this layer stays free of
+cluster imports.  Each such lookup is counted once, here: an L2 hit when
+the value came from the store (directly or after waiting), an L2 miss
+when this process built it.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, TypeVar
 
+from repro.obs import Metrics, Snapshot, histogram
 from repro.pipeline.concurrency import SingleFlightCache
 
-__all__ = ["DEFAULT_STAGE_CAPACITY", "L2_MISS", "StageCache"]
+__all__ = ["DEFAULT_STAGE_CAPACITY", "L2_MISS", "StageCache", "stage_rows"]
 
 V = TypeVar("V")
 
@@ -51,29 +44,6 @@ DEFAULT_STAGE_CAPACITY = 64
 #: ``None`` stays a legal cached value.  Defined here (not in the
 #: cluster package) because this is the consumer side of the protocol.
 L2_MISS = object()
-
-
-class _StageLedger:
-    """Mutable latency/run counters for one stage (guarded by StageCache)."""
-
-    __slots__ = (
-        "builds",
-        "build_seconds",
-        "build_seconds_max",
-        "runs",
-        "l2_hits",
-        "l2_misses",
-        "l2_publishes",
-    )
-
-    def __init__(self) -> None:
-        self.builds = 0
-        self.build_seconds = 0.0
-        self.build_seconds_max = 0.0
-        self.runs = 0
-        self.l2_hits = 0
-        self.l2_misses = 0
-        self.l2_publishes = 0
 
 
 class StageCache:
@@ -90,6 +60,8 @@ class StageCache:
         l2: optional cross-process artifact store (see the module
             docstring); its ``stages`` attribute gates which stages
             consult it.
+        metrics: the registry every count goes into; the serving
+            runtime passes its own, a standalone cache makes one.
     """
 
     def __init__(
@@ -97,14 +69,15 @@ class StageCache:
         capacities: Optional[Dict[str, int]] = None,
         default_capacity: int = DEFAULT_STAGE_CAPACITY,
         l2: Optional[object] = None,
+        metrics: Optional[Metrics] = None,
     ):
         if default_capacity < 1:
             raise ValueError("default_capacity must be positive")
+        self.metrics = metrics if metrics is not None else Metrics()
         self._lock = threading.Lock()
         self._capacities = dict(capacities or {})
         self._default_capacity = default_capacity
         self._caches: Dict[str, SingleFlightCache] = {}
-        self._ledgers: Dict[str, _StageLedger] = {}
         self._l2 = l2
         # How long a loser of the cross-process build race waits for the
         # winner's publish before building locally anyway.
@@ -127,41 +100,41 @@ class StageCache:
             return cache.get_or_create(
                 key, lambda: self._build_via_l2(stage, key, builder)
             )
+        return cache.get_or_create(key, lambda: self._timed_build(stage, builder))
 
-        def timed_builder() -> V:
-            started = time.perf_counter()
-            value = builder()
-            self._record_build(stage, time.perf_counter() - started)
-            return value
-
-        return cache.get_or_create(key, timed_builder)
+    def _timed_build(self, stage: str, builder: Callable[[], V]) -> V:
+        started = time.perf_counter()
+        value = builder()
+        self.metrics.observe(
+            "pipeline.%s.build_seconds" % stage, time.perf_counter() - started
+        )
+        return value
 
     def _build_via_l2(self, stage: str, key: str, builder: Callable[[], V]) -> V:
         """The L1-miss path when an L2 store covers ``stage``.
 
         Order: published artifact → cross-process single-flight (wait
         for the winner) → build locally and publish.  Runs outside this
-        object's lock; only counter updates take it.
+        object's lock.
         """
         l2 = self._l2
+        counter = "pipeline.%s.l2_" % stage
         value = l2.get(stage, key)  # type: ignore[union-attr]
-        if value is not L2_MISS:
-            self._record_l2(stage, hits=1)
-            return value  # type: ignore[return-value]
-        with l2.build_lock(stage, key) as lock:  # type: ignore[union-attr]
-            if not lock.acquired:
-                value = l2.wait_for(stage, key, self._l2_wait)  # type: ignore[union-attr]
-                if value is not L2_MISS:
-                    # Coalesced onto another process's build.
-                    self._record_l2(stage, hits=1)
-                    return value  # type: ignore[return-value]
-            self._record_l2(stage, misses=1)
-            started = time.perf_counter()
-            built = builder()
-            self._record_build(stage, time.perf_counter() - started)
-            if l2.put(stage, key, built):  # type: ignore[union-attr]
-                self._record_l2(stage, publishes=1)
-        return built
+        if value is L2_MISS:
+            with l2.build_lock(stage, key) as lock:  # type: ignore[union-attr]
+                if not lock.acquired:
+                    # Coalesce onto another process's build.
+                    value = l2.wait_for(  # type: ignore[union-attr]
+                        stage, key, self._l2_wait
+                    )
+                if value is L2_MISS:
+                    self.metrics.add(counter + "misses")
+                    built = self._timed_build(stage, builder)
+                    if l2.put(stage, key, built):  # type: ignore[union-attr]
+                        self.metrics.add(counter + "publishes")
+                    return built
+        self.metrics.add(counter + "hits")
+        return value  # type: ignore[return-value]
 
     def declare(self, stage: str, cached: bool = True) -> None:
         """List ``stage`` in :meth:`snapshot`, with zero counters, before
@@ -169,16 +142,12 @@ class StageCache:
         if cached:
             self._cache_for(stage)
         else:
-            with self._lock:
-                self._ledger_locked(stage)
+            self.metrics.add("pipeline.%s.runs" % stage, 0)
 
     def record_run(self, stage: str, seconds: float) -> None:
         """Account one execution of an uncached stage."""
-        with self._lock:
-            ledger = self._ledger_locked(stage)
-            ledger.runs += 1
-            ledger.build_seconds += seconds
-            ledger.build_seconds_max = max(ledger.build_seconds_max, seconds)
+        self.metrics.add("pipeline.%s.runs" % stage)
+        self.metrics.observe("pipeline.%s.build_seconds" % stage, seconds)
 
     def items(self, stage: str) -> List[Tuple[str, object]]:
         """Snapshot of one stage's (key, value) entries, LRU first.
@@ -191,95 +160,78 @@ class StageCache:
         return cache.items() if cache is not None else []
 
     def clear(self) -> None:
-        """Drop every stage's entries (statistics are kept)."""
+        """Drop every stage's entries (counts stay in the registry)."""
         with self._lock:
             caches = list(self._caches.values())
         for cache in caches:
             cache.clear()
 
     # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, Dict[str, float]]:
-        """stage name → one consistent reading of its counters.
-
-        Cached stages report ``hits``/``misses``/``coalesced``/
-        ``evictions``/``size``/``capacity``/``hit_ratio`` from their
-        single-flight cache plus the build-latency ledger; uncached
-        stages report ``runs`` and the same latency fields.
-        """
+    def gauges(self) -> Dict[str, int]:
+        """Live ``pipeline.<stage>.size``/``.capacity`` of every cached stage."""
         with self._lock:
             caches = dict(self._caches)
-            ledgers = {name: self._ledger_row_locked(name) for name in self._ledgers}
-        stages: Dict[str, Dict[str, float]] = {}
-        for name, row in ledgers.items():
-            stages[name] = row
-        for name, cache in caches.items():
-            row = stages.setdefault(name, self._empty_ledger_row())
-            row.update(cache.snapshot())
-        return stages
+        gauges: Dict[str, int] = {}
+        for stage, cache in caches.items():
+            gauges["pipeline.%s.size" % stage] = len(cache)
+            gauges["pipeline.%s.capacity" % stage] = cache.capacity
+        return gauges
 
-    # ------------------------------------------------------------------
-    # Internals
+    def snapshot(self) -> Dict[str, Dict[str, float]]:
+        """stage name → its stats row (see :func:`stage_rows`)."""
+        return stage_rows(self.metrics.snapshot(), self.gauges())
+
     # ------------------------------------------------------------------
     def _cache_for(self, stage: str) -> SingleFlightCache:
         with self._lock:
             cache = self._caches.get(stage)
             if cache is None:
                 capacity = self._capacities.get(stage, self._default_capacity)
-                cache = SingleFlightCache(capacity)
+                cache = SingleFlightCache(capacity, self.metrics, "pipeline." + stage)
                 self._caches[stage] = cache
-                self._ledger_locked(stage)
             return cache
 
-    def _record_build(self, stage: str, seconds: float) -> None:
-        with self._lock:
-            ledger = self._ledger_locked(stage)
-            ledger.builds += 1
-            ledger.build_seconds += seconds
-            ledger.build_seconds_max = max(ledger.build_seconds_max, seconds)
 
-    def _record_l2(
-        self, stage: str, hits: int = 0, misses: int = 0, publishes: int = 0
-    ) -> None:
-        with self._lock:
-            ledger = self._ledger_locked(stage)
-            ledger.l2_hits += hits
-            ledger.l2_misses += misses
-            ledger.l2_publishes += publishes
+def stage_rows(
+    snapshot: Snapshot, gauges: Mapping[str, Any]
+) -> Dict[str, Dict[str, float]]:
+    """Per-stage stats rows from a registry snapshot plus live gauges.
 
-    def _ledger_locked(self, stage: str) -> _StageLedger:
-        """Fetch/create a stage's ledger; caller holds the lock."""
-        ledger = self._ledgers.get(stage)
-        if ledger is None:
-            ledger = _StageLedger()
-            self._ledgers[stage] = ledger
-        return ledger
-
-    def _ledger_row_locked(self, stage: str) -> Dict[str, float]:
-        """Render one ledger as a stats row; caller holds the lock."""
-        ledger = self._ledgers[stage]
-        executed = ledger.builds + ledger.runs
-        return {
-            "builds": ledger.builds,
-            "runs": ledger.runs,
-            "build_seconds_total": ledger.build_seconds,
-            "build_ms_avg": (
-                1000.0 * ledger.build_seconds / executed if executed else 0.0
-            ),
-            "build_ms_max": 1000.0 * ledger.build_seconds_max,
-            "l2_hits": ledger.l2_hits,
-            "l2_misses": ledger.l2_misses,
-            "l2_publishes": ledger.l2_publishes,
+    Every stage named by a ``pipeline.<stage>.*`` entry gets a row:
+    ``builds``/``runs`` and the build-latency fields (read from the
+    stage's ``build_seconds`` histogram, which builds and runs both
+    feed) plus ``l2_hits``/``l2_misses``/``l2_publishes``.  A cached
+    stage (one with a ``capacity`` gauge) adds ``size``/``capacity``,
+    ``hits``/``misses``/``evictions``/``coalesced`` and ``hit_ratio``
+    (coalesced lookups count as neither hit nor miss).
+    """
+    counters = snapshot["counters"]
+    stages = dict.fromkeys(
+        name.split(".")[1]
+        for name in itertools.chain(gauges, counters, snapshot["histograms"])
+        if name.startswith("pipeline.")
+    )
+    rows: Dict[str, Dict[str, float]] = {}
+    for stage in stages:
+        prefix = "pipeline.%s." % stage
+        build = histogram(snapshot, prefix + "build_seconds")
+        executed = build["count"]
+        runs = counters.get(prefix + "runs", 0)
+        row = {
+            "builds": executed - runs,
+            "runs": runs,
+            "build_seconds_total": build["sum"],
+            "build_ms_avg": 1000.0 * build["sum"] / executed if executed else 0.0,
+            "build_ms_max": 1000.0 * build["max"],
         }
-
-    @staticmethod
-    def _empty_ledger_row() -> Dict[str, float]:
-        return {
-            "builds": 0,
-            "runs": 0,
-            "build_seconds_total": 0.0,
-            "build_ms_avg": 0.0,
-            "build_ms_max": 0.0,
-            "l2_hits": 0,
-            "l2_misses": 0,
-            "l2_publishes": 0,
-        }
+        for key in ("l2_hits", "l2_misses", "l2_publishes"):
+            row[key] = counters.get(prefix + key, 0)
+        if prefix + "capacity" in gauges:
+            row["size"] = gauges[prefix + "size"]
+            row["capacity"] = gauges[prefix + "capacity"]
+            for key in ("hits", "misses", "evictions", "coalesced"):
+                row[key] = counters.get(prefix + key, 0)
+            lookups = row["hits"] + row["misses"]
+            row["hit_ratio"] = row["hits"] / lookups if lookups else 0.0
+        rows[stage] = row
+    return rows

@@ -1,12 +1,12 @@
 """The single-flight LRU cache backing every pipeline stage.
 
-:class:`SingleFlightCache` is a thread-safe LRU cache.  Entry access and
-the hit/miss counters mutate under one lock, so the statistics can never
-drift from the entries they describe.  Its ``get_or_create`` adds
-*single-flight* semantics: when N threads miss on the same key at once,
-one runs the factory while the other N-1 block on a per-key event and
-receive the same value — the navigation tree for a hot query is built
-exactly once no matter how many users issue it concurrently.
+:class:`SingleFlightCache` is a thread-safe LRU cache whose one lookup,
+``get_or_create``, has *single-flight* semantics: when N threads miss
+on the same key at once, one runs the factory while the other N-1 block
+on a per-key event and receive the same value — the navigation tree for
+a hot query is built exactly once no matter how many users issue it
+concurrently.  It counts its hits, misses, evictions and coalesced
+lookups in the :class:`~repro.obs.Metrics` registry it is given.
 
 The class lives in the pipeline layer because the
 :class:`~repro.pipeline.cache.StageCache` is its primary holder; the
@@ -18,6 +18,8 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from typing import Callable, Dict, Generic, Hashable, List, Optional, Tuple, TypeVar
+
+from repro.obs import Metrics
 
 __all__ = ["SingleFlightCache"]
 
@@ -39,50 +41,32 @@ class _Flight:
 class SingleFlightCache(Generic[K, V]):
     """A locked LRU cache with single-flight ``get_or_create``.
 
-    All entry and counter mutation happens inside ``self._lock``; the
-    factory itself runs *outside* the lock so a slow build (a cold
+    All entry mutation happens inside ``self._lock``; the factory
+    itself runs *outside* the lock so a slow build (a cold
     navigation-tree construction) never blocks hits on other keys.
 
-    Counters:
-        ``hits``/``misses``/``evictions`` mirror the single-threaded
-        cache; ``coalesced`` counts lookups that piggy-backed on another
-        thread's in-flight build instead of running the factory again.
+    Args:
+        capacity: entry bound.
+        metrics: registry the cache counts into, as ``<prefix>.hits``,
+            ``.misses``, ``.evictions`` and ``.coalesced`` (lookups that
+            piggy-backed on another thread's in-flight build instead of
+            running the factory again).
+        prefix: counter-name prefix.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, metrics: Metrics, prefix: str):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
+        self._metrics = metrics
+        self._prefix = prefix + "."
         self._lock = threading.Lock()
         self._entries: "OrderedDict[K, V]" = OrderedDict()
         self._flights: Dict[K, _Flight] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.coalesced = 0
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def __contains__(self, key: K) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def get(self, key: K) -> Optional[V]:
-        """Value for ``key`` (refreshing its recency), or None."""
-        with self._lock:
-            if key not in self._entries:
-                self.misses += 1
-                return None
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return self._entries[key]
-
-    def put(self, key: K, value: V) -> None:
-        """Insert/refresh an entry, evicting the LRU one when full."""
-        with self._lock:
-            self._put_locked(key, value)
 
     def _put_locked(self, key: K, value: V) -> None:
         """Insert/refresh assuming ``self._lock`` is already held."""
@@ -92,7 +76,7 @@ class SingleFlightCache(Generic[K, V]):
             return
         if len(self._entries) >= self.capacity:
             self._entries.popitem(last=False)
-            self.evictions += 1
+            self._metrics.add(self._prefix + "evictions")
         self._entries[key] = value
 
     def get_or_create(self, key: K, factory: Callable[[], V]) -> V:
@@ -106,17 +90,17 @@ class SingleFlightCache(Generic[K, V]):
         """
         with self._lock:
             if key in self._entries:
-                self.hits += 1
+                self._metrics.add(self._prefix + "hits")
                 self._entries.move_to_end(key)
                 return self._entries[key]
             flight = self._flights.get(key)
             if flight is None:
-                self.misses += 1
+                self._metrics.add(self._prefix + "misses")
                 flight = _Flight()
                 self._flights[key] = flight
                 building = True
             else:
-                self.coalesced += 1
+                self._metrics.add(self._prefix + "coalesced")
                 building = False
         if not building:
             flight.event.wait()
@@ -141,38 +125,13 @@ class SingleFlightCache(Generic[K, V]):
     def items(self) -> List[Tuple[K, V]]:
         """Snapshot of (key, value) pairs, LRU first.
 
-        Neither refreshes recency nor touches the hit/miss counters —
-        stats endpoints observe the cache without perturbing it.
+        Neither refreshes recency nor counts a lookup — stats endpoints
+        observe the cache without perturbing it.
         """
         with self._lock:
             return list(self._entries.items())
 
     def clear(self) -> None:
-        """Drop every entry (statistics are kept)."""
+        """Drop every entry (counts stay in the registry)."""
         with self._lock:
             self._entries.clear()
-
-    @property
-    def hit_ratio(self) -> float:
-        """Fraction of lookups served from the cache.
-
-        Coalesced lookups count as neither hit nor miss: they did not
-        find a cached value, but they did not pay for a build either.
-        """
-        with self._lock:
-            total = self.hits + self.misses
-            return self.hits / total if total else 0.0
-
-    def snapshot(self) -> Dict[str, float]:
-        """One consistent reading of size and every counter."""
-        with self._lock:
-            total = self.hits + self.misses
-            return {
-                "size": len(self._entries),
-                "capacity": self.capacity,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "coalesced": self.coalesced,
-                "hit_ratio": self.hits / total if total else 0.0,
-            }

@@ -15,7 +15,7 @@ What is shared vs per-session:
 * **results**, **nav_tree** — shared by every session of a query;
 * **active_tree** — per-session (never cached; still timed);
 * **cut** — shared by every session of a query that uses the same
-  solver options: an EXPAND's plan is keyed by (tree, component, root,
+  solver options: an EXPAND's plan is keyed by (tree, component,
   solver, solver options, cost params), so repeated expansions replay
   cached plans.
 
@@ -36,6 +36,7 @@ from repro.core.cost_model import CostParams
 from repro.core.edgecut import Component
 from repro.core.strategy import CutDecision, ExpansionStrategy
 from repro.eutils.client import EntrezClient
+from repro.obs import Metrics
 from repro.pipeline.artifacts import (
     ActiveTreeArtifact,
     CutPlan,
@@ -89,12 +90,12 @@ class PipelineStrategy(ExpansionStrategy):
 
     def choose_cut(self, active: ActiveTree, node: int) -> CutDecision:
         """EdgeCut for ``node``'s component, via the cut-stage cache."""
-        return self.best_cut(active.component(node), node)
+        return self.best_cut(active.component(node))
 
-    def best_cut(self, component: Component, root: int) -> CutDecision:
+    def best_cut(self, component: Component) -> CutDecision:
         """Cached-or-solved cut for one component (see :class:`CutStage`)."""
         plan = self.pipeline.plan_cut(
-            self.nav, component, root, self.solver, inner=self.inner, **self.options
+            self.nav, component, self.solver, inner=self.inner, **self.options
         )
         return plan.decision
 
@@ -116,6 +117,8 @@ class NavigationPipeline:
         l2: optional cross-process artifact store wired into the private
             cache (ignored when ``cache`` is given); see
             :class:`~repro.pipeline.cache.StageCache`.
+        metrics: registry the private cache counts into (ignored when
+            ``cache`` is given); the cache makes its own when omitted.
     """
 
     def __init__(
@@ -128,13 +131,14 @@ class NavigationPipeline:
         cache: Optional[StageCache] = None,
         capacities: Optional[Dict[str, int]] = None,
         l2: Optional[object] = None,
+        metrics: Optional[Metrics] = None,
     ):
         self.database = database
         self.entrez = entrez
         self.registry = registry or default_registry()
         self.params = params or CostParams()
         self.max_reduced_nodes = max_reduced_nodes
-        self.cache = cache or StageCache(capacities, l2=l2)
+        self.cache = cache or StageCache(capacities, l2=l2, metrics=metrics)
         for stage in ALL_STAGES:
             self.cache.declare(stage.name, stage.cached)
         self._cost_key = params_key(self.params)
@@ -176,7 +180,7 @@ class NavigationPipeline:
         self,
         nav: NavTreeArtifact,
         solver: str = "heuristic",
-        profiler: Optional[object] = None,
+        metrics: Optional[Metrics] = None,
         **options: object,
     ) -> ActiveTreeArtifact:
         """Stage 4: open one session over a navigation tree (per-session).
@@ -184,7 +188,8 @@ class NavigationPipeline:
         The session's strategy is registry-built and wrapped in a
         :class:`PipelineStrategy`, so its EXPANDs run through the cut
         stage.  Never cached — each call is a fresh session — but timed
-        into the stage ledger.
+        as a run of the stage.  ``metrics`` is the registry the session
+        records its EXPAND decisions in.
         """
         started = time.perf_counter()
         canonical = self.registry.resolve(solver)
@@ -194,7 +199,7 @@ class NavigationPipeline:
             canonical,
             strategy,
             self.params,
-            profiler,
+            metrics,
             ActiveTreeStage.key(nav, canonical, next(self._activations)),
         )
         self.cache.record_run(ActiveTreeStage.name, time.perf_counter() - started)
@@ -204,7 +209,6 @@ class NavigationPipeline:
         self,
         nav: NavTreeArtifact,
         component: Component,
-        root: int,
         solver: str,
         inner: Optional[ExpansionStrategy] = None,
         **options: object,
@@ -213,8 +217,8 @@ class NavigationPipeline:
 
         Args:
             nav: the component's navigation-tree artifact.
-            component: the expanded component.
-            root: the component's root concept.
+            component: the expanded component (its root is the expanded
+                concept).
             solver: solver name (canonical or alias).
             inner: the session's already-built bare strategy (built with
                 ``options``); built from the registry when omitted
@@ -224,14 +228,14 @@ class NavigationPipeline:
         """
         canonical = self.registry.resolve(solver)
         key = CutStage.key(
-            nav, canonical, self._cost_key, component, root, self.options_key(**options)
+            nav, canonical, self._cost_key, component, self.options_key(**options)
         )
 
         def build() -> CutPlan:
             strategy = inner
             if strategy is None:
                 strategy = self._bare_strategy(nav, canonical, **options)
-            return CutStage.build(strategy, component, root, canonical, key)
+            return CutStage.build(strategy, component, canonical, key)
 
         return self.cache.get_or_build(CutStage.name, key, build)
 
@@ -242,12 +246,12 @@ class NavigationPipeline:
         self,
         query: str,
         solver: str = "heuristic",
-        profiler: Optional[object] = None,
+        metrics: Optional[Metrics] = None,
         **options: object,
     ) -> ActiveTreeArtifact:
         """Run stages 1–4 for ``query`` and hand back the live session."""
         return self.activate(
-            self.nav_tree(query), solver=solver, profiler=profiler, **options
+            self.nav_tree(query), solver=solver, metrics=metrics, **options
         )
 
     def strategy(

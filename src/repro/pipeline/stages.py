@@ -29,6 +29,7 @@ from repro.core.probabilities import ProbabilityModel
 from repro.core.session import NavigationSession
 from repro.core.strategy import ExpansionStrategy
 from repro.eutils.client import EntrezClient
+from repro.obs import Metrics
 from repro.pipeline.artifacts import (
     ActiveTreeArtifact,
     CutPlan,
@@ -137,7 +138,7 @@ class ActiveTreeStage:
 
     Not cached: the active tree is the one mutable, per-user artifact of
     the dataflow.  The pipeline still times activations through the
-    stage cache's run ledger so the stats surface covers it.
+    stage cache as a run, so the stats surface covers it.
     """
 
     name = "active_tree"
@@ -154,12 +155,12 @@ class ActiveTreeStage:
         solver: str,
         strategy: ExpansionStrategy,
         params: Optional[CostParams],
-        profiler: Optional[object],
+        metrics: Optional[Metrics],
         key: str,
     ) -> ActiveTreeArtifact:
         """Open one live navigation session over the shared tree."""
         session = NavigationSession(
-            nav.tree, strategy, params=params, profiler=profiler
+            nav.tree, strategy, params=params, metrics=metrics
         )
         return ActiveTreeArtifact(
             nav=nav, solver=solver, session=session, content_key=key
@@ -185,7 +186,6 @@ class CutStage:
         solver: str,
         cost_key: str,
         component: Component,
-        root: int,
         options: str,
     ) -> str:
         """Identify a cut by tree, solver, options, cost params, and component.
@@ -203,13 +203,14 @@ class CutStage:
     def build(
         strategy: ExpansionStrategy,
         component: Component,
-        root: int,
         solver: str,
         key: str,
     ) -> CutPlan:
         """Solve one component with the given strategy and wrap the plan."""
-        decision = strategy.best_cut(component, root)  # type: ignore[attr-defined]
-        return CutPlan(solver=solver, root=root, decision=decision, content_key=key)
+        decision = strategy.best_cut(component)  # type: ignore[attr-defined]
+        return CutPlan(
+            solver=solver, root=component.root, decision=decision, content_key=key
+        )
 
 
 #: The dataflow, in order.

@@ -7,16 +7,16 @@ runtime that makes them safe to drive from many threads at once:
 
 * the locked, **single-flight** LRU cache (concurrent misses on one
   query build the navigation tree exactly once) is
-  :class:`~repro.pipeline.concurrency.SingleFlightCache`;
-  :class:`~repro.analysis.runtime.SolverProfile` holds its own lock.
+  :class:`~repro.pipeline.concurrency.SingleFlightCache`; every count
+  and latency series lives in one :class:`~repro.obs.Metrics` registry
+  per runtime.
 * :mod:`repro.serving.sessions` — a bounded session registry handing out
   per-session locks, so interleaved EXPAND/BACKTRACK on one session stay
   serializable, and distinguishing *expired* sessions from unknown ones.
-* :mod:`repro.serving.admission` — bounded admission with load shedding
-  (503 + ``Retry-After`` instead of an unbounded queue) and per-request
-  deadlines.
 * :mod:`repro.serving.dispatcher` — the ``ThreadPoolExecutor``-backed
-  worker pool the admission controller guards.
+  worker pool behind bounded admission, with load shedding (503 +
+  ``Retry-After`` instead of an unbounded queue) and per-request
+  deadlines.
 * :mod:`repro.serving.runtime` — the :class:`ServingRuntime` facade the
   web layer mounts; every user action becomes a dispatched, lock-correct
   operation returning plain view data.
@@ -27,14 +27,8 @@ Locking discipline in this package is machine-checked by the
 
 from __future__ import annotations
 
-from repro.serving.admission import (
-    AdmissionController,
-    AdmissionStats,
-    DeadlineExceeded,
-    RetryLater,
-)
 from repro.pipeline.concurrency import SingleFlightCache
-from repro.serving.dispatcher import WorkerPoolDispatcher
+from repro.serving.dispatcher import DeadlineExceeded, RetryLater, WorkerPoolDispatcher
 from repro.serving.runtime import (
     CostView,
     ResultsView,
@@ -45,8 +39,6 @@ from repro.serving.runtime import (
 from repro.serving.sessions import SessionExpired, SessionRegistry
 
 __all__ = [
-    "AdmissionController",
-    "AdmissionStats",
     "CostView",
     "DeadlineExceeded",
     "ResultsView",

@@ -13,8 +13,11 @@ The runtime owns all cross-request state and its locking:
   repeated EXPANDs replay cached cut plans;
 * the session registry, whose per-session locks serialize interleaved
   EXPAND/BACKTRACK on one session;
-* one atomic solver profile collecting per-EXPAND latency for
-  ``/api/stats``.
+* one :class:`~repro.obs.Metrics` registry, handed to the pipeline's
+  stage cache, the session registry, the dispatcher and every session,
+  so each counter and latency series of the process lives in one
+  place; :func:`render_stats` turns a snapshot of it plus the live
+  gauges into the ``/api/stats`` answer.
 
 ``backend_latency`` models the per-request backend round-trip of the
 deployed system (the paper's server calls NCBI Entrez over the network
@@ -28,15 +31,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
 
 if TYPE_CHECKING:  # import cycle: repro.bionav builds on repro.pipeline
     from repro.bionav import BioNav
 
-from repro.analysis.runtime import SolverProfile
 from repro.core.active_tree import VisNode
 from repro.core.relevance import ranked_visualization
 from repro.corpus.citation import DocSummary
+from repro.obs import Metrics, Snapshot, histogram, quantile
+from repro.pipeline.cache import stage_rows
 from repro.pipeline.pipeline import NavigationPipeline
 from repro.pipeline.stages import NavTreeStage
 from repro.serving.dispatcher import WorkerPoolDispatcher
@@ -49,6 +53,7 @@ __all__ = [
     "SessionView",
     "ResultsView",
     "ServingRuntime",
+    "render_stats",
 ]
 
 #: Citations a SHOWRESULTS response materializes ESummary records for;
@@ -183,6 +188,7 @@ class ServingRuntime:
         self.backend_latency = backend_latency
         self.solver = bionav.registry.resolve(solver)
         self.results_page_size = results_page_size
+        self.metrics = Metrics()
         self.pipeline = NavigationPipeline(
             bionav.database,
             bionav.entrez,
@@ -194,11 +200,11 @@ class ServingRuntime:
                 "nav_tree": tree_cache_size,
             },
             l2=l2,
+            metrics=self.metrics,
         )
-        self.sessions = SessionRegistry(max_sessions)
-        self.profile = SolverProfile()
+        self.sessions = SessionRegistry(max_sessions, metrics=self.metrics)
         self.dispatcher = WorkerPoolDispatcher(
-            workers, max_queue=max_queue, retry_after=retry_after
+            workers, max_queue=max_queue, retry_after=retry_after, metrics=self.metrics
         )
         self._started = time.monotonic()
 
@@ -232,7 +238,7 @@ class ServingRuntime:
         self._simulate_backend()
         nav = self.pipeline.nav_tree(query)
         artifact = self.pipeline.activate(
-            nav, solver=self.solver, profiler=self.profile
+            nav, solver=self.solver, metrics=self.metrics
         )
         sid = self.sessions.create(query, artifact.session, nav)
         return SearchResult(session=sid, query=query, count=nav.distinct_count)
@@ -317,27 +323,25 @@ class ServingRuntime:
         A request dropped because its queueing deadline passed tells the
         client the queue needs at least the configured deadline to
         drain, so retrying sooner than that will hit the same wall; with
-        no deadline configured, the admission controller's static
-        ``retry_after`` hint applies.  The web layer rounds this up for
-        the ``Retry-After`` header.
+        no deadline configured, the dispatcher's static ``retry_after``
+        hint applies.  The web layer rounds this up for the
+        ``Retry-After`` header.
         """
-        hint = self.dispatcher.admission.retry_after
+        hint = self.dispatcher.retry_after
         if self.deadline is not None:
             hint = max(hint, self.deadline)
         return hint
 
     def health(self) -> Dict[str, object]:
         """Liveness/saturation summary for ``GET /api/health``."""
-        admission = self.dispatcher.stats()
-        status = "ok"
-        if admission.queue_depth >= self.dispatcher.admission.max_queue:
-            status = "overloaded"
+        queue_depth = self.dispatcher.queue_depth
+        overloaded = queue_depth >= self.dispatcher.max_queue
         return {
-            "status": status,
+            "status": "overloaded" if overloaded else "ok",
             "workers": self.dispatcher.workers,
-            "queue_depth": admission.queue_depth,
-            "queue_capacity": self.dispatcher.admission.max_queue,
-            "in_flight": admission.in_flight,
+            "queue_depth": queue_depth,
+            "queue_capacity": self.dispatcher.max_queue,
+            "in_flight": self.dispatcher.in_flight,
             "sessions_active": len(self.sessions),
             "solver": self.solver,
             "results_page_size": self.results_page_size,
@@ -348,41 +352,35 @@ class ServingRuntime:
             "store": self.bionav.database.store.store_info(),
         }
 
-    def stats(self) -> Dict[str, object]:
-        """Operational statistics for ``GET /api/stats``.
+    def gauges(self) -> Dict[str, Any]:
+        """The live readings :func:`render_stats` shows beside the counters.
 
-        The ``pipeline`` block reports every stage's cache hit/miss/
-        latency counters (``pipeline["nav_tree"]`` is the per-query
-        navigation-tree cache).
-        The ``solver`` block is the shared :class:`SolverProfile`
-        summary of per-EXPAND decision timings (p50/p95/p99 in
-        milliseconds) — the p99 is the warm-EXPAND latency
-        ``bench_expand_hotpath`` gates sub-millisecond.
+        Stage-cache sizes and capacities, queue depth and capacity,
+        in-flight requests, worker threads and live sessions (all of
+        which add up across a fleet), plus the ``queries`` rows of the
+        cached navigation trees.
         """
-        admission = self.dispatcher.stats()
-        query_rows = [
-            {"query": nav.query, "tree_size": len(nav.tree)}
-            for _, nav in self.pipeline.cache.items(NavTreeStage.name)
-        ]
-        return {
-            "pipeline": self.pipeline.stage_stats(),
-            "sessions": self.sessions.snapshot(),
-            "serving": {
-                "workers": self.dispatcher.workers,
-                "queue_depth": admission.queue_depth,
-                "queue_capacity": self.dispatcher.admission.max_queue,
-                "in_flight": admission.in_flight,
-                "admitted": admission.admitted,
-                "completed": admission.completed,
-                "shed": {
-                    "overload": admission.shed_overload,
-                    "deadline": admission.shed_deadline,
-                    "total": admission.shed_total,
-                },
-            },
-            "queries": query_rows,
-            "solver": self.profile.summary(),
-        }
+        gauges: Dict[str, Any] = self.pipeline.cache.gauges()
+        gauges.update(
+            {
+                "serving.workers": self.dispatcher.workers,
+                "serving.queue_depth": self.dispatcher.queue_depth,
+                "serving.queue_capacity": self.dispatcher.max_queue,
+                "serving.in_flight": self.dispatcher.in_flight,
+                "sessions.active": len(self.sessions),
+                "sessions.capacity": self.sessions.capacity,
+                "queries": [
+                    {"query": nav.query, "tree_size": len(nav.tree)}
+                    for _, nav in self.pipeline.cache.items(NavTreeStage.name)
+                ],
+            }
+        )
+        return gauges
+
+    def stats(self) -> Dict[str, object]:
+        """Operational statistics for ``GET /api/stats`` (see
+        :func:`render_stats`)."""
+        return render_stats(self.metrics.snapshot(), self.gauges())
 
     def close(self) -> None:
         """Shut the worker pool down, waiting for running requests."""
@@ -395,3 +393,71 @@ class ServingRuntime:
     def __exit__(self, *exc_info: object) -> None:
         """Context-manager exit: close the worker pool."""
         self.close()
+
+
+def render_stats(snapshot: Snapshot, gauges: Mapping[str, Any]) -> Dict[str, Any]:
+    """The ``/api/stats`` answer for one registry snapshot plus gauges.
+
+    A process renders its own snapshot; a fleet renders the
+    :func:`~repro.obs.merge` of its workers' snapshots with their summed
+    gauges, so fleet counts and quantiles are exact arithmetic over every
+    worker's events.  ``pipeline`` holds the stage rows
+    (:func:`~repro.pipeline.cache.stage_rows`); ``solver`` reads the
+    ``solver.decision_seconds`` histogram in milliseconds, its quantiles
+    being bucket upper bounds (never below the exact value).  ``queries``
+    and ``l2`` appear when the gauges carry them (``l2`` is None for a
+    process without an L2; its hits, misses and publishes are the stage
+    rows' L2 counts summed).
+    """
+    counters = snapshot["counters"]
+    shed = _block("serving.shed_", counters, "overload", "deadline")
+    decisions = histogram(snapshot, "solver.decision_seconds")
+    expands = decisions["count"]
+    stats: Dict[str, Any] = {
+        "pipeline": stage_rows(snapshot, gauges),
+        "sessions": dict(
+            _block("sessions.", gauges, "active", "capacity"),
+            **_block("sessions.", counters, "created", "evicted", "expired_lookups"),
+        ),
+        "serving": dict(
+            _block("serving.", gauges, "workers", "queue_depth", "queue_capacity"),
+            **_block("serving.", gauges, "in_flight"),
+            **_block("serving.", counters, "admitted", "completed"),
+            shed=dict(shed, total=shed["overload"] + shed["deadline"]),
+        ),
+        "solver": {
+            "expands": expands,
+            "total_ms": 1000.0 * decisions["sum"],
+            "mean_ms": 1000.0 * decisions["sum"] / expands if expands else 0.0,
+            "p50_ms": 1000.0 * quantile(decisions, 0.50),
+            "p95_ms": 1000.0 * quantile(decisions, 0.95),
+            "p99_ms": 1000.0 * quantile(decisions, 0.99),
+            "max_ms": 1000.0 * decisions["max"],
+            "mean_reduced_size": (
+                counters.get("solver.reduced_size", 0) / expands if expands else 0.0
+            ),
+        },
+    }
+    if "queries" in gauges:
+        stats["queries"] = gauges["queries"]
+    if gauges.get("l2") is not None:
+        rows = stats["pipeline"].values()
+        hits, misses, publishes = (
+            sum(row["l2_" + key] for row in rows) for key in ("hits", "misses", "publishes")
+        )
+        stats["l2"] = dict(
+            hits=hits,
+            misses=misses,
+            hit_ratio=hits / (hits + misses) if hits + misses else 0.0,
+            publishes=publishes,
+            **_block("l2.", counters, "evictions", "errors"),
+            **gauges["l2"],
+        )
+    elif "l2" in gauges:
+        stats["l2"] = None
+    return stats
+
+
+def _block(prefix: str, source: Mapping[str, Any], *names: str) -> Dict[str, Any]:
+    """``{name: source[prefix + name]}``, 0 for names not yet counted."""
+    return {name: source.get(prefix + name, 0) for name in names}

@@ -14,6 +14,8 @@ bare 404, indistinguishable from a typo'd id.  Session ids are issued
 from one monotonic counter, so the registry can classify a miss exactly:
 ids it has issued but no longer holds raise :class:`SessionExpired`
 (clients re-run the search), ids it never issued raise ``KeyError``.
+The registry counts ``sessions.created``, ``sessions.evicted`` and
+``sessions.expired_lookups`` in its :class:`~repro.obs.Metrics`.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, Optional
 
 from repro.core.session import NavigationSession
+from repro.obs import Metrics
 
 __all__ = ["SessionExpired", "SessionEntry", "SessionRegistry"]
 
@@ -66,17 +69,22 @@ class SessionEntry:
 
 
 class SessionRegistry:
-    """A bounded, thread-safe LRU store of navigation sessions."""
+    """A bounded, thread-safe LRU store of navigation sessions.
 
-    def __init__(self, capacity: int):
+    Args:
+        capacity: live-session bound.
+        metrics: the registry session churn is counted in; a standalone
+            store makes its own.
+    """
+
+    def __init__(self, capacity: int, metrics: Optional[Metrics] = None):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
+        self.metrics = metrics if metrics is not None else Metrics()
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, SessionEntry]" = OrderedDict()
         self._counter = 0
-        self.evictions = 0
-        self.expired_lookups = 0
 
     def create(self, query: str, session: NavigationSession, state: object) -> str:
         """Register a new session; returns its id (``s000001``, ...)."""
@@ -85,8 +93,9 @@ class SessionRegistry:
             sid = "s%06d" % self._counter
             if len(self._entries) >= self.capacity:
                 self._entries.popitem(last=False)
-                self.evictions += 1
+                self.metrics.add("sessions.evicted")
             self._entries[sid] = SessionEntry(query=query, session=session, state=state)
+            self.metrics.add("sessions.created")
             return sid
 
     @contextmanager
@@ -102,39 +111,13 @@ class SessionRegistry:
             if entry is None:
                 match = _SID_RE.match(sid)
                 if match and 1 <= int(match.group(1)) <= self._counter:
-                    self.expired_lookups += 1
+                    self.metrics.add("sessions.expired_lookups")
                     raise SessionExpired(sid)
                 raise KeyError("session %s" % sid)
             self._entries.move_to_end(sid)
         with entry.lock:
             yield entry
 
-    def __contains__(self, sid: str) -> bool:
-        with self._lock:
-            return sid in self._entries
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    @property
-    def created(self) -> int:
-        """How many sessions have ever been issued."""
-        with self._lock:
-            return self._counter
-
-    def items(self) -> List[Tuple[str, SessionEntry]]:
-        """Snapshot of (sid, entry) pairs, LRU first (no recency touch)."""
-        with self._lock:
-            return list(self._entries.items())
-
-    def snapshot(self) -> Dict[str, int]:
-        """One consistent reading of the store's counters."""
-        with self._lock:
-            return {
-                "active": len(self._entries),
-                "capacity": self.capacity,
-                "created": self._counter,
-                "evicted": self.evictions,
-                "expired_lookups": self.expired_lookups,
-            }

@@ -152,9 +152,14 @@ class MmapStore:
     def open(cls, path: str) -> "MmapStore":  # repro: ignore[shadowed-builtin]
         """Map a directory written by ``SubstrateBuilder``.
 
+        A directory holding ``hier_*.npy`` files has them mapped and
+        checked against the corpus here (see :func:`_check_hierarchy`).
+
         Raises:
             SubstrateError: see the class docstring; also a corpus file
-                that does not hold the array its header describes.
+                that does not hold the array its header describes, or
+                hierarchy arrays that do not describe the corpus's
+                concepts.
         """
         path = os.path.abspath(path)
         with open(os.path.join(path, "manifest.json"), "rb") as handle:
@@ -174,7 +179,10 @@ class MmapStore:
             except ValueError as exc:
                 raise SubstrateError("%s is unreadable: %s" % (name, exc)) from exc
 
-        return cls(manifest, {name: _mm(name) for name in CORPUS_FILES}, path=path)
+        store = cls(manifest, {name: _mm(name) for name in CORPUS_FILES}, path=path)
+        if HierarchyArrays.present(path):
+            _check_hierarchy(path, store._concept_counts.size)
+        return store
 
     def __reduce__(self):
         if self.path is not None:
@@ -449,6 +457,43 @@ def _checked_csr(
             "%s is not a CSR over %s for %d rows" % (offsets_name, values_name, rows)
         )
     return offsets, values
+
+
+def _check_hierarchy(path: str, concepts: int) -> None:
+    """Check a directory's ``hier_*.npy`` set against its corpus.
+
+    Mapping reads the headers; the process keeps the mapping, so the
+    first :meth:`MmapStore.hierarchy` call reuses it.
+
+    Raises:
+        SubstrateError: a file is unreadable; ``concept_counts.npy``
+            and the hierarchy disagree on the concept count; a per-node
+            array is not one entry per concept; or the children or a
+            string pool's offsets are not a CSR over the concepts.
+    """
+    try:
+        arrays = HierarchyArrays.load(path)
+    except ValueError as exc:
+        raise SubstrateError("hier_*.npy is unreadable: %s" % exc) from exc
+    if len(arrays) != concepts:
+        raise SubstrateError(
+            "concept_counts.npy holds %d concepts, hier_parents.npy %d"
+            % (concepts, len(arrays))
+        )
+    for field in ("depths", "preorder", "positions", "subtree_sizes"):
+        if getattr(arrays, field).shape != (concepts,):
+            raise SubstrateError("hier_%s.npy is not one entry per concept" % field)
+    for offsets, values in (
+        ("child_offsets", "children"),
+        ("label_offsets", "label_blob"),
+        ("uid_offsets", "uid_blob"),
+    ):
+        _checked_csr(
+            {"hier_%s.npy" % name: getattr(arrays, name) for name in (offsets, values)},
+            "hier_%s.npy" % offsets,
+            "hier_%s.npy" % values,
+            concepts,
+        )
 
 
 def _display_column(

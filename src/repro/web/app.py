@@ -47,7 +47,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from urllib.parse import parse_qs
 
 from repro.bionav import BioNav
-from repro.serving.admission import DeadlineExceeded, RetryLater
+from repro.serving.dispatcher import DeadlineExceeded, RetryLater
 from repro.serving.runtime import (
     DEFAULT_RESULTS_PAGE_SIZE,
     ResultsView,

@@ -210,7 +210,7 @@ class ReferenceOptEdgeCutStrategy(OptEdgeCutStrategy):
         description="exhaustive reference Opt-EdgeCut (test oracle; slow)",
     )
 
-    def best_cut(self, component: Component, root: int) -> CutDecision:
+    def best_cut(self, component: Component) -> CutDecision:
         """Optimal EdgeCut for one component, solved exhaustively."""
         if len(component) <= 1:
             return CutDecision(cut=(), reduced_size=len(component))

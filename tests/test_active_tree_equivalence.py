@@ -51,7 +51,7 @@ class OracleStrategy(ExpansionStrategy):
 
     def choose_cut(self, active, node: int) -> CutDecision:
         component = component_from_members(active.tree, active.component(node), node)
-        return self.inner.best_cut(component, node)  # type: ignore[attr-defined]
+        return self.inner.best_cut(component)  # type: ignore[attr-defined]
 
 
 class OracleSession(NavigationSession):

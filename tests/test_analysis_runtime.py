@@ -76,52 +76,57 @@ class TestFitExponential:
 
 
 class TestSolverProfile:
-    def _profile(self):
-        from repro.analysis.runtime import SolverProfile
+    """The per-EXPAND solver profile: the ``solver.decision_seconds``
+    histogram and the ``solver`` block ``/api/stats`` renders from it."""
 
-        profile = SolverProfile()
+    def _metrics(self):
+        from repro.obs import Metrics
+
+        metrics = Metrics()
         for i, seconds in enumerate((0.010, 0.020, 0.030, 0.040)):
-            profile.record(node=i, seconds=seconds, reduced_size=4 + i)
-        return profile
+            metrics.observe("solver.decision_seconds", seconds)
+            metrics.add("solver.reduced_size", 4 + i)
+        return metrics
+
+    @staticmethod
+    def _summary(metrics):
+        from repro.serving.runtime import render_stats
+
+        return render_stats(metrics.snapshot(), {})["solver"]
 
     def test_record_and_aggregates(self):
-        profile = self._profile()
-        assert len(profile) == 4
-        assert profile.total_seconds == pytest.approx(0.100)
-        assert profile.mean_seconds == pytest.approx(0.025)
+        summary = self._summary(self._metrics())
+        assert summary["expands"] == 4
+        assert summary["total_ms"] == pytest.approx(100.0)
+        assert summary["mean_ms"] == pytest.approx(25.0)
 
     def test_percentiles(self):
-        profile = self._profile()
-        assert profile.percentile_seconds(0) == pytest.approx(0.010)
-        assert profile.percentile_seconds(100) == pytest.approx(0.040)
+        from repro.obs import quantile
+
+        series = self._metrics().snapshot()["histograms"]["solver.decision_seconds"]
+        assert 0.010 <= quantile(series, 0.0) < 0.010 * 1.19
+        assert quantile(series, 1.0) == pytest.approx(0.040)
         with pytest.raises(ValueError):
-            profile.percentile_seconds(101)
+            quantile(series, 1.01)
 
     def test_summary_keys_and_units(self):
-        summary = self._profile().summary()
+        summary = self._summary(self._metrics())
         assert summary["expands"] == 4
         assert summary["mean_ms"] == pytest.approx(25.0)
         assert summary["max_ms"] == pytest.approx(40.0)
         assert summary["mean_reduced_size"] == pytest.approx(5.5)
+        assert summary["p99_ms"] >= summary["p95_ms"] >= summary["p50_ms"] >= 20.0
 
     def test_empty_profile_summary(self):
-        from repro.analysis.runtime import SolverProfile
+        from repro.obs import Metrics
 
-        summary = SolverProfile().summary()
+        summary = self._summary(Metrics())
         assert summary["expands"] == 0
         assert summary["mean_ms"] == 0.0
+        assert summary["p99_ms"] == 0.0
 
     def test_negative_seconds_rejected(self):
-        from repro.analysis.runtime import SolverProfile
+        from repro.obs import Metrics
 
         with pytest.raises(ValueError):
-            SolverProfile().record(node=1, seconds=-0.1, reduced_size=2)
-
-    def test_growth_fit_over_records(self):
-        from repro.analysis.runtime import SolverProfile
-
-        profile = SolverProfile()
-        for n in (4, 6, 8, 10, 12):
-            profile.record(node=n, seconds=0.001 * (2.0 ** n), reduced_size=n)
-        fit = profile.growth_fit()
-        assert fit.base == pytest.approx(2.0, rel=1e-6)
+            Metrics().observe("solver.decision_seconds", -0.1)

@@ -364,6 +364,15 @@ class TestLockDisciplineRule:
         )
         assert "lock-discipline" in rule_ids(findings)
 
+    def test_metrics_registry_is_in_scope(self, tmp_path):
+        """Every counter lives in ``repro/obs.py``; its writes hold the lock."""
+        findings = run_rules(
+            tmp_path,
+            "repro/obs.py",
+            _LOCKED_CLASS_HEADER + "    def bump(self):\n        self.hits += 1\n",
+        )
+        assert "lock-discipline" in rule_ids(findings)
+
     def test_cluster_locked_mutation_is_clean(self, tmp_path):
         findings = run_rules(
             tmp_path,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import threading
 import time
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import urlencode
@@ -32,6 +33,8 @@ from repro.pipeline.artifacts import CutPlan
 from repro.pipeline.pipeline import NavigationPipeline
 from repro.pipeline.stages import CutStage, params_key
 from repro.pipeline.cache import StageCache
+from repro.obs import Metrics
+from repro.serving.runtime import render_stats
 from repro.serving.sessions import SessionExpired
 from repro.web.app import BioNavWebApp
 
@@ -62,26 +65,30 @@ def request_page(
 # ----------------------------------------------------------------------
 # The file-backed L2 store
 # ----------------------------------------------------------------------
+def counters(store: ClusterStageCache) -> Dict[str, float]:
+    return store.metrics.snapshot()["counters"]
+
+
 class TestClusterStageCache:
     def test_roundtrip_and_miss(self, tmp_path):
         store = ClusterStageCache(tmp_path)
         assert store.get("nav_tree", KEY_A) is MISS
         assert store.put("nav_tree", KEY_A, {"value": 1})
         assert store.get("nav_tree", KEY_A) == {"value": 1}
-        stats = store.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
-        assert stats["publishes"] == 1 and stats["entries"] == 1
+        assert store.census()["entries"] == 1
+        # Lookups are counted by the consumer (StageCache), once each.
+        assert counters(store) == {}
 
     def test_uncovered_stage_is_a_noop(self, tmp_path):
         store = ClusterStageCache(tmp_path)
         assert not store.put("hierarchy", KEY_A, object())
         assert store.get("hierarchy", KEY_A) is MISS
-        assert store.stats()["entries"] == 0
+        assert store.census()["entries"] == 0
 
     def test_unpicklable_value_is_skipped_not_raised(self, tmp_path):
         store = ClusterStageCache(tmp_path)
         assert not store.put("nav_tree", KEY_A, lambda: None)
-        assert store.stats()["errors"] == 1
+        assert counters(store) == {"l2.errors": 1}
 
     def test_corrupt_entry_is_deleted_and_reported_as_miss(self, tmp_path):
         store = ClusterStageCache(tmp_path)
@@ -90,7 +97,7 @@ class TestClusterStageCache:
         path.write_bytes(b"not a pickle")
         assert store.get("nav_tree", KEY_A) is MISS
         assert not path.exists()
-        assert store.stats()["errors"] == 1
+        assert counters(store) == {"l2.errors": 1}
 
     def test_entry_naming_a_missing_module_is_a_miss(self, tmp_path):
         # An entry written by an older build can pickle a class whose
@@ -101,8 +108,7 @@ class TestClusterStageCache:
         path.write_bytes(b"crepro_removed_module_for_l2_test\nGone\n.")
         assert store.get("nav_tree", KEY_A) is MISS
         assert not path.exists()
-        stats = store.stats()
-        assert stats["errors"] == 1 and stats["misses"] == 1
+        assert counters(store) == {"l2.errors": 1}
 
     def test_entry_published_under_another_key_version_is_a_miss(
         self, tmp_path, monkeypatch
@@ -120,7 +126,7 @@ class TestClusterStageCache:
         monkeypatch.undo()
         assert store.get("cut", current) is MISS
         assert store.get("cut", stale) is MISS
-        assert store.stats()["entries"] == 2
+        assert store.census()["entries"] == 2
 
     def test_plan_published_under_another_key_version_is_not_served(
         self, tmp_path, monkeypatch, small_workload
@@ -139,7 +145,6 @@ class TestClusterStageCache:
             "heuristic",
             params_key(pipeline.params),
             root,
-            root.root,
             pipeline.options_key(),
         )
         wrong = CutPlan(
@@ -150,12 +155,10 @@ class TestClusterStageCache:
         )
         assert store.put(CutStage.name, stale_key, wrong)
         monkeypatch.undo()
-        plan = pipeline.plan_cut(nav, root, root.root, "heuristic")
+        plan = pipeline.plan_cut(nav, root, "heuristic")
         assert plan.content_key != stale_key
         assert plan.decision.cut != wrong.decision.cut
-        assert plan.decision == HeuristicReducedOpt(nav.tree, nav.probs).best_cut(
-            root, root.root
-        )
+        assert plan.decision == HeuristicReducedOpt(nav.tree, nav.probs).best_cut(root)
 
     def test_lru_eviction_by_entry_count(self, tmp_path):
         store = ClusterStageCache(tmp_path, max_entries=2)
@@ -168,7 +171,7 @@ class TestClusterStageCache:
         store.put("nav_tree", KEY_C, "c")
         assert store.get("nav_tree", KEY_B) is MISS  # oldest went
         assert store.get("nav_tree", KEY_A) == "a"
-        assert store.stats()["evictions"] >= 1
+        assert counters(store)["l2.evictions"] >= 1
 
     def test_lru_eviction_by_bytes(self, tmp_path):
         store = ClusterStageCache(tmp_path, max_bytes=4096)
@@ -177,7 +180,7 @@ class TestClusterStageCache:
         store.put("nav_tree", KEY_B, b"y" * 3000)
         assert store.get("nav_tree", KEY_A) is MISS
         assert store.get("nav_tree", KEY_B) is not MISS
-        assert store.stats()["bytes"] <= 4096
+        assert store.census()["bytes"] <= 4096
 
     def test_build_lock_is_single_flight_with_stale_break(self, tmp_path):
         store = ClusterStageCache(tmp_path, stale_after=0.2)
@@ -205,7 +208,7 @@ class TestClusterStageCache:
         store.put("nav_tree", KEY_A, "a")
         store.put("results", KEY_B, "b")
         store.clear()
-        assert store.stats()["entries"] == 0
+        assert store.census()["entries"] == 0
 
     def test_bounds_are_validated(self, tmp_path):
         with pytest.raises(ValueError):
@@ -245,7 +248,7 @@ class TestStageCacheL2Hook:
         cache.get_or_build("hierarchy", KEY_A, lambda: "snapshot")
         row = cache.snapshot()["hierarchy"]
         assert row["l2_hits"] == 0 and row["l2_misses"] == 0
-        assert store.stats()["entries"] == 0
+        assert store.census()["entries"] == 0
 
     def test_lock_loser_waits_for_the_winners_publish(self, tmp_path):
         """When another process holds the build lock, the loser polls
@@ -263,6 +266,37 @@ class TestStageCacheL2Hook:
             winner.__exit__(None, None, None)
         assert value == "from-winner"
         assert cache.snapshot()["nav_tree"]["l2_hits"] == 1
+
+    def test_coalesced_wait_counts_one_hit(self, tmp_path):
+        """A lookup that waits out another process's build is one L2
+        hit and no miss — in its stage row and in the ``l2`` block —
+        however many times the waiter polls the shared directory."""
+        store_a = ClusterStageCache(tmp_path)
+        store_b = ClusterStageCache(tmp_path)
+        cache_a = StageCache(l2=store_a)
+        cache_b = StageCache(l2=store_b, metrics=store_b.metrics)
+        building = threading.Event()
+
+        def slow_builder() -> str:
+            building.set()  # cache A holds the build lock from here on
+            time.sleep(0.2)
+            return "artifact"
+
+        winner = threading.Thread(
+            target=cache_a.get_or_build, args=("nav_tree", KEY_A, slow_builder)
+        )
+        winner.start()
+        assert building.wait(5)
+        value = cache_b.get_or_build(
+            "nav_tree", KEY_A, lambda: pytest.fail("must not build")
+        )
+        winner.join(5)
+        assert value == "artifact"
+        row = cache_b.snapshot()["nav_tree"]
+        assert (row["l2_hits"], row["l2_misses"], row["builds"]) == (1, 0, 0)
+        gauges = dict(cache_b.gauges(), l2=store_b.census())
+        l2 = render_stats(cache_b.metrics.snapshot(), gauges)["l2"]
+        assert (l2["hits"], l2["misses"], l2["publishes"]) == (1, 0, 0)
 
 
 # ----------------------------------------------------------------------
@@ -342,10 +376,10 @@ class TestClusterServing:
         drive the same query through both workers directly and read the
         second worker's pipeline ledger."""
         query = keywords[3]  # untouched by the other module-scoped tests
-        before = cluster._supervisor.call(1, "stats")["pipeline"]["nav_tree"]
+        before = cluster.stats()["workers"][1]["stats"]["pipeline"]["nav_tree"]
         cluster._supervisor.call(0, "search", {"query": query})
         cluster._supervisor.call(1, "search", {"query": query})
-        row = cluster._supervisor.call(1, "stats")["pipeline"]["nav_tree"]
+        row = cluster.stats()["workers"][1]["stats"]["pipeline"]["nav_tree"]
         assert row["l2_hits"] >= before["l2_hits"] + 1, (
             "worker 1 must fetch, not rebuild"
         )
@@ -368,32 +402,35 @@ class TestClusterServing:
         assert "hit_ratio" in stats["l2"]
 
     def test_merged_stage_timings_are_not_summed(self, cluster, monkeypatch):
-        """Two workers reporting the same stage row merge to that row's
-        average and slowest build time; only the counts add up."""
-        row = {
-            "hits": 3,
-            "misses": 1,
-            "hit_ratio": 0.75,
-            "builds": 1,
-            "runs": 3,
-            "build_seconds_total": 0.02,
-            "build_ms_avg": 5.0,
-            "build_ms_max": 9.0,
-        }
+        """Two workers reporting the same stage history merge to that
+        history's average and slowest build time; only the counts add up."""
+
+        def answer() -> Dict[str, object]:
+            metrics = Metrics()
+            for seconds in (0.009, 0.001):
+                metrics.observe("pipeline.nav_tree.build_seconds", seconds)
+            metrics.add("pipeline.nav_tree.hits", 3)
+            metrics.add("pipeline.nav_tree.misses", 2)
+            gauges = {"pipeline.nav_tree.size": 2, "pipeline.nav_tree.capacity": 8}
+            return {"snapshot": metrics.snapshot(), "gauges": dict(gauges, l2=None)}
+
         probed = [
             (
                 {"name": "w%d" % index, "generation": 0, "alive": True,
                  "respawns": 0, "queue_depth": 0},
-                {"pipeline": {"nav_tree": dict(row)}},
+                answer(),
             )
             for index in range(2)
         ]
         monkeypatch.setattr(cluster, "_probe", lambda op: probed)
-        merged = cluster.stats()["pipeline"]["nav_tree"]
-        assert merged["build_ms_avg"] == pytest.approx(row["build_ms_avg"])
-        assert merged["build_ms_max"] == row["build_ms_max"]
-        assert merged["hit_ratio"] == pytest.approx(row["hit_ratio"])
-        assert (merged["builds"], merged["runs"], merged["hits"]) == (2, 6, 6)
+        stats = cluster.stats()
+        merged = stats["pipeline"]["nav_tree"]
+        single = stats["workers"][0]["stats"]["pipeline"]["nav_tree"]
+        assert merged["build_ms_avg"] == pytest.approx(5.0)
+        assert merged["build_ms_max"] == pytest.approx(9.0)
+        assert merged["hit_ratio"] == pytest.approx(single["hit_ratio"]) == 0.6
+        assert (merged["builds"], merged["hits"], merged["capacity"]) == (4, 6, 16)
+        assert stats["l2"] is None
 
     def test_wsgi_app_mounts_the_cluster(self, cluster, keywords):
         app = BioNavWebApp(runtime=cluster)
@@ -420,6 +457,20 @@ class TestFleetStats:
         for stage in ("results", "nav_tree"):
             row = pipeline[stage]
             assert row["hits"] + row["misses"] == len(queries), stage
+
+    def test_fleet_solver_block_adds_up_the_workers(self, fresh_cluster, keywords):
+        """Each EXPAND is one decision in exactly one worker's histogram,
+        so the fleet's ``solver.expands`` is the sum over workers."""
+        for query in keywords[:4]:
+            sid = fresh_cluster.search(query).session
+            fresh_cluster.expand(sid, fresh_cluster.view(sid).rows[0].node)
+        stats = fresh_cluster.stats()
+        per_worker = [entry["stats"]["solver"] for entry in stats["workers"]]
+        assert all(solver["expands"] >= 1 for solver in per_worker)
+        assert stats["solver"]["expands"] == sum(s["expands"] for s in per_worker) == 4
+        assert stats["solver"]["max_ms"] == max(s["max_ms"] for s in per_worker)
+        assert stats["sessions"]["created"] == 4
+        assert stats["serving"]["admitted"] >= 12
 
 
 class TestWorkerCrashRecovery:

@@ -8,7 +8,8 @@ and the per-citation Python scan in ``tests/oracles/elink_reference.py``
 for ELink, on the toy workload in both store forms; they also check the
 synthetic stream's titles, build determinism, and that a broken or
 older substrate (a display column or an association table that is not
-a CSR, a cut-off file) fails at open with ``SubstrateError``.
+a CSR, a cut-off file, hierarchy arrays that do not describe the
+corpus's concepts) fails at open with ``SubstrateError``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.corpus.citation import Citation, DocSummary
 from repro.corpus.medline import MedlineDatabase
 from repro.eutils.client import EntrezClient
 from repro.eutils.errors import RateLimitExceeded, UnknownIdError
+from repro.hierarchy.concept import ConceptHierarchy
 from repro.search.engine import SearchEngine
 from repro.substrate import (
     MmapStore,
@@ -55,11 +57,19 @@ def client_over(store: MmapStore, rate_limit=None) -> EntrezClient:
     return EntrezClient(store, SearchEngine(store), rate_limit=rate_limit)
 
 
-def synthetic_store(citations: int = 300, seed: int = 5, out_dir=None) -> MmapStore:
+def synthetic_store(
+    citations: int = 300, seed: int = 5, out_dir=None, hierarchy=None
+) -> MmapStore:
     spec = SynthSpec(citations=citations, num_concepts=60, seed=seed, chunk_size=128)
     builder = SubstrateBuilder(out_dir, num_concepts=60)
-    builder.build(synthetic_chunks(spec), meta={"seed": seed})
+    builder.build(synthetic_chunks(spec), hierarchy=hierarchy, meta={"seed": seed})
     return builder.open()
+
+
+def ternary_hierarchy(size: int) -> ConceptHierarchy:
+    """A ``size``-concept tree, three children per node."""
+    parents = [-1] + [(node - 1) // 3 for node in range(1, size)]
+    return ConceptHierarchy.from_parents(parents, ["c%d" % n for n in range(size)])
 
 
 class TestToyWorkloadEquivalence:
@@ -279,6 +289,45 @@ class TestOpenTimeChecks:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(SubstrateError, match="concept_citations.npy"):
             MmapStore.open(str(built))
+
+    @pytest.mark.parametrize(
+        "name,damage",
+        [
+            ("hier_depths.npy", "short"),
+            ("hier_preorder.npy", "short"),
+            ("hier_positions.npy", "long"),
+            ("hier_subtree_sizes.npy", "short"),
+            ("hier_child_offsets.npy", "short"),
+            ("hier_child_offsets.npy", "decrease"),
+            ("hier_label_offsets.npy", "overrun"),
+            ("hier_uid_offsets.npy", "overrun"),
+        ],
+    )
+    def test_broken_hierarchy_array_fails_at_open(self, tmp_path, name, damage):
+        hierarchy = ternary_hierarchy(60)
+        synthetic_store(citations=40, out_dir=str(tmp_path), hierarchy=hierarchy)
+        MmapStore.open(str(tmp_path))  # intact
+        path = tmp_path / name
+        values = np.load(path)
+        if damage == "short":
+            values = values[:-1]
+        elif damage == "long":
+            values = np.append(values, values[-1])
+        elif damage == "decrease":
+            values[1], values[2] = values[2], values[1]
+        else:
+            values[-1] += 1
+        np.save(path, values)
+        with pytest.raises(SubstrateError, match=name):
+            MmapStore.open(str(tmp_path))
+
+    def test_hierarchy_of_another_build_fails_at_open(self, tmp_path):
+        hierarchy = ternary_hierarchy(60)
+        synthetic_store(citations=40, out_dir=str(tmp_path), hierarchy=hierarchy)
+        # A consistent hierarchy, but of 59 concepts where the corpus has 60.
+        ternary_hierarchy(59).arrays().save(str(tmp_path))
+        with pytest.raises(SubstrateError, match="concept_counts.npy"):
+            MmapStore.open(str(tmp_path))
 
     def test_in_memory_arrays_are_checked_too(self):
         store = synthetic_store(citations=40)

@@ -89,14 +89,14 @@ class TestWideStar:
         _, tree = wide_star_tree
         probs = ProbabilityModel(tree, flat_counts)
         strategy = HeuristicReducedOpt(tree, probs)
-        decision = strategy.best_cut(Component(tree, tree.root), tree.root)
+        decision = strategy.best_cut(Component(tree, tree.root))
         assert 1 <= len(decision.cut) <= 10
 
     def test_partitioning_respects_cap_on_stars(self, wide_star_tree):
         _, tree = wide_star_tree
         probs = ProbabilityModel(tree, flat_counts)
         strategy = HeuristicReducedOpt(tree, probs, max_reduced_nodes=10)
-        decision = strategy.best_cut(Component(tree, tree.root), tree.root)
+        decision = strategy.best_cut(Component(tree, tree.root))
         assert decision.reduced_size <= 10
 
 
@@ -135,6 +135,5 @@ class TestDegenerateResults:
         )
         probs = ProbabilityModel(tree, flat_counts)
         decision = HeuristicReducedOpt(tree, probs).best_cut(
-            Component(tree, tree.root), tree.root
-        )
+            Component(tree, tree.root))
         assert decision.cut

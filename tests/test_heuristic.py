@@ -64,7 +64,7 @@ class TestBestCut:
     def test_cut_is_valid_for_original_tree(self, big_tree, big_probs):
         strategy = HeuristicReducedOpt(big_tree, big_probs)
         component = Component(big_tree, big_tree.root)
-        decision = strategy.best_cut(component, big_tree.root)
+        decision = strategy.best_cut(component)
         assert decision.cut
         assert is_valid_edgecut(big_tree, component, decision.cut)
 
@@ -79,7 +79,7 @@ class TestBestCut:
         assert small_root is not None
         component = Component(big_tree, small_root)
         strategy = HeuristicReducedOpt(big_tree, big_probs, max_reduced_nodes=10)
-        decision = strategy.best_cut(component, small_root)
+        decision = strategy.best_cut(component)
         assert decision.reduced_size == len(component)
         # Must match a direct Opt-EdgeCut run.
         cut_tree = CutTree.from_component(big_tree, big_probs, component)
@@ -89,7 +89,7 @@ class TestBestCut:
     def test_singleton_component_yields_empty_cut(self, big_tree, big_probs):
         strategy = HeuristicReducedOpt(big_tree, big_probs)
         leaf = next(n for n in big_tree.iter_dfs() if big_tree.is_leaf(n))
-        decision = strategy.best_cut(Component(big_tree, leaf), leaf)
+        decision = strategy.best_cut(Component(big_tree, leaf))
         assert decision.cut == ()
 
     def test_choose_cut_uses_active_component(self, big_tree, big_probs):
@@ -102,7 +102,7 @@ class TestBestCut:
     def test_reduced_size_instrumentation(self, big_tree, big_probs):
         strategy = HeuristicReducedOpt(big_tree, big_probs, max_reduced_nodes=10)
         component = Component(big_tree, big_tree.root)
-        decision = strategy.best_cut(component, big_tree.root)
+        decision = strategy.best_cut(component)
         assert 2 <= decision.reduced_size <= 10
 
     def test_max_reduced_nodes_validation(self, big_tree, big_probs):

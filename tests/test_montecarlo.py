@@ -70,9 +70,9 @@ class TestEstimate:
         asked = []
 
         class Counting(HeuristicReducedOpt):
-            def best_cut(self, component, root):
+            def best_cut(self, component):
                 asked.append(component.key)
-                return super().best_cut(component, root)
+                return super().best_cut(component)
 
         walks = 20
         mean, stderr = estimate_expected_cost(

@@ -239,8 +239,8 @@ def random_cut(rng: random.Random, tree: NavigationTree, component, root):
     return [(tree.parent(node), node) for node in chosen]
 
 
-def decision(solver, component, root):
-    made = solver.best_cut(component, root)
+def decision(solver, component):
+    made = solver.best_cut(component)
     return made.cut, made.reduced_size, made.expected_cost
 
 
@@ -261,9 +261,7 @@ class TestBestCut:
                 break
             root = rng.choice(sorted(roots))
             component = active.component(root)
-            assert decision(solver, component, root) == decision(
-                reference, component, root
-            )
+            assert decision(solver, component) == decision(reference, component)
             active.expand(root, random_cut(rng, tree, component, root))
 
     @given(st.randoms(use_true_random=False), st.integers(11, 160))

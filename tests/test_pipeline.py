@@ -85,8 +85,7 @@ class TestContentKeys:
 
         def key(solver, *members, **options):
             return CutStage.key(
-                nav, solver, cost, component(*members), root,
-                pipeline.options_key(**options),
+                nav, solver, cost, component(*members), pipeline.options_key(**options)
             )
 
         base = key("heuristic", root, first)
@@ -186,17 +185,16 @@ class TestPipelineStrategy:
             max_reduced_nodes=pipeline.max_reduced_nodes,
         )
         component = Component(nav.tree, nav.tree.root)
-        root = nav.tree.root
-        assert wrapped.best_cut(component, root).cut == bare.best_cut(component, root).cut
+        assert wrapped.best_cut(component).cut == bare.best_cut(component).cut
 
     def test_repeat_best_cut_hits_the_cut_cache(self, pipeline):
         nav = pipeline.nav_tree("prothymosin")
         strategy = pipeline.strategy(nav, "heuristic")
         component = Component(nav.tree, nav.tree.root)
-        first = strategy.best_cut(component, nav.tree.root)
+        first = strategy.best_cut(component)
         stats = pipeline.stage_stats()[CutStage.name]
         assert stats["builds"] == 1
-        second = strategy.best_cut(component, nav.tree.root)
+        second = strategy.best_cut(component)
         assert second == first
         stats = pipeline.stage_stats()[CutStage.name]
         assert stats["builds"] == 1
@@ -208,16 +206,15 @@ class TestPipelineStrategy:
         # options must get its own plan, not the one cached for the other.
         nav = pipeline.nav_tree("prothymosin")
         component = Component(nav.tree, nav.tree.root)
-        root = nav.tree.root
         assert len(component) > 10
         second = {"max_reduced_nodes": 5} if not first else {}
         for options in (first, second):
             decision = pipeline.strategy(nav, "heuristic", **options).best_cut(
-                component, root
+                component
             )
             fresh = HeuristicReducedOpt(
                 nav.tree, nav.probs, params=pipeline.params, **options
-            ).best_cut(component, root)
+            ).best_cut(component)
             assert decision == fresh
         assert pipeline.stage_stats()[CutStage.name]["builds"] == 2
 

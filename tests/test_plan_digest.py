@@ -82,7 +82,7 @@ def walk_decisions(hierarchy, store, concept, **options):
             break
         # Alternate the largest component with the smallest expandable one.
         size, root = sizes[0] if step % 2 else sizes[-1]
-        decision = solver.best_cut(active.component(root), root)
+        decision = solver.best_cut(active.component(root))
         decisions.append(
             (root, decision.cut, decision.reduced_size, repr(decision.expected_cost))
         )

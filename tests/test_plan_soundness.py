@@ -54,10 +54,10 @@ def deployment():
     return database, entrez, ["%d[mh]" % c for c in concepts.tolist()]
 
 
-def fresh(nav, pipeline, component, root, **options):
+def fresh(nav, pipeline, component, **options):
     """The decision of a fresh solver that has seen nothing before."""
     solver = HeuristicReducedOpt(nav.tree, nav.probs, params=pipeline.params, **options)
-    return solver.best_cut(component, root)
+    return solver.best_cut(component)
 
 
 @given(st.randoms(use_true_random=False), st.booleans())
@@ -84,12 +84,12 @@ def test_every_plan_equals_a_fresh_solve(deployment, rng, small_first):
         root = rng.choice(roots)
         component = active.component(root)
         decision = strategy.choose_cut(active, root)
-        assert decision == fresh(nav, pipeline, component, root, **options)
+        assert decision == fresh(nav, pipeline, component, **options)
         active.expand(root, decision.cut)
 
 
 def walk(nav, steps=10):
-    """(component, root, fresh decision) along a walk that alternates the
+    """(component, fresh decision) along a walk that alternates the
     largest and the smallest expandable component."""
     strategy = HeuristicReducedOpt(nav.tree, nav.probs)
     active = ActiveTree(nav.tree)
@@ -104,8 +104,8 @@ def walk(nav, steps=10):
             break
         _, root = sizes[0] if step % 2 else sizes[-1]
         component = active.component(root)
-        decision = strategy.best_cut(component, root)
-        visited.append((component, root, decision))
+        decision = strategy.best_cut(component)
+        visited.append((component, decision))
         active.expand(root, decision.cut)
     return visited
 
@@ -125,8 +125,8 @@ def test_shared_l2_plans_do_not_depend_on_the_builder(deployment, tmp_path):
             # through the shared L2.
             for pipeline in (first, second):
                 nav = pipeline.nav_tree(query)
-                for component, root, decision in steps[:: -1 if builder else 1]:
-                    plan = pipeline.plan_cut(nav, component, root, "heuristic")
+                for component, decision in steps[:: -1 if builder else 1]:
+                    plan = pipeline.plan_cut(nav, component, "heuristic")
                     assert plan.decision == decision
                     by_key.setdefault(plan.content_key, plan.decision)
         assert second.stage_stats()[CutStage.name]["builds"] == 0

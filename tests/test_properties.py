@@ -200,7 +200,7 @@ class TestOptimizerProperties:
         probs = ProbabilityModel(tree, lambda n: 100)
         strategy = HeuristicReducedOpt(tree, probs, max_reduced_nodes=6)
         component = Component(tree, tree.root)
-        decision = strategy.best_cut(component, tree.root)
+        decision = strategy.best_cut(component)
         assert decision.cut
         assert is_valid_edgecut(tree, component, decision.cut)
         assert decision.reduced_size <= max(6, 2)

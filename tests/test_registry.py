@@ -132,10 +132,10 @@ class TestCrossSolverEquivalence:
             tree, probs = random_scenario(size, 7_000 + seed)
             component = Component(tree, tree.root)
             oracle = ReferenceOptEdgeCutStrategy(tree, probs, params=params)
-            expected = oracle.best_cut(component, tree.root)
+            expected = oracle.best_cut(component)
             for name in optimal:
                 solver = registry.create(name, tree, probs, params=params)
-                decision = solver.best_cut(component, tree.root)
+                decision = solver.best_cut(component)
                 assert decision.cut == expected.cut, "seed %d %s" % (seed, name)
                 assert decision.expected_cost == expected.expected_cost, (
                     "seed %d %s" % (seed, name)
@@ -153,8 +153,8 @@ class TestCrossSolverEquivalence:
             heuristic = registry.create(
                 "heuristic", tree, probs, max_reduced_nodes=10
             )
-            assert heuristic.best_cut(component, tree.root).cut == (
-                oracle.best_cut(component, tree.root).cut
+            assert heuristic.best_cut(component).cut == (
+                oracle.best_cut(component).cut
             ), "seed %d" % seed
 
     def test_heuristic_stays_within_documented_cost_bound(self, registry):

@@ -14,7 +14,7 @@ def expanded_active(fragment_tree):
     active = ActiveTree(fragment_tree)
     strategy = StaticNavigation(fragment_tree)
     active.expand(
-        fragment_tree.root, strategy.best_cut(active.component(fragment_tree.root), fragment_tree.root).cut
+        fragment_tree.root, strategy.best_cut(active.component(fragment_tree.root)).cut
     )
     return active
 

@@ -16,12 +16,11 @@ from urllib.parse import urlencode
 
 import pytest
 
-from repro.analysis.runtime import SolverProfile
 from repro.bionav import BioNav
+from repro.obs import Metrics
 from repro.pipeline.concurrency import SingleFlightCache
-from repro.serving.admission import DeadlineExceeded, RetryLater
-from repro.serving.dispatcher import WorkerPoolDispatcher
-from repro.serving.runtime import ServingRuntime
+from repro.serving.dispatcher import DeadlineExceeded, RetryLater, WorkerPoolDispatcher
+from repro.serving.runtime import ServingRuntime, render_stats
 from repro.serving.sessions import SessionExpired, SessionRegistry
 from repro.web.app import BioNavWebApp
 
@@ -51,6 +50,15 @@ def run_threads(count: int, target, timeout: float = 30.0) -> List[object]:
     return results
 
 
+def counts(metrics: Metrics, prefix: str) -> Dict[str, float]:
+    """The registry's counters under ``prefix``, prefix stripped."""
+    return {
+        name[len(prefix):]: value
+        for name, value in metrics.snapshot()["counters"].items()
+        if name.startswith(prefix)
+    }
+
+
 def request_page(
     app: BioNavWebApp, path: str, query: Optional[Dict[str, str]] = None
 ) -> Tuple[str, Dict[str, str], str]:
@@ -72,7 +80,8 @@ def request_page(
 
 class TestSingleFlightCache:
     def test_concurrent_misses_build_once(self):
-        cache: SingleFlightCache = SingleFlightCache(4)
+        metrics = Metrics()
+        cache: SingleFlightCache = SingleFlightCache(4, metrics, "c")
         calls: List[int] = []
         barrier = threading.Barrier(16)
 
@@ -88,16 +97,14 @@ class TestSingleFlightCache:
         results = run_threads(16, worker)
         assert results == ["value"] * 16
         assert len(calls) == 1
-        assert cache.misses == 1
-        assert cache.coalesced == 15
-        assert cache.hits == 0
+        assert counts(metrics, "c.") == {"misses": 1, "coalesced": 15}
         # A later lookup is a plain hit.
         assert cache.get_or_create("key", factory) == "value"
-        assert cache.hits == 1
+        assert counts(metrics, "c.")["hits"] == 1
         assert len(calls) == 1
 
     def test_factory_error_reaches_waiters_and_caches_nothing(self):
-        cache: SingleFlightCache = SingleFlightCache(4)
+        cache: SingleFlightCache = SingleFlightCache(4, Metrics(), "c")
         barrier = threading.Barrier(4)
 
         def failing() -> str:
@@ -110,51 +117,48 @@ class TestSingleFlightCache:
 
         with pytest.raises(RuntimeError):
             run_threads(4, worker)
-        assert "key" not in cache
+        assert len(cache) == 0
         # The next call retries the factory rather than caching the error.
         assert cache.get_or_create("key", lambda: "recovered") == "recovered"
 
     def test_lru_eviction_and_counters_stay_consistent(self):
-        cache: SingleFlightCache = SingleFlightCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1
-        cache.put("c", 3)  # evicts b
-        assert "b" not in cache
-        assert cache.evictions == 1
-        snapshot = cache.snapshot()
-        assert snapshot["size"] == 2
-        assert snapshot["hits"] == 1
-        assert 0.0 <= snapshot["hit_ratio"] <= 1.0
-        assert cache.hit_ratio == snapshot["hit_ratio"]
+        metrics = Metrics()
+        cache: SingleFlightCache = SingleFlightCache(2, metrics, "c")
+        for key, value in (("a", 1), ("b", 2), ("a", None), ("c", 3)):
+            cache.get_or_create(key, lambda: value)  # "a" hits; "c" evicts b
+        assert cache.items() == [("a", 1), ("c", 3)]
+        assert counts(metrics, "c.") == {"misses": 3, "hits": 1, "evictions": 1}
 
     def test_counters_exact_under_contention(self):
-        cache: SingleFlightCache = SingleFlightCache(8)
-        cache.put("k", 0)
+        metrics = Metrics()
+        cache: SingleFlightCache = SingleFlightCache(8, metrics, "c")
+        cache.get_or_create("k", lambda: 0)
 
         def worker(i: int) -> None:
             for _ in range(500):
-                cache.get("k")
+                cache.get_or_create("k", lambda: pytest.fail("must hit"))
 
         run_threads(8, worker)
         # 8 threads x 500 locked lookups: nothing lost to races.
-        assert cache.hits == 8 * 500
+        assert counts(metrics, "c.")["hits"] == 8 * 500
 
 
 class TestSolverProfile:
     def test_concurrent_records_all_land(self):
-        profile = SolverProfile()
+        metrics = Metrics()
 
         def worker(i: int) -> None:
             for j in range(200):
-                profile.record(node=i, seconds=0.001, reduced_size=5)
+                metrics.observe("solver.decision_seconds", 0.001 * (i + 1))
+                metrics.add("solver.reduced_size", 5)
 
         run_threads(8, worker)
-        assert len(profile) == 1600
-        records = profile.snapshot()
-        assert len(records) == 1600 and {r.node for r in records} == set(range(8))
-        summary = profile.summary()
+        snapshot = metrics.snapshot()
+        assert snapshot["histograms"]["solver.decision_seconds"]["count"] == 1600
+        summary = render_stats(snapshot, {})["solver"]
         assert summary["expands"] == 1600
+        assert summary["mean_reduced_size"] == 5.0
+        assert summary["max_ms"] == pytest.approx(8.0)
         assert summary["p95_ms"] >= summary["p50_ms"] >= 0.0
 
 
@@ -171,10 +175,11 @@ class TestSessionRegistry:
                 pass
         with registry.checkout(second) as entry:
             assert entry.query == "q"
-        snapshot = registry.snapshot()
-        assert snapshot["created"] == 2
-        assert snapshot["evicted"] == 1
-        assert snapshot["expired_lookups"] == 1
+        assert counts(registry.metrics, "sessions.") == {
+            "created": 2,
+            "evicted": 1,
+            "expired_lookups": 1,
+        }
 
 
 class TestDispatcher:
@@ -183,9 +188,8 @@ class TestDispatcher:
             assert pool.call(lambda: 42) == 42
             with pytest.raises(ZeroDivisionError):
                 pool.call(lambda: 1 // 0)
-            stats = pool.stats()
-            assert stats.completed == 2
-            assert stats.in_flight == 0
+            assert counts(pool.metrics, "serving.")["completed"] == 2
+            assert pool.in_flight == 0
 
     def test_overload_sheds_with_retry_after(self):
         release = threading.Event()
@@ -205,7 +209,7 @@ class TestDispatcher:
             )
             second.start()
             deadline = time.monotonic() + 5
-            while pool.stats().queue_depth < 1:
+            while pool.queue_depth < 1:
                 assert time.monotonic() < deadline, "queue never filled"
                 time.sleep(0.005)
             with pytest.raises(RetryLater) as excinfo:
@@ -214,9 +218,8 @@ class TestDispatcher:
             release.set()
             first.join(5)
             second.join(5)
-            stats = pool.stats()
-            assert stats.shed_overload == 1
-            assert stats.queue_depth == 0
+            assert counts(pool.metrics, "serving.")["shed_overload"] == 1
+            assert pool.queue_depth == 0
 
     def test_deadline_exceeded_while_queued(self):
         release = threading.Event()
@@ -245,9 +248,9 @@ class TestDispatcher:
             first.join(5)
             second.join(5)
             assert holder and isinstance(holder[0], DeadlineExceeded)
-            stats = pool.stats()
-            assert stats.shed_deadline == 1
-            assert stats.completed == 1  # only the occupier ran
+            counted = counts(pool.metrics, "serving.")
+            assert counted["shed_deadline"] == 1
+            assert counted["completed"] == 1  # only the occupier ran
 
 
 @pytest.fixture()
@@ -383,7 +386,7 @@ class TestWebShedding:
             first = threading.Thread(target=occupier, daemon=True)
             first.start()
             deadline = time.monotonic() + 5
-            while app.runtime.dispatcher.stats().in_flight < 1:
+            while app.runtime.dispatcher.in_flight < 1:
                 assert time.monotonic() < deadline, "occupier never started"
                 time.sleep(0.005)
             status, headers, body = request_page(
@@ -393,7 +396,7 @@ class TestWebShedding:
             assert status == "503 Service Unavailable"
             assert headers["Retry-After"] == "1"
             assert json.loads(body)["error_code"] == "deadline_exceeded"
-            assert app.runtime.dispatcher.stats().shed_deadline == 1
+            assert app.runtime.stats()["serving"]["shed"]["deadline"] == 1
             # The occupying request itself completed fine.
             assert outcome[0][0] == "200 OK"
         finally:
@@ -413,11 +416,11 @@ class TestWebShedding:
             # sequencing against observed state keeps the test determinate.
             threads[0].start()
             deadline = time.monotonic() + 5
-            while app.runtime.dispatcher.stats().in_flight < 1:
+            while app.runtime.dispatcher.in_flight < 1:
                 assert time.monotonic() < deadline, "occupier never started"
                 time.sleep(0.005)
             threads[1].start()
-            while app.runtime.dispatcher.stats().queue_depth < 1:
+            while app.runtime.dispatcher.queue_depth < 1:
                 assert time.monotonic() < deadline, "queue never filled"
                 time.sleep(0.005)
             status, headers, body = request_page(

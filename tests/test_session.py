@@ -120,17 +120,20 @@ class TestVisualize:
 
 class TestProfiler:
     def test_expand_records_timing(self, fragment_tree, fragment_probs):
-        from repro.analysis.runtime import SolverProfile
+        from repro.obs import Metrics
 
-        profile = SolverProfile()
+        metrics = Metrics()
         strategy = HeuristicReducedOpt(fragment_tree, fragment_probs)
-        session = NavigationSession(fragment_tree, strategy, profiler=profile)
+        session = NavigationSession(fragment_tree, strategy, metrics=metrics)
         outcome = session.expand(fragment_tree.root)
-        assert len(profile) == 1
-        record = profile.records[0]
-        assert record.node == fragment_tree.root
-        assert record.seconds == outcome.elapsed_seconds >= 0.0
-        assert record.reduced_size == outcome.decision.reduced_size
+        snapshot = metrics.snapshot()
+        decisions = snapshot["histograms"]["solver.decision_seconds"]
+        assert decisions["count"] == 1
+        assert decisions["sum"] == outcome.elapsed_seconds >= 0.0
+        assert (
+            snapshot["counters"]["solver.reduced_size"]
+            == outcome.decision.reduced_size
+        )
 
     def test_expand_outcome_carries_elapsed_without_profiler(
         self, session, fragment_tree
@@ -139,12 +142,12 @@ class TestProfiler:
         assert outcome.elapsed_seconds >= 0.0
 
     def test_failed_expand_records_nothing(self, fragment_tree, fragment_probs):
-        from repro.analysis.runtime import SolverProfile
+        from repro.obs import Metrics
 
-        profile = SolverProfile()
+        metrics = Metrics()
         session = NavigationSession(
-            fragment_tree, EmptyCutStrategy(), profiler=profile
+            fragment_tree, EmptyCutStrategy(), metrics=metrics
         )
         with pytest.raises(ValueError):
             session.expand(fragment_tree.root)
-        assert len(profile) == 0
+        assert metrics.snapshot() == {"counters": {}, "histograms": {}}

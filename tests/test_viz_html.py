@@ -15,7 +15,7 @@ from tests.oracles.member_sets import subtree_results
 def expanded_active(fragment_tree):
     active = ActiveTree(fragment_tree)
     strategy = StaticNavigation(fragment_tree)
-    decision = strategy.best_cut(active.component(fragment_tree.root), fragment_tree.root)
+    decision = strategy.best_cut(active.component(fragment_tree.root))
     active.expand(fragment_tree.root, decision.cut)
     return active
 

@@ -6,8 +6,8 @@ shared mutable state behind it.  A stray ``self.hits += 1`` outside the
 lock is exactly the kind of read-modify-write race the
 ``SingleFlightCache`` exists to eliminate, and it passes every
 single-threaded test.  This rule makes the convention machine-checked
-for the concurrent modules (``src/repro/serving/``, ``src/repro/web/``
-and ``src/repro/cluster/``):
+for the concurrent modules (``src/repro/serving/``, ``src/repro/web/``,
+``src/repro/cluster/`` and the metrics registry ``src/repro/obs.py``):
 
 * **Scope** — classes whose ``__init__`` binds ``self._lock``.  Classes
   without a lock (pure renderers, immutable facades) are not checked.
@@ -155,6 +155,7 @@ class LockDisciplineRule(Rule):
             "serving" in module.parts
             or "web" in module.parts
             or "cluster" in module.parts
+            or tuple(module.parts[-2:]) == ("repro", "obs.py")
         )
 
     def check(self, module: ModuleInfo, index: ProjectIndex) -> List[Finding]:

@@ -92,24 +92,36 @@ pool is saturated:
 
 ### `GET /api/stats`
 
-Extends the per-query rows and solver summary with serving counters:
+Every counter and latency series of the process lives in one
+`repro.obs.Metrics` registry, which the runtime hands to its stage
+cache, session registry, dispatcher and sessions.  The answer is that
+registry's snapshot plus live gauges (cache sizes and capacities, queue
+depth, in-flight requests, live sessions), rendered once by
+`repro.serving.runtime.render_stats`:
 
 - `pipeline` — per-stage cache/latency counters from the staged
   navigation pipeline (DESIGN.md §10): for each of `hierarchy`,
   `results`, `nav_tree`, `active_tree`, and `cut`, the stage's
   `hits` / `misses` / `coalesced` / `evictions` / `size` / `capacity`
   (cached stages), `builds` / `runs`, and build-latency aggregates
-  (`build_seconds_total`, `build_ms_avg`, `build_ms_max`).  `coalesced`
-  counts requests that waited on another thread's in-progress build
-  instead of duplicating it.
+  (`build_seconds_total`, `build_ms_avg`, `build_ms_max`, read from the
+  stage's build-latency histogram).  `coalesced` counts requests that
+  waited on another thread's in-progress build instead of duplicating
+  it.
 - `sessions` — `active`, `capacity`, `created`, `evicted`, and
   `expired_lookups` (requests that named an evicted session and were
   answered `410 Gone` / `session_expired`).
 - `serving` — `workers`, `queue_depth`, `queue_capacity`, `in_flight`,
   `admitted`, `completed`, and `shed.overload` / `shed.deadline` /
   `shed.total` (requests rejected `503` with a `Retry-After` hint).
-- `solver` — per-EXPAND latency aggregates including `p50_ms` and
-  `p95_ms`, collected by the shared `SolverProfile`.
+- `queries` — the cached navigation trees, `query` and `tree_size`.
+- `solver` — per-EXPAND decision time: `expands`, `total_ms`,
+  `mean_ms`, `p50_ms`, `p95_ms`, `p99_ms`, `max_ms` and
+  `mean_reduced_size`.  The quantiles come from a fixed log-bucket
+  histogram (4 buckets per power of two from 1 µs to ~134 s) and read
+  the upper bound of the bucket holding the nearest-rank value, so they
+  never read lower than the exact value and at most ~19% higher; the
+  histogram's memory does not grow with the number of EXPANDs.
 
 Shed responses use HTTP 503 with `Retry-After` (derived from the
 configured queueing deadline); requests naming an evicted session get
@@ -145,17 +157,26 @@ any shard is unreachable or non-`ok` — summed `queue_depth`,
 
 ### `GET /api/stats` (cluster)
 
-- `pipeline` — per-stage counters summed across workers, hit ratios
-  recomputed from the sums (same row shape as single-process mode).
-- `l2` — the shared store, fleet-wide: summed `hits` / `misses` /
-  `publishes` / `evictions` / `errors`, recomputed `hit_ratio`, and a
-  single `entries` / `bytes` census (every worker sees one directory).
-- `cluster` — `size`, `crashes`, and fleet-summed `shed_total`.
-- `workers` — per-worker raw `stats` answers for drill-down, each with
+Each worker answers with its raw registry snapshot and gauges.  The
+router merges the snapshots by addition (`repro.obs.merge`: counters
+and histogram buckets add, the maximum is the largest maximum), sums
+the gauges, and renders the result with the same `render_stats` a
+single process uses.  Fleet counts, ratios and quantiles are therefore
+exact arithmetic over every worker's events, and the fleet quantiles
+are bucket upper bounds like the single-process ones.
+
+- `pipeline`, `sessions`, `serving`, `solver` — the single-process
+  blocks, fleet-wide.
+- `l2` — the shared store, fleet-wide: `hits` / `misses` / `publishes`
+  (each stage lookup counted once, however often a waiting worker polls
+  the directory), `hit_ratio`, `evictions` / `errors`, and one
+  `entries` / `bytes` census (every worker sees one directory).
+- `cluster` — `size`, `crashes`, and fleet-wide `shed_total`.
+- `workers` — each worker's own rendering for drill-down, with
   `name` / `generation` / `alive` / `respawns` / `queue_depth`.
 
 `benchmarks/bench_cluster.py` load-tests the fleet (CPU-bound 1 → 4
-process scaling, zero shed/lost, ledger-verified cross-worker L2 hit)
+process scaling, zero shed/lost, stage-row-verified cross-worker L2 hit)
 and emits `BENCH_cluster.json`.
 """
 

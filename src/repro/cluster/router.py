@@ -234,7 +234,10 @@ class BioNavCluster:
         return answers
 
     def health(self) -> Dict[str, object]:
-        """Fleet liveness/saturation summary for ``GET /api/health``."""
+        """Fleet liveness/saturation summary for ``GET /api/health``.
+
+        ``queue_depth`` sums the workers' own (requests waiting for a worker
+        thread); a shard row's counts the supervisor's queue to it."""
         probed = self._probe("health")
         shards = []
         status = "ok"
@@ -247,9 +250,9 @@ class BioNavCluster:
             else:
                 shard_status = str(answer.get("status", "ok"))
                 sessions += int(answer.get("sessions_active", 0))
+                queue_depth += int(answer.get("queue_depth", 0))
                 if shard_status != "ok":
                     status = "degraded"
-            queue_depth += int(row["queue_depth"])
             shards.append(
                 {
                     "name": row["name"],
@@ -286,7 +289,7 @@ class BioNavCluster:
         probed = self._probe("stats")
         answers = [answer for _, answer in probed if answer is not None]
         gauges: Dict[str, Any] = add_up(answer["gauges"] for answer in answers)
-        gauges["l2"] = answers[-1]["gauges"]["l2"] if answers else None
+        gauges["l2"] = answers[-1]["gauges"].get("l2") if answers else None
         stats = render_stats(merge(answer["snapshot"] for answer in answers), gauges)
         stats["cluster"] = {
             "size": self.config.workers,

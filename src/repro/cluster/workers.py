@@ -43,7 +43,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bionav import BioNav
 from repro.cluster.stagecache import ClusterStageCache
-from repro.obs import merge
 from repro.serving.dispatcher import DeadlineExceeded, RetryLater
 from repro.serving.runtime import ServingRuntime
 from repro.serving.sessions import SessionExpired
@@ -72,7 +71,6 @@ class WorkerUnavailable(Exception):
 # ----------------------------------------------------------------------
 def _execute(
     runtime: ServingRuntime,
-    l2: Optional[ClusterStageCache],
     generation: int,
     op: str,
     kwargs: Dict[str, Any],
@@ -94,13 +92,7 @@ def _execute(
             return ("ok", runtime.health())
         if op == "stats":
             # Raw, so the router can merge workers before rendering.
-            snapshots = [runtime.metrics.snapshot()]
-            gauges = runtime.gauges()
-            gauges["l2"] = None
-            if l2 is not None:
-                snapshots.append(l2.metrics.snapshot())
-                gauges["l2"] = l2.census()
-            return ("ok", {"snapshot": merge(snapshots), "gauges": gauges})
+            return ("ok", {"snapshot": runtime.snapshot(), "gauges": runtime.gauges()})
         if op == "ping":
             return ("ok", "pong")
         return ("err", "bad_request", {"message": "unknown operation %r" % op})
@@ -194,7 +186,7 @@ def worker_main(
                     responses.put(("res", req_id, ("err", "worker_restarted", {})))
                     continue
                 responses.put(
-                    ("res", req_id, _execute(runtime, l2, generation, op, kwargs))
+                    ("res", req_id, _execute(runtime, generation, op, kwargs))
                 )
         finally:
             stop.set()

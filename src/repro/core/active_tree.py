@@ -16,24 +16,49 @@ Each component is held in interval form, and :meth:`ActiveTree.component`
 hands it out as a :class:`~repro.core.edgecut.Component`: its root plus
 the preorder positions of the subtree roots cut away below it, which are
 exactly the nearest visible nodes under the root.  The state is
-therefore a map from each visible node to those positions plus the
-sorted list of visible positions, and every read — membership, counts,
-the visualization — costs what the visible rows and cut edges cost,
-never a walk over the tree.
+therefore a map from each visible node to those positions and its
+:class:`ComponentStats` (in a pipeline session, from the navigation-tree
+artifact and each EXPAND's cut plan; else computed on first read), plus
+the sorted list of visible positions, so views cost O(visible rows).
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from itertools import chain
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.edgecut import Component
 from repro.core.navigation_tree import NavigationTree
+from repro.core.probabilities import ProbabilityModel
 
-__all__ = ["VisNode", "ActiveTree"]
+__all__ = ["VisNode", "ComponentStats", "component_stats", "ActiveTree"]
 
 Edge = Tuple[int, int]
+
+
+class ComponentStats(NamedTuple):
+    """What the interface shows for one component (§II, Figs. 3–4); the
+    relevance is None when computed without a probability model."""
+
+    count: int
+    relevance: Optional[float]
+    expandable: bool
+
+
+def component_stats(
+    component: Component, probs: Optional[ProbabilityModel] = None
+) -> ComponentStats:
+    """The one computation of :class:`ComponentStats`; the relevance, an
+    exactly rounded ``math.fsum`` of EXPLORE mass, depends only on members."""
+    relevance = None
+    if probs is not None:
+        mass = probs.explore_mass
+        slices = component.slices()
+        relevance = math.fsum(chain.from_iterable(mass[b:e].tolist() for b, e in slices))
+    return ComponentStats(len(component.distinct_results()), relevance, len(component) > 1)
 
 
 @dataclass(frozen=True)
@@ -61,16 +86,18 @@ class VisNode:
 class ActiveTree:
     """Navigation tree + disjoint component subtrees, closed under EdgeCut."""
 
-    def __init__(self, tree: NavigationTree):
+    def __init__(self, tree: NavigationTree, root_stats: Optional[ComponentStats] = None):
         self.tree = tree
         # Every visible node -> the excluded positions of its component.
         # Insertion order follows EXPANDs (the expanded root moves to the
         # end, then the revealed roots), which fixes component_roots().
         self._excluded: Dict[int, Tuple[int, ...]] = {tree.root: ()}
+        # Visible node -> its component's statistics (absent/None: unknown).
+        self._stats: Dict[int, Optional[ComponentStats]] = {tree.root: root_stats}
         self._visible: List[int] = [tree.position(tree.root)]
         # One entry per EXPAND: (root, its index in _excluded, its
-        # excluded positions before the cut, the revealed roots).
-        self._log: List[Tuple[int, int, Tuple[int, ...], Tuple[int, ...]]] = []
+        # excluded positions and stats before the cut, the revealed roots).
+        self._log: List[Tuple[int, int, Tuple[int, ...], Any, Tuple[int, ...]]] = []
 
     # ------------------------------------------------------------------
     # Component accessors
@@ -104,9 +131,17 @@ class ActiveTree:
         """All visible nodes, in navigation-tree pre-order."""
         return self.tree.preorder_array()[self._visible].tolist()
 
+    def stats(self, node: int, probs: Optional[ProbabilityModel] = None) -> ComponentStats:
+        """Statistics of ``I(node)``, stored or computed and kept (KeyError
+        when hidden); the first read with ``probs`` fills in a None relevance."""
+        stats = self._stats.get(node)
+        if stats is None or (stats.relevance is None and probs is not None):
+            stats = self._stats[node] = component_stats(self.component(node), probs)
+        return stats
+
     def component_count(self, node: int) -> int:
         """Distinct citations in ``I(node)`` — the number shown in the UI."""
-        return len(self.component(node).distinct_results())
+        return self.stats(node).count
 
     def containing_root(self, node: int) -> int:
         """Root of the component that contains ``node``.
@@ -123,12 +158,13 @@ class ActiveTree:
     # ------------------------------------------------------------------
     # EXPAND (EdgeCut) and BACKTRACK
     # ------------------------------------------------------------------
-    def expand(self, node: int, cut: Sequence[Edge]) -> List[int]:
+    def expand(self, node: int, cut: Sequence[Edge], stats: Sequence = ()) -> List[int]:
         """Perform EdgeCut ``cut`` on the component rooted at ``node``.
 
         Returns the roots of the created components (upper first, then the
         lower roots in cut order) — the set the EdgeCut operation returns
-        in the paper.
+        in the paper.  ``stats`` are those components' statistics in the
+        same order, when known (a cut plan's).
 
         Raises:
             ValueError: empty cut, hidden/singleton node, or invalid cut.
@@ -146,19 +182,22 @@ class ActiveTree:
         for lower_root, lower in lowers.items():
             excluded[lower_root] = lower.excluded
             insort(self._visible, lower.begin)
-        self._log.append((node, index, before, tuple(lowers)))
+        self._log.append((node, index, before, self._stats.pop(node, None), tuple(lowers)))
+        self._stats.update(zip([node, *lowers], stats))
         return [node] + [child for _, child in cut]
 
     def backtrack(self) -> bool:
         """Undo the most recent EXPAND; returns False when at initial state."""
         if not self._log:
             return False
-        node, index, before, revealed = self._log.pop()
+        node, index, before, before_stats, revealed = self._log.pop()
         for lower_root in revealed:
             del self._excluded[lower_root]
+            self._stats.pop(lower_root, None)
             position = self.tree.position(lower_root)
             del self._visible[bisect_left(self._visible, position)]
         del self._excluded[node]
+        self._stats[node] = before_stats
         items = list(self._excluded.items())
         items.insert(index, (node, before))
         self._excluded = dict(items)
@@ -178,7 +217,8 @@ class ActiveTree:
         The visible parent of a node is its nearest visible ancestor in the
         navigation tree.  One pass over the sorted visible positions keeps
         the open ancestors on a stack (each with the end of its preorder
-        interval), so the cost is O(visible rows), not O(tree).
+        interval) and reads each row's stored :meth:`stats`, so the cost is
+        O(visible rows), not O(tree).
         """
         tree = self.tree
         order = tree.preorder_array()
@@ -189,13 +229,13 @@ class ActiveTree:
             while open_ends and position >= open_ends[-1][0]:
                 open_ends.pop()
             node = int(order[position])
-            component = Component(tree, node, self._excluded[node])
+            stats = self.stats(node)
             rows.append(
                 VisNode(
                     node=node,
                     label=tree.label(node),
-                    count=len(component.distinct_results()),
-                    expandable=len(component) > 1,
+                    count=stats.count,
+                    expandable=stats.expandable,
                     depth=len(open_ends),
                     parent=open_ends[-1][1] if open_ends else -1,
                 )

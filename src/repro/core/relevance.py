@@ -13,8 +13,6 @@ under either policy, leaving parent/child structure untouched.
 
 from __future__ import annotations
 
-import math
-from itertools import chain
 from typing import Callable, Dict, List, Sequence
 
 from repro.core.active_tree import ActiveTree, VisNode
@@ -24,18 +22,9 @@ __all__ = ["relevance_of", "rank_siblings", "ranked_visualization"]
 
 
 def relevance_of(active: ActiveTree, probs: ProbabilityModel, node: int) -> float:
-    """Query relevance of a visible node: its component's EXPLORE mass.
-
-    ``math.fsum`` over the component's preorder slices gives the exactly
-    rounded sum, so the value depends only on the members, never on the
-    order an expansion history happened to produce them in.
-    """
-    mass = probs.explore_mass
-    return math.fsum(
-        chain.from_iterable(
-            mass[begin:end].tolist() for begin, end in active.component(node).slices()
-        )
-    )
+    """Query relevance of a visible node: its component's EXPLORE mass,
+    as stored in (or computed for) the active tree's :meth:`stats`."""
+    return active.stats(node, probs).relevance  # type: ignore[return-value]
 
 
 def rank_siblings(

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
-from repro.core.active_tree import ActiveTree, VisNode
+from repro.core.active_tree import ActiveTree, ComponentStats, VisNode
 from repro.core.cost_model import CostLedger, CostParams
 from repro.core.navigation_tree import NavigationTree
 from repro.core.strategy import CutDecision, ExpansionStrategy
@@ -56,6 +56,7 @@ class NavigationSession:
         strategy: ExpansionStrategy,
         params: Optional[CostParams] = None,
         metrics: Optional[Metrics] = None,
+        root_stats: Optional[ComponentStats] = None,
     ):
         """
         Args:
@@ -64,10 +65,11 @@ class NavigationSession:
             params: cost-model unit costs.
             metrics: optional registry each EXPAND decision is recorded
                 in (see the module docstring).
+            root_stats: the root component's statistics, when known.
         """
         self.tree = tree
         self.strategy = strategy
-        self.active = ActiveTree(tree)
+        self.active = ActiveTree(tree, root_stats)
         self.ledger = CostLedger(params=params or CostParams())
         self.metrics = metrics
         self._ignored: Set[int] = set()
@@ -86,14 +88,14 @@ class NavigationSession:
                 strategy returns an empty cut.
         """
         started = time.perf_counter()
-        decision = self.strategy.choose_cut(self.active, node)
+        decision, stats = self.strategy.choose_expansion(self.active, node)
         elapsed = time.perf_counter() - started
         if not decision.cut:
             raise ValueError("strategy produced no cut for node %r" % (node,))
         if self.metrics is not None:
             self.metrics.observe("solver.decision_seconds", elapsed)
             self.metrics.add("solver.reduced_size", decision.reduced_size)
-        self.active.expand(node, decision.cut)
+        self.active.expand(node, decision.cut, stats)
         revealed = tuple(child for _, child in decision.cut)
         self.ledger.charge_expand(len(revealed))
         outcome = ExpandOutcome(

@@ -95,3 +95,8 @@ class ExpansionStrategy(abc.ABC):
         Implementations must return a valid EdgeCut of that component;
         they must not mutate the active tree.
         """
+
+    def choose_expansion(self, active: ActiveTree, node: int) -> Tuple[CutDecision, Tuple]:
+        """:meth:`choose_cut` plus the statistics of the components it
+        creates, as :meth:`ActiveTree.expand` takes them (empty: unknown)."""
+        return self.choose_cut(active, node), ()

@@ -25,6 +25,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.core.active_tree import ComponentStats
 from repro.core.edgecut import Component
 from repro.core.navigation_tree import NavigationTree
 from repro.core.probabilities import ProbabilityModel
@@ -56,8 +57,9 @@ __all__ = [
 #: :class:`NavTreeArtifact` layout changed.  Version 5: the navigation
 #: tree lost its per-node result-set caches and :class:`NavTreeArtifact`
 #: carries the tree's distinct-citation count, so the pickled layout
-#: changed.
-KEY_FORMAT_VERSION = 5
+#: changed.  Version 6: :class:`CutPlan` and :class:`NavTreeArtifact`
+#: carry component statistics, so both pickled layouts changed.
+KEY_FORMAT_VERSION = 6
 
 
 def content_key(*parts: str) -> str:
@@ -141,15 +143,15 @@ class NavTreeArtifact:
         tree: the navigation tree embedded in the hierarchy.
         probs: EXPLORE/EXPAND probability estimates over ``tree``
             (the per-node cost-model arrays, read-only).
-        distinct_count: distinct citations in the tree, i.e. the root
-            component's display count; computed once at build.
+        root_stats: the root component's display statistics (its count
+            is the tree's distinct citations); computed once at build.
         content_key: digest chaining the hierarchy and result-set keys.
     """
 
     query: str
     tree: NavigationTree
     probs: ProbabilityModel
-    distinct_count: int
+    root_stats: ComponentStats
     content_key: str
 
 
@@ -189,9 +191,12 @@ class CutPlan:
         root: root concept of the expanded component.
         decision: the strategy's cut (with instrumentation).
         content_key: digest identifying this plan's full input closure.
+        stats: display statistics of the components the cut creates,
+            upper first, then the lowers in cut order (empty: unknown).
     """
 
     solver: str
     root: int
     decision: CutDecision
     content_key: str
+    stats: Tuple[ComponentStats, ...] = ()

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.active_tree import ActiveTree
 from repro.core.cost_model import CostParams
@@ -63,9 +63,10 @@ __all__ = ["PipelineStrategy", "NavigationPipeline"]
 class PipelineStrategy(ExpansionStrategy):
     """A registry-built solver routed through the pipeline's cut stage.
 
-    ``choose_cut`` resolves the expanded component, asks the pipeline
-    for its :class:`CutPlan` (cache hit or a fresh solve by the wrapped
-    strategy), and returns the plan's decision.  Wrapping — rather than
+    ``choose_expansion`` resolves the expanded component, asks the
+    pipeline for its :class:`CutPlan` (cache hit or a fresh solve by the
+    wrapped strategy), and returns the plan's decision and the created
+    components' statistics.  Wrapping — rather than
     subclassing each solver — keeps caching a pipeline concern and the
     solvers pure.
     """
@@ -90,14 +91,22 @@ class PipelineStrategy(ExpansionStrategy):
 
     def choose_cut(self, active: ActiveTree, node: int) -> CutDecision:
         """EdgeCut for ``node``'s component, via the cut-stage cache."""
-        return self.best_cut(active.component(node))
+        return self.plan(active.component(node)).decision
+
+    def choose_expansion(self, active: ActiveTree, node: int) -> Tuple[CutDecision, Tuple]:
+        """The cut-stage plan's cut and created components' statistics."""
+        plan = self.plan(active.component(node))
+        return plan.decision, plan.stats
 
     def best_cut(self, component: Component) -> CutDecision:
         """Cached-or-solved cut for one component (see :class:`CutStage`)."""
-        plan = self.pipeline.plan_cut(
+        return self.plan(component).decision
+
+    def plan(self, component: Component) -> CutPlan:
+        """The component's :class:`CutPlan`, cached or freshly solved."""
+        return self.pipeline.plan_cut(
             self.nav, component, self.solver, inner=self.inner, **self.options
         )
-        return plan.decision
 
 
 class NavigationPipeline:
@@ -235,7 +244,7 @@ class NavigationPipeline:
             strategy = inner
             if strategy is None:
                 strategy = self._bare_strategy(nav, canonical, **options)
-            return CutStage.build(strategy, component, canonical, key)
+            return CutStage.build(nav, strategy, component, canonical, key)
 
         return self.cache.get_or_build(CutStage.name, key, build)
 

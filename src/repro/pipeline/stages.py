@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from repro.core.active_tree import component_stats
 from repro.core.cost_model import CostParams
 from repro.core.edgecut import Component
 from repro.core.navigation_tree import NavigationTree
@@ -124,11 +125,12 @@ class NavTreeStage:
         # vectorized embedding, and its batch LT lookup serves the whole
         # tree at once.
         tree = NavigationTree.from_store(snapshot.hierarchy, store, results.pmids)
+        probs = ProbabilityModel(tree, store)
         return NavTreeArtifact(
             query=results.query,
             tree=tree,
-            probs=ProbabilityModel(tree, store),
-            distinct_count=len(Component(tree, tree.root).distinct_results()),
+            probs=probs,
+            root_stats=component_stats(Component(tree, tree.root), probs),
             content_key=key,
         )
 
@@ -160,7 +162,7 @@ class ActiveTreeStage:
     ) -> ActiveTreeArtifact:
         """Open one live navigation session over the shared tree."""
         session = NavigationSession(
-            nav.tree, strategy, params=params, metrics=metrics
+            nav.tree, strategy, params=params, metrics=metrics, root_stats=nav.root_stats
         )
         return ActiveTreeArtifact(
             nav=nav, solver=solver, session=session, content_key=key
@@ -201,16 +203,17 @@ class CutStage:
 
     @staticmethod
     def build(
+        nav: NavTreeArtifact,
         strategy: ExpansionStrategy,
         component: Component,
         solver: str,
         key: str,
     ) -> CutPlan:
-        """Solve one component with the given strategy and wrap the plan."""
+        """Solve one component; the plan carries its cut's components' stats."""
         decision = strategy.best_cut(component)  # type: ignore[attr-defined]
-        return CutPlan(
-            solver=solver, root=component.root, decision=decision, content_key=key
-        )
+        upper, lowers = component.cut(decision.cut)
+        stats = tuple(component_stats(c, nav.probs) for c in (upper, *lowers.values()))
+        return CutPlan(solver, component.root, decision, key, stats)
 
 
 #: The dataflow, in order.

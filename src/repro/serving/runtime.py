@@ -39,7 +39,7 @@ if TYPE_CHECKING:  # import cycle: repro.bionav builds on repro.pipeline
 from repro.core.active_tree import VisNode
 from repro.core.relevance import ranked_visualization
 from repro.corpus.citation import DocSummary
-from repro.obs import Metrics, Snapshot, histogram, quantile
+from repro.obs import Metrics, Snapshot, histogram, merge, quantile
 from repro.pipeline.cache import stage_rows
 from repro.pipeline.pipeline import NavigationPipeline
 from repro.pipeline.stages import NavTreeStage
@@ -164,7 +164,7 @@ class ServingRuntime:
         l2: optional cross-process stage store (the cluster's shared
             artifact cache); wired into the pipeline's
             :class:`~repro.pipeline.cache.StageCache` so stage misses
-            consult it before building.
+            consult it before building; :meth:`stats` reports it.
     """
 
     def __init__(
@@ -179,7 +179,7 @@ class ServingRuntime:
         backend_latency: float = 0.0,
         solver: str = "heuristic",
         results_page_size: int = DEFAULT_RESULTS_PAGE_SIZE,
-        l2: Optional[object] = None,
+        l2: Optional[Any] = None,
     ):
         if results_page_size < 1:
             raise ValueError("results_page_size must be positive")
@@ -188,6 +188,7 @@ class ServingRuntime:
         self.backend_latency = backend_latency
         self.solver = bionav.registry.resolve(solver)
         self.results_page_size = results_page_size
+        self.l2 = l2
         self.metrics = Metrics()
         self.pipeline = NavigationPipeline(
             bionav.database,
@@ -241,7 +242,7 @@ class ServingRuntime:
             nav, solver=self.solver, metrics=self.metrics
         )
         sid = self.sessions.create(query, artifact.session, nav)
-        return SearchResult(session=sid, query=query, count=nav.distinct_count)
+        return SearchResult(session=sid, query=query, count=nav.root_stats.count)
 
     def _do_view(self, sid: str) -> SessionView:
         self._simulate_backend()
@@ -358,7 +359,7 @@ class ServingRuntime:
         Stage-cache sizes and capacities, queue depth and capacity,
         in-flight requests, worker threads and live sessions (all of
         which add up across a fleet), plus the ``queries`` rows of the
-        cached navigation trees.
+        cached navigation trees and, with an L2, its directory census.
         """
         gauges: Dict[str, Any] = self.pipeline.cache.gauges()
         gauges.update(
@@ -375,12 +376,19 @@ class ServingRuntime:
                 ],
             }
         )
+        if self.l2 is not None:
+            gauges["l2"] = self.l2.census()
         return gauges
+
+    def snapshot(self) -> Snapshot:
+        """The process's counters and histograms, the L2's merged in."""
+        l2 = [] if self.l2 is None else [self.l2.metrics.snapshot()]
+        return merge([self.metrics.snapshot()] + l2)
 
     def stats(self) -> Dict[str, object]:
         """Operational statistics for ``GET /api/stats`` (see
         :func:`render_stats`)."""
-        return render_stats(self.metrics.snapshot(), self.gauges())
+        return render_stats(self.snapshot(), self.gauges())
 
     def close(self) -> None:
         """Shut the worker pool down, waiting for running requests."""
@@ -406,7 +414,7 @@ def render_stats(snapshot: Snapshot, gauges: Mapping[str, Any]) -> Dict[str, Any
     ``solver.decision_seconds`` histogram in milliseconds, its quantiles
     being bucket upper bounds (never below the exact value).  ``queries``
     and ``l2`` appear when the gauges carry them (``l2`` is None for a
-    process without an L2; its hits, misses and publishes are the stage
+    fleet without an L2; its hits, misses and publishes are the stage
     rows' L2 counts summed).
     """
     counters = snapshot["counters"]

@@ -47,13 +47,12 @@ def active_tree_to_networkx(active: ActiveTree) -> "nx.DiGraph":
     ``component_count`` (the Definition 5 display count) on visible nodes.
     """
     graph = navigation_tree_to_networkx(active.tree)
-    roots = set(active.component_roots())
-    for node in graph.nodes:
-        visible = active.is_visible(node)
-        graph.nodes[node]["visible"] = visible
-        graph.nodes[node]["component_root"] = node in roots
-        if visible:
-            graph.nodes[node]["component_count"] = active.component_count(node)
+    for node, data in graph.nodes(data=True):
+        data["visible"] = data["component_root"] = active.is_visible(node)
+        if data["visible"]:
+            stats = active.stats(node)
+            data["component_root"] = stats.expandable
+            data["component_count"] = stats.count
     return graph
 
 

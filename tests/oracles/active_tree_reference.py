@@ -131,12 +131,13 @@ class ReferenceActiveTree:
     # ------------------------------------------------------------------
     # EXPAND (EdgeCut) and BACKTRACK
     # ------------------------------------------------------------------
-    def expand(self, node: int, cut: Sequence[Edge]) -> List[int]:
+    def expand(self, node: int, cut: Sequence[Edge], stats: Sequence = ()) -> List[int]:
         """Perform EdgeCut ``cut`` on the component rooted at ``node``.
 
         Returns the roots of the created components (upper first, then the
         lower roots in cut order) — the set the EdgeCut operation returns
-        in the paper.
+        in the paper.  ``stats`` (a cut plan's component statistics) is
+        ignored: the oracle recounts every component from its members.
 
         Raises:
             ValueError: empty cut, hidden/singleton node, or invalid cut.

@@ -34,7 +34,7 @@ from repro.pipeline.pipeline import NavigationPipeline
 from repro.pipeline.stages import CutStage, params_key
 from repro.pipeline.cache import StageCache
 from repro.obs import Metrics
-from repro.serving.runtime import render_stats
+from repro.serving.runtime import ServingRuntime, render_stats
 from repro.serving.sessions import SessionExpired
 from repro.web.app import BioNavWebApp
 
@@ -307,6 +307,24 @@ def cluster_bionav(small_workload) -> BioNav:
     return BioNav(small_workload.database, small_workload.entrez)
 
 
+class TestSingleProcessL2:
+    def test_runtime_stats_report_a_corrupt_entry(self, cluster_bionav, small_workload, tmp_path):
+        """A single-process runtime over an L2 reports the store's own
+        counters and census in ``/api/stats``, as a fleet worker does."""
+        keyword = small_workload.queries[0].spec.keyword
+        with ServingRuntime(cluster_bionav, workers=1, l2=ClusterStageCache(tmp_path)) as first:
+            first.search(keyword)
+        (entry,) = tmp_path.glob("nav_tree.v*/*/*.pkl")
+        entry.write_bytes(b"torn")
+        with ServingRuntime(cluster_bionav, workers=1, l2=ClusterStageCache(tmp_path)) as runtime:
+            assert runtime.stats()["l2"]["errors"] == 0
+            runtime.search(keyword)
+            l2 = runtime.stats()["l2"]
+        assert (l2["errors"], l2["evictions"]) == (1, 0)
+        assert (l2["hits"], l2["misses"], l2["publishes"]) == (1, 1, 1)
+        assert l2["entries"] == 2
+
+
 @pytest.fixture(scope="module")
 def keywords(small_workload) -> List[str]:
     return [q.spec.keyword for q in small_workload.queries]
@@ -400,6 +418,23 @@ class TestClusterServing:
         assert stats["cluster"]["size"] == 2
         assert len(stats["workers"]) == 2
         assert "hit_ratio" in stats["l2"]
+
+    def test_fleet_queue_depth_sums_the_workers_own_answers(self, cluster, monkeypatch):
+        """Top-level ``queue_depth`` counts what a single process's does
+        (requests waiting for a worker thread); each shard row keeps the
+        supervisor's router-queue count."""
+        probed = [
+            (
+                {"name": "w%d" % index, "generation": 0, "alive": True,
+                 "respawns": 0, "queue_depth": 7},
+                {"status": "ok", "sessions_active": 1, "queue_depth": index + 1},
+            )
+            for index in range(2)
+        ]
+        monkeypatch.setattr(cluster, "_probe", lambda op: probed)
+        health = cluster.health()
+        assert health["queue_depth"] == 3
+        assert [shard["queue_depth"] for shard in health["shards"]] == [7, 7]
 
     def test_merged_stage_timings_are_not_summed(self, cluster, monkeypatch):
         """Two workers reporting the same stage history merge to that

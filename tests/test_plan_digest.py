@@ -38,7 +38,7 @@ from repro.substrate import (
 )
 
 #: The key version the digest below was pinned under.
-PINNED_KEY_FORMAT_VERSION = 5
+PINNED_KEY_FORMAT_VERSION = 6
 #: sha-256 over every decision of :func:`walk_decisions`.
 PLAN_DIGEST = "fbcbe98594139687cc99dfa630edc3d004395641658f82e3d0fcad316260bcb1"
 

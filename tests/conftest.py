@@ -4,19 +4,32 @@ The *fragment* fixtures build a navigation scenario on the embedded MeSH
 fragment with known, hand-assigned citations, so tests can assert exact
 counts (the numbers loosely follow the paper's prothymosin walkthrough).
 The *workload* fixture materializes a scaled-down Table I deployment once
-per session for integration-level tests.
+per session for integration-level tests; the *deployment* fixture is a
+seeded synthetic substrate with a few small one-concept queries, for
+pipeline property tests.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet
 
+import numpy as np
 import pytest
 
 from repro.core.navigation_tree import NavigationTree
 from repro.core.probabilities import ProbabilityModel
+from repro.eutils.client import EntrezClient
 from repro.hierarchy.concept import ConceptHierarchy
+from repro.hierarchy.generator import generate_hierarchy
 from repro.hierarchy.mesh import paper_fragment
+from repro.search.engine import SearchEngine
+from repro.storage.database import BioNavDatabase
+from repro.substrate import (
+    SubstrateBuilder,
+    SynthSpec,
+    synthetic_background,
+    synthetic_chunks,
+)
 from repro.workload.builder import Workload, build_workload
 from tests.oracles.member_sets import tree_from_mapping
 
@@ -106,3 +119,25 @@ def fragment_probs(fragment_tree, fragment_medline_count) -> ProbabilityModel:
 def small_workload() -> Workload:
     """A scaled-down Table I deployment, built once per test session."""
     return build_workload(hierarchy_size=1200, background_citations=60)
+
+
+@pytest.fixture(scope="session")
+def deployment():
+    """A seeded in-memory substrate (seed 13) plus four one-concept queries
+    with 25–45 citations each: (database, entrez, queries)."""
+    hierarchy = generate_hierarchy(target_size=1200, seed=13)
+    builder = SubstrateBuilder(None, num_concepts=len(hierarchy))
+    builder.build(
+        synthetic_chunks(
+            SynthSpec(citations=4000, num_concepts=len(hierarchy), seed=13)
+        ),
+        hierarchy=hierarchy,
+        background=synthetic_background(len(hierarchy), seed=13),
+    )
+    store = builder.open()
+    database = BioNavDatabase.from_store(store, hierarchy=hierarchy)
+    entrez = EntrezClient(store, SearchEngine(store, hierarchy=hierarchy))
+    counts = np.array([store.result_count(c) for c in range(len(hierarchy))])
+    concepts = np.flatnonzero((counts >= 25) & (counts <= 45))[:4]
+    assert len(concepts) == 4
+    return database, entrez, ["%d[mh]" % c for c in concepts.tolist()]

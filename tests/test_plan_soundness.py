@@ -9,50 +9,14 @@ first, the plan served for a component equals a fresh solve of it.
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.stagecache import ClusterStageCache
 from repro.core.active_tree import ActiveTree
 from repro.core.heuristic import HeuristicReducedOpt
-from repro.eutils.client import EntrezClient
-from repro.hierarchy.generator import generate_hierarchy
 from repro.pipeline.pipeline import NavigationPipeline
 from repro.pipeline.stages import CutStage
-from repro.search.engine import SearchEngine
-from repro.storage.database import BioNavDatabase
-from repro.substrate import (
-    SubstrateBuilder,
-    SynthSpec,
-    synthetic_background,
-    synthetic_chunks,
-)
-
-SEED = 13
-
-
-@pytest.fixture(scope="module")
-def deployment():
-    """A seeded in-memory substrate plus a few mid-frequency concept queries."""
-    hierarchy = generate_hierarchy(target_size=1200, seed=SEED)
-    builder = SubstrateBuilder(None, num_concepts=len(hierarchy))
-    builder.build(
-        synthetic_chunks(
-            SynthSpec(citations=4000, num_concepts=len(hierarchy), seed=SEED)
-        ),
-        hierarchy=hierarchy,
-        background=synthetic_background(len(hierarchy), seed=SEED),
-    )
-    store = builder.open()
-    database = BioNavDatabase.from_store(store, hierarchy=hierarchy)
-    entrez = EntrezClient(store, SearchEngine(store, hierarchy=hierarchy))
-    counts = np.array([store.result_count(c) for c in range(len(hierarchy))])
-    concepts = np.flatnonzero((counts >= 25) & (counts <= 45))[:4]
-    assert len(concepts) == 4
-    return database, entrez, ["%d[mh]" % c for c in concepts.tolist()]
-
 
 def fresh(nav, pipeline, component, **options):
     """The decision of a fresh solver that has seen nothing before."""

@@ -6,13 +6,15 @@ citations associated with it.  Since most concepts end up empty, BioNav
 reduces it to the *navigation tree*: the maximum embedding of the initial
 tree containing no empty-result nodes (except the root, kept to avoid a
 forest), computed over the hierarchy's preorder-encoded positional arrays
-(:class:`repro.hierarchy.arrays.HierarchyArrays`) — annotated concepts
-become a boolean mask over the root's preorder interval, the nearest kept
-ancestor of every node resolves with one array pass per tree level, and
-embedded subtree sizes fall out of a cumulative sum of the kept mask.
-No per-node Python objects are built on the cold path; at MEDLINE scale
-this replaces a ~240ms dict-based construction with a few milliseconds
-of whole-array passes (DESIGN.md §15).
+(:class:`repro.hierarchy.arrays.HierarchyArrays`).  Embedded preorder is
+hierarchy preorder restricted to the kept nodes, so the embedding works
+on the kept preorder positions alone: embedded parents come from a walk
+up the hierarchy over the still-unresolved kept nodes, depths from
+pointer jumping, and subtree sizes from one ``searchsorted`` of the
+hierarchy subtree intervals.  Apart from the node → position map every
+tree keeps, the work is O(result rows + tree nodes), not O(hierarchy),
+and no per-node Python objects are built on the cold path (DESIGN.md
+§15).
 
 Navigation-tree nodes keep their hierarchy node ids, so labels, depths
 and ancestor tests delegate to the hierarchy; only the parent/child
@@ -30,9 +32,9 @@ is a contiguous preorder slice, so its distinct citations are one
 form (DESIGN.md §16).  ``tree_depth``, ``is_tree_ancestor`` and
 ``subtree_size`` remain O(1) lookups; ``iter_dfs`` is a contiguous slice.
 
-:meth:`NavigationTree.from_csr` embeds an annotation CSR (concept rows
-of sorted citation ids); :meth:`NavigationTree.from_store` gathers that
-CSR from a corpus store.
+:meth:`NavigationTree.from_store` embeds a result answered by a corpus
+store and :meth:`NavigationTree.from_csr` an annotation CSR (concept rows
+of sorted citation ids); both feed the same embedding core.
 
 The original dict-based builder is kept verbatim as
 ``ReferenceNavigationTree`` in ``tests/oracles/navigation_tree_reference.py``,
@@ -62,6 +64,31 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _window_positions(
+    hierarchy: ConceptHierarchy, root: int, concepts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Hierarchy preorder positions of ``concepts`` and which lie in
+    ``root``'s window; ids outside the hierarchy lie in no window."""
+    arrays = hierarchy.arrays()
+    valid = (concepts >= 0) & (concepts < len(hierarchy))
+    positions = arrays.positions[np.where(valid, concepts, 0)].astype(np.int64)
+    begin = int(arrays.positions[root])
+    inside = valid & (positions >= begin)
+    inside &= positions < begin + int(arrays.subtree_sizes[root])
+    return positions, inside
+
+
+def _stable_sort(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(sorted keys, stable argsort)`` of non-negative integer keys.
+
+    One plain sort of the distinct composite keys ``key * n + index``
+    (which must fit in int64): several times faster than a stable
+    argsort, with the same order.
+    """
+    n = max(len(keys), 1)
+    return np.divmod(np.sort(keys * n + np.arange(len(keys))), n)
+
+
 class NavigationTree:
     """The maximum embedding of the initial navigation tree.
 
@@ -82,11 +109,14 @@ class NavigationTree:
         child_val: np.ndarray,
         res_off: np.ndarray,
         res_val: np.ndarray,
+        pos_of: np.ndarray,
     ) -> None:
         """Adopt embedded-preorder arrays (see the module docstring).
 
         :meth:`from_csr` and :meth:`from_store` compute them with the
-        vectorized embedding; the arrays are frozen on adoption.
+        vectorized embedding; ``pos_of`` maps every hierarchy node id to
+        its embedded position (-1: not kept).  The arrays are frozen on
+        adoption.
         """
         self.hierarchy = hierarchy
         self.root = root
@@ -98,8 +128,6 @@ class NavigationTree:
         self._child_val = _freeze(child_val)
         self._res_off = _freeze(res_off)
         self._res_val = _freeze(res_val)
-        pos_of = np.full(len(hierarchy), -1, dtype=np.int64)
-        pos_of[order] = np.arange(len(order), dtype=np.int64)
         self._pos_of = _freeze(pos_of)
 
     # ------------------------------------------------------------------
@@ -118,25 +146,28 @@ class NavigationTree:
         Args:
             hierarchy: the concept hierarchy.
             store: the corpus :class:`~repro.substrate.store.MmapStore`;
-                its ``annotation_arrays`` provides the association
-                restriction directly in CSR form, so the tree builds
-                without any per-citation Python objects.
-            pmids: the query result's citation ids.
+                its ``annotation_rows`` gathers the result's citation →
+                concept rows, so the tree builds without any
+                per-citation Python objects.
+            pmids: the query result's citation ids; duplicates and ids
+                not in the store are ignored.
             root: subtree to embed within; defaults to the hierarchy root.
+
+        The ``(position, pmid)`` pairs are sorted once, stably, by
+        hierarchy preorder position: the PMIDs ascend in the gather, so
+        the results CSR comes out in embedded preorder with each row
+        sorted.  Concepts outside the root's window are dropped.
         """
-        concepts, offsets, values = store.annotation_arrays(list(pmids))
-        size = len(hierarchy)
-        if len(concepts) and (
-            int(concepts[0]) < 0 or int(concepts[-1]) >= size
-        ):
-            inside = (concepts >= 0) & (concepts < size)
-            keep = np.repeat(inside, np.diff(offsets))
-            values = values[keep]
-            lengths = np.diff(offsets)[inside]
-            concepts = concepts[inside]
-            offsets = np.zeros(len(concepts) + 1, dtype=np.int64)
-            np.cumsum(lengths, out=offsets[1:])
-        return cls.from_csr(hierarchy, concepts, offsets, values, root)
+        if root is None:
+            root = hierarchy.root
+        result, lengths, concepts = store.annotation_rows(list(pmids))
+        positions, inside = _window_positions(hierarchy, root, concepts)
+        positions, by_position = _stable_sort(positions[inside])
+        values = np.repeat(result, lengths)[inside][by_position]
+        starts = np.flatnonzero(np.diff(positions, prepend=-1))
+        return cls._embed(
+            hierarchy, root, positions[starts], np.append(starts, len(values)), values
+        )
 
     @classmethod
     def from_csr(
@@ -151,8 +182,8 @@ class NavigationTree:
 
         Args:
             hierarchy: the concept hierarchy.
-            concepts: the annotated concept ids, sorted ascending, each a
-                hierarchy node id.
+            concepts: the annotated concept ids, each a hierarchy node id
+                (others are dropped); a repeated id keeps its first row.
             offsets: CSR offsets, one row per entry of ``concepts``.
             values: CSR values: row ``i`` holds concept ``concepts[i]``'s
                 citation ids, sorted.
@@ -160,146 +191,101 @@ class NavigationTree:
 
         Presence in ``concepts`` marks a node annotated (kept) even when
         its row is empty; empty-result concepts absent from it are
-        spliced out per Definition 2, and the root is always kept.
-
-        Everything below runs in *hierarchy preorder position* space,
-        restricted to the root's contiguous preorder window: the kept
-        set becomes a boolean mask, nearest-kept-ancestor links resolve
-        level-by-level (one vectorized pass per tree level, ~11 for
-        MeSH), and embedded subtree sizes are differences of the kept
-        mask's cumulative sum over hierarchy subtree intervals.
+        spliced out per Definition 2, and the root is always kept.  The
+        rows (not their values) are put in hierarchy preorder and handed
+        to the same embedding as :meth:`from_store`.
         """
         if root is None:
             root = hierarchy.root
         concepts = np.asarray(concepts, dtype=np.int64)
-        res_off = np.asarray(offsets, dtype=np.int64)
-        res_val = np.asarray(values, dtype=np.int64)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        values = np.asarray(values, dtype=np.int64)
+        positions, inside = _window_positions(hierarchy, root, concepts)
+        kpos, first = np.unique(positions[inside], return_index=True)
+        rows = np.flatnonzero(inside)[first]
+        begins = offsets[rows]
+        lengths = offsets[rows + 1] - begins
+        res_off = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=res_off[1:])
+        gather = np.repeat(begins - res_off[:-1], lengths)
+        gather += np.arange(len(gather))
+        return cls._embed(hierarchy, root, kpos, res_off, values[gather])
+
+    @classmethod
+    def _embed(
+        cls,
+        hierarchy: ConceptHierarchy,
+        root: int,
+        kpos: np.ndarray,
+        res_off: np.ndarray,
+        res_val: np.ndarray,
+    ) -> "NavigationTree":
+        """The maximum embedding of the annotated positions ``kpos``.
+
+        ``kpos`` are distinct hierarchy preorder positions inside the
+        root's window, ascending, and ``(res_off, res_val)`` is their
+        results CSR in the same order.  The root is added with an empty
+        row when it is not annotated.  Embedded preorder is hierarchy
+        preorder restricted to the kept set, so every output but the
+        node → position map is computed over the k kept nodes alone.
+        """
         arrays = hierarchy.arrays()
-        positions = arrays.positions
-        preorder = arrays.preorder
-        hsizes = arrays.subtree_sizes
-        hdepths = arrays.depths
-        hparents = arrays.parents
+        parents = arrays.parents
+        begin = int(arrays.positions[root])
+        if not (len(kpos) and kpos[0] == begin):  # the root survives every embedding
+            kpos = np.concatenate(([begin], kpos))
+            res_off = np.concatenate(([0], res_off))
+        order = arrays.preorder[kpos].astype(np.int64)
+        k = len(order)
+        pos_of = np.full(len(hierarchy), -1, dtype=np.int64)
+        pos_of[order] = np.arange(k, dtype=np.int64)
 
-        window_begin = int(positions[root])
-        window_len = int(hsizes[root])
-        win_nodes = preorder[window_begin : window_begin + window_len]
-
-        kept = np.zeros(window_len, dtype=bool)
-        if len(concepts):
-            cpos = positions[concepts].astype(np.int64) - window_begin
-            inside = (cpos >= 0) & (cpos < window_len)
-            kept[cpos[inside]] = True
-        kept[0] = True  # the root survives every embedding
-
-        kept_idx = np.flatnonzero(kept)
-        k = len(kept_idx)
-        kept_nodes = win_nodes[kept_idx].astype(np.int64)
-
-        # Parent window index per window node; the root's is a sentinel.
-        par_widx = np.empty(window_len, dtype=np.int64)
-        par_widx[0] = 0
-        if window_len > 1:
-            par_widx[1:] = (
-                positions[hparents[win_nodes[1:]]].astype(np.int64) - window_begin
-            )
-
-        # Group window nodes by relative depth once; each embedding pass
-        # below is one slice per tree level.
-        rdepth = hdepths[win_nodes].astype(np.int64) - int(hdepths[root])
-        depth_order = np.argsort(rdepth, kind="stable")
-        sorted_depth = rdepth[depth_order]
-        max_depth = int(sorted_depth[-1])
-        level_bounds = np.searchsorted(sorted_depth, np.arange(max_depth + 2))
-
-        # Nearest kept ancestor-or-self, top-down: a kept node anchors
-        # itself, a spliced-out node inherits its parent's anchor.
-        nearest_kept = np.zeros(window_len, dtype=np.int64)
-        for depth in range(1, max_depth + 1):
-            level = depth_order[level_bounds[depth] : level_bounds[depth + 1]]
-            nearest_kept[level] = np.where(
-                kept[level], level, nearest_kept[par_widx[level]]
-            )
-
-        # Embedded position of each kept window index.
-        epos_of_widx = np.cumsum(kept) - 1
-
-        # Embedded parent, as an embedded position (-1 for the root).
+        # Embedded parent: walk each kept node's hierarchy ancestors until
+        # one is kept.  Every round moves the unresolved nodes up one
+        # level, so at most depth rounds run, each over fewer nodes; the
+        # root is kept, so no walk leaves the window.
         eparent_pos = np.full(k, -1, dtype=np.int64)
-        if k > 1:
-            eparent_pos[1:] = epos_of_widx[
-                nearest_kept[par_widx[kept_idx[1:]]]
-            ]
+        pending = np.arange(1, k)
+        ancestors = parents[order[1:]]
+        while len(pending):
+            hit = pos_of[ancestors]
+            eparent_pos[pending] = hit  # -1 until a kept ancestor is hit
+            missed = hit < 0
+            pending, ancestors = pending[missed], parents[ancestors[missed]]
 
-        # Embedded depth, level-synchronous: a kept node's embedded parent
-        # sits at a strictly smaller hierarchy depth, so walking hierarchy
-        # levels in order sees every parent before its children.
-        edepth = np.zeros(k, dtype=np.int64)
-        kept_rdepth = rdepth[kept_idx]
-        korder = np.argsort(kept_rdepth, kind="stable")
-        ksorted = kept_rdepth[korder]
-        kmax = int(ksorted[-1])
-        kbounds = np.searchsorted(ksorted, np.arange(kmax + 2))
-        for depth in range(1, kmax + 1):
-            level = korder[kbounds[depth] : kbounds[depth + 1]]
-            edepth[level] = edepth[eparent_pos[level]] + 1
+        # Embedded depth by pointer jumping: edepth[i] counts the edges
+        # from i to jump[i], and doubling the jumps reaches the root in
+        # log2(height) rounds.
+        edepth = (eparent_pos >= 0).astype(np.int64)
+        jump = np.maximum(eparent_pos, 0)
+        while jump.any():
+            edepth = edepth + edepth[jump]
+            jump = jump[jump]
 
-        # Embedded subtree size = kept nodes inside the hierarchy interval.
-        kept_cumsum = np.zeros(window_len + 1, dtype=np.int64)
-        np.cumsum(kept, out=kept_cumsum[1:])
-        interval_end = kept_idx + hsizes[kept_nodes].astype(np.int64)
-        esize = kept_cumsum[interval_end] - kept_cumsum[kept_idx]
+        # Embedded subtree size = kept positions inside the hierarchy
+        # subtree's preorder interval.
+        esize = np.searchsorted(kpos, kpos + arrays.subtree_sizes[order]) - np.arange(k)
 
-        # Children CSR in embedded order (embedded preorder == hierarchy
-        # preorder restricted to the kept set, so a stable sort by parent
-        # lists each sibling group left to right).
+        # Children CSR in embedded order: a stable sort by parent lists
+        # each sibling group left to right.
         child_off = np.zeros(k + 1, dtype=np.int64)
-        if k > 1:
-            counts = np.bincount(eparent_pos[1:], minlength=k)
-            np.cumsum(counts, out=child_off[1:])
-            corder = np.argsort(eparent_pos[1:], kind="stable")
-            child_val = kept_nodes[corder + 1]
-        else:
-            child_val = np.empty(0, dtype=np.int64)
+        np.cumsum(np.bincount(eparent_pos[1:], minlength=k), out=child_off[1:])
+        child_val = order[_stable_sort(eparent_pos[1:])[1] + 1]
 
-        # Per-node results CSR, re-keyed from annotated-concept rows to
-        # embedded preorder via one searchsorted + segmented gather.
-        if len(concepts):
-            row = np.minimum(
-                np.searchsorted(concepts, kept_nodes), len(concepts) - 1
-            )
-            present = concepts[row] == kept_nodes
-            src_lengths = np.diff(res_off)
-            lengths = np.where(present, src_lengths[row], 0)
-        else:
-            lengths = np.zeros(k, dtype=np.int64)
-        res_off_e = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(lengths, out=res_off_e[1:])
-        total = int(res_off_e[-1])
-        if total:
-            present_rows = row[present]
-            present_lengths = lengths[present]
-            base = np.repeat(res_off[present_rows], present_lengths)
-            reset = np.repeat(
-                np.cumsum(present_lengths) - present_lengths, present_lengths
-            )
-            res_val_e = res_val[base + np.arange(total) - reset]
-        else:
-            res_val_e = np.empty(0, dtype=np.int64)
-
+        eparent = np.full(k, -1, dtype=np.int64)
+        eparent[1:] = order[eparent_pos[1:]]
         return cls(
             hierarchy,
             root,
-            order=kept_nodes,
-            eparent=np.where(
-                eparent_pos >= 0, kept_nodes[np.maximum(eparent_pos, 0)], -1
-            ),
+            order=order,
+            eparent=eparent,
             edepth=edepth,
-            esize=esize.astype(np.int64),
+            esize=esize,
             child_off=child_off,
             child_val=child_val,
-            res_off=res_off_e,
-            res_val=res_val_e,
+            res_off=res_off,
+            res_val=res_val,
+            pos_of=pos_of,
         )
 
     # ------------------------------------------------------------------

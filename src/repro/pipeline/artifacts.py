@@ -144,7 +144,8 @@ class NavTreeArtifact:
         probs: EXPLORE/EXPAND probability estimates over ``tree``
             (the per-node cost-model arrays, read-only).
         root_stats: the root component's display statistics (its count
-            is the tree's distinct citations); computed once at build.
+            is the tree's distinct citations); computed once at build,
+            without a relevance (no view ranks the root row).
         content_key: digest chaining the hierarchy and result-set keys.
     """
 
@@ -192,7 +193,8 @@ class CutPlan:
         decision: the strategy's cut (with instrumentation).
         content_key: digest identifying this plan's full input closure.
         stats: display statistics of the components the cut creates,
-            upper first, then the lowers in cut order (empty: unknown).
+            upper first, then the lowers in cut order (empty: unknown);
+            an upper component rooted at the tree root has no relevance.
     """
 
     solver: str

@@ -8,6 +8,10 @@ a hot query is built exactly once no matter how many users issue it
 concurrently.  It counts its hits, misses, evictions and coalesced
 lookups in the :class:`~repro.obs.Metrics` registry it is given.
 
+An evicted value something else still holds (a live session's tree)
+stays reachable through a weak reference, so a later lookup returns it
+instead of building, or fetching from the L2, a second copy.
+
 The class lives in the pipeline layer because the
 :class:`~repro.pipeline.cache.StageCache` is its primary holder; the
 serving layer re-exports it from :mod:`repro.serving`.
@@ -16,6 +20,7 @@ serving layer re-exports it from :mod:`repro.serving`.
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from typing import Callable, Dict, Generic, Hashable, List, Optional, Tuple, TypeVar
 
@@ -62,6 +67,7 @@ class SingleFlightCache(Generic[K, V]):
         self._prefix = prefix + "."
         self._lock = threading.Lock()
         self._entries: "OrderedDict[K, V]" = OrderedDict()
+        self._evicted: "weakref.WeakValueDictionary[K, V]" = weakref.WeakValueDictionary()
         self._flights: Dict[K, _Flight] = {}
 
     def __len__(self) -> int:
@@ -75,7 +81,11 @@ class SingleFlightCache(Generic[K, V]):
             self._entries[key] = value
             return
         if len(self._entries) >= self.capacity:
-            self._entries.popitem(last=False)
+            old_key, old_value = self._entries.popitem(last=False)
+            try:
+                self._evicted[old_key] = old_value
+            except TypeError:
+                pass  # not weakly referenceable: nothing else can share it
             self._metrics.add(self._prefix + "evictions")
         self._entries[key] = value
 
@@ -86,9 +96,13 @@ class SingleFlightCache(Generic[K, V]):
         value; concurrent missers block on a per-key event and return
         the published value (counted in ``coalesced``).  A factory
         exception propagates to the builder *and* every waiter, and
-        nothing is cached, so the next lookup retries.
+        nothing is cached, so the next lookup retries.  A held evicted
+        value is re-admitted and counts as a hit.
         """
         with self._lock:
+            held = self._evicted.pop(key, None)
+            if held is not None:
+                self._put_locked(key, held)
             if key in self._entries:
                 self._metrics.add(self._prefix + "hits")
                 self._entries.move_to_end(key)
@@ -132,6 +146,7 @@ class SingleFlightCache(Generic[K, V]):
             return list(self._entries.items())
 
     def clear(self) -> None:
-        """Drop every entry (counts stay in the registry)."""
+        """Drop every entry, held evicted ones too (counts stay in the registry)."""
         with self._lock:
             self._entries.clear()
+            self._evicted.clear()

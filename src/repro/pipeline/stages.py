@@ -130,7 +130,8 @@ class NavTreeStage:
             query=results.query,
             tree=tree,
             probs=probs,
-            root_stats=component_stats(Component(tree, tree.root), probs),
+            # No view ranks the root row, so its relevance is left unset.
+            root_stats=component_stats(Component(tree, tree.root)),
             content_key=key,
         )
 
@@ -212,7 +213,12 @@ class CutStage:
         """Solve one component; the plan carries its cut's components' stats."""
         decision = strategy.best_cut(component)  # type: ignore[attr-defined]
         upper, lowers = component.cut(decision.cut)
-        stats = tuple(component_stats(c, nav.probs) for c in (upper, *lowers.values()))
+        # A root-rooted upper component is the root row, which no view
+        # ranks: its relevance is left for a first read to fill in.
+        stats = tuple(
+            component_stats(c, None if c.root == nav.tree.root else nav.probs)
+            for c in (upper, *lowers.values())
+        )
         return CutPlan(solver, component.root, decision, key, stats)
 
 

@@ -17,9 +17,10 @@ A query mixes two kinds of term, and the result is their intersection:
   postings, with no subtree explosion, for both tags.  The term is a
   node id, a concept uid like ``D000123``, or a label, bare or
   double-quoted.  Concept terms resolve through the
-  :class:`~repro.substrate.store.MmapStore` boolean-AND path, answered
-  with compressed bitmap intersections — the query shape the substrate
-  bench gates at 1M citations.
+  :class:`~repro.substrate.store.MmapStore` boolean-AND path: the
+  concepts' sorted ordinal slices of the concept CSR, smallest first,
+  each narrowing the running set with one ``np.searchsorted`` — the
+  query shape the substrate bench gates at 1M citations.
 
 Results are ranked by the text score when text terms are present and in
 ascending-PMID order for pure concept queries.

@@ -18,8 +18,8 @@ Either way the answers come from the same code: batched citation
 lookup (ESummary display records gathered from the title and author
 columns, ELink neighbours ranked over the concept CSR),
 per-concept membership, boolean-AND concept queries over the concept
-CSR's sorted ordinal slices, the CSR annotation restriction the
-navigation tree consumes, and the ``LT(n)`` MEDLINE-wide counts.  The
+CSR's sorted ordinal slices, the citation → concept rows the
+navigation tree embeds, and the ``LT(n)`` MEDLINE-wide counts.  The
 concept CSR is the one postings form: the concept–citation association
 table (paper §VII) is stored once in each direction and nowhere else.
 Persistence is the substrate directory.  The equivalence suite in
@@ -394,32 +394,19 @@ class MmapStore:
         lengths = self._cit_offsets[ordinals + 1].astype(np.int64) - begins
         return self._cit_concepts[_csr_positions(begins, lengths)], lengths
 
-    def annotation_arrays(
+    def annotation_rows(
         self, pmids: Sequence[int]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """concept → result PMIDs, in CSR form, from the citation table.
+        """The result's citation → concept rows, from the citation table.
 
-        Returns ``(concepts, offsets, values)``: the annotated concept
-        ids ascending (int64), int64 CSR offsets, and each concept's
-        sorted result PMIDs (int64); PMIDs not in the store are skipped.
-        Gathers the result's concept rows, inverts them with one stable
-        sort by concept (ordinals ascend within the input, so each
-        concept's PMID run comes out sorted), and groups with
-        ``np.unique`` — the exact buffers ``NavigationTree.from_csr``
-        ingests.
+        Returns ``(pmids, lengths, concepts)``: the distinct requested
+        PMIDs held by the store, ascending (int64), each one's concept
+        count, and their concept rows concatenated in that order — the
+        gather ``NavigationTree.from_store`` embeds.
         """
         ordinals = np.unique(self._result_ordinals(pmids))
-        if ordinals.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, np.zeros(1, dtype=np.int64), empty
-        flat, lengths = self._concept_rows(ordinals)
-        flat_pmids = np.repeat(self._pmids[ordinals].astype(np.int64), lengths)
-        order = np.argsort(flat, kind="stable")
-        concepts_sorted = np.asarray(flat, dtype=np.int64)[order]
-        values = flat_pmids[order]
-        concepts, starts = np.unique(concepts_sorted, return_index=True)
-        offsets = np.append(starts, len(values)).astype(np.int64)
-        return concepts.astype(np.int64), offsets, values
+        concepts, lengths = self._concept_rows(ordinals)
+        return self._pmids[ordinals].astype(np.int64), lengths, concepts
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:

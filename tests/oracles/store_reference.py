@@ -11,7 +11,10 @@ with :class:`repro.substrate.store.MmapStore`'s CSR arrays and its
 ``tests/test_substrate_equivalence.py`` pins both forms of the one
 store (in-memory build, mapped directory) to these answers.
 
-Do not use this class in production code paths.
+:func:`annotation_arrays` regroups a store's citation → concept rows
+into the concept → PMIDs CSR the tests compare against the oracle.
+
+Do not use this module in production code paths.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from repro.corpus.medline import MedlineDatabase
 from repro.hierarchy.concept import ConceptHierarchy
 
-__all__ = ["InMemoryStore"]
+__all__ = ["InMemoryStore", "annotation_arrays"]
 
 
 class InMemoryStore:
@@ -110,3 +113,21 @@ class InMemoryStore:
             for concept in self.concepts_of(pmid):
                 by_concept.setdefault(concept, set()).add(pmid)
         return {concept: frozenset(ids) for concept, ids in by_concept.items()}
+
+
+def annotation_arrays(
+    store, pmids: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """concept → result PMIDs, in CSR form, from ``store.annotation_rows``.
+
+    Returns ``(concepts, offsets, values)``: the annotated concept ids
+    ascending (int64), int64 CSR offsets, and each concept's sorted
+    result PMIDs (int64); PMIDs not in the store are skipped.  One
+    stable sort by concept inverts the rows (PMIDs ascend in them, so
+    each concept's run comes out sorted).
+    """
+    result, lengths, flat = store.annotation_rows(pmids)
+    order = np.argsort(flat, kind="stable")
+    values = np.repeat(result, lengths)[order]
+    concepts, starts = np.unique(np.asarray(flat, dtype=np.int64)[order], return_index=True)
+    return concepts, np.append(starts, len(values)).astype(np.int64), values

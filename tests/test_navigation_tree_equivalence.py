@@ -39,6 +39,7 @@ from repro.substrate import (
 from tests.oracles.cost_identity import models_identical
 from tests.oracles.member_sets import subtree_results, tree_from_mapping
 from tests.oracles.navigation_tree_reference import ReferenceNavigationTree
+from tests.oracles.store_reference import annotation_arrays
 
 
 # ---------------------------------------------------------------------------
@@ -342,3 +343,120 @@ class TestFromStoreParity:
         probs_ref = ProbabilityModel(ref, mmap_store.medline_count)
         assert models_identical(probs_new, probs_ref)
         assert probs_new.normalizer == probs_ref.normalizer
+
+
+# ---------------------------------------------------------------------------
+# from_store over a mapped store: the one embedding core, swept
+# ---------------------------------------------------------------------------
+#: Every embedded-preorder buffer a tree holds.
+TREE_ARRAYS = (
+    "_order",
+    "_eparent",
+    "_edepth",
+    "_esize",
+    "_child_off",
+    "_child_val",
+    "_res_off",
+    "_res_val",
+    "_pos_of",
+)
+
+
+def assert_arrays_identical(tree: NavigationTree, other: NavigationTree):
+    """Equal buffers, value for value and dtype for dtype."""
+    for name in TREE_ARRAYS:
+        mine, theirs = getattr(tree, name), getattr(other, name)
+        assert mine.dtype == theirs.dtype, name
+        assert np.array_equal(mine, theirs), name
+
+
+def assert_store_tree_matches(hierarchy, store, pmids, root=None):
+    """``from_store`` equals the oracle, and ``from_csr`` array for array."""
+    tree = NavigationTree.from_store(hierarchy, store, pmids, root=root)
+    ref = ReferenceNavigationTree.from_store(hierarchy, store, pmids, root=root)
+    assert_trees_identical(tree, ref)
+    concepts, offsets, values = annotation_arrays(store, pmids)
+    csr_tree = NavigationTree.from_csr(hierarchy, concepts, offsets, values, root)
+    assert_arrays_identical(tree, csr_tree)
+    return tree
+
+
+class TestFromStoreSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_results_and_roots(self, corpus, mmap_store, data):
+        """Random results (duplicates, absent PMIDs) under random roots."""
+        hierarchy, citations, _ = corpus
+        stored = st.sampled_from([c.pmid for c in citations])
+        absent = st.integers(1, 39_999_999)
+        pmids = data.draw(st.lists(st.one_of(stored, stored, absent), max_size=50))
+        root = data.draw(st.one_of(st.none(), st.integers(0, len(hierarchy) - 1)))
+        assert_store_tree_matches(hierarchy, mmap_store, pmids, root)
+
+    def test_duplicate_and_absent_pmids(self, corpus, mmap_store):
+        hierarchy, citations, _ = corpus
+        pmids = [c.pmid for c in citations[:12]]
+        tree = assert_store_tree_matches(
+            hierarchy, mmap_store, pmids[::-1] + pmids[:5] + [7, 12_345_678]
+        )
+        assert_arrays_identical(
+            tree, NavigationTree.from_store(hierarchy, mmap_store, pmids)
+        )
+
+    def test_all_concepts_outside_the_window(self, corpus, mmap_store):
+        """A subtree root the result never annotates keeps only itself."""
+        hierarchy, citations, _ = corpus
+        pmid = citations[0].pmid
+        annotated = set(mmap_store.concepts_of(pmid))
+        root = next(
+            node
+            for node in range(len(hierarchy))
+            if not annotated & set(hierarchy.subtree(node))
+        )
+        tree = assert_store_tree_matches(hierarchy, mmap_store, [pmid], root)
+        assert tree.nodes() == [root]
+        assert tree.results(root).size == 0
+
+    def test_single_node_trees(self, corpus, mmap_store):
+        hierarchy, citations, _ = corpus
+        for pmids in ([], [12_345_678]):
+            tree = assert_store_tree_matches(hierarchy, mmap_store, pmids)
+            assert tree.nodes() == [hierarchy.root]
+        # An annotated leaf as the root: one node holding its citations.
+        pmid, leaf = next(
+            (c.pmid, concept)
+            for c in citations
+            for concept in c.index_concepts
+            if hierarchy.is_leaf(concept)
+        )
+        tree = assert_store_tree_matches(hierarchy, mmap_store, [pmid], leaf)
+        assert tree.nodes() == [leaf]
+        assert tree.results(leaf).tolist() == [pmid]
+
+    def test_concepts_outside_the_hierarchy_are_dropped(self, corpus, tmp_path):
+        """Store concept ids past the hierarchy (or negative CSR ids) vanish."""
+        hierarchy, citations, background = corpus
+        size = len(hierarchy)
+        extra = [
+            Citation(
+                pmid=50_000_000 + i,
+                title="Off-hierarchy citation %d" % i,
+                year=2001,
+                index_concepts=(1 + i, size + i),
+            )
+            for i in range(4)
+        ]
+        builder = SubstrateBuilder(str(tmp_path), num_concepts=size + 4)
+        builder.build(citation_chunks(iter(citations[:20] + extra), chunk_size=8))
+        store = MmapStore.open(str(tmp_path))
+        pmids = [c.pmid for c in citations[:20] + extra]
+        tree = assert_store_tree_matches(hierarchy, store, pmids)
+        assert max(tree.nodes()) < size
+        concepts, offsets, values = annotation_arrays(store, pmids)
+        shifted = NavigationTree.from_csr(
+            hierarchy,
+            np.concatenate(([-3], concepts)),
+            np.concatenate(([0], offsets + 1)),
+            np.concatenate(([99], values)),
+        )
+        assert_arrays_identical(tree, shifted)

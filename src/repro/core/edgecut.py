@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.navigation_tree import NavigationTree
 
-__all__ = ["Component", "is_valid_edgecut", "component_children"]
+__all__ = ["Component", "is_valid_edgecut", "component_children", "rank_by_subtree_results"]
 
 Edge = Tuple[int, int]
 #: ``(root, excluded)``: a component's identity, independent of the tree
@@ -146,6 +146,26 @@ def component_children(
 ) -> List[int]:
     """Children of ``node`` that lie within ``component``."""
     return [child for child in tree.children(node) if child in component]
+
+
+def rank_by_subtree_results(tree: NavigationTree, nodes: Sequence[int]) -> List[int]:
+    """``nodes`` by descending distinct citations in their whole subtrees.
+
+    Ties go to the smaller id.  One ``np.unique`` over (node ordinal,
+    citation) keys counts every subtree at once.
+    """
+    offsets = tree.result_offsets_array()
+    begins = tree.positions(nodes)
+    starts = offsets[begins]
+    lengths = offsets[begins + tree.subtree_size_array()[begins]] - starts
+    citations = tree.result_values_array()[
+        np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+    ]
+    span = int(citations.max(initial=0)) + 1
+    keys = np.unique(np.repeat(np.arange(len(nodes)), lengths) * span + citations)
+    counts = np.bincount(keys // span, minlength=len(nodes))
+    ids = np.asarray(nodes, dtype=np.int64)
+    return ids[np.lexsort((ids, -counts))].tolist()
 
 
 def is_valid_edgecut(

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Tuple
 
 from repro.core.active_tree import ActiveTree
-from repro.core.edgecut import Component, component_children
+from repro.core.edgecut import Component, component_children, rank_by_subtree_results
 from repro.core.navigation_tree import NavigationTree
 from repro.core.strategy import CutDecision, ExpansionStrategy, SolverCapabilities
 
@@ -96,12 +96,6 @@ class GoPubMedNavigation(ExpansionStrategy):
                 return CutDecision(cut=cut, reduced_size=len(component))
             # Categories all revealed: fall through to top-k paging.
         children = component_children(self.tree, component, root)
-        ranked = sorted(
-            children,
-            key=lambda child: (
-                -len(Component(self.tree, child).distinct_results()),
-                child,
-            ),
-        )
+        ranked = rank_by_subtree_results(self.tree, children)
         cut = tuple((root, child) for child in ranked[: self.top_k])
         return CutDecision(cut=cut, reduced_size=len(component))

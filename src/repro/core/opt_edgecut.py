@@ -40,6 +40,17 @@ dense node indices:
   the cut space once the accumulated lower-component cost can no longer
   beat the best expansion term found so far.
 
+Stars — a root whose children are all leaves, at most
+:data:`MAX_STAR_LEAVES` of them, the shape of Heuristic-ReducedOpt's
+reduced trees on cold queries — skip the search and its set-up
+(:meth:`OptEdgeCut._solve_star`).  Their upper components are the root
+plus a leaf subset S.  The EXPLORE mass, distinct count and member count
+of every S are numpy tables, the masses summed in ascending index order
+as :meth:`OptEdgeCut._component_stats` sums them, and the S of one
+popcount are solved against all their cuts at once: the cuts are listed
+in the search's depth-first order (:func:`_star_tables`) and each term
+adds up in the search's order, so ``argmin`` picks the search's cut.
+
 The engine is observationally identical to the retained legacy
 implementation (the exhaustive reference in ``tests/oracles``): it enumerates
 cuts in the same order, accumulates cost terms in the same floating-point
@@ -51,6 +62,7 @@ trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,17 +74,14 @@ from repro.core.probabilities import ProbabilityModel
 
 __all__ = ["CutTree", "BestCut", "OptEdgeCut", "MAX_OPT_NODES"]
 
-#: Bits set per byte value; ``POPCOUNT_TABLE[packed].sum()`` is the
-#: population count of a packed bitmap.
-POPCOUNT_TABLE = np.unpackbits(
-    np.arange(256, dtype=np.uint8)[:, None], axis=1
-).sum(axis=1).astype(np.int64)
-POPCOUNT_TABLE.setflags(write=False)
-
 # Above this size the exhaustive enumeration is intractable in real time;
 # the paper caps reduced trees at N = 10.  The bitmask engine additionally
 # relies on this cap to key components by machine-word masks.
 MAX_OPT_NODES = 16
+
+# Stars up to the paper's N = 10 nodes are solved by tables; their
+# (S, C) enumeration holds 3^m - 2^m cuts for m leaves.
+MAX_STAR_LEAVES = 9
 
 CutTreeEdge = Tuple[int, int]
 
@@ -171,6 +180,30 @@ class BestCut:
     expansion_term: float
 
 
+@lru_cache(maxsize=MAX_STAR_LEAVES)
+def _star_tables(leaves: int) -> Tuple[np.ndarray, tuple]:
+    """The (S, C) enumeration of a star with ``leaves`` kids (read-only).
+
+    Bit ``leaves - 1 - t`` of a mask is the kid at children-list position
+    ``t``.  Returns each mask's kid bits ``(2^m, m)`` and, per popcount
+    L = 1..m, the masks S, their non-empty submasks C in descending
+    (depth-first) order ``(len(S), 2^L - 1)``, and the kid bits of C.
+    """
+    weights = 1 << np.arange(leaves - 1, -1, -1)
+    masks = np.arange(1 << leaves)
+    bits = (masks[:, None] & weights).astype(bool)
+    descending = masks[:0:-1]
+    layers = []
+    for layer in range(1, leaves + 1):
+        uppers = masks[bits.sum(axis=1) == layer]
+        inside = (descending & ~uppers[:, None]) == 0
+        cuts = descending[np.nonzero(inside)[1]].reshape(len(uppers), (1 << layer) - 1)
+        layers.append((uppers, cuts, (cuts & weights[:, None, None]).astype(bool)))
+    for array in [bits] + [table for tables in layers for table in tables]:
+        array.setflags(write=False)
+    return bits, tuple(layers)
+
+
 class OptEdgeCut:
     """Exhaustive optimal EdgeCut selection with mask-keyed memoization.
 
@@ -222,18 +255,16 @@ class OptEdgeCut:
             for child in self._children[node]:
                 mask |= self._subtree_mask[child]
             self._subtree_mask[node] = mask
-        # Citation bitmaps: each distinct citation id across the tree gets
+        # Citation words: each distinct citation id across the tree gets
         # one bit (its rank), so distinct-result counts are OR + popcount.
         lengths = [len(citations) for citations in cut_tree.results]
         distinct, column = np.unique(
             np.concatenate(cut_tree.results), return_inverse=True
         )
-        matrix = np.zeros((k, max(1, len(distinct))), dtype=bool)
+        width = -(-max(1, len(distinct)) // 64) * 64  # whole uint64 words
+        matrix = np.zeros((k, width), dtype=bool)
         matrix[np.repeat(np.arange(k), lengths), column] = True
-        packed = np.packbits(matrix, axis=1, bitorder="little")
-        self._result_bits: List[int] = [
-            int.from_bytes(row.tobytes(), "little") for row in packed
-        ]
+        self._words = np.packbits(matrix, axis=1, bitorder="little").view(np.uint64)
         self._explore: List[float] = list(cut_tree.explore)
         self._member_counts = cut_tree.member_counts
         self._members: List[int] = [len(counts) for counts in cut_tree.member_counts]
@@ -241,19 +272,23 @@ class OptEdgeCut:
         # statistics (EXPLORE mass, distinct results, member count).
         self._memo: Dict[int, BestCut] = {}
         self._stats: Dict[int, Tuple[float, int, int]] = {}
-        self._seed_subtree_stats(packed)
+
+    @cached_property
+    def _result_bits(self) -> List[int]:
+        """Per-node citation bitmaps as Python ints, for the search path."""
+        return [int.from_bytes(row.tobytes(), "little") for row in self._words]
 
     # ------------------------------------------------------------------
-    def _seed_subtree_stats(self, packed: np.ndarray) -> None:
+    def _seed_subtree_stats(self) -> None:
         """Batch-evaluate the statistics of every per-node subtree mask.
 
         EdgeCut search decomposes a component into its children's
         subtrees, so the per-node subtree masks are the most frequently
         keyed components of a solve: every lower component of the root
         solve is one of them.  Their distinct-result counts are computed
-        in one vectorized pass — packed citation bitmaps, byte-wise OR
-        per subtree segment (``np.bitwise_or.reduceat``), popcount table
-        lookup — which is exact integer arithmetic and therefore
+        in one vectorized pass — citation words, OR per subtree segment
+        (``np.bitwise_or.reduceat``), ``np.bitwise_count`` — which is
+        exact integer arithmetic and therefore
         bit-identical to the lazy per-mask path.  EXPLORE sums are
         accumulated sequentially in ascending index order, the exact
         accumulation :meth:`_component_stats` performs, so the seeded
@@ -269,11 +304,11 @@ class OptEdgeCut:
             members_per_node.append(members)
             flat.extend(members)
         orred = np.bitwise_or.reduceat(
-            packed[np.asarray(flat, dtype=np.int64)],
+            self._words[np.asarray(flat, dtype=np.int64)],
             np.asarray(offsets, dtype=np.int64),
             axis=0,
         )
-        distinct = POPCOUNT_TABLE[orred].sum(axis=1)
+        distinct = np.bitwise_count(orred).sum(axis=1)
         for node in range(k):
             explore_sum = 0.0
             members = 0
@@ -290,7 +325,60 @@ class OptEdgeCut:
     def solve(self) -> BestCut:
         """Best cut (and expected cost) for the whole CutTree."""
         root = self.tree.root
-        return self.solve_component_mask(self._subtree_mask[root], root)
+        mask = self._subtree_mask[root]
+        if mask not in self._memo:
+            kids = self._children[root]
+            if 0 < len(kids) <= MAX_STAR_LEAVES and not any(
+                self._children[kid] for kid in kids
+            ):
+                self._memo[mask] = self._solve_star(kids)
+            else:
+                self._seed_subtree_stats()
+        return self.solve_component_mask(mask, root)
+
+    def _solve_star(self, kids: Sequence[int]) -> BestCut:
+        """Best cut of a star whose ``kids`` are all leaves, by tables."""
+        bits, layers = _star_tables(len(kids))
+        params, probs, words = self.params, self.probs, self._words
+        # Statistics of every upper component root + S.
+        mass = np.zeros(len(bits)) + self._explore[0]
+        for position in np.argsort(kids):  # ascending node index
+            mass += np.where(bits[:, position], self._explore[kids[position]], 0.0)
+        members = self._members[0] + bits @ np.array([self._members[kid] for kid in kids])
+        table = words[:1]
+        for kid in reversed(kids):
+            table = np.concatenate([table, table | words[kid]])
+        distinct = np.bitwise_count(table).sum(axis=1, dtype=np.int64)
+        share = mass / self._explore_norm
+        # EXPAND probability: expand_by_threshold's rule, and the
+        # histogram (in index order) where no threshold decides it.
+        certain = (members > 1) & (distinct > probs.upper_threshold)
+        p_expand = certain.astype(float)
+        undecided = (members > 1) & (distinct >= probs.lower_threshold) & ~certain
+        for mask in np.flatnonzero(undecided[1:]) + 1:
+            nodes = [0] + sorted(kids[t] for t in np.flatnonzero(bits[mask]))
+            histogram = np.concatenate([self._member_counts[i] for i in nodes])
+            p_expand[mask] = probs.expand_from_distribution(
+                histogram.tolist(), int(distinct[mask])
+            )
+        show = (1.0 - p_expand) * distinct
+        # A cut leaf's lower component is a singleton: SHOWRESULTS only.
+        leaf_share = np.array([self._explore[kid] for kid in kids]) / self._explore_norm
+        leaf_distinct = np.bitwise_count(words[list(kids)]).sum(axis=1, dtype=np.int64)
+        reveal_lowers = params.reveal_cost + leaf_share * leaf_distinct
+        cost = np.empty(len(bits))
+        cost[0] = share[0] * distinct[0]
+        for uppers, cuts, cut_bits in layers:
+            # expand, then the upper component, then lowers in kid order.
+            terms = params.expand_cost + (params.reveal_cost + cost[uppers[:, None] ^ cuts])
+            for cut_bit, reveal_lower in zip(cut_bits, reveal_lowers):
+                terms += np.where(cut_bit, reveal_lower, 0.0)
+            best = terms.min(axis=1)
+            cost[uppers] = share[uppers] * (show[uppers] + p_expand[uppers] * best)
+        pick = terms[0].argmin()  # the first minimum: the search's tie-break
+        chosen = bits[cuts[0, pick]]
+        cut = tuple((self.tree.root, kid) for kid, bit in zip(kids, chosen) if bit)
+        return BestCut(cut, float(cost[-1]), float(terms[0, pick]))
 
     def solve_component_mask(self, mask: int, root: int) -> BestCut:
         """Best cut for the component ``mask`` (bitmask) rooted at ``root``."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.core.active_tree import ActiveTree
-from repro.core.edgecut import Component, component_children
+from repro.core.edgecut import Component, component_children, rank_by_subtree_results
 from repro.core.navigation_tree import NavigationTree
 from repro.core.strategy import CutDecision, ExpansionStrategy, SolverCapabilities
 
@@ -56,13 +56,7 @@ class PagedStaticNavigation(ExpansionStrategy):
         """
         root = component.root
         children = component_children(self.tree, component, root)
-        ranked = sorted(
-            children,
-            key=lambda child: (
-                -len(Component(self.tree, child).distinct_results()),
-                child,
-            ),
-        )
+        ranked = rank_by_subtree_results(self.tree, children)
         page = ranked[: self.page_size]
         cut: Tuple[Tuple[int, int], ...] = tuple((root, child) for child in page)
         return CutDecision(cut=cut, reduced_size=len(component))

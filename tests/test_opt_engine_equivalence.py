@@ -97,6 +97,38 @@ def threshold_cut_tree(seed: int, size: int, distinct: int) -> CutTree:
     )
 
 
+def star_cut_tree(seed: int, leaves: int, descending: bool) -> CutTree:
+    """A star (a root whose kids are all leaves) of supernodes.
+
+    ``from_component`` lists a star's kids in descending index order and
+    the heuristic's reduced trees in ascending order; both are drawn.
+    Citations come from a small pool, so leaves repeat each other's, and
+    the pool size spreads the distinct counts of the upper components
+    below, between and above the EXPAND thresholds (10 and 50).  EXPLORE
+    masses are drawn from a few values, zero included, so expansion
+    terms tie.
+    """
+    rng = random.Random(seed)
+    kids = list(range(1, leaves + 1))
+    if descending:
+        kids.reverse()
+    pool = rng.choice([6, 12, 30, 60, 150])
+    masses = rng.choice([[0.0], [1.5], [0.0, 1.0], [0.0, 0.5, 2.0]])
+    results = []
+    member_counts = []
+    for _ in range(leaves + 1):
+        counts = [rng.randint(0, 6) for _ in range(rng.randint(1, 3))]
+        member_counts.append(counts)
+        results.append(np.array([rng.randrange(pool) for _ in range(sum(counts))], dtype=np.int64))
+    return CutTree(
+        children=[kids] + [[] for _ in kids],
+        results=results,
+        explore=[rng.choice(masses) for _ in range(leaves + 1)],
+        member_counts=member_counts,
+        payload=list(range(leaves + 1)),
+    )
+
+
 @pytest.fixture(scope="module")
 def shared_probs():
     """A probability model for raw CutTrees.
@@ -163,6 +195,42 @@ class TestEngineEquivalence:
             whole = new._component_stats(new._subtree_mask[0])
             assert whole[1] == distinct
             assert whole[2] == sum(len(c) for c in cut_tree.member_counts)
+
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_star_tables_identical(self, shared_probs, monkeypatch, descending):
+        """Stars of 1-9 leaves are solved by tables, never by the search,
+        and still agree with the reference to the last bit."""
+
+        def no_search(*args):
+            raise AssertionError("a star reached the cut search")
+
+        monkeypatch.setattr(OptEdgeCut, "_search_cuts", no_search)
+        entropy = ProbabilityModel._normalized_entropy
+        entropy_calls = []
+
+        def counted_entropy(model, counts):
+            entropy_calls.append(len(counts))
+            return entropy(model, counts)
+
+        monkeypatch.setattr(ProbabilityModel, "_normalized_entropy", counted_entropy)
+        ties = entropy_solves = 0
+        distinct_counts = set()
+        for seed in range(120):
+            leaves = 1 + seed % 9
+            cut_tree = star_cut_tree(11_000 + seed, leaves, descending)
+            params = CostParams() if seed % 3 else CostParams(2.5, 0.75, 1.5)
+            calls = len(entropy_calls)
+            new = OptEdgeCut(cut_tree, shared_probs, params).solve()
+            entropy_solves += len(entropy_calls) > calls
+            old = ReferenceOptEdgeCut(cut_tree, shared_probs, params)
+            assert new == old.solve(), "seed %d" % seed
+            whole = frozenset(range(leaves + 1))
+            terms = [old._expansion_term(whole, 0, c) for c in old._enumerate_cuts(0, whole) if c]
+            ties += terms.count(new.expansion_term) > 1
+            distinct_counts.add(len(np.unique(np.concatenate(cut_tree.results))))
+        assert ties and entropy_solves
+        assert min(distinct_counts) < 10 and max(distinct_counts) > 50
+        assert any(10 <= count <= 50 for count in distinct_counts)
 
     def test_nonuniform_costs_agree(self, shared_probs):
         """Equivalence must not depend on the default unit costs."""

@@ -58,6 +58,13 @@ bitmask (bit *i* set ⟺ node *i* in the component):
   the engine returns bit-identical cuts and expected costs to the
   exhaustive reference (`tests/oracles/opt_edgecut_reference.py`, the
   oracle for the property suite in `tests/test_opt_engine_equivalence.py`).
+- **Stars by tables** — a root whose children are all leaves (at most
+  `MAX_STAR_LEAVES`, 9) skips the search: the solver builds the
+  EXPLORE mass, distinct count and member count of every upper
+  component (root plus a leaf subset) as numpy tables, then solves the
+  subsets a popcount layer at a time against all their cuts at once,
+  accumulating each term in the search's order and keeping its first
+  minimum, so its `BestCut` is bit-identical too.
 
 The enumeration order matches the legacy engine (per child: cut edge
 first, then the child's own cuts, empty cut last; earlier children vary

@@ -11,10 +11,10 @@ repository root:
   storm is answered from the cache, i.e. the runtime actually serves
   warm under load.  Client-observed request latency is reported for
   context only: it adds view rendering, queue waits and GIL preemption
-  across the worker pool (at the default 5 ms switch interval a 0.2 ms
+  across the request threads (at the default 5 ms switch interval a 0.2 ms
   decision can be descheduled for tens of milliseconds under 4
   CPU-bound threads), none of which is the decision path gated here.
-* a solo probe client then replays warm EXPANDs with the pool idle.
+* a solo probe client then replays warm EXPANDs with the runtime idle.
   The runtime's metrics registry records every EXPAND decision in its
   ``solver.decision_seconds`` histogram; the histogram's growth between
   a snapshot before and one after the probe is exactly the probe's warm

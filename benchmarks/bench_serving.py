@@ -6,9 +6,9 @@ with Zipf-skewed popularity over the Table I keywords — a few hot
 queries dominate, exactly the regime the single-flight tree cache and
 the shared decision cache exist for.  The runtime simulates the
 deployed system's per-request Entrez round-trip (``backend_latency``),
-so request handling is I/O-bound and a larger worker pool overlaps the
-waits; the bench runs the identical workload at 1 worker and 4 workers
-and gates:
+so request handling is I/O-bound and more admission slots (``workers``,
+requests running at once on the client threads) overlap the waits; the
+bench runs the identical workload at 1 worker and 4 workers and gates:
 
 * throughput scaling ≥ 2.5x from 1 → 4 workers on the cached-query
   mixed workload;

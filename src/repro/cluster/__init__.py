@@ -1,8 +1,7 @@
 """Multiprocess serving over a shared stage cache.
 
-The serving runtime (:mod:`repro.serving`) is one process: a
-``ThreadPoolExecutor`` over CPU-bound solver work, so the GIL caps real
-scaling.  This package is the horizontal scale-out layer the ROADMAP
+The serving runtime (:mod:`repro.serving`) is one process: request
+threads over CPU-bound solver work, so the GIL caps real scaling.  This package is the horizontal scale-out layer the ROADMAP
 calls for — the shape of the deployed BioNav system (paper §VII), where
 many concurrent navigation sessions front one shared MEDLINE/MeSH
 store:

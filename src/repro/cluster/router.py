@@ -78,8 +78,11 @@ class ClusterConfig:
         health_timeout: cap on each worker's answer to a merged
             ``health()``/``stats()`` probe.
         runtime: extra :class:`~repro.serving.runtime.ServingRuntime`
-            keywords applied in every worker (``deadline``,
-            ``max_queue``, ``solver``, ``results_page_size``, ...).
+            keywords applied in every worker (``solver``,
+            ``results_page_size``, ...).  A worker serves its queue one
+            request at a time, so ``workers``, ``max_queue`` and
+            ``deadline`` never take effect: nothing bounds a worker's
+            backlog (the shard row's ``queue_depth``).
     """
 
     workers: int = 2
@@ -236,8 +239,10 @@ class BioNavCluster:
     def health(self) -> Dict[str, object]:
         """Fleet liveness/saturation summary for ``GET /api/health``.
 
-        ``queue_depth`` sums the workers' own (requests waiting for a worker
-        thread); a shard row's counts the supervisor's queue to it."""
+        The top-level ``queue_depth`` sums the workers' own admission
+        queues, which always read 0 (a worker serves one request at a
+        time, see :class:`ClusterConfig`); the real backlog is each
+        shard row's ``queue_depth``, the supervisor's queue to it."""
         probed = self._probe("health")
         shards = []
         status = "ok"

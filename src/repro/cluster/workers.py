@@ -1,8 +1,8 @@
 """Worker lifecycle: one serving process per fleet slot, supervised respawn.
 
 Each worker is one forked process hosting a full
-:class:`~repro.serving.runtime.ServingRuntime` (its own GIL, thread
-pool, session registry, and L1 stage caches) wired to the shared
+:class:`~repro.serving.runtime.ServingRuntime` (its own GIL, session
+registry and L1 stage caches) wired to the shared
 :class:`~repro.cluster.stagecache.ClusterStageCache` as its L2.  The
 parent-side :class:`WorkerSupervisor` owns the fleet: it spawns
 workers, relays requests over per-worker queues, watches heartbeats,

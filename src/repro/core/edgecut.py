@@ -27,7 +27,8 @@ import numpy as np
 
 from repro.core.navigation_tree import NavigationTree
 
-__all__ = ["Component", "is_valid_edgecut", "component_children", "rank_by_subtree_results"]
+__all__ = ["Component", "is_valid_edgecut", "component_children", "rank_by_subtree_results",
+           "subtree_result_counts"]
 
 Edge = Tuple[int, int]
 #: ``(root, excluded)``: a component's identity, independent of the tree
@@ -148,12 +149,9 @@ def component_children(
     return [child for child in tree.children(node) if child in component]
 
 
-def rank_by_subtree_results(tree: NavigationTree, nodes: Sequence[int]) -> List[int]:
-    """``nodes`` by descending distinct citations in their whole subtrees.
-
-    Ties go to the smaller id.  One ``np.unique`` over (node ordinal,
-    citation) keys counts every subtree at once.
-    """
+def subtree_result_counts(tree: NavigationTree, nodes: Sequence[int]) -> np.ndarray:
+    """Distinct citations in each of ``nodes``' whole subtrees, in order:
+    one ``np.unique`` over (node ordinal, citation) keys counts them all."""
     offsets = tree.result_offsets_array()
     begins = tree.positions(nodes)
     starts = offsets[begins]
@@ -163,9 +161,14 @@ def rank_by_subtree_results(tree: NavigationTree, nodes: Sequence[int]) -> List[
     ]
     span = int(citations.max(initial=0)) + 1
     keys = np.unique(np.repeat(np.arange(len(nodes)), lengths) * span + citations)
-    counts = np.bincount(keys // span, minlength=len(nodes))
+    return np.bincount(keys // span, minlength=len(nodes))
+
+
+def rank_by_subtree_results(tree: NavigationTree, nodes: Sequence[int]) -> List[int]:
+    """``nodes`` by descending distinct citations in their whole subtrees,
+    ties to the smaller id."""
     ids = np.asarray(nodes, dtype=np.int64)
-    return ids[np.lexsort((ids, -counts))].tolist()
+    return ids[np.lexsort((ids, -subtree_result_counts(tree, nodes)))].tolist()
 
 
 def is_valid_edgecut(

@@ -13,10 +13,10 @@ runtime that makes them safe to drive from many threads at once:
 * :mod:`repro.serving.sessions` — a bounded session registry handing out
   per-session locks, so interleaved EXPAND/BACKTRACK on one session stay
   serializable, and distinguishing *expired* sessions from unknown ones.
-* :mod:`repro.serving.dispatcher` — the ``ThreadPoolExecutor``-backed
-  worker pool behind bounded admission, with load shedding (503 +
-  ``Retry-After`` instead of an unbounded queue) and per-request
-  deadlines.
+* :mod:`repro.serving.dispatcher` — bounded admission that runs each
+  request on its caller's thread (no pool, no hand-off), with load
+  shedding (503 + ``Retry-After`` instead of an unbounded queue) and
+  per-request queueing deadlines.
 * :mod:`repro.serving.runtime` — the :class:`ServingRuntime` facade the
   web layer mounts; every user action becomes a dispatched, lock-correct
   operation returning plain view data.

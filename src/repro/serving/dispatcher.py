@@ -1,30 +1,33 @@
-"""The worker pool: a ThreadPoolExecutor behind admission control.
+"""Admission control: a bounded gate in front of every request.
 
-An unbounded executor queue converts overload into unbounded latency —
-every queued request eventually runs, long after its user gave up.
-Requests instead enter through :meth:`WorkerPoolDispatcher.call`, which
-blocks the calling (WSGI) thread until its request ran: at most
-``workers`` requests execute at once, at most ``max_queue`` wait, and
+An unbounded queue converts overload into unbounded latency — every
+queued request eventually runs, long after its user gave up.  Requests
+instead enter through :meth:`WorkerPoolDispatcher.call`, which runs the
+request on the calling (WSGI) thread once admitted, so the request
+keeps its thread and its ``contextvars``: at most ``workers`` requests
+run at once, at most ``max_queue`` wait, in arrival order, and
 everything beyond that is shed immediately with :class:`RetryLater`
 (the web layer answers ``503`` with a ``Retry-After`` header).  A
-request still queued when its deadline passes is dropped with
+request still queued when its deadline passes leaves the queue with
 :class:`DeadlineExceeded` instead of doing work nobody is waiting for;
 running requests are never preempted — deadlines bound *queueing*
-delay (``queue_depth``: admitted, not yet picked up by a worker), the
-component overload actually inflates.
+delay (``queue_depth``: admitted, not yet running), the component
+overload actually inflates.
 
-The queued and running counts are control state, kept under the
-dispatcher's lock; ``serving.admitted``, ``serving.completed``,
-``serving.shed_overload`` and ``serving.shed_deadline`` are counters in
-the :class:`~repro.obs.Metrics` registry.
+The waiting queue and running count are control state, kept under the
+dispatcher's condition variable (``self._lock``); ``serving.admitted``,
+``serving.completed``, ``serving.shed_overload`` and
+``serving.shed_deadline`` are counters in the
+:class:`~repro.obs.Metrics` registry, and every admitted request ends
+as exactly one of completed or shed by deadline.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional, TypeVar
+from collections import deque
+from typing import Callable, Deque, Optional, TypeVar
 
 from repro.obs import Metrics
 
@@ -34,7 +37,7 @@ T = TypeVar("T")
 
 
 class RetryLater(Exception):
-    """The request was shed at admission because the queue is full.
+    """The request was shed at admission: the queue is full or closed.
 
     Attributes:
         retry_after: suggested client back-off in seconds (the value of
@@ -49,7 +52,7 @@ class RetryLater(Exception):
 
 
 class DeadlineExceeded(Exception):
-    """The request's deadline passed while it waited for a worker."""
+    """The request's deadline passed while it waited for a free slot."""
 
     def __init__(self, waited: float):
         super().__init__(
@@ -59,11 +62,11 @@ class DeadlineExceeded(Exception):
 
 
 class WorkerPoolDispatcher:
-    """Bounded synchronous dispatch onto a thread pool.
+    """Bounded admission that runs each request on its caller's thread.
 
     Args:
-        workers: worker-thread count (the concurrency cap).
-        max_queue: admitted requests allowed to wait for a worker
+        workers: requests allowed to run at once (the concurrency cap).
+        max_queue: admitted requests allowed to wait for a free slot
             (requests already running do not count).
         retry_after: back-off hint attached to shed requests.
         metrics: the registry admissions and sheds are counted in; a
@@ -87,27 +90,25 @@ class WorkerPoolDispatcher:
         self.max_queue = max_queue
         self.retry_after = retry_after
         self.metrics = metrics if metrics is not None else Metrics()
-        self._lock = threading.Lock()
-        self._queued = 0
+        self._lock = threading.Condition()
+        self._queue: Deque[object] = deque()  # waiters' tickets, oldest first
         self._running = 0
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-serving"
-        )
+        self._closed = False
 
     @property
     def queue_depth(self) -> int:
         """Admitted requests not yet running."""
         with self._lock:
-            return self._queued
+            return len(self._queue)
 
     @property
     def in_flight(self) -> int:
-        """Requests currently executing on a worker."""
+        """Requests currently running."""
         with self._lock:
             return self._running
 
     def call(self, fn: Callable[[], T], deadline: Optional[float] = None) -> T:
-        """Run ``fn`` on the pool and return its result (or raise).
+        """Run ``fn`` on this thread once admitted; return its result.
 
         Args:
             fn: the request body.
@@ -116,54 +117,49 @@ class WorkerPoolDispatcher:
                 is dropped instead of executed.
 
         Raises:
-            RetryLater: shed at admission (queue full).
+            RetryLater: shed at admission (queue full, or closed).
             DeadlineExceeded: deadline passed while queued.
             Exception: whatever ``fn`` raised, unchanged.
         """
+        ticket = object()
         with self._lock:
-            admitted = self._queued < self.max_queue
-            if admitted:
-                self._queued += 1
-        if not admitted:
-            self.metrics.add("serving.shed_overload")
-            raise RetryLater(self.retry_after)
-        self.metrics.add("serving.admitted")
-        admitted_at = time.monotonic()
-        expires_at = None if deadline is None else admitted_at + deadline
-        try:
-            future = self._pool.submit(self._run, fn, admitted_at, expires_at)
-        except RuntimeError:
-            # The pool is shut down; give the queued slot back and shed.
-            with self._lock:
-                self._queued -= 1
-            raise RetryLater(self.retry_after)
-        return future.result()
-
-    def _run(self, fn: Callable[[], T], admitted_at: float, expires_at: Optional[float]) -> T:
-        now = time.monotonic()
-        expired = expires_at is not None and now > expires_at
-        with self._lock:
-            self._queued -= 1
-            if not expired:
-                self._running += 1
-        if expired:
-            self.metrics.add("serving.shed_deadline")
-            raise DeadlineExceeded(now - admitted_at)
+            if self._closed:
+                raise RetryLater(self.retry_after)
+            if len(self._queue) >= self.max_queue:
+                self.metrics.add("serving.shed_overload")
+                raise RetryLater(self.retry_after)
+            self.metrics.add("serving.admitted")
+            admitted_at = time.monotonic()
+            self._queue.append(ticket)
+            while self._queue[0] is not ticket or self._running >= self.workers:
+                waited = time.monotonic() - admitted_at
+                if deadline is not None and waited >= deadline:
+                    self._queue.remove(ticket)
+                    self._lock.notify_all()  # the next waiter may be head now
+                    self.metrics.add("serving.shed_deadline")
+                    raise DeadlineExceeded(waited)
+                self._lock.wait(None if deadline is None else deadline - waited)
+            self._queue.popleft()
+            self._running += 1
+            self._lock.notify_all()  # a second free slot goes to the new head
         try:
             return fn()
         finally:
             with self._lock:
                 self._running -= 1
+                self._lock.notify_all()
             self.metrics.add("serving.completed")
 
     def close(self) -> None:
-        """Shut the pool down, waiting for running requests."""
-        self._pool.shutdown(wait=True)
+        """Refuse new requests; wait until every admitted one finished."""
+        with self._lock:
+            self._closed = True
+            self._lock.wait_for(lambda: not self._running and not self._queue)
 
     def __enter__(self) -> "WorkerPoolDispatcher":
         """Context-manager entry (returns self)."""
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        """Context-manager exit: close the pool."""
+        """Context-manager exit: close the dispatcher."""
         self.close()

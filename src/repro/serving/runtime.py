@@ -2,7 +2,7 @@
 
 Every user action (search / view / EXPAND / SHOWRESULTS / BACKTRACK)
 becomes one dispatched operation: admitted through the bounded queue,
-executed on the worker pool, and returned as an immutable view object
+executed on the caller's thread, and returned as an immutable view object
 the renderer (HTML or JSON) consumes without touching shared state.
 The runtime owns all cross-request state and its locking:
 
@@ -24,7 +24,7 @@ deployed system (the paper's server calls NCBI Entrez over the network
 on the user's behalf); the simulated corpus answers from memory, so the
 bench sets this to a few milliseconds to reproduce the I/O-bound
 request profile a real deployment schedules around.  The sleep runs on
-the worker, outside every lock.
+the request's thread, inside its admission slot, outside every lock.
 """
 
 from __future__ import annotations
@@ -148,8 +148,9 @@ class ServingRuntime:
         tree_cache_size: bound on cached result sets / navigation trees
             (the pipeline's ``results`` and ``nav_tree`` stages).
         max_sessions: bound on live sessions.
-        workers: worker-pool size (the request concurrency cap).
-        max_queue: admitted requests allowed to wait for a worker;
+        workers: admission slots (requests running at once, each on its
+            caller's thread; the runtime starts no threads).
+        max_queue: admitted requests allowed to wait for a slot;
             beyond it requests are shed with ``Retry-After``.
         deadline: optional per-request budget in seconds; requests still
             queued past it are dropped.
@@ -233,7 +234,7 @@ class ServingRuntime:
         return self.dispatcher.call(lambda: self._do_backtrack(sid), self.deadline)
 
     # ------------------------------------------------------------------
-    # Operation bodies (run on the worker pool)
+    # Operation bodies (run on the caller's thread once admitted)
     # ------------------------------------------------------------------
     def _do_search(self, query: str) -> SearchResult:
         self._simulate_backend()
@@ -357,7 +358,7 @@ class ServingRuntime:
         """The live readings :func:`render_stats` shows beside the counters.
 
         Stage-cache sizes and capacities, queue depth and capacity,
-        in-flight requests, worker threads and live sessions (all of
+        in-flight requests, admission slots and live sessions (all of
         which add up across a fleet), plus the ``queries`` rows of the
         cached navigation trees and, with an L2, its directory census.
         """
@@ -391,7 +392,7 @@ class ServingRuntime:
         return render_stats(self.snapshot(), self.gauges())
 
     def close(self) -> None:
-        """Shut the worker pool down, waiting for running requests."""
+        """Refuse new requests, waiting for admitted ones to finish."""
         self.dispatcher.close()
 
     def __enter__(self) -> "ServingRuntime":
@@ -399,7 +400,7 @@ class ServingRuntime:
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        """Context-manager exit: close the worker pool."""
+        """Context-manager exit: close the runtime."""
         self.close()
 
 

@@ -14,7 +14,7 @@ from typing import Iterable
 import networkx as nx
 
 from repro.core.active_tree import ActiveTree
-from repro.core.edgecut import Component
+from repro.core.edgecut import subtree_result_counts
 from repro.core.navigation_tree import NavigationTree
 
 __all__ = ["navigation_tree_to_networkx", "active_tree_to_networkx", "to_dot"]
@@ -27,12 +27,13 @@ def navigation_tree_to_networkx(tree: NavigationTree) -> "nx.DiGraph":
     (the Fig. 1 counts), ``depth``.
     """
     graph = nx.DiGraph()
-    for node in tree.iter_dfs():
+    nodes = tree.nodes()
+    for node, count in zip(nodes, subtree_result_counts(tree, nodes).tolist()):
         graph.add_node(
             node,
             label=tree.label(node),
             results=len(tree.results(node)),
-            subtree_results=len(Component(tree, node).distinct_results()),
+            subtree_results=count,
             depth=tree.tree_depth(node),
         )
     for parent, child in tree.edges():

@@ -16,7 +16,7 @@ import html
 from typing import Iterable, List, Optional, Sequence
 
 from repro.core.active_tree import ActiveTree, VisNode
-from repro.core.edgecut import Component
+from repro.core.edgecut import subtree_result_counts
 from repro.core.navigation_tree import NavigationTree
 
 __all__ = ["active_tree_to_html", "navigation_tree_to_html", "rows_to_html"]
@@ -95,23 +95,13 @@ def navigation_tree_to_html(
     highlight: Iterable[int] = (),
 ) -> str:
     """Full HTML page for the static (fully expanded) navigation tree."""
-    rows: List[VisNode] = []
-
-    def visit(node: int, depth: int, parent: int) -> None:
-        rows.append(
-            VisNode(
-                node=node,
-                label=tree.label(node),
-                count=len(Component(tree, node).distinct_results()),
-                expandable=False,
-                depth=depth,
-                parent=parent,
-            )
+    nodes = tree.nodes()
+    rows = [
+        VisNode(
+            node, tree.label(node), count, False, tree.tree_depth(node), tree.parent(node)
         )
-        for child in tree.children(node):
-            visit(child, depth + 1, node)
-
-    visit(tree.root, 0, -1)
+        for node, count in zip(nodes, subtree_result_counts(tree, nodes).tolist())
+    ]
     return _PAGE_TEMPLATE.format(
         title=html.escape(title), body=rows_to_html(rows, highlight)
     )

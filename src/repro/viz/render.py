@@ -12,10 +12,10 @@ Two views are provided:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.active_tree import ActiveTree
-from repro.core.edgecut import Component
+from repro.core.edgecut import subtree_result_counts
 from repro.core.navigation_tree import NavigationTree
 
 __all__ = ["render_navigation_tree", "render_active_tree", "render_rows"]
@@ -39,16 +39,15 @@ def render_navigation_tree(
         highlight: node ids to mark with ``*`` (the figure's highlights).
     """
     marked = set(highlight)
-    lines: List[str] = []
+    rows: List[Tuple[int, str]] = []  # (node, text); node -1 on an elision line
 
     def visit(node: int, depth: int) -> None:
-        count = len(Component(tree, node).distinct_results())
-        star = " *" if node in marked else ""
-        lines.append("%s%s (%d)%s" % (_INDENT * depth, tree.label(node), count, star))
+        rows.append((node, "%s%s" % (_INDENT * depth, tree.label(node))))
         if max_depth is not None and depth >= max_depth:
             children = tree.children(node)
             if children:
-                lines.append("%s... %d subtree(s) below" % (_INDENT * (depth + 1), len(children)))
+                below = "%s... %d subtree(s) below" % (_INDENT * (depth + 1), len(children))
+                rows.append((-1, below))
             return
         children = list(tree.children(node))
         shown = children if max_children is None else children[:max_children]
@@ -56,10 +55,14 @@ def render_navigation_tree(
             visit(child, depth + 1)
         hidden = len(children) - len(shown)
         if hidden > 0:
-            lines.append("%s%d more nodes" % (_INDENT * (depth + 1), hidden))
+            rows.append((-1, "%s%d more nodes" % (_INDENT * (depth + 1), hidden)))
 
     visit(tree.root, 0)
-    return "\n".join(lines)
+    counts = iter(subtree_result_counts(tree, [node for node, _ in rows if node >= 0]).tolist())
+    return "\n".join(
+        text if node < 0 else "%s (%d)%s" % (text, next(counts), " *" if node in marked else "")
+        for node, text in rows
+    )
 
 
 def render_active_tree(active: ActiveTree, highlight: Iterable[int] = ()) -> str:

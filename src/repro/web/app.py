@@ -26,8 +26,9 @@ All cross-request state lives in a
 :class:`~repro.serving.runtime.ServingRuntime`: navigation trees are
 shared across sessions of the same query through a single-flight LRU
 cache, sessions live in a bounded registry with per-session locks, and
-every action runs on an admission-controlled worker pool.  The WSGI
-callable itself is therefore safe under any multi-threaded server.
+every action passes an admission gate and then runs on the server's own
+request thread.  The WSGI callable is therefore safe under any
+multi-threaded server.
 Overload answers ``503`` with a ``Retry-After`` header instead of
 queueing unboundedly, and a session evicted from the bounded store
 answers ``410 Gone`` with the machine-readable error code
@@ -125,7 +126,7 @@ class BioNavWebApp:
         self.bionav = bionav
 
     def close(self) -> None:
-        """Shut the runtime's worker pool down."""
+        """Close the runtime: refuse new requests, finish admitted ones."""
         self.runtime.close()
 
     # ------------------------------------------------------------------

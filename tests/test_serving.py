@@ -8,7 +8,9 @@ expand log must stay consistent under interleaved EXPAND/BACKTRACK.
 
 from __future__ import annotations
 
+import contextvars
 import json
+import sys
 import threading
 import time
 from typing import Dict, List, Optional, Tuple
@@ -267,6 +269,120 @@ class TestDispatcher:
             assert counted["shed_deadline"] == 1
             assert counted["completed"] == 1  # only the occupier ran
 
+    def test_queued_callers_run_in_arrival_order(self):
+        release = threading.Event()
+        started = threading.Event()
+        order: List[str] = []
+
+        def occupy() -> None:
+            started.set()
+            release.wait(10)
+
+        def occupier() -> None:
+            pool.call(occupy)
+            # Arrives the instant the slot frees, before any waiter woke:
+            # it must queue behind all three, not take the slot.
+            pool.call(lambda: order.append("late"))
+
+        with WorkerPoolDispatcher(1, max_queue=4) as pool:
+            first = threading.Thread(target=occupier, daemon=True)
+            first.start()
+            assert started.wait(5)
+            waiters = []
+            for name in ("a", "b", "c"):
+                waiter = threading.Thread(
+                    target=lambda name=name: pool.call(lambda: order.append(name)),
+                    daemon=True,
+                )
+                waiter.start()
+                waiters.append(waiter)
+                deadline = time.monotonic() + 5
+                while pool.queue_depth < len(waiters):
+                    assert time.monotonic() < deadline, "caller never queued"
+                    time.sleep(0.005)
+            release.set()
+            for t in [first] + waiters:
+                t.join(5)
+                assert not t.is_alive()
+            assert order == ["a", "b", "c", "late"]
+            assert counts(pool.metrics, "serving.")["completed"] == 5
+
+    def test_fn_runs_on_the_callers_thread_with_its_context(self):
+        request_id: contextvars.ContextVar[str] = contextvars.ContextVar(
+            "request_id", default="unset"
+        )
+        token = request_id.set("r-42")
+        try:
+            with WorkerPoolDispatcher(2) as pool:
+                seen = pool.call(lambda: (threading.get_ident(), request_id.get()))
+            assert seen == (threading.get_ident(), "r-42")
+        finally:
+            request_id.reset(token)
+
+    def test_call_after_close_sheds_and_is_not_admitted(self):
+        pool = WorkerPoolDispatcher(1)
+        assert pool.call(lambda: 7) == 7
+        pool.close()
+        with pytest.raises(RetryLater):
+            pool.call(lambda: 8)
+        counted = counts(pool.metrics, "serving.")
+        assert counted["admitted"] == 1
+        assert counted["admitted"] == counted["completed"] + counted.get("shed_deadline", 0)
+
+
+    def test_gate_holds_its_bounds_under_contention(self):
+        """12 threads over 3 slots, a tight switch interval and short
+        deadlines: never more than 3 running, every admitted request
+        completes or expires, and the gate drains to empty."""
+        running = 0
+        peak = 0
+        guard = threading.Lock()
+
+        def body() -> None:
+            nonlocal running, peak
+            with guard:
+                running += 1
+                peak = max(peak, running)
+            time.sleep(0.0005)
+            with guard:
+                running -= 1
+
+        def client(i: int) -> int:
+            sheds = 0
+            for j in range(40):
+                try:
+                    pool.call(body, deadline=0.002 if (i + j) % 3 == 0 else None)
+                except (DeadlineExceeded, RetryLater):
+                    sheds += 1
+            return sheds
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with WorkerPoolDispatcher(3, max_queue=6) as pool:
+                shed = sum(run_threads(12, client))
+                counted = counts(pool.metrics, "serving.")
+                assert peak <= 3
+                assert counted["admitted"] == counted["completed"] + counted.get(
+                    "shed_deadline", 0
+                )
+                assert counted["admitted"] + counted.get("shed_overload", 0) == 12 * 40
+                assert shed == 12 * 40 - counted["completed"]
+                assert pool.queue_depth == 0 and pool.in_flight == 0
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_runtime_starts_no_threads(self, bionav):
+        # Compared as sets, so a thread of an earlier test that exits
+        # meanwhile cannot mask one this runtime started.
+        before = set(threading.enumerate())
+        with ServingRuntime(bionav, workers=4) as runtime:
+            sid = runtime.search("prothymosin").session
+            root = runtime.view(sid).rows[0].node
+            runtime.expand(sid, root)
+            runtime.results(sid, root)
+            assert set(threading.enumerate()) <= before
+        assert set(threading.enumerate()) <= before
 
 @pytest.fixture()
 def bionav(small_workload) -> BioNav:

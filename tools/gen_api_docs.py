@@ -80,18 +80,18 @@ SERVING_HTTP = """\
 `repro.serving.ServingRuntime` is the thread-safe facade the web layer
 mounts (see DESIGN.md "Serving runtime" for the threading model).  Its
 two observability surfaces are served by `repro.web.app.BioNavWebApp`
-without passing through the worker pool, so they answer even when the
-pool is saturated:
+without passing through the admission gate, so they answer even when
+every slot is taken:
 
 ### `GET /api/health`
 
 | field            | meaning                                              |
 |------------------|------------------------------------------------------|
 | `status`         | `ok`, or `overloaded` when the admission queue is full |
-| `workers`        | worker-pool size (request concurrency cap)           |
-| `queue_depth`    | admitted requests currently waiting for a worker     |
+| `workers`        | admission slots (requests run at once, each on its caller's thread) |
+| `queue_depth`    | admitted requests currently waiting for a slot       |
 | `queue_capacity` | admission-queue bound; beyond it requests are shed   |
-| `in_flight`      | requests currently executing on workers              |
+| `in_flight`      | requests currently running                           |
 | `sessions_active`| live navigation sessions in the registry             |
 | `solver`         | canonical registry name of the serving solver        |
 | `results_page_size` | citations per SHOWRESULTS page (serving config)   |

@@ -50,7 +50,7 @@ def measure(workload):
                 "speedup": cold_s / warm_best if warm_best > 0 else float("inf"),
             }
         )
-    stats = pipeline.stage_stats()
+    stats = pipeline.cache.snapshot()
     return rows, stats
 
 

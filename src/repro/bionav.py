@@ -58,7 +58,7 @@ class BioNav:
 
     All on-line work flows through :attr:`pipeline`; repeated searches
     of one keyword share the cached result set, navigation tree, and
-    EdgeCut plans, and distinct keywords share the hierarchy snapshot.
+    EdgeCut plans.
     """
 
     def __init__(
@@ -68,14 +68,13 @@ class BioNav:
         max_reduced_nodes: int = 10,
         params: Optional[CostParams] = None,
         registry: Optional[SolverRegistry] = None,
-        pipeline: Optional[NavigationPipeline] = None,
     ):
         self.database = database
         self.entrez = entrez
         self.max_reduced_nodes = max_reduced_nodes
         self.params = params or CostParams()
         self.registry = registry or default_registry()
-        self.pipeline = pipeline or NavigationPipeline(
+        self.pipeline = NavigationPipeline(
             database,
             entrez,
             registry=self.registry,
@@ -143,15 +142,14 @@ class BioNav:
         Raises:
             ValueError: unknown strategy name.
         """
-        artifact = self.pipeline.open_session(keyword, solver=strategy)
-        results = self.pipeline.results(keyword)
-        nav = artifact.nav
+        nav = self.pipeline.nav_tree(keyword)
+        session = self.pipeline.activate(nav, solver=strategy)
         return BioNavQuery(
             keyword=keyword,
-            pmids=results.pmids,
+            pmids=self.pipeline.results(keyword).pmids,
             tree=nav.tree,
             probs=nav.probs,
-            session=artifact.session,
+            session=session,
         )
 
     def summaries(self, pmids: Sequence[int]) -> List[DocSummary]:

@@ -108,7 +108,7 @@ def _cmd_demo(workload: Workload) -> int:
         "Navigation tree: %d nodes, %d with duplicates"
         % (prepared.tree.size(), prepared.tree.citations_with_duplicates())
     )
-    session = workload.open_session("prothymosin").session
+    session = workload.open_session("prothymosin")
     print("\nInitial EXPAND of the root (BioNav reveals a few descendants):\n")
     session.expand(prepared.tree.root)
     print(render_active_tree(session.active))
@@ -215,7 +215,7 @@ def _cmd_html(
     except KeyError:
         print("unknown workload keyword %r" % keyword, file=sys.stderr)
         return 2
-    session = workload.open_session(keyword).session
+    session = workload.open_session(keyword)
     for _ in range(max(expands, 0)):
         if not session.active.is_expandable(prepared.tree.root):
             break

@@ -43,18 +43,13 @@ import os
 import pickle
 import time
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.obs import Metrics
 from repro.pipeline.artifacts import KEY_FORMAT_VERSION
 from repro.pipeline.cache import L2_MISS as MISS
 
 __all__ = ["MISS", "ClusterStageCache"]
-
-#: Stages shared across workers by default.  The hierarchy snapshot is
-#: deliberately absent: it embeds the offline database every worker
-#: already holds, so publishing it would ship megabytes to save nothing.
-DEFAULT_STAGES: FrozenSet[str] = frozenset({"results", "nav_tree", "cut"})
 
 
 class _BuildLock:
@@ -103,8 +98,6 @@ class ClusterStageCache:
 
     Args:
         root: directory holding the store (created if missing).
-        stages: stage names published here; reads/writes for other
-            stages are no-ops, so callers can pass every stage through.
         max_entries: LRU bound on stored artifacts.
         max_bytes: LRU bound on total stored bytes.
         stale_after: seconds after which another worker's build lock is
@@ -117,7 +110,6 @@ class ClusterStageCache:
     def __init__(
         self,
         root: "str | os.PathLike[str]",
-        stages: Iterable[str] = DEFAULT_STAGES,
         max_entries: int = 2048,
         max_bytes: int = 256 * 1024 * 1024,
         stale_after: float = 30.0,
@@ -128,7 +120,6 @@ class ClusterStageCache:
             raise ValueError("max_bytes must be positive")
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.stages = frozenset(stages)
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.stale_after = stale_after
@@ -156,8 +147,6 @@ class ClusterStageCache:
         A hit touches the entry's mtime (the LRU clock).  Unreadable or
         corrupt entries are deleted and reported as misses.
         """
-        if stage not in self.stages:
-            return MISS
         path = self._entry_path(stage, key)
         try:
             with open(path, "rb") as handle:
@@ -204,8 +193,6 @@ class ClusterStageCache:
         entry.  Values that fail to pickle are skipped (the L1 still
         holds them; only cross-process sharing is lost).
         """
-        if stage not in self.stages:
-            return False
         path = self._entry_path(stage, key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.parent / (".tmp-%d-%s" % (os.getpid(), path.name))

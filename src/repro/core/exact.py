@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.core.active_tree import ActiveTree
 from repro.core.cost_model import CostParams
 from repro.core.edgecut import Component
 from repro.core.navigation_tree import NavigationTree
@@ -54,10 +53,6 @@ class OptEdgeCutStrategy(ExpansionStrategy):
         self.tree = tree
         self.probs = probs
         self.params = params or CostParams()
-
-    def choose_cut(self, active: ActiveTree, node: int) -> CutDecision:
-        """Solve ``node``'s component exactly and return its best cut."""
-        return self.best_cut(active.component(node))
 
     def best_cut(self, component: Component) -> CutDecision:
         """Optimal EdgeCut for one component (no active tree required).

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Tuple
 
-from repro.core.active_tree import ActiveTree
 from repro.core.edgecut import Component, component_children, rank_by_subtree_results
 from repro.core.navigation_tree import NavigationTree
 from repro.core.strategy import CutDecision, ExpansionStrategy, SolverCapabilities
@@ -77,9 +76,6 @@ class GoPubMedNavigation(ExpansionStrategy):
     def categories(self) -> Tuple[int, ...]:
         """The predefined top-level category bar."""
         return self._categories
-
-    def choose_cut(self, active: ActiveTree, node: int) -> CutDecision:
-        return self.best_cut(active.component(node))
 
     def best_cut(self, component: Component) -> CutDecision:
         """Category bar at the root; top-k children elsewhere."""

@@ -30,7 +30,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.active_tree import ActiveTree
 from repro.core.cost_model import CostParams
 from repro.core.edgecut import Component
 from repro.core.navigation_tree import NavigationTree
@@ -81,9 +80,6 @@ class HeuristicReducedOpt(ExpansionStrategy):
         self.params = params or CostParams()
 
     # ------------------------------------------------------------------
-    def choose_cut(self, active: ActiveTree, node: int) -> CutDecision:
-        return self.best_cut(active.component(node))
-
     def best_cut(self, component: Component) -> CutDecision:
         """Best EdgeCut for one component (no active tree required).
 

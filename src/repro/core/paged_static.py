@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.core.active_tree import ActiveTree
 from repro.core.edgecut import Component, component_children, rank_by_subtree_results
 from repro.core.navigation_tree import NavigationTree
 from repro.core.strategy import CutDecision, ExpansionStrategy, SolverCapabilities
@@ -43,9 +42,6 @@ class PagedStaticNavigation(ExpansionStrategy):
             raise ValueError("page_size must be at least 1")
         self.tree = tree
         self.page_size = page_size
-
-    def choose_cut(self, active: ActiveTree, node: int) -> CutDecision:
-        return self.best_cut(active.component(node))
 
     def best_cut(self, component: Component) -> CutDecision:
         """Cut the next page of root→child edges, ranked by citation count.

@@ -87,8 +87,9 @@ class NavigationSession:
             ValueError: when ``node`` has no expandable component or the
                 strategy returns an empty cut.
         """
+        component = self.active.component(node)
         started = time.perf_counter()
-        decision, stats = self.strategy.choose_expansion(self.active, node)
+        decision, stats = self.strategy.choose_expansion(component)
         elapsed = time.perf_counter() - started
         if not decision.cut:
             raise ValueError("strategy produced no cut for node %r" % (node,))

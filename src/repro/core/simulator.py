@@ -10,7 +10,6 @@ expansion strategy and reports the per-query numbers behind Figures 8–10.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -24,7 +23,11 @@ __all__ = ["ExpandRecord", "NavigationOutcome", "navigate_to_target"]
 
 @dataclass(frozen=True)
 class ExpandRecord:
-    """Per-EXPAND instrumentation (drives the Fig. 11 experiment)."""
+    """Per-EXPAND instrumentation (drives the Fig. 11 experiment).
+
+    ``elapsed_seconds`` is the strategy's decision time, as the session
+    timed it (:attr:`~repro.core.session.ExpandOutcome.elapsed_seconds`).
+    """
 
     step: int
     node: int
@@ -57,7 +60,7 @@ class NavigationOutcome:
 
     @property
     def average_expand_seconds(self) -> float:
-        """Mean EXPAND latency (the Fig. 10 y-axis); 0 when no expands ran."""
+        """Mean EXPAND decision time (the Fig. 10 y-axis); 0 when no expands ran."""
         if not self.expands:
             return 0.0
         return sum(r.elapsed_seconds for r in self.expands) / len(self.expands)
@@ -91,9 +94,7 @@ def navigate_to_target(
     step = 0
     while not session.active.is_visible(target) and step < max_steps:
         to_expand = session.active.containing_root(target)
-        started = time.perf_counter()
         outcome = session.expand(to_expand)
-        elapsed = time.perf_counter() - started
         step += 1
         records.append(
             ExpandRecord(
@@ -101,7 +102,7 @@ def navigate_to_target(
                 node=to_expand,
                 revealed=len(outcome.revealed),
                 reduced_size=outcome.decision.reduced_size,
-                elapsed_seconds=elapsed,
+                elapsed_seconds=outcome.elapsed_seconds,
             )
         )
     reached = session.active.is_visible(target)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.core.active_tree import ActiveTree
 from repro.core.edgecut import Component, component_children
 from repro.core.navigation_tree import NavigationTree
 from repro.core.strategy import CutDecision, ExpansionStrategy, SolverCapabilities
@@ -40,9 +39,6 @@ class StaticNavigation(ExpansionStrategy):
 
     def __init__(self, tree: NavigationTree):
         self.tree = tree
-
-    def choose_cut(self, active: ActiveTree, node: int) -> CutDecision:
-        return self.best_cut(active.component(node))
 
     def best_cut(self, component: Component) -> CutDecision:
         """Cut every root→child edge of the component."""

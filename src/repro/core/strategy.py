@@ -12,7 +12,7 @@ import abc
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Tuple
 
-from repro.core.active_tree import ActiveTree
+from repro.core.edgecut import Component
 
 __all__ = ["CutDecision", "SolverCapabilities", "ExpansionStrategy"]
 
@@ -89,14 +89,14 @@ class ExpansionStrategy(abc.ABC):
     capabilities: ClassVar[Optional[SolverCapabilities]] = None
 
     @abc.abstractmethod
-    def choose_cut(self, active: ActiveTree, node: int) -> CutDecision:
-        """Return the EdgeCut to apply to the component rooted at ``node``.
+    def best_cut(self, component: Component) -> CutDecision:
+        """Return the EdgeCut to apply to ``component`` (an EXPAND of its root).
 
         Implementations must return a valid EdgeCut of that component;
-        they must not mutate the active tree.
+        they must not mutate it.
         """
 
-    def choose_expansion(self, active: ActiveTree, node: int) -> Tuple[CutDecision, Tuple]:
-        """:meth:`choose_cut` plus the statistics of the components it
+    def choose_expansion(self, component: Component) -> Tuple[CutDecision, Tuple]:
+        """:meth:`best_cut` plus the statistics of the components it
         creates, as :meth:`ActiveTree.expand` takes them (empty: unknown)."""
-        return self.choose_cut(active, node), ()
+        return self.best_cut(component), ()

@@ -1,19 +1,17 @@
 """The staged navigation pipeline (query flow as explicit dataflow).
 
-The paper's framework is a five-stage dataflow — concept hierarchy →
-result set → navigation tree → active tree → EdgeCut — and this package
-makes each stage a first-class artifact with a deterministic content
-key, produced through a per-stage single-flight cache and solved through
-a unified solver registry.  Every call site (BioNav facade, CLI, serving
-runtime, workload harness, benchmarks) builds trees and cuts exclusively
-through :class:`NavigationPipeline` + :class:`SolverRegistry`; the
+The paper's online path (§VII) is three steps — ESearch result set →
+navigation tree → EdgeCut — and this package makes each a cached stage
+whose artifact carries a deterministic content key, produced through a
+per-stage single-flight cache and solved through a unified solver
+registry.  Every call site (BioNav facade, CLI, serving runtime,
+workload harness, benchmarks) builds trees and cuts exclusively through
+:class:`NavigationPipeline` + :class:`SolverRegistry`; the
 ``solver-via-registry`` analyzer rule enforces the layering.
 """
 
 from repro.pipeline.artifacts import (
-    ActiveTreeArtifact,
     CutPlan,
-    HierarchySnapshot,
     NavTreeArtifact,
     ResultSet,
     component_digest,
@@ -23,28 +21,15 @@ from repro.pipeline.cache import DEFAULT_STAGE_CAPACITY, StageCache
 from repro.pipeline.concurrency import SingleFlightCache
 from repro.pipeline.pipeline import NavigationPipeline, PipelineStrategy
 from repro.pipeline.registry import SolverRegistry, default_registry
-from repro.pipeline.stages import (
-    ALL_STAGES,
-    ActiveTreeStage,
-    CutStage,
-    HierarchyStage,
-    NavTreeStage,
-    SearchStage,
-    params_key,
-)
+from repro.pipeline.stages import CutStage, NavTreeStage, SearchStage, params_key
 
 __all__ = [
-    "ActiveTreeArtifact",
-    "ActiveTreeStage",
-    "ALL_STAGES",
     "component_digest",
     "content_key",
     "CutPlan",
     "CutStage",
     "DEFAULT_STAGE_CAPACITY",
     "default_registry",
-    "HierarchySnapshot",
-    "HierarchyStage",
     "NavigationPipeline",
     "NavTreeArtifact",
     "NavTreeStage",

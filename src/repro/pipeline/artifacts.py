@@ -1,15 +1,15 @@
 """Typed, immutable stage artifacts with deterministic content keys.
 
-The paper's dataflow (§II–§VI) — concept hierarchy → query result →
-navigation tree → active tree → EdgeCut — becomes five artifact types,
-one per stage boundary.  Each artifact carries a ``content_key``: a
-deterministic digest of everything the artifact's content depends on, so
-equal keys mean interchangeable values.  The keys chain: a navigation
-tree's key folds in the hierarchy snapshot's key and the result set's
-key, which is what lets the serving layer cache *per stage* — the
-hierarchy snapshot is one entry shared by every query of a deployment,
-navigation trees are shared by every session of a query, and only the
-active-tree / cut stages re-run on EXPAND.
+The paper's online path (§VII) — ESearch result → navigation tree →
+EdgeCut — becomes three artifact types, one per cached stage.  Each
+artifact carries a ``content_key``: a deterministic digest of everything
+the artifact's content depends on, so equal keys mean interchangeable
+values.  The keys chain: a result set's key folds in the deployment's
+digest (:meth:`~repro.storage.database.BioNavDatabase.content_digest`),
+a navigation tree's key folds in the deployment digest and the result
+set's key, and a cut's key folds in the tree's key, which is what lets
+the serving layer cache *per stage* — navigation trees are shared by
+every session of a query, and only the cut stage re-runs on EXPAND.
 
 Artifacts are frozen dataclasses: stages may only communicate through
 them, never through side channels, which is what makes per-stage caching
@@ -29,19 +29,14 @@ from repro.core.active_tree import ComponentStats
 from repro.core.edgecut import Component
 from repro.core.navigation_tree import NavigationTree
 from repro.core.probabilities import ProbabilityModel
-from repro.core.session import NavigationSession
 from repro.core.strategy import CutDecision
-from repro.hierarchy.concept import ConceptHierarchy
-from repro.storage.database import BioNavDatabase
 
 __all__ = [
     "KEY_FORMAT_VERSION",
     "content_key",
     "component_digest",
-    "HierarchySnapshot",
     "ResultSet",
     "NavTreeArtifact",
-    "ActiveTreeArtifact",
     "CutPlan",
 ]
 
@@ -87,38 +82,13 @@ def component_digest(component: Component) -> str:
 
 
 @dataclass(frozen=True)
-class HierarchySnapshot:
-    """Stage 1 — the deployment's concept hierarchy plus its database.
-
-    One snapshot serves every query and session of a deployment; its
-    content key is the database's deployment identity
-    (:meth:`~repro.storage.database.BioNavDatabase.content_digest`),
-    derived from the corpus store's build manifest digest alone.  That
-    digest covers the hierarchy, the citation table, every association
-    array and the ``LT(n)`` counts (and, for a toy deployment, its
-    keyword text), so a corpus revision gets a new key — and with it
-    every result-set, navigation-tree and cut key chained below it —
-    while two deployments of the same build share keys.
-
-    Attributes:
-        database: the off-line BioNav database (corpus store, index).
-        hierarchy: the concept hierarchy the database was built over.
-        content_key: deterministic fingerprint of the deployment.
-    """
-
-    database: BioNavDatabase
-    hierarchy: ConceptHierarchy
-    content_key: str
-
-
-@dataclass(frozen=True)
 class ResultSet:
-    """Stage 2 — one keyword query resolved to its citation ids.
+    """Stage 1 — one keyword query resolved to its citation ids.
 
     Attributes:
         query: the keyword query as issued.
         pmids: the matching citation ids, in ESearch order.
-        content_key: digest chaining the hierarchy key and the query.
+        content_key: digest chaining the deployment digest and the query.
     """
 
     query: str
@@ -133,7 +103,7 @@ class ResultSet:
 
 @dataclass(frozen=True, eq=False)
 class NavTreeArtifact:
-    """Stage 3 — the query's navigation tree and probability model.
+    """Stage 2 — the query's navigation tree and probability model.
 
     Shared by every session of the query: the tree and probability model
     are immutable after construction.
@@ -146,7 +116,8 @@ class NavTreeArtifact:
         root_stats: the root component's display statistics (its count
             is the tree's distinct citations); computed once at build,
             without a relevance (no view ranks the root row).
-        content_key: digest chaining the hierarchy and result-set keys.
+        content_key: digest chaining the deployment digest and the
+            result-set key.
     """
 
     query: str
@@ -156,32 +127,9 @@ class NavTreeArtifact:
     content_key: str
 
 
-@dataclass(frozen=True, eq=False)
-class ActiveTreeArtifact:
-    """Stage 4 — one session's live active tree over a navigation tree.
-
-    Per-session and therefore never cached across sessions: the session
-    object mutates as the user EXPANDs and BACKTRACKs.  The artifact
-    pins the shared navigation-tree artifact it was activated from and
-    the solver driving its EXPANDs.
-
-    Attributes:
-        nav: the shared navigation-tree artifact.
-        solver: canonical registry name of the session's solver.
-        session: the live navigation session (active tree + cost ledger).
-        content_key: unique per activation (chains the nav key, the
-            solver, and an activation ordinal).
-    """
-
-    nav: NavTreeArtifact
-    solver: str
-    session: NavigationSession
-    content_key: str
-
-
 @dataclass(frozen=True)
 class CutPlan:
-    """Stage 5 — one EXPAND's chosen EdgeCut, addressable by content.
+    """Stage 3 — one EXPAND's chosen EdgeCut, addressable by content.
 
     Cached per (navigation tree, component, root, solver, cost params):
     the same component expanded in any session of the query — today or

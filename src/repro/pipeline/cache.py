@@ -7,20 +7,19 @@ into existence, so N concurrent misses on one key run the builder once,
 and hits, misses, coalesced lookups and build latency are counted where
 the work happens, in the cache's :class:`~repro.obs.Metrics` registry
 under ``pipeline.<stage>.``.  :func:`stage_rows` renders them as the
-per-stage rows of ``GET /api/stats``.  The uncached ``active_tree``
-stage reports through :meth:`StageCache.record_run`, and the pipeline
-declares every stage up front, so a cold deployment lists each one.
+per-stage rows of ``GET /api/stats``.  The pipeline declares every
+stage up front, so a cold deployment lists each one.
 
 An optional **L2** extends single-flight across *processes*: on an L1
 miss the builder path reads the L2 store (content-addressed by the same
 stage keys; :class:`repro.cluster.stagecache.ClusterStageCache` is the
 shipped implementation), else takes its cross-process build lock and
 waits for the winner or builds and publishes.  The L2 is duck-typed
-(``stages``/``get``/``put``/``build_lock``/``wait_for``, with
-:data:`L2_MISS` as the miss sentinel) so this layer stays free of
-cluster imports.  Each such lookup is counted once, here: an L2 hit when
-the value came from the store (directly or after waiting), an L2 miss
-when this process built it.
+(``get``/``put``/``build_lock``/``wait_for``, with :data:`L2_MISS` as
+the miss sentinel) so this layer stays free of cluster imports.  Each
+such lookup is counted once, here: an L2 hit when the value came from
+the store (directly or after waiting), an L2 miss when this process
+built it.
 """
 
 from __future__ import annotations
@@ -51,15 +50,13 @@ class StageCache:
 
     Args:
         capacities: stage name → entry bound; stages absent from the map
-            get ``default_capacity``.  The hierarchy stage holds one
-            entry per deployment, so even a capacity of 1 never evicts
-            it; result-set and navigation-tree stages typically share
-            the serving layer's tree-cache bound; the cut stage wants a
-            larger bound (one entry per distinct expanded component).
+            get ``default_capacity``.  Result-set and navigation-tree
+            stages typically share the serving layer's tree-cache bound;
+            the cut stage wants a larger bound (one entry per distinct
+            expanded component).
         default_capacity: bound for unconfigured stages.
         l2: optional cross-process artifact store (see the module
-            docstring); its ``stages`` attribute gates which stages
-            consult it.
+            docstring) every stage's misses consult.
         metrics: the registry every count goes into; the serving
             runtime passes its own, a standalone cache makes one.
     """
@@ -90,13 +87,12 @@ class StageCache:
         The builder runs outside every lock; its wall-clock time is
         recorded against the stage.  Concurrent misses on the same key
         coalesce onto one build (see ``SingleFlightCache``), and when an
-        L2 store covers the stage the build path goes through it: fetch
-        a published artifact, or take the cross-process build lock,
-        build, and publish.
+        L2 store is wired in the build path goes through it: fetch a
+        published artifact, or take the cross-process build lock, build,
+        and publish.
         """
         cache = self._cache_for(stage)
-        l2 = self._l2
-        if l2 is not None and stage in l2.stages:  # type: ignore[attr-defined]
+        if self._l2 is not None:
             return cache.get_or_create(
                 key, lambda: self._build_via_l2(stage, key, builder)
             )
@@ -111,7 +107,7 @@ class StageCache:
         return value
 
     def _build_via_l2(self, stage: str, key: str, builder: Callable[[], V]) -> V:
-        """The L1-miss path when an L2 store covers ``stage``.
+        """The L1-miss path when an L2 store is wired in.
 
         Order: published artifact → cross-process single-flight (wait
         for the winner) → build locally and publish.  Runs outside this
@@ -136,18 +132,10 @@ class StageCache:
         self.metrics.add(counter + "hits")
         return value  # type: ignore[return-value]
 
-    def declare(self, stage: str, cached: bool = True) -> None:
+    def declare(self, stage: str) -> None:
         """List ``stage`` in :meth:`snapshot`, with zero counters, before
-        its first lookup or run, so a cold deployment reports every stage."""
-        if cached:
-            self._cache_for(stage)
-        else:
-            self.metrics.add("pipeline.%s.runs" % stage, 0)
-
-    def record_run(self, stage: str, seconds: float) -> None:
-        """Account one execution of an uncached stage."""
-        self.metrics.add("pipeline.%s.runs" % stage)
-        self.metrics.observe("pipeline.%s.build_seconds" % stage, seconds)
+        its first lookup, so a cold deployment reports every stage."""
+        self._cache_for(stage)
 
     def items(self, stage: str) -> List[Tuple[str, object]]:
         """Snapshot of one stage's (key, value) entries, LRU first.
@@ -168,7 +156,7 @@ class StageCache:
 
     # ------------------------------------------------------------------
     def gauges(self) -> Dict[str, int]:
-        """Live ``pipeline.<stage>.size``/``.capacity`` of every cached stage."""
+        """Live ``pipeline.<stage>.size``/``.capacity`` of every stage."""
         with self._lock:
             caches = dict(self._caches)
         gauges: Dict[str, int] = {}
@@ -198,12 +186,12 @@ def stage_rows(
     """Per-stage stats rows from a registry snapshot plus live gauges.
 
     Every stage named by a ``pipeline.<stage>.*`` entry gets a row:
-    ``builds``/``runs`` and the build-latency fields (read from the
-    stage's ``build_seconds`` histogram, which builds and runs both
-    feed) plus ``l2_hits``/``l2_misses``/``l2_publishes``.  A cached
-    stage (one with a ``capacity`` gauge) adds ``size``/``capacity``,
-    ``hits``/``misses``/``evictions``/``coalesced`` and ``hit_ratio``
-    (coalesced lookups count as neither hit nor miss).
+    ``builds`` and the build-latency fields (read from the stage's
+    ``build_seconds`` histogram) plus ``l2_hits``/``l2_misses``/
+    ``l2_publishes``.  A stage with a ``capacity`` gauge adds
+    ``size``/``capacity``, ``hits``/``misses``/``evictions``/
+    ``coalesced`` and ``hit_ratio`` (coalesced lookups count as neither
+    hit nor miss).
     """
     counters = snapshot["counters"]
     stages = dict.fromkeys(
@@ -215,13 +203,11 @@ def stage_rows(
     for stage in stages:
         prefix = "pipeline.%s." % stage
         build = histogram(snapshot, prefix + "build_seconds")
-        executed = build["count"]
-        runs = counters.get(prefix + "runs", 0)
+        builds = build["count"]
         row = {
-            "builds": executed - runs,
-            "runs": runs,
+            "builds": builds,
             "build_seconds_total": build["sum"],
-            "build_ms_avg": 1000.0 * build["sum"] / executed if executed else 0.0,
+            "build_ms_avg": 1000.0 * build["sum"] / builds if builds else 0.0,
             "build_ms_max": 1000.0 * build["max"],
         }
         for key in ("l2_hits", "l2_misses", "l2_publishes"):

@@ -1,23 +1,24 @@
 """The staged navigation pipeline facade.
 
 :class:`NavigationPipeline` is the one way the reproduction turns a
-keyword query into navigable state: hierarchy snapshot → result set →
-navigation tree → active tree → EdgeCut, each stage produced by its
-descriptor in :mod:`repro.pipeline.stages`, cached per content key in a
-:class:`~repro.pipeline.cache.StageCache`, and solved through the
-:class:`~repro.pipeline.registry.SolverRegistry`.  The BioNav facade,
-the CLI, the serving runtime, and the workload harness all hold one of
-these instead of wiring stages by hand.
+keyword query into navigable state, in the paper's three online steps
+(§VII): ESearch result set → navigation tree → EdgeCut, each stage
+produced by its descriptor in :mod:`repro.pipeline.stages`, cached per
+content key in a :class:`~repro.pipeline.cache.StageCache`, and solved
+through the :class:`~repro.pipeline.registry.SolverRegistry`.  The
+BioNav facade, the CLI, the serving runtime, and the workload harness
+all hold one of these instead of wiring stages by hand.
 
 What is shared vs per-session:
 
-* **hierarchy** — one snapshot per deployment, shared by every query;
 * **results**, **nav_tree** — shared by every session of a query;
-* **active_tree** — per-session (never cached; still timed);
 * **cut** — shared by every session of a query that uses the same
   solver options: an EXPAND's plan is keyed by (tree, component,
   solver, solver options, cost params), so repeated expansions replay
-  cached plans.
+  cached plans;
+* the :class:`~repro.core.session.NavigationSession` (its active tree
+  and cost ledger) — per-session, opened by :meth:`activate` and never
+  cached.
 
 Sessions opened through the pipeline run a :class:`PipelineStrategy`:
 the registry-built solver wrapped so each EXPAND routes through the cut
@@ -27,34 +28,18 @@ concern instead of a per-session recomputation.
 
 from __future__ import annotations
 
-import itertools
-import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.core.active_tree import ActiveTree
 from repro.core.cost_model import CostParams
 from repro.core.edgecut import Component
+from repro.core.session import NavigationSession
 from repro.core.strategy import CutDecision, ExpansionStrategy
 from repro.eutils.client import EntrezClient
 from repro.obs import Metrics
-from repro.pipeline.artifacts import (
-    ActiveTreeArtifact,
-    CutPlan,
-    HierarchySnapshot,
-    NavTreeArtifact,
-    ResultSet,
-)
+from repro.pipeline.artifacts import CutPlan, NavTreeArtifact, ResultSet
 from repro.pipeline.cache import StageCache
 from repro.pipeline.registry import SolverRegistry, default_registry
-from repro.pipeline.stages import (
-    ALL_STAGES,
-    ActiveTreeStage,
-    CutStage,
-    HierarchyStage,
-    NavTreeStage,
-    SearchStage,
-    params_key,
-)
+from repro.pipeline.stages import CutStage, NavTreeStage, SearchStage, params_key
 from repro.storage.database import BioNavDatabase
 
 __all__ = ["PipelineStrategy", "NavigationPipeline"]
@@ -63,9 +48,9 @@ __all__ = ["PipelineStrategy", "NavigationPipeline"]
 class PipelineStrategy(ExpansionStrategy):
     """A registry-built solver routed through the pipeline's cut stage.
 
-    ``choose_expansion`` resolves the expanded component, asks the
-    pipeline for its :class:`CutPlan` (cache hit or a fresh solve by the
-    wrapped strategy), and returns the plan's decision and the created
+    ``choose_expansion`` asks the pipeline for the expanded component's
+    :class:`CutPlan` (cache hit or a fresh solve by the wrapped
+    strategy), and returns the plan's decision and the created
     components' statistics.  Wrapping — rather than
     subclassing each solver — keeps caching a pipeline concern and the
     solvers pure.
@@ -89,13 +74,9 @@ class PipelineStrategy(ExpansionStrategy):
         self.name = inner.name
         self.capabilities = inner.capabilities
 
-    def choose_cut(self, active: ActiveTree, node: int) -> CutDecision:
-        """EdgeCut for ``node``'s component, via the cut-stage cache."""
-        return self.plan(active.component(node)).decision
-
-    def choose_expansion(self, active: ActiveTree, node: int) -> Tuple[CutDecision, Tuple]:
+    def choose_expansion(self, component: Component) -> Tuple[CutDecision, Tuple]:
         """The cut-stage plan's cut and created components' statistics."""
-        plan = self.plan(active.component(node))
+        plan = self.plan(component)
         return plan.decision, plan.stats
 
     def best_cut(self, component: Component) -> CutDecision:
@@ -119,15 +100,11 @@ class NavigationPipeline:
             solvers.
         params: cost-model unit costs applied to every session and cut.
         max_reduced_nodes: Heuristic-ReducedOpt's N (paper default 10).
-        cache: externally-owned stage cache (share one across facades to
-            share stage artifacts); a private one is built when omitted.
-        capacities: per-stage entry bounds for the private cache
-            (ignored when ``cache`` is given).
-        l2: optional cross-process artifact store wired into the private
-            cache (ignored when ``cache`` is given); see
-            :class:`~repro.pipeline.cache.StageCache`.
-        metrics: registry the private cache counts into (ignored when
-            ``cache`` is given); the cache makes its own when omitted.
+        capacities: per-stage entry bounds for the stage cache.
+        l2: optional cross-process artifact store wired into the stage
+            cache; see :class:`~repro.pipeline.cache.StageCache`.
+        metrics: registry the stage cache counts into; the cache makes
+            its own when omitted.
     """
 
     def __init__(
@@ -137,7 +114,6 @@ class NavigationPipeline:
         registry: Optional[SolverRegistry] = None,
         params: Optional[CostParams] = None,
         max_reduced_nodes: int = 10,
-        cache: Optional[StageCache] = None,
         capacities: Optional[Dict[str, int]] = None,
         l2: Optional[object] = None,
         metrics: Optional[Metrics] = None,
@@ -147,27 +123,20 @@ class NavigationPipeline:
         self.registry = registry or default_registry()
         self.params = params or CostParams()
         self.max_reduced_nodes = max_reduced_nodes
-        self.cache = cache or StageCache(capacities, l2=l2, metrics=metrics)
-        for stage in ALL_STAGES:
-            self.cache.declare(stage.name, stage.cached)
+        self.cache = StageCache(capacities, l2=l2, metrics=metrics)
+        for stage in (SearchStage, NavTreeStage, CutStage):
+            self.cache.declare(stage.name)
+        # The deployment's identity, which every result-set and
+        # navigation-tree key chains (and through them every cut key).
+        self.deployment_key = database.content_digest()
         self._cost_key = params_key(self.params)
-        self._activations = itertools.count(1)
 
     # ------------------------------------------------------------------
     # Stages
     # ------------------------------------------------------------------
-    def snapshot(self) -> HierarchySnapshot:
-        """Stage 1: the deployment's hierarchy snapshot (built once)."""
-        return self.cache.get_or_build(
-            HierarchyStage.name,
-            HierarchyStage.key(),
-            lambda: HierarchyStage.build(self.database),
-        )
-
     def results(self, query: str) -> ResultSet:
-        """Stage 2: resolve ``query`` to its citation ids (cached)."""
-        snapshot = self.snapshot()
-        key = SearchStage.key(snapshot, query)
+        """Stage 1: resolve ``query`` to its citation ids (cached)."""
+        key = SearchStage.key(self.deployment_key, query)
         return self.cache.get_or_build(
             SearchStage.name,
             key,
@@ -175,14 +144,13 @@ class NavigationPipeline:
         )
 
     def nav_tree(self, query: str) -> NavTreeArtifact:
-        """Stage 3: the query's navigation tree + probabilities (cached)."""
-        snapshot = self.snapshot()
+        """Stage 2: the query's navigation tree + probabilities (cached)."""
         results = self.results(query)
-        key = NavTreeStage.key(snapshot, results)
+        key = NavTreeStage.key(self.deployment_key, results)
         return self.cache.get_or_build(
             NavTreeStage.name,
             key,
-            lambda: NavTreeStage.build(snapshot, results, key),
+            lambda: NavTreeStage.build(self.database, results, key),
         )
 
     def activate(
@@ -191,28 +159,21 @@ class NavigationPipeline:
         solver: str = "heuristic",
         metrics: Optional[Metrics] = None,
         **options: object,
-    ) -> ActiveTreeArtifact:
-        """Stage 4: open one session over a navigation tree (per-session).
+    ) -> NavigationSession:
+        """Open one live session over a navigation tree (never cached).
 
         The session's strategy is registry-built and wrapped in a
         :class:`PipelineStrategy`, so its EXPANDs run through the cut
-        stage.  Never cached — each call is a fresh session — but timed
-        as a run of the stage.  ``metrics`` is the registry the session
-        records its EXPAND decisions in.
+        stage.  ``metrics`` is the registry the session records its
+        EXPAND decisions in.
         """
-        started = time.perf_counter()
-        canonical = self.registry.resolve(solver)
-        strategy = self.strategy(nav, canonical, **options)
-        artifact = ActiveTreeStage.build(
-            nav,
-            canonical,
-            strategy,
-            self.params,
-            metrics,
-            ActiveTreeStage.key(nav, canonical, next(self._activations)),
+        return NavigationSession(
+            nav.tree,
+            self.strategy(nav, solver, **options),
+            params=self.params,
+            metrics=metrics,
+            root_stats=nav.root_stats,
         )
-        self.cache.record_run(ActiveTreeStage.name, time.perf_counter() - started)
-        return artifact
 
     def plan_cut(
         self,
@@ -222,7 +183,7 @@ class NavigationPipeline:
         inner: Optional[ExpansionStrategy] = None,
         **options: object,
     ) -> CutPlan:
-        """Stage 5: the EdgeCut plan for one component (cached).
+        """Stage 3: the EdgeCut plan for one component (cached).
 
         Args:
             nav: the component's navigation-tree artifact.
@@ -257,8 +218,8 @@ class NavigationPipeline:
         solver: str = "heuristic",
         metrics: Optional[Metrics] = None,
         **options: object,
-    ) -> ActiveTreeArtifact:
-        """Run stages 1–4 for ``query`` and hand back the live session."""
+    ) -> NavigationSession:
+        """Build ``query``'s navigation tree and open a session over it."""
         return self.activate(
             self.nav_tree(query), solver=solver, metrics=metrics, **options
         )
@@ -290,14 +251,3 @@ class NavigationPipeline:
             canonical, nav.tree, nav.probs, params=self.params,
             **self._solver_options(options),
         )
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-    def stage_stats(self) -> Dict[str, Dict[str, float]]:
-        """Per-stage cache/latency counters (see :meth:`StageCache.snapshot`)."""
-        return self.cache.snapshot()
-
-    def cached_trees(self) -> List[NavTreeArtifact]:
-        """The navigation-tree artifacts currently cached, LRU first."""
-        return [value for _, value in self.cache.items(NavTreeStage.name)]

@@ -7,10 +7,9 @@ the renderer (HTML or JSON) consumes without touching shared state.
 The runtime owns all cross-request state and its locking:
 
 * the staged :class:`~repro.pipeline.NavigationPipeline`, whose
-  per-stage single-flight caches mean the hierarchy snapshot is shared
-  by every query, a hot query's result set and navigation tree are
-  built once no matter how many users issue it concurrently, and
-  repeated EXPANDs replay cached cut plans;
+  per-stage single-flight caches mean a hot query's result set and
+  navigation tree are built once no matter how many users issue it
+  concurrently, and repeated EXPANDs replay cached cut plans;
 * the session registry, whose per-session locks serialize interleaved
   EXPAND/BACKTRACK on one session;
 * one :class:`~repro.obs.Metrics` registry, handed to the pipeline's
@@ -239,10 +238,8 @@ class ServingRuntime:
     def _do_search(self, query: str) -> SearchResult:
         self._simulate_backend()
         nav = self.pipeline.nav_tree(query)
-        artifact = self.pipeline.activate(
-            nav, solver=self.solver, metrics=self.metrics
-        )
-        sid = self.sessions.create(query, artifact.session, nav)
+        session = self.pipeline.activate(nav, solver=self.solver, metrics=self.metrics)
+        sid = self.sessions.create(query, session, nav)
         return SearchResult(session=sid, query=query, count=nav.root_stats.count)
 
     def _do_view(self, sid: str) -> SessionView:

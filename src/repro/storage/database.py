@@ -99,7 +99,7 @@ class BioNavDatabase:
     # Content identity
     # ------------------------------------------------------------------
     def content_digest(self) -> str:
-        """Deployment identity for the pipeline's hierarchy snapshot.
+        """Deployment identity: the digest every pipeline stage key chains.
 
         Derived from the store's build manifest digest alone, which
         covers the hierarchy, the citation table, every association

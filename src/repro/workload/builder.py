@@ -21,11 +21,11 @@ from repro.corpus.generator import CorpusGenerator, TopicSpec
 from repro.corpus.medline import MedlineDatabase
 from repro.core.navigation_tree import NavigationTree
 from repro.core.probabilities import ProbabilityModel
+from repro.core.session import NavigationSession
 from repro.core.strategy import ExpansionStrategy
 from repro.eutils.client import EntrezClient
 from repro.hierarchy.concept import ConceptHierarchy
 from repro.hierarchy.generator import generate_hierarchy
-from repro.pipeline.artifacts import ActiveTreeArtifact
 from repro.pipeline.pipeline import NavigationPipeline
 from repro.search.engine import SearchEngine
 from repro.storage.database import BioNavDatabase
@@ -115,8 +115,8 @@ class Workload:
 
     def open_session(
         self, keyword: str, solver: str = "heuristic", **options: object
-    ) -> ActiveTreeArtifact:
-        """Stages 1–4 for one workload keyword (a live session)."""
+    ) -> NavigationSession:
+        """A live session over one workload keyword's navigation tree."""
         return self.pipeline.open_session(keyword, solver=solver, **options)
 
 

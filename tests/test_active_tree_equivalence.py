@@ -43,15 +43,16 @@ class OracleStrategy(ExpansionStrategy):
     """Solves the oracle tree's frozenset component with ``inner``.
 
     The member set is handed over in interval form, the one form the
-    solvers take.
+    solvers take, rooted at its first member in pre-order.
     """
 
-    def __init__(self, inner: ExpansionStrategy):
+    def __init__(self, tree: NavigationTree, inner: ExpansionStrategy):
+        self.tree = tree
         self.inner = inner
 
-    def choose_cut(self, active, node: int) -> CutDecision:
-        component = component_from_members(active.tree, active.component(node), node)
-        return self.inner.best_cut(component)  # type: ignore[attr-defined]
+    def best_cut(self, members) -> CutDecision:  # type: ignore[override]
+        root = min(members, key=self.tree.position)
+        return self.inner.best_cut(component_from_members(self.tree, members, root))
 
 
 class OracleSession(NavigationSession):
@@ -122,7 +123,7 @@ def run_sequence(
     limit = rng.choice((3, 5, 10))
     production, reference = make_strategy(solver, tree, probs, limit)
     session = NavigationSession(tree, production)
-    oracle = OracleSession(tree, OracleStrategy(reference))
+    oracle = OracleSession(tree, OracleStrategy(tree, reference))
     assert_same_state(session.active, oracle.active)
     for _ in range(steps):
         action = rng.choice(("expand", "expand", "backtrack", "ignore", "show"))

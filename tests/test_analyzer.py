@@ -9,6 +9,7 @@ acceptance fixtures from the issue (unsorted set iteration in
 
 from __future__ import annotations
 
+import ast
 import json
 import pathlib
 import subprocess
@@ -1409,6 +1410,18 @@ class TestSubstrateImmutabilityRule:
             probs.result_counts[0] = 1
         with pytest.raises(ValueError):
             probs.log_lt[0] = 1.0
+
+    def test_every_artifact_type_is_a_class_under_src(self):
+        # A deleted artifact class must not leave a stale rule entry.
+        from tools.analyzer.rules.immutability import ARTIFACT_TYPES
+
+        classes = {
+            node.name
+            for path in (REPO_ROOT / "src" / "repro").rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ClassDef)
+        }
+        assert sorted(ARTIFACT_TYPES - classes) == []
 
 
 class TestInterproceduralCLI:

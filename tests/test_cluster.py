@@ -79,12 +79,6 @@ class TestClusterStageCache:
         # Lookups are counted by the consumer (StageCache), once each.
         assert counters(store) == {}
 
-    def test_uncovered_stage_is_a_noop(self, tmp_path):
-        store = ClusterStageCache(tmp_path)
-        assert not store.put("hierarchy", KEY_A, object())
-        assert store.get("hierarchy", KEY_A) is MISS
-        assert store.census()["entries"] == 0
-
     def test_unpicklable_value_is_skipped_not_raised(self, tmp_path):
         store = ClusterStageCache(tmp_path)
         assert not store.put("nav_tree", KEY_A, lambda: None)
@@ -241,14 +235,6 @@ class TestStageCacheL2Hook:
         b_row = cache_b.snapshot()["nav_tree"]
         assert a_row["l2_misses"] == 1 and a_row["l2_publishes"] == 1
         assert b_row["l2_hits"] == 1 and b_row["builds"] == 0
-
-    def test_uncovered_stage_bypasses_the_l2(self, tmp_path):
-        store = ClusterStageCache(tmp_path)
-        cache = StageCache(l2=store)
-        cache.get_or_build("hierarchy", KEY_A, lambda: "snapshot")
-        row = cache.snapshot()["hierarchy"]
-        assert row["l2_hits"] == 0 and row["l2_misses"] == 0
-        assert store.census()["entries"] == 0
 
     def test_lock_loser_waits_for_the_winners_publish(self, tmp_path):
         """When another process holds the build lock, the loser polls

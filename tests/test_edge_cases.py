@@ -82,7 +82,7 @@ class TestWideStar:
     def test_static_root_expansion_reveals_everything(self, wide_star_tree):
         _, tree = wide_star_tree
         active = ActiveTree(tree)
-        decision = StaticNavigation(tree).choose_cut(active, tree.root)
+        decision = StaticNavigation(tree).best_cut(active.component(tree.root))
         assert len(decision.cut) == 400
 
     def test_heuristic_reveals_few(self, wide_star_tree):

@@ -14,7 +14,7 @@ class TestCategoryBar:
     def test_root_expansion_reveals_all_categories(self, fragment_tree):
         strategy = GoPubMedNavigation(fragment_tree)
         active = ActiveTree(fragment_tree)
-        decision = strategy.choose_cut(active, fragment_tree.root)
+        decision = strategy.best_cut(active.component(fragment_tree.root))
         revealed = {child for _, child in decision.cut}
         assert revealed == set(fragment_tree.children(fragment_tree.root))
 
@@ -22,7 +22,7 @@ class TestCategoryBar:
         cell_death = fragment_hierarchy.by_label("Cell Death")
         strategy = GoPubMedNavigation(fragment_tree, categories=[cell_death])
         active = ActiveTree(fragment_tree)
-        decision = strategy.choose_cut(active, fragment_tree.root)
+        decision = strategy.best_cut(active.component(fragment_tree.root))
         assert decision.cut == ((fragment_tree.parent(cell_death), cell_death),)
 
     def test_unknown_category_rejected(self, fragment_tree):
@@ -40,10 +40,10 @@ class TestTopKChildren:
     ):
         strategy = GoPubMedNavigation(fragment_tree, top_k=2)
         active = ActiveTree(fragment_tree)
-        active.expand(fragment_tree.root, strategy.choose_cut(active, fragment_tree.root).cut)
+        active.expand(fragment_tree.root, strategy.best_cut(active.component(fragment_tree.root)).cut)
         cell_death = fragment_hierarchy.by_label("Cell Death")
         parent = active.containing_root(cell_death)
-        decision = strategy.choose_cut(active, parent)
+        decision = strategy.best_cut(active.component(parent))
         assert 1 <= len(decision.cut) <= 2
         revealed_counts = [
             len(subtree_results(fragment_tree, child)) for _, child in decision.cut
@@ -60,16 +60,16 @@ class TestTopKChildren:
     def test_repeat_expansion_pages_remaining_children(self, fragment_tree):
         strategy = GoPubMedNavigation(fragment_tree, top_k=1)
         active = ActiveTree(fragment_tree)
-        active.expand(fragment_tree.root, strategy.choose_cut(active, fragment_tree.root).cut)
+        active.expand(fragment_tree.root, strategy.best_cut(active.component(fragment_tree.root)).cut)
         # Pick a visible category with multiple children.
         node = max(
             (n for n in active.component_roots() if n != fragment_tree.root),
             key=lambda n: len(fragment_tree.children(n)),
         )
-        first = strategy.choose_cut(active, node)
+        first = strategy.best_cut(active.component(node))
         active.expand(node, first.cut)
         if active.is_expandable(node):
-            second = strategy.choose_cut(active, node)
+            second = strategy.best_cut(active.component(node))
             assert {c for _, c in first.cut}.isdisjoint({c for _, c in second.cut})
 
 

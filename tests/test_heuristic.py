@@ -95,7 +95,7 @@ class TestBestCut:
     def test_choose_cut_uses_active_component(self, big_tree, big_probs):
         strategy = HeuristicReducedOpt(big_tree, big_probs)
         active = ActiveTree(big_tree)
-        decision = strategy.choose_cut(active, big_tree.root)
+        decision = strategy.best_cut(active.component(big_tree.root))
         assert decision.cut
         active.expand(big_tree.root, decision.cut)  # applies cleanly
 
@@ -120,6 +120,6 @@ class TestRepeatedExpansion:
             if not expandable:
                 break
             node = max(expandable, key=lambda n: len(active.component(n)))
-            decision = strategy.choose_cut(active, node)
+            decision = strategy.best_cut(active.component(node))
             assert is_valid_edgecut(big_tree, active.component(node), decision.cut)
             active.expand(node, decision.cut)

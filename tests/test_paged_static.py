@@ -15,7 +15,7 @@ class TestPaging:
     def test_first_page_reveals_top_children_by_count(self, fragment_tree):
         strategy = PagedStaticNavigation(fragment_tree, page_size=2)
         active = ActiveTree(fragment_tree)
-        decision = strategy.choose_cut(active, fragment_tree.root)
+        decision = strategy.best_cut(active.component(fragment_tree.root))
         assert len(decision.cut) == 2
         revealed = [child for _, child in decision.cut]
         counts = [len(subtree_results(fragment_tree, c)) for c in revealed]
@@ -32,7 +32,7 @@ class TestPaging:
         active = ActiveTree(fragment_tree)
         pages = 0
         while active.is_expandable(root):
-            decision = strategy.choose_cut(active, root)
+            decision = strategy.best_cut(active.component(root))
             if not decision.cut:
                 break
             active.expand(root, decision.cut)
@@ -49,7 +49,7 @@ class TestPaging:
         active = ActiveTree(fragment_tree)
         seen = set()
         while active.is_expandable(fragment_tree.root):
-            decision = strategy.choose_cut(active, fragment_tree.root)
+            decision = strategy.best_cut(active.component(fragment_tree.root))
             if not decision.cut:
                 break
             new = {child for _, child in decision.cut}
@@ -64,7 +64,7 @@ class TestPaging:
     def test_large_page_equals_plain_static(self, fragment_tree):
         strategy = PagedStaticNavigation(fragment_tree, page_size=1000)
         active = ActiveTree(fragment_tree)
-        decision = strategy.choose_cut(active, fragment_tree.root)
+        decision = strategy.best_cut(active.component(fragment_tree.root))
         assert len(decision.cut) == len(fragment_tree.children(fragment_tree.root))
 
 

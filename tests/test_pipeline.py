@@ -1,11 +1,10 @@
 """The staged navigation pipeline: artifacts, keys, caching, strategies.
 
 Covers the refactor's load-bearing claims: content keys are
-deterministic and chain down the dataflow, the hierarchy snapshot is
-shared across queries, navigation trees are shared across sessions of a
-query, cut plans are replayed across sessions, the active-tree stage is
-deliberately uncached, and a pipeline-routed strategy is observationally
-identical to the bare registry-built solver.
+deterministic and chain down the dataflow, navigation trees are shared
+across sessions of a query, cut plans are replayed across sessions, and
+a pipeline-routed strategy is observationally identical to the bare
+registry-built solver.
 """
 
 from __future__ import annotations
@@ -15,17 +14,8 @@ import pytest
 from repro.core.edgecut import Component
 from repro.core.heuristic import HeuristicReducedOpt
 from repro.pipeline.artifacts import component_digest, content_key
-from repro.pipeline.cache import StageCache
 from repro.pipeline.pipeline import NavigationPipeline, PipelineStrategy
-from repro.pipeline.stages import (
-    ALL_STAGES,
-    ActiveTreeStage,
-    CutStage,
-    HierarchyStage,
-    NavTreeStage,
-    SearchStage,
-    params_key,
-)
+from repro.pipeline.stages import CutStage, NavTreeStage, SearchStage, params_key
 from repro.core.cost_model import CostParams
 from tests.oracles.member_sets import component_from_members
 
@@ -63,15 +53,16 @@ class TestContentKeys:
         assert params_key(CostParams()) != params_key(CostParams(expand_cost=2.0))
 
     def test_keys_chain_down_the_dataflow(self, pipeline):
-        snapshot = pipeline.snapshot()
+        deployment = pipeline.deployment_key
+        assert deployment == pipeline.database.content_digest()
         first = pipeline.results("prothymosin")
         second = pipeline.results("varenicline")
         assert first.content_key != second.content_key
-        assert NavTreeStage.key(snapshot, first) != NavTreeStage.key(snapshot, second)
+        assert NavTreeStage.key(deployment, first) != NavTreeStage.key(deployment, second)
         # Same inputs -> same key, on every stage of the chain.
-        assert SearchStage.key(snapshot, "prothymosin") == first.content_key
+        assert SearchStage.key(deployment, "prothymosin") == first.content_key
         assert pipeline.nav_tree("prothymosin").content_key == NavTreeStage.key(
-            snapshot, first
+            deployment, first
         )
 
     def test_cut_keys_separate_solvers_and_components(self, pipeline):
@@ -98,71 +89,45 @@ class TestContentKeys:
 
 
 class TestStageSharing:
-    def test_hierarchy_snapshot_shared_across_queries(self, pipeline):
-        first = pipeline.snapshot()
-        pipeline.results("prothymosin")
-        pipeline.results("varenicline")
-        assert pipeline.snapshot() is first
-        stats = pipeline.stage_stats()[HierarchyStage.name]
-        assert stats["misses"] == 1
-        assert stats["hits"] >= 2
-        assert stats["builds"] == 1
-
     def test_nav_tree_shared_across_sessions_of_a_query(self, pipeline):
         one = pipeline.open_session("prothymosin")
         two = pipeline.open_session("prothymosin")
-        assert one.nav is two.nav
-        assert one.session is not two.session
-        assert pipeline.stage_stats()[NavTreeStage.name]["builds"] == 1
+        assert one.tree is two.tree
+        assert one is not two
+        assert pipeline.cache.snapshot()[NavTreeStage.name]["builds"] == 1
 
     def test_distinct_queries_get_distinct_trees(self, pipeline):
         first = pipeline.nav_tree("prothymosin")
         second = pipeline.nav_tree("varenicline")
         assert first is not second
         assert first.content_key != second.content_key
-        assert pipeline.stage_stats()[NavTreeStage.name]["builds"] == 2
-
-    def test_active_tree_stage_is_uncached_but_timed(self, pipeline):
-        nav = pipeline.nav_tree("prothymosin")
-        one = pipeline.activate(nav)
-        two = pipeline.activate(nav)
-        assert one.content_key != two.content_key  # per-activation ordinal
-        stats = pipeline.stage_stats()[ActiveTreeStage.name]
-        assert stats["runs"] == 2
-        assert "hits" not in stats  # no cache behind the stage
-        assert not ActiveTreeStage.cached
+        assert pipeline.cache.snapshot()[NavTreeStage.name]["builds"] == 2
 
     def test_cut_plans_replay_across_sessions(self, pipeline):
         first = pipeline.open_session("prothymosin")
         second = pipeline.open_session("prothymosin")
-        root = first.nav.tree.root
-        outcome_one = first.session.expand(root)
-        before = pipeline.stage_stats()[CutStage.name]
-        outcome_two = second.session.expand(root)
-        after = pipeline.stage_stats()[CutStage.name]
+        root = first.tree.root
+        outcome_one = first.expand(root)
+        before = pipeline.cache.snapshot()[CutStage.name]
+        outcome_two = second.expand(root)
+        after = pipeline.cache.snapshot()[CutStage.name]
         assert outcome_one.revealed == outcome_two.revealed
         assert after["hits"] >= before["hits"] + 1
         assert after["builds"] == before["builds"]
 
-    def test_shared_cache_shares_artifacts_across_pipelines(self, small_workload):
-        cache = StageCache()
-        a = NavigationPipeline(small_workload.database, small_workload.entrez, cache=cache)
-        b = NavigationPipeline(small_workload.database, small_workload.entrez, cache=cache)
-        assert a.nav_tree("prothymosin") is b.nav_tree("prothymosin")
-
     def test_stage_stats_covers_the_whole_dataflow(self, pipeline):
-        pipeline.open_session("prothymosin").session.expand(
+        pipeline.open_session("prothymosin").expand(
             pipeline.nav_tree("prothymosin").tree.root
         )
-        stats = pipeline.stage_stats()
-        for stage in ALL_STAGES:
-            assert stage.name in stats
-        for name in (HierarchyStage.name, NavTreeStage.name, CutStage.name):
-            assert stats[name]["build_seconds_total"] >= 0.0
+        stats = pipeline.cache.snapshot()
+        assert set(stats) == {SearchStage.name, NavTreeStage.name, CutStage.name}
+        for row in stats.values():
+            assert row["builds"] == 1
+            assert row["build_seconds_total"] >= 0.0
 
     def test_cached_trees_lists_nav_artifacts(self, pipeline):
         nav = pipeline.nav_tree("prothymosin")
-        assert pipeline.cached_trees() == [nav]
+        assert pipeline.cache.items(NavTreeStage.name) == [(nav.content_key, nav)]
 
 
 class TestPipelineStrategy:
@@ -192,11 +157,11 @@ class TestPipelineStrategy:
         strategy = pipeline.strategy(nav, "heuristic")
         component = Component(nav.tree, nav.tree.root)
         first = strategy.best_cut(component)
-        stats = pipeline.stage_stats()[CutStage.name]
+        stats = pipeline.cache.snapshot()[CutStage.name]
         assert stats["builds"] == 1
         second = strategy.best_cut(component)
         assert second == first
-        stats = pipeline.stage_stats()[CutStage.name]
+        stats = pipeline.cache.snapshot()[CutStage.name]
         assert stats["builds"] == 1
         assert stats["hits"] == 1
 
@@ -216,7 +181,7 @@ class TestPipelineStrategy:
                 nav.tree, nav.probs, params=pipeline.params, **options
             ).best_cut(component)
             assert decision == fresh
-        assert pipeline.stage_stats()[CutStage.name]["builds"] == 2
+        assert pipeline.cache.snapshot()[CutStage.name]["builds"] == 2
 
     def test_unknown_solver_rejected(self, pipeline):
         nav = pipeline.nav_tree("prothymosin")

@@ -224,7 +224,7 @@ class TestBaselineStrategyProperties:
         seen: Set[int] = set()
         pages = 0
         while active.is_expandable(tree.root):
-            decision = strategy.choose_cut(active, tree.root)
+            decision = strategy.best_cut(active.component(tree.root))
             if not decision.cut:
                 break
             revealed = {child for _, child in decision.cut}
@@ -251,7 +251,7 @@ class TestBaselineStrategyProperties:
             if not roots:
                 break
             node = sorted(roots)[0]
-            decision = strategy.choose_cut(active, node)
+            decision = strategy.best_cut(active.component(node))
             if not decision.cut:
                 break
             assert is_valid_edgecut(tree, active.component(node), decision.cut)

@@ -14,7 +14,7 @@ from tests.oracles.member_sets import subtree_results
 class EmptyCutStrategy(ExpansionStrategy):
     name = "empty"
 
-    def choose_cut(self, active, node):
+    def best_cut(self, component):
         return CutDecision(cut=())
 
 

@@ -11,14 +11,14 @@ class TestStaticNavigation:
     def test_root_expansion_reveals_all_children(self, fragment_tree):
         strategy = StaticNavigation(fragment_tree)
         active = ActiveTree(fragment_tree)
-        decision = strategy.choose_cut(active, fragment_tree.root)
+        decision = strategy.best_cut(active.component(fragment_tree.root))
         expected = {(fragment_tree.root, c) for c in fragment_tree.children(fragment_tree.root)}
         assert set(decision.cut) == expected
 
     def test_expansion_applies_to_active_tree(self, fragment_tree):
         strategy = StaticNavigation(fragment_tree)
         active = ActiveTree(fragment_tree)
-        decision = strategy.choose_cut(active, fragment_tree.root)
+        decision = strategy.best_cut(active.component(fragment_tree.root))
         active.expand(fragment_tree.root, decision.cut)
         for child in fragment_tree.children(fragment_tree.root):
             assert active.is_visible(child)
@@ -26,7 +26,7 @@ class TestStaticNavigation:
     def test_second_level_expansion(self, fragment_tree, fragment_hierarchy):
         strategy = StaticNavigation(fragment_tree)
         active = ActiveTree(fragment_tree)
-        active.expand(fragment_tree.root, strategy.choose_cut(active, fragment_tree.root).cut)
+        active.expand(fragment_tree.root, strategy.best_cut(active.component(fragment_tree.root)).cut)
         # Expand a child that has descendants.
         target = None
         for child in fragment_tree.children(fragment_tree.root):
@@ -34,7 +34,7 @@ class TestStaticNavigation:
                 target = child
                 break
         assert target is not None
-        decision = strategy.choose_cut(active, target)
+        decision = strategy.best_cut(active.component(target))
         assert set(decision.cut) == {
             (target, c) for c in fragment_tree.children(target)
         }
@@ -46,14 +46,14 @@ class TestStaticNavigation:
         # After a static expansion the expanded node keeps nothing hidden.
         strategy = StaticNavigation(fragment_tree)
         active = ActiveTree(fragment_tree)
-        active.expand(fragment_tree.root, strategy.choose_cut(active, fragment_tree.root).cut)
+        active.expand(fragment_tree.root, strategy.best_cut(active.component(fragment_tree.root)).cut)
         assert not active.is_expandable(fragment_tree.root)
         assert frozenset(active.component(fragment_tree.root)) == {fragment_tree.root}
 
     def test_reveal_count_matches_child_count(self, fragment_tree):
         strategy = StaticNavigation(fragment_tree)
         active = ActiveTree(fragment_tree)
-        decision = strategy.choose_cut(active, fragment_tree.root)
+        decision = strategy.best_cut(active.component(fragment_tree.root))
         assert len(decision.cut) == len(fragment_tree.children(fragment_tree.root))
 
     def test_strategy_name(self, fragment_tree):

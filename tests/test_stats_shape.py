@@ -44,15 +44,11 @@ def leaves(names: str) -> Dict[str, None]:
     return dict.fromkeys(names.split())
 
 
-UNCACHED_ROW = leaves(
-    "builds runs build_seconds_total build_ms_avg build_ms_max l2_hits l2_misses "
-    "l2_publishes"
+STAGE_ROW = leaves(
+    "builds build_seconds_total build_ms_avg build_ms_max l2_hits l2_misses "
+    "l2_publishes size capacity hits misses evictions coalesced hit_ratio"
 )
-CACHED_ROW = dict(
-    UNCACHED_ROW, **leaves("size capacity hits misses evictions coalesced hit_ratio")
-)
-PIPELINE = dict.fromkeys(["hierarchy", "results", "nav_tree", "cut"], CACHED_ROW)
-PIPELINE["active_tree"] = UNCACHED_ROW
+PIPELINE = dict.fromkeys(["results", "nav_tree", "cut"], STAGE_ROW)
 SESSIONS = leaves("active capacity created evicted expired_lookups")
 SERVING = dict(
     leaves("workers queue_depth queue_capacity in_flight admitted completed"),

@@ -9,7 +9,7 @@ import pytest
 from repro.corpus.citation import Citation
 from repro.corpus.medline import MedlineDatabase
 from repro.hierarchy.concept import ConceptHierarchy
-from repro.pipeline.stages import HierarchyStage, SearchStage
+from repro.pipeline.stages import SearchStage
 from repro.storage.database import BioNavDatabase
 from repro.substrate import MmapStore, SubstrateBuilder, citation_chunks
 from tests.oracles.store_reference import annotation_arrays
@@ -170,7 +170,7 @@ class TestPersistence:
 
 
 class TestDeploymentIdentity:
-    """Snapshot keys change with the corpus, not just the hierarchy."""
+    """Stage keys change with the corpus, not just the hierarchy."""
 
     def test_different_corpora_get_different_digests(self, hierarchy, medline):
         other = MedlineDatabase(background_counts={1: 50, 2: 10})
@@ -178,8 +178,9 @@ class TestDeploymentIdentity:
         first = BioNavDatabase.build(hierarchy, medline)
         second = BioNavDatabase.build(hierarchy, other)
         assert first.content_digest() != second.content_digest()
-        snapshots = [HierarchyStage.build(db) for db in (first, second)]
-        keys = {SearchStage.key(snapshot, "prothymosin") for snapshot in snapshots}
+        keys = {
+            SearchStage.key(db.content_digest(), "prothymosin") for db in (first, second)
+        }
         assert len(keys) == 2
 
     def test_keyword_text_is_part_of_the_digest(self, hierarchy, medline):

@@ -56,7 +56,7 @@ def oracle_views(oracle: ReferenceActiveTree, probs) -> Tuple[list, ...]:
 
 def random_actions(rng, pipeline: NavigationPipeline, query: str, steps: int) -> List:
     """A random EXPAND / BACKTRACK script, chosen while playing it."""
-    session = pipeline.open_session(query).session
+    session = pipeline.open_session(query)
     actions: List = []
     for _ in range(steps):
         roots = [n for n in session.active.visible_nodes() if session.active.is_expandable(n)]
@@ -74,7 +74,7 @@ def play(pipeline: NavigationPipeline, query: str, actions: List) -> List[tuple]
     """Replay a script in a fresh session, checking every view against a
     bare tree and the oracle; returns the session's views."""
     nav = pipeline.nav_tree(query)
-    session = pipeline.open_session(query).session
+    session = pipeline.open_session(query)
     bare = ActiveTree(nav.tree)
     oracle = ReferenceActiveTree(nav.tree)
     views = [plan_views(session.active, nav.probs)]
@@ -112,5 +112,5 @@ def test_plans_read_from_a_shared_l2_show_the_same_views(deployment, tmp_path):
         actions = random_actions(rng, first, query, steps=12)
         assert any(node is not None for node in actions)
         assert play(second, query, actions) == play(first, query, actions)
-    cut = second.stage_stats()["cut"]
+    cut = second.cache.snapshot()["cut"]
     assert cut["builds"] == 0 and cut["l2_hits"] > 0

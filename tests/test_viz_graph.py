@@ -36,7 +36,7 @@ class TestActiveTreeExport:
     def test_visibility_attributes(self, fragment_tree):
         active = ActiveTree(fragment_tree)
         strategy = StaticNavigation(fragment_tree)
-        active.expand(fragment_tree.root, strategy.choose_cut(active, fragment_tree.root).cut)
+        active.expand(fragment_tree.root, strategy.best_cut(active.component(fragment_tree.root)).cut)
         graph = active_tree_to_networkx(active)
         visible = {n for n, d in graph.nodes(data=True) if d["visible"]}
         assert visible == set(active.visible_nodes())

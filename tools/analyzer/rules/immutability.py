@@ -70,10 +70,8 @@ SUBSTRATE_FIELDS = ARRAY_FIELDS | TREE_FIELDS | {"normalizer"}
 ARTIFACT_TYPES = frozenset(
     {
         "ProbabilityModel",
-        "HierarchySnapshot",
         "ResultSet",
         "NavTreeArtifact",
-        "ActiveTreeArtifact",
         "CutPlan",
     }
 )

@@ -107,12 +107,11 @@ depth, in-flight requests, live sessions), rendered once by
 `repro.serving.runtime.render_stats`:
 
 - `pipeline` — per-stage cache/latency counters from the staged
-  navigation pipeline (DESIGN.md §10): for each of `hierarchy`,
-  `results`, `nav_tree`, `active_tree`, and `cut`, the stage's
-  `hits` / `misses` / `coalesced` / `evictions` / `size` / `capacity`
-  (cached stages), `builds` / `runs`, and build-latency aggregates
-  (`build_seconds_total`, `build_ms_avg`, `build_ms_max`, read from the
-  stage's build-latency histogram).  `coalesced` counts requests that
+  navigation pipeline (DESIGN.md §10): for each of `results`,
+  `nav_tree`, and `cut`, the stage's `hits` / `misses` / `coalesced` /
+  `evictions` / `size` / `capacity` / `hit_ratio`, `builds`, and
+  build-latency aggregates (`build_seconds_total`, `build_ms_avg`,
+  `build_ms_max`, read from the stage's build-latency histogram).  `coalesced` counts requests that
   waited on another thread's in-progress build instead of duplicating
   it.
 - `sessions` — `active`, `capacity`, `created`, `evicted`, and

@@ -23,7 +23,7 @@ measures both paths on the same directory and gates the speedups:
   mass and normalizer (hence identical navigation costs) — on **both**
   store backends, at every scale;
 * **first-EXPAND identity** — on the cold tree, the array-native
-  Heuristic-ReducedOpt (level-by-level k-partition over the preorder
+  Heuristic-ReducedOpt (heavy-core k-partition over the preorder
   arrays) returns the same cut, reduced size and expected cost as the
   dict-based reduction kept in ``tests/oracles``, and the probability
   model built through the batched LT lookup is bit-identical to the
@@ -247,10 +247,10 @@ def first_expand_layers(
     solver = HeuristicReducedOpt(tree, probs)
 
     def partition():
-        positions, parents, depths = tree.component_arrays(component)
+        positions, parents, sizes = tree.component_arrays(component)
         return partition_with_limit(
             parents,
-            depths,
+            sizes,
             probs.result_counts[positions],
             tree.preorder_array()[positions],
             solver.max_reduced_nodes,

@@ -113,13 +113,13 @@ class HeuristicReducedOpt(ExpansionStrategy):
         tree = self.tree
         # The model's arrays index nodes by the tree's preorder positions.
         probs = self.probs
-        preorder = tree.preorder_array()
-        positions, parents, depths = tree.component_arrays(component)
+        positions, parents, subtree_sizes = tree.component_arrays(component)
+        ids = tree.preorder_array()[positions]
         members, ends = partition_with_limit(
             parents,
-            depths,
+            subtree_sizes,
             probs.result_counts[positions],
-            preorder[positions],
+            ids,
             self.max_reduced_nodes,
         )
         # The root's part comes last; it becomes CutTree node 0 and the
@@ -131,21 +131,22 @@ class HeuristicReducedOpt(ExpansionStrategy):
         part_of = np.empty(len(members), dtype=np.int64)
         part_of[members] = part
         heads = members[offsets]
-        part_roots = preorder[positions[heads]].tolist()
+        part_roots = ids[heads].tolist()
         children: List[List[int]] = [[] for _ in part_roots]
         for index, parent_part in enumerate(part_of[parents[heads[1:]]].tolist(), 1):
             children[parent_part].append(index)
 
         # Supernode statistics over the arrays: EXPLORE sums run over each
-        # part's members in ascending id order, member histograms keep
-        # the partition's member order, and each part's citations are
-        # one gather of its results-CSR rows.
+        # part's members in ascending id order (one key ranks by part, then
+        # id), member histograms keep the partition's member order, and
+        # each part's citations are one gather of its results-CSR rows.
         flat = positions[members]
-        ids = preorder[flat]
+        ids = ids[members]
+        by_part = np.argsort(part * (int(ids.max()) + 1) + ids)
         # The trailing zero keeps the last part's pairwise summation
         # blocks, hence its float bits, as they were pinned.
         explore = np.add.reduceat(
-            np.append(probs.explore_mass[flat[np.lexsort((ids, part))]], 0.0), offsets
+            np.append(probs.explore_mass[flat[by_part]], 0.0), offsets
         ).tolist()
         counts = probs.result_counts[flat]
         starts = np.cumsum(counts) - counts

@@ -401,17 +401,21 @@ class NavigationTree:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """A connected component as preorder arrays (fresh copies).
 
-        Returns ``(positions, parents, depths)``: the members' embedded
+        Returns ``(positions, parents, sizes)``: the members' embedded
         preorder positions, sorted — which is the component's own
         preorder, root first and each sibling group left to right — then
         per member the index of its parent within ``positions`` (-1 for
-        the component root) and its depth in the tree.  The positions
-        come straight from the interval component's preorder slices.
+        the component root) and its subtree's member count: the members
+        inside its embedded preorder interval.  A member's index is its
+        offset from the root minus the excluded subtrees before it.
         """
         positions = component.positions()
-        parents = np.searchsorted(positions, self._pos_of[self._eparent[positions]])
+        excluded = np.asarray(component.excluded, dtype=np.int64)
+        skipped = np.append(0, np.cumsum(self._esize[excluded])) + component.begin
+        at = np.stack((self._pos_of[self._eparent[positions]], positions + self._esize[positions]))
+        parents, ends = at - skipped[np.searchsorted(excluded, at)]
         parents[0] = -1
-        return positions, parents, self._edepth[positions]
+        return positions, parents, ends - np.arange(len(positions))
 
     # ------------------------------------------------------------------
     # Statistics (Table I columns)

@@ -12,26 +12,27 @@ The paper sets node weight to |L(n)| and δ to W/N, then re-runs with a
 gradually larger δ until at most N partitions result.
 
 The tree arrives as preorder arrays (a component's slice of the
-navigation tree's embedded preorder): ``parents[i]`` is the position of
-node ``i``'s parent (``-1`` for the root at position 0), children are
-ordered by increasing position, and ``ids`` carries the node ids that
-break weight ties and label the output.  Each δ pass runs one tree level
-at a time, bottom up, with no per-node Python: per level one lexsort
-ranks every sibling group by ascending (residual, id) and one segmented
-cumsum turns "pop the heaviest child while the total exceeds δ" into one
-comparison per child — child ``j`` is split off iff its parent's weight
-plus the residuals of the siblings up to and including ``j`` exceeds δ.
-A pass visits only the sibling groups whose parent's subtree outweighs
-δ: below a lighter node nothing is split and every residual is the
-subtree weight, computed once.  Integer weights keep every sum exact in
-float64, so the cuts equal the sequential algorithm's.  Only the last
-pass is materialized (DESIGN.md §5 states the part and member order
-contract).  The dict-based original is the oracle in ``tests/oracles``.
+navigation tree's embedded preorder): ``parents[i]`` is node ``i``'s
+parent position (``-1`` for the root at position 0), ``sizes[i]`` its
+subtree's node count (positions ``i`` to ``i + sizes[i] - 1``, so a
+subtree weight is one prefix-sum difference), and ``ids`` the node ids
+that break weight ties and label the output.  A node whose subtree
+weighs at most δ splits nothing below it, so only the *heavy core* (the
+nodes outweighing δ, ancestors included) does any work, its child groups
+ranked by ascending (subtree, id) once per call.  A δ pass walks the core
+bottom up, re-ranks a group only when it holds a heavy child, and splits
+child ``j`` off iff its parent's weight plus the residuals of the
+siblings up to and including ``j`` exceeds δ — the sequential "pop the
+heaviest child while the total exceeds δ".  Integer weights keep every
+sum exact in float64, so the cuts equal the sequential algorithm's.  The
+last pass is materialized with one ranking of every position (DESIGN.md
+§5 states the part and member order contract).  The dict-based original
+is the oracle in ``tests/oracles``.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,99 +44,77 @@ Column = Union[np.ndarray, Sequence[float]]
 Parts = Tuple[np.ndarray, np.ndarray]
 
 
-class _Level(NamedTuple):
-    """One depth level's δ-independent layout."""
-
-    nodes: np.ndarray  # positions at this depth, by (parent, id)
-    parents: np.ndarray  # their parents; sibling groups are contiguous
-    bounds: np.ndarray  # index of each sibling group's first node, then len
-    group: np.ndarray  # sibling-group index of each node
-    heads: np.ndarray  # each group's parent
-    head_subtree: np.ndarray  # subtree weight of each group's parent
-
-
-class _Pass(NamedTuple):
-    """One δ pass's outcome."""
-
-    residual: np.ndarray  # final residual of every node
-    split: np.ndarray  # positions split off from their parent
-
-
-class _Levels:
-    """A preorder tree grouped by depth, bottom level first."""
+class _Core:
+    """A preorder tree and its heavy core, the nodes outweighing ``floor``:
+    no pass uses a smaller δ, so the core's groups are ranked once."""
 
     def __init__(
-        self, parents: Column, depths: Column, weights: Column, ids: Column
+        self, parents: Column, sizes: Column, weights: Column, ids: Column, floor: float
     ) -> None:
         self.parents = np.asarray(parents, dtype=np.int64)
+        self.sizes = np.asarray(sizes, dtype=np.int64)
         self.weights = np.asarray(weights, dtype=np.float64)
         self.ids = np.asarray(ids, dtype=np.int64)
         k = len(self.parents)
-        if len(self.weights) != k or len(self.ids) != k or len(depths) != k:
-            raise ValueError("parents, depths, weights and ids must align")
-        if k == 0 or self.parents[0] != -1:
-            raise ValueError("position 0 must hold the root (parent -1)")
+        if len(self.weights) != k or len(self.ids) != k or len(self.sizes) != k:
+            raise ValueError("parents, sizes, weights and ids must align")
+        if k == 0 or self.parents[0] != -1 or self.sizes[0] != k:
+            raise ValueError("position 0 must hold the root (parent -1) of all positions")
         if (self.weights < 0).any():
             raise ValueError("weights must be non-negative")
-        depths = np.asarray(depths, dtype=np.int64) - int(depths[0])
-        by_depth = np.argsort(depths, kind="stable")
-        bounds = np.searchsorted(depths[by_depth], np.arange(int(depths.max()) + 2))
-        self.subtree = self.weights.copy()
-        self.levels: List[_Level] = []
-        for depth in range(len(bounds) - 2, 0, -1):
-            # Nodes grouped by parent, ascending id within each group: a
-            # stable sort by (group, residual) then breaks ties by id.
-            nodes = by_depth[bounds[depth] : bounds[depth + 1]]
-            nodes = nodes[np.lexsort((self.ids[nodes], self.parents[nodes]))]
+        sums = np.append(0.0, np.cumsum(self.weights))
+        self.stops = np.arange(k) + self.sizes  # one past each subtree
+        self.subtree = sums[self.stops] - sums[:-1]
+        # Each pass rewrites every head's residual; the rest never change.
+        self.residual = self.subtree.copy()
+        self.heavy = heavy = np.flatnonzero(self.subtree > floor)
+        # A heavy node's depth counts the heavy intervals still open at it.
+        depth = np.arange(len(heavy)) - np.searchsorted(
+            np.sort(heavy + self.sizes[heavy]), heavy, side="right"
+        )
+        in_core = np.zeros(k + 1, dtype=bool)  # index -1: the root's parent
+        in_core[heavy] = True
+        kids = np.flatnonzero(in_core[self.parents])
+        par = self.parents[kids]
+        depth = depth[np.searchsorted(heavy, par)]
+        # Deepest groups first, each ranked by ascending (subtree, id).
+        order = np.lexsort((self.ids[kids], self.subtree[kids], par, -depth))
+        # Per core depth, deepest first: the groups' parents, their
+        # children group by group, each child's group, each group's first
+        # index and the running subtree weight within each group.
+        self.levels: List[Tuple[np.ndarray, ...]] = []
+        bounds = np.flatnonzero(np.diff(depth[order])) + 1
+        for nodes in np.split(kids[order], bounds) if len(kids) else []:
             par = self.parents[nodes]
-            self.subtree += np.bincount(par, weights=self.subtree[nodes], minlength=k)
-            first = np.ones(len(nodes), dtype=bool)
-            first[1:] = par[1:] != par[:-1]
-            starts = np.flatnonzero(first)
-            self.levels.append(
-                _Level(
-                    nodes, par, np.append(starts, len(nodes)), np.cumsum(first) - 1,
-                    par[starts], self.subtree[par[starts]],
-                )
-            )
+            first = np.append(True, par[1:] != par[:-1])
+            starts, group = np.flatnonzero(first), np.cumsum(first) - 1
+            prefix = _prefix(self.subtree[nodes], starts, group)
+            self.levels.append((par[starts], nodes, group, starts, prefix))
 
-    def __len__(self) -> int:
-        return len(self.parents)
-
-    def sweep(self, delta: float) -> _Pass:
-        """One δ pass, bottom up, over the groups whose parent outweighs δ.
-
-        Every other node keeps its subtree weight as its residual.  Per
-        level, one lexsort ranks each visited group by ascending
-        (residual, id) and one segmented cumsum gives prefix sums; a child
-        is split off iff its parent's weight plus the residuals up to and
-        including it exceeds δ.
-        """
-        residual = self.subtree.copy()
-        splits = []
-        for level in self.levels:
-            heavy = np.flatnonzero(level.head_subtree > delta)
-            if not len(heavy):
-                continue
-            lengths = level.bounds[heavy + 1] - level.bounds[heavy]
-            starts = np.cumsum(lengths) - lengths
-            group = np.repeat(np.arange(len(heavy)), lengths)
-            nodes = level.nodes[
-                np.repeat(level.bounds[heavy] - starts, lengths) + np.arange(len(group))
-            ]
-            values = residual[nodes]
-            order = np.lexsort((values, group))
-            ranked = values[order]
-            running = np.cumsum(ranked)
-            prefix = running - (running - ranked)[starts][group]
-            heads = level.heads[heavy]
-            split = self.weights[heads][group] + prefix > delta
+    def sweep(self, delta: float) -> np.ndarray:
+        """One δ pass over the core's groups, deepest first: the positions
+        split off from their parent, with every node's final residual in
+        ``self.residual`` (a head at most δ splits nothing and keeps its
+        subtree weight, as every node outside the core does)."""
+        residual = self.residual
+        splits = [np.zeros(0, np.int64)]
+        for heads, nodes, group, starts, prefix in self.levels:
+            hot = self.subtree[nodes] > delta
+            if hot.any():
+                # Heavy children have new residuals: re-rank their groups.
+                nodes, values = nodes.copy(), residual[nodes]
+                redo = np.flatnonzero(np.isin(group, group[hot]))
+                order = redo[np.lexsort((self.ids[nodes[redo]], values[redo], group[redo]))]
+                nodes[redo], values[redo] = nodes[order], values[order]
+                prefix = _prefix(values, starts, group)
+            base = self.weights[heads]
+            split = base[group] + prefix > delta
             kept = np.maximum.reduceat(np.where(split, 0.0, prefix), starts)
-            residual[heads] = self.weights[heads] + kept
-            splits.append(nodes[order[split]])
-        return _Pass(residual, np.concatenate(splits or [np.zeros(0, np.int64)]))
+            residual[heads] = base + kept
+            splits.append(nodes[split])
+        return np.concatenate(splits)
 
-    def materialize(self, result: _Pass) -> Parts:
+    def materialize(self, heads: np.ndarray) -> Parts:
         """A δ pass's parts, in the sequential algorithm's order.
 
         Parts follow the right-to-left postorder of their parent node —
@@ -143,47 +122,68 @@ class _Levels:
         root's part last; members follow a DFS over the kept children in
         ascending (residual, id) order.
         """
-        ids, residual = self.ids, result.residual
-        cut = np.zeros(len(self), dtype=bool)
-        cut[result.split] = True
-        # Kept-subtree sizes bottom up, then member slots top down.
-        size = np.ones(len(self), dtype=np.int64)
-        for level in self.levels:
-            kept = np.where(cut[level.nodes], 0, size[level.nodes])
-            size[level.heads] += np.bincount(level.group, weights=kept).astype(np.int64)
-        heads = np.flatnonzero(cut)
-        heads = heads[
-            np.lexsort((ids[heads], residual[heads], self.parents[heads]))[::-1]
-        ]
+        parents, sizes, residual, k = self.parents, self.sizes, self.residual, len(self.parents)
+        heads = heads[np.lexsort((self.ids[heads], residual[heads], parents[heads]))[::-1]]
         roots = np.append(heads, 0)
-        ends = np.cumsum(size[roots])
-        slot = np.empty(len(self), dtype=np.int64)
-        slot[roots] = ends - size[roots]
-        for level in reversed(self.levels):
-            ranked = level.nodes[np.lexsort((residual[level.nodes], level.group))]
-            keep = ~cut[ranked]
-            sizes = np.where(keep, size[ranked], 0)
-            before = np.cumsum(sizes) - sizes
-            offset = before - before[level.bounds[level.group]] + 1
-            slot[ranked[keep]] = slot[level.parents[keep]] + offset[keep]
-        members = np.empty(len(self), dtype=np.int64)
-        members[slot] = np.arange(len(self))
+        # Paint each part over its preorder interval, outer parts first.
+        part = np.empty(k, dtype=np.int64)
+        outer = np.argsort(roots)
+        for index, root in zip(outer.tolist(), roots[outer].tolist()):
+            part[root : root + sizes[root]] = index
+        counts = np.bincount(part, minlength=len(roots))
+        # Kept-subtree sizes: only heavy nodes hold split parts below them.
+        inside = np.append(0, np.cumsum(counts[outer]))
+        heavy, kept = self.heavy, sizes.copy()
+        below = inside[np.searchsorted(roots[outer], (heavy + 1, heavy + sizes[heavy]))]
+        kept[heavy] -= below[1] - below[0]
+        kept[heads] = 0
+        # One ranking of every position by (parent, residual, id), the
+        # root first: with integer weights and ids the keys pack into one
+        # `int64` when they fit, and one sort ranks them.
+        ids = self.ids
+        total, span = int(self.subtree[0]) + 1, int(ids.max()) + 1
+        exact = ids.min() >= 0 and (self.weights == np.floor(self.weights)).all()
+        if exact and k * total * span < 2**63:
+            key = parents * total
+            key += residual.astype(np.int64)
+            key *= span
+            key += ids
+            ranked = np.argsort(key)[1:]
+        else:
+            ranked = np.lexsort((ids, residual, parents))[1:]
+        # `before`: the kept size of the siblings ranked ahead of a node.
+        par, counted = parents[ranked], kept[ranked]
+        before = np.cumsum(counted)
+        before -= counted
+        before -= np.maximum.accumulate(np.where(np.append(True, par[1:] != par[:-1]), before, 0))
+        # A node's slot below its part's root sums 1 + `before` over the
+        # path between them: one prefix sum over the preorder intervals.
+        before += 1
+        step = np.zeros(k)
+        step[ranked] = before
+        step -= np.bincount(self.stops, weights=step, minlength=k + 1)[:k]
+        path = np.cumsum(step, out=step).astype(np.int64)
+        ends = np.cumsum(counts)
+        path += (ends - counts - path[roots])[part]
+        members = np.empty(k, dtype=np.int64)
+        members[path] = np.arange(k)
         return members, ends
 
     def force_split(self) -> Parts:
-        """Split the heaviest root-child subtree into its own partition.
-
-        Each part lists its root, then the rest of its subtree in
-        right-to-left postorder (reverse preorder).
-        """
+        """Split the heaviest root-child subtree into its own partition;
+        each part lists its root, then the rest in reverse preorder."""
         heads = np.flatnonzero(self.parents == 0)
-        ends = np.append(heads[1:], len(self))
+        ends = heads + self.sizes[heads]
         ranked = np.lexsort((self.ids[heads], self.subtree[heads])).tolist()
-        pieces = [
-            np.append(heads[i], np.arange(ends[i] - 1, heads[i], -1)) for i in ranked
-        ]
+        pieces = [np.append(heads[i], np.arange(ends[i] - 1, heads[i], -1)) for i in ranked]
         members = np.concatenate([pieces[-1], [0]] + pieces[:-1])
-        return members, np.array([len(pieces[-1]), len(self)])
+        return members, np.array([len(pieces[-1]), len(members)])
+
+
+def _prefix(values: np.ndarray, starts: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """Running sums of ``values`` restarting at each group's first entry."""
+    running = np.cumsum(values)
+    return running - (running - values)[starts][group]
 
 
 def _as_lists(ids: Column, parts: Parts) -> List[List[int]]:
@@ -195,18 +195,14 @@ def _as_lists(ids: Column, parts: Parts) -> List[List[int]]:
 
 
 def k_partition(
-    parents: Column,
-    depths: Column,
-    weights: Column,
-    ids: Column,
-    delta: float,
+    parents: Column, sizes: Column, weights: Column, ids: Column, delta: float
 ) -> List[List[int]]:
     """Partition a preorder tree into contiguous subtrees of residual weight ≤ δ.
 
     Args:
         parents: per preorder position, the parent's position (root: -1 at
             position 0).
-        depths: per position, the node's depth (any common offset).
+        sizes: per position, the node count of its subtree.
         weights: per position, the non-negative weight (|L(n)| in the
             paper).  Integer-valued weights make the result exact.
         ids: per position, the node id (tie-break and output label).
@@ -221,17 +217,13 @@ def k_partition(
     """
     if delta < 0:
         raise ValueError("delta must be non-negative")
-    tree = _Levels(parents, depths, weights, ids)
+    tree = _Core(parents, sizes, weights, ids, delta)
     return _as_lists(ids, tree.materialize(tree.sweep(delta)))
 
 
 def partition_with_limit(
-    parents: Column,
-    depths: Column,
-    weights: Column,
-    ids: Column,
-    max_partitions: int,
-    growth: float = 1.3,
+    parents: Column, sizes: Column, weights: Column, ids: Column,
+    max_partitions: int, growth: float = 1.3,
 ) -> Parts:
     """At most ``max_partitions`` parts, as positions (paper §VI-A).
 
@@ -251,13 +243,14 @@ def partition_with_limit(
         raise ValueError("max_partitions must be at least 1")
     if growth <= 1.0:
         raise ValueError("growth must exceed 1")
-    tree = _Levels(parents, depths, weights, ids)
-    total = float(tree.weights.sum())
+    weights = np.asarray(weights, dtype=np.float64)
+    total = float(weights.sum())
     delta = total / max_partitions if total > 0 else 1.0
-    result = tree.sweep(delta)
-    while len(result.split) + 1 > max_partitions:
+    tree = _Core(parents, sizes, weights, ids, delta)
+    split = tree.sweep(delta)
+    while len(split) + 1 > max_partitions:
         delta *= growth
-        result = tree.sweep(delta)
-    if not len(result.split) and len(tree) > 1 and max_partitions > 1:
+        split = tree.sweep(delta)
+    if not len(split) and len(tree.parents) > 1 and max_partitions > 1:
         return tree.force_split()
-    return tree.materialize(result)
+    return tree.materialize(split)

@@ -185,13 +185,13 @@ def stage_rows(
 ) -> Dict[str, Dict[str, float]]:
     """Per-stage stats rows from a registry snapshot plus live gauges.
 
-    Every stage named by a ``pipeline.<stage>.*`` entry gets a row:
-    ``builds`` and the build-latency fields (read from the stage's
-    ``build_seconds`` histogram) plus ``l2_hits``/``l2_misses``/
-    ``l2_publishes``.  A stage with a ``capacity`` gauge adds
-    ``size``/``capacity``, ``hits``/``misses``/``evictions``/
-    ``coalesced`` and ``hit_ratio`` (coalesced lookups count as neither
-    hit nor miss).
+    Every stage named by a ``pipeline.<stage>.*`` entry gets a row of
+    one shape: ``builds`` and the build-latency fields (read from the
+    stage's ``build_seconds`` histogram), ``l2_hits``/``l2_misses``/
+    ``l2_publishes``, the ``size``/``capacity`` gauges,
+    ``hits``/``misses``/``evictions``/``coalesced`` and ``hit_ratio``
+    (coalesced lookups count as neither hit nor miss).  A count or gauge
+    nothing recorded reads 0.
     """
     counters = snapshot["counters"]
     stages = dict.fromkeys(
@@ -212,12 +212,11 @@ def stage_rows(
         }
         for key in ("l2_hits", "l2_misses", "l2_publishes"):
             row[key] = counters.get(prefix + key, 0)
-        if prefix + "capacity" in gauges:
-            row["size"] = gauges[prefix + "size"]
-            row["capacity"] = gauges[prefix + "capacity"]
-            for key in ("hits", "misses", "evictions", "coalesced"):
-                row[key] = counters.get(prefix + key, 0)
-            lookups = row["hits"] + row["misses"]
-            row["hit_ratio"] = row["hits"] / lookups if lookups else 0.0
+        for key in ("size", "capacity"):
+            row[key] = gauges.get(prefix + key, 0)
+        for key in ("hits", "misses", "evictions", "coalesced"):
+            row[key] = counters.get(prefix + key, 0)
+        lookups = row["hits"] + row["misses"]
+        row["hit_ratio"] = row["hits"] / lookups if lookups else 0.0
         rows[stage] = row
     return rows

@@ -182,25 +182,27 @@ def _postorder(adjacency: Adjacency, root: int) -> List[int]:
 def preorder_arrays(
     adjacency: Adjacency, root: int, weights: Mapping[int, float]
 ) -> Tuple[List[int], List[int], List[float], List[int]]:
-    """``(parents, depths, weights, ids)`` of a tree in preorder.
+    """``(parents, sizes, weights, ids)`` of a tree in preorder.
 
     Converts the oracle's adjacency form into the array form of
     :mod:`repro.core.partition`: children are visited in adjacency
-    order, so a node's children sit at increasing positions.
+    order, so a node's children sit at increasing positions, and
+    ``sizes`` counts each position's subtree.
     """
     ids: List[int] = []
     parents: List[int] = []
-    depths: List[int] = []
-    stack: List[Tuple[int, int, int]] = [(root, -1, 0)]
+    stack: List[Tuple[int, int]] = [(root, -1)]
     while stack:
-        node, parent, depth = stack.pop()
+        node, parent = stack.pop()
         position = len(ids)
         ids.append(node)
         parents.append(parent)
-        depths.append(depth)
         for child in reversed(adjacency.get(node, ())):
-            stack.append((child, position, depth + 1))
-    return parents, depths, [weights[n] for n in ids], ids
+            stack.append((child, position))
+    sizes = [1] * len(ids)
+    for position in range(len(ids) - 1, 0, -1):
+        sizes[parents[position]] += sizes[position]
+    return parents, sizes, [weights[n] for n in ids], ids
 
 
 class ReferenceHeuristicReducedOpt(HeuristicReducedOpt):

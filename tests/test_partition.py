@@ -13,14 +13,14 @@ from tests.oracles.partition_reference import preorder_arrays
 
 
 def k_partition(adjacency, root, weights, delta):
-    parents, depths, node_weights, ids = preorder_arrays(adjacency, root, weights)
-    return partition.k_partition(parents, depths, node_weights, ids, delta)
+    parents, sizes, node_weights, ids = preorder_arrays(adjacency, root, weights)
+    return partition.k_partition(parents, sizes, node_weights, ids, delta)
 
 
 def partition_with_limit(adjacency, root, weights, max_partitions, growth=1.3):
-    parents, depths, node_weights, ids = preorder_arrays(adjacency, root, weights)
+    parents, sizes, node_weights, ids = preorder_arrays(adjacency, root, weights)
     parts = partition.partition_with_limit(
-        parents, depths, node_weights, ids, max_partitions, growth=growth
+        parents, sizes, node_weights, ids, max_partitions, growth=growth
     )
     return partition._as_lists(ids, parts)
 

@@ -1,8 +1,9 @@
 """Array-native k-partition and reduced solve vs the dict-based oracle.
 
-``repro.core.partition`` runs the §VI-A partitioner level by level over
-preorder arrays; ``tests/oracles/partition_reference.py`` keeps the
-original per-node implementation.  The two must return the *same list
+``repro.core.partition`` runs the §VI-A partitioner over preorder
+arrays, with δ passes over the tree's heavy core;
+``tests/oracles/partition_reference.py`` keeps the original per-node
+implementation.  The two must return the *same list
 of lists* — same parts, same part order, same member order — because
 member order feeds Opt-EdgeCut's sequential entropy sums, and a
 reordered histogram can flip a tie-break.  The solver-level checks pin
@@ -106,13 +107,13 @@ def trees(draw, min_nodes: int = 1, max_nodes: int = 400, shapes=SHAPES):
 
 
 def array_k_partition(adjacency, root, weights, delta):
-    parents, depths, node_weights, ids = oracle.preorder_arrays(adjacency, root, weights)
-    return partition.k_partition(parents, depths, node_weights, ids, delta)
+    parents, sizes, node_weights, ids = oracle.preorder_arrays(adjacency, root, weights)
+    return partition.k_partition(parents, sizes, node_weights, ids, delta)
 
 
 def array_partition_with_limit(adjacency, root, weights, limit):
-    parents, depths, node_weights, ids = oracle.preorder_arrays(adjacency, root, weights)
-    parts = partition.partition_with_limit(parents, depths, node_weights, ids, limit)
+    parents, sizes, node_weights, ids = oracle.preorder_arrays(adjacency, root, weights)
+    parts = partition.partition_with_limit(parents, sizes, node_weights, ids, limit)
     return partition._as_lists(ids, parts)
 
 
@@ -176,11 +177,11 @@ class TestDeltaSearch:
     @settings(max_examples=150, deadline=None)
     def test_positions_equal_linear_scan(self, tree, limit, growth):
         adjacency, root, weights = tree
-        parents, depths, node_weights, ids = oracle.preorder_arrays(
+        parents, sizes, node_weights, ids = oracle.preorder_arrays(
             adjacency, root, weights
         )
         members, ends = partition.partition_with_limit(
-            parents, depths, node_weights, ids, limit, growth
+            parents, sizes, node_weights, ids, limit, growth
         )
         assert sorted(members.tolist()) == list(range(len(ids)))
         labels = [ids[m] for m in members.tolist()]
@@ -201,6 +202,104 @@ class TestDeltaSearch:
             expected = oracle.partition_with_limit(adjacency, root, weights, 3)
             assert len(expected) == 2
             assert array_partition_with_limit(adjacency, root, weights, 3) == expected
+
+
+def heavy_chain(rng: random.Random, length: int, fan: int):
+    """A heavy chain under the root, each link with a fan of light leaves.
+
+    Weight sits at the chain's bottom, so every link outweighs W/N and
+    the heavy core is several levels deep.
+    """
+    adjacency: Dict[int, List[int]] = {}
+    weights: Dict[int, float] = {}
+    ids = rng.sample(range(10**6), length * (fan + 1))
+    for link in range(length):
+        base = link * (fan + 1)
+        node, leaves = ids[base], ids[base + 1 : base + fan + 1]
+        below = [ids[base + fan + 1]] if link + 1 < length else []
+        adjacency[node] = leaves[: fan // 2] + below + leaves[fan // 2 :]
+        weights[node] = float(rng.choice((0, 1, 5)))
+        for leaf in leaves:
+            adjacency[leaf] = []
+            weights[leaf] = float(rng.choice((1, 2, 3)))
+    weights[ids[(length - 1) * (fan + 1)]] = float(20 * length * fan)
+    return adjacency, ids[0], weights
+
+
+def subtree_weights(adjacency, root, weights) -> Dict[int, float]:
+    totals: Dict[int, float] = {}
+    for node in reversed(oracle.preorder_arrays(adjacency, root, weights)[3]):
+        totals[node] = weights[node] + sum(totals[c] for c in adjacency[node])
+    return totals
+
+
+class TestHeavyCore:
+    """Shapes whose heavy core is more than the root.
+
+    perfbench components have a core of the root (and at most one child),
+    so these pin the passes that re-rank a group holding a heavy child.
+    """
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_nested_heavy_nodes_equal_oracle(self, seed):
+        rng = random.Random(seed)
+        adjacency, root, weights = heavy_chain(rng, rng.randint(3, 12), rng.randint(1, 6))
+        limit = rng.choice((3, 5, 10))
+        totals = subtree_weights(adjacency, root, weights)
+        assert sum(t > totals[root] / limit for t in totals.values()) >= 3
+        expected = oracle.partition_with_limit(adjacency, root, weights, limit)
+        assert array_partition_with_limit(adjacency, root, weights, limit) == expected
+        for delta in sorted(set(totals.values()))[-6:]:
+            expected = oracle.k_partition(adjacency, root, weights, delta)
+            assert array_k_partition(adjacency, root, weights, delta) == expected
+
+    @pytest.mark.parametrize("heavy_id", [0, 2, 4, 6, 8])
+    @pytest.mark.parametrize("root_weight", [0.0, 3.0, 5.0])
+    def test_heavy_child_tied_with_light_siblings(self, heavy_id, root_weight):
+        # At δ = 10 the heavy child H (subtree 20) splits off both of its
+        # 9-weight kids and keeps residual 2, tying the light siblings
+        # (ids 1, 3, 5, 7): its id alone fixes its rank among them, both
+        # in the root's member order and in which tied child is popped.
+        adjacency = {10: [1, heavy_id, 3, 5, 7], heavy_id: [11, 12]}
+        adjacency.update({n: [] for n in (1, 3, 5, 7, 11, 12)})
+        weights = {10: root_weight, heavy_id: 2.0, 11: 9.0, 12: 9.0}
+        weights.update(dict.fromkeys((1, 3, 5, 7), 2.0))
+        expected = oracle.k_partition(adjacency, 10, weights, 10.0)
+        assert array_k_partition(adjacency, 10, weights, 10.0) == expected
+        for limit in (2, 3, 4, 6):
+            expected = oracle.partition_with_limit(adjacency, 10, weights, limit)
+            assert array_partition_with_limit(adjacency, 10, weights, limit) == expected
+
+    @given(st.randoms(use_true_random=False), st.integers(11, 160))
+    @settings(max_examples=30, deadline=None)
+    def test_components_with_excluded_positions(self, rng, size):
+        # Upper components lose the subtrees an EXPAND cut away, and lower
+        # components are rooted below the tree root: their sizes come
+        # from `component_arrays`, not from the whole tree's subtrees.
+        tree, probs = navigation_instance(rng, size)
+        active = ActiveTree(tree)
+        for _ in range(3):
+            for root in sorted(active.component_roots()):
+                component = active.component(root)
+                adjacency = {
+                    n: [c for c in tree.children(n) if c in component] for n in component
+                }
+                positions, parents, sizes = tree.component_arrays(component)
+                counts = probs.result_counts[positions]
+                weights = dict(zip(tree.preorder_array()[positions].tolist(), counts.tolist()))
+                reference = oracle.preorder_arrays(adjacency, root, weights)
+                assert parents.tolist() == reference[0]
+                assert sizes.tolist() == reference[1]
+                ids = tree.preorder_array()[positions]
+                for limit in (2, 4, 10):
+                    parts = partition.partition_with_limit(parents, sizes, counts, ids, limit)
+                    expected = oracle.partition_with_limit(adjacency, root, weights, limit)
+                    assert partition._as_lists(ids, parts) == expected
+            roots = sorted(r for r in active.component_roots() if len(active.component(r)) > 1)
+            if not roots:
+                break
+            root = rng.choice(roots)
+            active.expand(root, random_cut(rng, tree, active.component(root), root))
 
 
 # ---------------------------------------------------------------------------

@@ -294,8 +294,8 @@ class TestPartitionProperties:
     def test_partition_covers_and_is_contiguous(self, h, delta):
         adjacency = {n: list(h.children(n)) for n in range(len(h))}
         weights = {n: float((n * 7) % 5) for n in range(len(h))}
-        parents, depths, node_weights, ids = preorder_arrays(adjacency, 0, weights)
-        parts = k_partition(parents, depths, node_weights, ids, delta)
+        parents, sizes, node_weights, ids = preorder_arrays(adjacency, 0, weights)
+        parts = k_partition(parents, sizes, node_weights, ids, delta)
         seen = sorted(n for part in parts for n in part)
         assert seen == list(range(len(h)))
         for part in parts:

@@ -18,6 +18,7 @@ Ties the off-line and on-line halves together:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.cost_model import CostParams
@@ -74,12 +75,17 @@ class BioNav:
         self.max_reduced_nodes = max_reduced_nodes
         self.params = params or CostParams()
         self.registry = registry or default_registry()
-        self.pipeline = NavigationPipeline(
-            database,
-            entrez,
+
+    @cached_property
+    def pipeline(self) -> NavigationPipeline:
+        """The pipeline :meth:`search` runs, built on first use (a
+        ``ServingRuntime`` serves through its own and never builds it)."""
+        return NavigationPipeline(
+            self.database,
+            self.entrez,
             registry=self.registry,
             params=self.params,
-            max_reduced_nodes=max_reduced_nodes,
+            max_reduced_nodes=self.max_reduced_nodes,
         )
 
     @classmethod

@@ -9,28 +9,28 @@ forest), computed over the hierarchy's preorder-encoded positional arrays
 (:class:`repro.hierarchy.arrays.HierarchyArrays`).  Embedded preorder is
 hierarchy preorder restricted to the kept nodes, so the embedding works
 on the kept preorder positions alone: embedded parents come from a walk
-up the hierarchy over the still-unresolved kept nodes, depths from
-pointer jumping, and subtree sizes from one ``searchsorted`` of the
-hierarchy subtree intervals.  Apart from the node → position map every
-tree keeps, the work is O(result rows + tree nodes), not O(hierarchy),
-and no per-node Python objects are built on the cold path (DESIGN.md
-§15).
+up the hierarchy over the still-unresolved kept nodes, and subtree sizes
+from one ``searchsorted`` of the hierarchy subtree intervals.  Apart
+from the node → position map every tree keeps, the work is O(result rows
++ tree nodes), not O(hierarchy), and no per-node Python objects are
+built on the cold path (DESIGN.md §15).
 
-Navigation-tree nodes keep their hierarchy node ids, so labels, depths
-and ancestor tests delegate to the hierarchy; only the parent/child
+Navigation-tree nodes keep their hierarchy node ids, so labels and
+ancestor tests delegate to the hierarchy; only the parent/child
 structure is re-wired by the embedding.
 
-The tree is immutable once built and stores its structure as flat arrays
-in *embedded preorder*: node ids, parents, children-CSR, depths, subtree
-sizes, and a per-node results-CSR of sorted citation ids.  ``results``
-hands out read-only CSR slices, and the cost model
+The tree is immutable once built and stores only what it cannot derive,
+as flat arrays in *embedded preorder* (node ids, parent positions,
+subtree sizes, a per-node results-CSR of sorted citation ids) plus the
+node → position map; children and depths are derived on demand.
+``results`` hands out read-only CSR slices, and the cost model
 (:class:`repro.core.probabilities.ProbabilityModel`) ingests the buffers
 whole via :meth:`NavigationTree.preorder_array` and friends.  A subtree
 is a contiguous preorder slice, so its distinct citations are one
 ``np.unique`` over a slice of the CSR values: that is
 :meth:`repro.core.edgecut.Component.distinct_results`, the one component
-form (DESIGN.md §16).  ``tree_depth``, ``is_tree_ancestor`` and
-``subtree_size`` remain O(1) lookups; ``iter_dfs`` is a contiguous slice.
+form (DESIGN.md §16).  ``is_tree_ancestor`` and ``subtree_size`` are
+O(1) lookups; ``iter_dfs`` is a contiguous slice.
 
 :meth:`NavigationTree.from_store` embeds a result answered by a corpus
 store and :meth:`NavigationTree.from_csr` an annotation CSR (concept rows
@@ -103,10 +103,7 @@ class NavigationTree:
         root: int,
         order: np.ndarray,
         eparent: np.ndarray,
-        edepth: np.ndarray,
         esize: np.ndarray,
-        child_off: np.ndarray,
-        child_val: np.ndarray,
         res_off: np.ndarray,
         res_val: np.ndarray,
         pos_of: np.ndarray,
@@ -114,18 +111,16 @@ class NavigationTree:
         """Adopt embedded-preorder arrays (see the module docstring).
 
         :meth:`from_csr` and :meth:`from_store` compute them with the
-        vectorized embedding; ``pos_of`` maps every hierarchy node id to
-        its embedded position (-1: not kept).  The arrays are frozen on
-        adoption.
+        vectorized embedding; ``eparent`` holds each node's embedded
+        parent position (-1 at the root) and ``pos_of`` maps every
+        hierarchy node id to its embedded position (-1: not kept).  The
+        arrays are frozen on adoption.
         """
         self.hierarchy = hierarchy
         self.root = root
         self._order = _freeze(order)
         self._eparent = _freeze(eparent)
-        self._edepth = _freeze(edepth)
         self._esize = _freeze(esize)
-        self._child_off = _freeze(child_off)
-        self._child_val = _freeze(child_val)
         self._res_off = _freeze(res_off)
         self._res_val = _freeze(res_val)
         self._pos_of = _freeze(pos_of)
@@ -244,45 +239,24 @@ class NavigationTree:
         # one is kept.  Every round moves the unresolved nodes up one
         # level, so at most depth rounds run, each over fewer nodes; the
         # root is kept, so no walk leaves the window.
-        eparent_pos = np.full(k, -1, dtype=np.int64)
+        eparent = np.full(k, -1, dtype=np.int64)
         pending = np.arange(1, k)
         ancestors = parents[order[1:]]
         while len(pending):
             hit = pos_of[ancestors]
-            eparent_pos[pending] = hit  # -1 until a kept ancestor is hit
+            eparent[pending] = hit  # -1 until a kept ancestor is hit
             missed = hit < 0
             pending, ancestors = pending[missed], parents[ancestors[missed]]
-
-        # Embedded depth by pointer jumping: edepth[i] counts the edges
-        # from i to jump[i], and doubling the jumps reaches the root in
-        # log2(height) rounds.
-        edepth = (eparent_pos >= 0).astype(np.int64)
-        jump = np.maximum(eparent_pos, 0)
-        while jump.any():
-            edepth = edepth + edepth[jump]
-            jump = jump[jump]
 
         # Embedded subtree size = kept positions inside the hierarchy
         # subtree's preorder interval.
         esize = np.searchsorted(kpos, kpos + arrays.subtree_sizes[order]) - np.arange(k)
-
-        # Children CSR in embedded order: a stable sort by parent lists
-        # each sibling group left to right.
-        child_off = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(np.bincount(eparent_pos[1:], minlength=k), out=child_off[1:])
-        child_val = order[_stable_sort(eparent_pos[1:])[1] + 1]
-
-        eparent = np.full(k, -1, dtype=np.int64)
-        eparent[1:] = order[eparent_pos[1:]]
         return cls(
             hierarchy,
             root,
             order=order,
             eparent=eparent,
-            edepth=edepth,
             esize=esize,
-            child_off=child_off,
-            child_val=child_val,
             res_off=res_off,
             res_val=res_val,
             pos_of=pos_of,
@@ -303,18 +277,19 @@ class NavigationTree:
 
     def parent(self, node: int) -> int:
         """Embedded parent of ``node`` (-1 for the root)."""
-        return int(self._eparent[self._require(node)])
+        position = int(self._eparent[self._require(node)])
+        return int(self._order[position]) if position >= 0 else -1
 
     def children(self, node: int) -> Sequence[int]:
-        """Embedded-tree children of ``node``, left to right."""
+        """Embedded-tree children of ``node``, left to right: the nodes
+        of its preorder interval whose parent position is its own."""
         position = self._require(node)
-        begin, end = self._child_off[position], self._child_off[position + 1]
-        return tuple(self._child_val[begin:end].tolist())
+        below = slice(position + 1, position + int(self._esize[position]))
+        return tuple(self._order[below][self._eparent[below] == position].tolist())
 
     def is_leaf(self, node: int) -> bool:
         """True when ``node`` has no embedded children."""
-        position = self._require(node)
-        return int(self._child_off[position]) == int(self._child_off[position + 1])
+        return int(self._esize[self._require(node)]) == 1
 
     def label(self, node: int) -> str:
         """Concept label of ``node`` (delegates to the hierarchy)."""
@@ -322,13 +297,8 @@ class NavigationTree:
         return self.hierarchy.label(node)
 
     def edges(self) -> Iterator[Edge]:
-        """All (parent, child) edges of the embedded tree."""
-        order = self._order.tolist()
-        offsets = self._child_off.tolist()
-        child_val = self._child_val.tolist()
-        for position, node in enumerate(order):
-            for child in child_val[offsets[position] : offsets[position + 1]]:
-                yield (node, child)
+        """All (parent, child) edges of the embedded tree, children in preorder."""
+        return zip(self._order[self._eparent[1:]].tolist(), self._order[1:].tolist())
 
     def iter_dfs(self, start: Optional[int] = None) -> Iterator[int]:
         """Pre-order traversal of the embedded tree.
@@ -412,7 +382,7 @@ class NavigationTree:
         positions = component.positions()
         excluded = np.asarray(component.excluded, dtype=np.int64)
         skipped = np.append(0, np.cumsum(self._esize[excluded])) + component.begin
-        at = np.stack((self._pos_of[self._eparent[positions]], positions + self._esize[positions]))
+        at = np.stack((self._eparent[positions], positions + self._esize[positions]))
         parents, ends = at - skipped[np.searchsorted(excluded, at)]
         parents[0] = -1
         return positions, parents, ends - np.arange(len(positions))
@@ -426,11 +396,11 @@ class NavigationTree:
 
     def max_width(self) -> int:
         """Maximum number of nodes at one embedded-tree depth (Table I)."""
-        return int(np.bincount(self._edepth).max())
+        return int(np.bincount(self.depth_array()).max())
 
     def height(self) -> int:
         """Longest root-to-leaf edge count in the embedded tree (Table I)."""
-        return int(self._edepth.max())
+        return int(self.depth_array().max())
 
     def citations_with_duplicates(self) -> int:
         """Total attachment count, duplicates included (Table I).
@@ -440,8 +410,22 @@ class NavigationTree:
         return len(self._res_val)
 
     def tree_depth(self, node: int) -> int:
-        """Depth of ``node`` in the embedded tree (root = 0, O(1))."""
-        return int(self._edepth[self._require(node)])
+        """Depth of ``node`` in the embedded tree (root = 0), via :meth:`depth_array`."""
+        return int(self.depth_array()[self._require(node)])
+
+    def depth_array(self) -> np.ndarray:
+        """Embedded depth per preorder position (root = 0), fresh.
+
+        Pointer jumping: ``depth[i]`` counts the edges from ``i`` to
+        ``jump[i]``, and doubling the jumps reaches the root in
+        log2(height) rounds.
+        """
+        depth = (self._eparent >= 0).astype(np.int64)
+        jump = np.maximum(self._eparent, 0)
+        while jump.any():
+            depth = depth + depth[jump]
+            jump = jump[jump]
+        return depth
 
     # ------------------------------------------------------------------
     def _position_of(self, node: int) -> int:

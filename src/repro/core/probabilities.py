@@ -18,17 +18,23 @@ Two probabilities drive the cost model:
   citation distribution over the component's concepts, normalized by the
   uniform/no-duplicate maximum — widely scattered citations make
   narrowing down worthwhile.
+
+The model keeps ``|L(n)|`` and the EXPLORE mass per node, and ``Z``;
+``log LT(n)`` is folded into the mass and not kept, as no solve reads it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.edgecut import Component
 from repro.core.navigation_tree import NavigationTree
+
+if TYPE_CHECKING:  # annotation only
+    from repro.substrate.store import MmapStore
 
 __all__ = ["ProbabilityModel"]
 
@@ -41,10 +47,9 @@ class ProbabilityModel:
     describes node ``tree.preorder_array()[i]``):
 
     * :attr:`result_counts` — ``|L(n)|``;
-    * :attr:`log_lt` — the clamped ``log LT(n)`` IDF denominators;
     * :attr:`explore_mass` — the unnormalized EXPLORE weight
-      ``|L(n)| / log LT(n)`` (plain ``|L(n)|`` without IDF; zero for
-      empty nodes);
+      ``|L(n)| / log LT(n)`` with ``LT(n)`` clamped to at least 2
+      (plain ``|L(n)|`` without IDF; zero for empty nodes);
     * :attr:`normalizer` — ``Z``, the sum of :attr:`explore_mass`
       accumulated sequentially in preorder.
 
@@ -59,7 +64,7 @@ class ProbabilityModel:
     def __init__(
         self,
         tree: NavigationTree,
-        medline_count: Callable[[int], int],
+        medline_count: Union[Callable[[int], int], "MmapStore"],
         upper_threshold: int = 50,
         lower_threshold: int = 10,
         use_idf: bool = True,
@@ -69,10 +74,9 @@ class ProbabilityModel:
             tree: the navigation tree of the current query result.
             medline_count: concept node id → MEDLINE-wide citation count
                 (``LT(n)``); counts below 2 are clamped so the logarithm
-                stays positive.  A corpus store (or any object exposing
-                a ``medline_count`` method) is accepted in place of the
-                bare callable; its ``medline_counts``, if any, answers
-                every node in one batch lookup.
+                stays positive.  A corpus store is accepted in place of
+                the callable: its ``medline_counts`` answers every node
+                in one batch lookup.
             upper_threshold: result count above which EXPAND is certain.
             lower_threshold: result count below which EXPAND never happens.
             use_idf: divide by ``log LT(n)`` (the paper's inverse-document-
@@ -86,26 +90,20 @@ class ProbabilityModel:
         self.upper_threshold = upper_threshold
         self.lower_threshold = lower_threshold
         self.use_idf = use_idf
-        batch = getattr(medline_count, "medline_counts", None)
-        bound = getattr(medline_count, "medline_count", None)
-        if callable(bound):
-            medline_count = bound
-
         preorder = tree.preorder_array()
         self.result_counts = np.diff(tree.result_offsets_array())
-        if callable(batch):
-            lt = np.maximum(batch(preorder), 2).astype(np.float64)
-        else:
+        if callable(medline_count):
             lt = np.fromiter(
                 (max(2, medline_count(n)) for n in preorder.tolist()),
                 dtype=np.float64,
                 count=len(preorder),
             )
-        self.log_lt = np.log(lt)
+        else:
+            lt = np.maximum(medline_count.medline_counts(preorder), 2).astype(np.float64)
         counts = self.result_counts.astype(np.float64)
-        mass = counts / self.log_lt if use_idf else counts
+        mass = counts / np.log(lt) if use_idf else counts
         self.explore_mass = np.where(self.result_counts > 0, mass, 0.0)
-        for array in (self.result_counts, self.log_lt, self.explore_mass):
+        for array in (self.result_counts, self.explore_mass):
             array.setflags(write=False)
 
         # Sequential preorder accumulation pins Z to one exact float.

@@ -54,7 +54,11 @@ __all__ = [
 #: carries the tree's distinct-citation count, so the pickled layout
 #: changed.  Version 6: :class:`CutPlan` and :class:`NavTreeArtifact`
 #: carry component statistics, so both pickled layouts changed.
-KEY_FORMAT_VERSION = 6
+#: Version 7: the navigation tree stores parent positions in
+#: ``_eparent`` (node ids before) and no depth or children arrays, and
+#: the probability model no ``log_lt``, so the pickled
+#: :class:`NavTreeArtifact` layout changed.
+KEY_FORMAT_VERSION = 7
 
 
 def content_key(*parts: str) -> str:

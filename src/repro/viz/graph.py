@@ -28,13 +28,14 @@ def navigation_tree_to_networkx(tree: NavigationTree) -> "nx.DiGraph":
     """
     graph = nx.DiGraph()
     nodes = tree.nodes()
-    for node, count in zip(nodes, subtree_result_counts(tree, nodes).tolist()):
+    counts = subtree_result_counts(tree, nodes).tolist()
+    for node, count, depth in zip(nodes, counts, tree.depth_array().tolist()):
         graph.add_node(
             node,
             label=tree.label(node),
             results=len(tree.results(node)),
             subtree_results=count,
-            depth=tree.tree_depth(node),
+            depth=depth,
         )
     for parent, child in tree.edges():
         graph.add_edge(parent, child)

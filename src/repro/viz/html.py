@@ -96,11 +96,10 @@ def navigation_tree_to_html(
 ) -> str:
     """Full HTML page for the static (fully expanded) navigation tree."""
     nodes = tree.nodes()
+    counts = subtree_result_counts(tree, nodes).tolist()
     rows = [
-        VisNode(
-            node, tree.label(node), count, False, tree.tree_depth(node), tree.parent(node)
-        )
-        for node, count in zip(nodes, subtree_result_counts(tree, nodes).tolist())
+        VisNode(node, tree.label(node), count, False, depth, tree.parent(node))
+        for node, count, depth in zip(nodes, counts, tree.depth_array().tolist())
     ]
     return _PAGE_TEMPLATE.format(
         title=html.escape(title), body=rows_to_html(rows, highlight)

@@ -23,8 +23,8 @@ def model_arrays(model: ProbabilityModel) -> List[np.ndarray]:
     """Everything a solve reads from ``model``, as arrays.
 
     The tree's preorder node ids and results CSR, the per-node result
-    counts, ``log LT`` and EXPLORE mass, the normalizer, and the EXPAND
-    thresholds with the IDF switch.
+    counts and EXPLORE mass, the normalizer, and the EXPAND thresholds
+    with the IDF switch.
     """
     tree = model.tree
     return [
@@ -32,7 +32,6 @@ def model_arrays(model: ProbabilityModel) -> List[np.ndarray]:
         np.asarray(tree.result_offsets_array(), dtype=np.int64),
         np.asarray(tree.result_values_array(), dtype=np.int64),
         model.result_counts,
-        model.log_lt,
         model.explore_mass,
         np.asarray([model.normalizer], dtype=np.float64),
         np.asarray(

@@ -424,7 +424,7 @@ class TestVectorizeRule:
             "core/mod.py",
             "def f(probs):\n"
             "    out = {}\n"
-            "    for i, value in enumerate(probs.log_lt):\n"
+            "    for i, value in enumerate(probs.explore_mass):\n"
             "        out[i] = value\n"
             "    return out\n",
         )
@@ -1266,7 +1266,7 @@ class TestSubstrateImmutabilityRule:
                     "    probs.explore_mass += adjustment\n"
                     "    probs.result_counts[0] = 7\n"
                     "    np.add.at(probs.explore_mass, [0], 1.0)\n"
-                    "    probs.log_lt.sort()\n"
+                    "    probs.result_counts.sort()\n"
                 )
             },
         )
@@ -1409,7 +1409,7 @@ class TestSubstrateImmutabilityRule:
         with pytest.raises(ValueError):
             probs.result_counts[0] = 1
         with pytest.raises(ValueError):
-            probs.log_lt[0] = 1.0
+            tree._eparent[0] = 0
 
     def test_every_artifact_type_is_a_class_under_src(self):
         # A deleted artifact class must not leave a stale rule entry.
@@ -1422,6 +1422,33 @@ class TestSubstrateImmutabilityRule:
             if isinstance(node, ast.ClassDef)
         }
         assert sorted(ARTIFACT_TYPES - classes) == []
+
+    def test_field_lists_name_the_built_arrays(self):
+        # A deleted array must not leave a stale rule entry, nor a new
+        # one go unguarded: every list equals what a built object holds.
+        if str(REPO_ROOT / "src") not in sys.path:
+            sys.path.insert(0, str(REPO_ROOT / "src"))
+        import numpy as np
+
+        from repro.core.probabilities import ProbabilityModel
+        from repro.hierarchy.concept import ConceptHierarchy
+        from tests.test_navigation_tree_equivalence import TREE_ARRAYS
+        from tools.analyzer.rules.immutability import TREE_FIELDS
+        from tools.analyzer.rules.vectorize import (
+            ARRAY_FIELDS,
+            COLD_PATH_FIELDS,
+            STORE_FIELDS,
+        )
+
+        def arrays(value):
+            return {k for k, v in vars(value).items() if isinstance(v, np.ndarray)}
+
+        hierarchy = ConceptHierarchy.from_parents([-1, 0, 1], ["root", "a", "b"])
+        tree = tree_from_mapping(hierarchy, {1: {1, 2}, 2: {3}})
+        assert set(TREE_FIELDS) == arrays(tree)
+        assert set(COLD_PATH_FIELDS - STORE_FIELDS) == arrays(tree)
+        assert set(TREE_ARRAYS) == arrays(tree)
+        assert set(ARRAY_FIELDS) == arrays(ProbabilityModel(tree, lambda n: 10))
 
 
 class TestInterproceduralCLI:

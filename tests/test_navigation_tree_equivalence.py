@@ -352,10 +352,7 @@ class TestFromStoreParity:
 TREE_ARRAYS = (
     "_order",
     "_eparent",
-    "_edepth",
     "_esize",
-    "_child_off",
-    "_child_val",
     "_res_off",
     "_res_val",
     "_pos_of",

@@ -20,7 +20,7 @@ The pipeline's ``results``, ``nav_tree`` and ``cut`` content keys of a
 few of the same queries are pinned as literal hex too.  A running
 fleet's L2 stores artifacts under them, so a change that moves one has
 changed the key scheme: it must bump the version and re-pin, not leave
-the L2 directory of version 6 full of entries nothing reads.
+the L2 directory of version 7 full of entries nothing reads.
 """
 
 from __future__ import annotations
@@ -49,34 +49,34 @@ from repro.substrate import (
 )
 
 #: The key version the digest below was pinned under.
-PINNED_KEY_FORMAT_VERSION = 6
+PINNED_KEY_FORMAT_VERSION = 7
 #: sha-256 over every decision of :func:`walk_decisions`.
 PLAN_DIGEST = "fbcbe98594139687cc99dfa630edc3d004395641658f82e3d0fcad316260bcb1"
 
 #: Per query of the workload's first three: its ``results`` and
 #: ``nav_tree`` keys, then the ``cut`` keys of the root component and of
-#: the upper component the root's cut leaves, all under key version 6.
+#: the upper component the root's cut leaves, all under key version 7.
 PINNED_STAGE_KEYS = (
     (
         "385[mh]",
-        "e0ef603fcb57b1ca23620a8685e420e583085dc9",
-        "9fb4e3fe9ba8287fd1ba09966b16b67fb222690e",
-        "8809e3875c949f5fa8afc1b938ccf11d72f1c685",
-        "fad6453ec4a44b03167e5c9d44fd93f7ea63351a",
+        "8e1f6bd9694f8902fbeafcf60c9bf271db911ecb",
+        "d80dc05d224a44df560fa5dbe0af934e319f66d7",
+        "657cdc4b7709aa96964bb58f6b31f0560ffcbd58",
+        "f8e25f7d9516e31330d7a96f0e63cbdab3c6ce0e",
     ),
     (
         "422[mh]",
-        "ff036386728cb72520c14f5c6fad456143af6ecb",
-        "3bbfe2783154f8ba5e2d8865cf03d8268602ef3b",
-        "08956105ab2fbd286d3a863de15935b0488fc7cb",
-        "a3c3a7c400aedc7ff12c0b7734074f727d3b6f72",
+        "430dd7e4c4a8076cd29c3dc46a1c55c90abc9912",
+        "6e011bd07f0262ff2c64e6383782fd9ab95acc2d",
+        "94c5834292db068d45bc1887bf293fecaea9eea1",
+        "8bc92afaa53642f7fc2527cac101e3e1b09b4809",
     ),
     (
         "443[mh]",
-        "1a78f8678c886e3099d6be409bc09b7511640f35",
-        "11f48b74eeab7032ddbb14f2c2efeb7ed9ee3e72",
-        "867dd9e48c2713a10d07042ea8ed773a29e514b8",
-        "b55384d6a93be36918ea72e605def74ca412c8cf",
+        "5e47e09ba273c8eaf64f781aae2ba8ba5268cbcf",
+        "14d8cd2b1a72cb9c2e94b10956a82a93dc84fc70",
+        "20fb98609a5e687d67d81ffd25cc71a47e812e97",
+        "ed091de8686a67d92533a80255cab31ac4221ae9",
     ),
 )
 

@@ -423,6 +423,14 @@ class TestRuntimeSingleFlight:
                 assert runtime.view(sid).rows
 
 
+class TestOnePipelinePerDeployment:
+    def test_served_system_builds_only_the_runtime_pipeline(self, bionav):
+        with ServingRuntime(bionav, workers=2, max_queue=4) as runtime:
+            runtime.search("prothymosin")
+        assert "pipeline" not in vars(bionav)
+        assert bionav.search("prothymosin").result_count > 0
+
+
 class TestPipelineStatsAcrossQueries:
     def test_cold_runtime_lists_every_stage_with_zero_counters(self, bionav):
         with ServingRuntime(bionav, workers=2, max_queue=4) as runtime:

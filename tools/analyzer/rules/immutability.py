@@ -14,7 +14,7 @@ trip at runtime in a cold-cache path no test exercises:
 
 * assignment, augmented assignment, deletion, or subscript-store on a
   known substrate array field (``x.explore_mass = ...``,
-  ``x.result_counts[i] = ...``, ``x.log_lt += ...``) or on one of
+  ``x.result_counts[i] = ...``, ``x.explore_mass += ...``) or on one of
   NavigationTree's embedded-preorder buffers (``tree._eparent[i] = ...``);
 * in-place numpy mutation of one (``np.add.at(x.explore_mass, ...)``,
   ``np.copyto``, ``np.place``, ``np.putmask``) and mutating array
@@ -42,25 +42,9 @@ from typing import List, Optional
 
 from tools.analyzer.core import Finding, ModuleInfo, ProjectIndex, Rule, register
 from tools.analyzer.project import annotation_name
-from tools.analyzer.rules.vectorize import ARRAY_FIELDS
+from tools.analyzer.rules.vectorize import ARRAY_FIELDS, TREE_FIELDS
 
 __all__ = ["SubstrateImmutabilityRule"]
-
-#: NavigationTree's embedded-preorder buffers, frozen in its
-#: ``__init__``; solvers index them and work on copies.
-TREE_FIELDS = frozenset(
-    {
-        "_order",
-        "_eparent",
-        "_edepth",
-        "_esize",
-        "_child_off",
-        "_child_val",
-        "_res_off",
-        "_res_val",
-        "_pos_of",
-    }
-)
 
 #: Every ProbabilityModel field backed by a (frozen) numpy array or
 #: scalar, plus the navigation-tree buffers.

@@ -32,33 +32,31 @@ __all__ = ["VectorizeRule"]
 ARRAY_FIELDS = {
     "result_counts",
     "explore_mass",
-    "log_lt",
 }
 
-#: Cold-path array columns: the mmap store's citation/concept/bitmap
-#: tables and the navigation tree's embedded-preorder buffers.  A Python
-#: loop over any of these puts per-element work back on the cold query
-#: path the arrays exist to keep in numpy.
-COLD_PATH_FIELDS = {
-    # MmapStore mmap columns
-    "_pmids",
-    "_years",
-    "_cit_offsets",
-    "_cit_concepts",
-    "_concept_offsets",
-    "_concept_citations",
-    "_concept_counts",
-    "_concept_lt",
-    # NavigationTree embedded-tree arrays
-    "_order",
-    "_eparent",
-    "_edepth",
-    "_esize",
-    "_child_off",
-    "_child_val",
-    "_res_off",
-    "_res_val",
-}
+#: NavigationTree's arrays: its embedded-preorder buffers and node →
+#: position map, frozen in its ``__init__``; solvers index them and work
+#: on copies.
+TREE_FIELDS = frozenset({"_order", "_eparent", "_esize", "_res_off", "_res_val", "_pos_of"})
+
+#: The mmap store's citation/concept columns.
+STORE_FIELDS = frozenset(
+    {
+        "_pmids",
+        "_years",
+        "_cit_offsets",
+        "_cit_concepts",
+        "_concept_offsets",
+        "_concept_citations",
+        "_concept_counts",
+        "_concept_lt",
+    }
+)
+
+#: Cold-path array columns: the store's and the navigation tree's.  A
+#: Python loop over any of these puts per-element work back on the cold
+#: query path the arrays exist to keep in numpy.
+COLD_PATH_FIELDS = STORE_FIELDS | TREE_FIELDS
 
 #: Extra files (beyond ``core`` solver modules) the rule applies to.
 _COLD_PATH_SUFFIXES = (("substrate", "store.py"), ("core", "navigation_tree.py"))

@@ -105,7 +105,7 @@ class BioNavCluster:
 
     Args:
         bionav: the system every worker serves (shared copy-on-write
-            via fork).
+            via fork); the HTML results page reads its ESummary.
         config: fleet shape and per-worker options.
 
     Thread safety: the only routing state is the round-robin counter
@@ -114,6 +114,7 @@ class BioNavCluster:
     """
 
     def __init__(self, bionav: BioNav, config: Optional[ClusterConfig] = None):
+        self.bionav = bionav
         self.config = config or ClusterConfig()
         options: Dict[str, Any] = dict(self.config.runtime)
         options["cache_dir"] = self.config.cache_dir

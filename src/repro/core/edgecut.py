@@ -85,14 +85,14 @@ class Component:
         )
 
     def distinct_results(self) -> np.ndarray:
-        """Sorted distinct citations attached anywhere in the component."""
+        """Sorted distinct PMIDs attached anywhere in the component: a
+        mark over the tree's R result ranks, set with no sort."""
         offsets = self.tree.result_offsets_array()
         values = self.tree.result_values_array()
-        return np.unique(
-            np.concatenate(
-                [values[offsets[begin] : offsets[end]] for begin, end in self.slices()]
-            )
-        )
+        mark = np.zeros(len(self.tree.result_pmids()), dtype=bool)
+        for begin, end in self.slices():
+            mark[values[offsets[begin] : offsets[end]]] = True
+        return self.tree.result_pmids()[np.flatnonzero(mark)]
 
     def cut(self, edges: Sequence[Edge]) -> Tuple["Component", Dict[int, "Component"]]:
         """Apply a valid EdgeCut: ``(upper, {lower_root: lower})``.
@@ -151,16 +151,16 @@ def component_children(
 
 def subtree_result_counts(tree: NavigationTree, nodes: Sequence[int]) -> np.ndarray:
     """Distinct citations in each of ``nodes``' whole subtrees, in order:
-    one ``np.unique`` over (node ordinal, citation) keys counts them all."""
+    one ``np.unique`` over (node ordinal, rank) keys of span R counts all."""
     offsets = tree.result_offsets_array()
     begins = tree.positions(nodes)
     starts = offsets[begins]
     lengths = offsets[begins + tree.subtree_size_array()[begins]] - starts
-    citations = tree.result_values_array()[
+    ranks = tree.result_values_array()[
         np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
     ]
-    span = int(citations.max(initial=0)) + 1
-    keys = np.unique(np.repeat(np.arange(len(nodes)), lengths) * span + citations)
+    span = len(tree.result_pmids())
+    keys = np.unique(np.repeat(np.arange(len(nodes)), lengths) * span + ranks)
     return np.bincount(keys // span, minlength=len(nodes))
 
 

@@ -139,7 +139,7 @@ class HeuristicReducedOpt(ExpansionStrategy):
         # Supernode statistics over the arrays: EXPLORE sums run over each
         # part's members in ascending id order (one key ranks by part, then
         # id), member histograms keep the partition's member order, and
-        # each part's citations are one gather of its results-CSR rows.
+        # each part's citation ranks are one gather of its CSR rows.
         flat = positions[members]
         ids = ids[members]
         by_part = np.argsort(part * (int(ids.max()) + 1) + ids)
@@ -150,13 +150,13 @@ class HeuristicReducedOpt(ExpansionStrategy):
         ).tolist()
         counts = probs.result_counts[flat]
         starts = np.cumsum(counts) - counts
-        citations = tree.result_values_array()[
+        ranks = tree.result_values_array()[
             np.repeat(tree.result_offsets_array()[flat] - starts, counts)
             + np.arange(int(counts.sum()))
         ]
         reduced = CutTree(
             children=children,
-            results=np.split(citations, starts[offsets[1:]]),
+            results=np.split(ranks, starts[offsets[1:]]),
             explore=explore,
             member_counts=np.split(counts, offsets[1:]),
             payload=np.split(ids, offsets[1:]),

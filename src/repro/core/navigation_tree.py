@@ -21,13 +21,14 @@ structure is re-wired by the embedding.
 
 The tree is immutable once built and stores only what it cannot derive,
 as flat arrays in *embedded preorder* (node ids, parent positions,
-subtree sizes, a per-node results-CSR of sorted citation ids) plus the
-node → position map; children and depths are derived on demand.
-``results`` hands out read-only CSR slices, and the cost model
+subtree sizes, a per-node results-CSR of int32 citation ranks) plus the
+node → position map and the sorted result set, the one rank → PMID map;
+rank order is PMID order, and children and depths are derived on demand.
+``results`` maps a CSR row back to PMIDs, and the cost model
 (:class:`repro.core.probabilities.ProbabilityModel`) ingests the buffers
 whole via :meth:`NavigationTree.preorder_array` and friends.  A subtree
-is a contiguous preorder slice, so its distinct citations are one
-``np.unique`` over a slice of the CSR values: that is
+is a contiguous preorder slice, so its distinct citations are a mark
+over the R result ranks set from a slice of the CSR values: that is
 :meth:`repro.core.edgecut.Component.distinct_results`, the one component
 form (DESIGN.md §16).  ``is_tree_ancestor`` and ``subtree_size`` are
 O(1) lookups; ``iter_dfs`` is a contiguous slice.
@@ -106,15 +107,16 @@ class NavigationTree:
         esize: np.ndarray,
         res_off: np.ndarray,
         res_val: np.ndarray,
+        result_pmids: np.ndarray,
         pos_of: np.ndarray,
     ) -> None:
         """Adopt embedded-preorder arrays (see the module docstring).
 
         :meth:`from_csr` and :meth:`from_store` compute them with the
         vectorized embedding; ``eparent`` holds each node's embedded
-        parent position (-1 at the root) and ``pos_of`` maps every
-        hierarchy node id to its embedded position (-1: not kept).  The
-        arrays are frozen on adoption.
+        parent position (-1 at the root), ``res_val`` ranks into the
+        sorted ``result_pmids``, and ``pos_of`` maps every hierarchy node
+        id to its embedded position (-1: not kept).  All are frozen.
         """
         self.hierarchy = hierarchy
         self.root = root
@@ -123,6 +125,7 @@ class NavigationTree:
         self._esize = _freeze(esize)
         self._res_off = _freeze(res_off)
         self._res_val = _freeze(res_val)
+        self._result_pmids = _freeze(result_pmids)
         self._pos_of = _freeze(pos_of)
 
     # ------------------------------------------------------------------
@@ -148,20 +151,21 @@ class NavigationTree:
                 not in the store are ignored.
             root: subtree to embed within; defaults to the hierarchy root.
 
-        The ``(position, pmid)`` pairs are sorted once, stably, by
-        hierarchy preorder position: the PMIDs ascend in the gather, so
-        the results CSR comes out in embedded preorder with each row
-        sorted.  Concepts outside the root's window are dropped.
+        The ``(position, rank)`` pairs (a rank indexes the store's sorted
+        result) are sorted once, stably, by hierarchy preorder position:
+        ranks ascend in the gather, so the results CSR comes out in
+        embedded preorder with each row sorted.  Concepts outside the
+        root's window are dropped.
         """
         if root is None:
             root = hierarchy.root
         result, lengths, concepts = store.annotation_rows(list(pmids))
         positions, inside = _window_positions(hierarchy, root, concepts)
         positions, by_position = _stable_sort(positions[inside])
-        values = np.repeat(result, lengths)[inside][by_position]
+        values = np.repeat(np.arange(len(result), dtype=np.int32), lengths)[inside][by_position]
         starts = np.flatnonzero(np.diff(positions, prepend=-1))
         return cls._embed(
-            hierarchy, root, positions[starts], np.append(starts, len(values)), values
+            hierarchy, root, positions[starts], np.append(starts, len(values)), values, result
         )
 
     @classmethod
@@ -187,8 +191,8 @@ class NavigationTree:
         Presence in ``concepts`` marks a node annotated (kept) even when
         its row is empty; empty-result concepts absent from it are
         spliced out per Definition 2, and the root is always kept.  The
-        rows (not their values) are put in hierarchy preorder and handed
-        to the same embedding as :meth:`from_store`.
+        rows are put in hierarchy preorder, their ids ranked among the
+        kept rows' ids, and handed to the same embedding as :meth:`from_store`.
         """
         if root is None:
             root = hierarchy.root
@@ -204,7 +208,8 @@ class NavigationTree:
         np.cumsum(lengths, out=res_off[1:])
         gather = np.repeat(begins - res_off[:-1], lengths)
         gather += np.arange(len(gather))
-        return cls._embed(hierarchy, root, kpos, res_off, values[gather])
+        result, ranks = np.unique(values[gather], return_inverse=True)
+        return cls._embed(hierarchy, root, kpos, res_off, ranks.astype(np.int32), result)
 
     @classmethod
     def _embed(
@@ -214,15 +219,16 @@ class NavigationTree:
         kpos: np.ndarray,
         res_off: np.ndarray,
         res_val: np.ndarray,
+        result_pmids: np.ndarray,
     ) -> "NavigationTree":
         """The maximum embedding of the annotated positions ``kpos``.
 
         ``kpos`` are distinct hierarchy preorder positions inside the
         root's window, ascending, and ``(res_off, res_val)`` is their
-        results CSR in the same order.  The root is added with an empty
-        row when it is not annotated.  Embedded preorder is hierarchy
-        preorder restricted to the kept set, so every output but the
-        node → position map is computed over the k kept nodes alone.
+        results CSR (ranks into ``result_pmids``) in the same order.  The
+        root is added with an empty row when it is not annotated.  Embedded
+        preorder is hierarchy preorder restricted to the kept set, so every
+        output but the node → position map is computed over the k kept nodes.
         """
         arrays = hierarchy.arrays()
         parents = arrays.parents
@@ -251,16 +257,7 @@ class NavigationTree:
         # Embedded subtree size = kept positions inside the hierarchy
         # subtree's preorder interval.
         esize = np.searchsorted(kpos, kpos + arrays.subtree_sizes[order]) - np.arange(k)
-        return cls(
-            hierarchy,
-            root,
-            order=order,
-            eparent=eparent,
-            esize=esize,
-            res_off=res_off,
-            res_val=res_val,
-            pos_of=pos_of,
-        )
+        return cls(hierarchy, root, order, eparent, esize, res_off, res_val, result_pmids, pos_of)
 
     # ------------------------------------------------------------------
     # Structure
@@ -331,13 +328,14 @@ class NavigationTree:
     # Results
     # ------------------------------------------------------------------
     def results(self, node: int) -> np.ndarray:
-        """Citations attached directly to ``node`` (L(n)), sorted.
+        """PMIDs attached directly to ``node`` (L(n)), sorted.
 
-        A read-only slice of the results CSR.  A subtree's distinct
-        citations are ``Component(tree, node).distinct_results()``.
+        The node's results-CSR row mapped to PMIDs (read-only).  A
+        subtree's are ``Component(tree, node).distinct_results()``.
         """
         position = self._require(node)
-        return self._res_val[self._res_off[position] : self._res_off[position + 1]]
+        row = self._res_val[self._res_off[position] : self._res_off[position + 1]]
+        return _freeze(self._result_pmids[row])
 
     # ------------------------------------------------------------------
     # Array views (the cost-model ingestion seam)
@@ -355,8 +353,12 @@ class NavigationTree:
         return self._res_off
 
     def result_values_array(self) -> np.ndarray:
-        """Results-CSR values: per-node sorted citation ids (read-only)."""
+        """Results-CSR values: per-node sorted citation ranks (int32, read-only)."""
         return self._res_val
+
+    def result_pmids(self) -> np.ndarray:
+        """The query's sorted result set, the rank → PMID map (read-only)."""
+        return self._result_pmids
 
     def position(self, node: int) -> int:
         """Embedded-preorder position of ``node`` (``KeyError`` if not kept)."""

@@ -33,8 +33,8 @@ dense node indices:
   probability reads it (distinct count between the two thresholds);
 * distinct-result counting ORs precomputed per-node **citation bitmaps**
   and takes a popcount, instead of unioning Python sets; the bitmaps
-  come from one ``np.unique`` numbering of the tree's citations and one
-  ``np.packbits`` pass;
+  come from one numbering of the tree's citation ranks (a mark over the
+  ranks and its running count, no sort) and one ``np.packbits`` pass;
 * cut enumeration is a **lazy depth-first search** over per-child choices
   (cut the edge, or recurse into the child) that prunes whole prefixes of
   the cut space once the accumulated lower-component cost can no longer
@@ -94,9 +94,9 @@ class CutTree:
 
     Attributes:
         children: adjacency lists.
-        results: citation ids attached to each node, as an int64 array
-            (for a supernode: its members' citations back to back;
-            repeats are allowed).
+        results: each node's citations as an int array of result ranks
+            (non-negative, marked over ``max + 1`` slots); for a
+            supernode, its members' back to back, repeats allowed.
         explore: *unnormalized* EXPLORE mass ``|L(n)| / log LT(n)`` per node
             (for a supernode: the sum over its members).  Opt-EdgeCut
             normalizes over the whole CutTree, so the tree it is invoked on
@@ -255,15 +255,17 @@ class OptEdgeCut:
             for child in self._children[node]:
                 mask |= self._subtree_mask[child]
             self._subtree_mask[node] = mask
-        # Citation words: each distinct citation id across the tree gets
-        # one bit (its rank), so distinct-result counts are OR + popcount.
+        # Citation words: each distinct rank across the tree gets one bit,
+        # numbered by a mark and its running count (no sort), so
+        # distinct-result counts are OR + popcount.
         lengths = [len(citations) for citations in cut_tree.results]
-        distinct, column = np.unique(
-            np.concatenate(cut_tree.results), return_inverse=True
-        )
-        width = -(-max(1, len(distinct)) // 64) * 64  # whole uint64 words
+        ranks = np.concatenate(cut_tree.results)
+        seen = np.zeros(int(ranks.max(initial=0)) + 1, dtype=bool)
+        seen[ranks] = True
+        column = np.cumsum(seen) - 1
+        width = -(-max(1, int(column[-1]) + 1) // 64) * 64  # whole uint64 words
         matrix = np.zeros((k, width), dtype=bool)
-        matrix[np.repeat(np.arange(k), lengths), column] = True
+        matrix[np.repeat(np.arange(k), lengths), column[ranks]] = True
         self._words = np.packbits(matrix, axis=1, bitorder="little").view(np.uint64)
         self._explore: List[float] = list(cut_tree.explore)
         self._member_counts = cut_tree.member_counts

@@ -57,8 +57,10 @@ __all__ = [
 #: Version 7: the navigation tree stores parent positions in
 #: ``_eparent`` (node ids before) and no depth or children arrays, and
 #: the probability model no ``log_lt``, so the pickled
-#: :class:`NavTreeArtifact` layout changed.
-KEY_FORMAT_VERSION = 7
+#: :class:`NavTreeArtifact` layout changed.  Version 8: the results CSR
+#: holds int32 result ranks (PMIDs before) and the tree keeps the sorted
+#: result as its rank → PMID map, so the pickled layout changed.
+KEY_FORMAT_VERSION = 8
 
 
 def content_key(*parts: str) -> str:

@@ -37,7 +37,6 @@ if TYPE_CHECKING:  # import cycle: repro.bionav builds on repro.pipeline
 
 from repro.core.active_tree import VisNode
 from repro.core.relevance import ranked_visualization
-from repro.corpus.citation import DocSummary
 from repro.obs import Metrics, Snapshot, histogram, merge, quantile
 from repro.pipeline.cache import stage_rows
 from repro.pipeline.pipeline import NavigationPipeline
@@ -117,16 +116,15 @@ class SessionView:
 
 @dataclass(frozen=True)
 class ResultsView:
-    """One SHOWRESULTS answer.
+    """One SHOWRESULTS answer: the component's PMIDs, no display records.
 
     Attributes:
         session: session id.
         query: the session's keyword query.
         node: the concept whose component was listed.
         label: the concept's label.
-        pmids: every citation id in the component (sorted).
-        summaries: display records for the first ``results_page_size``
-            citations (see :class:`ServingRuntime`).
+        pmids: every citation id in the component (sorted); the HTML
+            results page fetches display records for its own page.
         cost: the session's cost ledger snapshot after charging.
     """
 
@@ -135,7 +133,6 @@ class ResultsView:
     node: int
     label: str
     pmids: Tuple[int, ...]
-    summaries: Tuple[DocSummary, ...]
     cost: CostView
 
 
@@ -159,8 +156,8 @@ class ServingRuntime:
         solver: registry name of the expansion strategy new sessions
             run (canonical or alias; resolved by the pipeline).
         results_page_size: citations per SHOWRESULTS display page
-            (summaries materialized per request; the full pmid list is
-            unaffected).  Surfaced in ``/api/health``.
+            (the HTML page fetches this many summaries; the full pmid
+            list is unaffected).  Surfaced in ``/api/health``.
         l2: optional cross-process stage store (the cluster's shared
             artifact cache); wired into the pipeline's
             :class:`~repro.pipeline.cache.StageCache` so stage misses
@@ -260,24 +257,14 @@ class ServingRuntime:
         with self.sessions.checkout(sid) as entry:
             if not entry.session.active.is_visible(node):
                 raise ValueError("node %d is not visible" % node)
-            pmids = tuple(entry.session.show_results(node))
-            label = entry.session.tree.label(node)
-            query = entry.query
-            cost = self._cost_locked(entry)
-        # ESummary fetch happens outside the session lock: it reads the
-        # immutable corpus, not the session.
-        summaries = tuple(
-            self.bionav.summaries(list(pmids[: self.results_page_size]))
-        )
-        return ResultsView(
-            session=sid,
-            query=query,
-            node=node,
-            label=label,
-            pmids=pmids,
-            summaries=summaries,
-            cost=cost,
-        )
+            return ResultsView(
+                session=sid,
+                query=entry.query,
+                node=node,
+                label=entry.session.tree.label(node),
+                pmids=tuple(entry.session.show_results(node)),
+                cost=self._cost_locked(entry),
+            )
 
     def _do_backtrack(self, sid: str) -> SessionView:
         self._simulate_backend()

@@ -87,7 +87,8 @@ class BioNavWebApp:
     with the :class:`ServingRuntime` request surface (``search`` /
     ``view`` / ``expand`` / ``results`` / ``backtrack`` plus
     ``health()`` / ``stats()`` / ``results_page_size`` /
-    ``shed_retry_after`` / ``close()``) mounts the same way — pass it
+    ``shed_retry_after`` / ``close()``, and the ``bionav`` whose ESummary
+    the HTML results page reads) mounts the same way — pass it
     as ``runtime``.  That is how a
     :class:`~repro.cluster.router.BioNavCluster` fleet serves this
     exact interface (``python -m repro.web --cluster N``); the
@@ -280,6 +281,8 @@ class BioNavWebApp:
         return self._render_view(self.runtime.view(result.session))
 
     def _render_results(self, view: ResultsView) -> str:
+        page_size = self.runtime.results_page_size
+        summaries = self.runtime.bionav.summaries(list(view.pmids[:page_size]))
         rows = "".join(
             "<li>[%d] %s <em>(%s, %d)</em></li>"
             % (
@@ -288,9 +291,8 @@ class BioNavWebApp:
                 html.escape("; ".join(s.authors[:3])),
                 s.year,
             )
-            for s in view.summaries
+            for s in summaries
         )
-        page_size = self.runtime.results_page_size
         more = (
             "<p>(showing first %d of %d)</p>" % (page_size, len(view.pmids))
             if len(view.pmids) > page_size

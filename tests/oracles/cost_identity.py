@@ -22,15 +22,15 @@ __all__ = ["model_arrays", "models_identical"]
 def model_arrays(model: ProbabilityModel) -> List[np.ndarray]:
     """Everything a solve reads from ``model``, as arrays.
 
-    The tree's preorder node ids and results CSR, the per-node result
-    counts and EXPLORE mass, the normalizer, and the EXPAND thresholds
-    with the IDF switch.
+    The tree's preorder node ids and results CSR (its rank values mapped
+    back to citation ids), the per-node result counts and EXPLORE mass,
+    the normalizer, and the EXPAND thresholds with the IDF switch.
     """
     tree = model.tree
     return [
         np.asarray(tree.preorder_array(), dtype=np.int64),
         np.asarray(tree.result_offsets_array(), dtype=np.int64),
-        np.asarray(tree.result_values_array(), dtype=np.int64),
+        np.asarray(tree.result_pmids()[tree.result_values_array()], dtype=np.int64),
         model.result_counts,
         model.explore_mass,
         np.asarray([model.normalizer], dtype=np.float64),

@@ -278,11 +278,17 @@ class ReferenceNavigationTree:
             offsets.append(offsets[-1] + len(self._results[node]))
         return np.asarray(offsets, dtype=np.int64)
 
+    def result_pmids(self) -> np.ndarray:
+        """Every attached citation id, sorted: the rank → id map."""
+        return np.asarray(sorted(self.all_results()), dtype=np.int64)
+
     def result_values_array(self) -> np.ndarray:
-        """Results-CSR values: per-node sorted citation ids."""
+        """Results-CSR values: per-node sorted citation ranks, each an
+        index into :meth:`result_pmids`."""
+        rank = {pmid: index for index, pmid in enumerate(sorted(self.all_results()))}
         return np.asarray(
-            [c for node in self._preorder for c in sorted(self._results[node])],
-            dtype=np.int64,
+            [rank[c] for node in self._preorder for c in sorted(self._results[node])],
+            dtype=np.int32,
         )
 
     # ------------------------------------------------------------------

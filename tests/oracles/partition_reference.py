@@ -267,9 +267,11 @@ class ReferenceHeuristicReducedOpt(HeuristicReducedOpt):
             results.append(np.concatenate([tree.results(m) for m in members]))
             member_counts.append(probs.result_counts[tree.positions(members)].tolist())
             payload.append(tuple(members))
+        # A CutTree carries citation ranks: number the ids densely.
+        _, ranks = np.unique(np.concatenate(results), return_inverse=True)
         reduced = CutTree(
             children=children,
-            results=results,
+            results=np.split(ranks, np.cumsum([len(r) for r in results])[:-1]),
             explore=explore,
             member_counts=member_counts,
             payload=payload,

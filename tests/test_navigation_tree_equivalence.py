@@ -355,16 +355,26 @@ TREE_ARRAYS = (
     "_esize",
     "_res_off",
     "_res_val",
+    "_result_pmids",
     "_pos_of",
 )
 
 
 def assert_arrays_identical(tree: NavigationTree, other: NavigationTree):
-    """Equal buffers, value for value and dtype for dtype."""
+    """Equal buffers, value for value and dtype for dtype.
+
+    The results CSR is compared as PMIDs: ``from_store`` ranks the whole
+    store-held result and ``from_csr`` only the ids its rows hold, so
+    the rank → PMID maps may differ while every row names the same
+    citations.
+    """
     for name in TREE_ARRAYS:
         mine, theirs = getattr(tree, name), getattr(other, name)
         assert mine.dtype == theirs.dtype, name
-        assert np.array_equal(mine, theirs), name
+        if name == "_res_val":
+            mine, theirs = tree._result_pmids[mine], other._result_pmids[theirs]
+        if name != "_result_pmids":
+            assert np.array_equal(mine, theirs), name
 
 
 def assert_store_tree_matches(hierarchy, store, pmids, root=None):

@@ -20,7 +20,7 @@ The pipeline's ``results``, ``nav_tree`` and ``cut`` content keys of a
 few of the same queries are pinned as literal hex too.  A running
 fleet's L2 stores artifacts under them, so a change that moves one has
 changed the key scheme: it must bump the version and re-pin, not leave
-the L2 directory of version 7 full of entries nothing reads.
+the L2 directory of version 8 full of entries nothing reads.
 """
 
 from __future__ import annotations
@@ -49,34 +49,34 @@ from repro.substrate import (
 )
 
 #: The key version the digest below was pinned under.
-PINNED_KEY_FORMAT_VERSION = 7
+PINNED_KEY_FORMAT_VERSION = 8
 #: sha-256 over every decision of :func:`walk_decisions`.
 PLAN_DIGEST = "fbcbe98594139687cc99dfa630edc3d004395641658f82e3d0fcad316260bcb1"
 
 #: Per query of the workload's first three: its ``results`` and
 #: ``nav_tree`` keys, then the ``cut`` keys of the root component and of
-#: the upper component the root's cut leaves, all under key version 7.
+#: the upper component the root's cut leaves, all under key version 8.
 PINNED_STAGE_KEYS = (
     (
         "385[mh]",
-        "8e1f6bd9694f8902fbeafcf60c9bf271db911ecb",
-        "d80dc05d224a44df560fa5dbe0af934e319f66d7",
-        "657cdc4b7709aa96964bb58f6b31f0560ffcbd58",
-        "f8e25f7d9516e31330d7a96f0e63cbdab3c6ce0e",
+        "7112ade01efd51db06ce0794452c2c36a19211b5",
+        "b976a78f5c6cfb4511a5e4c357a653734794465c",
+        "d6cd5fdf9e66986ecf70eb88fdaf6684e80954d0",
+        "33b38b28a1c197596f84aec04c2ab473b3275750",
     ),
     (
         "422[mh]",
-        "430dd7e4c4a8076cd29c3dc46a1c55c90abc9912",
-        "6e011bd07f0262ff2c64e6383782fd9ab95acc2d",
-        "94c5834292db068d45bc1887bf293fecaea9eea1",
-        "8bc92afaa53642f7fc2527cac101e3e1b09b4809",
+        "2bb5da837001ed659a90fc5b7c1f06b30b2faf83",
+        "0ac518a9aca3b5facfe5b1a181c0bdda9527d008",
+        "49fb19c56dfcec380c6552b085e0e638946940c1",
+        "4824bb03ab3dc328ce182515ba3ef46161cc95f3",
     ),
     (
         "443[mh]",
-        "5e47e09ba273c8eaf64f781aae2ba8ba5268cbcf",
-        "14d8cd2b1a72cb9c2e94b10956a82a93dc84fc70",
-        "20fb98609a5e687d67d81ffd25cc71a47e812e97",
-        "ed091de8686a67d92533a80255cab31ac4221ae9",
+        "74ca2d3a21c98d554b04c5d2bf3539a71dfa2ccb",
+        "033ba5a0a0a91edee4ad972ffd92b36fcebfb457",
+        "9c6b6e8ab506e59027133d5ecbdba50508529f31",
+        "3e575ea55ede1ac3c243536b1cfa06b3fea84a07",
     ),
 )
 

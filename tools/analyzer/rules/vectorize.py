@@ -34,10 +34,12 @@ ARRAY_FIELDS = {
     "explore_mass",
 }
 
-#: NavigationTree's arrays: its embedded-preorder buffers and node →
-#: position map, frozen in its ``__init__``; solvers index them and work
-#: on copies.
-TREE_FIELDS = frozenset({"_order", "_eparent", "_esize", "_res_off", "_res_val", "_pos_of"})
+#: NavigationTree's arrays: its embedded-preorder buffers, rank → PMID
+#: map and node → position map, frozen in its ``__init__``; solvers
+#: index them and work on copies.
+TREE_FIELDS = frozenset(
+    {"_order", "_eparent", "_esize", "_res_off", "_res_val", "_result_pmids", "_pos_of"}
+)
 
 #: The mmap store's citation/concept columns.
 STORE_FIELDS = frozenset(

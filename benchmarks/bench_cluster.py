@@ -135,7 +135,6 @@ def run_load(bionav: BioNav, workers: int, keywords) -> dict:
         runtime={
             "tree_cache_size": TREE_CACHE_SIZE,
             "max_sessions": CLIENTS * ITERATIONS + 8,
-            "workers": 2,
             "max_queue": 8 * CLIENTS + 64,
             "backend_latency": 0.0,
         },

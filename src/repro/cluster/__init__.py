@@ -14,7 +14,10 @@ store:
   heartbeats, crash detection, automatic respawn;
 * :class:`~repro.cluster.router.BioNavCluster` — the front-end facade
   that places each new session on the next worker in round-robin
-  order, routes EXPAND/BACKTRACK to the worker that owns the session,
+  order, admits every request through its worker's
+  :class:`~repro.serving.dispatcher.WorkerPoolDispatcher` gate (one
+  request in flight per worker; the excess waits or is shed),
+  routes EXPAND/BACKTRACK to the worker that owns the session,
   and merges ``/api/health`` / ``/api/stats`` across the fleet.  It
   exposes the same operation surface as
   :class:`~repro.serving.runtime.ServingRuntime`, so

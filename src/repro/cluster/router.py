@@ -20,16 +20,21 @@ interchangeably.  Underneath, requests fan out to a
   :class:`~repro.serving.sessions.SessionExpired` (``410 Gone``, re-run
   the search) without consulting the respawned worker.  Other
   workers' sessions never notice.
+* **Admission** — the router admits through one
+  :class:`~repro.serving.dispatcher.WorkerPoolDispatcher` gate per
+  worker, the class a single process uses: one request in flight per
+  (serial) worker, at most ``max_queue`` waiting, the rest shed; a
+  request whose queueing ``deadline`` passes is never sent.
 * **Crash windows** — a request in flight when its worker dies
   surfaces as :class:`~repro.serving.dispatcher.RetryLater` (``503`` +
   ``Retry-After``), the same contract as load shedding.
 
 ``health()`` merges the per-worker answers with fleet-level rows
-(per-shard queue depth, respawns).  ``stats()`` merges the workers'
-raw metrics snapshots with :func:`repro.obs.merge` — counters and
-histogram buckets add — and renders the result with the same
-:func:`~repro.serving.runtime.render_stats` a single process uses, so
-fleet counts, ratios and quantiles are exact arithmetic over every
+(per-shard gate depth, respawns).  ``stats()`` merges the workers' and
+the gates' raw metrics snapshots with :func:`repro.obs.merge` —
+counters and histogram buckets add — and renders the result with the
+same :func:`~repro.serving.runtime.render_stats` a single process uses,
+so fleet counts, ratios and quantiles are exact arithmetic over every
 worker's events.
 """
 
@@ -39,12 +44,12 @@ import itertools
 import re
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.bionav import BioNav
 from repro.cluster.workers import WorkerCrashed, WorkerSupervisor, WorkerUnavailable
 from repro.obs import add_up, merge
-from repro.serving.dispatcher import RetryLater
+from repro.serving.dispatcher import RetryLater, WorkerPoolDispatcher
 from repro.serving.runtime import (
     DEFAULT_RESULTS_PAGE_SIZE,
     ResultsView,
@@ -58,6 +63,9 @@ __all__ = ["ClusterConfig", "BioNavCluster"]
 
 #: Cluster session ids: worker index, generation, then the local sid.
 _SID = re.compile(r"^w(\d+)g(\d+)-(s\d{6,})$")
+
+#: ``ClusterConfig.runtime`` keywords that shape the router's gates.
+_GATE_OPTIONS = ("max_queue", "deadline", "retry_after")
 
 
 @dataclass(frozen=True)
@@ -77,12 +85,12 @@ class ClusterConfig:
         request_timeout: cap on one proxied request's wait.
         health_timeout: cap on each worker's answer to a merged
             ``health()``/``stats()`` probe.
-        runtime: extra :class:`~repro.serving.runtime.ServingRuntime`
-            keywords applied in every worker (``solver``,
-            ``results_page_size``, ...).  A worker serves its queue one
-            request at a time, so ``workers``, ``max_queue`` and
-            ``deadline`` never take effect: nothing bounds a worker's
-            backlog (the shard row's ``queue_depth``).
+        runtime: :class:`~repro.serving.runtime.ServingRuntime`
+            keywords.  ``max_queue``, ``deadline`` and ``retry_after``
+            shape the router's admission gate of each worker; the rest
+            apply in every worker (``solver``, ``results_page_size``,
+            ...).  A worker serves one request at a time, so
+            ``workers``, if given, must be 1.
     """
 
     workers: int = 2
@@ -98,6 +106,8 @@ class ClusterConfig:
         """Validate fleet shape."""
         if self.workers < 1:
             raise ValueError("workers must be positive")
+        if self.runtime.get("workers", 1) != 1:
+            raise ValueError("runtime workers must be 1: a fleet worker is serial")
 
 
 class BioNavCluster:
@@ -109,16 +119,23 @@ class BioNavCluster:
         config: fleet shape and per-worker options.
 
     Thread safety: the only routing state is the round-robin counter
-    (``itertools.count``, atomic under the GIL); the supervisor manages
-    its own synchronization.
+    (``itertools.count``, atomic under the GIL); the gates and the
+    supervisor manage their own synchronization.
     """
 
     def __init__(self, bionav: BioNav, config: Optional[ClusterConfig] = None):
         self.bionav = bionav
         self.config = config or ClusterConfig()
-        options: Dict[str, Any] = dict(self.config.runtime)
-        options["cache_dir"] = self.config.cache_dir
-        options["heartbeat_interval"] = self.config.heartbeat_interval
+        options: Dict[str, Any] = dict(
+            self.config.runtime,
+            cache_dir=self.config.cache_dir,
+            heartbeat_interval=self.config.heartbeat_interval,
+        )
+        options.pop("workers", None)
+        gate = {key: options.pop(key) for key in _GATE_OPTIONS if key in options}
+        self._gates = [
+            WorkerPoolDispatcher(1, **gate) for _ in range(self.config.workers)
+        ]
         self._supervisor = WorkerSupervisor(
             bionav,
             self.config.workers,
@@ -141,23 +158,10 @@ class BioNavCluster:
         )
 
     @property
-    def deadline(self) -> Optional[float]:
-        """Per-request queueing budget applied inside every worker."""
-        value = self.config.runtime.get("deadline")
-        return float(value) if value is not None else None
-
-    @property
     def shed_retry_after(self) -> float:
-        """Honest client back-off for shed requests, in seconds.
-
-        Same contract as
-        :attr:`~repro.serving.runtime.ServingRuntime.shed_retry_after`,
-        derived from the fleet-wide runtime options.
-        """
-        hint = float(self.config.runtime.get("retry_after", 1.0))
-        if self.deadline is not None:
-            hint = max(hint, self.deadline)
-        return hint
+        """Client back-off for shed requests, in seconds (every gate's
+        :attr:`~repro.serving.dispatcher.WorkerPoolDispatcher.shed_retry_after`)."""
+        return self._gates[0].shed_retry_after
 
     # ------------------------------------------------------------------
     # The request surface
@@ -165,10 +169,9 @@ class BioNavCluster:
     def search(self, query: str) -> SearchResult:
         """Run a search on the next worker; return a cluster sid."""
         index = next(self._spread) % self.config.workers
-        try:
-            payload = self._supervisor.call(index, "search", {"query": query})
-        except (WorkerCrashed, WorkerUnavailable):
-            raise RetryLater(self.shed_retry_after)
+        payload = self._admit(
+            index, lambda: self._supervisor.call(index, "search", {"query": query})
+        )
         result: SearchResult = payload["result"]
         sid = "w%dg%d-%s" % (index, payload["generation"], result.session)
         return replace(result, session=sid)
@@ -194,23 +197,30 @@ class BioNavCluster:
     ) -> Any:
         """Route one session action to the owning worker incarnation."""
         index, generation, local = self._parse_sid(sid)
-        try:
-            current = self._supervisor.generation_of(index)
-        except KeyError:
+        if index >= self.config.workers:
             raise KeyError("session %s" % sid)
-        if current != generation:
-            # The owning worker died and was respawned: its in-memory
-            # sessions are gone.  410 Gone — re-run the search.
-            raise SessionExpired(sid)
         kwargs: Dict[str, Any] = {"sid": local}
         kwargs.update(extra or {})
+
+        def send() -> Any:
+            if self._supervisor.generation_of(index) != generation:
+                # The owning worker died and was respawned: its in-memory
+                # sessions are gone.  410 Gone — re-run the search.
+                raise SessionExpired(sid)
+            try:
+                return self._supervisor.call(index, op, kwargs)
+            except SessionExpired:
+                raise SessionExpired(sid)  # evicted locally; report the cluster id
+
+        return replace(self._admit(index, send), session=sid)
+
+    def _admit(self, index: int, send: Callable[[], Any]) -> Any:
+        """Run ``send`` once worker ``index``'s gate admits it."""
+        gate = self._gates[index]
         try:
-            value = self._supervisor.call(index, op, kwargs)
-        except SessionExpired:
-            raise SessionExpired(sid)  # evicted locally; report the cluster id
+            return gate.call(send)
         except (WorkerCrashed, WorkerUnavailable):
-            raise RetryLater(self.shed_retry_after)
-        return replace(value, session=sid)
+            raise RetryLater(gate.shed_retry_after)
 
     @staticmethod
     def _parse_sid(sid: str) -> Tuple[int, int, str]:
@@ -224,48 +234,47 @@ class BioNavCluster:
     # Merged observability
     # ------------------------------------------------------------------
     def _probe(self, op: str) -> List[Tuple[Dict[str, Any], Optional[Any]]]:
-        """(supervision row, worker answer or None) per fleet slot."""
-        rows = self._supervisor.describe()
-        answers: List[Tuple[Dict[str, Any], Optional[Any]]] = []
-        for row in rows:
+        """(supervision row, worker answer or None) per fleet slot, in
+        slot order (the order of the gates)."""
+
+        def ask(index: int) -> Optional[Any]:
             try:
-                value = self._supervisor.call(
-                    row["index"], op, timeout=self.config.health_timeout
+                return self._supervisor.call(
+                    index, op, timeout=self.config.health_timeout
                 )
             except Exception:
-                value = None
-            answers.append((row, value))
-        return answers
+                return None
+
+        return [(row, ask(row["index"])) for row in self._supervisor.describe()]
 
     def health(self) -> Dict[str, object]:
         """Fleet liveness/saturation summary for ``GET /api/health``.
 
-        The top-level ``queue_depth`` sums the workers' own admission
-        queues, which always read 0 (a worker serves one request at a
-        time, see :class:`ClusterConfig`); the real backlog is each
-        shard row's ``queue_depth``, the supervisor's queue to it."""
+        Each shard's ``queue_depth``, and the gate fields of its
+        ``health`` answer, read its router gate; the top-level
+        ``queue_depth`` sums them.  A shard whose gate queue is full
+        reads ``overloaded`` and the fleet ``degraded``."""
         probed = self._probe("health")
         shards = []
         status = "ok"
         sessions = 0
-        queue_depth = 0
-        for row, answer in probed:
+        for (row, answer), gate in zip(probed, self._gates):
+            admission = gate.health()
             if answer is None:
-                status = "degraded"
                 shard_status = "unreachable"
             else:
-                shard_status = str(answer.get("status", "ok"))
+                answer = dict(answer, **admission)
+                shard_status = str(admission["status"])
                 sessions += int(answer.get("sessions_active", 0))
-                queue_depth += int(answer.get("queue_depth", 0))
-                if shard_status != "ok":
-                    status = "degraded"
+            if shard_status != "ok":
+                status = "degraded"
             shards.append(
                 {
                     "name": row["name"],
                     "generation": row["generation"],
                     "alive": row["alive"],
                     "respawns": row["respawns"],
-                    "queue_depth": row["queue_depth"],
+                    "queue_depth": admission["queue_depth"],
                     "status": shard_status,
                     "health": answer,
                 }
@@ -273,7 +282,7 @@ class BioNavCluster:
         return {
             "status": status,
             "workers": len(shards),
-            "queue_depth": queue_depth,
+            "queue_depth": sum(shard["queue_depth"] for shard in shards),
             "sessions_active": sessions,
             "results_page_size": self.results_page_size,
             "uptime_seconds": time.monotonic() - self._started,
@@ -287,16 +296,25 @@ class BioNavCluster:
     def stats(self) -> Dict[str, object]:
         """Fleet-merged operational statistics for ``GET /api/stats``.
 
-        The workers' snapshots merge by addition and their gauges add
-        up; the ``l2`` directory census is one worker's reading, as
-        every worker reads the same shared directory.  Each worker's
-        own rendering rides along under ``workers`` for drill-down.
+        Each worker's snapshot and gauges join its gate's, which alone
+        fill the ``serving`` block (a worker admits nothing); the
+        shards' snapshots merge by addition and their gauges add up.
+        The ``l2`` directory census is one worker's reading, as every
+        worker reads the same shared directory.  Each shard's own
+        rendering rides along under ``workers`` for drill-down.
         """
         probed = self._probe("stats")
         answers = [answer for _, answer in probed if answer is not None]
-        gauges: Dict[str, Any] = add_up(answer["gauges"] for answer in answers)
-        gauges["l2"] = answers[-1]["gauges"].get("l2") if answers else None
-        stats = render_stats(merge(answer["snapshot"] for answer in answers), gauges)
+        shards = []  # (snapshot, gauges) of each worker with its gate
+        for (_, answer), gate in zip(probed, self._gates):
+            snapshot, gauges = gate.metrics.snapshot(), gate.gauges()
+            if answer is not None:
+                snapshot = merge([answer["snapshot"], snapshot])
+                gauges = dict(answer["gauges"], **gauges)
+            shards.append((snapshot, gauges))
+        fleet: Dict[str, Any] = add_up(gauges for _, gauges in shards)
+        fleet["l2"] = answers[-1]["gauges"].get("l2") if answers else None
+        stats = render_stats(merge(snapshot for snapshot, _ in shards), fleet)
         stats["cluster"] = {
             "size": self.config.workers,
             "crashes": self._supervisor.crashes,
@@ -308,14 +326,10 @@ class BioNavCluster:
                 "generation": row["generation"],
                 "alive": row["alive"],
                 "respawns": row["respawns"],
-                "queue_depth": row["queue_depth"],
-                "stats": (
-                    None
-                    if answer is None
-                    else render_stats(answer["snapshot"], answer["gauges"])
-                ),
+                "queue_depth": gauges["serving.queue_depth"],
+                "stats": None if answer is None else render_stats(snapshot, gauges),
             }
-            for row, answer in probed
+            for (row, answer), (snapshot, gauges) in zip(probed, shards)
         ]
         return stats
 

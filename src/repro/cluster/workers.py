@@ -6,12 +6,13 @@ registry and L1 stage caches) wired to the shared
 :class:`~repro.cluster.stagecache.ClusterStageCache` as its L2.  The
 parent-side :class:`WorkerSupervisor` owns the fleet: it spawns
 workers, relays requests over per-worker queues, watches heartbeats,
-and respawns crashed or wedged workers in place.
+and respawns crashed or wedged workers in place.  Admission is the
+router's (:mod:`repro.cluster.router`): a worker runs the runtime's
+operation bodies directly, one message at a time.
 
 Wire protocol (plain picklable tuples over ``multiprocessing`` queues):
 
-* request — ``("op", req_id, generation, name, kwargs)`` or
-  ``("stop",)``;
+* request — ``("op", req_id, name, kwargs)`` or ``("stop",)``;
 * response — ``("res", req_id, outcome)`` where *outcome* is
   ``("ok", value)`` or ``("err", code, details)``;
 * heartbeat — ``("hb", index, generation, payload)`` on the shared
@@ -26,8 +27,10 @@ layer's error mapping works unchanged against a cluster.
 Crash semantics: when a worker dies, its in-flight requests fail with
 :class:`WorkerCrashed`, its **generation** is bumped, and a new process
 is forked into the same slot under the same name — other workers'
-sessions are untouched.  Requests queued for the dead generation fail
-with it (see :meth:`WorkerSupervisor._respawn`).  Session ids embed
+sessions are untouched.  Every incarnation reads fresh queues, so a
+request queued for the dead one is never run: its pending slot fails
+with it (see :meth:`WorkerSupervisor._respawn`), and a put on the
+retired queue fails at once.  Session ids embed
 the generation (see :mod:`repro.cluster.router`), which is what turns
 "my worker was respawned" into an honest ``410 Gone``.
 """
@@ -43,7 +46,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bionav import BioNav
 from repro.cluster.stagecache import ClusterStageCache
-from repro.serving.dispatcher import DeadlineExceeded, RetryLater
 from repro.serving.runtime import ServingRuntime
 from repro.serving.sessions import SessionExpired
 
@@ -59,7 +61,7 @@ Outcome = Tuple[Any, ...]
 
 
 class WorkerCrashed(Exception):
-    """The owning worker died (or was restarted) before answering."""
+    """The owning worker died before answering."""
 
 
 class WorkerUnavailable(Exception):
@@ -69,39 +71,35 @@ class WorkerUnavailable(Exception):
 # ----------------------------------------------------------------------
 # Child-process side
 # ----------------------------------------------------------------------
+#: Operations whose body is the runtime's ``_do_<name>`` method.
+_BODIES = frozenset({"search", "view", "expand", "results", "backtrack"})
+
+
 def _execute(
     runtime: ServingRuntime,
     generation: int,
     op: str,
     kwargs: Dict[str, Any],
 ) -> Outcome:
-    """Run one operation, mapping exceptions to wire error codes."""
+    """Run one operation, mapping exceptions to wire error codes.
+
+    A request runs the runtime's operation body, not its admitting
+    method: the router's gate already admitted and counted it.
+    """
     try:
-        if op == "search":
-            result = runtime.search(kwargs["query"])
-            return ("ok", {"result": result, "generation": generation})
-        if op == "view":
-            return ("ok", runtime.view(kwargs["sid"]))
-        if op == "expand":
-            return ("ok", runtime.expand(kwargs["sid"], kwargs["node"]))
-        if op == "results":
-            return ("ok", runtime.results(kwargs["sid"], kwargs["node"]))
-        if op == "backtrack":
-            return ("ok", runtime.backtrack(kwargs["sid"]))
+        if op in _BODIES:
+            value = getattr(runtime, "_do_" + op)(**kwargs)
+            if op == "search":
+                return ("ok", {"result": value, "generation": generation})
+            return ("ok", value)
         if op == "health":
             return ("ok", runtime.health())
         if op == "stats":
             # Raw, so the router can merge workers before rendering.
             return ("ok", {"snapshot": runtime.snapshot(), "gauges": runtime.gauges()})
-        if op == "ping":
-            return ("ok", "pong")
         return ("err", "bad_request", {"message": "unknown operation %r" % op})
     except SessionExpired as exc:
         return ("err", "session_expired", {"sid": exc.sid})
-    except RetryLater as exc:
-        return ("err", "overloaded", {"retry_after": exc.retry_after})
-    except DeadlineExceeded as exc:
-        return ("err", "deadline", {"waited": exc.waited})
     except KeyError as exc:
         return ("err", "not_found", {"message": str(exc)})
     except ValueError as exc:
@@ -122,8 +120,8 @@ def worker_main(
 
     Args:
         index: the worker's slot in the fleet (stable across respawns).
-        generation: incarnation number; requests stamped with an older
-            generation are answered ``worker_restarted``.
+        generation: incarnation number, returned with each search so
+            the router can stamp it into the session id.
         bionav: the system to serve (inherited via fork).  Toy corpora
             are shared copy-on-write; a substrate-backed system carries
             an :class:`~repro.substrate.store.MmapStore`, whose
@@ -133,7 +131,7 @@ def worker_main(
             supervisor (and tests) can verify the fleet shares one
             store rather than N private copies.
         requests: this worker's inbound operation queue.
-        responses: the fleet-shared outbound queue (results + beats).
+        responses: this incarnation's outbound queue (results + beats).
         options: ``cache_dir`` (L2 store directory, optional),
             ``heartbeat_interval`` (seconds), plus any
             :class:`~repro.serving.runtime.ServingRuntime` keyword.
@@ -158,11 +156,7 @@ def worker_main(
                             {
                                 "pid": os.getpid(),
                                 "sessions_active": len(runtime.sessions),
-                                "store": {
-                                    "backend": store_info["backend"],
-                                    "path": store_info["path"],
-                                    "manifest": store_info["manifest"],
-                                },
+                                "store": store_info,
                             },
                         )
                     )
@@ -177,14 +171,9 @@ def worker_main(
         try:
             while True:
                 message = requests.get()
-                if message is None or message[0] == "stop":
+                if message[0] == "stop":
                     break
-                _, req_id, expected, op, kwargs = message
-                if expected != generation:
-                    # Queued for a dead incarnation: the caller's pending
-                    # slot was already failed by the supervisor.
-                    responses.put(("res", req_id, ("err", "worker_restarted", {})))
-                    continue
+                _, req_id, op, kwargs = message
                 responses.put(
                     ("res", req_id, _execute(runtime, generation, op, kwargs))
                 )
@@ -312,11 +301,6 @@ class WorkerSupervisor:
     # ------------------------------------------------------------------
     # Fleet shape
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        """Fleet size."""
-        with self._lock:
-            return len(self._handles)
-
     def generation_of(self, index: int) -> int:
         """Current incarnation of slot ``index``."""
         with self._lock:
@@ -334,11 +318,10 @@ class WorkerSupervisor:
     ) -> Any:
         """Run ``op`` on worker ``index`` and return its value.
 
-        Raises the same exception the operation would raise in-process
-        (``SessionExpired``/``RetryLater``/``DeadlineExceeded``/
-        ``KeyError``/``ValueError``), :class:`WorkerCrashed` when the
-        worker died mid-request, or :class:`WorkerUnavailable` on
-        timeout.
+        Raises the same exception the operation body would raise
+        in-process (``SessionExpired``/``KeyError``/``ValueError``),
+        :class:`WorkerCrashed` when the worker died mid-request, or
+        :class:`WorkerUnavailable` on timeout.
         """
         with self._lock:
             if self._closed:
@@ -349,9 +332,8 @@ class WorkerSupervisor:
             slot = _Pending(index)
             self._pending[req_id] = slot
             requests = handle.requests
-            generation = handle.generation
         try:
-            requests.put(("op", req_id, generation, op, dict(kwargs or {})))
+            requests.put(("op", req_id, op, dict(kwargs or {})))
         except (OSError, ValueError):
             # The queue was retired by a concurrent respawn between our
             # snapshot and the put; the worker of that generation is gone.
@@ -381,16 +363,10 @@ class WorkerSupervisor:
         """Decode a wire error back into the in-process exception."""
         if code == "session_expired":
             raise SessionExpired(str(details.get("sid", "?")))
-        if code == "overloaded":
-            raise RetryLater(float(details.get("retry_after", 1.0)))
-        if code == "deadline":
-            raise DeadlineExceeded(float(details.get("waited", 0.0)))
         if code == "not_found":
             raise KeyError(str(details.get("message", "not found")))
         if code == "bad_request":
             raise ValueError(str(details.get("message", "bad request")))
-        if code == "worker_restarted":
-            raise WorkerCrashed("worker %d restarted during %s" % (index, op))
         raise WorkerUnavailable(
             "worker %d failed %s: %s" % (index, op, details.get("message", code))
         )
@@ -554,23 +530,17 @@ class WorkerSupervisor:
     def describe(self) -> List[Dict[str, Any]]:
         """Per-worker liveness rows for the merged health surface."""
         with self._lock:
-            rows = []
-            now = time.monotonic()
-            for index in sorted(self._handles):
-                handle = self._handles[index]
-                rows.append(
-                    {
-                        "name": handle.name,
-                        "index": handle.index,
-                        "generation": handle.generation,
-                        "alive": handle.process.is_alive(),
-                        "respawns": handle.respawns,
-                        "queue_depth": handle.requests.qsize(),
-                        "heartbeat_age": now - handle.last_heartbeat,
-                        "heartbeat": dict(handle.heartbeat),
-                    }
-                )
-        return rows
+            return [
+                {
+                    "name": handle.name,
+                    "index": handle.index,
+                    "generation": handle.generation,
+                    "alive": handle.process.is_alive(),
+                    "respawns": handle.respawns,
+                    "heartbeat": dict(handle.heartbeat),
+                }
+                for _, handle in sorted(self._handles.items())
+            ]
 
     @property
     def crashes(self) -> int:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Callable, Deque, Optional, TypeVar
+from typing import Callable, Deque, Dict, Optional, TypeVar
 
 from repro.obs import Metrics
 
@@ -68,6 +68,9 @@ class WorkerPoolDispatcher:
         workers: requests allowed to run at once (the concurrency cap).
         max_queue: admitted requests allowed to wait for a free slot
             (requests already running do not count).
+        deadline: optional per-request budget in seconds, measured from
+            admission; a request still queued when it expires is dropped
+            instead of executed.
         retry_after: back-off hint attached to shed requests.
         metrics: the registry admissions and sheds are counted in; a
             standalone dispatcher makes its own.
@@ -77,6 +80,7 @@ class WorkerPoolDispatcher:
         self,
         workers: int,
         max_queue: int = 64,
+        deadline: Optional[float] = None,
         retry_after: float = 1.0,
         metrics: Optional[Metrics] = None,
     ):
@@ -88,6 +92,7 @@ class WorkerPoolDispatcher:
             raise ValueError("retry_after must be positive")
         self.workers = workers
         self.max_queue = max_queue
+        self.deadline = deadline
         self.retry_after = retry_after
         self.metrics = metrics if metrics is not None else Metrics()
         self._lock = threading.Condition()
@@ -107,14 +112,32 @@ class WorkerPoolDispatcher:
         with self._lock:
             return self._running
 
-    def call(self, fn: Callable[[], T], deadline: Optional[float] = None) -> T:
-        """Run ``fn`` on this thread once admitted; return its result.
+    @property
+    def shed_retry_after(self) -> float:
+        """Client back-off for shed requests, in seconds: never below the
+        queueing deadline, since a request shed by it shows the queue
+        needs that long to drain (rounded up for ``Retry-After``)."""
+        return max(self.retry_after, self.deadline or 0.0)
 
-        Args:
-            fn: the request body.
-            deadline: optional per-request budget in seconds, measured
-                from admission; a request still queued when it expires
-                is dropped instead of executed.
+    def health(self) -> Dict[str, object]:
+        """The gate's ``/api/health`` fields, read at one instant."""
+        with self._lock:
+            depth = len(self._queue)
+            return {
+                "status": "overloaded" if depth >= self.max_queue else "ok",
+                "workers": self.workers,
+                "queue_depth": depth,
+                "queue_capacity": self.max_queue,
+                "in_flight": self._running,
+            }
+
+    def gauges(self) -> Dict[str, object]:
+        """The gate's ``serving.*`` gauges: :meth:`health` but ``status``."""
+        readings = self.health().items()
+        return {"serving." + key: value for key, value in readings if key != "status"}
+
+    def call(self, fn: Callable[[], T]) -> T:
+        """Run ``fn`` on this thread once admitted; return its result.
 
         Raises:
             RetryLater: shed at admission (queue full, or closed).
@@ -122,6 +145,7 @@ class WorkerPoolDispatcher:
             Exception: whatever ``fn`` raised, unchanged.
         """
         ticket = object()
+        deadline = self.deadline
         with self._lock:
             if self._closed:
                 raise RetryLater(self.retry_after)

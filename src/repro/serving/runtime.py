@@ -144,13 +144,10 @@ class ServingRuntime:
         tree_cache_size: bound on cached result sets / navigation trees
             (the pipeline's ``results`` and ``nav_tree`` stages).
         max_sessions: bound on live sessions.
-        workers: admission slots (requests running at once, each on its
-            caller's thread; the runtime starts no threads).
-        max_queue: admitted requests allowed to wait for a slot;
-            beyond it requests are shed with ``Retry-After``.
-        deadline: optional per-request budget in seconds; requests still
-            queued past it are dropped.
-        retry_after: client back-off hint attached to shed requests.
+        workers, max_queue, deadline, retry_after: the admission gate's
+            (:class:`~repro.serving.dispatcher.WorkerPoolDispatcher`;
+            requests run on their caller's thread, the runtime starts
+            no threads).
         backend_latency: simulated per-request backend round-trip in
             seconds (see the module docstring); 0 disables it.
         solver: registry name of the expansion strategy new sessions
@@ -181,7 +178,6 @@ class ServingRuntime:
         if results_page_size < 1:
             raise ValueError("results_page_size must be positive")
         self.bionav = bionav
-        self.deadline = deadline
         self.backend_latency = backend_latency
         self.solver = bionav.registry.resolve(solver)
         self.results_page_size = results_page_size
@@ -202,7 +198,11 @@ class ServingRuntime:
         )
         self.sessions = SessionRegistry(max_sessions, metrics=self.metrics)
         self.dispatcher = WorkerPoolDispatcher(
-            workers, max_queue=max_queue, retry_after=retry_after, metrics=self.metrics
+            workers,
+            max_queue=max_queue,
+            deadline=deadline,
+            retry_after=retry_after,
+            metrics=self.metrics,
         )
         self._started = time.monotonic()
 
@@ -211,26 +211,27 @@ class ServingRuntime:
     # ------------------------------------------------------------------
     def search(self, query: str) -> SearchResult:
         """Resolve ``query`` (single-flight) and open a new session."""
-        return self.dispatcher.call(lambda: self._do_search(query), self.deadline)
+        return self.dispatcher.call(lambda: self._do_search(query))
 
     def view(self, sid: str) -> SessionView:
         """The session's current interface rows and cost ledger."""
-        return self.dispatcher.call(lambda: self._do_view(sid), self.deadline)
+        return self.dispatcher.call(lambda: self._do_view(sid))
 
     def expand(self, sid: str, node: int) -> SessionView:
         """EXPAND ``node`` in the session; returns the new state."""
-        return self.dispatcher.call(lambda: self._do_expand(sid, node), self.deadline)
+        return self.dispatcher.call(lambda: self._do_expand(sid, node))
 
     def results(self, sid: str, node: int) -> ResultsView:
         """SHOWRESULTS for ``node``'s component in the session."""
-        return self.dispatcher.call(lambda: self._do_results(sid, node), self.deadline)
+        return self.dispatcher.call(lambda: self._do_results(sid, node))
 
     def backtrack(self, sid: str) -> SessionView:
         """Undo the session's most recent EXPAND; returns the state."""
-        return self.dispatcher.call(lambda: self._do_backtrack(sid), self.deadline)
+        return self.dispatcher.call(lambda: self._do_backtrack(sid))
 
     # ------------------------------------------------------------------
-    # Operation bodies (run on the caller's thread once admitted)
+    # Operation bodies (run on the caller's thread once admitted; a fleet
+    # worker runs them directly, its router having admitted the request)
     # ------------------------------------------------------------------
     def _do_search(self, query: str) -> SearchResult:
         self._simulate_backend()
@@ -304,39 +305,23 @@ class ServingRuntime:
     # ------------------------------------------------------------------
     @property
     def shed_retry_after(self) -> float:
-        """Honest client back-off for shed requests, in seconds.
-
-        A request dropped because its queueing deadline passed tells the
-        client the queue needs at least the configured deadline to
-        drain, so retrying sooner than that will hit the same wall; with
-        no deadline configured, the dispatcher's static ``retry_after``
-        hint applies.  The web layer rounds this up for the
-        ``Retry-After`` header.
-        """
-        hint = self.dispatcher.retry_after
-        if self.deadline is not None:
-            hint = max(hint, self.deadline)
-        return hint
+        """Client back-off for shed requests, in seconds (see
+        :attr:`~repro.serving.dispatcher.WorkerPoolDispatcher.shed_retry_after`)."""
+        return self.dispatcher.shed_retry_after
 
     def health(self) -> Dict[str, object]:
         """Liveness/saturation summary for ``GET /api/health``."""
-        queue_depth = self.dispatcher.queue_depth
-        overloaded = queue_depth >= self.dispatcher.max_queue
-        return {
-            "status": "overloaded" if overloaded else "ok",
-            "workers": self.dispatcher.workers,
-            "queue_depth": queue_depth,
-            "queue_capacity": self.dispatcher.max_queue,
-            "in_flight": self.dispatcher.in_flight,
-            "sessions_active": len(self.sessions),
-            "solver": self.solver,
-            "results_page_size": self.results_page_size,
-            "uptime_seconds": time.monotonic() - self._started,
+        return dict(
+            self.dispatcher.health(),
+            sessions_active=len(self.sessions),
+            solver=self.solver,
+            results_page_size=self.results_page_size,
+            uptime_seconds=time.monotonic() - self._started,
             # Which corpus backend this process serves from.  Cluster
             # tests assert every worker reports the same mmap directory
             # (one page-cached corpus, not N private copies).
-            "store": self.bionav.database.store.store_info(),
-        }
+            store=self.bionav.database.store.store_info(),
+        )
 
     def gauges(self) -> Dict[str, Any]:
         """The live readings :func:`render_stats` shows beside the counters.
@@ -347,12 +332,9 @@ class ServingRuntime:
         cached navigation trees and, with an L2, its directory census.
         """
         gauges: Dict[str, Any] = self.pipeline.cache.gauges()
+        gauges.update(self.dispatcher.gauges())
         gauges.update(
             {
-                "serving.workers": self.dispatcher.workers,
-                "serving.queue_depth": self.dispatcher.queue_depth,
-                "serving.queue_capacity": self.dispatcher.max_queue,
-                "serving.in_flight": self.dispatcher.in_flight,
                 "sessions.active": len(self.sessions),
                 "sessions.capacity": self.sessions.capacity,
                 "queries": [

@@ -16,7 +16,9 @@ concurrency at ``--workers``, sheds overload past ``--queue`` with
 With ``--cluster N`` the single runtime is replaced by a
 :class:`~repro.cluster.router.BioNavCluster` of N forked worker
 processes sharing a content-addressed stage cache (``--cache-dir``,
-default a fresh temporary directory), behind the same WSGI interface.
+default a fresh temporary directory), behind the same WSGI interface;
+each worker runs one request at a time, and ``--queue`` and
+``--deadline`` bound the requests waiting for it at the router.
 Development use only, as with the paper's original deployment notes.
 """
 
@@ -44,7 +46,12 @@ def main() -> None:
     parser.add_argument("--port", type=int, default=8080)
     parser.add_argument("--hierarchy-size", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--workers", type=int, default=4)
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=4,
+        help="requests run at once (not used with --cluster)",
+    )
     parser.add_argument("--queue", type=int, default=64)
     parser.add_argument(
         "--deadline",
@@ -81,11 +88,7 @@ def main() -> None:
             ClusterConfig(
                 workers=args.cluster,
                 cache_dir=cache_dir,
-                runtime={
-                    "workers": args.workers,
-                    "max_queue": args.queue,
-                    "deadline": args.deadline,
-                },
+                runtime={"max_queue": args.queue, "deadline": args.deadline},
             ),
         )
         app = BioNavWebApp(bionav, runtime=cluster)

@@ -16,7 +16,8 @@ import json
 import pickle
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from collections import Counter
+from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import urlencode
 
 import pytest
@@ -34,6 +35,7 @@ from repro.pipeline.pipeline import NavigationPipeline
 from repro.pipeline.stages import CutStage, params_key
 from repro.pipeline.cache import StageCache
 from repro.obs import Metrics
+from repro.serving.dispatcher import DeadlineExceeded
 from repro.serving.runtime import ServingRuntime, render_stats
 from repro.serving.sessions import SessionExpired
 from repro.web.app import BioNavWebApp
@@ -405,22 +407,44 @@ class TestClusterServing:
         assert len(stats["workers"]) == 2
         assert "hit_ratio" in stats["l2"]
 
-    def test_fleet_queue_depth_sums_the_workers_own_answers(self, cluster, monkeypatch):
-        """Top-level ``queue_depth`` counts what a single process's does
-        (requests waiting for a worker thread); each shard row keeps the
-        supervisor's router-queue count."""
+    def test_fleet_queue_depth_sums_the_router_gates(self, cluster, monkeypatch):
+        """Each shard row's ``queue_depth`` (and the gate fields of its
+        ``health`` answer) is its router gate's depth; the top-level
+        ``queue_depth`` sums them.  The workers' own readings are not
+        used: a worker admits nothing."""
         probed = [
             (
                 {"name": "w%d" % index, "generation": 0, "alive": True,
-                 "respawns": 0, "queue_depth": 7},
-                {"status": "ok", "sessions_active": 1, "queue_depth": index + 1},
+                 "respawns": 0},
+                {"status": "ok", "sessions_active": 1, "queue_depth": 7},
             )
             for index in range(2)
         ]
         monkeypatch.setattr(cluster, "_probe", lambda op: probed)
-        health = cluster.health()
-        assert health["queue_depth"] == 3
-        assert [shard["queue_depth"] for shard in health["shards"]] == [7, 7]
+        gate = cluster._gates[0]
+        release = threading.Event()
+        holders = [
+            threading.Thread(target=lambda: gate.call(release.wait), daemon=True)
+            for _ in range(3)
+        ]
+        for holder in holders:
+            holder.start()
+        try:
+            deadline = time.monotonic() + 5
+            while gate.queue_depth < 2:
+                assert time.monotonic() < deadline, "gate never queued"
+                time.sleep(0.005)
+            health = cluster.health()
+        finally:
+            release.set()
+            for holder in holders:
+                holder.join(5)
+        assert not any(holder.is_alive() for holder in holders)
+        assert health["queue_depth"] == 2
+        assert [shard["queue_depth"] for shard in health["shards"]] == [2, 0]
+        busy = health["shards"][0]["health"]
+        assert (busy["workers"], busy["queue_depth"], busy["in_flight"]) == (1, 2, 1)
+        assert health["status"] == "ok" and health["sessions_active"] == 2
 
     def test_merged_stage_timings_are_not_summed(self, cluster, monkeypatch):
         """Two workers reporting the same stage history merge to that
@@ -492,6 +516,160 @@ class TestFleetStats:
         assert stats["solver"]["max_ms"] == max(s["max_ms"] for s in per_worker)
         assert stats["sessions"]["created"] == 4
         assert stats["serving"]["admitted"] >= 12
+
+
+def fleet_config(tmp_path, **runtime: Any) -> ClusterConfig:
+    """A 2-worker test fleet's config with the given runtime options."""
+    return ClusterConfig(
+        workers=2,
+        cache_dir=str(tmp_path / "l2"),
+        heartbeat_interval=0.05,
+        poll_interval=0.02,
+        request_timeout=30.0,
+        runtime=runtime,
+    )
+
+
+def count_sends(fleet: BioNavCluster, monkeypatch) -> Tuple[Counter, Counter]:
+    """Wrap the fleet's supervisor so every request sent to a worker is
+    counted: returns (requests sent per worker, most sent to one worker
+    at once and still unanswered).  Health and stats probes bypass the
+    gates by design and are not counted."""
+    sent: Counter = Counter()
+    peak: Counter = Counter()
+    open_now: Counter = Counter()
+    guard = threading.Lock()
+    real = fleet._supervisor.call
+
+    def call(index, op, kwargs=None, timeout=None):
+        if op in ("health", "stats"):
+            return real(index, op, kwargs, timeout)
+        with guard:
+            sent[index] += 1
+            open_now[index] += 1
+            peak[index] = max(peak[index], open_now[index])
+        try:
+            return real(index, op, kwargs, timeout)
+        finally:
+            with guard:
+                open_now[index] -= 1
+
+    monkeypatch.setattr(fleet._supervisor, "call", call)
+    return sent, peak
+
+
+def concurrently(count: int, request) -> List[Tuple[Any, float]]:
+    """Run ``request()`` on ``count`` threads released at once; returns
+    each call's (value or raised exception, seconds it took)."""
+    gate = threading.Barrier(count)
+    outcomes: List[Tuple[Any, float]] = []
+    lock = threading.Lock()
+
+    def run() -> None:
+        gate.wait()
+        started = time.monotonic()
+        try:
+            value: Any = request()
+        except Exception as exc:  # tallied by the caller
+            value = exc
+        with lock:
+            outcomes.append((value, time.monotonic() - started))
+
+    threads = [threading.Thread(target=run, daemon=True) for _ in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(30)
+    assert len(outcomes) == count
+    return outcomes
+
+
+class TestFleetAdmission:
+    """The router admits: one gate per worker, one request in flight."""
+
+    LATENCY = 0.05
+
+    def test_overload_is_shed_at_the_router_with_503(
+        self, cluster_bionav, keywords, tmp_path, monkeypatch
+    ):
+        """20 concurrent searches over 2 serial workers with room for 4
+        waiting each: 10 run, the other 10 are answered 503 at once, and
+        no worker is ever sent a second request before its first is
+        answered."""
+        config = fleet_config(tmp_path, backend_latency=self.LATENCY, max_queue=4)
+        with BioNavCluster(cluster_bionav, config) as fleet:
+            sent, peak = count_sends(fleet, monkeypatch)
+            app = BioNavWebApp(runtime=fleet)
+            outcomes = concurrently(
+                20, lambda: request_page(app, "/api/search", {"q": keywords[0]})
+            )
+            stats = fleet.stats()
+        statuses = Counter(page[0] for page, _ in outcomes)
+        assert statuses == {"200 OK": 10, "503 Service Unavailable": 10}
+        for (status, headers, body), seconds in outcomes:
+            if status.startswith("503"):
+                assert json.loads(body)["error_code"] == "overloaded"
+                assert headers["Retry-After"] == "1"
+                assert seconds < self.LATENCY
+        assert peak == {0: 1, 1: 1}
+        assert sent == {0: 5, 1: 5}
+        serving = stats["serving"]
+        assert (serving["admitted"], serving["completed"]) == (10, 10)
+        assert serving["shed"] == {"overload": 10, "deadline": 0, "total": 10}
+        assert stats["sessions"]["created"] == 10
+
+    def test_request_expired_in_the_router_queue_never_runs(
+        self, cluster_bionav, keywords, tmp_path, monkeypatch
+    ):
+        """With a queueing deadline, a request that expires while it
+        waits at the router is answered DeadlineExceeded and never sent:
+        the workers open exactly one session per admitted, unexpired
+        search."""
+        config = fleet_config(
+            tmp_path, backend_latency=self.LATENCY, max_queue=4, deadline=0.08
+        )
+        with BioNavCluster(cluster_bionav, config) as fleet:
+            sent, peak = count_sends(fleet, monkeypatch)
+            outcomes = concurrently(10, lambda: fleet.search(keywords[1]))
+            stats = fleet.stats()
+        expired = [v for v, _ in outcomes if isinstance(v, DeadlineExceeded)]
+        served = [v for v, _ in outcomes if not isinstance(v, Exception)]
+        assert len(expired) + len(served) == 10
+        assert expired, "no request waited past the deadline"
+        serving = stats["serving"]
+        ran = serving["admitted"] - serving["shed"]["deadline"]
+        assert serving["admitted"] == 10
+        assert serving["shed"]["deadline"] == len(expired)
+        assert stats["sessions"]["created"] == ran == len(served)
+        assert sum(sent.values()) == ran
+        assert serving["completed"] == ran
+        assert max(peak.values()) == 1
+
+    def test_serving_counts_each_request_once(self, fresh_cluster, keywords):
+        """N requests through the fleet read admitted == completed == N,
+        in the fleet block and summed over the workers' drill-down."""
+        sid = fresh_cluster.search(keywords[0]).session
+        node = fresh_cluster.view(sid).rows[0].node
+        fresh_cluster.expand(sid, node)
+        fresh_cluster.results(sid, node)
+        fresh_cluster.backtrack(sid)
+        fresh_cluster.search(keywords[1])
+        stats = fresh_cluster.stats()
+        serving = stats["serving"]
+        assert (serving["admitted"], serving["completed"]) == (6, 6)
+        assert serving["shed"]["total"] == 0
+        assert (serving["workers"], serving["queue_capacity"]) == (2, 128)
+        per_worker = [entry["stats"]["serving"] for entry in stats["workers"]]
+        assert [row["admitted"] for row in per_worker] == [5, 1]
+        assert all(row["workers"] == 1 for row in per_worker)
+        assert fresh_cluster.health()["queue_depth"] == 0
+
+    def test_runtime_workers_other_than_one_is_refused(self):
+        """A worker is serial: a ``workers`` setting it cannot honour is
+        an error, not silently ignored."""
+        with pytest.raises(ValueError):
+            ClusterConfig(runtime={"workers": 2})
+        assert ClusterConfig(runtime={"workers": 1}).runtime["workers"] == 1
 
 
 class TestWorkerCrashRecovery:

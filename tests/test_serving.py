@@ -246,7 +246,7 @@ class TestDispatcher:
             started.set()
             release.wait(10)
 
-        with WorkerPoolDispatcher(1, max_queue=4) as pool:
+        with WorkerPoolDispatcher(1, max_queue=4, deadline=0.05) as pool:
             first = threading.Thread(target=lambda: pool.call(occupy), daemon=True)
             first.start()
             assert started.wait(5)
@@ -254,7 +254,7 @@ class TestDispatcher:
 
             def doomed() -> None:
                 try:
-                    pool.call(lambda: None, deadline=0.05)
+                    pool.call(lambda: None)
                 except BaseException as exc:
                     holder.append(exc)
 
@@ -331,8 +331,8 @@ class TestDispatcher:
 
 
     def test_gate_holds_its_bounds_under_contention(self):
-        """12 threads over 3 slots, a tight switch interval and short
-        deadlines: never more than 3 running, every admitted request
+        """12 threads over 3 slots, a tight switch interval and a short
+        deadline: never more than 3 running, every admitted request
         completes or expires, and the gate drains to empty."""
         running = 0
         peak = 0
@@ -351,7 +351,7 @@ class TestDispatcher:
             sheds = 0
             for j in range(40):
                 try:
-                    pool.call(body, deadline=0.002 if (i + j) % 3 == 0 else None)
+                    pool.call(body)
                 except (DeadlineExceeded, RetryLater):
                     sheds += 1
             return sheds
@@ -359,7 +359,7 @@ class TestDispatcher:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with WorkerPoolDispatcher(3, max_queue=6) as pool:
+            with WorkerPoolDispatcher(3, max_queue=6, deadline=0.002) as pool:
                 shed = sum(run_threads(12, client))
                 counted = counts(pool.metrics, "serving.")
                 assert peak <= 3

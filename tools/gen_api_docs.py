@@ -152,34 +152,41 @@ observability endpoints merge the fleet:
 
 ### `GET /api/health` (cluster)
 
-Top level keeps the single-process fields (`status` — `degraded` when
-any shard is unreachable or non-`ok` — summed `queue_depth`,
-`sessions_active`, `results_page_size`, `uptime_seconds`) and adds:
+The router admits each request through one gate per worker (one
+request in flight per worker, at most `max_queue` waiting, the rest
+shed `503`).  Top level keeps the single-process fields (`status` —
+`degraded` when any shard is unreachable or `overloaded` — `queue_depth`
+summed over the gates, `sessions_active`, `results_page_size`,
+`uptime_seconds`) and adds:
 
 | field     | meaning                                                   |
 |-----------|-----------------------------------------------------------|
 | `cluster` | `size`, `crashes` (respawns over the fleet's lifetime) |
-| `shards`  | one row per worker: `name`, `generation`, `alive`, `respawns`, `queue_depth`, `status`, and the worker's own `health` answer |
+| `shards`  | one row per worker: `name`, `generation`, `alive`, `respawns`, `queue_depth` (its gate's waiting requests), `status` (`ok`, `overloaded` while its gate queue is full, or `unreachable`), and the worker's own `health` answer with its gate's `workers` / `queue_depth` / `queue_capacity` / `in_flight` |
 
 ### `GET /api/stats` (cluster)
 
 Each worker answers with its raw registry snapshot and gauges.  The
-router merges the snapshots by addition (`repro.obs.merge`: counters
-and histogram buckets add, the maximum is the largest maximum), sums
-the gauges, and renders the result with the same `render_stats` a
-single process uses.  Fleet counts, ratios and quantiles are therefore
+router merges the snapshots, and its gates' counters, by addition
+(`repro.obs.merge`: counters and histogram buckets add, the maximum is
+the largest maximum), sums the gauges, and renders the result with the
+same `render_stats` a single process uses.  Fleet counts, ratios and quantiles are therefore
 exact arithmetic over every worker's events, and the fleet quantiles
 are bucket upper bounds like the single-process ones.
 
-- `pipeline`, `sessions`, `serving`, `solver` — the single-process
-  blocks, fleet-wide.
+- `pipeline`, `sessions`, `solver` — the single-process blocks,
+  fleet-wide.
+- `serving` — the router gates': `admitted`, `completed` and `shed.*`
+  count each request once, and `workers` / `queue_depth` /
+  `queue_capacity` / `in_flight` are the gates' readings summed.
 - `l2` — the shared store, fleet-wide: `hits` / `misses` / `publishes`
   (each stage lookup counted once, however often a waiting worker polls
   the directory), `hit_ratio`, `evictions` / `errors`, and one
   `entries` / `bytes` census (every worker sees one directory).
 - `cluster` — `size`, `crashes`, and fleet-wide `shed_total`.
-- `workers` — each worker's own rendering for drill-down, with
-  `name` / `generation` / `alive` / `respawns` / `queue_depth`.
+- `workers` — each worker's own rendering, with its gate, for
+  drill-down, with `name` / `generation` / `alive` / `respawns` /
+  `queue_depth` (its gate's).
 
 `benchmarks/bench_cluster.py` load-tests the fleet (CPU-bound 1 → 4
 process scaling, zero shed/lost, stage-row-verified cross-worker L2 hit)
